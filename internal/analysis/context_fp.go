@@ -497,19 +497,46 @@ func (x *fpContext) solve(host *CoreSet, e *Entity) (timeq.Time, bool) {
 	return r, ok
 }
 
-// evalCore tests every entity of the set, mirroring the per-core part
-// of Cores.SchedulableCore (failed veto, then response times).
-func (x *fpContext) evalCore(cs *CoreSet, failed map[*Entity]bool) bool {
-	x.stats.CoreTests++
-	for _, e := range cs.Entities {
-		if failed != nil && failed[e] {
-			return false
+// fpEvalCore is the per-core admission test of both incremental
+// evaluators (the writer context here, the snapshot prober in
+// snapshot.go): the failed veto, then every entity's response time,
+// with solve running the caller's warm-started fixed point of the
+// entity at an index of cs.
+//
+// It evaluates failure first. Once the chain jitters are resolved the
+// core's verdict is an AND over per-entity fixed points that share no
+// mutable state — a solve reads the set and writes only its own
+// entity's warm slot — so the order of evaluation cannot change the
+// verdict, only how soon a rejection is known. The veto costs no
+// solve, so it goes first; the entities go lowest priority first,
+// because the entity a rejected probe breaks is almost always near
+// the bottom of the order (it sees every other entity's interference),
+// and a walk from the top solves every passing entity above it before
+// finding out. The stateless Cores.SchedulableCore keeps the naive
+// top-down order and is what the differential suites compare against.
+func fpEvalCore(cs *CoreSet, failed map[*Entity]bool, solve func(idx int) bool) bool {
+	if len(failed) > 0 {
+		for _, e := range cs.Entities {
+			if failed[e] {
+				return false
+			}
 		}
-		if _, ok := x.solve(cs, e); !ok {
+	}
+	for i := len(cs.Entities) - 1; i >= 0; i-- {
+		if !solve(i) {
 			return false
 		}
 	}
 	return true
+}
+
+// evalCore tests every entity of the set (see fpEvalCore).
+func (x *fpContext) evalCore(cs *CoreSet, failed map[*Entity]bool) bool {
+	x.stats.CoreTests++
+	return fpEvalCore(cs, failed, func(i int) bool {
+		_, ok := x.solve(cs, cs.Entities[i])
+		return ok
+	})
 }
 
 // resolve runs the split-chain jitter fixed point, mirroring

@@ -276,8 +276,20 @@ func probeKeyOf(t *task.Task) probeKey {
 // the next snapshot for cores whose published record (and the global
 // queue bound) did not change — repeated admission tries of the same
 // task shapes, the bread and butter of admission control traffic,
-// then cost a hash lookup. Size-capped as a backstop against
-// unbounded task-shape diversity.
+// then cost a hash lookup.
+//
+// A memo only pays where shapes repeat, so every record starts on a
+// trial: it earns its memo with its probeTrialHits-th lookup hit, and
+// a record that takes probeTrialInserts inserts first retires — its
+// table is released, and every later lookup and store returns before
+// hashing or locking. Traffic whose task parameters are unique per
+// request would otherwise pay a mutex, a cold table line and a table
+// grown to probeCacheCap entries (16384 slots, ≈0.75 MB) per core
+// record for a hit ratio of zero. A record that passes keeps its memo
+// for life and stops counting; it is bounded by probeCacheCap.
+// Retirement is a property of the record: carried over to the next
+// snapshot it stays retired, and the fresh record of a dirtied core
+// starts a fresh trial.
 //
 // The cache is an insert-only open-addressing hash table tuned for
 // the read path: a lookup is linear probing over a published slot
@@ -291,8 +303,10 @@ func probeKeyOf(t *task.Task) probeKey {
 // table, so a reader either finds a fully published entry or stops
 // at an empty slot and reports a miss.
 type probeCache struct {
-	tab atomic.Pointer[probeTable]
-	mu  sync.Mutex // serializes store and growth
+	tab   atomic.Pointer[probeTable]
+	state atomic.Uint32 // memoTrial, memoKept or memoRetired
+	hits  atomic.Int64  // lookup hits, counted during the trial only
+	mu    sync.Mutex    // serializes store, growth and retirement
 }
 
 type probeTable struct {
@@ -312,8 +326,27 @@ const (
 )
 
 const (
-	probeCacheCap  = 8192 // max memoized verdicts per core record
+	memoTrial uint32 = iota
+	memoKept
+	memoRetired
+)
+
+const (
+	probeCacheCap  = 8192 // max memoized verdicts per core record: the memory bound of a record that earns its memo
 	probeTableInit = 8    // initial slot count (see store)
+
+	// A cycle of K distinct shapes repeats nothing before its K+1st
+	// probe, so no trial can tell it from unique traffic in fewer than
+	// K inserts. This one outlasts, four times over, the longest cycles
+	// the daemon's own traffic has (the 50-class load catalog, the
+	// 64-task try-only batch), and a table of that many entries is
+	// 24 KB — a thirtieth of what probeCacheCap lets a record hold. A
+	// hit saves a core test and a miss adds a lookup and a store to
+	// one, which puts break-even near one hit in twenty probes: a
+	// record that has not had one in sixteen by the trial's end is
+	// below it.
+	probeTrialInserts = 256
+	probeTrialHits    = probeTrialInserts / 16
 )
 
 // hash mixes the key's five words Fibonacci-style; quality only
@@ -328,10 +361,14 @@ func (k probeKey) hash() uint64 {
 	return h ^ (h >> 32)
 }
 
+// retired reports whether the record has given its memo up; callers
+// skip building a key for one that has.
+func (pc *probeCache) retired() bool { return pc.state.Load() == memoRetired }
+
 func (pc *probeCache) lookup(k probeKey) (bool, bool) {
 	t := pc.tab.Load()
 	if t == nil {
-		return false, false
+		return false, false // nothing stored yet, or retired
 	}
 	mask := uint64(len(t.slots) - 1)
 	h := k.hash()
@@ -345,6 +382,9 @@ func (pc *probeCache) lookup(k probeKey) (bool, bool) {
 			return false, false
 		}
 		if s.key == k {
+			if pc.state.Load() == memoTrial && pc.hits.Add(1) >= probeTrialHits {
+				pc.state.CompareAndSwap(memoTrial, memoKept)
+			}
 			return s.verdict, true
 		}
 	}
@@ -358,10 +398,17 @@ func (pc *probeCache) lookup(k probeKey) (bool, bool) {
 // of short-lived garbage, not a kilobytes-scale slab (a 64-slot
 // initial table measured ~10% of the session read mix in allocation
 // and cold-write cost). Long-lived records grow by doubling as their
-// memo fills.
+// memo fills. The insert that completes the trial retires a record
+// still on it.
 func (pc *probeCache) store(k probeKey, verdict bool) {
+	if pc.retired() {
+		return
+	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
+	if pc.retired() {
+		return
+	}
 	t := pc.tab.Load()
 	if t == nil {
 		t = &probeTable{slots: make([]probeSlot, probeTableInit)}
@@ -385,6 +432,11 @@ func (pc *probeCache) store(k probeKey, verdict bool) {
 	}
 	if t.insert(k, verdict) {
 		t.used++
+	}
+	if t.used >= probeTrialInserts && pc.state.CompareAndSwap(memoTrial, memoRetired) {
+		// Under the mutex, so no store can publish a table after this;
+		// readers still probing the old one finish on it.
+		pc.tab.Store(nil)
 	}
 }
 
@@ -527,7 +579,7 @@ func (p *fpProber) TryPlace(t *task.Task, c int) bool {
 	// Whole-task probes on chain-free snapshots are pure per-core
 	// functions of the task parameters: serve repeats from the memo.
 	pc := s.cores[c].probes
-	useMemo := pc != nil && len(s.chains) == 0
+	useMemo := pc != nil && len(s.chains) == 0 && !pc.retired()
 	var key probeKey
 	if useMemo {
 		key = probeKeyOf(t)
@@ -774,18 +826,14 @@ func (p *fpProbe) solve(v *probeView, idx int) (timeq.Time, bool) {
 	return r, ok
 }
 
-// evalCore mirrors fpContext.evalCore on a probe view.
+// evalCore is the failure-first core test (fpEvalCore) on a probe
+// view.
 func (p *fpProbe) evalCore(v *probeView, failed map[*Entity]bool) bool {
 	p.stats.CoreTests++
-	for i, e := range v.cs.Entities {
-		if failed != nil && failed[e] {
-			return false
-		}
-		if _, ok := p.solve(v, i); !ok {
-			return false
-		}
-	}
-	return true
+	return fpEvalCore(&v.cs, failed, func(i int) bool {
+		_, ok := p.solve(v, i)
+		return ok
+	})
 }
 
 // resolve runs the split-chain jitter fixed point over the probe
@@ -984,8 +1032,9 @@ func (p *edfProber) TryPlace(t *task.Task, c int) bool {
 		return false
 	}
 	pc := s.cores[c].probes
+	useMemo := pc != nil && !pc.retired()
 	var key probeKey
-	if pc != nil {
+	if useMemo {
 		key = probeKeyOf(t)
 		if ok, hit := pc.lookup(key); hit {
 			s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1, VerdictHits: 1})
@@ -996,7 +1045,7 @@ func (p *edfProber) TryPlace(t *task.Task, c int) bool {
 	e := newEDFEntityInto(&sc.ent, t)
 	sc.addCores[0] = c
 	ok := s.evalProbe(sc, c, e, nil, nil, s.probeN(sc.addCores[:]))
-	if pc != nil {
+	if useMemo {
 		pc.store(key, ok)
 	}
 	return ok

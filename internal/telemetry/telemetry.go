@@ -114,22 +114,27 @@ const (
 	histMaxBuckets = histMaxShift + 2
 )
 
-// histShard is one stripe of a histogram: bucket counts plus exact
-// sum and count. Arrays are fixed-size so the whole histogram is a
+// histShard is one stripe of a histogram: bucket counts plus the
+// sum. There is no separate count: the exposed _count is the +Inf
+// cumulative bucket, so the two can never disagree in a scrape that
+// races observers. Arrays are fixed-size so the whole histogram is a
 // flat allocation; adjacent shards are naturally line-separated by
 // the array length.
 type histShard struct {
 	buckets [histMaxBuckets]atomic.Int64
 	sum     atomic.Int64
-	count   atomic.Int64
 }
 
 // Histogram is a log₂-bucketed distribution: bucket i (of the
 // configured [minShift, maxShift] range) counts observations
 // v ≤ 2^(minShift+i), with one +Inf overflow bucket. Observing is
-// three independent atomic adds on the caller's stripe; merging
-// happens only at scrape. The zero value is not usable — obtain
-// histograms from a Registry.
+// two independent atomic adds on the caller's stripe (bucket, sum);
+// merging happens only at scrape. _count is derived from the buckets
+// and is always consistent with them; _sum is best-effort under
+// concurrent observation — a scrape may see an observation's bucket
+// and not yet its sum, or the reverse — and exact once observers
+// quiesce. The zero value is not usable — obtain histograms from a
+// Registry.
 type Histogram struct {
 	minShift, maxShift int
 	unit               Unit
@@ -162,12 +167,11 @@ func (h *Histogram) ObserveInt(v int64) {
 	sh := &h.shards[shardIndex()]
 	sh.buckets[h.bucketFor(v)].Add(1)
 	sh.sum.Add(v)
-	sh.count.Add(1)
 }
 
 // ObserveGroup records count observations totalling sum, bucketed at
-// their integer mean: the exposed _sum and _count stay exact while
-// bucket resolution degrades to the group grain. Used where the
+// their integer mean: the exposed _sum and _count carry the group's
+// totals while bucket resolution degrades to the group grain. Used where the
 // producer only hands out aggregates (e.g. fixed-point iterations
 // per probe).
 func (h *Histogram) ObserveGroup(sum, count int64) {
@@ -177,12 +181,12 @@ func (h *Histogram) ObserveGroup(sum, count int64) {
 	sh := &h.shards[shardIndex()]
 	sh.buckets[h.bucketFor(sum/count)].Add(count)
 	sh.sum.Add(sum)
-	sh.count.Add(count)
 }
 
 // snapshot folds the stripes into cumulative bucket counts (le ≤
-// 2^shift per configured bucket, then +Inf), plus exact sum and
-// count. Scrape-path only.
+// 2^shift per configured bucket, then +Inf), plus the sum and the
+// count — the +Inf cumulative bucket, so count and buckets agree by
+// construction. Scrape-path only.
 func (h *Histogram) snapshot(cum []int64) (sum, count int64, n int) {
 	n = h.maxShift - h.minShift + 2 // configured buckets + overflow
 	for i := 0; i < n; i++ {
@@ -194,12 +198,11 @@ func (h *Histogram) snapshot(cum []int64) (sum, count int64, n int) {
 			cum[i] += sh.buckets[i].Load()
 		}
 		sum += sh.sum.Load()
-		count += sh.count.Load()
 	}
 	for i := 1; i < n; i++ {
 		cum[i] += cum[i-1]
 	}
-	return sum, count, n
+	return sum, cum[n-1], n
 }
 
 // Quantile estimates quantile q (0..1) from the bucketed counts,

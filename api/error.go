@@ -16,12 +16,13 @@ const (
 	// CodeBadRequest rejects a malformed or semantically invalid
 	// request (bad JSON, invalid task parameters, out-of-range core).
 	CodeBadRequest Code = "bad_request"
-	// CodeSessionNotFound: no live or snapshotted session by that name.
+	// CodeSessionNotFound: no live or checkpointed session by that name.
 	CodeSessionNotFound Code = "session_not_found"
 	// CodeSessionExists rejects creating a name that is already taken.
 	CodeSessionExists Code = "session_exists"
 	// CodeSessionClosed: the session's actor has exited (deleted or
-	// evicted concurrently); retry resolves it when snapshots are on.
+	// evicted concurrently); retry resolves it when the server runs
+	// with a data directory (the session is restored from it).
 	CodeSessionClosed Code = "session_closed"
 	// CodeProbePending rejects a mutation while a held probe awaits
 	// commit/rollback.

@@ -5,13 +5,13 @@
 //
 // Usage:
 //
-//	spadmitd serve [-addr :7007] [-snapshots dir] [-max-sessions 1024]
+//	spadmitd serve [-addr :7007] [-data-dir dir] [-max-sessions 1024]
 //	spadmitd load  [-addr http://host:7007] [-sessions 64] [-requests 100000]
 //
 // The wire contract is the public api package (the v1 versioned
 // schema); package client is the typed Go SDK over it. See DESIGN.md
 // §3 for the architecture (session actors, sharded store, LRU
-// eviction + snapshot/restore, removal invalidation) and README.md
+// eviction + checkpoint/restore, removal invalidation) and README.md
 // for curl and Go-client quickstarts.
 package main
 

@@ -323,7 +323,7 @@ func TestBatchGenerateAndStats(t *testing.T) {
 // as the uninterrupted session would.
 func TestSnapshotRestoreIdentity(t *testing.T) {
 	dir := t.TempDir()
-	srv := newTestServer(t, Config{MaxSessions: 2, SnapshotDir: dir})
+	srv := newTestServer(t, Config{MaxSessions: 2, DataDir: dir})
 	model := overhead.Normalize(overhead.PaperModel())
 	an := analysis.FixedPriorityRTA
 
@@ -362,14 +362,14 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 	if srv.Store().restored.Load() == 0 {
 		t.Fatal("touching the evicted session must restore it")
 	}
-	// Graceful shutdown snapshots everything; a fresh server over the
+	// Graceful shutdown checkpoints everything; a fresh server over the
 	// same directory sees identical state.
 	var before api.State
 	if err := json.Unmarshal(mustStatus(t, srv, "GET", "/v1/sessions/a", nil, http.StatusOK), &before); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	srv2 := newTestServer(t, Config{MaxSessions: 8, SnapshotDir: dir})
+	srv2 := newTestServer(t, Config{MaxSessions: 8, DataDir: dir})
 	var after api.State
 	if err := json.Unmarshal(mustStatus(t, srv2, "GET", "/v1/sessions/a", nil, http.StatusOK), &after); err != nil {
 		t.Fatal(err)
@@ -385,12 +385,12 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 // persist a held probe's tentative mutation as committed state.
 func TestSnapshotDiscardsHeldProbe(t *testing.T) {
 	dir := t.TempDir()
-	srv := newTestServer(t, Config{SnapshotDir: dir})
+	srv := newTestServer(t, Config{DataDir: dir})
 	mustStatus(t, srv, "POST", "/v1/sessions", api.CreateSessionRequest{Name: "h", Cores: 2}, http.StatusCreated)
 	mustStatus(t, srv, "POST", "/v1/sessions/h/admit", api.AdmitRequest{Task: api.Task{ID: 1, WCETNs: 1e6, PeriodNs: 1e7, Priority: 1}}, http.StatusOK)
 	mustStatus(t, srv, "POST", "/v1/sessions/h/try", api.AdmitRequest{Task: api.Task{ID: 2, WCETNs: 1e6, PeriodNs: 1e7, Priority: 2}, Hold: true}, http.StatusOK)
-	srv.Close() // snapshots with the probe still held
-	srv2 := newTestServer(t, Config{SnapshotDir: dir})
+	srv.Close() // checkpoints with the probe still held
+	srv2 := newTestServer(t, Config{DataDir: dir})
 	var state api.State
 	if err := json.Unmarshal(mustStatus(t, srv2, "GET", "/v1/sessions/h", nil, http.StatusOK), &state); err != nil {
 		t.Fatal(err)

@@ -621,7 +621,7 @@ func (st *Store) restoreDurable(name string) (*Session, error) {
 func (st *Store) replayToSeq(name string, e *streamState, limit int64) (*sessionSnapshot, int64, error) {
 	var base *sessionSnapshot
 	baseSeq := int64(-1)
-	if snap, err := readSnapshot(st.dir, name); err == nil && snap != nil &&
+	if snap, err := readSnapshot(st.plane.ckptDir, name); err == nil && snap != nil &&
 		snap.Gen == e.gen && snap.Seq < limit {
 		base, baseSeq = snap, snap.Seq
 	}
@@ -674,7 +674,7 @@ func (st *Store) Checkpoint() error {
 			}
 			return
 		}
-		if werr := writeSnapshot(st.dir, snap); werr != nil {
+		if werr := writeSnapshot(st.plane.ckptDir, snap); werr != nil {
 			st.plane.noteError()
 			if firstErr == nil {
 				firstErr = werr

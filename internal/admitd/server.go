@@ -24,13 +24,12 @@ type Config struct {
 	// MaxSessions caps live sessions (LRU eviction beyond it); 0
 	// means 1024.
 	MaxSessions int
-	// SnapshotDir, when set, persists evicted sessions and snapshots
-	// everything live on Close.
-	SnapshotDir string
 	// DataDir, when set, turns on the durability plane: every
 	// committed session mutation is appended to a per-shard commit
 	// log under DataDir/wal, checkpoints land in DataDir/ckpt, and
-	// restart replays acked writes back. Supersedes SnapshotDir.
+	// restart replays acked writes back. Evicted sessions, and
+	// everything live on Close, park in their checkpoints. Without it
+	// nothing persists: an evicted session is gone.
 	DataDir string
 	// Fsync picks the commit-log sync policy: "group" (default: ack
 	// at apply, background fsync each interval), "always" (fsync
@@ -85,7 +84,7 @@ type Server struct {
 	requests atomic.Int64
 }
 
-// New builds a Server (and its snapshot directory, when configured).
+// New builds a Server (and opens its data directory, when configured).
 func New(cfg Config) (*Server, error) {
 	policy, err := wal.ParseSyncPolicy(cfg.Fsync)
 	if err != nil {
@@ -93,7 +92,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	store, err := NewStore(StoreConfig{
 		MaxSessions:     cfg.MaxSessions,
-		SnapshotDir:     cfg.SnapshotDir,
 		DataDir:         cfg.DataDir,
 		Fsync:           policy,
 		FsyncInterval:   cfg.FsyncInterval,
@@ -207,7 +205,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close snapshots every live session and stops the actors (graceful
+// Close checkpoints every live session (when durable) and stops the actors (graceful
 // shutdown; call after the HTTP listener has drained).
 func (s *Server) Close() {
 	s.store.Close()
@@ -234,9 +232,10 @@ func writeError(w http.ResponseWriter, err error) {
 
 // decodeBody decodes a request body. Unknown fields are ignored —
 // the schema's forward-compatibility rule: a newer client may send
-// fields this server does not know yet.
+// fields this server does not know yet. The body is bounded like the
+// fast path's (maxBodyBytes).
 func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := json.NewDecoder(&boundedBody{r: r.Body, left: maxBodyBytes + 1}).Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil

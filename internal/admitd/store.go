@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,16 +33,14 @@ type storeShard struct {
 }
 
 // Store is the sharded session registry: striped maps, a logical
-// clock for LRU, an eviction cap, and the snapshot directory evicted
-// sessions park in until their next touch.
+// clock for LRU, and an eviction cap.
 type Store struct {
 	shards      [numShards]storeShard
 	maxSessions int
-	dir         string // "" disables persistence
 
 	// plane is the durability plane (nil when DataDir is unset): one
-	// commit log per shard plus the checkpoint registry. With a plane,
-	// dir points at its checkpoint directory.
+	// commit log per shard plus the checkpoint registry, whose
+	// directory evicted sessions park in until their next touch.
 	plane *walPlane
 
 	// Periodic checkpoint + compaction driver (plane only).
@@ -70,18 +67,15 @@ type Store struct {
 // StoreConfig parameterizes a Store.
 type StoreConfig struct {
 	// MaxSessions caps live sessions; 0 means 1024. Creation beyond
-	// the cap evicts the least-recently-used session (snapshotting it
-	// first when SnapshotDir is set).
+	// the cap evicts the least-recently-used session (checkpointing it
+	// first when DataDir is set; it is gone for good otherwise).
 	MaxSessions int
-	// SnapshotDir, when non-empty, persists evicted sessions and
-	// everything live at Close; missing sessions are restored from it
-	// transparently. Ignored when DataDir is set (checkpoints live
-	// under the data directory then).
-	SnapshotDir string
 	// DataDir, when non-empty, turns the durability plane on: every
 	// committed mutation is written to a per-shard commit log under
-	// DataDir/wal, checkpoints land under DataDir/checkpoints, and a
-	// crashed store recovers to exactly the acknowledged state.
+	// DataDir/wal, checkpoints land under DataDir/checkpoints — one
+	// per evicted session and one for everything live at Close, from
+	// which missing sessions are restored transparently — and a crashed
+	// store recovers to exactly the acknowledged state.
 	DataDir string
 	// Fsync picks the commit policy (default wal.SyncGroup): always
 	// fsyncs every commit boundary before the ack; group acks at
@@ -113,15 +107,15 @@ const defaultCheckpointEvery = 30 * time.Second
 // Redis appendfsync everysec to 1s.)
 const defaultFsyncInterval = 5 * time.Millisecond
 
-// NewStore builds the registry, the snapshot directory (if any), and
-// — with DataDir set — opens the durability plane, running crash
+// NewStore builds the registry and — with DataDir set — opens the
+// durability plane, running crash
 // recovery on its commit logs before the store serves anything.
 func NewStore(cfg StoreConfig) (*Store, error) {
 	max := cfg.MaxSessions
 	if max <= 0 {
 		max = 1024
 	}
-	st := &Store{maxSessions: max, dir: cfg.SnapshotDir, coll: &analysis.Collector{}}
+	st := &Store{maxSessions: max, coll: &analysis.Collector{}}
 	if cfg.DataDir != "" {
 		window := cfg.FsyncInterval
 		if window <= 0 {
@@ -132,11 +126,6 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 			return nil, err
 		}
 		st.plane = plane
-		st.dir = plane.ckptDir
-	} else if cfg.SnapshotDir != "" {
-		if err := os.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
-			return nil, err
-		}
 	}
 	for i := range st.shards {
 		st.shards[i].m = make(map[string]*Session)
@@ -198,14 +187,8 @@ func (st *Store) Create(name string, cores int, p task.Policy, model *overhead.M
 	if _, ok := sh.m[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrSessionExists, name)
 	}
-	if st.plane != nil {
-		if st.plane.exists(name) {
-			return nil, fmt.Errorf("%w: %q (durable)", ErrSessionExists, name)
-		}
-	} else if st.dir != "" {
-		if snap, _ := readSnapshot(st.dir, name); snap != nil {
-			return nil, fmt.Errorf("%w: %q (snapshotted)", ErrSessionExists, name)
-		}
+	if st.plane != nil && st.plane.exists(name) {
+		return nil, fmt.Errorf("%w: %q (durable)", ErrSessionExists, name)
 	}
 	model = overhead.Normalize(model)
 	s := newSession(name, p, model, task.NewAssignment(cores), st.coll, st.met)
@@ -231,8 +214,8 @@ func (st *Store) Create(name string, cores int, p task.Policy, model *overhead.M
 	return s, nil
 }
 
-// Get returns a live session, restoring it from its snapshot when the
-// store persists and the name was evicted.
+// Get returns a live session, restoring it from its checkpoint and
+// commit-log tail when the store is durable and the name was evicted.
 func (st *Store) Get(name string) (*Session, error) {
 	sh := st.shardFor(name)
 	sh.mu.Lock()
@@ -241,26 +224,13 @@ func (st *Store) Get(name string) (*Session, error) {
 		sh.mu.Unlock()
 		return s, nil
 	}
-	if st.dir == "" {
+	if st.plane == nil {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, name)
 	}
-	var s *Session
-	var err error
-	if st.plane != nil {
-		// Durable restore: newest gen-matched checkpoint + commit-log
-		// tail replay (restoreDurable attaches the WAL stream).
-		s, err = st.restoreDurable(name)
-	} else {
-		var snap *sessionSnapshot
-		snap, err = readSnapshot(st.dir, name)
-		if err == nil && snap == nil {
-			err = fmt.Errorf("%w: %q", ErrSessionNotFound, name)
-		}
-		if err == nil {
-			s, err = restoreSession(snap, st.coll, st.met)
-		}
-	}
+	// Durable restore: newest gen-matched checkpoint + commit-log tail
+	// replay (restoreDurable attaches the WAL stream).
+	s, err := st.restoreDurable(name)
 	if err != nil {
 		sh.mu.Unlock()
 		return nil, err
@@ -279,11 +249,9 @@ func (st *Store) Get(name string) (*Session, error) {
 	return s, nil
 }
 
-// Delete closes and forgets a session, snapshot included. With the
-// durability plane, the actor drains first, then the tombstone
-// record retires the generation (committed per the plane's policy)
-// and the
-// checkpoint file goes away — recovery will never resurrect the
+// Delete closes and forgets a session. With the durability plane, the
+// actor drains first, then the tombstone record retires the generation
+// (committed per the plane's policy) and the checkpoint file goes away — recovery will never resurrect the
 // name, and recreating it opens a fresh generation.
 func (st *Store) Delete(name string) error {
 	sh := st.shardFor(name)
@@ -298,14 +266,8 @@ func (st *Store) Delete(name string) error {
 	if s != nil {
 		s.close()
 	}
-	if st.plane != nil {
-		if st.plane.delete(name) {
-			found = true
-		}
-	} else if st.dir != "" {
-		if err := os.Remove(snapshotPath(st.dir, name)); err == nil {
-			found = true
-		}
+	if st.plane != nil && st.plane.delete(name) {
+		found = true
 	}
 	if !found {
 		return fmt.Errorf("%w: %q", ErrSessionNotFound, name)
@@ -314,8 +276,8 @@ func (st *Store) Delete(name string) error {
 	return nil
 }
 
-// evictOne removes the least-recently-used session: snapshot (when
-// persisting), close, forget. Reports whether anything was evicted.
+// evictOne removes the least-recently-used session: checkpoint (when
+// durable), close, forget. Reports whether anything was evicted.
 func (st *Store) evictOne() bool {
 	var victim *Session
 	var victimShard *storeShard
@@ -341,29 +303,30 @@ func (st *Store) evictOne() bool {
 	delete(victimShard.m, victim.name)
 	st.count.Add(-1)
 	victimShard.mu.Unlock()
-	st.snapshotAndClose(victim)
+	st.checkpointAndClose(victim)
 	st.evicted.Add(1)
 	return true
 }
 
-// snapshotAndClose persists a session (when the store does) and stops
-// its actor. The snapshot runs on the actor, so it sees committed
-// state only.
-func (st *Store) snapshotAndClose(s *Session) {
-	if st.dir != "" {
+// checkpointAndClose checkpoints a session (when the store is durable)
+// and stops its actor. The snapshot runs on the actor, so it sees
+// committed state only. A checkpoint that cannot be written loses
+// nothing — the commit log still holds every mutation — but is counted
+// with the plane's other errors.
+func (st *Store) checkpointAndClose(s *Session) {
+	if st.plane != nil {
 		var snap *sessionSnapshot
 		var serr error
 		if err := s.call(func() { snap, serr = s.snapshotLocked() }); err == nil && serr == nil && snap != nil {
-			serr = writeSnapshot(st.dir, snap)
-			if serr == nil && st.plane != nil && snap.Gen != 0 {
+			if serr = writeSnapshot(st.plane.ckptDir, snap); serr == nil && snap.Gen != 0 {
 				// The checkpoint covers the stream up to Seq: advance
 				// the compaction watermark.
 				st.plane.setCkpt(snap.Name, snap.Gen, snap.Seq)
 			}
 		}
-		// A failed snapshot does not lose durable state: with the
-		// plane on, the commit log still holds every mutation.
-		_ = serr
+		if serr != nil {
+			st.plane.noteError()
+		}
 	}
 	s.close()
 }
@@ -384,8 +347,8 @@ func (st *Store) Range(f func(*Session)) {
 	}
 }
 
-// Close snapshots every live session and stops all actors — the
-// graceful-shutdown path. With the durability plane, the periodic
+// Close stops all actors — the graceful-shutdown path. With the
+// durability plane, the periodic
 // checkpoint driver stops first, the final per-session checkpoints
 // land, the logs compact down to those checkpoints, and the shard
 // logs close (flushing and syncing their tails).
@@ -402,7 +365,7 @@ func (st *Store) Close() {
 		}
 		sh.mu.Unlock()
 		for _, s := range live {
-			st.snapshotAndClose(s)
+			st.checkpointAndClose(s)
 		}
 	}
 	if st.plane != nil {

@@ -36,21 +36,50 @@ var wirePool = sync.Pool{
 	},
 }
 
+// maxBodyBytes bounds every request body the server reads. A body may
+// not declare its length (chunked encoding), so the bound is enforced
+// while reading, not only on Content-Length.
+const maxBodyBytes = 1 << 20
+
+var errBodyTooLarge = fmt.Errorf("larger than %d bytes", maxBodyBytes)
+
+// boundedBody reads at most maxBodyBytes from r: the byte after that
+// fails the read with errBodyTooLarge. left starts at maxBodyBytes+1.
+type boundedBody struct {
+	r    io.Reader
+	left int
+}
+
+func (b *boundedBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p[:min(len(p), b.left)])
+	if b.left -= n; b.left == 0 {
+		return n, errBodyTooLarge
+	}
+	return n, err
+}
+
 // readBody reads the whole request body into the pooled slab,
-// pre-sizing from Content-Length when declared.
+// pre-sizing from Content-Length when declared. A slab grown past
+// maxBodyBytes is not kept: the pool holds what it held before.
 func (ws *wireScratch) readBody(r *http.Request) ([]byte, error) {
 	b := ws.body[:0]
-	if c := r.ContentLength; c > int64(cap(b)) && c <= 1<<20 {
+	if c := r.ContentLength; c > maxBodyBytes {
+		return nil, fmt.Errorf("bad request body: %w", errBodyTooLarge)
+	} else if c > int64(cap(b)) {
 		b = make([]byte, 0, c)
 	}
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
-		n, err := r.Body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
+		n, err := r.Body.Read(b[len(b):min(cap(b), maxBodyBytes+1)])
+		if b = b[:len(b)+n]; len(b) > maxBodyBytes {
+			err = errBodyTooLarge
+		}
 		if err != nil {
-			ws.body = b
+			if cap(b) <= maxBodyBytes {
+				ws.body = b
+			}
 			if err == io.EOF {
 				return b, nil
 			}

@@ -13,6 +13,12 @@
 // demand-bound test points, and caches per-core verdicts keyed by
 // (content revision, queue bound, jitter generation).
 //
+// A context does not evaluate probes itself. The one incremental
+// engine (engine.go) does, over scratch views of the committed state,
+// for the context and for the snapshots it publishes alike; the
+// context is the owner that installs what a probe converged when the
+// probe is committed (context_fp.go), and drops it otherwise.
+//
 // # Decision identity
 //
 // A Context must answer every probe exactly as the stateless
@@ -43,6 +49,7 @@ import (
 
 	"repro/internal/overhead"
 	"repro/internal/task"
+	"repro/internal/timeq"
 )
 
 // Context is a stateful admission session over one evolving
@@ -356,8 +363,10 @@ func modelMonotone(m *overhead.Model) bool {
 	return true
 }
 
-// ctxBase carries the state and plumbing shared by both concrete
-// contexts; its fields and methods are promoted by embedding.
+// ctxBase is the policy-independent half of both writer contexts: the
+// committed state in the shape it is published in, the one pending
+// probe, publication and group commit, the entity pool and the sweep
+// memo plumbing. Its fields and methods are promoted by embedding.
 type ctxBase struct {
 	an    Analyzer
 	a     *task.Assignment
@@ -366,16 +375,28 @@ type ctxBase struct {
 	stats AdmissionStats
 	coll  *Collector // optional per-context sink (SetCollector)
 
+	// Committed state (see coreRec): per-core records, the split chains
+	// (fixed priorities only), per-core verdicts of the last test, and
+	// the latest rolled-back probe against each core.
+	cores     []coreRec
+	chains    []fpSnapChain
+	verdicts  []fpVerdict
+	lastProbe []probeRecord
+	pend      pending
+
 	// readStats accumulates the read path's counters: probes served
 	// from forked snapshots fold their work here atomically. Flush
 	// drains it alongside the writer-side stats.
 	readStats Collector
 
 	// publishing is engaged by the first Fork: until then committed
-	// mutations skip snapshot publication entirely, so fork-free
-	// consumers (the partitioners' packing loops, the sweep pipeline)
-	// pay nothing for the read path.
+	// mutations skip snapshot publication entirely and install in
+	// place, so fork-free consumers (the partitioners' packing loops,
+	// the sweep pipeline) pay nothing for the read path. pub holds the
+	// latest published snapshot, swapped atomically on every committed
+	// mutation.
 	publishing atomic.Bool
+	pub        atomic.Pointer[snapState]
 
 	// Group-commit state (owner-only): between BeginGroup and
 	// EndGroup, pubHold defers snapshot publication; pubAny records
@@ -392,6 +413,79 @@ type ctxBase struct {
 
 	maxN      int   // committed MaxTasksPerCore
 	commitSeq int64 // bumped on every committed mutation
+
+	// pool holds reclaimed entities — only ever ones no published
+	// snapshot can reference (rolled-back split probes, and committed
+	// entities of a context that never engaged publication).
+	pool entPool
+
+	// Cross-context verdict sharing. sweepNodes[c] is core c's interned
+	// committed state, folded lazily at the first memo consultation
+	// after a mutation: sweepRevs[c] remembers which revision the
+	// cached node reflects (-1 = never folded), so adoptions pay
+	// nothing and cores that are never probed again are never folded.
+	// sweepOff disables sharing until the next Reset once per-core
+	// verdicts stop being local (fixed-priority chains, removals).
+	sweep      *SweepCache
+	sweepNodes []*sweepNode
+	sweepRevs  []int64
+	sweepOff   bool
+}
+
+// fpVerdict caches one core's last admission verdict, keyed by the
+// content revision, queue bound and (fixed priorities) jitter
+// generation it was computed under.
+type fpVerdict struct {
+	valid bool
+	ok    bool
+	rev   int64
+	n     int
+	jGen  int64
+}
+
+// probeRecord remembers the latest rolled-back whole-task probe against
+// a core, so an unprobed Place of the identical task in the same
+// committed epoch promotes the probe's verdict and what it converged —
+// the probe-every-core-then-place-on-best pattern of the bin-packing
+// heuristics. Under fixed priorities run names the engine run whose
+// views hold the converged values (0: a memo answered); under EDF memo
+// is the probe's demand memo.
+type probeRecord struct {
+	seq  int64   // the committed epoch probed in
+	id   task.ID // the task probed
+	ok   bool
+	run  int64
+	memo *edfDemandMemo
+}
+
+const (
+	pendNone = iota
+	pendPlace
+	pendSplit
+)
+
+// pending is the one in-flight provisional mutation.
+type pending struct {
+	kind     int
+	core     int // the probed core
+	fits     bool
+	n        int       // the probe state's queue bound
+	addEnts  []*Entity // tentative entities
+	addCores []int     // their host cores (parallel)
+
+	run      int64          // FP: the engine run that evaluated it (0: a memo answered)
+	resolved bool           // FP: a jitter resolution ran
+	memo     *edfDemandMemo // EDF: the probe's converged demand memo
+}
+
+func newCtxBase(an Analyzer, a *task.Assignment, m *overhead.Model) ctxBase {
+	nc := a.NumCores
+	return ctxBase{
+		an: an, a: a, m: m, mono: modelMonotone(m),
+		cores:     make([]coreRec, nc),
+		verdicts:  make([]fpVerdict, nc),
+		lastProbe: make([]probeRecord, nc),
+	}
 }
 
 func (b *ctxBase) Analyzer() Analyzer           { return b.an }
@@ -411,17 +505,257 @@ func (b *ctxBase) Flush() {
 	b.stats = AdmissionStats{}
 }
 
-// checkNoPending panics when a probe is pending: contexts allow
+// ensureNoPending panics when a probe is pending: contexts allow
 // exactly one provisional mutation at a time.
-func (b *ctxBase) checkNoPending(kind int, op string) {
-	if kind != pendNone {
+func (b *ctxBase) ensureNoPending(op string) {
+	if b.pend.kind != pendNone {
 		panic(fmt.Sprintf("analysis: %s with an unresolved probe pending (Commit or Rollback first)", op))
 	}
 }
 
-// BeginGroup opens a group commit (see the interface contract). The
-// hold is pure owner-side bookkeeping, so it lives here; the matching
-// EndGroup is on the concrete contexts, which own publish.
+// own returns core c's record with its entity and warm slices safe to
+// write in place. A record a published snapshot references (probes !=
+// nil) gets private copies first and gives its probe memo up; the next
+// publish hands it a fresh one. A context that never forked owns every
+// record already. grow says the caller is about to insert: the copies
+// then get room for a few entries, so a group of commits onto one core
+// copies it once.
+func (b *ctxBase) own(c int, grow bool) *coreRec {
+	r := &b.cores[c]
+	if r.probes != nil {
+		n := len(r.ents)
+		if grow {
+			n += 4
+		}
+		r.ents = append(make([]*Entity, 0, n), r.ents...)
+		if r.warm != nil {
+			r.warm = append(make([]timeq.Time, 0, n), r.warm...)
+		}
+		r.probes = nil
+	}
+	return r
+}
+
+// adopted is the bookkeeping of one more committed entity on r.
+func (b *ctxBase) adopted(r *coreRec, e *Entity) {
+	if d := b.m.Cache.MaxDelay(e.Task.WSS); d > r.cacheMax {
+		r.cacheMax = d
+	}
+	if n := len(r.ents); n > b.maxN {
+		b.maxN = n
+	}
+	r.rev++
+	r.memo = nil
+}
+
+// dropped is the bookkeeping of an entity removed from r: CacheMax may
+// shrink, and the demand memo's covered set references the removed
+// entity (its test points must not survive).
+func (b *ctxBase) dropped(r *coreRec) {
+	r.cacheMax = 0
+	for _, e := range r.ents {
+		if d := b.m.Cache.MaxDelay(e.Task.WSS); d > r.cacheMax {
+			r.cacheMax = d
+		}
+	}
+	r.rev++
+	r.memo = nil
+}
+
+// removed recomputes the committed queue bound after a removal and
+// counts the mutation; it reports whether the bound dropped.
+func (b *ctxBase) removed() bool {
+	old := b.maxN
+	b.maxN = 0
+	for c := range b.cores {
+		if n := len(b.cores[c].ents); n > b.maxN {
+			b.maxN = n
+		}
+	}
+	b.commitSeq++
+	return b.maxN != old
+}
+
+// rebind is the policy-independent half of Reset: it rebinds the
+// context to a and m and empties the committed state, reporting
+// whether the slabs had to be dropped rather than recycled — the
+// committed slices and entities are shared with published snapshots,
+// or the core count changed. Old snapshots stay valid (they are
+// self-contained) and publication disengages until the next Fork.
+// Otherwise Fork was never called: no snapshot references the slabs,
+// so entities go back to the pool and the records keep their capacity.
+// commitSeq keeps running so stale probe records can never match.
+func (b *ctxBase) rebind(a *task.Assignment, m *overhead.Model) (fresh bool) {
+	b.ensureNoPending("Reset")
+	nc := a.NumCores
+	fresh = b.publishing.Load() || nc != len(b.cores)
+	if fresh {
+		b.publishing.Store(false)
+		b.pub.Store(nil)
+		b.cores = make([]coreRec, nc)
+		b.verdicts = make([]fpVerdict, nc)
+		b.lastProbe = make([]probeRecord, nc)
+		b.chains = nil
+		b.pool = entPool{}
+	} else {
+		for c := range b.cores {
+			r := &b.cores[c]
+			b.pool.put(r.ents...)
+			// rev keeps counting: recycled cores must never match old
+			// verdicts or folds.
+			*r = coreRec{ents: r.ents[:0], warm: r.warm[:0], rev: r.rev + 1}
+			b.verdicts[c] = fpVerdict{}
+			b.lastProbe[c] = probeRecord{}
+		}
+		b.chains = b.chains[:0]
+	}
+	b.a = a
+	b.m = overhead.Normalize(m)
+	b.mono = modelMonotone(b.m)
+	b.maxN = 0
+	b.pubHold, b.pubAny, b.pubOwed = false, false, false
+	b.groupHint, b.groupFits = pubUnknown, false
+	b.SetSweepCache(b.sweep)
+	return fresh
+}
+
+// fork returns the latest published snapshot. The first call engages
+// publication (and must run on the owning goroutine — see the
+// interface contract); afterwards it is a lock-free atomic load from
+// any goroutine. Contexts that never fork never publish.
+func (b *ctxBase) fork() *snapState {
+	if !b.publishing.Load() {
+		b.publish(pubUnknown, false)
+		b.publishing.Store(true)
+	}
+	return b.pub.Load()
+}
+
+// publish atomically installs a fresh snapshot of the committed state:
+// an O(cores) copy of the records. Runs on the owner after every
+// committed mutation once forking is engaged. A record keeps its probe
+// memo from snapshot to snapshot until a mutation takes the record
+// private (own) or the global queue bound moves, which every memoized
+// verdict depends on (probeN).
+func (b *ctxBase) publish(hint pubHint, fits bool) {
+	prev := b.pub.Load()
+	s := &snapState{cores: make([]coreRec, len(b.cores)), chains: b.chains[:len(b.chains):len(b.chains)]}
+	s.captureView(b, b.commitSeq)
+	s.maxN = b.maxN
+	var pv *snapView
+	if prev != nil {
+		pv = &prev.snapView
+	}
+	for c := range b.cores {
+		if r := &b.cores[c]; r.probes == nil || pv == nil || pv.maxN != s.maxN {
+			r.probes = &probeCache{}
+		}
+	}
+	copy(s.cores, b.cores)
+	s.deriveSched(pv, hint, fits, len(b.chains) > 0)
+	b.pub.Store(s)
+}
+
+// sweepNode returns core c's interned committed state, or nil when
+// sharing is unavailable (no cache attached, or disabled). The fold
+// runs lazily, once per committed revision, over the record's entity
+// order, which the core's contents alone determine however a context
+// arrived at them: fixed-priority records are priority-sorted with
+// unique priorities within a task set; EDF records keep the canonical
+// normals-then-parts order — the demand test's floating-point
+// utilization sum is order-sensitive — and split parts carry migration
+// flags where normals carry none, so the fold also pins the position a
+// tentative normal is inserted at, making probe keys unambiguous.
+func (b *ctxBase) sweepNode(c int) *sweepNode {
+	if b.sweep == nil || b.sweepOff {
+		return nil
+	}
+	r := &b.cores[c]
+	if b.sweepRevs[c] != r.rev {
+		b.sweepNodes[c] = b.sweep.fold(r.ents)
+		b.sweepRevs[c] = r.rev
+	}
+	return b.sweepNodes[c]
+}
+
+// sweepDisable turns off cross-context sharing until the next Reset.
+func (b *ctxBase) sweepDisable() {
+	if b.sweep != nil {
+		b.sweepOff = true
+	}
+}
+
+// SetSweepCache attaches (or, with nil, detaches) the cross-context
+// probe-verdict memo; committed state is interned lazily at the first
+// consultation. Committed fixed-priority chains couple their host
+// cores through the jitter resolution, so sharing starts disabled over
+// them.
+func (b *ctxBase) SetSweepCache(sc *SweepCache) {
+	b.sweep = sc
+	b.sweepOff = sc != nil && len(b.chains) > 0
+	if sc == nil {
+		b.sweepNodes, b.sweepRevs = nil, nil
+		return
+	}
+	if len(b.sweepNodes) != len(b.cores) {
+		b.sweepNodes = make([]*sweepNode, len(b.cores))
+		b.sweepRevs = make([]int64, len(b.cores))
+	}
+	// Drop every cached fold; the next sweepNode call per core refolds
+	// against the (possibly rebuilt) cache tries.
+	for i := range b.sweepRevs {
+		b.sweepRevs[i] = -1
+	}
+}
+
+// sweepShared answers the pending whole-task probe of entity e from the
+// shared memo when it can, counting the hit; otherwise node says where
+// to store the verdict the caller computes (nil: sharing is off).
+func (b *ctxBase) sweepShared(e *Entity) (node *sweepNode, shape sweepShape, hit bool) {
+	if node = b.sweepNode(b.pend.core); node == nil {
+		return nil, shape, false
+	}
+	shape = sweepShapeOf(e)
+	v, hit := b.sweep.lookup(node, b.pend.n, shape)
+	if hit {
+		b.stats.CoreTests++
+		b.stats.VerdictHits++
+		b.pend.fits = v
+	}
+	return node, shape, hit
+}
+
+// cachedVerdict serves core c's committed full-core test from the
+// context's own verdict or, failing that, the shared memo — the test
+// is a pure function of (state, N) — counting the hit. jGen is the
+// core's jitter generation (0 under EDF). On a miss node says where to
+// store the verdict the caller computes.
+func (b *ctxBase) cachedVerdict(c int, jGen int64) (node *sweepNode, ok, hit bool) {
+	v, rev := b.verdicts[c], b.cores[c].rev
+	if v.valid && v.rev == rev && v.n == b.maxN && v.jGen == jGen {
+		ok, hit = v.ok, true
+	} else if node = b.sweepNode(c); node != nil {
+		if ok, hit = b.sweep.lookup(node, b.maxN, sweepShape{flags: sweepCoreTest}); hit {
+			b.verdicts[c] = fpVerdict{valid: true, ok: ok, rev: rev, n: b.maxN, jGen: jGen}
+		}
+	}
+	if hit {
+		b.stats.CoreTests++
+		b.stats.VerdictHits++
+	}
+	return node, ok, hit
+}
+
+// setVerdict records core c's computed full-core verdict, sharing it
+// when node is set.
+func (b *ctxBase) setVerdict(c int, jGen int64, node *sweepNode, ok bool) {
+	if node != nil {
+		b.sweep.store(node, b.maxN, sweepShape{flags: sweepCoreTest}, ok)
+	}
+	b.verdicts[c] = fpVerdict{valid: true, ok: ok, rev: b.cores[c].rev, n: b.maxN, jGen: jGen}
+}
+
+// BeginGroup opens a group commit (see the interface contract).
 func (b *ctxBase) BeginGroup() {
 	if b.pubHold {
 		panic("analysis: BeginGroup inside an open group (groups do not nest)")
@@ -434,8 +768,29 @@ func (b *ctxBase) BeginGroup() {
 	b.pubOwed = false
 }
 
+// EndGroup closes a group commit and publishes the committed state
+// once — unless a held probe's tentative mutation is in the
+// assignment: publishing would capture uncommitted state, so the
+// publish becomes a debt (pubOwed) that the probe's Commit (via
+// committed) or Rollback (rolledBack) settles.
+func (b *ctxBase) EndGroup() {
+	if !b.pubHold {
+		panic("analysis: EndGroup without BeginGroup")
+	}
+	b.pubHold = false
+	pub := b.pubAny && b.publishing.Load()
+	b.pubAny = false
+	if pub && b.pend.kind != pendNone {
+		b.pubOwed = true
+		return
+	}
+	if pub {
+		b.publish(b.groupHint, b.groupFits)
+	}
+}
+
 // coalesce folds one more committed mutation's hint into the group
-// hint. Two shapes chain (see commitPub); anything else degrades to
+// hint. Two shapes chain (see committed); anything else degrades to
 // pubUnknown, which is always sound.
 func (b *ctxBase) coalesce(hint pubHint, fits bool) {
 	switch {
@@ -448,15 +803,13 @@ func (b *ctxBase) coalesce(hint pubHint, fits bool) {
 	}
 }
 
-// commitPub is called by the concrete contexts after every committed
-// mutation with that mutation's derivation hint. It reports whether a
-// snapshot should be published right now, and with what hint: outside
-// a group that is every committed mutation once publication is
-// engaged; inside a group the hint is coalesced and publication
-// deferred to EndGroup.
-func (b *ctxBase) commitPub(hint pubHint, fits bool) (pubHint, bool, bool) {
+// committed is called by the concrete contexts after every committed
+// mutation with that mutation's derivation hint. Outside a group it
+// publishes, once publication is engaged; inside a group the hint is
+// coalesced and publication deferred to EndGroup.
+func (b *ctxBase) committed(hint pubHint, fits bool) {
 	if !b.publishing.Load() {
-		return pubUnknown, false, false
+		return
 	}
 	if !b.pubHold {
 		if b.pubOwed {
@@ -464,9 +817,10 @@ func (b *ctxBase) commitPub(hint pubHint, fits bool) (pubHint, bool, bool) {
 			// mutation: one publish covering both, hint coalesced.
 			b.pubOwed = false
 			b.coalesce(hint, fits)
-			return b.groupHint, b.groupFits, true
+			hint, fits = b.groupHint, b.groupFits
 		}
-		return hint, fits, true
+		b.publish(hint, fits)
+		return
 	}
 	// Coalesce: the one publish at EndGroup must derive only what a
 	// chain of per-mutation derivations could. Two shapes chain:
@@ -480,40 +834,19 @@ func (b *ctxBase) commitPub(hint pubHint, fits bool) (pubHint, bool, bool) {
 	if !b.pubAny {
 		b.pubAny = true
 		b.groupHint, b.groupFits = hint, fits
-		return pubUnknown, false, false
+		return
 	}
 	b.coalesce(hint, fits)
-	return pubUnknown, false, false
 }
 
-// endGroup closes the hold and reports whether (and with what hint)
-// the caller should publish now. pendPending says a held probe's
-// tentative mutation is in the assignment: publishing would capture
-// uncommitted state, so the publish becomes a debt (pubOwed) that the
-// probe's Commit (via commitPub) or Rollback (rollbackPub) settles.
-func (b *ctxBase) endGroup(pendPending bool) (pubHint, bool, bool) {
-	if !b.pubHold {
-		panic("analysis: EndGroup without BeginGroup")
-	}
-	b.pubHold = false
-	pub := b.pubAny && b.publishing.Load()
-	b.pubAny = false
-	if pub && pendPending {
-		b.pubOwed = true
-		return pubUnknown, false, false
-	}
-	return b.groupHint, b.groupFits, pub
-}
-
-// rollbackPub is called by the concrete contexts after a Rollback
-// restored committed state: a rollback publishes nothing of its own,
+// rolledBack is called by the concrete contexts after a Rollback
+// dropped the pending probe: a rollback publishes nothing of its own,
 // but it must settle a deferred-past-this-probe publish debt.
-func (b *ctxBase) rollbackPub() (pubHint, bool, bool) {
+func (b *ctxBase) rolledBack() {
 	if b.pubOwed && !b.pubHold && b.publishing.Load() {
 		b.pubOwed = false
-		return b.groupHint, b.groupFits, true
+		b.publish(b.groupHint, b.groupFits)
 	}
-	return pubUnknown, false, false
 }
 
 // SelfCheck, when true, wraps every new Context so each decision is

@@ -1,417 +1,108 @@
 package analysis
 
 import (
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/overhead"
 	"repro/internal/task"
-	"repro/internal/timeq"
 )
 
 // edfContext is the incremental EDF admission context. Deadline
 // windows decouple the cores, so there is no cross-core fixed point:
-// each core keeps its entity list in the canonical build order (the
-// processor-demand test accumulates a floating-point utilization sum,
-// so the order must match the stateless build exactly), a memo of the
-// demand-bound test points already enumerated, a warm busy-period
-// start, and a cached verdict keyed by (content revision, queue
-// bound). A probe dirties only the probed core; a split install
-// dirties every core hosting one of its parts.
+// each core record keeps its entity list in the canonical build order
+// (the processor-demand test accumulates a floating-point utilization
+// sum, so the order must match the stateless build exactly) and a memo
+// of the demand-bound test points already enumerated with a warm
+// busy-period start; verdicts are cached keyed by (content revision,
+// queue bound). A probe dirties only the probed core; a split install
+// dirties every core hosting one of its parts. EDF entities are
+// immutable once adopted and memos once published, so what a commit
+// installs is the probe's memo pointer.
 type edfContext struct {
 	ctxBase
 
-	cores []edfCoreState
-
-	lastProbe []edfProbeRecord
-	pend      edfPending
-
-	// pub holds the latest published snapshot (the lock-free read
-	// path), swapped atomically on every committed mutation. EDF
-	// per-core records are O(1) slice headers and memo pointers, so a
-	// publish is O(cores) with no dirty tracking.
-	pub atomic.Pointer[edfSnapshot]
-
-	// scratch
-	probeBuf [][]*Entity
-	probeCS  []CoreSet
+	// sets are the per-core probe sets the engine assembles in; their
+	// cost and deadline-point buffers persist per core.
+	sets []CoreSet
 
 	// Probe scratch: the tentative whole-task entity lives in a reused
 	// slot (Commit clones it), split probes draw pooled entities into
 	// reusable slices.
-	scratchEnt Entity
-	placeEnts  [1]*Entity
-	placeCores [1]int
-	splitEnts  []*Entity
-	splitCores []int
-
-	// Slab recycling (Reset) and cross-context verdict sharing; see the
-	// fpContext counterparts. EDF deadline windows decouple the cores,
-	// so sharing stays on even with committed split parts — only
-	// Remove disables it until the next Reset.
-	entFree    []*Entity
-	sweep      *SweepCache
-	sweepNodes []*sweepNode
-	sweepRevs  []int64 // core rev the cached node reflects; -1 = stale
-	sweepOff   bool
-}
-
-// edfCoreState is one core's committed entity list (normals in
-// Normal[c] order, then split parts in a.Splits order — the canonical
-// stateless build order) plus its caches.
-type edfCoreState struct {
-	ents     []*Entity
-	nNormals int
-	cacheMax timeq.Time
-	rev      int64
-	verdict  fpVerdict
-	memo     *edfDemandMemo
-}
-
-// edfProbeRecord remembers the latest rolled-back probe so an
-// unprobed Place of the identical task can promote its verdict and
-// memo (the heuristics' probe-all-then-place pattern). tent is the
-// probe's tentative entity: the memo's covered set references it, and
-// promotion must swap it for the newly adopted entity.
-type edfProbeRecord struct {
-	seq  int64
-	key  fpWarmKey
-	ok   bool
-	memo *edfDemandMemo
-	tent *Entity
-}
-
-// edfPending is the one in-flight provisional mutation.
-type edfPending struct {
-	kind      int
-	probeCore int
-	fits      bool
-	probeN    int
-	addEnts   []*Entity
-	addCores  []int
-	memo      *edfDemandMemo
+	ent       Entity
+	addEnts   [1]*Entity
+	addCores  [1]int
+	parts     []*Entity
+	partCores []int
 }
 
 func newEDFContext(an Analyzer, a *task.Assignment, m *overhead.Model) *edfContext {
-	nc := a.NumCores
-	x := &edfContext{
-		ctxBase:   ctxBase{an: an, a: a, m: m, mono: modelMonotone(m)},
-		cores:     make([]edfCoreState, nc),
-		lastProbe: make([]edfProbeRecord, nc),
-		probeBuf:  make([][]*Entity, nc),
-		probeCS:   make([]CoreSet, nc),
-	}
-	for c := 0; c < nc; c++ {
-		for _, t := range a.Normal[c] {
-			x.adoptNormal(newEDFEntity(t), c)
-		}
-	}
-	for _, sp := range a.Splits {
-		ents, cores := edfSplitEntities(sp)
-		for i, e := range ents {
-			x.adoptPart(e, cores[i])
-		}
-	}
+	x := &edfContext{ctxBase: newCtxBase(an, a, m), sets: make([]CoreSet, a.NumCores)}
+	x.adoptAll()
 	return x
 }
 
-// Fork returns the latest published snapshot; the first call engages
-// publication and must run on the owning goroutine (see the
-// interface contract). Fork-free contexts never publish.
-func (x *edfContext) Fork() Snapshot {
-	if !x.publishing.Load() {
-		x.publish(pubUnknown, false)
-		x.publishing.Store(true)
-	}
-	return x.pub.Load()
-}
-
-// publish builds and atomically installs a fresh snapshot of the
-// committed state. Runs on the owner after every committed mutation.
-// EDF entities are immutable once adopted (no jitters, no warm slots
-// — acceleration lives in the per-core memos, which are never
-// mutated after publication), so every published record shares the
-// committed slices and memo pointers directly.
-func (x *edfContext) publish(hint pubHint, fits bool) {
-	nc := len(x.cores)
-	s := &edfSnapshot{cores: make([]edfSnapCore, nc)}
-	s.captureView(&x.ctxBase, x.commitSeq)
-	s.maxN = x.maxN
-	prev := x.pub.Load()
-	for c := 0; c < nc; c++ {
-		st := &x.cores[c]
-		var memo *edfDemandMemo
-		if x.mono {
-			memo = st.memo
+// adoptAll commits whatever the assignment already contains.
+func (x *edfContext) adoptAll() {
+	for c, ts := range x.a.Normal {
+		for _, t := range ts {
+			x.adoptNormal(newEDFEntityInto(x.pool.get(), t), c)
 		}
-		rec := edfSnapCore{ents: st.ents, nNormals: st.nNormals, cacheMax: st.cacheMax, memo: memo, rev: st.rev}
-		// Carry the probe memo over while the core's content and the
-		// global queue bound are unchanged; fresh otherwise.
-		if prev != nil && prev.cores[c].rev == st.rev && prev.maxN == s.maxN && prev.cores[c].probes != nil {
-			rec.probes = prev.cores[c].probes
-		} else {
-			rec.probes = &probeCache{}
-		}
-		s.cores[c] = rec
 	}
-	if prev != nil {
-		s.deriveSched(&prev.snapView, hint, fits, false)
-	} else {
-		s.deriveSched(nil, hint, fits, false)
+	for _, sp := range x.a.Splits {
+		x.parts, x.partCores = fillEDFParts(x.parts, x.partCores, sp, &x.pool)
+		x.adoptParts(x.parts, x.partCores)
 	}
-	x.pub.Store(s)
 }
 
-// newEDFEntity mirrors the whole-task entity of edfEntities.
-func newEDFEntity(t *task.Task) *Entity {
-	return newEDFEntityInto(new(Entity), t)
-}
-
-// newEDFEntityInto fills e in place (scratch reuse on the probe path).
-func newEDFEntityInto(e *Entity, t *task.Task) *Entity {
-	*e = Entity{Task: t, C: t.WCET, T: t.Period, D: t.EffectiveDeadline()}
-	return e
-}
-
-// edfSplitEntities mirrors the split-part entities of edfEntities.
-func edfSplitEntities(sp *task.Split) ([]*Entity, []int) {
-	last := len(sp.Parts) - 1
-	var ents []*Entity
-	var cores []int
-	for i, p := range sp.Parts {
-		d := sp.Task.EffectiveDeadline()
-		if sp.HasWindows() {
-			d = sp.Windows[i]
-		}
-		ents = append(ents, &Entity{
-			Task:           sp.Task,
-			C:              p.Budget,
-			T:              sp.Task.Period,
-			D:              d,
-			PartIndex:      i,
-			MigrIn:         i > 0,
-			MigrOut:        i < last,
-			RemoteSleepAdd: i == last,
-		})
-		cores = append(cores, p.Core)
-	}
-	return ents, cores
-}
+func (x *edfContext) Fork() Snapshot { return (*edfSnapshot)(x.fork()) }
 
 // adoptNormal commits a whole-task entity onto core c, before the
-// split parts (canonical order). Once publication is engaged the
-// insert is copy-on-write — the committed slice may be shared with
-// published snapshots, so it is never shifted in place. Before the
-// first Fork no snapshot exists, so the fork-free sweep hot loop
-// inserts in place and reuses slice capacity.
+// split parts (canonical order).
 func (x *edfContext) adoptNormal(e *Entity, c int) {
-	s := &x.cores[c]
-	if x.publishing.Load() {
-		out := make([]*Entity, len(s.ents)+1)
-		copy(out, s.ents[:s.nNormals])
-		out[s.nNormals] = e
-		copy(out[s.nNormals+1:], s.ents[s.nNormals:])
-		s.ents = out
-	} else {
-		s.ents = append(s.ents, nil)
-		copy(s.ents[s.nNormals+1:], s.ents[s.nNormals:])
-		s.ents[s.nNormals] = e
-	}
-	s.nNormals++
-	x.adopted(e, s)
+	r := x.own(c, true)
+	r.ents = slices.Insert(r.ents, r.nNormals, e)
+	r.nNormals++
+	x.adopted(r, e)
 }
 
-// adoptPart commits a split-part entity onto core c, after everything
-// else (canonical order: the split is the newest in a.Splits).
-func (x *edfContext) adoptPart(e *Entity, c int) {
-	s := &x.cores[c]
-	s.ents = append(s.ents, e)
-	x.adopted(e, s)
-}
-
-// newEntity returns an entity from the recycle pool; callers
-// overwrite every field.
-func (x *edfContext) newEntity() *Entity {
-	if n := len(x.entFree); n > 0 {
-		e := x.entFree[n-1]
-		x.entFree = x.entFree[:n-1]
-		return e
-	}
-	return new(Entity)
-}
-
-// splitEntitiesInto is edfSplitEntities drawing pooled entities into
-// the context's reusable probe slices.
-func (x *edfContext) splitEntitiesInto(sp *task.Split) ([]*Entity, []int) {
-	ents := x.splitEnts[:0]
-	cores := x.splitCores[:0]
-	last := len(sp.Parts) - 1
-	for i, p := range sp.Parts {
-		d := sp.Task.EffectiveDeadline()
-		if sp.HasWindows() {
-			d = sp.Windows[i]
-		}
-		e := x.newEntity()
-		*e = Entity{
-			Task:           sp.Task,
-			C:              p.Budget,
-			T:              sp.Task.Period,
-			D:              d,
-			PartIndex:      i,
-			MigrIn:         i > 0,
-			MigrOut:        i < last,
-			RemoteSleepAdd: i == last,
-		}
-		ents = append(ents, e)
-		cores = append(cores, p.Core)
-	}
-	x.splitEnts, x.splitCores = ents, cores
-	return ents, cores
-}
-
-// sweepNode returns core c's interned committed state, or nil when
-// sharing is unavailable. The fold runs lazily, once per committed
-// revision. EDF cores fold in the canonical slice order — the
-// processor-demand test's floating-point utilization sum is
-// order-sensitive, and every context builds the same
-// normals-then-parts order, so identical contents reach the same
-// node. Split parts carry nonzero migration flags while normals carry
-// none, so the fold also pins the position a tentative normal would
-// be inserted at (after the leading zero-flag run), making probe keys
-// unambiguous.
-func (x *edfContext) sweepNode(c int) *sweepNode {
-	if x.sweep == nil || x.sweepOff {
-		return nil
-	}
-	s := &x.cores[c]
-	if x.sweepRevs[c] != s.rev {
-		x.sweepNodes[c] = x.sweep.fold(s.ents)
-		x.sweepRevs[c] = s.rev
-	}
-	return x.sweepNodes[c]
-}
-
-// sweepDisable turns off cross-context sharing until the next Reset.
-func (x *edfContext) sweepDisable() {
-	if x.sweep == nil || x.sweepOff {
-		return
-	}
-	x.sweepOff = true
-	for i := range x.sweepNodes {
-		x.sweepNodes[i] = nil
+// adoptParts commits split-part entities, each after everything else
+// on its core (canonical order: the split is the newest in a.Splits).
+func (x *edfContext) adoptParts(parts []*Entity, cores []int) {
+	for i, e := range parts {
+		r := x.own(cores[i], true)
+		r.ents = append(r.ents, e)
+		x.adopted(r, e)
 	}
 }
 
-// sweepInvalidate drops every cached fold; the next sweepNode call
-// per core refolds against the (possibly rebuilt) cache tries.
-func (x *edfContext) sweepInvalidate() {
-	for i := range x.sweepRevs {
-		x.sweepRevs[i] = -1
-	}
-}
-
-func (x *edfContext) adopted(e *Entity, s *edfCoreState) {
-	if d := x.m.Cache.MaxDelay(e.Task.WSS); d > s.cacheMax {
-		s.cacheMax = d
-	}
-	if n := len(s.ents); n > x.maxN {
-		x.maxN = n
-	}
-	s.rev++
-	s.memo = nil
-	s.verdict = fpVerdict{}
-}
-
-func (x *edfContext) ensureNoPending(op string) { x.checkNoPending(x.pend.kind, op) }
-
-// probeN returns the queue bound of the probe state.
-func (x *edfContext) probeN(addCores []int) int {
-	n := x.maxN
-	for c := range x.cores {
-		grow := 0
-		for _, d := range addCores {
-			if d == c {
-				grow++
-			}
-		}
-		if k := len(x.cores[c].ents) + grow; k > n {
-			n = k
-		}
-	}
-	return n
-}
-
-// evalProbe runs the demand test on core c with the pending tentative
-// entities inserted canonically, reusing the committed memo.
-func (x *edfContext) evalProbe(c int) bool {
-	s := &x.cores[c]
-	buf := x.probeBuf[c][:0]
-	cm := s.cacheMax
-	if x.pend.kind == pendPlace {
-		// The tentative normal sits after the committed normals,
-		// before any split parts (a.Normal[c] append order).
-		buf = append(buf, s.ents[:s.nNormals]...)
-		buf = append(buf, x.pend.addEnts[0])
-		buf = append(buf, s.ents[s.nNormals:]...)
-		if d := x.m.Cache.MaxDelay(x.pend.addEnts[0].Task.WSS); d > cm {
-			cm = d
-		}
-	} else {
-		// Tentative split parts go last (the split is newest in
-		// a.Splits).
-		buf = append(buf, s.ents...)
-		for i, e := range x.pend.addEnts {
-			if x.pend.addCores[i] != c {
-				continue
-			}
-			buf = append(buf, e)
-			if d := x.m.Cache.MaxDelay(e.Task.WSS); d > cm {
-				cm = d
-			}
-		}
-	}
-	x.probeBuf[c] = buf
-	cs := &x.probeCS[c]
-	cs.Entities = buf
-	cs.N = x.pend.probeN
-	cs.CacheMax = cm
-	cs.invalidateCosts()
-	var memo *edfDemandMemo
-	if x.mono {
-		memo = s.memo
+// probe runs the engine on the pending mutation, keeping the demand
+// memo it converged for Commit to install.
+func (x *edfContext) probe() {
+	p := &x.pend
+	var place *Entity
+	if p.kind == pendPlace {
+		place = p.addEnts[0]
 	}
 	x.stats.CoreTests++
-	ok, out := cs.edfSchedulable(x.m, memo, x.mono)
-	x.pend.memo = out
-	return ok
+	p.fits, p.memo = edfEvalProbe(x.m, x.mono, &x.cores[p.core], &x.sets[p.core], p.core, place, p.addEnts, p.addCores, p.n, x.mono)
 }
 
 func (x *edfContext) TryPlace(t *task.Task, c int) bool {
 	x.ensureNoPending("TryPlace")
 	x.stats.Probes++
 	x.a.Place(t, c)
-	// The tentative entity lives in a reused scratch slot; Commit
-	// clones it onto the heap before adopting it.
-	e := newEDFEntityInto(&x.scratchEnt, t)
-	x.placeEnts[0], x.placeCores[0] = e, c
-	x.pend = edfPending{kind: pendPlace, probeCore: c, addEnts: x.placeEnts[:], addCores: x.placeCores[:]}
-	x.pend.probeN = x.probeN(x.pend.addCores)
+	x.addEnts[0], x.addCores[0] = newEDFEntityInto(&x.ent, t), c
+	x.pend = pending{kind: pendPlace, core: c, addEnts: x.addEnts[:], addCores: x.addCores[:]}
+	x.pend.n = probeN(x.cores, x.maxN, x.pend.addCores)
 	// The per-core demand verdict is a pure function of (core state,
 	// probed shape, queue bound): the shared sweep memo can answer
 	// before any demand-bound enumeration runs.
-	node := x.sweepNode(c)
-	var shape sweepShape
-	if node != nil {
-		shape = sweepShapeOf(e)
-		if v, hit := x.sweep.lookup(node, x.pend.probeN, shape); hit {
-			x.stats.CoreTests++
-			x.stats.VerdictHits++
-			x.pend.fits = v
-			return v
+	node, shape, hit := x.sweepShared(&x.ent)
+	if !hit {
+		x.probe()
+		if node != nil {
+			x.sweep.store(node, x.pend.n, shape, x.pend.fits)
 		}
-	}
-	x.pend.fits = x.evalProbe(c)
-	if node != nil {
-		x.sweep.store(node, x.pend.probeN, shape, x.pend.fits)
 	}
 	return x.pend.fits
 }
@@ -420,138 +111,121 @@ func (x *edfContext) TrySplit(sp *task.Split, c int) bool {
 	x.ensureNoPending("TrySplit")
 	x.stats.Probes++
 	x.a.Splits = append(x.a.Splits, sp)
-	ents, cores := x.splitEntitiesInto(sp)
-	x.pend = edfPending{kind: pendSplit, probeCore: c, addEnts: ents, addCores: cores}
-	x.pend.probeN = x.probeN(cores)
-	x.pend.fits = x.evalProbe(c)
+	x.parts, x.partCores = fillEDFParts(x.parts, x.partCores, sp, &x.pool)
+	x.pend = pending{kind: pendSplit, core: c, addEnts: x.parts, addCores: x.partCores}
+	x.pend.n = probeN(x.cores, x.maxN, x.partCores)
+	x.probe()
 	return x.pend.fits
 }
 
 func (x *edfContext) Commit() {
-	if x.pend.kind == pendNone {
+	p := &x.pend
+	hint := pubUnknown
+	switch p.kind {
+	case pendNone:
 		panic("analysis: Commit with no pending probe")
-	}
-	pc := x.pend.probeCore
-	if x.pend.kind == pendPlace {
+	case pendPlace:
 		// The tentative entity is the reused scratch slot: clone it
 		// onto a pooled entity, and move the probe memo's covered
 		// identity along with it (the memo was built by this probe and
-		// never published, so the in-place swap is safe — mirrors the
-		// promotion in Place).
-		e := x.newEntity()
-		*e = *x.pend.addEnts[0]
-		if x.pend.memo != nil {
-			delete(x.pend.memo.covered, x.pend.addEnts[0])
-			x.pend.memo.covered[e] = true
+		// never published, so the in-place swap is safe).
+		e := x.pool.get()
+		*e = *p.addEnts[0]
+		if p.memo != nil {
+			delete(p.memo.covered, p.addEnts[0])
+			p.memo.covered[e] = true
 		}
-		x.adoptNormal(e, pc)
-	} else {
-		for i, e := range x.pend.addEnts {
-			x.adoptPart(e, x.pend.addCores[i])
-		}
+		x.adoptNormal(e, p.core)
+		hint = pubAdmitted
+	case pendSplit:
+		x.adoptParts(p.addEnts, p.addCores)
 	}
 	x.commitSeq++
-	s := &x.cores[pc]
-	s.verdict = fpVerdict{valid: true, ok: x.pend.fits, rev: s.rev, n: x.maxN}
-	if x.mono && x.pend.memo != nil {
+	r := &x.cores[p.core]
+	x.verdicts[p.core] = fpVerdict{valid: true, ok: p.fits, rev: r.rev, n: x.maxN}
+	if p.memo != nil {
 		// The probe's entity set is now the committed one.
-		s.memo = x.pend.memo
+		r.memo = p.memo
 	}
-	hint, fits := pubUnknown, false
-	if x.pend.kind == pendPlace {
-		hint, fits = pubAdmitted, x.pend.fits
-	}
-	x.pend = edfPending{}
-	if h, f, now := x.commitPub(hint, fits); now {
-		x.publish(h, f)
-	}
+	fits := hint == pubAdmitted && p.fits
+	x.pend = pending{}
+	x.committed(hint, fits)
 }
 
 func (x *edfContext) Rollback() {
-	switch x.pend.kind {
+	p := &x.pend
+	switch p.kind {
 	case pendNone:
 		panic("analysis: Rollback with no pending probe")
 	case pendPlace:
-		c := x.pend.probeCore
+		c := p.core
 		x.a.Normal[c] = x.a.Normal[c][:len(x.a.Normal[c])-1]
-		x.lastProbe[c] = edfProbeRecord{
-			seq:  x.commitSeq,
-			key:  fpKey(x.pend.addEnts[0]),
-			ok:   x.pend.fits,
-			memo: x.pend.memo,
-			tent: x.pend.addEnts[0],
-		}
+		x.lastProbe[c] = probeRecord{seq: x.commitSeq, id: p.addEnts[0].Task.ID, ok: p.fits, memo: p.memo}
 	case pendSplit:
 		x.a.Splits = x.a.Splits[:len(x.a.Splits)-1]
 		// The tentative part entities were never published: recycle
 		// them (the discarded probe memo is the only other referent).
-		x.entFree = append(x.entFree, x.pend.addEnts...)
+		x.pool.put(p.addEnts...)
 	}
-	x.pend = edfPending{}
-	if h, f, now := x.rollbackPub(); now {
-		x.publish(h, f)
-	}
+	x.pend = pending{}
+	x.rolledBack()
 }
 
 func (x *edfContext) Place(t *task.Task, c int) {
 	x.ensureNoPending("Place")
 	x.a.Place(t, c)
-	e := newEDFEntityInto(x.newEntity(), t)
+	e := newEDFEntityInto(x.pool.get(), t)
 	rec := x.lastProbe[c]
-	promote := x.mono && rec.ok && rec.seq == x.commitSeq && rec.key == fpKey(e)
+	promote := x.mono && rec.ok && rec.seq == x.commitSeq && rec.id == t.ID
 	x.adoptNormal(e, c)
 	x.commitSeq++
+	hint := pubUnknown
 	if promote {
-		s := &x.cores[c]
-		s.verdict = fpVerdict{valid: true, ok: true, rev: s.rev, n: x.maxN}
+		r := &x.cores[c]
+		x.verdicts[c] = fpVerdict{valid: true, ok: true, rev: r.rev, n: x.maxN}
 		if rec.memo != nil {
-			// The memo covered the probe's tentative entity; the
-			// adopted entity has identical (D, T), so its enumerated
-			// points and raw count carry over — only the identity in
-			// the covered set must be swapped.
-			// rec.memo was built by the probe and never published, so
-			// the identity swap may mutate it in place.
-			delete(rec.memo.covered, rec.tent)
+			// The memo covered the probe's tentative entity (the
+			// scratch slot); the adopted entity has identical (D, T),
+			// so its enumerated points and raw count carry over — only
+			// the identity in the covered set must be swapped. rec.memo
+			// was built by the probe and never published, so the swap
+			// may mutate it in place.
+			delete(rec.memo.covered, &x.ent)
 			rec.memo.covered[e] = true
-			s.memo = rec.memo
+			r.memo = rec.memo
 		}
+		hint = pubAdmitted
 	}
-	hint, fits := pubUnknown, false
-	if promote {
-		hint, fits = pubAdmitted, true
-	}
-	if h, f, now := x.commitPub(hint, fits); now {
-		x.publish(h, f)
-	}
+	x.committed(hint, promote)
 }
 
 func (x *edfContext) AddSplit(sp *task.Split) {
 	x.ensureNoPending("AddSplit")
 	x.a.Splits = append(x.a.Splits, sp)
-	ents, cores := x.splitEntitiesInto(sp)
-	for i, e := range ents {
-		x.adoptPart(e, cores[i])
-	}
+	x.parts, x.partCores = fillEDFParts(x.parts, x.partCores, sp, &x.pool)
+	x.adoptParts(x.parts, x.partCores)
 	x.commitSeq++
-	if h, f, now := x.commitPub(pubUnknown, false); now {
-		x.publish(h, f)
-	}
+	x.committed(pubUnknown, false)
 }
 
-// dropped records the removal of an entity from core c: CacheMax may
-// shrink, the demand memo's covered set references the removed entity
-// (its test points must not survive), and the verdict is stale.
-func (x *edfContext) dropped(c int) {
-	s := &x.cores[c]
-	s.cacheMax = 0
-	for _, e := range s.ents {
-		if d := x.m.Cache.MaxDelay(e.Task.WSS); d > s.cacheMax {
-			s.cacheMax = d
-		}
+// dropEntity deletes the entity of task id from core c's normals or,
+// with part set, its split parts.
+func (x *edfContext) dropEntity(c int, id task.ID, part bool) {
+	r := &x.cores[c]
+	lo, hi := 0, r.nNormals
+	if part {
+		lo, hi = r.nNormals, len(r.ents)
 	}
-	s.rev++
-	s.memo = nil
-	s.verdict = fpVerdict{}
+	j := lo + slices.IndexFunc(r.ents[lo:hi], func(e *Entity) bool { return e.Task.ID == id })
+	if r.probes == nil {
+		r.ents = slices.Delete(r.ents, j, j+1)
+	} else {
+		r.ents, r.probes = removeAtCOW(r.ents, j), nil
+	}
+	if !part {
+		r.nNormals--
+	}
+	x.dropped(r)
 }
 
 // Remove deletes the task (whole or window-split) from the
@@ -567,132 +241,54 @@ func (x *edfContext) dropped(c int) {
 func (x *edfContext) Remove(id task.ID) bool {
 	x.ensureNoPending("Remove")
 	x.sweepDisable()
-	oldMaxN := x.maxN
 	found := false
 search:
 	for c := range x.a.Normal {
 		for i, t := range x.a.Normal[c] {
-			if t.ID != id {
-				continue
+			if t.ID == id {
+				x.a.Normal[c] = removeAtCOW(x.a.Normal[c], i)
+				x.dropEntity(c, id, false)
+				found = true
+				break search
 			}
-			x.a.Normal[c] = removeAtCOW(x.a.Normal[c], i)
-			s := &x.cores[c]
-			for j := 0; j < s.nNormals; j++ {
-				if s.ents[j].Task.ID == id {
-					s.ents = removeAtCOW(s.ents, j)
-					s.nNormals--
-					break
-				}
-			}
-			x.dropped(c)
-			found = true
-			break search
 		}
 	}
 	if !found {
-		for si, sp := range x.a.Splits {
-			if sp.Task.ID != id {
-				continue
-			}
-			x.a.Splits = removeAtCOW(x.a.Splits, si)
-			for _, p := range sp.Parts {
-				s := &x.cores[p.Core]
-				for j := s.nNormals; j < len(s.ents); j++ {
-					if s.ents[j].Task.ID == id {
-						s.ents = removeAtCOW(s.ents, j)
-						break
-					}
-				}
-				x.dropped(p.Core)
-			}
-			found = true
-			break
+		si := slices.IndexFunc(x.a.Splits, func(sp *task.Split) bool { return sp.Task.ID == id })
+		if si < 0 {
+			return false
 		}
-	}
-	if !found {
-		return false
-	}
-	x.maxN = 0
-	for c := range x.cores {
-		if n := len(x.cores[c].ents); n > x.maxN {
-			x.maxN = n
+		for _, p := range x.a.Splits[si].Parts {
+			x.dropEntity(p.Core, id, true)
 		}
+		x.a.Splits = removeAtCOW(x.a.Splits, si)
 	}
-	if x.maxN != oldMaxN {
-		// Smaller N shrinks every inflated cost: warm busy periods in
-		// the memos may overshoot. Verdicts are keyed by N and go
-		// stale on their own.
+	if x.removed() {
 		for c := range x.cores {
 			x.cores[c].memo = nil
 		}
 	}
-	x.commitSeq++
-	if h, f, now := x.commitPub(pubRemoved, false); now {
-		x.publish(h, f)
-	}
+	x.committed(pubRemoved, false)
 	return true
-}
-
-// EndGroup closes a group commit and publishes the committed state
-// once — unless a held probe's tentative mutation is in the
-// assignment, in which case the publish is deferred as a debt the
-// probe's Commit or Rollback settles.
-func (x *edfContext) EndGroup() {
-	if h, f, now := x.endGroup(x.pend.kind != pendNone); now {
-		x.publish(h, f)
-	}
 }
 
 func (x *edfContext) Schedulable() bool {
 	x.ensureNoPending("Schedulable")
 	x.stats.FullTests++
-	for _, sp := range x.a.Splits {
-		if !sp.HasWindows() {
-			return false // EDF requires window-split tasks
-		}
+	if !edfWindowed(x.a.Splits) {
+		return false
 	}
 	for c := range x.cores {
-		s := &x.cores[c]
-		if s.verdict.valid && s.verdict.rev == s.rev && s.verdict.n == x.maxN {
+		node, ok, hit := x.cachedVerdict(c, 0)
+		if !hit {
 			x.stats.CoreTests++
-			x.stats.VerdictHits++
-			if !s.verdict.ok {
-				return false
+			var memo *edfDemandMemo
+			ok, memo = edfEvalProbe(x.m, x.mono, &x.cores[c], &x.sets[c], c, nil, nil, nil, x.maxN, x.mono)
+			if memo != nil {
+				x.cores[c].memo = memo
 			}
-			continue
+			x.setVerdict(c, 0, node, ok)
 		}
-		// The committed full-core test is also a pure function of
-		// (state, N): share it across contexts via the sweep memo.
-		node := x.sweepNode(c)
-		if node != nil {
-			if sv, hit := x.sweep.lookup(node, x.maxN, sweepShape{flags: sweepCoreTest}); hit {
-				x.stats.CoreTests++
-				x.stats.VerdictHits++
-				s.verdict = fpVerdict{valid: true, ok: sv, rev: s.rev, n: x.maxN}
-				if !sv {
-					return false
-				}
-				continue
-			}
-		}
-		cs := &x.probeCS[c]
-		cs.Entities = s.ents
-		cs.N = x.maxN
-		cs.CacheMax = s.cacheMax
-		cs.invalidateCosts()
-		var memo *edfDemandMemo
-		if x.mono {
-			memo = s.memo
-		}
-		x.stats.CoreTests++
-		ok, out := cs.edfSchedulable(x.m, memo, x.mono)
-		if x.mono && out != nil {
-			s.memo = out
-		}
-		if node != nil {
-			x.sweep.store(node, x.maxN, sweepShape{flags: sweepCoreTest}, ok)
-		}
-		s.verdict = fpVerdict{valid: true, ok: ok, rev: s.rev, n: x.maxN}
 		if !ok {
 			return false
 		}
@@ -701,87 +297,11 @@ func (x *edfContext) Schedulable() bool {
 }
 
 // Reset rebinds the context to a new assignment and model, recycling
-// every owned slab (see the Context interface contract). commitSeq
-// keeps running so stale lastProbe records can never match.
+// every owned slab (see the Context interface contract).
 func (x *edfContext) Reset(a *task.Assignment, m *overhead.Model) {
-	x.ensureNoPending("Reset")
-	m = overhead.Normalize(m)
-	nc := a.NumCores
-	if x.publishing.Load() || nc != len(x.cores) {
-		// Committed slices and entities are shared with published
-		// snapshots (or the core count changed): drop every slab and
-		// start fresh. Old snapshots stay valid — they are
-		// self-contained — and publication disengages until the next
-		// Fork.
-		x.publishing.Store(false)
-		x.pub.Store(nil)
-		x.cores = make([]edfCoreState, nc)
-		x.lastProbe = make([]edfProbeRecord, nc)
-		x.probeBuf = make([][]*Entity, nc)
-		x.probeCS = make([]CoreSet, nc)
-		x.entFree = nil
-		x.splitEnts, x.splitCores = nil, nil
-	} else {
-		// Fork was never called: no snapshot references the committed
-		// slabs, so entities (split parts included — they live in the
-		// per-core slices) go back to the pool and the cores keep
-		// their capacity.
-		for c := range x.cores {
-			s := &x.cores[c]
-			x.entFree = append(x.entFree, s.ents...)
-			s.ents = s.ents[:0]
-			s.nNormals = 0
-			s.cacheMax = 0
-			s.rev++ // recycled cores must never match old verdicts
-			s.verdict = fpVerdict{}
-			s.memo = nil
-			x.lastProbe[c] = edfProbeRecord{}
-		}
+	if x.rebind(a, m) {
+		x.sets = make([]CoreSet, a.NumCores)
+		x.parts, x.partCores = nil, nil
 	}
-	x.a = a
-	x.m = m
-	x.mono = modelMonotone(m)
-	x.maxN = 0
-	x.pubHold, x.pubAny, x.pubOwed = false, false, false
-	x.groupHint, x.groupFits = pubUnknown, false
-	x.sweepOff = false
-	if x.sweep != nil {
-		if len(x.sweepNodes) != nc {
-			x.sweepNodes = make([]*sweepNode, nc)
-			x.sweepRevs = make([]int64, nc)
-		}
-		x.sweepInvalidate()
-	}
-	// Adopt whatever the new assignment already contains, mirroring
-	// newEDFContext over the recycled slabs.
-	for c := 0; c < nc; c++ {
-		for _, t := range a.Normal[c] {
-			x.adoptNormal(newEDFEntityInto(x.newEntity(), t), c)
-		}
-	}
-	for _, sp := range a.Splits {
-		ents, cores := x.splitEntitiesInto(sp)
-		for i, e := range ents {
-			x.adoptPart(e, cores[i])
-		}
-	}
-}
-
-// SetSweepCache attaches (or, with nil, detaches) the cross-context
-// probe-verdict memo; committed state is interned lazily at the first
-// consultation.
-func (x *edfContext) SetSweepCache(sc *SweepCache) {
-	x.sweep = sc
-	if sc == nil {
-		x.sweepNodes = nil
-		x.sweepRevs = nil
-		x.sweepOff = false
-		return
-	}
-	if len(x.sweepNodes) != len(x.cores) {
-		x.sweepNodes = make([]*sweepNode, len(x.cores))
-		x.sweepRevs = make([]int64, len(x.cores))
-	}
-	x.sweepOff = false
-	x.sweepInvalidate()
+	x.adoptAll()
 }

@@ -1,0 +1,535 @@
+// The incremental probe engine.
+//
+// There are two admission engines in this package. The stateless one
+// (rta.go, assign.go, edf.go) rebuilds every core per call and is the
+// oracle. This file is the other: the one incremental evaluator that
+// both owners of committed state probe through — the writer Context
+// (context_fp.go, context_edf.go) and the published Snapshot
+// (snapshot.go).
+//
+// Committed state has one shape whoever holds it: a coreRec per core
+// and, under fixed priorities, the split chains as fpSnapChain with the
+// committed jitters baked into their entities. Committed entities are
+// immutable. Everything a probe changes lives in a probeView, a
+// scratch copy of one core's record with the tentative entities merged
+// in: the entity slice, the warm vector parallel to it, and a CoreSet
+// whose cost buffers persist across probes. A chain entity whose
+// jitter the probe may move is swapped in the view for a probe-local
+// clone. A reader throws its views away; the writer installs them (see
+// context_fp.go).
+package analysis
+
+import (
+	"repro/internal/overhead"
+	"repro/internal/task"
+	"repro/internal/timeq"
+)
+
+// coreRec is one core's committed state, held by the writer and copied
+// by value into every published snapshot. The slices are shared
+// between the two, so they are written in place only while no snapshot
+// can reference them (see ctxBase.own).
+type coreRec struct {
+	// ents is priority-sorted under fixed priorities; under EDF it is
+	// the canonical stateless build order, ents[:nNormals] whole tasks
+	// and split parts after them.
+	ents     []*Entity
+	nNormals int
+	// warm holds the converged response times of the committed system,
+	// parallel to ents (fixed priorities only): a lower bound for any
+	// probe, since probes only add entities.
+	warm []timeq.Time
+	// memo is the committed demand memo (EDF, monotone models only);
+	// immutable once published.
+	memo     *edfDemandMemo
+	cacheMax timeq.Time
+	rev      int64 // content revision
+	// probes memoizes whole-task probe verdicts on published records. A
+	// nil memo marks a record whose slices no snapshot references.
+	probes *probeCache
+}
+
+// fpSnapChain is one split chain: its entities in part order, with
+// their host cores.
+type fpSnapChain struct {
+	sp    *task.Split
+	ents  []*Entity
+	cores []int
+}
+
+// entPool recycles entities no published snapshot can reference.
+type entPool struct{ free []*Entity }
+
+// get returns an entity whose every field the caller overwrites.
+func (p *entPool) get() *Entity {
+	if n := len(p.free); n > 0 {
+		e := p.free[n-1]
+		p.free = p.free[:n-1]
+		return e
+	}
+	return new(Entity)
+}
+
+func (p *entPool) put(ents ...*Entity) { p.free = append(p.free, ents...) }
+
+// probeN returns the queue bound of a probe state: the committed
+// bound, raised by any core the tentative entities grow past it.
+func probeN(cores []coreRec, maxN int, addCores []int) int {
+	n := maxN
+	for c := range cores {
+		grow := 0
+		for _, d := range addCores {
+			if d == c {
+				grow++
+			}
+		}
+		if k := len(cores[c].ents) + grow; k > n {
+			n = k
+		}
+	}
+	return n
+}
+
+// newFPEntityInto fills e with the whole-task entity of BuildCores.
+func newFPEntityInto(e *Entity, t *task.Task) *Entity {
+	*e = Entity{
+		Task:          t,
+		C:             t.WCET,
+		T:             t.Period,
+		D:             t.EffectiveDeadline(),
+		LocalPriority: t.Priority,
+	}
+	return e
+}
+
+// newEDFEntityInto fills e with the whole-task entity of edfEntities.
+func newEDFEntityInto(e *Entity, t *task.Task) *Entity {
+	*e = Entity{Task: t, C: t.WCET, T: t.Period, D: t.EffectiveDeadline()}
+	return e
+}
+
+// fillFPChain mirrors the split-chain entities of BuildCores into ch,
+// reusing its slices and drawing the entities from pool.
+func fillFPChain(ch *fpSnapChain, sp *task.Split, pool *entPool) {
+	ch.sp = sp
+	ch.ents = ch.ents[:0]
+	ch.cores = ch.cores[:0]
+	last := len(sp.Parts) - 1
+	for i, p := range sp.Parts {
+		e := pool.get()
+		*e = Entity{
+			Task:           sp.Task,
+			C:              p.Budget,
+			T:              sp.Task.Period,
+			D:              sp.Task.EffectiveDeadline(),
+			LocalPriority:  sp.LocalPriority(),
+			PartIndex:      i,
+			MigrIn:         i > 0,
+			MigrOut:        i < last,
+			RemoteSleepAdd: i == last,
+		}
+		ch.ents = append(ch.ents, e)
+		ch.cores = append(ch.cores, p.Core)
+	}
+}
+
+// fillEDFParts mirrors the split-part entities of edfEntities into the
+// given slices (reused from length zero), drawing them from pool.
+func fillEDFParts(ents []*Entity, cores []int, sp *task.Split, pool *entPool) ([]*Entity, []int) {
+	ents, cores = ents[:0], cores[:0]
+	last := len(sp.Parts) - 1
+	for i, p := range sp.Parts {
+		d := sp.Task.EffectiveDeadline()
+		if sp.HasWindows() {
+			d = sp.Windows[i]
+		}
+		e := pool.get()
+		*e = Entity{
+			Task:           sp.Task,
+			C:              p.Budget,
+			T:              sp.Task.Period,
+			D:              d,
+			PartIndex:      i,
+			MigrIn:         i > 0,
+			MigrOut:        i < last,
+			RemoteSleepAdd: i == last,
+		}
+		ents = append(ents, e)
+		cores = append(cores, p.Core)
+	}
+	return ents, cores
+}
+
+// probeView is one core's probe state. run stamps the engine run that
+// last filled it; jMoved says that run's resolution moved the jitter
+// of a chain entity hosted here. src and rev name the committed
+// contents the view was last filled from with nothing tentative merged
+// in — the record's first entity slot and revision — or src is nil.
+type probeView struct {
+	cs     CoreSet
+	warm   []timeq.Time
+	run    int64
+	jMoved bool
+	src    **Entity
+	rev    int64
+}
+
+// fpProbeScratch is everything a fixed-priority probe writes: the
+// tentative whole-task entity and its one-element placement slices,
+// the per-core views, the chain clones and the failure map of the
+// resolution. A reader draws one from a
+// pool per Prober; the writer owns one for life. Steady-state probes
+// allocate nothing.
+type fpProbeScratch struct {
+	ent      Entity
+	addEnts  [1]*Entity
+	addCores [1]int
+
+	run   int64 // bumped per evaluation; views filled by it carry the value
+	views []probeView
+	// perCore is set by the writer: a chain-free probe then fills its
+	// own core's view, so what it converged outlives probes of other
+	// cores (see fpContext.Place). A reader's all share view 0 — one set
+	// of buffers for a pooled scratch to rebuild after a collection.
+	perCore bool
+
+	chains    []fpSnapChain // probe-local clones of the committed chains, then the tentative chain
+	cloneSlab []Entity
+	clonePtrs []*Entity
+	failed    map[*Entity]bool // chain entities the resolution could not fit
+
+	tent  fpSnapChain    // the reader's tentative split chain
+	pool  entPool        // the entities it is built from
+	stats AdmissionStats // and the reader's counters for one probe
+}
+
+// size makes room for nc cores.
+func (sc *fpProbeScratch) size(nc int) {
+	for len(sc.views) < nc {
+		sc.views = append(sc.views, probeView{})
+	}
+}
+
+// fpProbe is one evaluation by the fixed-priority engine over a
+// committed state (the writer's, or a snapshot's — the engine cannot
+// tell), writing only the scratch and the stats.
+type fpProbe struct {
+	m      *overhead.Model
+	mono   bool
+	maxN   int
+	cores  []coreRec
+	chains []fpSnapChain
+	sc     *fpProbeScratch
+	stats  *AdmissionStats
+}
+
+// run evaluates one probe: the tentative entities add placed on
+// addCores (and, for a split, their chain tent), queue bound n, verdict
+// for probeCore. It mirrors the stateless CoreSchedulable on the probe
+// state.
+func (p *fpProbe) run(add []*Entity, addCores []int, tent *fpSnapChain, probeCore, n int) bool {
+	sc := p.sc
+	sc.run++
+	sc.size(len(p.cores))
+	if len(p.chains) == 0 && tent == nil {
+		// No chains, no cross-core coupling: probe the core alone (the
+		// stateless fast path).
+		v := &sc.views[0]
+		if sc.perCore {
+			v = &sc.views[probeCore]
+		}
+		p.fillView(v, probeCore, add, addCores, n)
+		return fpEvalCore(p, v, nil)
+	}
+	p.buildViews(add, addCores, probeCore, n)
+	p.cloneChains(tent)
+	p.resolve()
+	return fpEvalCore(p, &sc.views[probeCore], sc.failed)
+}
+
+// fullTest is the full admission test of the committed state.
+func (p *fpProbe) fullTest() bool {
+	sc := p.sc
+	sc.run++
+	sc.size(len(p.cores))
+	p.buildViews(nil, nil, -1, p.maxN)
+	p.cloneChains(nil)
+	p.resolve()
+	if len(sc.failed) > 0 {
+		return false
+	}
+	for c := range p.cores {
+		if !fpEvalCore(p, &sc.views[c], nil) {
+			return false
+		}
+	}
+	return true
+}
+
+// buildViews fills the views the evaluation reads: the probed core
+// (every core when probeCore < 0), the cores the tentative entities
+// land on and the cores hosting a chain entity. Nothing solves on any
+// other.
+func (p *fpProbe) buildViews(add []*Entity, addCores []int, probeCore, n int) {
+	fill := func(c int) {
+		if v := &p.sc.views[c]; v.run != p.sc.run {
+			p.fillView(v, c, add, addCores, n)
+		}
+	}
+	for c := range p.cores {
+		if probeCore < 0 || c == probeCore {
+			fill(c)
+		}
+	}
+	for _, d := range addCores {
+		fill(d)
+	}
+	for _, ch := range p.chains {
+		for _, d := range ch.cores {
+			fill(d)
+		}
+	}
+}
+
+// fillView copies core c's committed record into v and merges in the
+// tentative entities hosted there. The view's cost caches survive only
+// a refill from the very contents they were computed for — the same
+// slice at the same revision, nothing tentative, which is every core a
+// chain probe reads but does not touch; the queue bound and the model
+// are the cache's own keys. A chain entity's clone costs what the
+// entity does: jitters are not part of the costs.
+func (p *fpProbe) fillView(v *probeView, c int, add []*Entity, addCores []int, n int) {
+	base := &p.cores[c]
+	ents := append(v.cs.Entities[:0], base.ents...)
+	warm := append(v.warm[:0], base.warm...)
+	cm := base.cacheMax
+	var src **Entity
+	if len(base.ents) > 0 {
+		src = &base.ents[0]
+	}
+	for i, e := range add {
+		if addCores[i] != c {
+			continue
+		}
+		src = nil
+		ents, warm = insertByPriority(ents, warm, e)
+		if d := p.m.Cache.MaxDelay(e.Task.WSS); d > cm {
+			cm = d
+		}
+	}
+	if src == nil || src != v.src || base.rev != v.rev {
+		v.cs.invalidateCosts()
+	}
+	v.src, v.rev = src, base.rev
+	v.warm = warm
+	v.run = p.sc.run
+	v.cs.Entities = ents
+	v.cs.N = n
+	v.cs.CacheMax = cm
+}
+
+// insertByPriority inserts e into a priority-sorted entity slice, after
+// any equal-priority entities (matching the stable sort of NewCoreSet
+// over the canonical build order), and a zero into the warm vector
+// parallel to it. In place: only for slices no snapshot can reference.
+func insertByPriority(ents []*Entity, warm []timeq.Time, e *Entity) ([]*Entity, []timeq.Time) {
+	i := 0
+	for i < len(ents) && ents[i].LocalPriority <= e.LocalPriority {
+		i++
+	}
+	ents = append(ents, nil)
+	copy(ents[i+1:], ents[i:])
+	ents[i] = e
+	warm = append(warm, 0)
+	copy(warm[i+1:], warm[i:])
+	warm[i] = 0
+	return ents, warm
+}
+
+// cloneChains clones the committed chains into the scratch slabs — the
+// resolution moves the clones' jitters, never a committed entity's —
+// swaps the clones into the views, appends the tentative chain (owned
+// by the probe already) and clears the resolution's outputs.
+func (p *fpProbe) cloneChains(tent *fpSnapChain) {
+	sc := p.sc
+	nclone := 0
+	for _, ch := range p.chains {
+		nclone += len(ch.ents)
+	}
+	if cap(sc.cloneSlab) < nclone {
+		sc.cloneSlab = make([]Entity, nclone)
+		sc.clonePtrs = make([]*Entity, nclone)
+	}
+	clones, ptrs := sc.cloneSlab[:nclone], sc.clonePtrs[:nclone]
+	sc.chains = sc.chains[:0]
+	off := 0
+	for _, ch := range p.chains {
+		k := len(ch.ents)
+		cents := ptrs[off : off+k : off+k]
+		for i, e := range ch.ents {
+			ce := &clones[off+i]
+			*ce = *e
+			cents[i] = ce
+			ents := sc.views[ch.cores[i]].cs.Entities
+			for j, o := range ents {
+				if o == e {
+					ents[j] = ce
+					break
+				}
+			}
+		}
+		off += k
+		sc.chains = append(sc.chains, fpSnapChain{sp: ch.sp, cores: ch.cores, ents: cents})
+	}
+	if tent != nil {
+		sc.chains = append(sc.chains, *tent)
+	}
+	clear(sc.failed)
+	for c := range sc.views {
+		sc.views[c].jMoved = false
+	}
+}
+
+// solve runs one response-time fixed point of the view's entity idx,
+// warm-started from the view's vector, and records the converged value
+// back into it.
+func (p *fpProbe) solve(v *probeView, idx int) (timeq.Time, bool) {
+	var start timeq.Time
+	if p.mono {
+		start = v.warm[idx]
+	}
+	r, ok, iters := v.cs.responseTime(v.cs.Entities[idx], p.m, start)
+	p.stats.FPSolves++
+	p.stats.FPIterations += int64(iters)
+	if start > 0 {
+		p.stats.WarmStarts++
+	}
+	if ok && p.mono {
+		v.warm[idx] = r
+	}
+	return r, ok
+}
+
+// fpEvalCore is the per-core admission test of the incremental engine:
+// the failed veto, then every entity's response time.
+//
+// It evaluates failure first. Once the chain jitters are resolved the
+// core's verdict is an AND over per-entity fixed points that share no
+// mutable state — a solve reads the set and writes only its own warm
+// slot — so the order of evaluation cannot change the verdict, only
+// how soon a rejection is known. The veto costs no solve, so it goes
+// first; the entities go lowest priority first, because the entity a
+// rejected probe breaks is almost always near the bottom of the order
+// (it sees every other entity's interference), and a walk from the top
+// solves every passing entity above it before finding out. The
+// stateless Cores.SchedulableCore keeps the naive top-down order and
+// is what the differential suites compare against.
+func fpEvalCore(p *fpProbe, v *probeView, failed map[*Entity]bool) bool {
+	p.stats.CoreTests++
+	if len(failed) > 0 {
+		for _, e := range v.cs.Entities {
+			if failed[e] {
+				return false
+			}
+		}
+	}
+	for i := len(v.cs.Entities) - 1; i >= 0; i-- {
+		if _, ok := p.solve(v, i); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// resolve runs the split-chain jitter fixed point over the views,
+// mirroring Cores.resolveJitters pass for pass: warm-started from the
+// committed jitters under a monotone model, cold from zero otherwise
+// (the committed jitters may overshoot this evaluation's least fixed
+// point). It leaves the entities it could not fit in sc.failed and
+// marks the views hosting a jitter it moved.
+func (p *fpProbe) resolve() {
+	const maxPasses = 1000
+	sc := p.sc
+	if !p.mono {
+		for _, ch := range sc.chains {
+			for _, e := range ch.ents {
+				e.Jitter = 0
+			}
+		}
+	}
+	for pass := 0; pass < maxPasses && len(sc.chains) > 0; pass++ {
+		changed := false
+		for _, ch := range sc.chains {
+			cum := timeq.Time(0)
+			for i, e := range ch.ents {
+				v := &sc.views[ch.cores[i]]
+				if e.Jitter != cum {
+					e.Jitter = cum
+					changed = true
+					v.jMoved = true
+				}
+				idx := 0
+				for v.cs.Entities[idx] != e {
+					idx++
+				}
+				r, ok := p.solve(v, idx)
+				if !ok {
+					if sc.failed == nil {
+						sc.failed = make(map[*Entity]bool)
+					}
+					sc.failed[e] = true
+					r = e.D
+				} else {
+					delete(sc.failed, e)
+				}
+				cum = timeq.AddSat(cum, r)
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+}
+
+// edfEvalProbe is the EDF engine: the processor-demand test of core
+// record r with the tentative entities inserted in the canonical
+// stateless build order — a whole task (place) after the committed
+// normals and before any split parts, the a.Normal[c] append order;
+// tentative parts last, their split being the newest in a.Splits. With
+// neither it tests the committed core. The probe set is assembled in
+// cs, whose cost and deadline-point buffers persist across calls, and
+// the committed memo is read, never written (memos own private
+// slices), so concurrent readers may share it. keep asks for the
+// converged artifacts of a passing test.
+func edfEvalProbe(m *overhead.Model, mono bool, r *coreRec, cs *CoreSet, c int, place *Entity, parts []*Entity, partCores []int, n int, keep bool) (bool, *edfDemandMemo) {
+	buf := cs.Entities[:0]
+	cm := r.cacheMax
+	if place != nil {
+		buf = append(buf, r.ents[:r.nNormals]...)
+		buf = append(buf, place)
+		buf = append(buf, r.ents[r.nNormals:]...)
+		if d := m.Cache.MaxDelay(place.Task.WSS); d > cm {
+			cm = d
+		}
+	} else {
+		buf = append(buf, r.ents...)
+		for i, e := range parts {
+			if partCores[i] != c {
+				continue
+			}
+			buf = append(buf, e)
+			if d := m.Cache.MaxDelay(e.Task.WSS); d > cm {
+				cm = d
+			}
+		}
+	}
+	cs.Entities = buf
+	cs.N = n
+	cs.CacheMax = cm
+	cs.invalidateCosts()
+	var memo *edfDemandMemo
+	if mono {
+		memo = r.memo
+	}
+	return cs.edfSchedulable(m, memo, keep)
+}

@@ -73,16 +73,6 @@ type Entity struct {
 	// RemoteSleepAdd marks the tail part: on completion the job is
 	// inserted into the *home* core's sleep queue, a remote add.
 	RemoteSleepAdd bool
-
-	// Warm-start slots owned by the admission context that built the
-	// entity (contexts never share entities): warmR is the response
-	// time converged for the committed system — a valid lower bound
-	// for any probe, since probes only add entities — and warmProbe
-	// holds the value converged during probe warmSeq, discarded by
-	// the next probe simply by the sequence moving on.
-	warmR     timeq.Time
-	warmProbe timeq.Time
-	warmSeq   int64
 }
 
 // String renders the entity for diagnostics.

@@ -109,7 +109,7 @@ func TestFailureFirstMatchesStateless(t *testing.T) {
 					if got != want {
 						t.Fatalf("round %d: warm TrySplit(%v, core %d) = %v, stateless = %v", round, tk, c, got, want)
 					}
-					if len(ctx.(*fpContext).pend.failed) > 0 {
+					if len(ctx.(*fpContext).sc.failed) > 0 {
 						vetoed++
 					}
 					note(got)

@@ -21,10 +21,10 @@ func TestSelfCheckWrapperEngaged(t *testing.T) {
 			t.Fatal("trivial placement must fit")
 		}
 		ctx.Commit()
-		// Sabotage the committed warm slot with an overshooting value;
+		// Sabotage the committed warm vector with an overshooting value;
 		// warm starts never lower a converged fixed point below the
 		// cold result, and the shadow would panic on any divergence.
-		inner.sets[0].Entities[0].warmR = 9 * timeq.Millisecond
+		inner.cores[0].warm[0] = 9 * timeq.Millisecond
 		tk2 := &task.Task{ID: 2, WCET: timeq.Millisecond, Period: 20 * timeq.Millisecond, Priority: 2}
 		if !ctx.TryPlace(tk2, 0) {
 			t.Fatal("second placement must fit")

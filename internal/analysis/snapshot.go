@@ -1,5 +1,5 @@
-// Copy-on-write admission snapshots: the lock-free concurrent read
-// path of the analysis layer.
+// Published admission snapshots: the lock-free concurrent read path of
+// the analysis layer.
 //
 // A Context serializes every mutation behind one owner goroutine, so
 // a service front-ending it (admitd) could only ever answer as fast
@@ -11,29 +11,27 @@
 // latest snapshot concurrently, without locks and without entering
 // the owner's serialization.
 //
-// # Copy-on-write discipline
+// # One engine, two owners
 //
-// Publication is cheap because the contexts maintain their committed
-// state copy-on-write: committed per-core entity slices, the
-// assignment's per-core task lists and the split list are never
-// mutated in place once published — an insert or removal builds a
-// fresh slice, and tail-appends only ever write beyond every
-// published length. A publish therefore copies O(cores) slice
-// headers, not O(tasks) entities; only state a mutation dirtied is
-// rebuilt (a core's warm-value vector, a chain's entity clones).
+// A snapshot is the second owner of committed state (the writer
+// context is the first) and holds it in the same shape: a copy, by
+// value, of the writer's per-core records and of its chain list
+// (ctxBase.publish) — O(cores) slice headers, not O(tasks) entities.
+// It has no evaluator of its own. A Prober binds pooled scratch to
+// the snapshot and runs the probe engine of engine.go over it — the
+// fillView, fpEvalCore, resolve and edfEvalProbe a writer probe runs —
+// and then drops the views the writer would have installed.
 //
-// # What readers may touch
+// # Why sharing is safe
 //
-// Shared entities have two classes of fields: the immutable analysis
-// parameters (C, T, D, priority, part flags) and the owner's mutable
-// accelerator slots (warm fixed-point values, chain jitters). Readers
-// never touch the latter on shared entities: warm values are captured
-// into the snapshot's own per-core vectors at publish time, and chain
-// entities — whose Jitter the owner's resolutions rewrite — are
-// cloned at publish time with the committed jitters baked in. A probe
-// that needs to run its own jitter resolution clones the chains again
-// probe-locally, so concurrent probes on one snapshot never share
-// mutable state.
+// Committed entities are immutable. Warm values live in the records'
+// vectors, and a probe copies a vector into its view before any solve
+// writes it; chain jitters are baked into the committed chain
+// entities, and a probe that resolves jitters moves those of its own
+// clones. The slices a snapshot shares with the writer are never
+// written in place while a snapshot references them (ctxBase.own),
+// and the assignment's task and split lists are only ever replaced,
+// or appended to beyond every published length.
 //
 // # Decision identity
 //
@@ -260,7 +258,8 @@ func (v *snapView) captureView(b *ctxBase, seq int64) {
 // verdict can be memoized. This is an optimization only immutability
 // makes trivially correct: the mutable context would need
 // invalidation bookkeeping on every commit, the snapshot's cache
-// simply dies with (or outlives, see publish) the core record.
+// simply lives as long as the core record's contents (see
+// ctxBase.publish).
 type probeKey struct {
 	c, t, d timeq.Time
 	prio    int
@@ -460,33 +459,22 @@ func (t *probeTable) insert(k probeKey, verdict bool) bool {
 	}
 }
 
-// --- fixed-priority snapshot -----------------------------------------
+// --- published state -------------------------------------------------
 
-// fpSnapCore is one core's published state: the priority-sorted
-// committed entities (chain entities replaced by snapshot-owned
-// clones), the committed converged response times parallel to ents
-// (nil under a non-monotone model; backed by the refcounted wbuf),
-// and the core's probe-verdict memo.
-type fpSnapCore struct {
-	ents     []*Entity
-	warm     []timeq.Time
-	cacheMax timeq.Time
-	probes   *probeCache
-}
-
-// fpSnapChain is one published split chain: snapshot-owned entity
-// clones (committed jitters baked in) and their host cores.
-type fpSnapChain struct {
-	sp    *task.Split
-	ents  []*Entity
-	cores []int
-}
-
-type fpSnapshot struct {
+// snapState is a published copy of a context's committed state: the
+// writer's per-core records by value, its chain list, and the
+// assignment view. fpSnapshot and edfSnapshot are the same struct
+// under the two policies' probe methods.
+type snapState struct {
 	snapView
-	cores  []fpSnapCore
+	cores  []coreRec
 	chains []fpSnapChain
 }
+
+type (
+	fpSnapshot  snapState
+	edfSnapshot snapState
+)
 
 // Prober is a goroutine-local probe evaluator bound to one snapshot;
 // see Snapshot.Prober.
@@ -496,61 +484,7 @@ type Prober interface {
 	Close()
 }
 
-// fpProbeScratch is the pooled allocation behind every fixed-priority
-// snapshot probe: the tentative entity and its one-element placement
-// slices, the single-core probe view of the no-chain fast path, and
-// the per-core views, chain-clone slabs and failure map of the chain
-// path. Everything a probe touches lives here or in the (immutable)
-// snapshot, so steady-state probes allocate nothing.
-type fpProbeScratch struct {
-	ent      Entity
-	addEnts  [1]*Entity
-	addCores [1]int
-	view     probeView // no-chain single-core path
-
-	// chain-path scratch
-	views     []probeView
-	chains    []fpSnapChain
-	cloneSlab []Entity  // chain-entity clones (jitters mutable)
-	clonePtrs []*Entity // pointers into cloneSlab, sliced per chain
-	failed    map[*Entity]bool
-
-	// tentative split chain (TrySplit)
-	split      fpChain
-	splitEnts  []Entity
-	splitPtrs  []*Entity
-	splitCores []int
-}
-
-// buildChain is buildFPChain into the scratch slabs; the entities'
-// analysis parameters are filled identically.
-func (sc *fpProbeScratch) buildChain(sp *task.Split) *fpChain {
-	n := len(sp.Parts)
-	if cap(sc.splitEnts) < n {
-		sc.splitEnts = make([]Entity, n)
-		sc.splitPtrs = make([]*Entity, n)
-		sc.splitCores = make([]int, n)
-	}
-	ents, ptrs, cores := sc.splitEnts[:n], sc.splitPtrs[:n], sc.splitCores[:n]
-	last := n - 1
-	for i, p := range sp.Parts {
-		ents[i] = Entity{
-			Task:           sp.Task,
-			C:              p.Budget,
-			T:              sp.Task.Period,
-			D:              sp.Task.EffectiveDeadline(),
-			LocalPriority:  sp.LocalPriority(),
-			PartIndex:      i,
-			MigrIn:         i > 0,
-			MigrOut:        i < last,
-			RemoteSleepAdd: i == last,
-		}
-		ptrs[i] = &ents[i]
-		cores[i] = p.Core
-	}
-	sc.split = fpChain{sp: sp, ents: ptrs, cores: cores}
-	return &sc.split
-}
+// --- fixed-priority snapshot -----------------------------------------
 
 // fpProber binds pooled scratch to one snapshot across many probes.
 type fpProber struct {
@@ -571,8 +505,17 @@ func (p *fpProber) Close() {
 	fpProberPool.Put(p)
 }
 
-func (p *fpProber) TryPlace(t *task.Task, c int) bool {
+// engine binds the probe engine to the snapshot's state, counting
+// into the scratch (a counter on the caller's stack would escape
+// through the engine).
+func (p *fpProber) engine(stats AdmissionStats) fpProbe {
 	s := p.s
+	p.sc.stats = stats
+	return fpProbe{m: s.m, mono: s.mono, maxN: s.maxN, cores: s.cores, chains: s.chains, sc: p.sc, stats: &p.sc.stats}
+}
+
+func (p *fpProber) TryPlace(t *task.Task, c int) bool {
+	s, sc := p.s, p.sc
 	if c < 0 || c >= s.ncores {
 		return false
 	}
@@ -588,12 +531,10 @@ func (p *fpProber) TryPlace(t *task.Task, c int) bool {
 			return ok
 		}
 	}
-	run := fpProbe{s: s, sc: p.sc}
-	run.stats.Probes++
-	e := newFPEntityInto(&p.sc.ent, t)
-	p.sc.addEnts[0], p.sc.addCores[0] = e, c
-	ok := run.run(p.sc.addEnts[:], p.sc.addCores[:], nil, c)
-	s.rs.Add(run.stats)
+	run := p.engine(AdmissionStats{Probes: 1})
+	sc.addEnts[0], sc.addCores[0] = newFPEntityInto(&sc.ent, t), c
+	ok := run.run(sc.addEnts[:], sc.addCores[:], nil, c, probeN(s.cores, s.maxN, sc.addCores[:]))
+	s.rs.Add(sc.stats)
 	if useMemo {
 		pc.store(key, ok)
 	}
@@ -601,290 +542,28 @@ func (p *fpProber) TryPlace(t *task.Task, c int) bool {
 }
 
 func (p *fpProber) TrySplit(sp *task.Split, c int) bool {
-	s := p.s
+	s, sc := p.s, p.sc
 	if c < 0 || c >= s.ncores {
 		return false
 	}
-	run := fpProbe{s: s, sc: p.sc}
-	run.stats.Probes++
-	ch := p.sc.buildChain(sp)
-	ok := run.run(ch.ents, ch.cores, ch, c)
-	s.rs.Add(run.stats)
+	run := p.engine(AdmissionStats{Probes: 1})
+	fillFPChain(&sc.tent, sp, &sc.pool)
+	ok := run.run(sc.tent.ents, sc.tent.cores, &sc.tent, c, probeN(s.cores, s.maxN, sc.tent.cores))
+	sc.pool.put(sc.tent.ents...)
+	s.rs.Add(sc.stats)
 	return ok
-}
-
-// fpProbe is the state of one snapshot probe evaluation: a per-core
-// view of the probe state (committed entities, chain clones and
-// tentative entities merged in) with a probe-local warm vector, all
-// backed by the pooled scratch.
-type fpProbe struct {
-	s      *fpSnapshot
-	sc     *fpProbeScratch
-	views  []probeView
-	chains []fpSnapChain    // probe-local clones (jitters mutable)
-	failed map[*Entity]bool // cleared scratch map; grown by resolve
-	stats  AdmissionStats   // folded into s.rs at the end
-}
-
-type probeView struct {
-	cs   CoreSet
-	warm []timeq.Time
 }
 
 func (s *fpSnapshot) TryPlace(t *task.Task, c int) bool {
-	p := s.Prober().(*fpProber)
-	ok := p.TryPlace(t, c)
-	p.Close()
-	return ok
+	p := s.Prober()
+	defer p.Close()
+	return p.TryPlace(t, c)
 }
 
 func (s *fpSnapshot) TrySplit(sp *task.Split, c int) bool {
-	p := s.Prober().(*fpProber)
-	ok := p.TrySplit(sp, c)
-	p.Close()
-	return ok
-}
-
-// probeN mirrors fpContext.probeN on the snapshot state: the
-// committed bound, raised by any core the probe tentatively grows
-// past it.
-func (s *fpSnapshot) probeN(addCores []int) int {
-	n := s.maxN
-	for c := range s.cores {
-		grow := 0
-		for _, d := range addCores {
-			if d == c {
-				grow++
-			}
-		}
-		if k := len(s.cores[c].ents) + grow; k > n {
-			n = k
-		}
-	}
-	return n
-}
-
-// run evaluates one probe: tentative entities add placed on addCores
-// (and, for splits, the tentative chain), verdict for probeCore. It
-// mirrors fpContext.TryPlace/TrySplit on the probe state, with every
-// mutable accelerator probe-local (backed by the pooled scratch, so
-// steady-state probes allocate nothing on either path).
-func (p *fpProbe) run(add []*Entity, addCores []int, tentChain *fpChain, probeCore int) bool {
-	s := p.s
-	probeN := s.probeN(addCores)
-	if len(s.chains) == 0 && tentChain == nil {
-		// No chains, no cross-core coupling: probe core c alone
-		// (mirrors the stateless fast path and the context's),
-		// in the scratch view (the CoreSet keeps its cost buffers;
-		// fillView re-keys them).
-		v := &p.sc.view
-		p.fillView(v, probeCore, add, addCores, probeN)
-		return p.evalCore(v, nil)
-	}
-	// Build views for every core; clone the chains probe-locally so
-	// the resolution below never writes shared state.
-	p.buildViews(add, addCores, probeN)
-	p.cloneChains(tentChain)
-	p.resolve()
-	ok := p.evalCore(&p.views[probeCore], p.failed)
-	p.sc.failed = p.failed // retain the lazily grown map
-	return ok
-}
-
-// buildViews assembles every core's probe-state view (committed
-// entities plus any tentative entities hosted there, probe-local warm
-// vectors initialized from the snapshot's committed values) in the
-// scratch view slab.
-func (p *fpProbe) buildViews(add []*Entity, addCores []int, probeN int) {
-	s, sc := p.s, p.sc
-	if cap(sc.views) < s.ncores {
-		sc.views = make([]probeView, s.ncores)
-	}
-	sc.views = sc.views[:s.ncores]
-	p.views = sc.views
-	for c := range p.views {
-		p.fillView(&p.views[c], c, add, addCores, probeN)
-	}
-}
-
-// cloneChains clones the snapshot's chains into the scratch slabs
-// (committed jitters baked in at publish; the resolution mutates the
-// clones' jitters), swaps the clones into the views, appends the
-// tentative chain if any, and hands the cleared failure map to the
-// resolution.
-func (p *fpProbe) cloneChains(tentChain *fpChain) {
-	s, sc := p.s, p.sc
-	nclone := 0
-	for _, ch := range s.chains {
-		nclone += len(ch.ents)
-	}
-	if cap(sc.cloneSlab) < nclone {
-		sc.cloneSlab = make([]Entity, nclone)
-		sc.clonePtrs = make([]*Entity, nclone)
-	}
-	clones, ptrs := sc.cloneSlab[:nclone], sc.clonePtrs[:nclone]
-	p.chains = sc.chains[:0]
-	off := 0
-	for _, ch := range s.chains {
-		n := len(ch.ents)
-		cents := ptrs[off : off+n : off+n]
-		for i, e := range ch.ents {
-			ce := &clones[off+i]
-			*ce = *e
-			cents[i] = ce
-			p.swapEntity(ch.cores[i], e, ce)
-		}
-		off += n
-		p.chains = append(p.chains, fpSnapChain{sp: ch.sp, cores: ch.cores, ents: cents})
-	}
-	if tentChain != nil {
-		p.chains = append(p.chains, fpSnapChain{sp: tentChain.sp, ents: tentChain.ents, cores: tentChain.cores})
-	}
-	sc.chains = p.chains[:0]
-	if sc.failed != nil {
-		clear(sc.failed)
-	}
-	p.failed = sc.failed
-}
-
-// fillView is buildView into caller-provided (possibly pooled)
-// scratch; the view's cost caches are invalidated, never trusted.
-func (p *fpProbe) fillView(v *probeView, c int, add []*Entity, addCores []int, probeN int) {
-	s := p.s
-	base := &s.cores[c]
-	ents := append(v.cs.Entities[:0], base.ents...)
-	warm := v.warm[:0]
-	if s.mono && base.warm != nil {
-		warm = append(warm, base.warm...)
-	} else {
-		for range base.ents {
-			warm = append(warm, 0)
-		}
-	}
-	cm := base.cacheMax
-	for i, e := range add {
-		if addCores[i] != c {
-			continue
-		}
-		ents, warm = insertByPriorityWarm(ents, warm, e, 0)
-		if d := s.m.Cache.MaxDelay(e.Task.WSS); d > cm {
-			cm = d
-		}
-	}
-	v.warm = warm
-	v.cs.Entities = ents
-	v.cs.N = probeN
-	v.cs.CacheMax = cm
-	v.cs.invalidateCosts()
-}
-
-// insertByPriorityWarm is insertByPriority keeping a warm vector
-// parallel to the entity slice.
-func insertByPriorityWarm(ents []*Entity, warm []timeq.Time, e *Entity, w timeq.Time) ([]*Entity, []timeq.Time) {
-	i := 0
-	for i < len(ents) && ents[i].LocalPriority <= e.LocalPriority {
-		i++
-	}
-	ents = append(ents, nil)
-	copy(ents[i+1:], ents[i:])
-	ents[i] = e
-	warm = append(warm, 0)
-	copy(warm[i+1:], warm[i:])
-	warm[i] = w
-	return ents, warm
-}
-
-// swapEntity replaces a shared chain entity with its probe-local
-// clone in core c's view, carrying the warm value over.
-func (p *fpProbe) swapEntity(c int, old, clone *Entity) {
-	v := &p.views[c]
-	for i, e := range v.cs.Entities {
-		if e == old {
-			v.cs.Entities[i] = clone
-			return
-		}
-	}
-}
-
-// solve runs one response-time fixed point warm-started from the
-// probe-local vector, recording the converged value back into it.
-func (p *fpProbe) solve(v *probeView, idx int) (timeq.Time, bool) {
-	var start timeq.Time
-	if p.s.mono {
-		start = v.warm[idx]
-	}
-	e := v.cs.Entities[idx]
-	r, ok, iters := v.cs.responseTime(e, p.s.m, start)
-	p.stats.FPSolves++
-	p.stats.FPIterations += int64(iters)
-	if start > 0 {
-		p.stats.WarmStarts++
-	}
-	if ok && p.s.mono {
-		v.warm[idx] = r
-	}
-	return r, ok
-}
-
-// evalCore is the failure-first core test (fpEvalCore) on a probe
-// view.
-func (p *fpProbe) evalCore(v *probeView, failed map[*Entity]bool) bool {
-	p.stats.CoreTests++
-	return fpEvalCore(&v.cs, failed, func(i int) bool {
-		_, ok := p.solve(v, i)
-		return ok
-	})
-}
-
-// resolve runs the split-chain jitter fixed point over the probe
-// views, mirroring fpContext.resolve: warm-started from the committed
-// jitters under a monotone model, cold from zero otherwise.
-func (p *fpProbe) resolve() {
-	const maxPasses = 1000
-	if len(p.chains) == 0 {
-		return
-	}
-	if !p.s.mono {
-		for _, ch := range p.chains {
-			for _, e := range ch.ents {
-				e.Jitter = 0
-			}
-		}
-	}
-	for pass := 0; pass < maxPasses; pass++ {
-		changed := false
-		for _, ch := range p.chains {
-			cum := timeq.Time(0)
-			for i, e := range ch.ents {
-				if e.Jitter != cum {
-					e.Jitter = cum
-					changed = true
-				}
-				v := &p.views[ch.cores[i]]
-				idx := -1
-				for k, o := range v.cs.Entities {
-					if o == e {
-						idx = k
-						break
-					}
-				}
-				r, ok := p.solve(v, idx)
-				if !ok {
-					if p.failed == nil {
-						p.failed = make(map[*Entity]bool)
-					}
-					p.failed[e] = true
-					r = e.D
-				} else {
-					delete(p.failed, e)
-				}
-				cum = timeq.AddSat(cum, r)
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	p := s.Prober()
+	defer p.Close()
+	return p.TrySplit(sp, c)
 }
 
 // Schedulable returns the full-test verdict of the committed state:
@@ -896,115 +575,30 @@ func (s *fpSnapshot) Schedulable() bool {
 		return s.schedOK
 	}
 	s.schedOnce.Do(func() {
-		pr := s.Prober().(*fpProber)
-		p := fpProbe{s: s, sc: pr.sc}
-		p.stats.FullTests++
-		s.schedOK = p.fullTest()
-		s.rs.Add(p.stats)
-		pr.Close()
+		p := s.Prober().(*fpProber)
+		run := p.engine(AdmissionStats{FullTests: 1})
+		s.schedOK = run.fullTest()
+		s.rs.Add(p.sc.stats)
+		p.Close()
 		s.schedDone.Store(true)
 	})
 	return s.schedOK
 }
 
-func (p *fpProbe) fullTest() bool {
-	s := p.s
-	p.buildViews(nil, nil, s.maxN)
-	p.cloneChains(nil)
-	p.resolve()
-	p.sc.failed = p.failed
-	if len(p.failed) > 0 {
-		return false
-	}
-	for c := range p.views {
-		if !p.evalCore(&p.views[c], nil) {
-			return false
-		}
-	}
-	return true
-}
-
 // --- EDF snapshot ----------------------------------------------------
 
-// edfSnapCore is one core's published state under EDF: the canonical
-// entity order (normals, then split parts), the committed demand memo
-// (immutable once published; nil under a non-monotone model) and the
-// cache bound.
-type edfSnapCore struct {
-	ents     []*Entity
-	nNormals int
-	cacheMax timeq.Time
-	memo     *edfDemandMemo
-	rev      int64 // committed content revision (cache carryover check)
-	probes   *probeCache
-}
-
-type edfSnapshot struct {
-	snapView
-	cores []edfSnapCore
-}
-
-func (s *edfSnapshot) probeN(addCores []int) int {
-	n := s.maxN
-	for c := range s.cores {
-		grow := 0
-		for _, d := range addCores {
-			if d == c {
-				grow++
-			}
-		}
-		if k := len(s.cores[c].ents) + grow; k > n {
-			n = k
-		}
-	}
-	return n
-}
-
-// edfProbeScratch is the pooled allocation behind EDF snapshot
-// probes: the tentative entity, the canonical-order entity buffer,
-// one CoreSet whose cost and deadline-point buffers persist across
-// probes, the one-element placement core slice, and the split-part
-// slabs.
+// edfProbeScratch is everything an EDF probe writes: the tentative
+// whole-task entity, the one-element placement core slice, the split
+// parts with their pool, and one probe set whose cost and
+// deadline-point buffers persist across probes. The writer keeps a
+// probe set per core instead (see edfContext).
 type edfProbeScratch struct {
-	ent      Entity
-	addCores [1]int
-	buf      []*Entity
-	cs       CoreSet
-
-	splitEnts  []Entity
-	splitPtrs  []*Entity
-	splitCores []int
-}
-
-// splitEntities is edfSplitEntities into the scratch slabs.
-func (sc *edfProbeScratch) splitEntities(sp *task.Split) ([]*Entity, []int) {
-	n := len(sp.Parts)
-	if cap(sc.splitEnts) < n {
-		sc.splitEnts = make([]Entity, n)
-		sc.splitPtrs = make([]*Entity, n)
-		sc.splitCores = make([]int, n)
-	}
-	ents, ptrs, cores := sc.splitEnts[:n], sc.splitPtrs[:n], sc.splitCores[:n]
-	last := n - 1
-	for i, p := range sp.Parts {
-		d := sp.Task.EffectiveDeadline()
-		if sp.HasWindows() {
-			d = sp.Windows[i]
-		}
-		ents[i] = Entity{
-			Task:           sp.Task,
-			C:              p.Budget,
-			T:              sp.Task.Period,
-			D:              d,
-			PartIndex:      i,
-			MigrIn:         i > 0,
-			MigrOut:        i < last,
-			RemoteSleepAdd: i == last,
-		}
-		ptrs[i] = &ents[i]
-		cores[i] = p.Core
-	}
-	return ptrs, cores
+	ent       Entity
+	addCores  [1]int
+	cs        CoreSet
+	parts     []*Entity
+	partCores []int
+	pool      entPool
 }
 
 // edfProber binds pooled scratch to one snapshot across many probes.
@@ -1027,7 +621,7 @@ func (p *edfProber) Close() {
 }
 
 func (p *edfProber) TryPlace(t *task.Task, c int) bool {
-	s := p.s
+	s, sc := p.s, p.sc
 	if c < 0 || c >= s.ncores {
 		return false
 	}
@@ -1041,10 +635,10 @@ func (p *edfProber) TryPlace(t *task.Task, c int) bool {
 			return ok
 		}
 	}
-	sc := p.sc
-	e := newEDFEntityInto(&sc.ent, t)
 	sc.addCores[0] = c
-	ok := s.evalProbe(sc, c, e, nil, nil, s.probeN(sc.addCores[:]))
+	n := probeN(s.cores, s.maxN, sc.addCores[:])
+	ok, _ := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, newEDFEntityInto(&sc.ent, t), nil, nil, n, false)
+	s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1})
 	if useMemo {
 		pc.store(key, ok)
 	}
@@ -1052,71 +646,28 @@ func (p *edfProber) TryPlace(t *task.Task, c int) bool {
 }
 
 func (p *edfProber) TrySplit(sp *task.Split, c int) bool {
-	s := p.s
+	s, sc := p.s, p.sc
 	if c < 0 || c >= s.ncores {
 		return false
 	}
-	ents, cores := p.sc.splitEntities(sp)
-	return s.evalProbe(p.sc, c, nil, ents, cores, s.probeN(cores))
-}
-
-// evalProbe mirrors edfContext.evalProbe on the snapshot: the probe
-// set assembled in the canonical order within the scratch buffers,
-// the committed memo reused read-only (concurrent readers may share
-// it — nothing writes it, and the scratch CoreSet's point buffers
-// never leak into a memo: memos own private slices).
-func (s *edfSnapshot) evalProbe(sc *edfProbeScratch, c int, place *Entity, parts []*Entity, partCores []int, probeN int) bool {
-	st := &s.cores[c]
-	buf := sc.buf[:0]
-	cm := st.cacheMax
-	if place != nil {
-		buf = append(buf, st.ents[:st.nNormals]...)
-		buf = append(buf, place)
-		buf = append(buf, st.ents[st.nNormals:]...)
-		if d := s.m.Cache.MaxDelay(place.Task.WSS); d > cm {
-			cm = d
-		}
-	} else {
-		buf = append(buf, st.ents...)
-		for i, e := range parts {
-			if partCores[i] != c {
-				continue
-			}
-			buf = append(buf, e)
-			if d := s.m.Cache.MaxDelay(e.Task.WSS); d > cm {
-				cm = d
-			}
-		}
-	}
-	sc.buf = buf[:0]
-	cs := &sc.cs
-	cs.Entities = buf
-	cs.N = probeN
-	cs.CacheMax = cm
-	cs.invalidateCosts()
-	var memo *edfDemandMemo
-	if s.mono {
-		memo = st.memo
-	}
-	var stats AdmissionStats
-	stats.Probes, stats.CoreTests = 1, 1
-	ok, _ := cs.edfSchedulable(s.m, memo, false)
-	s.rs.Add(stats)
+	sc.parts, sc.partCores = fillEDFParts(sc.parts, sc.partCores, sp, &sc.pool)
+	n := probeN(s.cores, s.maxN, sc.partCores)
+	ok, _ := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, nil, sc.parts, sc.partCores, n, false)
+	sc.pool.put(sc.parts...)
+	s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1})
 	return ok
 }
 
 func (s *edfSnapshot) TryPlace(t *task.Task, c int) bool {
-	p := s.Prober().(*edfProber)
-	ok := p.TryPlace(t, c)
-	p.Close()
-	return ok
+	p := s.Prober()
+	defer p.Close()
+	return p.TryPlace(t, c)
 }
 
 func (s *edfSnapshot) TrySplit(sp *task.Split, c int) bool {
-	p := s.Prober().(*edfProber)
-	ok := p.TrySplit(sp, c)
-	p.Close()
-	return ok
+	p := s.Prober()
+	defer p.Close()
+	return p.TrySplit(sp, c)
 }
 
 // Schedulable mirrors edfContext.Schedulable without its verdict
@@ -1128,35 +679,29 @@ func (s *edfSnapshot) Schedulable() bool {
 		return s.schedOK
 	}
 	s.schedOnce.Do(func() {
-		var stats AdmissionStats
-		stats.FullTests++
-		s.schedOK = func() bool {
-			for _, sp := range s.splits {
-				if !sp.HasWindows() {
-					return false // EDF requires window-split tasks
-				}
-			}
-			for c := range s.cores {
-				st := &s.cores[c]
-				var cs CoreSet
-				cs.Entities = st.ents
-				cs.N = s.maxN
-				cs.CacheMax = st.cacheMax
-				var memo *edfDemandMemo
-				if s.mono {
-					memo = st.memo
-				}
-				stats.CoreTests++
-				if ok, _ := cs.edfSchedulable(s.m, memo, false); !ok {
-					return false
-				}
-			}
-			return true
-		}()
+		p := s.Prober().(*edfProber)
+		stats := AdmissionStats{FullTests: 1}
+		s.schedOK = edfWindowed(s.splits)
+		for c := 0; s.schedOK && c < len(s.cores); c++ {
+			stats.CoreTests++
+			s.schedOK, _ = edfEvalProbe(s.m, s.mono, &s.cores[c], &p.sc.cs, c, nil, nil, nil, s.maxN, false)
+		}
 		s.rs.Add(stats)
+		p.Close()
 		s.schedDone.Store(true)
 	})
 	return s.schedOK
+}
+
+// edfWindowed reports whether every split carries deadline windows,
+// which the EDF test requires.
+func edfWindowed(splits []*task.Split) bool {
+	for _, sp := range splits {
+		if !sp.HasWindows() {
+			return false
+		}
+	}
+	return true
 }
 
 // --- SelfCheck shadow ------------------------------------------------

@@ -25,7 +25,7 @@ import (
 //
 //	spadmitd serve [-addr :7007] [-data-dir dir] [-fsync group]
 //	               [-fsync-interval 5ms] [-checkpoint-every 30s]
-//	               [-snapshots dir] [-max-sessions 1024]
+//	               [-max-sessions 1024]
 //	               [-pprof localhost:6060] [-trace] [-events log.ndjson]
 //	               [-events-level info]
 //	spadmitd load  [-addr http://host:7007] [-sessions 64] [-requests 100000]
@@ -57,11 +57,10 @@ func admitdServe(args []string, w io.Writer) error {
 	fs.SetOutput(w)
 	var (
 		addr      = fs.String("addr", ":7007", "listen address")
-		dataDir   = fs.String("data-dir", "", "durability directory (enables the commit log + crash recovery; supersedes -snapshots)")
+		dataDir   = fs.String("data-dir", "", "durability directory (enables persistence: commit log, checkpoints, crash recovery)")
 		fsync     = fs.String("fsync", "group", "commit policy: group (ack at apply, background fsync each interval) | always (fsync before ack) | off")
 		fsyncInt  = fs.Duration("fsync-interval", 0, "group policy: background fsync cadence = crash loss window (<=0: 5ms default)")
 		ckptEvery = fs.Duration("checkpoint-every", 0, "snapshot-compaction period (0: 30s default; negative: off)")
-		snapshot  = fs.String("snapshots", "", "session snapshot directory (enables persistence)")
 		maxSess   = fs.Int("max-sessions", 1024, "live-session cap (LRU eviction beyond it)")
 		pprofAddr = fs.String("pprof", "", "serve /debug/pprof and /metrics on this side address (e.g. localhost:6060); empty = off")
 		trace     = fs.Bool("trace", true, "generate Admitd-Trace-Id for requests that did not supply one")
@@ -87,7 +86,6 @@ func admitdServe(args []string, w io.Writer) error {
 	}
 	srv, err := admitd.New(admitd.Config{
 		MaxSessions:     *maxSess,
-		SnapshotDir:     *snapshot,
 		DataDir:         *dataDir,
 		Fsync:           *fsync,
 		FsyncInterval:   *fsyncInt,
@@ -126,7 +124,7 @@ func admitdServe(args []string, w io.Writer) error {
 	case *dataDir != "":
 		fmt.Fprintf(w, "spadmitd listening on %s (max sessions %d, data dir %q, fsync %s)\n", *addr, *maxSess, *dataDir, *fsync)
 	default:
-		fmt.Fprintf(w, "spadmitd listening on %s (max sessions %d, snapshots %q)\n", *addr, *maxSess, *snapshot)
+		fmt.Fprintf(w, "spadmitd listening on %s (max sessions %d, nothing persisted: no -data-dir)\n", *addr, *maxSess)
 	}
 	select {
 	case err := <-errc:
@@ -134,10 +132,10 @@ func admitdServe(args []string, w io.Writer) error {
 		return err
 	case <-ctx.Done():
 	}
-	fmt.Fprintln(w, "spadmitd: shutting down (snapshotting live sessions)")
+	fmt.Fprintln(w, "spadmitd: shutting down (checkpointing live sessions when -data-dir is set)")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_ = httpSrv.Shutdown(shutCtx) //nolint:errcheck // drain best-effort before snapshotting
+	_ = httpSrv.Shutdown(shutCtx) //nolint:errcheck // drain best-effort before checkpointing
 	srv.Close()
 	return nil
 }

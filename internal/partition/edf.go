@@ -70,7 +70,7 @@ func (h *EDFHeuristic) PartitionOpts(s *task.Set, m int, model *overhead.Model, 
 		if err := o.err(); err != nil {
 			return nil, err
 		}
-		if !placeByFit(ctx, a, t, h.Fit, m, o.Speculative) {
+		if !placeByFit(ctx, a, t, h.Fit, m) {
 			return nil, ErrUnschedulable
 		}
 	}

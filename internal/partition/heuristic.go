@@ -103,7 +103,7 @@ func (h *Heuristic) PartitionOpts(s *task.Set, m int, model *overhead.Model, o O
 		if err := o.err(); err != nil {
 			return nil, err
 		}
-		if !placeByFit(ctx, a, t, h.Fit, m, o.Speculative) {
+		if !placeByFit(ctx, a, t, h.Fit, m) {
 			return nil, ErrUnschedulable
 		}
 	}

@@ -53,18 +53,6 @@ type Options struct {
 	// process-wide aggregate behind analysis.StatsSnapshot is always
 	// updated too).
 	Stats *analysis.Collector
-	// Speculative switches the bin-packing heuristics' candidate scan
-	// to the context's forked snapshot (analysis.Context.Fork): the
-	// per-core probes run read-only against the committed state
-	// instead of probe/rollback cycles on the live context, and only
-	// the winning core is probed and committed for real. Decisions
-	// are identical by construction — snapshot verdicts are
-	// bit-identical to context probes — which the speculative
-	// differential test pins. The scan could equally fan out across
-	// goroutines (the snapshot is concurrency-safe); the sweep
-	// pipeline already saturates cores with whole placements, so the
-	// serial scan is kept.
-	Speculative bool
 	// Arena, when non-nil, supplies the call's assignment and
 	// admission context from per-worker recycled slabs and shares
 	// probe verdicts across the algorithms of one task-set cell; see
@@ -157,21 +145,25 @@ func newContext(alg Algorithm, a *task.Assignment, model *overhead.Model, o Opti
 	return ctx
 }
 
-// placeByFit runs one bin-packing placement: scan the cores for
-// candidates under the fit rule, then commit t onto the winner.
-// Reports false when no core admits t. The scan either probes the
-// live context (with rollback after every candidate) or, when
-// speculative, a forked snapshot of the committed state — same
-// verdicts, no context churn — confirming only the winner on the
-// context.
-func placeByFit(ctx analysis.Context, a *task.Assignment, t *task.Task, fit Fit, m int, speculative bool) bool {
+// placeByFit runs one bin-packing placement: probe the cores on the
+// live context (rolling back after every candidate) for the ones that
+// admit t under the fit rule, then commit t onto the winner. Reports
+// false when no core admits t.
+func placeByFit(ctx analysis.Context, a *task.Assignment, t *task.Task, fit Fit, m int) bool {
 	best := -1
 	var bestU float64
-	consider := func(c int) bool {
+scan:
+	for c := 0; c < m; c++ {
+		fits := ctx.TryPlace(t, c)
+		ctx.Rollback()
+		if !fits {
+			continue
+		}
 		u := a.CoreUtilization(c)
 		switch fit {
 		case FirstFit:
 			best = c
+			break scan // first fit stops at the first candidate
 		case BestFit:
 			if best == -1 || u > bestU {
 				best, bestU = c, u
@@ -180,41 +172,6 @@ func placeByFit(ctx analysis.Context, a *task.Assignment, t *task.Task, fit Fit,
 			if best == -1 || u < bestU {
 				best, bestU = c, u
 			}
-		}
-		return fit == FirstFit // first fit stops at the first candidate
-	}
-	if speculative {
-		snap := ctx.Fork()
-		for c := 0; c < m; c++ {
-			if !snap.TryPlace(t, c) {
-				continue
-			}
-			if consider(c) {
-				break
-			}
-		}
-		if best == -1 {
-			return false
-		}
-		// Confirm the winner on the live context; snapshot and context
-		// verdicts are bit-identical, so this must admit.
-		if !ctx.TryPlace(t, best) {
-			// Defensive only: fall back to the serial scan rather than
-			// committing an unverified placement.
-			ctx.Rollback()
-			return placeByFit(ctx, a, t, fit, m, false)
-		}
-		ctx.Commit()
-		return true
-	}
-	for c := 0; c < m; c++ {
-		fits := ctx.TryPlace(t, c)
-		ctx.Rollback()
-		if !fits {
-			continue
-		}
-		if consider(c) {
-			break
 		}
 	}
 	if best == -1 {

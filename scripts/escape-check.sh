@@ -3,8 +3,10 @@
 # kernel files.
 #
 # The FP response-time and EDF demand-bound inner loops (rta.go,
-# edf.go), the recycling admission contexts (context_fp.go,
-# context_edf.go), the cross-algorithm verdict cache (sweepcache.go),
+# edf.go), the incremental probe engine every writer and reader probe
+# runs in (engine.go) with its two owners — the recycling admission
+# contexts (context_fp.go, context_edf.go) and the snapshot probers
+# (snapshot.go) — the cross-algorithm verdict cache (sweepcache.go),
 # the pooled generator (taskgen.go NextInto/uuniFastInto) and the
 # sweep worker loop (experiment.go runShard) are written to keep every
 # per-iteration value on the stack; the allocation guards
@@ -39,7 +41,7 @@ check() {
 }
 
 check "analysis kernel" ./internal/analysis/ \
-	'^(\./)?internal/analysis/(rta|edf|context_fp|context_edf|sweepcache)\.go' ""
+	'^(\./)?internal/analysis/(rta|edf|engine|snapshot|context_fp|context_edf|sweepcache)\.go' ""
 
 # Cold-path allowlist: rand.rng is the generator's RNG constructed
 # once in New; name is the PeriodDist JSON decoder's scratch; cfg and

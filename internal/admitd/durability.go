@@ -23,10 +23,11 @@ import (
 // (internal/wal) recording every committed session mutation, plus
 // periodic checkpoints (the existing sessionSnapshot, stamped with
 // the durable sequence number it covers) that bound replay work and
-// let the log compact. Recovery loads the newest gen-matched
-// checkpoint and replays the stream tail — the restored context is
-// cold, so decisions are bit-identical to the stateless analyzer,
-// exactly the existing snapshot-restore contract.
+// let the log compact. Recovery is checkpoint + stream tail, and the
+// tail is folded while the log is being verified: a restart reads the
+// commit log once (openWalPlane). The restored context is cold, so
+// decisions are bit-identical to the stateless analyzer, exactly the
+// existing snapshot-restore contract.
 //
 // Stream naming: one WAL stream per session *generation* —
 // url.PathEscape(name) + "/" + gen — so deleting a session and
@@ -45,8 +46,22 @@ import (
 // compaction removed it — or the session has no commit log at all.
 var ErrSeqTruncated = errors.New("admitd: sequence range predates the retained commit log")
 
+// errUnrecoverable marks a session whose durable state cannot be
+// rebuilt — a damaged checkpoint, an undecodable or gapped commit-log
+// tail. The daemon's fault, never the caller's: answered 500.
+var errUnrecoverable = errors.New("admitd: session unrecoverable")
+
+// ErrSeqGap: a generation's commit-log records do not continue its
+// state densely (seq+1 per mutation) — an append failed and later
+// records landed on a base the log does not describe. Recovery refuses
+// the session rather than rebuild a state nobody acknowledged.
+var ErrSeqGap = fmt.Errorf("%w: commit-log sequence gap", errUnrecoverable)
+
 // errWalStop aborts a replay early once the caller has what it needs.
 var errWalStop = errors.New("admitd: wal replay stop")
+
+// seqEnd is the replay limit of a full restore: past every sequence.
+const seqEnd = int64(1) << 62
 
 // streamState tracks one session name's durable stream. gen and
 // deleted are guarded by walPlane.mu; the sequence watermarks are
@@ -57,6 +72,23 @@ type streamState struct {
 	deleted bool
 	ckptSeq atomic.Int64 // highest seq the on-disk checkpoint covers; -1 none
 	lastSeq atomic.Int64 // highest seq appended for the live generation
+
+	// What the open-time scan left for this generation (walPlane.mu):
+	// recovered is its state at the log's last record, an in-memory
+	// checkpoint (Seq/Gen stamped) that the first restore takes as its
+	// base; poison is why it cannot be restored at all. ckptErr is a
+	// checkpoint file of this name that could not be read — its
+	// generation is unknown, so it may have been this one's.
+	recovered *sessionSnapshot
+	poison    error
+	ckptErr   error
+}
+
+func newStreamState(gen uint64, ckptSeq, lastSeq int64) *streamState {
+	e := &streamState{gen: gen}
+	e.ckptSeq.Store(ckptSeq)
+	e.lastSeq.Store(lastSeq)
+	return e
 }
 
 // walShards stripes sessions over physical commit-log files. It is
@@ -107,7 +139,9 @@ type walPlane struct {
 	encMu  sync.Mutex
 	encBuf []byte
 
-	// Recovery summary across all shards (surfaced as metrics).
+	// Recovery summary across all shards (the admitd_wal_recover*
+	// gauges): records the scan kept, segment files it cut or dropped,
+	// bytes that went with them.
 	recoveredRecords  uint64
 	truncatedSegments int
 	droppedBytes      int64
@@ -151,9 +185,12 @@ func parseStreamKey(key string) (name string, gen uint64, ok bool) {
 // openWalPlane opens (or creates) the data directory: walShards
 // segmented logs under wal/shard-NN, checkpoints under checkpoints/.
 // Recovery runs per log — each truncates at its last valid record
-// independently — and the stream registry is rebuilt by scanning
-// every surviving record, then reconciled against the checkpoint
-// files.
+// independently — and reads each log once: the checkpoint stamps are
+// loaded first, then the log's own verifying scan hands every record
+// it keeps to recoverRecord, which maintains the stream registry and
+// folds each live generation's tail onto its checkpoint. What is left
+// per stream is its state at the log's last record; sessions are
+// still instantiated lazily, on their first Get.
 //
 // The plane maps the admission policies onto the log:
 //
@@ -188,6 +225,9 @@ func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (
 	if err := os.MkdirAll(p.ckptDir, 0o755); err != nil {
 		return nil, err
 	}
+	if err := p.loadCheckpointStamps(); err != nil {
+		return nil, err
+	}
 	onFsync := func(d time.Duration) {
 		if m := p.met.Load(); m != nil {
 			m.walFsyncLat.Observe(d)
@@ -195,27 +235,33 @@ func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (
 	}
 	for i := range p.logs {
 		dir := filepath.Join(dataDir, "wal", fmt.Sprintf("shard-%02d", i))
-		l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: logPolicy, OnFsync: onFsync})
+		l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: logPolicy, OnFsync: onFsync, OnRecover: p.recoverRecord})
 		if err != nil {
-			for j := 0; j < i; j++ {
-				p.logs[j].Close()
-			}
+			p.closeLogs()
 			return nil, fmt.Errorf("admitd: wal shard %d: %w", i, err)
 		}
 		p.logs[i] = l
 		p.recoveredRecords += rec.Records
 		if rec.Truncated {
-			p.truncatedSegments++
-			p.droppedBytes += rec.DroppedBytes + int64(rec.DroppedSegments)
+			p.truncatedSegments += rec.DroppedSegments
+			if _, err := os.Stat(filepath.Join(dir, rec.File)); err == nil {
+				p.truncatedSegments++ // the cut segment kept its valid prefix
+			}
+			p.droppedBytes += rec.DroppedBytes
 		}
 	}
-	if err := p.scanStreams(); err != nil {
-		p.closeLogs()
-		return nil, err
-	}
-	if err := p.reconcileCheckpoints(); err != nil {
-		p.closeLogs()
-		return nil, err
+	// Only the log's end settles a stream: the records of one deleted
+	// later come before its tombstone. A refusal counts if it stood to
+	// the end; a checkpoint that outlived its stream's tombstone (the
+	// delete crashed before removing it) goes now, or it would bring the
+	// session back once the tombstone is compacted away.
+	for name, e := range p.streams {
+		if e.poison != nil && !e.deleted {
+			p.noteError()
+		}
+		if e.deleted && e.ckptSeq.Load() >= 0 {
+			_ = os.Remove(snapshotPath(p.ckptDir, name))
+		}
 	}
 	if policy == wal.SyncGroup {
 		p.syncStop = make(chan struct{})
@@ -248,46 +294,15 @@ func (p *walPlane) syncLoop(window time.Duration) {
 	}
 }
 
-// scanStreams rebuilds the stream registry from the surviving log
-// records: per name, the highest generation wins; within it the
-// highest sequence and the tombstone flag.
-func (p *walPlane) scanStreams() error {
-	for _, l := range p.logs {
-		err := l.Replay(func(r wal.Record) error {
-			name, gen, ok := parseStreamKey(r.Stream)
-			if !ok {
-				return fmt.Errorf("admitd: wal: malformed stream key %q", r.Stream)
-			}
-			e := p.streams[name]
-			if e == nil || gen > e.gen {
-				e = &streamState{gen: gen}
-				e.ckptSeq.Store(-1)
-				e.lastSeq.Store(r.Seq)
-				p.streams[name] = e
-			} else if gen < e.gen {
-				return nil // retired generation, awaiting compaction
-			}
-			if r.Seq > e.lastSeq.Load() {
-				e.lastSeq.Store(r.Seq)
-			}
-			if len(r.Payload) > 0 && r.Payload[0] == walKindDelete {
-				e.deleted = true
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// reconcileCheckpoints folds the checkpoint files into the registry.
-// A checkpoint newer than every surviving record (the whole stream
-// was compacted away) re-establishes the stream; a stale one (older
-// generation — delete raced a crash before the file was removed) is
-// ignored, the generation check on the restore path guards it too.
-func (p *walPlane) reconcileCheckpoints() error {
+// loadCheckpointStamps seeds the registry from the checkpoint files
+// before the log is scanned: the scan needs every stream's watermark
+// (records at or below it are covered), but the state of only those
+// that turn out to have a tail, so just the stamp is decoded here. A
+// checkpoint newer than every surviving record (the whole stream was
+// compacted away) thus re-establishes the stream by itself; a stale
+// one (older generation — delete raced a crash before the file was
+// removed) gives way to the first record of a newer generation.
+func (p *walPlane) loadCheckpointStamps() error {
 	ents, err := os.ReadDir(p.ckptDir)
 	if err != nil {
 		return err
@@ -300,26 +315,109 @@ func (p *walPlane) reconcileCheckpoints() error {
 		if err != nil {
 			continue
 		}
-		snap, err := readSnapshot(p.ckptDir, name)
-		if err != nil || snap == nil || snap.Gen == 0 {
-			continue // unreadable or pre-durability snapshot: not WAL-tracked
-		}
-		e := p.streams[name]
-		if e == nil || snap.Gen > e.gen {
-			e = &streamState{gen: snap.Gen}
-			e.ckptSeq.Store(snap.Seq)
-			e.lastSeq.Store(snap.Seq)
+		seq, gen, err := readStamp(p.ckptDir, name)
+		if err != nil {
+			// Whose generation it was is unknown. With the stream still
+			// whole in the log it recovers from there; otherwise the name
+			// stays taken and answers with this error.
+			p.noteError()
+			e := newStreamState(0, -1, -1)
+			e.ckptErr = fmt.Errorf("%w: %w", errUnrecoverable, err)
+			e.poison = e.ckptErr
 			p.streams[name] = e
 			continue
 		}
-		if snap.Gen == e.gen {
-			e.ckptSeq.Store(snap.Seq)
-			if snap.Seq > e.lastSeq.Load() {
-				e.lastSeq.Store(snap.Seq)
-			}
+		if gen != 0 { // else a pre-durability snapshot: not WAL-tracked
+			p.streams[name] = newStreamState(gen, seq, seq)
 		}
 	}
 	return nil
+}
+
+// recoverRecord is the log's OnRecover callback: every record the
+// open-time scan keeps, in log order. It does the two jobs a restart
+// needs of the log in that one pass. The registry: per name the
+// highest generation wins, within it the highest sequence and the
+// tombstone. The fold: a live generation's records above its
+// checkpoint watermark are applied, in order, onto its state.
+//
+// Only I/O-grade trouble fails the open (a malformed stream key: the
+// log is not ours). Anything wrong with one stream's records poisons
+// that stream alone; its Get reports it, the others recover.
+func (p *walPlane) recoverRecord(r wal.Record) error {
+	name, gen, ok := parseStreamKey(r.Stream)
+	if !ok {
+		return fmt.Errorf("admitd: wal: malformed stream key %q", r.Stream)
+	}
+	e := p.streams[name]
+	switch {
+	case e == nil || gen > e.gen:
+		ne := newStreamState(gen, -1, r.Seq)
+		if e != nil {
+			ne.ckptErr = e.ckptErr
+		}
+		e = ne
+		p.streams[name] = e
+	case gen < e.gen:
+		return nil // retired generation, awaiting compaction
+	}
+	if r.Seq > e.lastSeq.Load() {
+		e.lastSeq.Store(r.Seq)
+	}
+	if len(r.Payload) > 0 && r.Payload[0] == walKindDelete {
+		e.deleted = true
+		e.recovered, e.poison = nil, nil
+		return nil
+	}
+	if r.Seq <= e.ckptSeq.Load() || e.deleted || e.poison != nil {
+		return nil
+	}
+	if err := p.fold(name, e, r); err != nil {
+		e.recovered, e.poison = nil, err
+	}
+	return nil
+}
+
+// fold applies one tail record onto the generation's recovered state,
+// loading the checkpoint as the base on the first one.
+func (p *walPlane) fold(name string, e *streamState, r wal.Record) error {
+	last := e.ckptSeq.Load()
+	if e.recovered != nil {
+		last = e.recovered.Seq
+	} else if last >= 0 {
+		snap, err := readSnapshot(p.ckptDir, name)
+		if err == nil && (snap == nil || snap.Gen != e.gen || snap.Seq != last) {
+			err = fmt.Errorf("admitd: checkpoint %s changed during recovery", snapshotPath(p.ckptDir, name))
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %w", errUnrecoverable, err)
+		}
+		e.recovered = snap
+	}
+	if err := foldRecord(name, &e.recovered, last, r); err != nil {
+		if e.ckptErr != nil && errors.Is(err, ErrSeqTruncated) {
+			// The records below this one went with a checkpoint that
+			// covered them: the one that cannot be read.
+			return e.ckptErr
+		}
+		if !errors.Is(err, errUnrecoverable) { // a gap already is
+			err = fmt.Errorf("%w: %w", errUnrecoverable, err)
+		}
+		return err
+	}
+	e.recovered.Seq, e.recovered.Gen = r.Seq, e.gen
+	return nil
+}
+
+// takeRecovered hands over what the open-time scan left for a
+// generation: its folded state — once; the restored session owns it
+// from here — or the reason it cannot be restored.
+func (p *walPlane) takeRecovered(e *streamState) (*sessionSnapshot, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	base := e.recovered
+	e.recovered = nil
+	return base, e.poison
 }
 
 func (p *walPlane) logFor(name string) *wal.Log {
@@ -371,8 +469,7 @@ func (p *walPlane) create(name string, cores int, policy string, modelJSON []byt
 	if e != nil {
 		gen = e.gen + 1
 	}
-	ne := &streamState{gen: gen}
-	ne.ckptSeq.Store(-1)
+	ne := newStreamState(gen, -1, 0)
 	p.streams[name] = ne
 	p.mu.Unlock()
 
@@ -410,6 +507,7 @@ func (p *walPlane) delete(name string) bool {
 	gen := e.gen
 	seq := e.lastSeq.Load() + 1
 	e.deleted = true
+	e.recovered = nil
 	e.lastSeq.Store(seq)
 	p.mu.Unlock()
 
@@ -488,6 +586,7 @@ func (p *walPlane) stats() wal.Stats {
 		sum.Bytes += s.Bytes
 		sum.Appends += s.Appends
 		sum.Fsyncs += s.Fsyncs
+		sum.ReadBytes += s.ReadBytes
 	}
 	return sum
 }
@@ -530,6 +629,22 @@ func (p *walPlane) closeLogs() {
 }
 
 // --- replay ----------------------------------------------------------
+
+// foldRecord applies one stream record onto the state at sequence
+// last — the one place a logged mutation becomes session state, for
+// the open-time scan and request-time replays alike. Sequence numbers
+// are dense per generation, so with a base in hand the record must be
+// last+1.
+func foldRecord(name string, base **sessionSnapshot, last int64, r wal.Record) error {
+	if *base != nil && r.Seq != last+1 {
+		return fmt.Errorf("%w: stream %q: seq %d follows %d", ErrSeqGap, r.Stream, r.Seq, last)
+	}
+	rec, err := walDecode(r.Payload)
+	if err != nil {
+		return fmt.Errorf("stream %q seq %d: %w", r.Stream, r.Seq, err)
+	}
+	return applyWalRecord(name, base, &rec)
+}
 
 // applyWalRecord folds one decoded mutation into a session snapshot
 // under construction. base starts nil when replay begins before the
@@ -596,7 +711,7 @@ func (st *Store) restoreDurable(name string) (*Session, error) {
 	if e == nil {
 		return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, name)
 	}
-	base, lastSeq, err := st.replayToSeq(name, e, 1<<62)
+	base, lastSeq, err := st.replayToSeq(name, e, seqEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -614,32 +729,51 @@ func (st *Store) restoreDurable(name string) (*Session, error) {
 	return s, nil
 }
 
-// replayToSeq reconstructs a session snapshot at sequence limit-1 ...
-// well, at the last mutation with seq < limit: checkpoint base (only
-// if it does not overshoot the limit) plus stream replay. Returns the
-// snapshot and the highest sequence folded in.
+// replayToSeq reconstructs a session snapshot at the last mutation
+// with seq < limit: a base plus stream replay. The base is the
+// checkpoint file (only if it does not overshoot the limit) or, for a
+// full restore after a restart, the in-memory checkpoint the open-time
+// scan folded — that one sits at the log's last record, so the replay
+// on top of it finds no segment to read. Returns the snapshot and the
+// highest sequence folded in.
 func (st *Store) replayToSeq(name string, e *streamState, limit int64) (*sessionSnapshot, int64, error) {
+	p := st.plane
 	var base *sessionSnapshot
-	baseSeq := int64(-1)
-	if snap, err := readSnapshot(st.plane.ckptDir, name); err == nil && snap != nil &&
-		snap.Gen == e.gen && snap.Seq < limit {
-		base, baseSeq = snap, snap.Seq
+	var ckptErr error
+	if limit == seqEnd {
+		var err error
+		if base, err = p.takeRecovered(e); err != nil {
+			return nil, 0, err
+		}
 	}
-	lastSeq := baseSeq
-	err := st.plane.logFor(name).ReplayStream(streamKey(name, e.gen), baseSeq, func(r wal.Record) error {
+	if base == nil {
+		snap, err := readSnapshot(p.ckptDir, name)
+		if err != nil {
+			p.noteError()
+			ckptErr = err
+		} else if snap != nil && snap.Gen == e.gen && snap.Seq < limit {
+			base = snap
+		}
+	}
+	lastSeq := int64(-1)
+	if base != nil {
+		lastSeq = base.Seq
+	}
+	err := p.logFor(name).ReplayStream(streamKey(name, e.gen), lastSeq, func(r wal.Record) error {
 		if r.Seq >= limit {
 			return errWalStop
 		}
-		rec, derr := walDecode(r.Payload)
-		if derr != nil {
-			return derr
-		}
-		if aerr := applyWalRecord(name, &base, &rec); aerr != nil {
-			return aerr
+		if ferr := foldRecord(name, &base, lastSeq, r); ferr != nil {
+			return ferr
 		}
 		lastSeq = r.Seq
 		return nil
 	})
+	if base == nil && ckptErr != nil {
+		// Without the checkpoint the log alone no longer reaches this
+		// state: say which file, not that the caller asked too far back.
+		return nil, 0, fmt.Errorf("%w: %w", errUnrecoverable, ckptErr)
+	}
 	if err != nil && !errors.Is(err, errWalStop) {
 		return nil, 0, err
 	}

@@ -433,6 +433,35 @@ func TestDurableWalMetrics(t *testing.T) {
 	if _, ckpt := srv.store.plane.streamCounts(); ckpt != 1 {
 		t.Fatal("checkpointed stream count did not advance")
 	}
+	// A fresh directory recovered nothing and read nothing back.
+	expo := scrapeMetrics(t, srv)
+	for _, series := range []string{
+		"admitd_wal_recovered_records", "admitd_wal_recovery_truncated_segments",
+		"admitd_wal_recovery_dropped_bytes", "admitd_wal_read_bytes_total", "admitd_wal_errors_total",
+	} {
+		if got := sampleValue(t, expo, series); got != "0" {
+			t.Fatalf("%s = %s on a fresh data directory, want 0", series, got)
+		}
+	}
+	// After a crash the recovery summary shows the tail the restart
+	// folded, and the bytes it read for it: each segment once.
+	acked := admitAcked(t, srv, "m", 100, 4)
+	crashServer(srv)
+	onDisk := segmentBytes(t, dir)
+	srv2 := newTestServer(t, durableConfig(dir))
+	sessionState(t, srv2, "m")
+	expo = scrapeMetrics(t, srv2)
+	for series, want := range map[string]string{
+		"admitd_wal_recovered_records":           fmt.Sprint(acked),
+		"admitd_wal_recovery_truncated_segments": "0",
+		"admitd_wal_recovery_dropped_bytes":      "0",
+		"admitd_wal_read_bytes_total":            fmt.Sprint(onDisk),
+		"admitd_wal_errors_total":                "0",
+	} {
+		if got := sampleValue(t, expo, series); got != want {
+			t.Fatalf("after a restart %s = %s, want %s", series, got, want)
+		}
+	}
 }
 
 // TestDurableGroupBackgroundSync pins the group policy's bounded-loss

@@ -155,17 +155,20 @@ func newServerMetrics(store *Store) *serverMetrics {
 	m.walPayloadBytes = reg.NewCounter("admitd_wal_payload_bytes_total",
 		"Commit-log record payload bytes appended by session mutations.")
 	m.walErrors = reg.NewCounter("admitd_wal_errors_total",
-		"Commit-log append/fsync/compaction failures (durability degraded, admission unaffected).")
+		"Commit-log append/fsync/compaction failures (durability degraded, admission unaffected), unreadable checkpoints, and streams recovery refused (bad payload, sequence gap, damaged checkpoint).")
 	m.walCheckpoints = reg.NewCounter("admitd_wal_checkpoints_total",
 		"Session checkpoints written by the periodic snapshot-compaction driver.")
 	plane := store.plane
-	walStat := func(f func(wal.Stats) float64) func() float64 {
+	planeStat := func(f func(*walPlane) float64) func() float64 {
 		return func() float64 {
 			if plane == nil {
 				return 0
 			}
-			return f(plane.stats())
+			return f(plane)
 		}
+	}
+	walStat := func(f func(wal.Stats) float64) func() float64 {
+		return planeStat(func(p *walPlane) float64 { return f(p.stats()) })
 	}
 	reg.NewCounterFunc("admitd_wal_appends_total",
 		"Records appended to the commit logs since open (create/admit/split/remove/delete).",
@@ -179,6 +182,18 @@ func newServerMetrics(store *Store) *serverMetrics {
 	reg.NewGaugeFunc("admitd_wal_bytes",
 		"Bytes held by the commit-log segments across all shards.",
 		walStat(func(s wal.Stats) float64 { return float64(s.Bytes) }))
+	reg.NewCounterFunc("admitd_wal_read_bytes_total",
+		"Commit-log segment bytes read back since open: the recovery scan (each segment once) plus feed-resume, audit and restore replays.",
+		walStat(func(s wal.Stats) float64 { return float64(s.ReadBytes) }))
+	reg.NewGaugeFunc("admitd_wal_recovered_records",
+		"Commit-log records the open-time recovery scan verified and kept.",
+		planeStat(func(p *walPlane) float64 { return float64(p.recoveredRecords) }))
+	reg.NewGaugeFunc("admitd_wal_recovery_truncated_segments",
+		"Commit-log segment files the open-time recovery cut at a torn record or dropped whole.",
+		planeStat(func(p *walPlane) float64 { return float64(p.truncatedSegments) }))
+	reg.NewGaugeFunc("admitd_wal_recovery_dropped_bytes",
+		"Commit-log bytes the open-time recovery discarded at and after the first anomaly.",
+		planeStat(func(p *walPlane) float64 { return float64(p.droppedBytes) }))
 	reg.NewGaugeFunc("admitd_wal_streams",
 		"Live (non-deleted) durable session streams.",
 		func() float64 {
@@ -245,6 +260,8 @@ func newServerMetrics(store *Store) *serverMetrics {
 
 	telemetry.RegisterRuntime(reg)
 	if plane != nil {
+		// What the plane counted while opening, before it had a registry.
+		m.walErrors.Add(plane.walErrors.Load())
 		plane.met.Store(m)
 	}
 	return m

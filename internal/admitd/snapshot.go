@@ -166,18 +166,41 @@ func writeSnapshot(dir string, snap *sessionSnapshot) error {
 	return wal.WriteFileAtomic(snapshotPath(dir, snap.Name), data, 0o644)
 }
 
-// readSnapshot loads one snapshot; a missing file returns (nil, nil).
-func readSnapshot(dir, name string) (*sessionSnapshot, error) {
-	data, err := os.ReadFile(snapshotPath(dir, name))
+// decodeCheckpoint reads a session's checkpoint file into v, reporting
+// whether there was one. Errors name the file.
+func decodeCheckpoint(dir, name string, v any) (bool, error) {
+	path := snapshotPath(dir, name)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return false, nil
 	}
 	if err != nil {
+		return false, fmt.Errorf("admitd: reading checkpoint: %w", err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return false, fmt.Errorf("admitd: parsing checkpoint %s: %w", path, err)
+	}
+	return true, nil
+}
+
+// readSnapshot loads one snapshot; a missing file returns (nil, nil).
+func readSnapshot(dir, name string) (*sessionSnapshot, error) {
+	snap := &sessionSnapshot{}
+	if ok, err := decodeCheckpoint(dir, name, snap); !ok {
 		return nil, err
 	}
-	snap := &sessionSnapshot{}
-	if err := json.Unmarshal(data, snap); err != nil {
-		return nil, fmt.Errorf("admitd: parsing snapshot %s: %w", name, err)
-	}
 	return snap, nil
+}
+
+// readStamp reads only a checkpoint's durability stamp, without
+// building its task lists: what the recovery scan needs of every
+// checkpoint, where the full decode is owed only to the streams it
+// goes on to restore. A missing file reads as unstamped.
+func readStamp(dir, name string) (seq int64, gen uint64, err error) {
+	var stamp struct {
+		Seq int64  `json:"seq"`
+		Gen uint64 `json:"gen"`
+	}
+	_, err = decodeCheckpoint(dir, name, &stamp)
+	return stamp.Seq, stamp.Gen, err
 }

@@ -214,8 +214,10 @@ func (st *Store) Create(name string, cores int, p task.Policy, model *overhead.M
 	return s, nil
 }
 
-// Get returns a live session, restoring it from its checkpoint and
-// commit-log tail when the store is durable and the name was evicted.
+// Get returns a live session, restoring it when the store is durable
+// and the name is not live: from its checkpoint and commit-log tail if
+// it was evicted, from the state the open-time scan folded if this is
+// its first touch since a restart.
 func (st *Store) Get(name string) (*Session, error) {
 	sh := st.shardFor(name)
 	sh.mu.Lock()
@@ -229,7 +231,7 @@ func (st *Store) Get(name string) (*Session, error) {
 		return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, name)
 	}
 	// Durable restore: newest gen-matched checkpoint + commit-log tail
-	// replay (restoreDurable attaches the WAL stream).
+	// (restoreDurable attaches the WAL stream).
 	s, err := st.restoreDurable(name)
 	if err != nil {
 		sh.mu.Unlock()

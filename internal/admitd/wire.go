@@ -159,7 +159,8 @@ func policyName(p task.Policy) string {
 // toAPIError maps an internal error onto the wire envelope: every
 // endpoint returns the same {code, message} body, with the status
 // derived from the code (404 for missing resources, 409 for
-// conflicting state, 410 for a closed session, 400 otherwise).
+// conflicting state, 410 for a closed session, 500 for a session
+// whose durable state cannot be rebuilt, 400 otherwise).
 func toAPIError(err error) *api.Error {
 	var ae *api.Error
 	if errors.As(err, &ae) {
@@ -167,6 +168,8 @@ func toAPIError(err error) *api.Error {
 	}
 	code := api.CodeBadRequest
 	switch {
+	case errors.Is(err, errUnrecoverable):
+		code = api.CodeInternal
 	case errors.Is(err, ErrSessionNotFound):
 		code = api.CodeSessionNotFound
 	case errors.Is(err, ErrUnknownTask):

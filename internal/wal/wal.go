@@ -43,6 +43,11 @@
 // record: the offending bytes and every later segment are dropped,
 // and the Recovery report says where and why. Everything before the
 // truncation point is intact and appendable.
+//
+// That scan is the one time a restart has to read the log:
+// Options.OnRecover is handed each record as it is verified, in LSN
+// order, and sees exactly the records a Replay after Open would
+// return — no record Open then drops, none it keeps left out.
 package wal
 
 import (
@@ -55,6 +60,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -114,11 +120,20 @@ type Options struct {
 	// the telemetry hook (called without the log's lock held state
 	// exposed; keep it cheap).
 	OnFsync func(time.Duration)
+	// OnRecover, when non-nil, is handed every record Open's recovery
+	// scan verifies and keeps, in LSN order, so the caller's replay
+	// rides the scan instead of reading the log again. What is
+	// delivered is what is kept: within a segment delivery stops at the
+	// first anomaly, which is the truncation point, and a segment Open
+	// drops whole is refused on its header before any of its frames is
+	// delivered. Payload is valid only during the call; Stream is one
+	// string shared by all of a stream's records. An error aborts Open.
+	OnRecover func(Record) error
 }
 
 // Record is one replayed log entry. Payload aliases the replay
-// buffer: it is valid only inside the Replay callback — copy it to
-// keep it.
+// buffer: it is valid only inside the Replay (or OnRecover) callback
+// — copy it to keep it.
 type Record struct {
 	LSN     uint64
 	Seq     int64
@@ -147,6 +162,9 @@ type Stats struct {
 	Bytes    int64 // logical bytes appended over the log's lifetime
 	Appends  uint64
 	Fsyncs   uint64
+	// ReadBytes counts segment bytes read back: by Open's recovery scan
+	// and by every Replay/ReplayStream since.
+	ReadBytes int64
 }
 
 const (
@@ -210,6 +228,8 @@ type Log struct {
 	appends uint64
 	fsyncs  uint64
 	bytes   int64
+
+	readBytes atomic.Int64 // replays read outside mu
 }
 
 func segName(firstLSN uint64) string {
@@ -231,49 +251,78 @@ func segNameLSN(name string) (uint64, bool) {
 	return v, true
 }
 
+// frame is one parsed frame; stream and payload alias the buffer it
+// was parsed from.
+type frame struct {
+	lsn     uint64
+	seq     int64
+	stream  []byte
+	payload []byte
+}
+
+// streamNames interns stream keys, so reading the log allocates one
+// string per distinct stream instead of one per frame (the
+// m[string(b)] lookup itself does not allocate).
+type streamNames map[string]string
+
+func (n streamNames) of(b []byte) string {
+	if s, ok := n[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	n[s] = s
+	return s
+}
+
 // parseFrame decodes one frame at data[off:]. A "" reason with size 0
 // is the clean end of data; a non-empty reason names the anomaly.
-func parseFrame(data []byte, off int) (rec Record, size int, reason string) {
+func parseFrame(data []byte, off int) (f frame, size int, reason string) {
 	rest := data[off:]
 	if len(rest) == 0 {
-		return Record{}, 0, ""
+		return frame{}, 0, ""
 	}
 	if len(rest) < 8 {
-		return Record{}, 0, "truncated frame header"
+		return frame{}, 0, "truncated frame header"
 	}
 	l := binary.LittleEndian.Uint32(rest)
 	if l < frameFixed || l > maxFrame {
-		return Record{}, 0, fmt.Sprintf("bad frame length %d", l)
+		return frame{}, 0, fmt.Sprintf("bad frame length %d", l)
 	}
 	if len(rest) < 8+int(l) {
-		return Record{}, 0, "truncated frame body"
+		return frame{}, 0, "truncated frame body"
 	}
 	crc := binary.LittleEndian.Uint32(rest[4:])
 	body := rest[8 : 8+l]
 	if crc32.Checksum(body, castagnoli) != crc {
-		return Record{}, 0, "crc mismatch"
+		return frame{}, 0, "crc mismatch"
 	}
 	sl := int(binary.LittleEndian.Uint16(body[16:]))
 	if frameFixed+sl > int(l) {
-		return Record{}, 0, "bad stream length"
+		return frame{}, 0, "bad stream length"
 	}
-	rec = Record{
-		LSN:     binary.LittleEndian.Uint64(body),
-		Seq:     int64(binary.LittleEndian.Uint64(body[8:])),
-		Stream:  string(body[frameFixed : frameFixed+sl]),
-		Payload: body[frameFixed+sl:],
+	f = frame{
+		lsn:     binary.LittleEndian.Uint64(body),
+		seq:     int64(binary.LittleEndian.Uint64(body[8:])),
+		stream:  body[frameFixed : frameFixed+sl],
+		payload: body[frameFixed+sl:],
 	}
-	return rec, 8 + int(l), ""
+	return f, 8 + int(l), ""
 }
 
 // scanSegment validates one segment file front to back, returning the
 // valid-prefix description and, when the scan hit an anomaly, its
-// reason and offset. An I/O error aborts the open instead.
-func scanSegment(path string) (seg *segment, reason string, offset int64, err error) {
+// reason and offset. wantFirst, when non-zero, is the LSN the segment
+// must start at to continue the log: one that starts elsewhere is
+// refused on its header, before any frame is looked at. Every frame
+// that passes is handed to Options.OnRecover on the spot — a frame is
+// checksummed and LSN-checked once per restart, here. An I/O error
+// (or an OnRecover error) aborts the open instead.
+func (l *Log) scanSegment(path string, wantFirst uint64, names streamNames) (seg *segment, reason string, offset int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", 0, err
 	}
+	l.readBytes.Add(int64(len(data)))
 	nameLSN, ok := segNameLSN(filepath.Base(path))
 	if !ok {
 		return nil, "bad segment name", 0, nil
@@ -288,6 +337,9 @@ func scanSegment(path string) (seg *segment, reason string, offset int64, err er
 	if first != nameLSN {
 		return nil, "segment header/name mismatch", 0, nil
 	}
+	if wantFirst != 0 && first != wantFirst {
+		return nil, "segment lsn discontinuity", 0, nil
+	}
 	seg = &segment{
 		path:     path,
 		firstLSN: first,
@@ -297,19 +349,25 @@ func scanSegment(path string) (seg *segment, reason string, offset int64, err er
 	}
 	off := headerSize
 	for {
-		rec, n, bad := parseFrame(data, off)
+		f, n, bad := parseFrame(data, off)
 		if bad != "" {
 			return seg, bad, int64(off), nil
 		}
 		if n == 0 {
 			return seg, "", 0, nil
 		}
-		if rec.LSN != seg.lastLSN+1 {
-			return seg, fmt.Sprintf("lsn discontinuity (%d after %d)", rec.LSN, seg.lastLSN), int64(off), nil
+		if f.lsn != seg.lastLSN+1 {
+			return seg, fmt.Sprintf("lsn discontinuity (%d after %d)", f.lsn, seg.lastLSN), int64(off), nil
 		}
-		seg.lastLSN = rec.LSN
+		stream := names.of(f.stream)
+		if l.opts.OnRecover != nil {
+			if err := l.opts.OnRecover(Record{LSN: f.lsn, Seq: f.seq, Stream: stream, Payload: f.payload}); err != nil {
+				return nil, "", 0, err
+			}
+		}
+		seg.lastLSN = f.lsn
 		seg.records++
-		seg.note(rec.Stream, rec.Seq)
+		seg.note(stream, f.seq)
 		seg.size += int64(n)
 		off += n
 	}
@@ -360,48 +418,41 @@ func Open(opts Options) (*Log, *Recovery, error) {
 		}
 		return syncDir(opts.Dir)
 	}
+	streams := make(streamNames)
 scan:
 	for i, name := range names {
 		path := filepath.Join(opts.Dir, name)
-		seg, reason, offset, err := scanSegment(path)
+		// Continuity across segments: compaction removes prefixes only,
+		// so survivors are contiguous. Whether a segment continues the
+		// log hangs on its header alone, so it is settled before any of
+		// its frames reaches OnRecover.
+		wantFirst := uint64(0)
+		if haveSeg {
+			wantFirst = lastLSN + 1
+		}
+		seg, reason, offset, err := l.scanSegment(path, wantFirst, streams)
 		if err != nil {
 			return nil, nil, err
 		}
-		if seg != nil && reason == "" {
-			// Continuity across segments: compaction removes prefixes
-			// only, so survivors are contiguous. An empty segment is
-			// only ever the active tail.
-			wrongStart := haveSeg && seg.firstLSN != lastLSN+1
-			emptyMid := seg.records == 0 && i != len(names)-1
-			if wrongStart || emptyMid {
-				why := "segment lsn discontinuity"
-				if emptyMid {
-					why = "empty non-final segment"
-				}
-				if err := drop(i, why, name, 0); err != nil {
-					return nil, nil, err
-				}
-				break scan
+		switch {
+		case reason == "" && seg.records == 0 && i != len(names)-1:
+			// An empty segment is only ever the active tail.
+			if err := drop(i, "empty non-final segment", name, 0); err != nil {
+				return nil, nil, err
 			}
+		case reason == "":
 			l.sealed = append(l.sealed, seg)
 			lastLSN = seg.lastLSN
 			haveSeg = true
 			rec.Records += uint64(seg.records)
 			continue
-		}
-		// Anomaly inside this segment: keep its valid prefix if it
-		// holds records, then drop the rest of the log.
-		keep := seg != nil && seg.records > 0 &&
-			(!haveSeg || seg.firstLSN == lastLSN+1)
-		if keep {
+		case seg != nil && seg.records > 0:
+			// Anomaly inside this segment: keep its valid prefix (the
+			// frames OnRecover has seen), then drop the rest of the log.
 			fi, err := os.Stat(path)
 			if err != nil {
 				return nil, nil, err
 			}
-			rec.Truncated = true
-			rec.Reason = reason
-			rec.File = name
-			rec.Offset = offset
 			rec.DroppedBytes += fi.Size() - seg.size
 			if err := truncateFile(path, seg.size); err != nil {
 				return nil, nil, err
@@ -412,8 +463,10 @@ scan:
 			if err := drop(i+1, reason, name, offset); err != nil {
 				return nil, nil, err
 			}
-		} else if err := drop(i, reason, name, offset); err != nil {
-			return nil, nil, err
+		default:
+			if err := drop(i, reason, name, offset); err != nil {
+				return nil, nil, err
+			}
 		}
 		break scan
 	}
@@ -779,6 +832,10 @@ func (l *Log) replay(stream string, afterSeq int64, fn func(Record) error) error
 	}
 	l.mu.Unlock()
 
+	var names streamNames
+	if stream == "" {
+		names = make(streamNames)
+	}
 	for _, sp := range spans {
 		data, err := os.ReadFile(sp.path)
 		if err != nil {
@@ -787,12 +844,13 @@ func (l *Log) replay(stream string, afterSeq int64, fn func(Record) error) error
 			}
 			return err
 		}
+		l.readBytes.Add(int64(len(data)))
 		if int64(len(data)) > sp.limit {
 			data = data[:sp.limit]
 		}
 		off := headerSize
 		for {
-			rec, n, bad := parseFrame(data, off)
+			f, n, bad := parseFrame(data, off)
 			if n == 0 {
 				if bad != "" {
 					// Only pre-validated bytes are read; reaching this
@@ -802,10 +860,13 @@ func (l *Log) replay(stream string, afterSeq int64, fn func(Record) error) error
 				break
 			}
 			off += n
-			if stream != "" && (rec.Stream != stream || rec.Seq <= afterSeq) {
+			name := stream
+			if stream == "" {
+				name = names.of(f.stream)
+			} else if string(f.stream) != stream || f.seq <= afterSeq {
 				continue
 			}
-			if err := fn(rec); err != nil {
+			if err := fn(Record{LSN: f.lsn, Seq: f.seq, Stream: name, Payload: f.payload}); err != nil {
 				return err
 			}
 		}
@@ -818,10 +879,11 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Stats{
-		Segments: len(l.sealed) + 1,
-		Bytes:    l.bytes,
-		Appends:  l.appends,
-		Fsyncs:   l.fsyncs,
+		Segments:  len(l.sealed) + 1,
+		Bytes:     l.bytes,
+		Appends:   l.appends,
+		Fsyncs:    l.fsyncs,
+		ReadBytes: l.readBytes.Load(),
 	}
 }
 

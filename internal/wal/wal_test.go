@@ -346,6 +346,70 @@ func TestTortureDuplicateSegment(t *testing.T) {
 	}
 }
 
+// TestTortureMissingSegment: a lost middle segment leaves a later one
+// whose header does not continue the log. It is refused on that header
+// alone: none of its (individually sound) frames reaches OnRecover.
+func TestTortureMissingSegment(t *testing.T) {
+	dir := t.TempDir()
+	paths := buildLog(t, dir, 60, 512)
+	if len(paths) < 3 {
+		t.Fatalf("want >=3 segments, got %d", len(paths))
+	}
+	second, _ := segNameLSN(filepath.Base(paths[1]))
+	if err := os.Remove(paths[1]); err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	l, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(Record) error {
+		delivered++
+		return nil
+	}})
+	defer l.Close()
+	want := int(second - 1) // the first segment's records
+	if !rec.Truncated || rec.Reason != "segment lsn discontinuity" || int(rec.Records) != want {
+		t.Fatalf("recovery: %+v, want %d records", rec, want)
+	}
+	if rec.DroppedSegments != len(paths)-2 {
+		t.Fatalf("dropped %d segments, want %d", rec.DroppedSegments, len(paths)-2)
+	}
+	if delivered != want || len(collect(t, l)) != want {
+		t.Fatalf("OnRecover saw %d records, the log keeps %d", delivered, want)
+	}
+}
+
+// TestTortureStaleFrame: a frame with a sound checksum but the wrong
+// LSN (an old block resurfacing past the tail) is an anomaly like any
+// other: the log is cut in front of it and OnRecover never sees it.
+func TestTortureStaleFrame(t *testing.T) {
+	dir := t.TempDir()
+	paths := buildLog(t, dir, 10, 1<<20)
+	last := paths[len(paths)-1]
+	data, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n, bad := parseFrame(data, headerSize)
+	if bad != "" || n == 0 {
+		t.Fatalf("first frame: %q", bad)
+	}
+	data = append(data, data[headerSize:headerSize+n]...)
+	if err := os.WriteFile(last, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	l, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(Record) error {
+		delivered++
+		return nil
+	}})
+	defer l.Close()
+	if !rec.Truncated || rec.Reason != "lsn discontinuity (1 after 10)" || rec.Records != 10 {
+		t.Fatalf("recovery: %+v", rec)
+	}
+	if delivered != 10 || len(collect(t, l)) != 10 {
+		t.Fatalf("OnRecover saw %d records, the log keeps 10", delivered)
+	}
+}
+
 // --- map-model differential fuzz --------------------------------------
 
 // modelRec is the pure-Go model of one retained record.
@@ -686,5 +750,269 @@ func TestGroupSyncWindowCoalesces(t *testing.T) {
 	got := collect(t, l)
 	if len(got) != workers*perW {
 		t.Fatalf("replayed %d records, want %d", len(got), workers*perW)
+	}
+}
+
+// --- frame fuzz ---------------------------------------------------------
+
+// fuzzLog builds a three-stream log of several small segments once per
+// process and returns its segment files (name → bytes, names in LSN
+// order) and its records.
+var fuzzLog = sync.OnceValue(func() (out struct {
+	names []string
+	files map[string][]byte
+	recs  []Record
+}) {
+	dir, err := os.MkdirTemp("", "walfuzz")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	l, _, err := Open(Options{Dir: dir, Policy: SyncOff, SegmentBytes: 400})
+	if err != nil {
+		panic(err)
+	}
+	for i := 0; i < 40; i++ {
+		stream := fmt.Sprintf("s%d/1", i%3)
+		if _, err := l.Append(stream, int64(i/3), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+			panic(err)
+		}
+	}
+	if err := l.Replay(func(r Record) error {
+		r.Payload = append([]byte(nil), r.Payload...)
+		out.recs = append(out.recs, r)
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	if err := l.Close(); err != nil {
+		panic(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		panic(err)
+	}
+	out.files = map[string][]byte{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			panic(err)
+		}
+		out.names = append(out.names, e.Name())
+		out.files[e.Name()] = data
+	}
+	return out
+})
+
+func sameRecord(a, b Record) bool {
+	return a.LSN == b.LSN && a.Seq == b.Seq && a.Stream == b.Stream && bytes.Equal(a.Payload, b.Payload)
+}
+
+// FuzzWalFrame pins the two halves of the recovery invariant. Arbitrary
+// bytes never panic the frame parser or the segment scan, whatever
+// position they are read from. And a valid log with one byte changed,
+// one file cut short or lost, or garbage or a stale frame appended
+// reopens to a prefix of its original records — never a misparsed or reordered one — with
+// OnRecover having been handed exactly the records a Replay of the
+// reopened log returns: what is delivered is what is kept.
+func FuzzWalFrame(f *testing.F) {
+	f.Add([]byte{}, uint32(0), byte(1), uint8(0))
+	f.Add([]byte("SPWALSEG\x01\x00\x00\x00\x00\x00\x00\x00\x12\x00\x00\x00"), uint32(20), byte(0x40), uint8(0))
+	f.Add(bytes.Repeat([]byte{0}, 64), uint32(500), byte(0x80), uint8(1))
+	f.Add([]byte("garbage after the last frame"), uint32(900), byte(7), uint8(2))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4}, uint32(3), byte(0xff), uint8(2))
+	f.Add([]byte{}, uint32(450), byte(0), uint8(3))
+	f.Add([]byte{}, uint32(0), byte(0), uint8(3))
+	f.Add([]byte{}, uint32(0), byte(0), uint8(4))
+	f.Fuzz(func(t *testing.T, raw []byte, pos uint32, flip byte, mode uint8) {
+		// Raw bytes through the parser, from every frame boundary it
+		// believes in and from an arbitrary offset.
+		for off := 0; off <= len(raw); {
+			_, n, _ := parseFrame(raw, off)
+			if n == 0 {
+				break
+			}
+			off += n
+		}
+		parseFrame(raw, int(pos)%(len(raw)+1))
+		// Raw bytes as a segment file of their own, bare and behind a
+		// valid header.
+		for _, withHeader := range []bool{false, true} {
+			dir := t.TempDir()
+			data := raw
+			if withHeader {
+				data = append([]byte(segMagic+"\x01\x00\x00\x00\x00\x00\x00\x00"), raw...)
+			}
+			if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, _, err := Open(Options{Dir: dir, Policy: SyncOff})
+			if err != nil {
+				t.Fatalf("Open on arbitrary bytes: %v", err)
+			}
+			l.Close()
+		}
+
+		// One mutation of a valid log.
+		orig := fuzzLog()
+		dir := t.TempDir()
+		total := 0
+		for _, name := range orig.names {
+			total += len(orig.files[name])
+		}
+		at := int(pos) % total
+		intact := true // every original frame is still where it was, whole
+		skip := 0      // original records that went with a lost first file
+		for _, name := range orig.names {
+			data := append([]byte(nil), orig.files[name]...)
+			hit := at >= 0 && at < len(data) // the mutation lands in this file
+			last := name == orig.names[len(orig.names)-1]
+			at -= len(data)
+			switch mode % 5 {
+			case 0: // one byte changed
+				if hit {
+					data[at+len(data)] ^= flip | 1
+					intact = false
+				}
+			case 1: // one file cut short
+				if hit {
+					data = data[:at+len(data)]
+					intact = false
+				}
+			case 2: // garbage after the last frame
+				if last {
+					data = append(data, raw...)
+				}
+			case 3: // one file lost
+				if hit && name == orig.names[0] {
+					// Indistinguishable from compaction, which removes
+					// prefixes: the rest is a whole log.
+					for off := headerSize; ; skip++ {
+						_, n, _ := parseFrame(data, off)
+						if n == 0 {
+							break
+						}
+						off += n
+					}
+					continue
+				} else if hit {
+					intact = false
+					continue
+				}
+			case 4: // an old frame written again at the end: sound CRC, stale LSN
+				if last {
+					_, n, _ := parseFrame(orig.files[orig.names[0]], headerSize)
+					data = append(data, orig.files[orig.names[0]][headerSize:headerSize+n]...)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var delivered []Record
+		l, rec, err := Open(Options{Dir: dir, Policy: SyncOff, OnRecover: func(r Record) error {
+			r.Payload = append([]byte(nil), r.Payload...)
+			delivered = append(delivered, r)
+			return nil
+		}})
+		if err != nil {
+			t.Fatalf("Open after the mutation: %v", err)
+		}
+		defer l.Close()
+		kept := collect(t, l)
+		if len(delivered) != len(kept) || uint64(len(kept)) != rec.Records {
+			t.Fatalf("OnRecover saw %d records, Replay returns %d, Recovery reports %d", len(delivered), len(kept), rec.Records)
+		}
+		want := orig.recs[skip:]
+		if len(kept) > len(want) || (!intact && len(kept) == len(want)) {
+			t.Fatalf("%d records survive a damaged log of %d (%+v)", len(kept), len(want), rec)
+		}
+		for i := range kept {
+			if !sameRecord(kept[i], want[i]) || !sameRecord(delivered[i], kept[i]) {
+				t.Fatalf("record %d: original %+v, kept %+v, delivered %+v", i, want[i], kept[i], delivered[i])
+			}
+		}
+		if intact && len(kept) != len(want) {
+			t.Fatalf("what was appended cost %d intact records (%+v)", len(want)-len(kept), rec)
+		}
+		// The survivor is a log: it takes an append and replays it.
+		if _, err := l.Append("s0/1", 1000, []byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		if got := collect(t, l); len(got) != len(kept)+1 {
+			t.Fatalf("append after recovery: %d records, want %d", len(got), len(kept)+1)
+		}
+	})
+}
+
+// TestOnRecoverSeesEachKeptRecordOnce: on an undamaged multi-segment
+// log the callback sees every record, in LSN order, with one shared
+// string per stream, and the scan reads each segment once.
+func TestOnRecoverSeesEachKeptRecordOnce(t *testing.T) {
+	dir := t.TempDir()
+	paths := buildLog(t, dir, 60, 512)
+	var size int64
+	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += fi.Size()
+	}
+	var lsns []uint64
+	l, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(r Record) error {
+		lsns = append(lsns, r.LSN)
+		return nil
+	}})
+	defer l.Close()
+	if rec.Truncated || len(lsns) != 60 {
+		t.Fatalf("callback saw %d records (%+v)", len(lsns), rec)
+	}
+	for i, lsn := range lsns {
+		if lsn != uint64(i+1) {
+			t.Fatalf("delivery out of order: %v", lsns)
+		}
+	}
+	if got := l.Stats().ReadBytes; got != size {
+		t.Fatalf("Open read %d bytes of %d on disk", got, size)
+	}
+	// A filtered replay above the stream's last seq touches no segment.
+	if err := l.ReplayStream("s", 60, func(Record) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Stats().ReadBytes; got != size {
+		t.Fatalf("a replay past the stream's end read %d more bytes", got-size)
+	}
+	collect(t, l)
+	if got := l.Stats().ReadBytes; got != 2*size {
+		t.Fatalf("after one full replay ReadBytes = %d, want %d", got, 2*size)
+	}
+	// An OnRecover error aborts the open.
+	l.Close()
+	if _, _, err := Open(Options{Dir: dir, Policy: SyncOff, OnRecover: func(Record) error {
+		return fmt.Errorf("stop")
+	}}); err == nil || err.Error() != "stop" {
+		t.Fatalf("Open with a failing OnRecover: %v", err)
+	}
+}
+
+// TestScanAllocatesPerStreamNotPerRecord pins the scan's allocation
+// shape: reading a log costs a fixed number of allocations per segment
+// and per distinct stream, none per record.
+func TestScanAllocatesPerStreamNotPerRecord(t *testing.T) {
+	allocs := func(records int64) float64 {
+		dir := t.TempDir()
+		buildLog(t, dir, records, 1<<20)
+		return testing.AllocsPerRun(5, func() {
+			l, _, err := Open(Options{Dir: dir, Policy: SyncOff, OnRecover: func(Record) error { return nil }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+		})
+	}
+	small, large := allocs(50), allocs(2050)
+	if large-small > 20 {
+		t.Fatalf("opening 2000 more records cost %.0f more allocations (%.0f vs %.0f)", large-small, large, small)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/task"
 	"repro/internal/taskgen"
+	"repro/internal/timeq"
 )
 
 // newTestServer builds a server for tests.
@@ -439,6 +441,49 @@ func TestEDFSessionAndSplit(t *testing.T) {
 	}
 	if len(after.Splits) != 0 || len(after.Tasks) != 1 {
 		t.Fatalf("state after split removal: %+v", after)
+	}
+}
+
+// TestEDFExtremePeriodRatio sends an EDF session the hostile pair of
+// analysis.TestEDFExtremePeriodRatio as try requests over the handler:
+// next to a 400 ms / 1 s task, a 1 µs / 2.5 µs task has 400 000
+// absolute deadlines below the horizon and a 1 ns / 2 ns task half a
+// billion. A request that listed them would pin a core for a tenth of a
+// second and allocate tens of megabytes: the verdicts must be the
+// stateless analyzer's and a try must allocate what a request does.
+func TestEDFExtremePeriodRatio(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	mustStatus(t, srv, "POST", "/v1/sessions", api.CreateSessionRequest{Name: "x", Cores: 1, Policy: "edf", Model: json.RawMessage(`"zero"`)}, http.StatusCreated)
+	long := api.Task{ID: 1, WCETNs: 400e6, PeriodNs: 1e9}
+	mustStatus(t, srv, "POST", "/v1/sessions/x/admit", api.AdmitRequest{Task: long}, http.StatusOK)
+	for _, tc := range []struct {
+		tk   api.Task
+		want bool
+	}{
+		{api.Task{ID: 2, WCETNs: 1000, PeriodNs: 2500}, true},
+		{api.Task{ID: 3, WCETNs: 1, PeriodNs: 2}, false},
+	} {
+		mirror := task.NewAssignment(1)
+		mirror.Policy = task.EDF
+		mirror.Place(&task.Task{ID: 1, WCET: timeq.Time(long.WCETNs), Period: timeq.Time(long.PeriodNs)}, 0)
+		mirror.Place(&task.Task{ID: task.ID(tc.tk.ID), WCET: timeq.Time(tc.tk.WCETNs), Period: timeq.Time(tc.tk.PeriodNs)}, 0)
+		if oracle := analysis.EDFDemand.CoreSchedulable(mirror, 0, overhead.Zero()); oracle != tc.want {
+			t.Fatalf("task %d: the fixture is not what it says: enumeration %v", tc.tk.ID, oracle)
+		}
+		var v api.Verdict
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body := mustStatus(t, srv, "POST", "/v1/sessions/x/try", api.AdmitRequest{Task: tc.tk}, http.StatusOK)
+		runtime.ReadMemStats(&after)
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.Admitted != tc.want {
+			t.Errorf("task %d: try answered %v, the enumeration %v", tc.tk.ID, v.Admitted, tc.want)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 256<<10 {
+			t.Errorf("task %d: one try allocated %d B, want < 256 KB", tc.tk.ID, n)
+		}
 	}
 }
 

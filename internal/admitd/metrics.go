@@ -137,6 +137,12 @@ func newServerMetrics(store *Store) *serverMetrics {
 	admission("admitd_admission_warm_starts_total",
 		"Solves that began from a previously converged value.",
 		func() float64 { return float64(m.agg.WarmStarts) })
+	admission("admitd_admission_edf_demand_tests_total",
+		"EDF processor-demand tests run.",
+		func() float64 { return float64(m.agg.DemandTests) })
+	admission("admitd_admission_edf_demand_points_total",
+		"Absolute deadlines those tests evaluated the demand at.",
+		func() float64 { return float64(m.agg.DemandPoints) })
 
 	m.feedSubs = reg.NewGauge("admitd_feed_subscribers",
 		"Live SSE change-feed subscriptions.")

@@ -9,9 +9,9 @@
 // overhead model), tracks which cores each mutation dirties (a split
 // chain dirties every core in the chain), keeps the per-core entity
 // sets built incrementally, warm-starts response-time and busy-period
-// fixed points from the previously converged values, memoizes EDF
-// demand-bound test points, and caches per-core verdicts keyed by
-// (content revision, queue bound, jitter generation).
+// fixed points from the previously converged values, and caches
+// per-core verdicts keyed by (content revision, queue bound, jitter
+// generation).
 //
 // A context does not evaluate probes itself. The one incremental
 // engine (engine.go) does, over scratch views of the committed state,
@@ -186,6 +186,10 @@ type AdmissionStats struct {
 	// the iterations they took, WarmStarts the solves that began from
 	// a previously converged value.
 	FPSolves, FPIterations, WarmStarts int64
+	// DemandTests counts EDF processor-demand tests the engine ran,
+	// DemandPoints the absolute deadlines at which they evaluated the
+	// demand (a test one of the screens rejects looks at none).
+	DemandTests, DemandPoints int64
 }
 
 // Add returns s + o, for folding read-path counters into a view.
@@ -198,6 +202,8 @@ func (s AdmissionStats) Add(o AdmissionStats) AdmissionStats {
 		FPSolves:     s.FPSolves + o.FPSolves,
 		FPIterations: s.FPIterations + o.FPIterations,
 		WarmStarts:   s.WarmStarts + o.WarmStarts,
+		DemandTests:  s.DemandTests + o.DemandTests,
+		DemandPoints: s.DemandPoints + o.DemandPoints,
 	}
 }
 
@@ -211,6 +217,8 @@ func (s AdmissionStats) Sub(o AdmissionStats) AdmissionStats {
 		FPSolves:     s.FPSolves - o.FPSolves,
 		FPIterations: s.FPIterations - o.FPIterations,
 		WarmStarts:   s.WarmStarts - o.WarmStarts,
+		DemandTests:  s.DemandTests - o.DemandTests,
+		DemandPoints: s.DemandPoints - o.DemandPoints,
 	}
 }
 
@@ -240,10 +248,19 @@ func (s AdmissionStats) WarmStartRate() float64 {
 	return float64(s.WarmStarts) / float64(s.FPSolves)
 }
 
+// MeanDemandPoints is the mean number of deadlines an EDF demand test
+// evaluated the demand at.
+func (s AdmissionStats) MeanDemandPoints() float64 {
+	if s.DemandTests == 0 {
+		return 0
+	}
+	return float64(s.DemandPoints) / float64(s.DemandTests)
+}
+
 // String renders the counters compactly for CLI/bench reporting.
 func (s AdmissionStats) String() string {
-	return fmt.Sprintf("probes=%d full=%d core-tests=%d cache-hits=%.1f%% fp-iters/solve=%.2f warm=%.1f%%",
-		s.Probes, s.FullTests, s.CoreTests, 100*s.CacheHitRate(), s.MeanFPIterations(), 100*s.WarmStartRate())
+	return fmt.Sprintf("probes=%d full=%d core-tests=%d cache-hits=%.1f%% fp-iters/solve=%.2f warm=%.1f%% demand-points/test=%.2f",
+		s.Probes, s.FullTests, s.CoreTests, 100*s.CacheHitRate(), s.MeanFPIterations(), 100*s.WarmStartRate(), s.MeanDemandPoints())
 }
 
 // Collector accumulates AdmissionStats from many contexts atomically.
@@ -260,6 +277,10 @@ type Collector struct {
 	// live iteration histogram, at per-Add grain (per probe on the
 	// read path). Atomic pointer: SetFPObserver may race Adds.
 	fpObs atomic.Pointer[func(iterations, solves int64)]
+
+	// Written by EDF contributions only (see Add); last, so the words
+	// every fixed-priority fold touches stay together.
+	demandTests, demandPoints atomic.Int64
 }
 
 // SetFPObserver attaches fn to every subsequent Add that carries
@@ -282,6 +303,11 @@ func (c *Collector) Add(s AdmissionStats) {
 	c.fpSolves.Add(s.FPSolves)
 	c.fpIterations.Add(s.FPIterations)
 	c.warmStarts.Add(s.WarmStarts)
+	if s.DemandTests != 0 {
+		// Fixed-priority traffic executes no atomic for these.
+		c.demandTests.Add(s.DemandTests)
+		c.demandPoints.Add(s.DemandPoints)
+	}
 	if s.FPSolves > 0 {
 		if f := c.fpObs.Load(); f != nil {
 			(*f)(s.FPIterations, s.FPSolves)
@@ -299,6 +325,8 @@ func (c *Collector) Snapshot() AdmissionStats {
 		FPSolves:     c.fpSolves.Load(),
 		FPIterations: c.fpIterations.Load(),
 		WarmStarts:   c.warmStarts.Load(),
+		DemandTests:  c.demandTests.Load(),
+		DemandPoints: c.demandPoints.Load(),
 	}
 }
 
@@ -314,6 +342,8 @@ func (c *Collector) Drain() AdmissionStats {
 		FPSolves:     c.fpSolves.Swap(0),
 		FPIterations: c.fpIterations.Swap(0),
 		WarmStarts:   c.warmStarts.Swap(0),
+		DemandTests:  c.demandTests.Swap(0),
+		DemandPoints: c.demandPoints.Swap(0),
 	}
 }
 
@@ -448,14 +478,14 @@ type fpVerdict struct {
 // committed epoch promotes the probe's verdict and what it converged —
 // the probe-every-core-then-place-on-best pattern of the bin-packing
 // heuristics. Under fixed priorities run names the engine run whose
-// views hold the converged values (0: a memo answered); under EDF memo
-// is the probe's demand memo.
+// views hold the converged values (0: a memo answered); under EDF
+// busyWarm is the busy period the probe converged.
 type probeRecord struct {
-	seq  int64   // the committed epoch probed in
-	id   task.ID // the task probed
-	ok   bool
-	run  int64
-	memo *edfDemandMemo
+	seq      int64   // the committed epoch probed in
+	id       task.ID // the task probed
+	ok       bool
+	run      int64
+	busyWarm timeq.Time
 }
 
 const (
@@ -473,9 +503,9 @@ type pending struct {
 	addEnts  []*Entity // tentative entities
 	addCores []int     // their host cores (parallel)
 
-	run      int64          // FP: the engine run that evaluated it (0: a memo answered)
-	resolved bool           // FP: a jitter resolution ran
-	memo     *edfDemandMemo // EDF: the probe's converged demand memo
+	run      int64      // FP: the engine run that evaluated it (0: a memo answered)
+	resolved bool       // FP: a jitter resolution ran
+	busyWarm timeq.Time // EDF: the busy period the probe converged (0: none)
 }
 
 func newCtxBase(an Analyzer, a *task.Assignment, m *overhead.Model) ctxBase {
@@ -545,12 +575,12 @@ func (b *ctxBase) adopted(r *coreRec, e *Entity) {
 		b.maxN = n
 	}
 	r.rev++
-	r.memo = nil
+	r.busyWarm = 0
 }
 
 // dropped is the bookkeeping of an entity removed from r: CacheMax may
-// shrink, and the demand memo's covered set references the removed
-// entity (its test points must not survive).
+// shrink, and the committed busy period may overshoot the smaller
+// core's.
 func (b *ctxBase) dropped(r *coreRec) {
 	r.cacheMax = 0
 	for _, e := range r.ents {
@@ -559,7 +589,7 @@ func (b *ctxBase) dropped(r *coreRec) {
 		}
 	}
 	r.rev++
-	r.memo = nil
+	r.busyWarm = 0
 }
 
 // removed recomputes the committed queue bound after a removal and

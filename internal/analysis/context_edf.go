@@ -5,38 +5,32 @@ import (
 
 	"repro/internal/overhead"
 	"repro/internal/task"
+	"repro/internal/timeq"
 )
 
 // edfContext is the incremental EDF admission context. Deadline
 // windows decouple the cores, so there is no cross-core fixed point:
 // each core record keeps its entity list in the canonical build order
 // (the processor-demand test accumulates a floating-point utilization
-// sum, so the order must match the stateless build exactly) and a memo
-// of the demand-bound test points already enumerated with a warm
-// busy-period start; verdicts are cached keyed by (content revision,
-// queue bound). A probe dirties only the probed core; a split install
-// dirties every core hosting one of its parts. EDF entities are
-// immutable once adopted and memos once published, so what a commit
-// installs is the probe's memo pointer.
+// sum, so the order must match the stateless build exactly) and the
+// converged busy period as the next test's warm start; verdicts are
+// cached keyed by (content revision, queue bound). A probe dirties only
+// the probed core; a split install dirties every core hosting one of
+// its parts. EDF entities are immutable once adopted, so what a commit
+// installs beside them is one number, the probe's busy period.
 type edfContext struct {
 	ctxBase
 
-	// sets are the per-core probe sets the engine assembles in; their
-	// cost and deadline-point buffers persist per core.
-	sets []CoreSet
-
-	// Probe scratch: the tentative whole-task entity lives in a reused
-	// slot (Commit clones it), split probes draw pooled entities into
-	// reusable slices.
-	ent       Entity
-	addEnts   [1]*Entity
-	addCores  [1]int
-	parts     []*Entity
-	partCores []int
+	// sc is the probe scratch, the one a snapshot prober draws from its
+	// pool: nothing in it outlives a probe. The tentative whole-task
+	// entity is its reused slot (Commit clones it); split parts are
+	// drawn from the context's pool instead of the scratch's, because a
+	// Commit adopts them.
+	sc edfProbeScratch
 }
 
 func newEDFContext(an Analyzer, a *task.Assignment, m *overhead.Model) *edfContext {
-	x := &edfContext{ctxBase: newCtxBase(an, a, m), sets: make([]CoreSet, a.NumCores)}
+	x := &edfContext{ctxBase: newCtxBase(an, a, m)}
 	x.adoptAll()
 	return x
 }
@@ -49,8 +43,8 @@ func (x *edfContext) adoptAll() {
 		}
 	}
 	for _, sp := range x.a.Splits {
-		x.parts, x.partCores = fillEDFParts(x.parts, x.partCores, sp, &x.pool)
-		x.adoptParts(x.parts, x.partCores)
+		x.sc.parts, x.sc.partCores = fillEDFParts(x.sc.parts, x.sc.partCores, sp, &x.pool)
+		x.adoptParts(x.sc.parts, x.sc.partCores)
 	}
 }
 
@@ -75,29 +69,38 @@ func (x *edfContext) adoptParts(parts []*Entity, cores []int) {
 	}
 }
 
-// probe runs the engine on the pending mutation, keeping the demand
-// memo it converged for Commit to install.
+// evalCore runs the engine on core c with the tentative entities given,
+// counting the test.
+func (x *edfContext) evalCore(c int, place *Entity, parts []*Entity, partCores []int, n int) (bool, timeq.Time) {
+	ok, busyWarm, points := edfEvalProbe(x.m, x.mono, &x.cores[c], &x.sc.cs, c, place, parts, partCores, n)
+	x.stats.CoreTests++
+	x.stats.DemandTests++
+	x.stats.DemandPoints += points
+	return ok, busyWarm
+}
+
+// probe runs the engine on the pending mutation, keeping the busy
+// period it converged for Commit to install.
 func (x *edfContext) probe() {
 	p := &x.pend
 	var place *Entity
 	if p.kind == pendPlace {
-		place = p.addEnts[0]
+		place = &x.sc.ent
 	}
-	x.stats.CoreTests++
-	p.fits, p.memo = edfEvalProbe(x.m, x.mono, &x.cores[p.core], &x.sets[p.core], p.core, place, p.addEnts, p.addCores, p.n, x.mono)
+	p.fits, p.busyWarm = x.evalCore(p.core, place, p.addEnts, p.addCores, p.n)
 }
 
 func (x *edfContext) TryPlace(t *task.Task, c int) bool {
 	x.ensureNoPending("TryPlace")
 	x.stats.Probes++
 	x.a.Place(t, c)
-	x.addEnts[0], x.addCores[0] = newEDFEntityInto(&x.ent, t), c
-	x.pend = pending{kind: pendPlace, core: c, addEnts: x.addEnts[:], addCores: x.addCores[:]}
-	x.pend.n = probeN(x.cores, x.maxN, x.pend.addCores)
+	newEDFEntityInto(&x.sc.ent, t)
+	x.sc.addCores[0] = c
+	x.pend = pending{kind: pendPlace, core: c, n: probeN(x.cores, x.maxN, x.sc.addCores[:])}
 	// The per-core demand verdict is a pure function of (core state,
 	// probed shape, queue bound): the shared sweep memo can answer
-	// before any demand-bound enumeration runs.
-	node, shape, hit := x.sweepShared(&x.ent)
+	// before any demand test runs.
+	node, shape, hit := x.sweepShared(&x.sc.ent)
 	if !hit {
 		x.probe()
 		if node != nil {
@@ -111,9 +114,9 @@ func (x *edfContext) TrySplit(sp *task.Split, c int) bool {
 	x.ensureNoPending("TrySplit")
 	x.stats.Probes++
 	x.a.Splits = append(x.a.Splits, sp)
-	x.parts, x.partCores = fillEDFParts(x.parts, x.partCores, sp, &x.pool)
-	x.pend = pending{kind: pendSplit, core: c, addEnts: x.parts, addCores: x.partCores}
-	x.pend.n = probeN(x.cores, x.maxN, x.partCores)
+	x.sc.parts, x.sc.partCores = fillEDFParts(x.sc.parts, x.sc.partCores, sp, &x.pool)
+	x.pend = pending{kind: pendSplit, core: c, addEnts: x.sc.parts, addCores: x.sc.partCores}
+	x.pend.n = probeN(x.cores, x.maxN, x.sc.partCores)
 	x.probe()
 	return x.pend.fits
 }
@@ -126,15 +129,9 @@ func (x *edfContext) Commit() {
 		panic("analysis: Commit with no pending probe")
 	case pendPlace:
 		// The tentative entity is the reused scratch slot: clone it
-		// onto a pooled entity, and move the probe memo's covered
-		// identity along with it (the memo was built by this probe and
-		// never published, so the in-place swap is safe).
+		// onto a pooled entity.
 		e := x.pool.get()
-		*e = *p.addEnts[0]
-		if p.memo != nil {
-			delete(p.memo.covered, p.addEnts[0])
-			p.memo.covered[e] = true
-		}
+		*e = x.sc.ent
 		x.adoptNormal(e, p.core)
 		hint = pubAdmitted
 	case pendSplit:
@@ -143,10 +140,8 @@ func (x *edfContext) Commit() {
 	x.commitSeq++
 	r := &x.cores[p.core]
 	x.verdicts[p.core] = fpVerdict{valid: true, ok: p.fits, rev: r.rev, n: x.maxN}
-	if p.memo != nil {
-		// The probe's entity set is now the committed one.
-		r.memo = p.memo
-	}
+	// The probe's entity set is now the committed one.
+	r.busyWarm = p.busyWarm
 	fits := hint == pubAdmitted && p.fits
 	x.pend = pending{}
 	x.committed(hint, fits)
@@ -160,11 +155,11 @@ func (x *edfContext) Rollback() {
 	case pendPlace:
 		c := p.core
 		x.a.Normal[c] = x.a.Normal[c][:len(x.a.Normal[c])-1]
-		x.lastProbe[c] = probeRecord{seq: x.commitSeq, id: p.addEnts[0].Task.ID, ok: p.fits, memo: p.memo}
+		x.lastProbe[c] = probeRecord{seq: x.commitSeq, id: x.sc.ent.Task.ID, ok: p.fits, busyWarm: p.busyWarm}
 	case pendSplit:
 		x.a.Splits = x.a.Splits[:len(x.a.Splits)-1]
 		// The tentative part entities were never published: recycle
-		// them (the discarded probe memo is the only other referent).
+		// them.
 		x.pool.put(p.addEnts...)
 	}
 	x.pend = pending{}
@@ -183,17 +178,7 @@ func (x *edfContext) Place(t *task.Task, c int) {
 	if promote {
 		r := &x.cores[c]
 		x.verdicts[c] = fpVerdict{valid: true, ok: true, rev: r.rev, n: x.maxN}
-		if rec.memo != nil {
-			// The memo covered the probe's tentative entity (the
-			// scratch slot); the adopted entity has identical (D, T),
-			// so its enumerated points and raw count carry over — only
-			// the identity in the covered set must be swapped. rec.memo
-			// was built by the probe and never published, so the swap
-			// may mutate it in place.
-			delete(rec.memo.covered, &x.ent)
-			rec.memo.covered[e] = true
-			r.memo = rec.memo
-		}
+		r.busyWarm = rec.busyWarm
 		hint = pubAdmitted
 	}
 	x.committed(hint, promote)
@@ -202,8 +187,8 @@ func (x *edfContext) Place(t *task.Task, c int) {
 func (x *edfContext) AddSplit(sp *task.Split) {
 	x.ensureNoPending("AddSplit")
 	x.a.Splits = append(x.a.Splits, sp)
-	x.parts, x.partCores = fillEDFParts(x.parts, x.partCores, sp, &x.pool)
-	x.adoptParts(x.parts, x.partCores)
+	x.sc.parts, x.sc.partCores = fillEDFParts(x.sc.parts, x.sc.partCores, sp, &x.pool)
+	x.adoptParts(x.sc.parts, x.sc.partCores)
 	x.commitSeq++
 	x.committed(pubUnknown, false)
 }
@@ -232,9 +217,9 @@ func (x *edfContext) dropEntity(c int, id task.ID, part bool) {
 // assignment and the per-core state. Deadline windows decouple the
 // cores, so invalidation is local to the touched cores — except the
 // shared queue bound N: when the removal lowers MaxTasksPerCore,
-// every core's inflated costs shrink, so all memos (whose warm busy
-// periods could overshoot) are dropped; verdicts are keyed by N and
-// invalidate themselves. The canonical entity order (normals in
+// every core's inflated costs shrink, so every warm busy period (which
+// could overshoot) is dropped; verdicts are keyed by N and invalidate
+// themselves. The canonical entity order (normals in
 // placement order, then split parts in split order) is preserved, so
 // decisions — including the order-sensitive floating-point
 // utilization sum — stay bit-identical to the stateless build.
@@ -265,7 +250,7 @@ search:
 	}
 	if x.removed() {
 		for c := range x.cores {
-			x.cores[c].memo = nil
+			x.cores[c].busyWarm = 0
 		}
 	}
 	x.committed(pubRemoved, false)
@@ -281,12 +266,7 @@ func (x *edfContext) Schedulable() bool {
 	for c := range x.cores {
 		node, ok, hit := x.cachedVerdict(c, 0)
 		if !hit {
-			x.stats.CoreTests++
-			var memo *edfDemandMemo
-			ok, memo = edfEvalProbe(x.m, x.mono, &x.cores[c], &x.sets[c], c, nil, nil, nil, x.maxN, x.mono)
-			if memo != nil {
-				x.cores[c].memo = memo
-			}
+			ok, x.cores[c].busyWarm = x.evalCore(c, nil, nil, nil, x.maxN)
 			x.setVerdict(c, 0, node, ok)
 		}
 		if !ok {
@@ -299,9 +279,6 @@ func (x *edfContext) Schedulable() bool {
 // Reset rebinds the context to a new assignment and model, recycling
 // every owned slab (see the Context interface contract).
 func (x *edfContext) Reset(a *task.Assignment, m *overhead.Model) {
-	if x.rebind(a, m) {
-		x.sets = make([]CoreSet, a.NumCores)
-		x.parts, x.partCores = nil, nil
-	}
+	x.rebind(a, m)
 	x.adoptAll()
 }

@@ -27,85 +27,30 @@ import (
 // task (Budget, Window_k, T) on its core, released at the window
 // start — windows decouple the cores, so no cross-core fixpoint is
 // needed.
+//
+// Two tests decide the criterion. The stateless oracle below lists
+// every absolute deadline up to L and checks them in ascending order;
+// the incremental engine walks down from L over a handful of them
+// (edfDemandWalk in engine.go), with its own evaluation of the demand.
+// What they share is everything before the first deadline is looked
+// at — the screens, B and L: edfHorizon.
 
-// EDFCoreSchedulable runs the processor-demand test on one core.
+// EDFCoreSchedulable runs the processor-demand test on one core: the
+// naive enumeration every other EDF verdict in the package is compared
+// against.
 func (cs *CoreSet) EDFCoreSchedulable(m *overhead.Model) bool {
-	ok, _ := cs.edfSchedulable(m, nil, false)
-	return ok
-}
-
-// edfDemandMemo is the incremental state an admission Context keeps
-// per core: the converged (pre-extension) busy period as a warm start
-// for the next one, and the sorted deadline test points already
-// enumerated for a known entity set up to a known horizon. Both are
-// valid accelerators for any evaluation whose entity set is a
-// superset and whose overhead terms did not shrink — exactly the
-// probe pattern, where entities are only ever added.
-type edfDemandMemo struct {
-	// busyWarm is the converged busy period before the max-deadline
-	// extension: a lower bound on any extension's busy period.
-	busyWarm timeq.Time
-	// pts are the sorted, deduplicated absolute deadlines ≤ ptsL of
-	// the entities in covered; rawPts counts them pre-deduplication
-	// (the deadlinePointCap accounting must match the cold path).
-	pts     []timeq.Time
-	rawPts  int
-	ptsL    timeq.Time
-	covered map[*Entity]bool
-}
-
-// edfSchedulable is the demand test behind EDFCoreSchedulable,
-// optionally accelerated by a memo (nil reproduces the cold path bit
-// for bit). When keep is true and the test passes, the converged
-// artifacts are returned for the caller to cache.
-func (cs *CoreSet) edfSchedulable(m *overhead.Model, memo *edfDemandMemo, keep bool) (bool, *edfDemandMemo) {
-	if len(cs.Entities) == 0 {
-		if keep {
-			return true, &edfDemandMemo{covered: map[*Entity]bool{}}
-		}
-		return true, nil
-	}
-	// Inflated utilization must stay below 1 for the busy period to
-	// exist.
-	cs.ensureCosts(m)
-	infl := cs.infl
-	rel := cs.relCost
-	// The inner loops below iterate the flat struct-of-arrays mirrors
-	// (periods, deadlines, migration flags) filled by ensureCosts; the
-	// summation order matches the entity order exactly, so the
-	// order-sensitive floating-point utilization sum is bit-identical
-	// to the entity walk.
-	k := len(cs.Entities)
-	periods, deadlines, migr := cs.soaT[:k], cs.soaD[:k], cs.soaMigr[:k]
-	uNum := 0.0
-	for i := 0; i < k; i++ {
-		uNum += float64(infl[i]) / float64(periods[i])
-		if !migr[i] && rel > 0 {
-			// Double-charge the release path as unconditional load;
-			// conservative (see rta.go for the FP analog).
-			uNum += float64(rel) / float64(periods[i])
-		}
-		if deadlines[i] < infl[i] {
-			return false, nil
-		}
-	}
-	if uNum > 1 {
-		return false, nil
-	}
-	b := cs.edfMaxBlocking(m)
-	var busyStart timeq.Time
-	if memo != nil {
-		busyStart = memo.busyWarm
-	}
-	l, busyConverged := cs.edfBusyPeriod(infl, rel, b, busyStart)
-	if l == timeq.Infinity {
-		return false, nil
+	l, b, _, ok := cs.edfHorizon(m, 0)
+	if !ok {
+		return false
 	}
 	// Test every absolute deadline up to L.
-	pts, raw, ok := cs.deadlinePointsMemo(l, memo)
+	pts, ok := cs.deadlinePoints(l)
 	if !ok {
-		return false, nil
+		return false
 	}
+	k := len(cs.Entities)
+	infl, rel := cs.infl[:k], cs.relCost
+	periods, deadlines, migr := cs.soaT[:k], cs.soaD[:k], cs.soaMigr[:k]
 	for _, t := range pts {
 		var demand timeq.Time
 		ti := int64(t)
@@ -126,20 +71,50 @@ func (cs *CoreSet) edfSchedulable(m *overhead.Model, memo *edfDemandMemo, keep b
 			}
 		}
 		if timeq.AddSat(demand, b) > t {
-			return false, nil
+			return false
 		}
 	}
-	if !keep {
-		return true, nil
+	return true
+}
+
+// edfHorizon is the part of the demand test that looks at no deadline:
+// the per-entity C' ≤ D screen, the inflated-utilization screen (above
+// 1 there is no busy period), the blocking term b and the synchronous
+// busy period, whose extension over the largest relative deadline is
+// the test horizon l. ok is false when a screen rejects the core or the
+// busy period does not converge. busyStart warm-starts the busy period
+// and converged is what a later, larger evaluation may pass back (see
+// edfBusyPeriod); 0 is the cold iteration. It fills the cost cache and
+// the flat mirrors both tests go on to read.
+func (cs *CoreSet) edfHorizon(m *overhead.Model, busyStart timeq.Time) (l, b, converged timeq.Time, ok bool) {
+	cs.ensureCosts(m)
+	infl := cs.infl
+	rel := cs.relCost
+	// The loops iterate the flat struct-of-arrays mirrors (periods,
+	// deadlines, migration flags) filled by ensureCosts; the summation
+	// order matches the entity order exactly, so the order-sensitive
+	// floating-point utilization sum is bit-identical to the entity
+	// walk.
+	k := len(cs.Entities)
+	periods, deadlines, migr := cs.soaT[:k], cs.soaD[:k], cs.soaMigr[:k]
+	uNum := 0.0
+	for i := 0; i < k; i++ {
+		uNum += float64(infl[i]) / float64(periods[i])
+		if !migr[i] && rel > 0 {
+			// Double-charge the release path as unconditional load;
+			// conservative (see rta.go for the FP analog).
+			uNum += float64(rel) / float64(periods[i])
+		}
+		if deadlines[i] < infl[i] {
+			return 0, 0, 0, false
+		}
 	}
-	cov := make(map[*Entity]bool, len(cs.Entities))
-	for _, e := range cs.Entities {
-		cov[e] = true
+	if uNum > 1 {
+		return 0, 0, 0, false
 	}
-	// Memos are published and shared across probes, so they must own
-	// their point slice — pts may alias the CoreSet's reusable scratch.
-	own := append([]timeq.Time(nil), pts...)
-	return true, &edfDemandMemo{busyWarm: busyConverged, pts: own, rawPts: raw, ptsL: l, covered: cov}
+	b = cs.edfMaxBlocking(m)
+	l, converged = cs.edfBusyPeriod(infl, rel, b, busyStart)
+	return l, b, converged, l != timeq.Infinity
 }
 
 // edfMaxBlocking is max over entities of edfBlocking, computed in one
@@ -247,116 +222,21 @@ func (cs *CoreSet) edfBusyPeriod(infl []timeq.Time, rel, b, start timeq.Time) (t
 // reach it).
 const deadlinePointCap = 2_000_000
 
-// ptsScratchMax bounds the deadline-point scratch retained on a
-// CoreSet between evaluations (pooled probe scratch would otherwise
-// pin pathological enumerations near deadlinePointCap forever).
-const ptsScratchMax = 1 << 16
-
-// deadlinePointsMemo enumerates the absolute deadlines ≤ l, sorted
-// and deduplicated, plus the pre-deduplication count (for the cap);
-// the final result is false when the cap was exceeded. With a memo
-// whose horizon the new one extends, only the points beyond the
-// cached horizon (and those of entities the memo does not cover) are
-// generated and merged — the resulting point set, raw count and
-// verdict are identical to the cold enumeration.
-//
-// The returned slice may alias the CoreSet's scratch buffers (reused
-// across evaluations, so the probe path allocates nothing steady
-// state); callers that retain points beyond the evaluation must copy
-// them (see the keep path of edfSchedulable — memos always own
-// private slices, which is what makes the merge target below safe).
-func (cs *CoreSet) deadlinePointsMemo(l timeq.Time, memo *edfDemandMemo) ([]timeq.Time, int, bool) {
-	k := len(cs.Entities)
-	deadlines, periods := cs.soaD[:k], cs.soaT[:k]
-	if memo == nil || memo.covered == nil || l < memo.ptsL {
-		pts := cs.ptsBuf[:0]
-		raw := 0
-		for i := 0; i < k; i++ {
-			p := periods[i]
-			for t := deadlines[i]; t <= l; t += p {
-				pts = append(pts, t)
-				raw++
-				if raw > deadlinePointCap {
-					return nil, raw, false
-				}
-			}
-		}
-		if cap(pts) <= ptsScratchMax {
-			cs.ptsBuf = pts[:0]
-		} else {
-			cs.ptsBuf = nil
-		}
-		slices.Sort(pts)
-		// Deduplicate.
-		out := pts[:0]
-		var prev timeq.Time = -1
-		for _, t := range pts {
-			if t != prev {
-				out = append(out, t)
-				prev = t
-			}
-		}
-		return out, raw, true
-	}
-	raw := memo.rawPts
-	extra := cs.extraBuf[:0]
-	for i := 0; i < k; i++ {
-		d, p := deadlines[i], periods[i]
-		t0 := d
-		if memo.covered[cs.Entities[i]] && d <= memo.ptsL {
-			// Resume just past the cached horizon.
-			n := (int64(memo.ptsL)-int64(d))/int64(p) + 1
-			t0 = d + timeq.Time(n)*p
-		}
-		for t := t0; t <= l; t += p {
-			extra = append(extra, t)
-			raw++
-			if raw > deadlinePointCap {
-				return nil, raw, false
+// deadlinePoints enumerates the absolute deadlines ≤ l, sorted and
+// deduplicated; false when there are more than deadlinePointCap of
+// them, counted before deduplication.
+func (cs *CoreSet) deadlinePoints(l timeq.Time) ([]timeq.Time, bool) {
+	var pts []timeq.Time
+	for _, e := range cs.Entities {
+		for t := e.D; t <= l; t += e.T {
+			pts = append(pts, t)
+			if len(pts) > deadlinePointCap {
+				return nil, false
 			}
 		}
 	}
-	if cap(extra) <= ptsScratchMax {
-		cs.extraBuf = extra[:0]
-	} else {
-		cs.extraBuf = nil
-	}
-	if len(extra) == 0 {
-		return memo.pts, raw, true
-	}
-	slices.Sort(extra)
-	// Merge the two sorted runs, deduplicating, into the points
-	// scratch (never aliased by memo.pts: memos own private copies).
-	out := cs.ptsBuf[:0]
-	i, j := 0, 0
-	var prev timeq.Time = -1
-	for i < len(memo.pts) || j < len(extra) {
-		var t timeq.Time
-		switch {
-		case i == len(memo.pts):
-			t = extra[j]
-			j++
-		case j == len(extra):
-			t = memo.pts[i]
-			i++
-		case memo.pts[i] <= extra[j]:
-			t = memo.pts[i]
-			i++
-		default:
-			t = extra[j]
-			j++
-		}
-		if t != prev {
-			out = append(out, t)
-			prev = t
-		}
-	}
-	if cap(out) <= ptsScratchMax {
-		cs.ptsBuf = out[:0]
-	} else {
-		cs.ptsBuf = nil
-	}
-	return out, raw, true
+	slices.Sort(pts)
+	return slices.Compact(pts), true
 }
 
 // edfEntities collects core c's entities under EDF semantics: split

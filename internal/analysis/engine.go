@@ -39,9 +39,9 @@ type coreRec struct {
 	// parallel to ents (fixed priorities only): a lower bound for any
 	// probe, since probes only add entities.
 	warm []timeq.Time
-	// memo is the committed demand memo (EDF, monotone models only);
-	// immutable once published.
-	memo     *edfDemandMemo
+	// busyWarm is the converged busy period of the committed core (EDF):
+	// the warm start of the next demand test, 0 when there is none.
+	busyWarm timeq.Time
 	cacheMax timeq.Time
 	rev      int64 // content revision
 	// probes memoizes whole-task probe verdicts on published records. A
@@ -497,11 +497,11 @@ func (p *fpProbe) resolve() {
 // normals and before any split parts, the a.Normal[c] append order;
 // tentative parts last, their split being the newest in a.Splits. With
 // neither it tests the committed core. The probe set is assembled in
-// cs, whose cost and deadline-point buffers persist across calls, and
-// the committed memo is read, never written (memos own private
-// slices), so concurrent readers may share it. keep asks for the
-// converged artifacts of a passing test.
-func edfEvalProbe(m *overhead.Model, mono bool, r *coreRec, cs *CoreSet, c int, place *Entity, parts []*Entity, partCores []int, n int, keep bool) (bool, *edfDemandMemo) {
+// cs, whose cost buffers persist across calls; nothing else of it
+// outlives the probe. Beside the verdict it returns the busy period the
+// test converged, for the writer to install as the core's next warm
+// start, and the number of deadlines the demand was evaluated at.
+func edfEvalProbe(m *overhead.Model, mono bool, r *coreRec, cs *CoreSet, c int, place *Entity, parts []*Entity, partCores []int, n int) (ok bool, busyWarm timeq.Time, points int64) {
 	buf := cs.Entities[:0]
 	cm := r.cacheMax
 	if place != nil {
@@ -527,9 +527,79 @@ func edfEvalProbe(m *overhead.Model, mono bool, r *coreRec, cs *CoreSet, c int, 
 	cs.N = n
 	cs.CacheMax = cm
 	cs.invalidateCosts()
-	var memo *edfDemandMemo
+	var start timeq.Time
 	if mono {
-		memo = r.memo
+		start = r.busyWarm
 	}
-	return cs.edfSchedulable(m, memo, keep)
+	l, b, busyWarm, ok := cs.edfHorizon(m, start)
+	if !ok {
+		return false, 0, 0
+	}
+	ok, points = cs.edfDemandWalk(l, b)
+	return ok, busyWarm, points
+}
+
+// edfDemandWalk decides what the oracle's enumeration decides: every
+// absolute deadline d ≤ l has h(d) ≤ d, where
+//
+//	h(t) = B + Σᵢ dbfᵢ(t)·C'ᵢ + Σ_{i timer-released} rel·⌈t/Tᵢ⌉
+//
+// is the demand of edf.go. It walks down from l. At a deadline t with
+// h(t) ≤ t, every deadline d in [h(t), t] passes as well, h being
+// non-decreasing: h(d) ≤ h(t) ≤ d. So the walk goes on from the last
+// deadline below h(t) and passes when there is none; a deadline with
+// h(t) > t is one the enumeration reaches and fails at too.
+//
+// It is not textbook QPA, which continues from t = h(t) itself: the
+// release term steps just after multiples of a period, not at
+// deadlines, so h can exceed t at an instant that is no deadline while
+// every deadline passes — and deadlines are all the criterion asks of.
+//
+// The deadlinePointCap verdict is kept in closed form: raw is the
+// number of deadlines the enumeration would list, and it bounds the
+// walk, whose every step lands on a different one of them. points
+// counts the deadlines h was evaluated at. The caller ran edfHorizon,
+// which filled the cost cache and the flat mirrors.
+func (cs *CoreSet) edfDemandWalk(l, b timeq.Time) (ok bool, points int64) {
+	k := len(cs.Entities)
+	infl, rel := cs.infl[:k], cs.relCost
+	periods, deadlines, migr := cs.soaT[:k], cs.soaD[:k], cs.soaMigr[:k]
+	raw := int64(0)
+	for i := 0; i < k; i++ {
+		if d := deadlines[i]; d <= l {
+			n := int64(l-d)/int64(periods[i]) + 1
+			if n > deadlinePointCap-raw {
+				return false, 0
+			}
+			raw += n
+		}
+	}
+	for x := l; ; {
+		// The last absolute deadline ≤ x.
+		t := timeq.Time(-1)
+		for i := 0; i < k; i++ {
+			if d := deadlines[i]; d <= x {
+				if last := x - (x-d)%periods[i]; last > t {
+					t = last
+				}
+			}
+		}
+		if t < 0 {
+			return true, points
+		}
+		points++
+		h := b
+		for i := 0; i < k; i++ {
+			if d := deadlines[i]; d <= t {
+				h = timeq.AddSat(h, timeq.MulCount(infl[i], int64(t-d)/int64(periods[i])+1))
+			}
+			if rel > 0 && !migr[i] {
+				h = timeq.AddSat(h, timeq.MulCount(rel, timeq.CeilDiv(t, periods[i])))
+			}
+		}
+		if h > t {
+			return false, points
+		}
+		x = h - 1
+	}
 }

@@ -41,8 +41,8 @@ func engineFixture(t *testing.T, rng *rand.Rand, pol task.Policy, m *overhead.Mo
 
 // work is the part of the admission counters one probe engine must
 // count one way whoever runs it.
-func work(s AdmissionStats) [4]int64 {
-	return [4]int64{s.CoreTests, s.FPSolves, s.FPIterations, s.WarmStarts}
+func work(s AdmissionStats) [6]int64 {
+	return [6]int64{s.CoreTests, s.FPSolves, s.FPIterations, s.WarmStarts, s.DemandTests, s.DemandPoints}
 }
 
 // TestOneEngineCountsOneWay runs one seeded probe sequence twice over
@@ -50,8 +50,9 @@ func work(s AdmissionStats) [4]int64 {
 // writer context, and as Prober probes on its fork. There is one
 // incremental engine, so the verdicts and the work counted — core
 // tests, fixed points solved, their iterations, the warm starts among
-// them — must be equal probe by probe. Probed shapes are unique, so
-// no verdict memo answers for the engine.
+// them, and under EDF the demand tests and the deadlines they looked
+// at — must be equal probe by probe. Probed shapes are unique, so no
+// verdict memo answers for the engine.
 func TestOneEngineCountsOneWay(t *testing.T) {
 	const cores = 4
 	for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
@@ -61,7 +62,7 @@ func TestOneEngineCountsOneWay(t *testing.T) {
 				rng := rand.New(rand.NewSource(20261001))
 				ctx := engineFixture(t, rng, pol, m, cores, chains)
 				pr := ctx.Fork().Prober()
-				var fit, solves int64
+				var fit, solves, points int64
 				for i := int64(0); i < 120; i++ {
 					tk := heavyProbe(rng, 1<<20+i)
 					c := int(i) % cores
@@ -87,6 +88,7 @@ func TestOneEngineCountsOneWay(t *testing.T) {
 							name, i, sp != nil, c, onWriter, work(w), onReader, work(r))
 					}
 					solves += w.FPSolves
+					points += w.DemandPoints
 					if onWriter && sp == nil && i%3 == 0 {
 						// Move the committed state on and probe the next fork.
 						fit++
@@ -97,8 +99,8 @@ func TestOneEngineCountsOneWay(t *testing.T) {
 					}
 				}
 				pr.Close()
-				if fit < 3 || (pol == task.FixedPriority && solves < 200) {
-					t.Fatalf("%s: degenerate run: %d commits, %d solves", name, fit, solves)
+				if fit < 3 || (pol == task.FixedPriority && solves < 200) || (pol == task.EDF && points < 100) {
+					t.Fatalf("%s: degenerate run: %d commits, %d solves, %d demand points", name, fit, solves, points)
 				}
 			}
 		}

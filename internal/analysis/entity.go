@@ -148,11 +148,6 @@ type CoreSet struct {
 	// coefficients classified against the solved entity's priority.
 	soaJ    []timeq.Time
 	soaCoef []timeq.Time
-
-	// Deadline-point scratch for the EDF demand test (reused across
-	// evaluations; see deadlinePointsMemo).
-	ptsBuf   []timeq.Time
-	extraBuf []timeq.Time
 }
 
 // invalidateCosts drops the evaluation-cost cache; callers that

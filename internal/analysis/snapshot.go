@@ -589,9 +589,9 @@ func (s *fpSnapshot) Schedulable() bool {
 
 // edfProbeScratch is everything an EDF probe writes: the tentative
 // whole-task entity, the one-element placement core slice, the split
-// parts with their pool, and one probe set whose cost and
-// deadline-point buffers persist across probes. The writer keeps a
-// probe set per core instead (see edfContext).
+// parts with their pool, and one probe set whose cost buffers persist
+// across probes. A reader draws one from a pool per Prober; the writer
+// owns one for life (see edfContext).
 type edfProbeScratch struct {
 	ent       Entity
 	addCores  [1]int
@@ -637,8 +637,8 @@ func (p *edfProber) TryPlace(t *task.Task, c int) bool {
 	}
 	sc.addCores[0] = c
 	n := probeN(s.cores, s.maxN, sc.addCores[:])
-	ok, _ := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, newEDFEntityInto(&sc.ent, t), nil, nil, n, false)
-	s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1})
+	ok, _, points := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, newEDFEntityInto(&sc.ent, t), nil, nil, n)
+	s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1, DemandTests: 1, DemandPoints: points})
 	if useMemo {
 		pc.store(key, ok)
 	}
@@ -652,9 +652,9 @@ func (p *edfProber) TrySplit(sp *task.Split, c int) bool {
 	}
 	sc.parts, sc.partCores = fillEDFParts(sc.parts, sc.partCores, sp, &sc.pool)
 	n := probeN(s.cores, s.maxN, sc.partCores)
-	ok, _ := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, nil, sc.parts, sc.partCores, n, false)
+	ok, _, points := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, nil, sc.parts, sc.partCores, n)
 	sc.pool.put(sc.parts...)
-	s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1})
+	s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1, DemandTests: 1, DemandPoints: points})
 	return ok
 }
 
@@ -683,8 +683,11 @@ func (s *edfSnapshot) Schedulable() bool {
 		stats := AdmissionStats{FullTests: 1}
 		s.schedOK = edfWindowed(s.splits)
 		for c := 0; s.schedOK && c < len(s.cores); c++ {
+			var points int64
+			s.schedOK, _, points = edfEvalProbe(s.m, s.mono, &s.cores[c], &p.sc.cs, c, nil, nil, nil, s.maxN)
 			stats.CoreTests++
-			s.schedOK, _ = edfEvalProbe(s.m, s.mono, &s.cores[c], &p.sc.cs, c, nil, nil, nil, s.maxN, false)
+			stats.DemandTests++
+			stats.DemandPoints += points
 		}
 		s.rs.Add(stats)
 		p.Close()

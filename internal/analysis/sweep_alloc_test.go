@@ -51,3 +51,65 @@ func TestSweepInnerLoopAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestEDFWriterProbeAllocFree guards the EDF writer context with no
+// SweepCache attached, so every probe reaches the demand test (with the
+// cache the guard above passes for EDF whatever the test allocates: the
+// cache answers first). One recycled packing pass exercises every way a
+// writer runs the engine — TryPlace + Commit, TryPlace + Rollback on
+// every core and then Place on one of them (best fit's pattern, which
+// promotes the rolled-back probe), TrySplit + Rollback, Schedulable —
+// and none of them may allocate: what a passing probe leaves behind is
+// one number in the core's record.
+func TestEDFWriterProbeAllocFree(t *testing.T) {
+	const cores = 4
+	m := overhead.PaperModel()
+	a := task.NewAssignment(cores)
+	a.Policy = task.EDF
+	ctx := EDFDemand.NewContext(a, m)
+	rng := rand.New(rand.NewSource(11))
+	tasks := make([]*task.Task, 12)
+	for i := range tasks {
+		tasks[i] = probeTask(rng, int64(i+1))
+	}
+	sp := probeSplit(task.EDF)
+	var fits, misses int
+	assertZeroAllocs(t, "EDF writer, no sweep cache", func() {
+		for c := range a.Normal {
+			a.Normal[c] = a.Normal[c][:0]
+		}
+		a.Splits = a.Splits[:0]
+		ctx.Reset(a, m)
+		fits, misses = 0, 0
+		for i, tk := range tasks {
+			if i%3 == 2 {
+				for c := 0; c < cores; c++ {
+					ctx.TryPlace(tk, c)
+					ctx.Rollback()
+				}
+				ctx.Place(tk, i%cores)
+				continue
+			}
+			if ctx.TryPlace(tk, i%cores) {
+				ctx.Commit()
+				fits++
+			} else {
+				ctx.Rollback()
+				misses++
+			}
+		}
+		if ctx.TrySplit(sp, 1) {
+			fits++
+		}
+		ctx.Rollback()
+		if !ctx.Schedulable() {
+			misses++
+		}
+	})
+	if fits < 8 || misses > 0 {
+		t.Fatalf("degenerate pass: %d probes fit, %d misses (the guard is about passing probes)", fits, misses)
+	}
+	if s := ctx.Stats(); s.DemandTests == 0 || s.DemandPoints < s.DemandTests {
+		t.Fatalf("no demand tests behind the guard: %+v", s)
+	}
+}

@@ -1,6 +1,7 @@
 package admitd
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,26 +22,22 @@ import (
 )
 
 // The durability plane: a per-store-shard write-ahead commit log
-// (internal/wal) recording every committed session mutation, plus
-// periodic checkpoints (the existing sessionSnapshot, stamped with
-// the durable sequence number it covers) that bound replay work and
-// let the log compact. Recovery is checkpoint + stream tail, and the
-// tail is folded while the log is being verified: a restart reads the
-// commit log once (openWalPlane). The restored context is cold, so
-// decisions are bit-identical to the stateless analyzer, exactly the
-// existing snapshot-restore contract.
+// (internal/wal), the one place state persists. A session's stream
+// holds its committed mutations and its checkpoints: the whole state
+// at the last mutation seq they cover. Recovery is one pass, rebasing
+// each stream on its checkpoints and folding what follows, while the
+// log is verified. Restored contexts are cold: decisions match the
+// stateless analyzer bit for bit.
 //
-// Stream naming: one WAL stream per session *generation* —
-// url.PathEscape(name) + "/" + gen — so deleting a session and
-// recreating the name never splices two histories. A delete appends
-// a tombstone record and retires the generation; the next create
-// opens gen+1. Sequence numbers are dense per generation: the create
-// record is seq 0 and every committed mutation is seqBase+CommitSeq,
-// so a feed resume can verify gaplessness by counting.
+// One WAL stream per session *generation* — url.PathEscape(name) + "/"
+// + gen — so deleting a session and recreating the name never splices
+// two histories: a delete appends a tombstone, the next create opens
+// gen+1. Sequence numbers are dense per generation (create = 0, each
+// mutation seqBase+CommitSeq), so a feed resume verifies gaplessness by
+// counting; a checkpoint shares the seq of the mutation it follows.
 //
-// What is NOT replayed: rejected-probe counters and state-cache
-// counters reset to their checkpoint values after a crash (rejections
-// do not mutate committed state, so they are not logged).
+// Not logged, so reset to their checkpoint values by a crash: the
+// rejected-probe and state-cache counters.
 
 // ErrSeqTruncated: a replay request (feed from_seq, audit seq)
 // reaches before the commit log's retained window — checkpoint
@@ -47,7 +45,7 @@ import (
 var ErrSeqTruncated = errors.New("admitd: sequence range predates the retained commit log")
 
 // errUnrecoverable marks a session whose durable state cannot be
-// rebuilt — a damaged checkpoint, an undecodable or gapped commit-log
+// rebuilt — an undecodable checkpoint or record, a gapped commit-log
 // tail. The daemon's fault, never the caller's: answered 500.
 var errUnrecoverable = errors.New("admitd: session unrecoverable")
 
@@ -63,25 +61,19 @@ var errWalStop = errors.New("admitd: wal replay stop")
 // seqEnd is the replay limit of a full restore: past every sequence.
 const seqEnd = int64(1) << 62
 
-// streamState tracks one session name's durable stream. gen and
-// deleted are guarded by walPlane.mu; the sequence watermarks are
-// atomics so the session actor and the compaction coverage check
-// never contend on the plane lock.
+// streamState tracks one session name's durable stream: gen, deleted
+// and ckpt under walPlane.mu, the seq watermarks atomic.
 type streamState struct {
 	gen     uint64
 	deleted bool
-	ckptSeq atomic.Int64 // highest seq the on-disk checkpoint covers; -1 none
+	ckptSeq atomic.Int64 // seq of the latest checkpoint record; -1 none
 	lastSeq atomic.Int64 // highest seq appended for the live generation
+	ckpt    wal.Pos      // where that checkpoint record sits
 
-	// What the open-time scan left for this generation (walPlane.mu):
-	// recovered is its state at the log's last record, an in-memory
-	// checkpoint (Seq/Gen stamped) that the first restore takes as its
-	// base; poison is why it cannot be restored at all. ckptErr is a
-	// checkpoint file of this name that could not be read — its
-	// generation is unknown, so it may have been this one's.
+	// What the open-time scan left: the state at the log's last record,
+	// the first restore's base, or why it cannot be restored.
 	recovered *sessionSnapshot
 	poison    error
-	ckptErr   error
 }
 
 func newStreamState(gen uint64, ckptSeq, lastSeq int64) *streamState {
@@ -91,34 +83,24 @@ func newStreamState(gen uint64, ckptSeq, lastSeq int64) *streamState {
 	return e
 }
 
-// walShards stripes sessions over physical commit-log files. It is
-// deliberately decoupled from the session map's numShards and
-// deliberately 1: the cost that dominates a durable ack is the
-// fsync, whose CPU burn is per *file* — with one log, every drain
-// committing in a sync window shares a single fsync, while sixteen
-// logs would pay sixteen. Append-path mutex contention on the single
-// log is microseconds per record and nowhere near the bottleneck;
-// hosts with parallel-flush storage can raise this.
+// walShards stripes sessions over commit-log files; deliberately 1,
+// decoupled from numShards: a durable ack is dominated by the fsync,
+// whose CPU burn is per *file* — one log lets every drain in a sync
+// window share one fsync, where sixteen would pay sixteen. Append
+// contention on one log is microseconds; parallel-flush hosts can
+// raise this.
 const walShards = 1
 
 // walPlane owns the store's commit logs (walShards segmented logs,
-// fnv-striped by session name), the per-name stream registry, and
-// the checkpoint directory.
+// fnv-striped by session name) and the per-name stream registry.
 type walPlane struct {
-	dir     string // DataDir
-	ckptDir string
-	policy  wal.SyncPolicy
-	logs    [walShards]*wal.Log
+	logs [walShards]*wal.Log
 
-	// syncOnDrain: acks wait for the covering fsync (always policy).
-	// The session actor hands each drain's completion tokens to an
-	// async commit pipeline so it never blocks on the device itself.
+	// syncOnDrain (always policy): acks wait for the covering fsync,
+	// which group batches across actors; the actor hands each drain's
+	// completion tokens off so it never blocks on the device itself.
 	syncOnDrain bool
-
-	// group batches ack-path fsyncs across actors (always policy
-	// only): concurrent drains committing at the same time share one
-	// fsync instead of each paying its own device sync.
-	group *wal.GroupSync
+	group       *wal.GroupSync
 
 	// The group policy's background committer: fsyncs dirty logs once
 	// per interval, so an acked write is on the device within ~one
@@ -133,22 +115,20 @@ type walPlane struct {
 	mu      sync.Mutex
 	streams map[string]*streamState
 
-	// encMu guards encBuf, the recycled create/tombstone record
-	// scratch (wal.Log.Append copies the payload into its group
-	// buffer synchronously, so the scratch is free again on return).
+	// encMu guards encBuf, the recycled create/tombstone scratch
+	// (Append copies the payload, so it is free again on return).
 	encMu  sync.Mutex
 	encBuf []byte
 
-	// Recovery summary across all shards (the admitd_wal_recover*
-	// gauges): records the scan kept, segment files it cut or dropped,
-	// bytes that went with them.
+	// Recovery summary across all shards (admitd_wal_recover* gauges).
 	recoveredRecords  uint64
+	recoveredCkpts    uint64
 	truncatedSegments int
 	droppedBytes      int64
 
-	appendedBytes atomic.Int64
-	checkpoints   atomic.Int64
-	walErrors     atomic.Int64
+	ckptRecords atomic.Int64 // checkpoint records appended, carried ones included
+	carried     atomic.Int64 // checkpoint records re-appended by carry
+	walErrors   atomic.Int64
 }
 
 func shardIndex(name string) uint32 {
@@ -164,53 +144,40 @@ func streamKey(name string, gen uint64) string {
 
 // parseStreamKey inverts streamKey.
 func parseStreamKey(key string) (name string, gen uint64, ok bool) {
-	i := len(key) - 1
-	for i >= 0 && key[i] != '/' {
-		i--
-	}
-	if i < 0 {
-		return "", 0, false
-	}
+	i := strings.LastIndexByte(key, '/')
 	gen, err := strconv.ParseUint(key[i+1:], 10, 64)
-	if err != nil {
+	if i < 0 || err != nil {
 		return "", 0, false
 	}
 	name, err = url.PathUnescape(key[:i])
-	if err != nil {
-		return "", 0, false
+	return name, gen, err == nil
+}
+
+// walKind is a record payload's kind byte (0 for an empty payload).
+func walKind(payload []byte) byte {
+	if len(payload) == 0 {
+		return 0
 	}
-	return name, gen, true
+	return payload[0]
 }
 
 // openWalPlane opens (or creates) the data directory: walShards
-// segmented logs under wal/shard-NN, checkpoints under checkpoints/.
-// Recovery runs per log — each truncates at its last valid record
-// independently — and reads each log once: the checkpoint stamps are
-// loaded first, then the log's own verifying scan hands every record
-// it keeps to recoverRecord, which maintains the stream registry and
-// folds each live generation's tail onto its checkpoint. What is left
-// per stream is its state at the log's last record; sessions are
-// still instantiated lazily, on their first Get.
+// segmented logs under wal/shard-NN. Recovery reads each log once —
+// truncating it at its last valid record — as its verifying scan hands
+// every record it keeps to recoverRecord; sessions are instantiated
+// lazily, on their first Get. The older layout's checkpoint files are
+// imported into the log once.
 //
-// The plane maps the admission policies onto the log:
+// The fsync policies, over buffered appends:
 //
-//   - always: appends buffer; every commit boundary (drain, create,
-//     delete) fsyncs — batched across actors by a GroupSync — before
-//     the ack releases. Durable-on-ack.
-//   - group: appends buffer; a background committer fsyncs dirty logs
-//     once per window. Acks release at apply time; a crash loses at
-//     most ~one window of acked writes, never consistency (the CRC
-//     framing truncates any torn tail). The synchronous_commit=off /
-//     appendfsync-everysec tier.
-//   - off: appends buffer; flushes ride segment rolls and Close. The
-//     OS decides when bytes reach the device.
+//   - always: every commit boundary (drain, create, delete) fsyncs —
+//     batched across actors by a GroupSync — before the ack releases.
+//   - group: a background committer fsyncs dirty logs once per window;
+//     a crash loses at most ~one window of acked writes, never
+//     consistency (synchronous_commit=off / appendfsync everysec).
+//   - off: the OS decides when bytes reach the device.
 func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (*walPlane, error) {
-	p := &walPlane{
-		dir:     dataDir,
-		ckptDir: filepath.Join(dataDir, "checkpoints"),
-		policy:  policy,
-		streams: make(map[string]*streamState),
-	}
+	p := &walPlane{streams: make(map[string]*streamState)}
 	// The log's own per-append fsync mode is never used: the plane
 	// owns the commit boundary. always/group both open buffered logs
 	// (SyncGroup) and differ in who calls Sync and whether acks wait.
@@ -221,12 +188,6 @@ func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (
 	if policy == wal.SyncAlways {
 		p.syncOnDrain = true
 		p.group = wal.NewGroupSync(0)
-	}
-	if err := os.MkdirAll(p.ckptDir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := p.loadCheckpointStamps(); err != nil {
-		return nil, err
 	}
 	onFsync := func(d time.Duration) {
 		if m := p.met.Load(); m != nil {
@@ -250,17 +211,13 @@ func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (
 			p.droppedBytes += rec.DroppedBytes
 		}
 	}
-	// Only the log's end settles a stream: the records of one deleted
-	// later come before its tombstone. A refusal counts if it stood to
-	// the end; a checkpoint that outlived its stream's tombstone (the
-	// delete crashed before removing it) goes now, or it would bring the
-	// session back once the tombstone is compacted away.
-	for name, e := range p.streams {
+	if err := p.importCheckpointFiles(filepath.Join(dataDir, "checkpoints")); err != nil {
+		p.closeLogs()
+		return nil, fmt.Errorf("admitd: importing checkpoint files: %w", err)
+	}
+	for _, e := range p.streams { // a refusal counts if it stood to the log's end
 		if e.poison != nil && !e.deleted {
 			p.noteError()
-		}
-		if e.deleted && e.ckptSeq.Load() >= 0 {
-			_ = os.Remove(snapshotPath(p.ckptDir, name))
 		}
 	}
 	if policy == wal.SyncGroup {
@@ -272,10 +229,8 @@ func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (
 }
 
 // syncLoop is the group policy's background committer: once per
-// window, flush and fsync every log with unsynced bytes (a clean log
-// costs a mutex check). Cadence rides the runtime timer, so the
-// effective floor is its resolution (~1ms on small virtualized
-// hosts); the loss window is "about one interval", not an exact one.
+// window (about: it rides the runtime timer) it flushes and fsyncs
+// every log with unsynced bytes.
 func (p *walPlane) syncLoop(window time.Duration) {
 	defer close(p.syncDone)
 	tick := time.NewTicker(window)
@@ -294,56 +249,12 @@ func (p *walPlane) syncLoop(window time.Duration) {
 	}
 }
 
-// loadCheckpointStamps seeds the registry from the checkpoint files
-// before the log is scanned: the scan needs every stream's watermark
-// (records at or below it are covered), but the state of only those
-// that turn out to have a tail, so just the stamp is decoded here. A
-// checkpoint newer than every surviving record (the whole stream was
-// compacted away) thus re-establishes the stream by itself; a stale
-// one (older generation — delete raced a crash before the file was
-// removed) gives way to the first record of a newer generation.
-func (p *walPlane) loadCheckpointStamps() error {
-	ents, err := os.ReadDir(p.ckptDir)
-	if err != nil {
-		return err
-	}
-	for _, de := range ents {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
-			continue
-		}
-		name, err := url.PathUnescape(de.Name()[:len(de.Name())-len(".json")])
-		if err != nil {
-			continue
-		}
-		seq, gen, err := readStamp(p.ckptDir, name)
-		if err != nil {
-			// Whose generation it was is unknown. With the stream still
-			// whole in the log it recovers from there; otherwise the name
-			// stays taken and answers with this error.
-			p.noteError()
-			e := newStreamState(0, -1, -1)
-			e.ckptErr = fmt.Errorf("%w: %w", errUnrecoverable, err)
-			e.poison = e.ckptErr
-			p.streams[name] = e
-			continue
-		}
-		if gen != 0 { // else a pre-durability snapshot: not WAL-tracked
-			p.streams[name] = newStreamState(gen, seq, seq)
-		}
-	}
-	return nil
-}
-
 // recoverRecord is the log's OnRecover callback: every record the
-// open-time scan keeps, in log order. It does the two jobs a restart
-// needs of the log in that one pass. The registry: per name the
-// highest generation wins, within it the highest sequence and the
-// tombstone. The fold: a live generation's records above its
-// checkpoint watermark are applied, in order, onto its state.
-//
-// Only I/O-grade trouble fails the open (a malformed stream key: the
-// log is not ours). Anything wrong with one stream's records poisons
-// that stream alone; its Get reports it, the others recover.
+// open-time scan keeps, in log order. It keeps the registry (per name
+// the highest generation; in it the highest seq, the tombstone and the
+// latest checkpoint's position) and folds each live generation. Only a
+// malformed stream key (the log is not ours) fails the open; anything
+// else wrong poisons its stream alone, until a checkpoint rebases it.
 func (p *walPlane) recoverRecord(r wal.Record) error {
 	name, gen, ok := parseStreamKey(r.Stream)
 	if !ok {
@@ -352,11 +263,7 @@ func (p *walPlane) recoverRecord(r wal.Record) error {
 	e := p.streams[name]
 	switch {
 	case e == nil || gen > e.gen:
-		ne := newStreamState(gen, -1, r.Seq)
-		if e != nil {
-			ne.ckptErr = e.ckptErr
-		}
-		e = ne
+		e = newStreamState(gen, -1, r.Seq)
 		p.streams[name] = e
 	case gen < e.gen:
 		return nil // retired generation, awaiting compaction
@@ -364,60 +271,128 @@ func (p *walPlane) recoverRecord(r wal.Record) error {
 	if r.Seq > e.lastSeq.Load() {
 		e.lastSeq.Store(r.Seq)
 	}
-	if len(r.Payload) > 0 && r.Payload[0] == walKindDelete {
+	switch kind := walKind(r.Payload); {
+	case e.deleted:
+		return nil
+	case kind == walKindDelete:
 		e.deleted = true
 		e.recovered, e.poison = nil, nil
 		return nil
-	}
-	if r.Seq <= e.ckptSeq.Load() || e.deleted || e.poison != nil {
+	case kind == walKindCkpt:
+		p.recoveredCkpts++
+		e.ckptSeq.Store(r.Seq)
+		e.ckpt = r.Pos()
+	case e.poison != nil:
 		return nil
 	}
-	if err := p.fold(name, e, r); err != nil {
-		e.recovered, e.poison = nil, err
+	if e.poison = p.fold(name, &e.recovered, r); e.poison != nil {
+		e.recovered = nil
 	}
 	return nil
 }
 
-// fold applies one tail record onto the generation's recovered state,
-// loading the checkpoint as the base on the first one.
-func (p *walPlane) fold(name string, e *streamState, r wal.Record) error {
-	last := e.ckptSeq.Load()
-	if e.recovered != nil {
-		last = e.recovered.Seq
-	} else if last >= 0 {
-		snap, err := readSnapshot(p.ckptDir, name)
-		if err == nil && (snap == nil || snap.Gen != e.gen || snap.Seq != last) {
-			err = fmt.Errorf("admitd: checkpoint %s changed during recovery", snapshotPath(p.ckptDir, name))
-		}
-		if err != nil {
-			return fmt.Errorf("%w: %w", errUnrecoverable, err)
-		}
-		e.recovered = snap
-	}
-	if err := foldRecord(name, &e.recovered, last, r); err != nil {
-		if e.ckptErr != nil && errors.Is(err, ErrSeqTruncated) {
-			// The records below this one went with a checkpoint that
-			// covered them: the one that cannot be read.
-			return e.ckptErr
-		}
-		if !errors.Is(err, errUnrecoverable) { // a gap already is
-			err = fmt.Errorf("%w: %w", errUnrecoverable, err)
-		}
+// fold is foldRecord marking failures unrecoverable — except an
+// undecodable checkpoint at the fold's own seq, which only repeats
+// state the fold holds: a counted error, not the stream.
+func (p *walPlane) fold(name string, base **sessionSnapshot, r wal.Record) error {
+	err := foldRecord(name, base, r)
+	switch {
+	case err == nil:
+		return nil
+	case walKind(r.Payload) == walKindCkpt && *base != nil && (*base).Seq == r.Seq:
+		p.noteError()
+		return nil
+	case errors.Is(err, errUnrecoverable):
 		return err
 	}
-	e.recovered.Seq, e.recovered.Gen = r.Seq, e.gen
+	return fmt.Errorf("%w: %w", errUnrecoverable, err)
+}
+
+// importCheckpointFiles moves the older layout's checkpoint files (JSON,
+// one per session, under dir) into the log once: each not yet covered
+// becomes a record, the logs sync, then the files go — a crash between
+// leaves files the next open finds covered. One that cannot be read,
+// folded or appended is left, and its stream answers with why.
+func (p *walPlane) importCheckpointFiles(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	var done []string
+	for _, de := range ents {
+		path, snap := filepath.Join(dir, de.Name()), &sessionSnapshot{}
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, snap)
+		}
+		switch {
+		case strings.HasSuffix(path, ".json.tmp"): // a write the older layout never finished
+		case filepath.Ext(path) != ".json":
+			continue
+		case err != nil:
+			// Whose generation it held is unknown. Unless the log holds the
+			// stream, the name stays taken and answers why (counted below).
+			name, uerr := url.PathUnescape(strings.TrimSuffix(de.Name(), ".json"))
+			if uerr != nil || p.streams[name] != nil {
+				p.noteError()
+			} else {
+				p.streams[name] = newStreamState(0, -1, -1)
+				p.streams[name].poison = fmt.Errorf("%w: checkpoint file %s: %w", errUnrecoverable, path, err)
+			}
+			continue
+		default:
+			if err := p.importCheckpoint(snap); errors.Is(err, errUnrecoverable) {
+				continue // its stream is poisoned: the file stays
+			} else if err != nil {
+				return err
+			}
+		}
+		done = append(done, path)
+	}
+	for _, l := range p.logs {
+		if err := l.Sync(); err != nil {
+			return err
+		}
+	}
+	for _, path := range done {
+		if err := os.Remove(path); err != nil {
+			return err
+		}
+	}
+	_ = os.Remove(dir) // once empty
 	return nil
 }
 
-// takeRecovered hands over what the open-time scan left for a
-// generation: its folded state — once; the restored session owns it
-// from here — or the reason it cannot be restored.
-func (p *walPlane) takeRecovered(e *streamState) (*sessionSnapshot, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	base := e.recovered
-	e.recovered = nil
-	return base, e.poison
+// importCheckpoint appends one file's checkpoint at the end of its
+// stream, with the stream's records past it folded on top (LSN order
+// stays seq order) — unless a later generation, a tombstone or a
+// checkpoint record at or past its seq covers it. Gen 0: never tracked.
+func (p *walPlane) importCheckpoint(snap *sessionSnapshot) error {
+	name := snap.Name
+	e := p.streams[name]
+	if snap.Gen == 0 || e != nil && (e.gen > snap.Gen || e.gen == snap.Gen && (e.deleted || e.ckptSeq.Load() >= snap.Seq)) {
+		return nil
+	}
+	key, l := streamKey(name, snap.Gen), p.logFor(name)
+	if e != nil && e.gen == snap.Gen {
+		if err := l.ReplayStream(key, snap.Seq, func(r wal.Record) error { return p.fold(name, &snap, r) }); err != nil {
+			e.poison = err
+			return err
+		}
+	} else {
+		e = newStreamState(snap.Gen, -1, snap.Seq)
+		p.streams[name] = e
+	}
+	pos, err := l.Append(key, snap.Seq, walEncodeCheckpoint(nil, snap))
+	if err != nil { // say, too large for a frame: the file stays, the stream answers why
+		e.recovered, e.poison = nil, fmt.Errorf("%w: importing %q: %w", errUnrecoverable, name, err)
+		return e.poison
+	}
+	p.setCkpt(e, snap.Seq, pos)
+	e.recovered, e.poison = snap, nil
+	return nil
 }
 
 func (p *walPlane) logFor(name string) *wal.Log {
@@ -448,16 +423,9 @@ func (p *walPlane) lookup(name string) *streamState {
 	return e
 }
 
-// exists reports whether a live (non-deleted) stream holds the name.
-func (p *walPlane) exists(name string) bool {
-	return p.lookup(name) != nil
-}
-
 // create opens the next generation for a name: the create record
-// (seq 0) is appended and committed per the plane's policy (always:
-// fsynced before the caller acks; group: flushed, on the device
-// within a sync window). Returns the stream key, the registry entry,
-// and the shard log the session will append to.
+// (seq 0), committed per the plane's policy before the caller acks.
+// Returns the stream key, the registry entry and the shard log.
 func (p *walPlane) create(name string, cores int, policy string, modelJSON []byte) (string, *streamState, *wal.Log, error) {
 	p.mu.Lock()
 	e := p.streams[name]
@@ -474,29 +442,16 @@ func (p *walPlane) create(name string, cores int, policy string, modelJSON []byt
 	p.mu.Unlock()
 
 	key := streamKey(name, gen)
-	l := p.logFor(name)
-	p.encMu.Lock()
-	payload := walEncodeCreate(p.encBuf[:0], cores, policy, modelJSON)
-	_, err := l.Append(key, 0, payload)
-	n := len(payload)
-	p.encBuf = payload
-	p.encMu.Unlock()
-	if err != nil {
-		p.noteError()
+	if err := p.appendCommit(name, key, 0, func(b []byte) []byte { return walEncodeCreate(b, cores, policy, modelJSON) }); err != nil {
 		return "", nil, nil, err
 	}
-	p.appendedBytes.Add(int64(n))
-	if err := p.commitLog(l); err != nil {
-		p.noteError()
-		return "", nil, nil, err
-	}
-	return key, ne, l, nil
+	return key, ne, p.logFor(name), nil
 }
 
-// delete retires a name's live generation: tombstone record
-// (committed per the plane's policy, like create), checkpoint file
-// removed, registry entry marked deleted so coverage lets the whole
-// stream compact away. Reports whether a live generation existed.
+// delete retires a name's live generation: a tombstone (committed like
+// create) and the entry marked deleted, so the stream compacts away.
+// Reports whether one existed. The caller holds the name's shard lock,
+// ordering the tombstone after any checkpoint carried for it.
 func (p *walPlane) delete(name string) bool {
 	p.mu.Lock()
 	e := p.streams[name]
@@ -510,64 +465,76 @@ func (p *walPlane) delete(name string) bool {
 	e.recovered = nil
 	e.lastSeq.Store(seq)
 	p.mu.Unlock()
-
-	l := p.logFor(name)
-	p.encMu.Lock()
-	payload := walEncodeDelete(p.encBuf[:0])
-	_, err := l.Append(streamKey(name, gen), seq, payload)
-	p.encBuf = payload
-	p.encMu.Unlock()
-	if err != nil {
-		p.noteError()
-	} else if err := p.commitLog(l); err != nil {
-		p.noteError()
-	}
-	p.appendedBytes.Add(1)
-	_ = os.Remove(snapshotPath(p.ckptDir, name))
+	_ = p.appendCommit(name, streamKey(name, gen), seq, walEncodeDelete) //nolint:errcheck // counted
 	return true
 }
 
-// setCkpt advances a stream's checkpoint watermark after its
-// snapshot file landed (fsynced) on disk.
-func (p *walPlane) setCkpt(name string, gen uint64, seq int64) {
-	p.mu.Lock()
-	e := p.streams[name]
-	p.mu.Unlock()
-	if e == nil || e.gen != gen {
-		return
+// appendCommit appends one record the plane encodes (create,
+// tombstone) into the recycled scratch and closes the commit boundary;
+// a failure is counted.
+func (p *walPlane) appendCommit(name, key string, seq int64, enc func([]byte) []byte) error {
+	l := p.logFor(name)
+	p.encMu.Lock()
+	p.encBuf = enc(p.encBuf[:0])
+	_, err := l.Append(key, seq, p.encBuf)
+	p.encMu.Unlock()
+	if err == nil {
+		err = p.commitLog(l)
 	}
-	e.ckptSeq.Store(seq)
-	p.checkpoints.Add(1)
+	if err != nil {
+		p.noteError()
+	}
+	return err
 }
 
-// covered is the compaction coverage predicate: every record of a
-// retired generation is disposable, a live generation's records are
-// disposable up to its checkpoint watermark. Unknown streams are
-// conservatively retained.
-func (p *walPlane) covered(stream string, maxSeq int64) bool {
+// setCkpt records a stream's latest checkpoint record: its seq is the
+// compaction watermark, its position what a later restore reads.
+func (p *walPlane) setCkpt(e *streamState, seq int64, pos wal.Pos) {
+	p.mu.Lock()
+	e.ckpt = pos
+	e.ckptSeq.Store(seq)
+	p.mu.Unlock()
+	p.ckptRecords.Add(1)
+}
+
+// covered is the compaction predicate for a stream's records in a
+// segment ending at lastLSN: a retired generation's always go; a live
+// one's once its latest checkpoint covers them from beyond the segment
+// (the segment holding it is never dropped). Unknown streams stay.
+func (p *walPlane) covered(stream string, maxSeq int64, lastLSN uint64) bool {
 	name, gen, ok := parseStreamKey(stream)
 	if !ok {
 		return false
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	e := p.streams[name]
-	p.mu.Unlock()
-	if e == nil {
+	switch {
+	case e == nil || gen > e.gen:
 		return false
-	}
-	if gen < e.gen || e.deleted {
+	case gen < e.gen || e.deleted:
 		return true
 	}
-	if gen > e.gen {
-		return false
-	}
-	return e.ckptSeq.Load() >= maxSeq
+	return e.ckptSeq.Load() >= maxSeq && e.ckpt.LSN > lastLSN
 }
 
-// compact rotates and prefix-compacts every shard log.
+// rotate seals every shard log's active segment, returning per shard
+// the first LSN of the fresh one.
+func (p *walPlane) rotate() (fresh [walShards]uint64) {
+	for i, l := range p.logs {
+		var err error
+		if fresh[i], err = l.Rotate(); err != nil {
+			p.noteError()
+		}
+	}
+	return fresh
+}
+
+// compact fsyncs each shard log once (its checkpoints) and drops the
+// prefix they cover; an unsynced log is not compacted.
 func (p *walPlane) compact() {
 	for _, l := range p.logs {
-		if err := l.Rotate(); err != nil {
+		if err := l.Sync(); err != nil {
 			p.noteError()
 			continue
 		}
@@ -575,6 +542,41 @@ func (p *walPlane) compact() {
 			p.noteError()
 		}
 	}
+}
+
+// carry leaves a stream's latest checkpoint at or past fresh without a
+// session, so an idle stream pins no segment: a sealed checkpoint that
+// is still the stream's last record is re-appended unchanged; a stream
+// the restart folded past its checkpoint gets one of the folded state.
+// The caller orders the append against the stream's others (its actor,
+// or the shard lock when no session serves it).
+func (p *walPlane) carry(name string, e *streamState, fresh uint64) error {
+	p.mu.Lock()
+	pos, seq, rec, skip := e.ckpt, e.ckptSeq.Load(), e.recovered, e.deleted || e.poison != nil
+	p.mu.Unlock()
+	l := p.logFor(name)
+	var payload []byte
+	switch {
+	case skip:
+		return nil
+	case rec != nil && rec.Seq > seq:
+		payload, seq = walEncodeCheckpoint(nil, rec), rec.Seq
+	case seq < 0 || seq != e.lastSeq.Load() || pos.LSN >= fresh:
+		return nil // none, records past it (a held probe's session), or in place
+	default:
+		r, err := l.ReadAt(pos)
+		if err != nil {
+			return err
+		}
+		payload = r.Payload
+		defer p.carried.Add(1)
+	}
+	npos, err := l.Append(streamKey(name, e.gen), seq, payload)
+	if err != nil {
+		return err
+	}
+	p.setCkpt(e, seq, npos)
+	return nil
 }
 
 // stats sums the shard logs' counters (scrape path).
@@ -592,7 +594,7 @@ func (p *walPlane) stats() wal.Stats {
 }
 
 // streamCounts samples the registry (scrape path): live streams and
-// how many of them have a checkpoint on disk.
+// how many of them have a checkpoint record.
 func (p *walPlane) streamCounts() (live, checkpointed int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -630,20 +632,36 @@ func (p *walPlane) closeLogs() {
 
 // --- replay ----------------------------------------------------------
 
-// foldRecord applies one stream record onto the state at sequence
-// last — the one place a logged mutation becomes session state, for
-// the open-time scan and request-time replays alike. Sequence numbers
-// are dense per generation, so with a base in hand the record must be
-// last+1.
-func foldRecord(name string, base **sessionSnapshot, last int64, r wal.Record) error {
-	if *base != nil && r.Seq != last+1 {
-		return fmt.Errorf("%w: stream %q: seq %d follows %d", ErrSeqGap, r.Stream, r.Seq, last)
+// foldRecord applies one stream record onto the state *base — the one
+// place a logged mutation or checkpoint becomes session state. With a
+// base in hand a mutation must be at base.Seq+1, a checkpoint (which
+// replaces it) at base.Seq.
+func foldRecord(name string, base **sessionSnapshot, r wal.Record) error {
+	s := *base
+	if walKind(r.Payload) == walKindCkpt {
+		if s != nil && r.Seq != s.Seq {
+			return fmt.Errorf("%w: stream %q: checkpoint at seq %d, state at %d", ErrSeqGap, r.Stream, r.Seq, s.Seq)
+		}
+		snap, err := walDecodeCheckpoint(r.Payload)
+		if err != nil {
+			return fmt.Errorf("stream %q seq %d: %w", r.Stream, r.Seq, err)
+		}
+		snap.Name, snap.Seq = name, r.Seq
+		*base = snap
+		return nil
+	}
+	if s != nil && r.Seq != s.Seq+1 {
+		return fmt.Errorf("%w: stream %q: seq %d follows %d", ErrSeqGap, r.Stream, r.Seq, s.Seq)
 	}
 	rec, err := walDecode(r.Payload)
 	if err != nil {
 		return fmt.Errorf("stream %q seq %d: %w", r.Stream, r.Seq, err)
 	}
-	return applyWalRecord(name, base, &rec)
+	if err := applyWalRecord(name, base, &rec); err != nil {
+		return err
+	}
+	(*base).Seq = r.Seq
+	return nil
 }
 
 // applyWalRecord folds one decoded mutation into a session snapshot
@@ -652,12 +670,11 @@ func foldRecord(name string, base **sessionSnapshot, last int64, r wal.Record) e
 // (create record included) was compacted past the requested point.
 func applyWalRecord(name string, base **sessionSnapshot, rec *walRec) error {
 	if rec.kind == walKindCreate {
-		*base = &sessionSnapshot{
-			Name:   name,
-			Cores:  int(rec.cores),
-			Policy: rec.policy,
-			Model:  rec.model,
+		s := &sessionSnapshot{Name: name, Cores: int(rec.cores), Policy: rec.policy}
+		if err := json.Unmarshal(rec.model, &s.Model); err != nil {
+			return fmt.Errorf("admitd: wal replay: create record model: %w", err)
 		}
+		*base = s
 		return nil
 	}
 	s := *base
@@ -704,14 +721,14 @@ func snapshotRemove(s *sessionSnapshot, id int64) bool {
 	return false
 }
 
-// restoreDurable rebuilds a session from the durability plane:
-// newest gen-matched checkpoint (if any) plus the stream tail.
+// restoreDurable rebuilds a session from the durability plane: its
+// latest checkpoint record plus the stream tail.
 func (st *Store) restoreDurable(name string) (*Session, error) {
 	e := st.plane.lookup(name)
 	if e == nil {
 		return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, name)
 	}
-	base, lastSeq, err := st.replayToSeq(name, e, seqEnd)
+	base, _, err := st.replayToSeq(name, e, seqEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -722,106 +739,129 @@ func (st *Store) restoreDurable(name string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if reg := e.lastSeq.Load(); reg > lastSeq {
-		lastSeq = reg
-	}
-	s.attachWal(st.plane, st.plane.logFor(name), streamKey(name, e.gen), e.gen, e, lastSeq)
+	lastSeq := max(base.Seq, e.lastSeq.Load())
+	s.attachWal(st.plane, st.plane.logFor(name), streamKey(name, e.gen), e, lastSeq)
 	return s, nil
 }
 
 // replayToSeq reconstructs a session snapshot at the last mutation
-// with seq < limit: a base plus stream replay. The base is the
-// checkpoint file (only if it does not overshoot the limit) or, for a
-// full restore after a restart, the in-memory checkpoint the open-time
-// scan folded — that one sits at the log's last record, so the replay
-// on top of it finds no segment to read. Returns the snapshot and the
-// highest sequence folded in.
-func (st *Store) replayToSeq(name string, e *streamState, limit int64) (*sessionSnapshot, int64, error) {
+// with seq < limit, from the state the open-time scan folded (a full
+// restore after a restart: nothing left to read) or else the latest
+// checkpoint record, read at its position unless past the limit, with
+// the records after it folded on top (those with no base yet passed
+// over). The mutation at limit, if reached, comes back decoded.
+func (st *Store) replayToSeq(name string, e *streamState, limit int64) (base *sessionSnapshot, at *walRec, err error) {
 	p := st.plane
-	var base *sessionSnapshot
+	p.mu.Lock()
+	pos, seq := e.ckpt, e.ckptSeq.Load()
+	if limit == seqEnd { // what the open-time scan left is handed over once
+		base, err = e.recovered, e.poison
+		e.recovered = nil
+	}
+	p.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
 	var ckptErr error
-	if limit == seqEnd {
-		var err error
-		if base, err = p.takeRecovered(e); err != nil {
-			return nil, 0, err
+	if base == nil && seq >= 0 && seq < limit {
+		r, err := p.logFor(name).ReadAt(pos)
+		if err == nil {
+			err = foldRecord(name, &base, r)
 		}
+		ckptErr = err
 	}
-	if base == nil {
-		snap, err := readSnapshot(p.ckptDir, name)
-		if err != nil {
-			p.noteError()
-			ckptErr = err
-		} else if snap != nil && snap.Gen == e.gen && snap.Seq < limit {
-			base = snap
-		}
-	}
-	lastSeq := int64(-1)
+	after := int64(-1)
 	if base != nil {
-		lastSeq = base.Seq
+		after = base.Seq
 	}
-	err := p.logFor(name).ReplayStream(streamKey(name, e.gen), lastSeq, func(r wal.Record) error {
+	err = p.logFor(name).ReplayStream(streamKey(name, e.gen), after, func(r wal.Record) error {
 		if r.Seq >= limit {
+			if r.Seq == limit && walKind(r.Payload) != walKindCkpt {
+				rec, err := walDecode(r.Payload)
+				if err != nil {
+					return err
+				}
+				at = &rec
+			}
 			return errWalStop
 		}
-		if ferr := foldRecord(name, &base, lastSeq, r); ferr != nil {
-			return ferr
+		if k := walKind(r.Payload); base == nil && k != walKindCkpt && k != walKindCreate {
+			return nil
 		}
-		lastSeq = r.Seq
-		return nil
+		return p.fold(name, &base, r)
 	})
 	if base == nil && ckptErr != nil {
-		// Without the checkpoint the log alone no longer reaches this
-		// state: say which file, not that the caller asked too far back.
-		return nil, 0, fmt.Errorf("%w: %w", errUnrecoverable, ckptErr)
+		// Without its checkpoint the log alone no longer reaches this
+		// state: say which record, not that the caller asked too far back.
+		p.noteError()
+		return nil, nil, fmt.Errorf("%w: %w", errUnrecoverable, ckptErr)
 	}
 	if err != nil && !errors.Is(err, errWalStop) {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	return base, lastSeq, nil
+	return base, at, nil
 }
 
 // --- checkpointing ---------------------------------------------------
 
-// Checkpoint snapshots every live session to the checkpoint
-// directory (fsynced, rename-atomic), advances the coverage
-// watermarks, then rotates and prefix-compacts the shard logs.
-// Sessions holding a two-phase probe are skipped this round — their
-// committed state is checkpointed next time — and evicted or closed
-// sessions are checkpointed on their own exit path anyway.
+// Checkpoint runs one round: the logs rotate, every live stream gets
+// its latest checkpoint record into the fresh segment, one fsync, and
+// the logs compact — so the retained log starts with the checkpoints.
+// A session appends its checkpoint on its actor (idle, or holding a
+// two-phase probe, it carries its last one instead); a stream no
+// session serves is carried.
 func (st *Store) Checkpoint() error {
 	if st.plane == nil {
 		return nil
 	}
-	var firstErr error
-	st.Range(func(s *Session) {
-		var snap *sessionSnapshot
-		var serr error
-		err := s.call(func() {
-			if s.pendKind != pendNone || s.wlog == nil {
-				return
-			}
-			snap, serr = s.snapshotLocked()
-		})
-		if err != nil || serr != nil || snap == nil {
-			if firstErr == nil && serr != nil {
-				firstErr = serr
-			}
-			return
+	err := st.checkpointStreams(st.plane.rotate())
+	st.plane.compact()
+	return err
+}
+
+// checkpointStreams leaves every live stream's latest checkpoint record
+// at or past its shard's fresh LSN, each through whatever orders the
+// stream's appends: its session's actor, or else the shard lock.
+func (st *Store) checkpointStreams(fresh [walShards]uint64) error {
+	p := st.plane
+	p.mu.Lock()
+	live := make(map[string]*streamState, len(p.streams))
+	for name, e := range p.streams {
+		if !e.deleted {
+			live[name] = e
 		}
-		if werr := writeSnapshot(st.plane.ckptDir, snap); werr != nil {
-			st.plane.noteError()
-			if firstErr == nil {
-				firstErr = werr
-			}
-			return
-		}
-		st.plane.setCkpt(snap.Name, snap.Gen, snap.Seq)
-		if m := st.met; m != nil {
+	}
+	p.mu.Unlock()
+	var errs []error
+	for name, e := range live {
+		if err := st.checkpointStream(name, e, fresh[shardIndex(name)]); err != nil {
+			p.noteError()
+			errs = append(errs, err)
+		} else if m := st.met; m != nil {
 			m.walCheckpoints.Inc()
 		}
+	}
+	return errors.Join(errs...)
+}
+
+func (st *Store) checkpointStream(name string, e *streamState, fresh uint64) error {
+	sh := st.shardFor(name)
+	sh.mu.Lock()
+	s := sh.m[name]
+	if s == nil {
+		defer sh.mu.Unlock()
+		return st.plane.carry(name, e, fresh)
+	}
+	sh.mu.Unlock()
+	var err error
+	_ = s.call(func() { //nolint:errcheck // closed: it checkpointed on its way out
+		if s.pendKind == pendNone && s.walEnt.ckptSeq.Load() != s.durableSeq() {
+			err = s.checkpointLocked()
+		} else {
+			err = st.plane.carry(name, s.walEnt, fresh)
+		}
 	})
-	st.plane.compact()
-	return firstErr
+	return err
 }
 
 // checkpointLoop drives periodic checkpoint + compaction until the
@@ -845,7 +885,7 @@ func (st *Store) checkpointLoop() {
 // re-run cold — fresh context, fresh counters — and the probe's
 // verdict and admission counters are reported. Works against live,
 // evicted, and crashed-and-recovered sessions alike: only the log
-// and the checkpoint are consulted.
+// and its checkpoint records are consulted.
 func (st *Store) Audit(name string, seq int64) (*api.AuditReport, error) {
 	if st.plane == nil {
 		return nil, &api.Error{Code: api.CodeSeqTruncated,
@@ -858,34 +898,18 @@ func (st *Store) Audit(name string, seq int64) (*api.AuditReport, error) {
 	if e == nil {
 		return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, name)
 	}
-	base, lastSeq, err := st.replayToSeq(name, e, seq)
+	base, target, err := st.replayToSeq(name, e, seq)
 	if err != nil {
 		return nil, err
 	}
 	if base == nil {
 		return nil, fmt.Errorf("%w: seq %d (base state compacted)", ErrSeqTruncated, seq)
 	}
-	if lastSeq != seq-1 {
+	if base.Seq != seq-1 {
 		if seq <= e.ckptSeq.Load() {
 			return nil, fmt.Errorf("%w: seq %d (checkpoint is at %d)", ErrSeqTruncated, seq, e.ckptSeq.Load())
 		}
-		return nil, fmt.Errorf("admitd: audit: records (%d, %d) missing from the log", lastSeq, seq)
-	}
-	// Fetch the target record itself.
-	var target *walRec
-	err = st.plane.logFor(name).ReplayStream(streamKey(name, e.gen), seq-1, func(r wal.Record) error {
-		if r.Seq != seq {
-			return errWalStop
-		}
-		rec, derr := walDecode(r.Payload)
-		if derr != nil {
-			return derr
-		}
-		target = &rec
-		return errWalStop
-	})
-	if err != nil && !errors.Is(err, errWalStop) {
-		return nil, err
+		return nil, fmt.Errorf("admitd: audit: records (%d, %d) missing from the log", base.Seq, seq)
 	}
 	if target == nil {
 		return nil, fmt.Errorf("admitd: audit: no record at seq %d (session is at %d)", seq, e.lastSeq.Load())
@@ -918,12 +942,8 @@ func auditReplay(name string, seq int64, base *sessionSnapshot, rec *walRec) (*a
 		tcopy := rec.task
 		tcopy.Core = int(rec.core)
 		rep.Task = &tcopy
-		rep.Admitted = ctx.TryPlace(t, int(rec.core))
-		if rep.Admitted {
+		if rep.Admitted = ctx.TryPlace(t, int(rec.core)); rep.Admitted {
 			rep.Core = int(rec.core)
-			ctx.Commit()
-		} else {
-			ctx.Rollback()
 		}
 	case walKindSplit:
 		sp, serr := toSplit(rec.split, p)
@@ -934,16 +954,18 @@ func auditReplay(name string, seq int64, base *sessionSnapshot, rec *walRec) (*a
 		tcopy := rec.split.Task
 		rep.Task = &tcopy
 		rep.Admitted = ctx.TrySplit(sp, sp.Parts[0].Core)
-		if rep.Admitted {
-			ctx.Commit()
-		} else {
-			ctx.Rollback()
-		}
 	case walKindRemove:
 		rep.TaskID = rec.id
 		rep.Admitted = ctx.Remove(task.ID(rec.id))
 	default:
 		return nil, fmt.Errorf("admitd: audit: record kind %d is not auditable", rec.kind)
+	}
+	switch { // resolve the probe
+	case rec.kind == walKindRemove:
+	case rep.Admitted:
+		ctx.Commit()
+	default:
+		ctx.Rollback()
 	}
 	rep.Schedulable = ctx.Schedulable()
 	rep.Admission = report.AdmissionJSON(ctx.Stats())

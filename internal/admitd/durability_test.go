@@ -452,7 +452,8 @@ func TestDurableWalMetrics(t *testing.T) {
 	sessionState(t, srv2, "m")
 	expo = scrapeMetrics(t, srv2)
 	for series, want := range map[string]string{
-		"admitd_wal_recovered_records":           fmt.Sprint(acked),
+		"admitd_wal_recovered_records":           fmt.Sprint(acked + 1), // the checkpoint record, then the tail
+		"admitd_wal_recovered_checkpoints":       "1",
 		"admitd_wal_recovery_truncated_segments": "0",
 		"admitd_wal_recovery_dropped_bytes":      "0",
 		"admitd_wal_read_bytes_total":            fmt.Sprint(onDisk),

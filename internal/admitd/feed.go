@@ -220,7 +220,7 @@ func (s *Session) feedReplay(from, to int64) ([]feedEvent, error) {
 		case walKindRemove:
 			ev.op, ev.task = feedRemove, rec.id
 		default:
-			return nil // create/tombstone records are not feed events
+			return nil // create, tombstone and checkpoint records are not feed events
 		}
 		evs = append(evs, ev)
 		return nil

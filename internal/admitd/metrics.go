@@ -161,9 +161,9 @@ func newServerMetrics(store *Store) *serverMetrics {
 	m.walPayloadBytes = reg.NewCounter("admitd_wal_payload_bytes_total",
 		"Commit-log record payload bytes appended by session mutations.")
 	m.walErrors = reg.NewCounter("admitd_wal_errors_total",
-		"Commit-log append/fsync/compaction failures (durability degraded, admission unaffected), unreadable checkpoints, and streams recovery refused (bad payload, sequence gap, damaged checkpoint).")
+		"Commit-log append/fsync/compaction failures (durability degraded, admission unaffected), undecodable checkpoint records and files, and streams recovery refused (bad payload, sequence gap).")
 	m.walCheckpoints = reg.NewCounter("admitd_wal_checkpoints_total",
-		"Session checkpoints written by the periodic snapshot-compaction driver.")
+		"Streams a checkpoint round left with their latest checkpoint record in the fresh segment (appended or carried).")
 	plane := store.plane
 	planeStat := func(f func(*walPlane) float64) func() float64 {
 		return func() float64 {
@@ -177,7 +177,7 @@ func newServerMetrics(store *Store) *serverMetrics {
 		return planeStat(func(p *walPlane) float64 { return f(p.stats()) })
 	}
 	reg.NewCounterFunc("admitd_wal_appends_total",
-		"Records appended to the commit logs since open (create/admit/split/remove/delete).",
+		"Records appended to the commit logs since open (create/admit/split/remove/delete/checkpoint).",
 		walStat(func(s wal.Stats) float64 { return float64(s.Appends) }))
 	reg.NewCounterFunc("admitd_wal_fsyncs_total",
 		"Commit-log fsyncs since open.",
@@ -200,24 +200,21 @@ func newServerMetrics(store *Store) *serverMetrics {
 	reg.NewGaugeFunc("admitd_wal_recovery_dropped_bytes",
 		"Commit-log bytes the open-time recovery discarded at and after the first anomaly.",
 		planeStat(func(p *walPlane) float64 { return float64(p.droppedBytes) }))
+	reg.NewGaugeFunc("admitd_wal_recovered_checkpoints",
+		"Checkpoint records among those the open-time recovery scan kept.",
+		planeStat(func(p *walPlane) float64 { return float64(p.recoveredCkpts) }))
+	reg.NewCounterFunc("admitd_wal_checkpoint_records_total",
+		"Checkpoint records appended since open: checkpoint rounds, evictions, shutdown, the checkpoint-file import, and carries.",
+		planeStat(func(p *walPlane) float64 { return float64(p.ckptRecords.Load()) }))
+	reg.NewCounterFunc("admitd_wal_checkpoints_carried_total",
+		"Checkpoint records re-appended unchanged so compaction can drop the segment they sat in.",
+		planeStat(func(p *walPlane) float64 { return float64(p.carried.Load()) }))
 	reg.NewGaugeFunc("admitd_wal_streams",
 		"Live (non-deleted) durable session streams.",
-		func() float64 {
-			if plane == nil {
-				return 0
-			}
-			live, _ := plane.streamCounts()
-			return float64(live)
-		})
+		planeStat(func(p *walPlane) float64 { live, _ := p.streamCounts(); return float64(live) }))
 	reg.NewGaugeFunc("admitd_wal_checkpointed_sessions",
-		"Durable session streams with an on-disk checkpoint bounding their replay.",
-		func() float64 {
-			if plane == nil {
-				return 0
-			}
-			_, ckpt := plane.streamCounts()
-			return float64(ckpt)
-		})
+		"Durable session streams with a checkpoint record bounding their replay.",
+		planeStat(func(p *walPlane) float64 { _, ckpt := p.streamCounts(); return float64(ckpt) }))
 
 	// Store occupancy: live counts from the registry's atomics, plus
 	// per-shard map sizes sampled once per scrape.

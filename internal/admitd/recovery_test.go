@@ -136,8 +136,12 @@ func TestRecoveryReadsLogOnce(t *testing.T) {
 				t.Fatalf("restart read %d commit-log bytes for %d sessions; the segments hold %d (%.1f passes)",
 					got, n, onDisk, float64(got)/float64(onDisk))
 			}
-			if got, want := srv.store.plane.recoveredRecords, uint64(n*6); got != want {
+			// Each session's checkpoint record, then its six-record tail.
+			if got, want := srv.store.plane.recoveredRecords, uint64(n*7); got != want {
 				t.Fatalf("recovered %d records, want %d", got, want)
+			}
+			if got := srv.store.plane.recoveredCkpts; got != uint64(n) {
+				t.Fatalf("recovered %d checkpoint records, want %d", got, n)
 			}
 		})
 	}
@@ -356,24 +360,60 @@ func TestRecoverBadPayloadPoisonsOneStream(t *testing.T) {
 	}
 }
 
-func corruptCheckpoint(t *testing.T, dataDir, name string) string {
+// rewriteLog rebuilds the shard log of a data directory no daemon has
+// open from its own records, in order, each payload passed through
+// edit first (a nil result drops the record).
+func rewriteLog(t *testing.T, dataDir string, edit func(r wal.Record) []byte) {
 	t.Helper()
-	path := snapshotPath(filepath.Join(dataDir, "checkpoints"), name)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint to damage: %v", err)
+	type rec struct {
+		stream  string
+		seq     int64
+		payload []byte
 	}
-	if err := os.WriteFile(path, []byte(`{"name": "torn`), 0o644); err != nil {
+	var recs []rec
+	handWrittenLog(t, dataDir, func(l *wal.Log) {
+		if err := l.Replay(func(r wal.Record) error {
+			if p := edit(r); p != nil {
+				recs = append(recs, rec{r.Stream, r.Seq, append([]byte(nil), p...)})
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := os.RemoveAll(shardDir(dataDir)); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	handWrittenLog(t, dataDir, func(l *wal.Log) {
+		for _, r := range recs {
+			mustAppend(t, l, r.stream, r.seq, r.payload)
+		}
+	})
+}
+
+// damageCheckpoints cuts the payload of every checkpoint record of a
+// stream short, leaving frames that pass their CRC but do not decode.
+func damageCheckpoints(t *testing.T, dataDir, stream string) {
+	t.Helper()
+	damaged := 0
+	rewriteLog(t, dataDir, func(r wal.Record) []byte {
+		if r.Stream == stream && walKind(r.Payload) == walKindCkpt {
+			damaged++
+			return r.Payload[:20]
+		}
+		return r.Payload
+	})
+	if damaged == 0 {
+		t.Fatalf("no checkpoint record of %s to damage", stream)
+	}
 }
 
 // TestRecoverDamagedCheckpointAfterCompaction: once Checkpoint() has
-// compacted the log prefix away, the checkpoint is the only copy of
-// that state. Damaging it must fail the session with an error that
-// names the file — not 410 "sequence range predates the retained
-// commit log", which blames the caller — with or without a log tail on
-// top, and must be counted; sessions with sound checkpoints recover.
+// compacted the log prefix away, the checkpoint record is the only copy
+// of that state. A damaged one must fail its session with an error that
+// names the stream and the seq — not 410 "sequence range predates the
+// retained commit log", which blames the caller — with or without a log
+// tail on top, and must be counted; the other sessions recover.
 func TestRecoverDamagedCheckpointAfterCompaction(t *testing.T) {
 	for _, tail := range []int{0, 3} {
 		t.Run(fmt.Sprintf("tail=%d", tail), func(t *testing.T) {
@@ -391,12 +431,17 @@ func TestRecoverDamagedCheckpointAfterCompaction(t *testing.T) {
 			admitAcked(t, srv, "fine", 100, tail)
 			want := sessionState(t, srv, "fine")
 			crashServer(srv)
-			path := corruptCheckpoint(t, dir, "hurt")
+			damageCheckpoints(t, dir, "hurt/1")
 
 			srv2 := newTestServer(t, durableConfig(dir))
 			status, err := getStatus(t, srv2, "hurt")
-			if status != http.StatusInternalServerError || err == nil || !strings.Contains(err.Error(), path) {
-				t.Fatalf("damaged checkpoint: HTTP %d, err %v; want 500 naming %s", status, err, path)
+			if status != http.StatusInternalServerError || err == nil {
+				t.Fatalf("damaged checkpoint: HTTP %d, err %v; want 500", status, err)
+			}
+			for _, want := range []string{`"hurt/1"`, "seq 4"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("damaged checkpoint error %q does not name %s", err, want)
+				}
 			}
 			if errors.Is(err, ErrSeqTruncated) {
 				t.Fatalf("damaged checkpoint blamed on the caller: %v", err)
@@ -405,7 +450,7 @@ func TestRecoverDamagedCheckpointAfterCompaction(t *testing.T) {
 				t.Fatalf("the sound session recovered differently:\n pre: %s\npost: %s", want, got)
 			}
 			if got := srv2.met.walErrors.Value(); got < 1 {
-				t.Fatalf("admitd_wal_errors_total = %d after an unreadable checkpoint", got)
+				t.Fatalf("admitd_wal_errors_total = %d after an undecodable checkpoint", got)
 			}
 			expo := scrapeMetrics(t, srv2)
 			if v := sampleValue(t, expo, "admitd_wal_errors_total"); v == "0" {
@@ -416,13 +461,14 @@ func TestRecoverDamagedCheckpointAfterCompaction(t *testing.T) {
 }
 
 // TestRecoverDamagedCheckpointBeforeCompaction: while the log still
-// holds the stream from its create record, a damaged checkpoint costs
-// nothing but a counted error — at a restart (the open-time fold) and
-// at a live restore after an eviction alike.
+// holds the stream from its create record, a damaged checkpoint record
+// repeats state the log rebuilds anyway: it costs a counted error and
+// nothing else — at a restart (the open-time fold) and at a
+// request-time replay that reads the checkpoint at its position alike.
 func TestRecoverDamagedCheckpointBeforeCompaction(t *testing.T) {
 	dir := t.TempDir()
-	// MaxSessions 1: creating "other" evicts "ev", which checkpoints
-	// it without compacting the log.
+	// MaxSessions 1: creating "other" evicts "ev", which appends its
+	// checkpoint record without compacting the log.
 	srv := newTestServer(t, Config{DataDir: dir, CheckpointEvery: -1, MaxSessions: 1})
 	mustStatus(t, srv, "POST", "/v1/sessions",
 		api.CreateSessionRequest{Name: "ev", Cores: 2, Policy: "fp"}, http.StatusCreated)
@@ -430,64 +476,79 @@ func TestRecoverDamagedCheckpointBeforeCompaction(t *testing.T) {
 	want := sessionState(t, srv, "ev")
 	mustStatus(t, srv, "POST", "/v1/sessions",
 		api.CreateSessionRequest{Name: "other", Cores: 2, Policy: "fp"}, http.StatusCreated)
-	corruptCheckpoint(t, dir, "ev")
-
-	before := srv.met.walErrors.Value()
-	if got := sessionState(t, srv, "ev"); !bytes.Equal(got, want) {
-		t.Fatalf("live restore past a damaged checkpoint diverged:\n pre: %s\npost: %s", want, got)
-	}
-	if got := srv.met.walErrors.Value(); got != before+1 {
-		t.Fatalf("the unreadable checkpoint was not counted: %d -> %d", before, got)
-	}
-	// "ev" is live again and "other" was evicted with a sound
-	// checkpoint; damage ev's file once more and crash.
 	crashServer(srv)
-	if err := os.WriteFile(snapshotPath(filepath.Join(dir, "checkpoints"), "ev"), []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damageCheckpoints(t, dir, "ev/1")
+
 	srv2 := newTestServer(t, Config{DataDir: dir, CheckpointEvery: -1})
-	if got := sessionState(t, srv2, "ev"); !bytes.Equal(got, want) {
-		t.Fatalf("restart past a damaged checkpoint diverged:\n pre: %s\npost: %s", want, got)
-	}
 	if got := srv2.met.walErrors.Value(); got != 1 {
 		t.Fatalf("admitd_wal_errors_total = %d after the restart, want 1", got)
 	}
+	e := srv2.store.plane.lookup("ev")
+	ref, _, err := srv2.store.replayToSeq("ev", e, seqEnd-1)
+	if err != nil || ref == nil || ref.Seq != 5 || len(ref.Tasks) != 5 {
+		t.Fatalf("request-time replay past a damaged checkpoint: %+v, %v", ref, err)
+	}
+	if got := srv2.met.walErrors.Value(); got != 2 {
+		t.Fatalf("the replay did not count the damaged checkpoint: admitd_wal_errors_total = %d", got)
+	}
+	if got := sessionState(t, srv2, "ev"); !bytes.Equal(got, want) {
+		t.Fatalf("restart past a damaged checkpoint diverged:\n pre: %s\npost: %s", want, got)
+	}
 }
 
-// TestRecoverFinishesInterruptedDelete: a delete that crashed between
-// its tombstone and the removal of the checkpoint file leaves a file
-// that would resurrect the session once compaction drops the
-// tombstone. Recovery removes it.
-func TestRecoverFinishesInterruptedDelete(t *testing.T) {
+// streamRecords lists the records of one stream in a data directory no
+// daemon has open, in log order.
+func streamRecords(t *testing.T, dataDir, stream string) []wal.Record {
+	t.Helper()
+	var out []wal.Record
+	handWrittenLog(t, dataDir, func(l *wal.Log) {
+		if err := l.ReplayStream(stream, -1, func(r wal.Record) error {
+			r.Payload = append([]byte(nil), r.Payload...)
+			out = append(out, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return out
+}
+
+// TestRecoverTombstoneOutlivesCheckpoint: a checkpoint record of a
+// deleted session never lands after its tombstone — eviction appends
+// one, a round carries it forward, the delete follows — so compaction,
+// which drops the tombstone, drops every checkpoint with it, and the
+// name stays gone across restarts.
+func TestRecoverTombstoneOutlivesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	srv := newTestServer(t, durableConfig(dir))
+	srv := newTestServer(t, Config{DataDir: dir, CheckpointEvery: -1, MaxSessions: 1})
 	mustStatus(t, srv, "POST", "/v1/sessions",
 		api.CreateSessionRequest{Name: "del", Cores: 2, Policy: "fp"}, http.StatusCreated)
 	admitAcked(t, srv, "del", 1, 3)
-	if err := srv.store.Checkpoint(); err != nil {
+	mustStatus(t, srv, "POST", "/v1/sessions", // evicts "del": its checkpoint record
+		api.CreateSessionRequest{Name: "other", Cores: 2, Policy: "fp"}, http.StatusCreated)
+	if err := srv.store.Checkpoint(); err != nil { // carries it
 		t.Fatal(err)
 	}
-	path := snapshotPath(filepath.Join(dir, "checkpoints"), "del")
-	ckpt, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if srv.store.plane.carried.Load() == 0 {
+		t.Fatal("the round carried no checkpoint of the evicted session")
 	}
 	mustStatus(t, srv, "DELETE", "/v1/sessions/del", nil, http.StatusOK)
 	crashServer(srv)
-	if err := os.WriteFile(path, ckpt, 0o644); err != nil { // the removal never happened
-		t.Fatal(err)
+	recs := streamRecords(t, dir, "del/1")
+	if len(recs) == 0 || walKind(recs[len(recs)-1].Payload) != walKindDelete {
+		t.Fatalf("the tombstone is not the stream's last record: %d records", len(recs))
 	}
 
 	srv2 := newTestServer(t, durableConfig(dir))
 	mustStatus(t, srv2, "GET", "/v1/sessions/del", nil, http.StatusNotFound)
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("the deleted session's checkpoint survived recovery: %v", err)
-	}
 	// With the tombstone compacted away the name must stay gone.
 	if err := srv2.store.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	crashServer(srv2)
+	if recs := streamRecords(t, dir, "del/1"); len(recs) != 0 {
+		t.Fatalf("%d records of the deleted stream outlived compaction", len(recs))
+	}
 	srv3 := newTestServer(t, durableConfig(dir))
 	mustStatus(t, srv3, "GET", "/v1/sessions/del", nil, http.StatusNotFound)
 }
@@ -518,10 +579,14 @@ func TestRecoverSummaryMetrics(t *testing.T) {
 	frame := fi.Size() - 5 // bytes of the last, torn frame that survive the cut
 	srv := newTestServer(t, durableConfig(dir))
 	expo := scrapeMetrics(t, srv)
-	records := 2*3 - 1
+	records := 2 + 2*3 - 1 // two checkpoint records, two tails of three, one torn
 	for series, want := range map[string]string{
 		"admitd_wal_recovered_records":           fmt.Sprint(records),
+		"admitd_wal_recovered_checkpoints":       "2",
 		"admitd_wal_recovery_truncated_segments": "2",
+		"admitd_wal_checkpoint_records_total":    "0",
+		"admitd_wal_checkpoints_carried_total":   "0",
+		"admitd_wal_checkpointed_sessions":       "2",
 	} {
 		if got := sampleValue(t, expo, series); got != want {
 			t.Fatalf("%s = %s, want %s", series, got, want)
@@ -538,6 +603,18 @@ func TestRecoverSummaryMetrics(t *testing.T) {
 	if got := sampleValue(t, expo, "admitd_wal_read_bytes_total"); got == "0" {
 		t.Fatal("admitd_wal_read_bytes_total is zero after a recovery scan")
 	}
+	// A round checkpoints both untouched sessions from the state the scan
+	// folded (they have tails); the next carries those records unchanged.
+	for round, want := range [][2]string{{"2", "0"}, {"4", "2"}} {
+		if err := srv.store.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		expo = scrapeMetrics(t, srv)
+		got := [2]string{sampleValue(t, expo, "admitd_wal_checkpoint_records_total"), sampleValue(t, expo, "admitd_wal_checkpoints_carried_total")}
+		if got != want {
+			t.Fatalf("round %d: checkpoint records, carried = %v, want %v", round+1, got, want)
+		}
+	}
 }
 
 // --- recovery differential fuzz ---------------------------------------
@@ -552,14 +629,16 @@ type fuzzName struct {
 }
 
 // TestRecoverDifferentialFuzz drives seeded random histories — create,
-// admit, remove, held probes, delete, recreate, Checkpoint(), crash —
-// over four names sharing one log. Sessions left untouched after a
-// restart, or holding a probe at a checkpoint, keep tails that span
-// the segments later checkpoints roll. After every crash, and at the
-// end, each session's state bytes must equal both a model rebuilt from
-// acknowledged writes alone (a second, non-durable daemon fed exactly
-// the acked mutations) and a per-stream reference that folds the same
-// checkpoint file and ReplayStream records on its own.
+// admit, remove, held probes, delete, recreate, Checkpoint(), crash, and
+// a crash between a round's carry-forward and its compaction — over
+// four names sharing one log, and evictions that park a session in its
+// checkpoint record. Sessions left untouched after a restart or an
+// eviction, or holding a probe at a checkpoint, have their checkpoints
+// carried into the segments later rounds roll. After every crash, and
+// at the end, each session's state bytes must equal both a model
+// rebuilt from acknowledged writes alone (a second, non-durable daemon
+// fed exactly the acked mutations) and a per-stream reference that
+// folds the same checkpoint record and ReplayStream records on its own.
 func TestRecoverDifferentialFuzz(t *testing.T) {
 	seeds := 8
 	if testing.Short() {
@@ -597,7 +676,8 @@ func recoverFuzz(t *testing.T, seed int64) (spanning int) {
 	path := func(name string) string { return "/v1/sessions/" + strings.ReplaceAll(name, "/", "%2F") }
 
 	// reference rebuilds a session the way a request-time history read
-	// does: checkpoint file + ReplayStream, nothing the scan folded.
+	// does: the checkpoint record read at its position + ReplayStream,
+	// nothing the scan folded.
 	reference := func(name string) []byte {
 		t.Helper()
 		e := srv.store.plane.lookup(name)
@@ -705,6 +785,15 @@ func recoverFuzz(t *testing.T, seed int64) (spanning int) {
 				mustStatus(t, model, "POST", path(name)+"/remove", req, http.StatusOK)
 				f.resident = append(f.resident[:i], f.resident[i+1:]...)
 			}
+		case k < 72:
+			// Eviction rolls a held probe back; the next touch restores.
+			sh := srv.store.shardFor(name)
+			sh.mu.Lock()
+			s := sh.m[name]
+			sh.mu.Unlock()
+			if s != nil {
+				srv.store.evict(sh, s)
+			}
 		case k < 75:
 			mustStatus(t, srv, "DELETE", path(name), nil, http.StatusOK)
 			mustStatus(t, model, "DELETE", path(name), nil, http.StatusOK)
@@ -713,6 +802,13 @@ func recoverFuzz(t *testing.T, seed int64) (spanning int) {
 			if err := srv.store.Checkpoint(); err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
+		case k < 90:
+			// A round that dies between carry-forward and compaction:
+			// the log holds each checkpoint twice.
+			if err := srv.store.checkpointStreams(srv.store.plane.rotate()); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+			crash(0.5)
 		default:
 			crash(0.5)
 		}

@@ -26,8 +26,8 @@ type Config struct {
 	MaxSessions int
 	// DataDir, when set, turns on the durability plane: every
 	// committed session mutation is appended to a per-shard commit
-	// log under DataDir/wal, checkpoints land in DataDir/ckpt, and
-	// restart replays acked writes back. Evicted sessions, and
+	// log under DataDir/wal, checkpoints are records in the same log,
+	// and restart replays acked writes back. Evicted sessions, and
 	// everything live on Close, park in their checkpoints. Without it
 	// nothing persists: an evicted session is gone.
 	DataDir string

@@ -114,18 +114,13 @@ type Session struct {
 	feed     atomic.Pointer[feedHub]
 	feedPend []feedEvent
 
-	// Durability plane (nil/zero when the store runs without one).
-	// Set by attachWal before the session is reachable; the actor
-	// owns every use. Each committed mutation appends one record to
-	// the store-shard commit log at its durable sequence number
-	// (seqBase + CommitSeq — seqBase restores the dense numbering
-	// across restarts), and the actor loop commits the log once per
-	// drain, before completion tokens: an acked write is a durable
-	// write under the group fsync policy.
+	// Durability plane (nil/zero without one), set by attachWal before
+	// the session is reachable; actor-owned. Each committed mutation
+	// appends one record at its durable seq (seqBase + CommitSeq), and
+	// the actor commits the log once per drain, before completions.
 	wlog      *wal.Log
 	wplane    *walPlane // owner of wlog; routes drain commits to the group batcher
 	wstream   string
-	walGen    uint64
 	seqBase   int64
 	walEnt    *streamState
 	walBuf    []byte // actor-owned record-encode scratch
@@ -297,23 +292,14 @@ func (s *Session) loop() {
 				m.publishes.Inc()
 			}
 		}
-		// Close the drain's commit boundary on the durability plane.
-		// Under the always policy the fsync wait is handed off the
-		// actor: the completion tokens of the ops that staged records
-		// and the drain's staged feed events travel with it and
-		// release only after the covering fsync — the actor keeps
-		// draining while the cross-actor batcher accumulates. Ops
-		// that staged nothing (reads, rejections) release
-		// immediately: they make no durability claim. Handoffs chain
-		// FIFO per session, so acks and feed publishes still land in
-		// drain order, and a sequence number is never acked, and
-		// never reaches a subscriber, before it is durable.
-		//
-		// Under group and off, acks never wait for the device —
-		// records were appended (buffered) by the ops themselves and
-		// the plane's background committer (group) or the OS (off)
-		// carries them down; the drain falls through to the immediate
-		// release path like a non-durable session.
+		// Close the drain's commit boundary. Under the always policy the
+		// fsync wait is handed off the actor, with the completion tokens
+		// of the ops that staged records and the drain's feed events:
+		// they release after the covering fsync, in drain order (the
+		// handoffs chain), so no seq is acked or published before it is
+		// durable. Ops that staged nothing release at once. Under group
+		// and off, acks never wait for the device: the background
+		// committer (group) or the OS (off) carries the records down.
 		if s.wlog != nil && s.walStaged > 0 {
 			if m := s.met; m != nil {
 				m.walRecsPerDrain.ObserveInt(s.walStaged)
@@ -411,10 +397,9 @@ func (s *Session) call(f func()) error {
 	return nil
 }
 
-// close stops the actor after draining queued requests; the final
-// flush folds the context's counters into the attached collector and
-// the process aggregate.
-func (s *Session) close() {
+// stop ends the actor after draining queued requests: every append it
+// makes has happened on return, though the last may not be synced yet.
+func (s *Session) stop() {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
@@ -423,6 +408,12 @@ func (s *Session) close() {
 	}
 	s.mu.Unlock()
 	<-s.done
+}
+
+// close stops the actor; the final flush folds the context's counters
+// into the attached collector and the process aggregate.
+func (s *Session) close() {
+	s.stop()
 	// The actor has exited (so walTail is stable); wait out the last
 	// in-flight commit handoff before the caller snapshots or deletes.
 	if s.walTail != nil {
@@ -684,11 +675,10 @@ func (s *Session) removeLocked(id task.ID) error {
 // before the session is reachable (between newSession/restoreSession
 // and the store-map insert): the first actor call's channel send
 // publishes the fields to the actor goroutine.
-func (s *Session) attachWal(p *walPlane, l *wal.Log, stream string, gen uint64, ent *streamState, seqBase int64) {
+func (s *Session) attachWal(p *walPlane, l *wal.Log, stream string, ent *streamState, seqBase int64) {
 	s.wlog = l
 	s.wplane = p
 	s.wstream = stream
-	s.walGen = gen
 	s.walEnt = ent
 	s.seqBase = seqBase
 }
@@ -701,9 +691,8 @@ func (s *Session) durableSeq() int64 {
 }
 
 // walNoteAdmit appends one committed admission (whole task or split)
-// to the commit log at its durable sequence number. Runs right after
-// actx.Commit bumped CommitSeq; the append is buffered — the drain
-// boundary's log commit makes it (and the whole drain) durable.
+// at its durable seq, right after actx.Commit bumped CommitSeq; the
+// drain boundary's log commit makes it durable.
 func (s *Session) walNoteAdmit(t *task.Task, sp *task.Split, core int) {
 	if s.wlog == nil {
 		return

@@ -38,9 +38,9 @@ type Store struct {
 	shards      [numShards]storeShard
 	maxSessions int
 
-	// plane is the durability plane (nil when DataDir is unset): one
-	// commit log per shard plus the checkpoint registry, whose
-	// directory evicted sessions park in until their next touch.
+	// plane is the durability plane (nil when DataDir is unset): the
+	// commit log and its stream registry, whose checkpoint records
+	// evicted sessions park in until their next touch.
 	plane *walPlane
 
 	// Periodic checkpoint + compaction driver (plane only).
@@ -72,10 +72,10 @@ type StoreConfig struct {
 	MaxSessions int
 	// DataDir, when non-empty, turns the durability plane on: every
 	// committed mutation is written to a per-shard commit log under
-	// DataDir/wal, checkpoints land under DataDir/checkpoints — one
-	// per evicted session and one for everything live at Close, from
-	// which missing sessions are restored transparently — and a crashed
-	// store recovers to exactly the acknowledged state.
+	// DataDir/wal, and so are checkpoints — one per evicted session, one
+	// per live session each round and at Close — from which missing
+	// sessions are restored transparently; a crashed store recovers to
+	// exactly the acknowledged state.
 	DataDir string
 	// Fsync picks the commit policy (default wal.SyncGroup): always
 	// fsyncs every commit boundary before the ack; group acks at
@@ -108,8 +108,8 @@ const defaultCheckpointEvery = 30 * time.Second
 const defaultFsyncInterval = 5 * time.Millisecond
 
 // NewStore builds the registry and — with DataDir set — opens the
-// durability plane, running crash
-// recovery on its commit logs before the store serves anything.
+// durability plane, running crash recovery on its commit logs before
+// the store serves anything.
 func NewStore(cfg StoreConfig) (*Store, error) {
 	max := cfg.MaxSessions
 	if max <= 0 {
@@ -176,18 +176,14 @@ func (st *Store) Create(name string, cores int, p task.Policy, model *overhead.M
 	if cores <= 0 {
 		return nil, fmt.Errorf("admitd: %d cores", cores)
 	}
-	for st.count.Load() >= int64(st.maxSessions) {
-		if !st.evictOne() {
-			break
-		}
-	}
+	st.shrink(int64(st.maxSessions) - 1)
 	sh := st.shardFor(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.m[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrSessionExists, name)
 	}
-	if st.plane != nil && st.plane.exists(name) {
+	if st.plane != nil && st.plane.lookup(name) != nil {
 		return nil, fmt.Errorf("%w: %q (durable)", ErrSessionExists, name)
 	}
 	model = overhead.Normalize(model)
@@ -205,7 +201,7 @@ func (st *Store) Create(name string, cores int, p task.Policy, model *overhead.M
 			s.close()
 			return nil, err
 		}
-		s.attachWal(st.plane, l, stream, ent.gen, ent, 0)
+		s.attachWal(st.plane, l, stream, ent, 0)
 	}
 	st.touch(s)
 	sh.m[name] = s
@@ -217,7 +213,8 @@ func (st *Store) Create(name string, cores int, p task.Policy, model *overhead.M
 // Get returns a live session, restoring it when the store is durable
 // and the name is not live: from its checkpoint and commit-log tail if
 // it was evicted, from the state the open-time scan folded if this is
-// its first touch since a restart.
+// its first touch since a restart. The shard lock is held throughout,
+// ordering the restore against a checkpoint carried for the name.
 func (st *Store) Get(name string) (*Session, error) {
 	sh := st.shardFor(name)
 	sh.mu.Lock()
@@ -230,7 +227,7 @@ func (st *Store) Get(name string) (*Session, error) {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, name)
 	}
-	// Durable restore: newest gen-matched checkpoint + commit-log tail
+	// Durable restore: latest checkpoint record + commit-log tail
 	// (restoreDurable attaches the WAL stream).
 	s, err := st.restoreDurable(name)
 	if err != nil {
@@ -242,40 +239,44 @@ func (st *Store) Get(name string) (*Session, error) {
 	st.count.Add(1)
 	st.restored.Add(1)
 	sh.mu.Unlock()
-	// Restoring may push past the cap: evict someone else.
-	for st.count.Load() > int64(st.maxSessions) {
-		if !st.evictOne() {
-			break
-		}
-	}
+	st.shrink(int64(st.maxSessions)) // restoring may push past the cap
 	return s, nil
 }
 
 // Delete closes and forgets a session. With the durability plane, the
 // actor drains first, then the tombstone record retires the generation
-// (committed per the plane's policy) and the checkpoint file goes away — recovery will never resurrect the
-// name, and recreating it opens a fresh generation.
+// (committed per the plane's policy) — recovery will never resurrect
+// the name, and recreating it opens a fresh generation. The tombstone
+// is appended under the shard lock, after any checkpoint a round
+// carried for the name: no checkpoint record can outlive it.
 func (st *Store) Delete(name string) error {
 	sh := st.shardFor(name)
 	sh.mu.Lock()
-	s, ok := sh.m[name]
-	if ok {
+	s, found := sh.m[name]
+	if found {
 		delete(sh.m, name)
 		st.count.Add(-1)
 	}
 	sh.mu.Unlock()
-	found := ok
 	if s != nil {
 		s.close()
 	}
-	if st.plane != nil && st.plane.delete(name) {
-		found = true
+	if st.plane != nil {
+		sh.mu.Lock()
+		found = st.plane.delete(name) || found
+		sh.mu.Unlock()
 	}
 	if !found {
 		return fmt.Errorf("%w: %q", ErrSessionNotFound, name)
 	}
 	st.deleted.Add(1)
 	return nil
+}
+
+// shrink evicts least-recently-used sessions until at most n are live.
+func (st *Store) shrink(n int64) {
+	for st.count.Load() > n && st.evictOne() {
+	}
 }
 
 // evictOne removes the least-recently-used session: checkpoint (when
@@ -294,43 +295,34 @@ func (st *Store) evictOne() bool {
 		}
 		sh.mu.Unlock()
 	}
-	if victim == nil {
-		return false
+	if victim != nil && st.evict(victimShard, victim) {
+		st.evicted.Add(1)
 	}
-	victimShard.mu.Lock()
-	if cur, ok := victimShard.m[victim.name]; !ok || cur != victim {
-		victimShard.mu.Unlock()
-		return true // someone else removed it; progress was made
-	}
-	delete(victimShard.m, victim.name)
-	st.count.Add(-1)
-	victimShard.mu.Unlock()
-	st.checkpointAndClose(victim)
-	st.evicted.Add(1)
-	return true
+	return victim != nil
 }
 
-// checkpointAndClose checkpoints a session (when the store is durable)
-// and stops its actor. The snapshot runs on the actor, so it sees
-// committed state only. A checkpoint that cannot be written loses
-// nothing — the commit log still holds every mutation — but is counted
-// with the plane's other errors.
-func (st *Store) checkpointAndClose(s *Session) {
-	if st.plane != nil {
-		var snap *sessionSnapshot
-		var serr error
-		if err := s.call(func() { snap, serr = s.snapshotLocked() }); err == nil && serr == nil && snap != nil {
-			if serr = writeSnapshot(st.plane.ckptDir, snap); serr == nil && snap.Gen != 0 {
-				// The checkpoint covers the stream up to Seq: advance
-				// the compaction watermark.
-				st.plane.setCkpt(snap.Name, snap.Gen, snap.Seq)
-			}
-		}
-		if serr != nil {
-			st.plane.noteError()
-		}
+// evict removes a session from its shard — unless someone else already
+// has — then, under the shard lock, appends its checkpoint record on its
+// actor and stops it: a restore of the name waits for its last append,
+// and no carried checkpoint lands after it. One that cannot be appended
+// loses nothing (the log holds every mutation) but is counted. The wait
+// for the last append's fsync handoff comes after the unlock.
+func (st *Store) evict(sh *storeShard, s *Session) bool {
+	sh.mu.Lock()
+	if cur, ok := sh.m[s.name]; !ok || cur != s {
+		sh.mu.Unlock()
+		return false
 	}
+	delete(sh.m, s.name)
+	st.count.Add(-1)
+	var err error
+	if st.plane != nil && s.call(func() { err = s.checkpointLocked() }) == nil && err != nil {
+		st.plane.noteError()
+	}
+	s.stop()
+	sh.mu.Unlock()
 	s.close()
+	return true
 }
 
 // Range calls f on every live session (no particular order).
@@ -350,27 +342,20 @@ func (st *Store) Range(f func(*Session)) {
 }
 
 // Close stops all actors — the graceful-shutdown path. With the
-// durability plane, the periodic
-// checkpoint driver stops first, the final per-session checkpoints
-// land, the logs compact down to those checkpoints, and the shard
-// logs close (flushing and syncing their tails).
+// durability plane it is a last checkpoint round: the periodic driver
+// stops, the logs rotate, every session appends its checkpoint as it
+// closes, evicted streams are carried, the logs compact down to the
+// checkpoints, and the shard logs close (flushing and syncing their
+// tails).
 func (st *Store) Close() {
 	st.stopCheckpoints()
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		live := make([]*Session, 0, len(sh.m))
-		for name, s := range sh.m {
-			live = append(live, s)
-			delete(sh.m, name)
-			st.count.Add(-1)
-		}
-		sh.mu.Unlock()
-		for _, s := range live {
-			st.checkpointAndClose(s)
-		}
-	}
+	var fresh [walShards]uint64
 	if st.plane != nil {
+		fresh = st.plane.rotate()
+	}
+	st.Range(func(s *Session) { st.evict(st.shardFor(s.name), s) })
+	if st.plane != nil {
+		_ = st.checkpointStreams(fresh) //nolint:errcheck // counted as wal errors
 		st.plane.compact()
 		st.plane.closeLogs()
 	}

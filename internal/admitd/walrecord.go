@@ -4,27 +4,32 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/api"
+	"repro/internal/overhead"
 )
 
 // WAL record payloads: the durable form of one committed session
-// mutation. Every record is a kind byte followed by fixed-width
-// little-endian fields (strings and the model JSON length-prefixed),
-// so encoding appends into reused scratch with zero allocations and
-// decoding never touches encoding/json except for the create
-// record's embedded overhead model.
-//
-// The payload deliberately carries denormalized context — the
-// committed task count after the mutation, the placement core — so
-// the feed-resume path can synthesize change events from the log
-// alone, without rebuilding session state.
+// mutation, or of a whole session state (a checkpoint, at the seq of
+// the last mutation it covers). Every record is a kind byte followed by
+// fixed-width little-endian fields (strings and the create record's
+// model JSON length-prefixed), so encoding appends into reused scratch
+// and decoding never touches encoding/json but for that model. A
+// checkpoint is versioned and lists every field explicitly, the model
+// and the admission counters too, so no new field elsewhere can change
+// its bytes. Mutations carry the task count after them and the
+// placement core, so a feed resume synthesizes events from the log.
 const (
 	walKindCreate byte = 1 // cores, policy, model JSON
 	walKindAdmit  byte = 2 // core, tasks-after, task
 	walKindSplit  byte = 3 // tasks-after, split (task+parts+windows)
 	walKindRemove byte = 4 // tasks-after, removed task ID
 	walKindDelete byte = 5 // tombstone: the session was deleted
+	walKindCkpt   byte = 6 // checkpoint: version, then the whole state
+
+	walCkptV1    byte = 1
+	walMaxString      = 1<<16 - 1 // a record's strings are u16-length-prefixed
 )
 
 // walRec is one decoded record.
@@ -42,10 +47,6 @@ type walRec struct {
 
 // --- encoding (append-based, actor-side scratch) ---------------------
 
-func walAppendU16(b []byte, v uint16) []byte {
-	return append(b, byte(v), byte(v>>8))
-}
-
 func walAppendI32(b []byte, v int32) []byte {
 	return binary.LittleEndian.AppendUint32(b, uint32(v))
 }
@@ -55,7 +56,7 @@ func walAppendI64(b []byte, v int64) []byte {
 }
 
 func walAppendString(b []byte, s string) []byte {
-	b = walAppendU16(b, uint16(len(s)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
 }
 
@@ -87,13 +88,17 @@ func walEncodeAdmit(b []byte, core int, tasks int64, j *api.Task) []byte {
 func walEncodeSplit(b []byte, tasks int64, j *api.Split) []byte {
 	b = append(b, walKindSplit)
 	b = walAppendI32(b, int32(tasks))
+	return walAppendSplit(b, j)
+}
+
+func walAppendSplit(b []byte, j *api.Split) []byte {
 	b = walAppendTask(b, &j.Task)
-	b = walAppendU16(b, uint16(len(j.Parts)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(j.Parts)))
 	for _, p := range j.Parts {
 		b = walAppendI32(b, int32(p.Core))
 		b = walAppendI64(b, p.BudgetNs)
 	}
-	b = walAppendU16(b, uint16(len(j.WindowsNs)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(j.WindowsNs)))
 	for _, w := range j.WindowsNs {
 		b = walAppendI64(b, w)
 	}
@@ -108,6 +113,49 @@ func walEncodeRemove(b []byte, tasks int64, id int64) []byte {
 
 func walEncodeDelete(b []byte) []byte {
 	return append(b, walKindDelete)
+}
+
+// walEncodeCheckpoint encodes a session state as a v1 checkpoint
+// payload: cores, policy, the fixed-width fields (ckptFixed), tasks in
+// canonical order (each with its core), splits in install order.
+func walEncodeCheckpoint(b []byte, s *sessionSnapshot) []byte {
+	c := *s
+	c.Model = overhead.Normalize(s.Model)
+	b = append(b, walKindCkpt, walCkptV1)
+	b = walAppendI32(b, int32(c.Cores))
+	b = walAppendString(b, c.Policy)
+	b = append(b, byte(len(c.Model.Queues.LocalN4)))
+	ints, floats := ckptFixed(&c)
+	for _, v := range ints {
+		b = walAppendI64(b, *v)
+	}
+	for _, f := range floats {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*f))
+	}
+	b = walAppendI32(b, int32(len(c.Tasks)))
+	for i := range c.Tasks {
+		b = walAppendI32(b, int32(c.Tasks[i].Core))
+		b = walAppendTask(b, &c.Tasks[i])
+	}
+	b = walAppendI32(b, int32(len(c.Splits)))
+	for i := range c.Splits {
+		b = walAppendSplit(b, &c.Splits[i])
+	}
+	return b
+}
+
+// ckptFixed lists a checkpoint's fixed-width fields in v1 order — the
+// overhead model's, then the counters' — for encode and decode alike.
+func ckptFixed(s *sessionSnapshot) ([]*int64, []*float64) {
+	m, q, a := s.Model, &s.Model.Queues, &s.Admission
+	ints := []*int64{(*int64)(&m.Release), (*int64)(&m.Sched), (*int64)(&m.CtxSwitch),
+		(*int64)(&m.Cache.ReloadPerKiB), (*int64)(&m.Cache.MemPerKiB), &m.Cache.PrivateBytes, &m.Cache.SharedBytes}
+	for i := range q.LocalN4 {
+		ints = append(ints, (*int64)(&q.LocalN4[i]), (*int64)(&q.LocalN64[i]), (*int64)(&q.RemoteN4[i]), (*int64)(&q.RemoteN64[i]))
+	}
+	ints = append(ints, &s.Admitted, &s.Rejected, &s.Removed, &s.StateCacheHits, &s.StateCacheMisses,
+		&a.Probes, &a.FullTests, &a.CoreTests, &a.VerdictHits, &a.FPSolves, &a.FPIterations, &a.WarmStarts, &a.DemandTests, &a.DemandPoints)
+	return ints, []*float64{&m.Cache.SmallWSSRetention, &m.Cache.MigrationFactor, &m.RemotePenalty}
 }
 
 // --- decoding --------------------------------------------------------
@@ -136,51 +184,52 @@ func (r *walReader) take(n int) []byte {
 	return s
 }
 
-func (r *walReader) u16() uint16 {
-	s := r.take(2)
-	if s == nil {
-		return 0
+// fixed takes n <= 8 bytes, zeros past an over-read.
+func (r *walReader) fixed(n int) []byte {
+	if s := r.take(n); s != nil {
+		return s
 	}
-	return uint16(s[0]) | uint16(s[1])<<8
+	return make([]byte, 8)
 }
 
-func (r *walReader) i32() int32 {
-	s := r.take(4)
-	if s == nil {
-		return 0
-	}
-	return int32(binary.LittleEndian.Uint32(s))
-}
+func (r *walReader) u16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
+func (r *walReader) i32() int32  { return int32(binary.LittleEndian.Uint32(r.fixed(4))) }
+func (r *walReader) i64() int64  { return int64(binary.LittleEndian.Uint64(r.fixed(8))) }
 
-func (r *walReader) i64() int64 {
-	s := r.take(8)
-	if s == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(s))
-}
+func (r *walReader) str() string { return string(r.take(int(r.u16()))) }
 
-func (r *walReader) str() string {
-	n := int(r.u16())
-	s := r.take(n)
-	if s == nil {
-		return ""
-	}
-	return string(s)
-}
-
+// bytes32 copies out a u32-length-prefixed field: the replay buffer is
+// reused across records.
 func (r *walReader) bytes32() []byte {
-	s := r.take(4)
-	if s == nil {
-		return nil
+	return append([]byte(nil), r.take(int(uint32(r.i32())))...)
+}
+
+// done is the decode's verdict: the first over-read, or bytes left over.
+func (r *walReader) done() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.err = fmt.Errorf("admitd: wal record payload has %d trailing bytes", len(r.b)-r.off)
 	}
-	n := int(binary.LittleEndian.Uint32(s))
-	p := r.take(n)
-	if p == nil {
-		return nil
+	return r.err
+}
+
+// count reads a non-negative i32 element count.
+func (r *walReader) count() int {
+	n := r.i32()
+	if n < 0 {
+		r.fail()
+		return 0
 	}
-	// Copy: the replay buffer is reused across records.
-	return append([]byte(nil), p...)
+	return int(n)
+}
+
+func (r *walReader) split(j *api.Split) {
+	r.task(&j.Task)
+	for n := int(r.u16()); n > 0 && r.err == nil; n-- {
+		j.Parts = append(j.Parts, api.Part{Core: int(r.i32()), BudgetNs: r.i64()})
+	}
+	for n := int(r.u16()); n > 0 && r.err == nil; n-- {
+		j.WindowsNs = append(j.WindowsNs, r.i64())
+	}
 }
 
 func (r *walReader) task(j *api.Task) {
@@ -212,30 +261,56 @@ func walDecode(payload []byte) (walRec, error) {
 		r.task(&rec.task)
 	case walKindSplit:
 		rec.tasks = r.i32()
-		r.task(&rec.split.Task)
-		for n := int(r.u16()); n > 0 && r.err == nil; n-- {
-			rec.split.Parts = append(rec.split.Parts, api.Part{
-				Core: int(r.i32()), BudgetNs: r.i64(),
-			})
-		}
-		for n := int(r.u16()); n > 0 && r.err == nil; n-- {
-			rec.split.WindowsNs = append(rec.split.WindowsNs, r.i64())
-		}
+		r.split(&rec.split)
 	case walKindRemove:
 		rec.tasks = r.i32()
 		rec.id = r.i64()
 	case walKindDelete:
 		// Tombstone: kind byte only.
+	case walKindCkpt:
+		return rec, nil // decoded by walDecodeCheckpoint, when folded
 	default:
 		return walRec{}, fmt.Errorf("admitd: unknown wal record kind %d", rec.kind)
 	}
-	if r.err != nil {
-		return walRec{}, r.err
-	}
-	if r.off != len(payload) {
-		return walRec{}, fmt.Errorf("admitd: wal record payload has %d trailing bytes", len(payload)-r.off)
+	if err := r.done(); err != nil {
+		return walRec{}, err
 	}
 	return rec, nil
+}
+
+// walDecodeCheckpoint parses a checkpoint payload into a session state
+// (Name and Seq are the caller's: the stream key and the frame carry
+// them). Only a payload walEncodeCheckpoint could have written decodes.
+func walDecodeCheckpoint(payload []byte) (*sessionSnapshot, error) {
+	r := &walReader{b: payload}
+	if k, v := r.take(1), r.take(1); k == nil || v == nil || k[0] != walKindCkpt || v[0] != walCkptV1 {
+		return nil, fmt.Errorf("admitd: not a v%d checkpoint payload", walCkptV1)
+	}
+	s := &sessionSnapshot{Cores: int(r.i32()), Policy: r.str(), Model: &overhead.Model{}}
+	if n := r.take(1); n != nil && int(n[0]) != len(s.Model.Queues.LocalN4) {
+		return nil, fmt.Errorf("admitd: checkpoint model has %d queue ops, want %d", n[0], len(s.Model.Queues.LocalN4))
+	}
+	ints, floats := ckptFixed(s)
+	for _, v := range ints {
+		*v = r.i64()
+	}
+	for _, f := range floats {
+		*f = math.Float64frombits(uint64(r.i64()))
+	}
+	for n := r.count(); n > 0 && r.err == nil; n-- {
+		j := api.Task{Core: int(r.i32())}
+		r.task(&j)
+		s.Tasks = append(s.Tasks, j)
+	}
+	for n := r.count(); n > 0 && r.err == nil; n-- {
+		var j api.Split
+		r.split(&j)
+		s.Splits = append(s.Splits, j)
+	}
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // walOpName maps a record kind to the feed op name.

@@ -61,6 +61,9 @@ func toTaskInto(t *task.Task, j api.Task, p task.Policy) error {
 	if j.ID == 0 {
 		return fmt.Errorf("task needs a nonzero id")
 	}
+	if len(j.Name) > walMaxString {
+		return fmt.Errorf("task %d: name longer than %d bytes", j.ID, walMaxString)
+	}
 	if err := t.Validate(); err != nil {
 		return err
 	}

@@ -52,8 +52,10 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -133,13 +135,34 @@ type Options struct {
 
 // Record is one replayed log entry. Payload aliases the replay
 // buffer: it is valid only inside the Replay (or OnRecover) callback
-// — copy it to keep it.
+// — copy it to keep it. Off is the frame's byte offset in its segment
+// file: with LSN, the record's Pos.
 type Record struct {
 	LSN     uint64
+	Off     int64
 	Seq     int64
 	Stream  string
 	Payload []byte
 }
+
+// Pos locates one frame: the LSN it was appended at and its byte
+// offset within its segment file. Append returns it, Record carries
+// it, and ReadAt reads the frame back without a scan.
+type Pos struct {
+	LSN uint64
+	Off int64
+}
+
+// Pos is where the record sits in the log.
+func (r Record) Pos() Pos { return Pos{LSN: r.LSN, Off: r.Off} }
+
+// ErrNotRetained: ReadAt was asked for a frame whose segment the log no
+// longer holds (compaction removed it).
+var ErrNotRetained = errors.New("wal: position no longer retained")
+
+// ErrFrameTooLarge is returned by Append for a record whose frame
+// would exceed the 16 MiB bound every reader enforces.
+var ErrFrameTooLarge = errors.New("wal: record too large")
 
 // Recovery reports what Open found: how much of the log was valid
 // and, when an anomaly forced truncation, where and why.
@@ -179,6 +202,9 @@ const (
 	// flushThreshold bounds the in-memory append buffer between
 	// Commits.
 	flushThreshold = 1 << 20
+	// windowBytes is the read window segments are scanned through; a
+	// frame larger than it is read whole.
+	windowBytes = 64 << 10
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -309,6 +335,72 @@ func parseFrame(data []byte, off int) (f frame, size int, reason string) {
 	return f, 8 + int(l), ""
 }
 
+// segReader reads one segment file through a reused window: frames are
+// parsed in place, and one larger than the window grows it to fit.
+type segReader struct {
+	f    *os.File
+	buf  []byte
+	r, w int   // unparsed bytes: buf[r:w]
+	off  int64 // file offset of buf[r]
+	left int64 // file bytes not yet read
+	read int64 // file bytes read
+}
+
+// reset points the reader at f, of which it reads at most limit bytes.
+func (sr *segReader) reset(f *os.File, limit int64) {
+	if sr.buf == nil {
+		sr.buf = make([]byte, windowBytes)
+	}
+	sr.f, sr.r, sr.w, sr.off, sr.left, sr.read = f, 0, 0, 0, limit, 0
+}
+
+// fill makes n bytes available at buf[r:], or all that is left of
+// the file if that is fewer.
+func (sr *segReader) fill(n int) error {
+	if sr.w-sr.r >= n {
+		return nil
+	}
+	if n > len(sr.buf) {
+		sr.buf = append(make([]byte, 0, n), sr.buf[sr.r:sr.w]...)[:n]
+	} else {
+		copy(sr.buf, sr.buf[sr.r:sr.w])
+	}
+	sr.w -= sr.r
+	sr.r = 0
+	for sr.w < n && sr.left > 0 {
+		k, err := sr.f.Read(sr.buf[sr.w:min(int64(len(sr.buf)), int64(sr.w)+sr.left)])
+		sr.w += k
+		sr.left -= int64(k)
+		sr.read += int64(k)
+		if err == io.EOF {
+			sr.left = 0
+		} else if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// next parses the frame at the reader's position (parseFrame's
+// answer, over the window), and steps past it.
+func (sr *segReader) next() (f frame, off int64, reason string, err error) {
+	if err := sr.fill(8); err != nil {
+		return frame{}, 0, "", err
+	}
+	if sr.w-sr.r >= 8 {
+		if l := binary.LittleEndian.Uint32(sr.buf[sr.r:]); l >= frameFixed && l <= maxFrame {
+			if err := sr.fill(8 + int(l)); err != nil {
+				return frame{}, 0, "", err
+			}
+		}
+	}
+	f, n, reason := parseFrame(sr.buf[sr.r:sr.w], 0)
+	off = sr.off
+	sr.r += n
+	sr.off += int64(n)
+	return f, off, reason, nil
+}
+
 // scanSegment validates one segment file front to back, returning the
 // valid-prefix description and, when the scan hit an anomaly, its
 // reason and offset. wantFirst, when non-zero, is the LSN the segment
@@ -317,23 +409,31 @@ func parseFrame(data []byte, off int) (f frame, size int, reason string) {
 // that passes is handed to Options.OnRecover on the spot — a frame is
 // checksummed and LSN-checked once per restart, here. An I/O error
 // (or an OnRecover error) aborts the open instead.
-func (l *Log) scanSegment(path string, wantFirst uint64, names streamNames) (seg *segment, reason string, offset int64, err error) {
-	data, err := os.ReadFile(path)
+func (l *Log) scanSegment(sr *segReader, path string, wantFirst uint64, names streamNames) (seg *segment, reason string, offset int64, err error) {
+	file, err := os.Open(path)
 	if err != nil {
 		return nil, "", 0, err
 	}
-	l.readBytes.Add(int64(len(data)))
+	defer file.Close()
+	sr.reset(file, 1<<62)
+	defer func() { l.readBytes.Add(sr.read) }()
 	nameLSN, ok := segNameLSN(filepath.Base(path))
 	if !ok {
 		return nil, "bad segment name", 0, nil
 	}
-	if len(data) < headerSize {
+	if err := sr.fill(headerSize); err != nil {
+		return nil, "", 0, err
+	}
+	hdr := sr.buf[sr.r:sr.w]
+	if len(hdr) < headerSize {
 		return nil, "truncated segment header", 0, nil
 	}
-	if string(data[:8]) != segMagic {
+	if string(hdr[:8]) != segMagic {
 		return nil, "bad segment magic", 0, nil
 	}
-	first := binary.LittleEndian.Uint64(data[8:])
+	first := binary.LittleEndian.Uint64(hdr[8:])
+	sr.r += headerSize
+	sr.off = headerSize
 	if first != nameLSN {
 		return nil, "segment header/name mismatch", 0, nil
 	}
@@ -347,29 +447,28 @@ func (l *Log) scanSegment(path string, wantFirst uint64, names streamNames) (seg
 		size:     headerSize,
 		streams:  make(map[string]seqRange),
 	}
-	off := headerSize
 	for {
-		f, n, bad := parseFrame(data, off)
-		if bad != "" {
-			return seg, bad, int64(off), nil
-		}
-		if n == 0 {
+		f, off, bad, err := sr.next()
+		switch {
+		case err != nil:
+			return nil, "", 0, err
+		case bad != "":
+			return seg, bad, off, nil
+		case sr.off == off:
 			return seg, "", 0, nil
-		}
-		if f.lsn != seg.lastLSN+1 {
-			return seg, fmt.Sprintf("lsn discontinuity (%d after %d)", f.lsn, seg.lastLSN), int64(off), nil
+		case f.lsn != seg.lastLSN+1:
+			return seg, fmt.Sprintf("lsn discontinuity (%d after %d)", f.lsn, seg.lastLSN), off, nil
 		}
 		stream := names.of(f.stream)
 		if l.opts.OnRecover != nil {
-			if err := l.opts.OnRecover(Record{LSN: f.lsn, Seq: f.seq, Stream: stream, Payload: f.payload}); err != nil {
+			if err := l.opts.OnRecover(Record{LSN: f.lsn, Off: off, Seq: f.seq, Stream: stream, Payload: f.payload}); err != nil {
 				return nil, "", 0, err
 			}
 		}
 		seg.lastLSN = f.lsn
 		seg.records++
 		seg.note(stream, f.seq)
-		seg.size += int64(n)
-		off += n
+		seg.size = sr.off
 	}
 }
 
@@ -419,6 +518,7 @@ func Open(opts Options) (*Log, *Recovery, error) {
 		return syncDir(opts.Dir)
 	}
 	streams := make(streamNames)
+	var sr segReader
 scan:
 	for i, name := range names {
 		path := filepath.Join(opts.Dir, name)
@@ -430,7 +530,7 @@ scan:
 		if haveSeg {
 			wantFirst = lastLSN + 1
 		}
-		seg, reason, offset, err := l.scanSegment(path, wantFirst, streams)
+		seg, reason, offset, err := l.scanSegment(&sr, path, wantFirst, streams)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -556,20 +656,26 @@ var errClosed = fmt.Errorf("wal: log closed")
 
 // Append stages one record. Under SyncAlways it is durable on
 // return; under SyncGroup/SyncOff it is buffered until Commit (or
-// the buffer threshold). Returns the record's LSN.
-func (l *Log) Append(stream string, seq int64, payload []byte) (uint64, error) {
+// the buffer threshold). Returns the record's position.
+func (l *Log) Append(stream string, seq int64, payload []byte) (Pos, error) {
 	if len(stream) > 1<<16-1 {
-		return 0, fmt.Errorf("wal: stream key too long (%d bytes)", len(stream))
+		return Pos{}, fmt.Errorf("wal: stream key too long (%d bytes)", len(stream))
+	}
+	frameLen := frameFixed + len(stream) + len(payload)
+	if frameLen > maxFrame {
+		// The scan would read a longer length field as garbage and
+		// truncate the log there, so such a frame is never written.
+		return Pos{}, fmt.Errorf("%w: %d bytes, limit %d", ErrFrameTooLarge, frameLen, maxFrame)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return 0, errClosed
+		return Pos{}, errClosed
 	}
 	lsn := l.nextLSN
 	l.nextLSN++
+	pos := Pos{LSN: lsn, Off: l.active.size}
 
-	frameLen := frameFixed + len(stream) + len(payload)
 	start := len(l.buf)
 	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(frameLen))
 	crcAt := len(l.buf)
@@ -600,7 +706,7 @@ func (l *Log) Append(stream string, seq int64, payload []byte) (uint64, error) {
 	if err == nil && l.active.size >= l.opts.SegmentBytes {
 		err = l.rotateLocked()
 	}
-	return lsn, err
+	return pos, err
 }
 
 // flushLocked writes buffered frames to the active file.
@@ -735,22 +841,28 @@ func (l *Log) rotateLocked() error {
 }
 
 // Rotate seals the active segment (a no-op when it holds no records)
-// so a following Compact can consider its records. The checkpoint
-// loop calls this before compacting.
-func (l *Log) Rotate() error {
+// so a following Compact can consider its records. It returns the
+// first LSN of the active segment it leaves: every record below it
+// sits in a sealed segment. The checkpoint loop calls this first.
+func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return errClosed
+		return 0, errClosed
 	}
-	return l.rotateLocked()
+	if err := l.rotateLocked(); err != nil {
+		return 0, err
+	}
+	return l.active.firstLSN, nil
 }
 
 // Compact removes the longest fully-covered prefix of sealed
-// segments: a segment goes when covered(stream, maxSeq) is true for
-// every stream it holds records of — i.e. every record in it is
-// reflected in a checkpoint. Returns how many segments were removed.
-func (l *Log) Compact(covered func(stream string, maxSeq int64) bool) (int, error) {
+// segments: a segment goes when covered(stream, maxSeq, lastLSN) is
+// true for every stream it holds records of, maxSeq being the
+// stream's highest seq in the segment and lastLSN the segment's last
+// LSN — so a caller can keep the segment that holds a record it
+// still needs. Returns how many segments were removed.
+func (l *Log) Compact(covered func(stream string, maxSeq int64, lastLSN uint64) bool) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -761,7 +873,7 @@ func (l *Log) Compact(covered func(stream string, maxSeq int64) bool) (int, erro
 		seg := l.sealed[0]
 		ok := true
 		for stream, r := range seg.streams {
-			if !covered(stream, r.max) {
+			if !covered(stream, r.max, seg.lastLSN) {
 				ok = false
 				break
 			}
@@ -836,42 +948,106 @@ func (l *Log) replay(stream string, afterSeq int64, fn func(Record) error) error
 	if stream == "" {
 		names = make(streamNames)
 	}
+	var sr segReader
 	for _, sp := range spans {
-		data, err := os.ReadFile(sp.path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // compacted under us: covered records
-			}
+		if err := l.replaySpan(&sr, sp, stream, afterSeq, names, fn); err != nil {
 			return err
-		}
-		l.readBytes.Add(int64(len(data)))
-		if int64(len(data)) > sp.limit {
-			data = data[:sp.limit]
-		}
-		off := headerSize
-		for {
-			f, n, bad := parseFrame(data, off)
-			if n == 0 {
-				if bad != "" {
-					// Only pre-validated bytes are read; reaching this
-					// means the file changed underneath us.
-					return fmt.Errorf("wal: replay %s at %d: %s", sp.path, off, bad)
-				}
-				break
-			}
-			off += n
-			name := stream
-			if stream == "" {
-				name = names.of(f.stream)
-			} else if string(f.stream) != stream || f.seq <= afterSeq {
-				continue
-			}
-			if err := fn(Record{LSN: f.lsn, Seq: f.seq, Stream: name, Payload: f.payload}); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
+}
+
+// replaySpan replays the records of one segment file (its first
+// sp.limit bytes) through the window.
+func (l *Log) replaySpan(sr *segReader, sp replaySpan, stream string, afterSeq int64, names streamNames, fn func(Record) error) error {
+	file, err := os.Open(sp.path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil // compacted under us: covered records
+		}
+		return err
+	}
+	defer file.Close()
+	sr.reset(file, sp.limit)
+	defer func() { l.readBytes.Add(sr.read) }()
+	if err := sr.fill(headerSize); err != nil {
+		return err
+	}
+	sr.r += headerSize
+	sr.off = headerSize
+	for {
+		f, off, bad, err := sr.next()
+		switch {
+		case err != nil:
+			return err
+		case bad != "":
+			// Only pre-validated bytes are read; reaching this means the
+			// file changed underneath us.
+			return fmt.Errorf("wal: replay %s at %d: %s", sp.path, off, bad)
+		case sr.off == off:
+			return nil
+		}
+		name := stream
+		if stream == "" {
+			name = names.of(f.stream)
+		} else if string(f.stream) != stream || f.seq <= afterSeq {
+			continue
+		}
+		if err := fn(Record{LSN: f.lsn, Off: off, Seq: f.seq, Stream: name, Payload: f.payload}); err != nil {
+			return err
+		}
+	}
+}
+
+// ReadAt reads back the one record at p, a position Append returned or
+// a Record carried, without scanning its segment. The payload is the
+// caller's to keep. A position whose segment compaction has removed
+// reports ErrNotRetained.
+func (l *Log) ReadAt(p Pos) (Record, error) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return Record{}, errClosed
+	}
+	path := ""
+	if p.LSN >= l.active.firstLSN {
+		if err := l.flushLocked(); err != nil {
+			l.mu.Unlock()
+			return Record{}, err
+		}
+		path = l.active.path
+	}
+	for _, seg := range l.sealed {
+		if seg.firstLSN <= p.LSN && p.LSN <= seg.lastLSN {
+			path = seg.path
+		}
+	}
+	l.mu.Unlock()
+	if path == "" {
+		return Record{}, fmt.Errorf("%w: lsn %d", ErrNotRetained, p.LSN)
+	}
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return Record{}, fmt.Errorf("%w: lsn %d", ErrNotRetained, p.LSN)
+	} else if err != nil {
+		return Record{}, err
+	}
+	defer f.Close()
+	var hdr [8]byte
+	if _, err := f.ReadAt(hdr[:], p.Off); err != nil {
+		return Record{}, fmt.Errorf("wal: no record at lsn %d offset %d of %s: %w", p.LSN, p.Off, path, err)
+	}
+	buf := make([]byte, 8+min(binary.LittleEndian.Uint32(hdr[:]), maxFrame))
+	n, err := f.ReadAt(buf, p.Off)
+	l.readBytes.Add(int64(n))
+	fr, _, bad := parseFrame(buf[:n], 0)
+	if bad == "" && fr.lsn != p.LSN {
+		bad = fmt.Sprintf("lsn %d", fr.lsn)
+	}
+	if bad != "" {
+		return Record{}, fmt.Errorf("wal: no record at lsn %d offset %d of %s: %s (%v)", p.LSN, p.Off, path, bad, err)
+	}
+	return Record{LSN: fr.lsn, Off: p.Off, Seq: fr.seq, Stream: string(fr.stream), Payload: fr.payload}, nil
 }
 
 // Stats snapshots the log's counters.
@@ -1031,40 +1207,6 @@ func syncAll(logs map[*Log]struct{}) error {
 	}
 	wg.Wait()
 	return first
-}
-
-// --- shared durable-write helpers -------------------------------------
-
-// WriteFileAtomic writes data to path through a temp file + rename,
-// with the fsync pair that makes the rename crash-durable: the file
-// is fsynced before the rename (so the new name never points at
-// partial bytes) and the parent directory after (so the rename
-// itself survives a crash). admitd's checkpoint writer shares it.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory, making renames/creates/removes in it

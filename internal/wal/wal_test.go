@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -119,11 +120,11 @@ func TestRotationAndCompaction(t *testing.T) {
 		t.Fatalf("expected several segments, got %d", st.Segments)
 	}
 	// Nothing covered: nothing removed.
-	if n, err := l.Compact(func(string, int64) bool { return false }); err != nil || n != 0 {
+	if n, err := l.Compact(func(string, int64, uint64) bool { return false }); err != nil || n != 0 {
 		t.Fatalf("Compact(none) = %d, %v", n, err)
 	}
 	// Cover seqs <= 150: a strict prefix of segments goes.
-	n, err := l.Compact(func(_ string, maxSeq int64) bool { return maxSeq <= 150 })
+	n, err := l.Compact(func(_ string, maxSeq int64, _ uint64) bool { return maxSeq <= 150 })
 	if err != nil || n == 0 {
 		t.Fatalf("Compact(<=150) = %d, %v", n, err)
 	}
@@ -410,6 +411,177 @@ func TestTortureStaleFrame(t *testing.T) {
 	}
 }
 
+// TestTortureLargeFrame: a frame larger than the scan window (a big
+// checkpoint) is read whole — by the open scan, by Replay and by
+// ReadAt — and when it is torn or damaged it is the truncation point
+// like any other frame.
+func TestTortureLargeFrame(t *testing.T) {
+	big := bytes.Repeat([]byte("checkpoint"), 3*windowBytes/10)
+	for _, damage := range []string{"", "truncated frame body", "crc mismatch"} {
+		t.Run(fmt.Sprintf("damage=%q", damage), func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := openT(t, dir, Options{Policy: SyncOff})
+			appendN(t, l, "s", 1, 3)
+			pos, err := l.Append("s", 4, big)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, segName(1))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch damage {
+			case "truncated frame body":
+				data = data[:len(data)-100]
+			case "crc mismatch":
+				data[len(data)-5000] ^= 1
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want := 4
+			if damage != "" {
+				want = 3
+			}
+			var delivered int
+			l2, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(r Record) error {
+				delivered++
+				if r.Seq == 4 && !bytes.Equal(r.Payload, big) {
+					t.Fatal("the large frame was misread")
+				}
+				return nil
+			}})
+			defer l2.Close()
+			if delivered != want || int(rec.Records) != want || rec.Reason != damage {
+				t.Fatalf("recovered %d (delivered %d), want %d; reason %q, want %q", rec.Records, delivered, want, rec.Reason, damage)
+			}
+			if got := collect(t, l2); len(got) != want {
+				t.Fatalf("replay: %d records, want %d", len(got), want)
+			}
+			if r, err := l2.ReadAt(pos); (err == nil) != (damage == "") || err == nil && !bytes.Equal(r.Payload, big) {
+				t.Fatalf("ReadAt of the large frame: %v", err)
+			}
+		})
+	}
+}
+
+// TestAppendRefusesOversizedFrame: a record past the frame bound every
+// reader enforces is refused, takes no LSN and writes nothing, so the
+// records appended after it survive a reopen.
+func TestAppendRefusesOversizedFrame(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{Policy: SyncOff})
+	appendN(t, l, "s", 1, 2)
+	if _, err := l.Append("s", 3, make([]byte, maxFrame-frameFixed)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("Append past the frame bound: %v, want ErrFrameTooLarge", err)
+	}
+	appendN(t, l, "t", 1, 2)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := openT(t, dir, Options{Policy: SyncOff})
+	defer l2.Close()
+	if rec.Truncated || rec.Records != 4 || rec.NextLSN != 5 {
+		t.Fatalf("reopen after a refused append: %+v, want 4 records and no truncation", rec)
+	}
+}
+
+// TestTortureCarriedCheckpoint: a checkpoint record carried forward (read
+// at its position, appended again after a rotation) and a crash before
+// the compaction that would follow, tearing the carried copy. The log
+// reopens to everything but the torn copy, and the original is still
+// where its position says.
+func TestTortureCarriedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{Policy: SyncOff})
+	appendN(t, l, "s", 1, 10)
+	orig, err := l.Append("s", 10, []byte("checkpoint of s at 10"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, "o", 1, 5)
+	fresh, err := l.Rotate()
+	if err != nil || fresh <= orig.LSN {
+		t.Fatalf("Rotate = %d, %v; want past lsn %d", fresh, err, orig.LSN)
+	}
+	r, err := l.ReadAt(orig)
+	if err != nil || r.Seq != 10 || r.Stream != "s" {
+		t.Fatalf("ReadAt(%+v) = %+v, %v", orig, r, err)
+	}
+	carried, err := l.Append(r.Stream, r.Seq, r.Payload)
+	if err != nil || carried.LSN != fresh {
+		t.Fatalf("carried to %+v, %v; want lsn %d", carried, err, fresh)
+	}
+	if err := l.Close(); err != nil { // the crash: no Compact
+		t.Fatal(err)
+	}
+	last := filepath.Join(dir, segName(fresh))
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := openT(t, dir, Options{Policy: SyncOff})
+	defer l2.Close()
+	if !rec.Truncated || rec.Records != 16 || rec.Reason != "truncated frame body" {
+		t.Fatalf("recovery: %+v", rec)
+	}
+	if r2, err := l2.ReadAt(orig); err != nil || !bytes.Equal(r2.Payload, r.Payload) {
+		t.Fatalf("the original checkpoint after the crash: %+v, %v", r2, err)
+	}
+	if _, err := l2.ReadAt(carried); err == nil {
+		t.Fatal("ReadAt returned the torn copy")
+	}
+}
+
+// TestReadAt: a position read back — from Append, from a Record, while
+// still buffered — returns the frame; a compacted one ErrNotRetained;
+// and Compact is handed each segment's last LSN, so a caller can keep
+// the segment holding a position it still needs.
+func TestReadAt(t *testing.T) {
+	l, _ := openT(t, t.TempDir(), Options{Policy: SyncOff, SegmentBytes: 512})
+	defer l.Close()
+	var pos []Pos
+	for seq := int64(1); seq <= 40; seq++ {
+		p, err := l.Append("a", seq, []byte(fmt.Sprintf("payload-a-%d", seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos = append(pos, p)
+	}
+	for i, p := range pos {
+		r, err := l.ReadAt(p)
+		if err != nil || r.Seq != int64(i+1) || r.Pos() != p || string(r.Payload) != fmt.Sprintf("payload-a-%d", i+1) {
+			t.Fatalf("ReadAt(%+v) = %+v, %v", p, r, err)
+		}
+	}
+	for _, r := range collect(t, l) {
+		if r.Pos() != pos[r.Seq-1] {
+			t.Fatalf("replayed seq %d at %+v, appended at %+v", r.Seq, r.Pos(), pos[r.Seq-1])
+		}
+	}
+	pin := pos[20]
+	if _, err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := l.Compact(func(_ string, _ int64, last uint64) bool { return last < pin.LSN })
+	if err != nil || n == 0 {
+		t.Fatalf("Compact = %d, %v", n, err)
+	}
+	if _, err := l.ReadAt(pos[0]); !errors.Is(err, ErrNotRetained) {
+		t.Fatalf("ReadAt of a compacted frame: %v", err)
+	}
+	if r, err := l.ReadAt(pin); err != nil || r.Seq != 21 {
+		t.Fatalf("the pinned frame: %+v, %v", r, err)
+	}
+}
+
 // --- map-model differential fuzz --------------------------------------
 
 // modelRec is the pure-Go model of one retained record.
@@ -483,7 +655,7 @@ func TestFuzzMapModelDifferential(t *testing.T) {
 						t.Fatalf("commit: %v", err)
 					}
 				case k < 85: // rotate
-					if err := l.Rotate(); err != nil {
+					if _, err := l.Rotate(); err != nil {
 						t.Fatalf("rotate: %v", err)
 					}
 				case k < 93: // checkpoint + compact
@@ -492,7 +664,7 @@ func TestFuzzMapModelDifferential(t *testing.T) {
 							ckpt[s] = next[s]
 						}
 					}
-					if _, err := l.Compact(func(stream string, maxSeq int64) bool {
+					if _, err := l.Compact(func(stream string, maxSeq int64, _ uint64) bool {
 						return maxSeq <= ckpt[stream]
 					}); err != nil {
 						t.Fatalf("compact: %v", err)
@@ -516,24 +688,6 @@ func TestFuzzMapModelDifferential(t *testing.T) {
 			check()
 			l.Close()
 		})
-	}
-}
-
-func TestWriteFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.json")
-	if err := WriteFileAtomic(path, []byte("one"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomic(path, []byte("two"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil || !bytes.Equal(data, []byte("two")) {
-		t.Fatalf("read back %q, %v", data, err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("tmp file left behind")
 	}
 }
 
@@ -772,11 +926,36 @@ var fuzzLog = sync.OnceValue(func() (out struct {
 	if err != nil {
 		panic(err)
 	}
+	// Mutations, checkpoint records (a stream's seq repeated), one frame
+	// larger than the scan window, then a rotation that carries a
+	// checkpoint forward — and no compaction: a crash between the two.
+	var ckpt Pos
 	for i := 0; i < 40; i++ {
 		stream := fmt.Sprintf("s%d/1", i%3)
-		if _, err := l.Append(stream, int64(i/3), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+		payload := []byte(fmt.Sprintf("payload-%d", i))
+		if i == 20 {
+			payload = bytes.Repeat(payload, windowBytes/len(payload)+1)
+		}
+		if _, err := l.Append(stream, int64(i/3), payload); err != nil {
 			panic(err)
 		}
+		if i%7 == 6 {
+			p, err := l.Append(stream, int64(i/3), []byte(fmt.Sprintf("checkpoint-%d", i)))
+			if err != nil {
+				panic(err)
+			}
+			ckpt = p
+		}
+	}
+	if _, err := l.Rotate(); err != nil {
+		panic(err)
+	}
+	r, err := l.ReadAt(ckpt)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := l.Append(r.Stream, r.Seq, r.Payload); err != nil {
+		panic(err)
 	}
 	if err := l.Replay(func(r Record) error {
 		r.Payload = append([]byte(nil), r.Payload...)
@@ -805,7 +984,7 @@ var fuzzLog = sync.OnceValue(func() (out struct {
 })
 
 func sameRecord(a, b Record) bool {
-	return a.LSN == b.LSN && a.Seq == b.Seq && a.Stream == b.Stream && bytes.Equal(a.Payload, b.Payload)
+	return a.LSN == b.LSN && a.Off == b.Off && a.Seq == b.Seq && a.Stream == b.Stream && bytes.Equal(a.Payload, b.Payload)
 }
 
 // FuzzWalFrame pins the two halves of the recovery invariant. Arbitrary

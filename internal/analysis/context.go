@@ -85,6 +85,16 @@ type Context interface {
 	Place(t *task.Task, c int)
 	// AddSplit commits the split without probing.
 	AddSplit(sp *task.Split)
+	// SplitHint estimates the largest budget sp's part on core c could
+	// take with core c still admitting. sp is the tentative split a
+	// TrySplit would probe, its part on c followed by a remainder; the
+	// estimate holds every other entity's jitter and the queue bound at
+	// what that probe resolves them to, and charges the part as a
+	// non-final one. It is exact where no jitter on c depends on the
+	// part's budget (chains that only run forward), and a guess
+	// elsewhere: callers confirm it with probes. It leaves no pending
+	// state. No probe may be pending.
+	SplitHint(sp *task.Split, c int) timeq.Time
 	// Remove deletes the task with the given ID — whole placement or
 	// split — from the assignment and the context's incremental
 	// state, reporting whether it was present. Removal is the one
@@ -916,6 +926,9 @@ func (cc *checkedContext) BeginGroup()               { cc.ctx.BeginGroup() }
 func (cc *checkedContext) EndGroup()                 { cc.ctx.EndGroup() }
 func (cc *checkedContext) Place(t *task.Task, c int) { cc.ctx.Place(t, c) }
 func (cc *checkedContext) AddSplit(sp *task.Split)   { cc.ctx.AddSplit(sp) }
+func (cc *checkedContext) SplitHint(sp *task.Split, c int) timeq.Time {
+	return cc.ctx.SplitHint(sp, c)
+}
 func (cc *checkedContext) Commit()                   { cc.ctx.Commit() }
 func (cc *checkedContext) Rollback()                 { cc.ctx.Rollback() }
 func (cc *checkedContext) Remove(id task.ID) bool    { return cc.ctx.Remove(id) }

@@ -92,6 +92,14 @@ func (x *fpContext) newChain(sp *task.Split) {
 	fillFPChain(&x.tent, sp, &x.pool)
 }
 
+// recycleTent returns the tentative chain, never published, to the
+// pools.
+func (x *fpContext) recycleTent() {
+	x.pool.put(x.tent.ents...)
+	x.chainFree = append(x.chainFree, fpSnapChain{ents: x.tent.ents[:0], cores: x.tent.cores[:0]})
+	x.tent = fpSnapChain{}
+}
+
 // adoptChain commits the tentative chain. A committed chain couples
 // its host cores through the jitter resolution: per-core verdicts stop
 // being shareable.
@@ -245,9 +253,7 @@ func (x *fpContext) Rollback() {
 		x.lastProbe[c] = probeRecord{seq: x.commitSeq, id: x.pend.addEnts[0].Task.ID, ok: x.pend.fits, run: x.pend.run}
 	case pendSplit:
 		x.a.Splits = x.a.Splits[:len(x.a.Splits)-1]
-		// The tentative chain was never published: recycle it.
-		x.pool.put(x.tent.ents...)
-		x.chainFree = append(x.chainFree, fpSnapChain{ents: x.tent.ents[:0], cores: x.tent.cores[:0]})
+		x.recycleTent()
 	}
 	x.pend = pending{}
 	x.rolledBack()

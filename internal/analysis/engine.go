@@ -502,6 +502,22 @@ func (p *fpProbe) resolve() {
 // test converged, for the writer to install as the core's next warm
 // start, and the number of deadlines the demand was evaluated at.
 func edfEvalProbe(m *overhead.Model, mono bool, r *coreRec, cs *CoreSet, c int, place *Entity, parts []*Entity, partCores []int, n int) (ok bool, busyWarm timeq.Time, points int64) {
+	edfProbeSet(m, r, cs, c, place, parts, partCores, n)
+	var start timeq.Time
+	if mono {
+		start = r.busyWarm
+	}
+	l, b, busyWarm, ok := cs.edfHorizon(m, start)
+	if !ok {
+		return false, 0, 0
+	}
+	ok, points, _ = cs.edfDemandWalk(l, b)
+	return ok, busyWarm, points
+}
+
+// edfProbeSet assembles in cs the probe set edfEvalProbe tests: core
+// record r with the tentative entities inserted in canonical order.
+func edfProbeSet(m *overhead.Model, r *coreRec, cs *CoreSet, c int, place *Entity, parts []*Entity, partCores []int, n int) {
 	buf := cs.Entities[:0]
 	cm := r.cacheMax
 	if place != nil {
@@ -527,16 +543,6 @@ func edfEvalProbe(m *overhead.Model, mono bool, r *coreRec, cs *CoreSet, c int, 
 	cs.N = n
 	cs.CacheMax = cm
 	cs.invalidateCosts()
-	var start timeq.Time
-	if mono {
-		start = r.busyWarm
-	}
-	l, b, busyWarm, ok := cs.edfHorizon(m, start)
-	if !ok {
-		return false, 0, 0
-	}
-	ok, points = cs.edfDemandWalk(l, b)
-	return ok, busyWarm, points
 }
 
 // edfDemandWalk decides what the oracle's enumeration decides: every
@@ -558,9 +564,11 @@ func edfEvalProbe(m *overhead.Model, mono bool, r *coreRec, cs *CoreSet, c int, 
 // The deadlinePointCap verdict is kept in closed form: raw is the
 // number of deadlines the enumeration would list, and it bounds the
 // walk, whose every step lands on a different one of them. points
-// counts the deadlines h was evaluated at. The caller ran edfHorizon,
-// which filled the cost cache and the flat mirrors.
-func (cs *CoreSet) edfDemandWalk(l, b timeq.Time) (ok bool, points int64) {
+// counts the deadlines h was evaluated at, and miss is the deadline h
+// exceeded (-1 when the walk passed or the cap rejected the core). The
+// caller ran edfHorizon, which filled the cost cache and the flat
+// mirrors.
+func (cs *CoreSet) edfDemandWalk(l, b timeq.Time) (ok bool, points int64, miss timeq.Time) {
 	k := len(cs.Entities)
 	infl, rel := cs.infl[:k], cs.relCost
 	periods, deadlines, migr := cs.soaT[:k], cs.soaD[:k], cs.soaMigr[:k]
@@ -569,7 +577,7 @@ func (cs *CoreSet) edfDemandWalk(l, b timeq.Time) (ok bool, points int64) {
 		if d := deadlines[i]; d <= l {
 			n := int64(l-d)/int64(periods[i]) + 1
 			if n > deadlinePointCap-raw {
-				return false, 0
+				return false, 0, -1
 			}
 			raw += n
 		}
@@ -585,7 +593,7 @@ func (cs *CoreSet) edfDemandWalk(l, b timeq.Time) (ok bool, points int64) {
 			}
 		}
 		if t < 0 {
-			return true, points
+			return true, points, -1
 		}
 		points++
 		h := b
@@ -598,7 +606,7 @@ func (cs *CoreSet) edfDemandWalk(l, b timeq.Time) (ok bool, points int64) {
 			}
 		}
 		if h > t {
-			return false, points
+			return false, points, t
 		}
 		x = h - 1
 	}

@@ -115,7 +115,7 @@ func admitdServe(args []string, w io.Writer) error {
 		}()
 		fmt.Fprintf(w, "spadmitd pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -138,6 +138,28 @@ func admitdServe(args []string, w io.Writer) error {
 	_ = httpSrv.Shutdown(shutCtx) //nolint:errcheck // drain best-effort before checkpointing
 	srv.Close()
 	return nil
+}
+
+// Slow-client timeouts of the service listener. A client must finish a
+// request's headers within serveReadHeaderTimeout, and an idle
+// keep-alive connection is closed after serveIdleTimeout, so clients
+// that trickle headers or park connections cannot pin the server's
+// descriptors and goroutines. There is deliberately no write or full
+// read timeout: /v1/sweep and the SSE feeds stream for minutes, and
+// request bodies are bounded in size by the handlers.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the service listener's server.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 }
 
 // admitdLoad drives the request mix against a remote server (-addr)

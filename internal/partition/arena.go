@@ -24,8 +24,9 @@ import (
 // consumes each result before moving on. Call BeginSet between task
 // sets (or on a model change) to invalidate the shared memos.
 type Arena struct {
-	slots [2]arenaSlot // indexed by task.Policy
-	zero  *overhead.Model
+	slots  [2]arenaSlot // indexed by task.Policy
+	zero   *overhead.Model
+	search budgetSearch
 }
 
 type arenaSlot struct {

@@ -111,6 +111,7 @@ func (w *EDFWM) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Optio
 	a := o.newAssignment(w.Policy(), m)
 	ctx := newContext(w, a, model, o)
 	defer ctx.Flush()
+	bs := o.newBudgetSearch()
 	for _, t := range s.SortedByUtilizationDesc() {
 		if err := o.err(); err != nil {
 			return nil, err
@@ -118,7 +119,7 @@ func (w *EDFWM) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Optio
 		if placeWholeFirstFit(ctx, t, m) {
 			continue
 		}
-		if !w.split(ctx, t, m) {
+		if !w.split(ctx, bs, t, m) {
 			return nil, ErrUnschedulable
 		}
 	}
@@ -128,14 +129,14 @@ func (w *EDFWM) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Optio
 // split tries k = 2..m equal windows of D/k: for each window it finds
 // the core admitting the largest budget; if the k budgets cover the
 // WCET the split is installed (last window trimmed to the remainder).
-func (w *EDFWM) split(ctx analysis.Context, t *task.Task, m int) bool {
+func (w *EDFWM) split(ctx analysis.Context, bs *budgetSearch, t *task.Task, m int) bool {
 	d := t.EffectiveDeadline()
 	for k := 2; k <= m; k++ {
 		window := d / timeq.Time(k)
 		if window < minPartBudget {
 			return false
 		}
-		parts, windows, ok := w.trySplit(ctx, t, k, window, m)
+		parts, windows, ok := w.trySplit(ctx, bs, t, k, window, m)
 		if ok {
 			ctx.AddSplit(&task.Split{Task: t, Parts: parts, Windows: windows})
 			return true
@@ -147,7 +148,7 @@ func (w *EDFWM) split(ctx analysis.Context, t *task.Task, m int) bool {
 // trySplit greedily assigns each of the k windows to the core that
 // admits the largest budget for a (budget, window, T) sporadic task,
 // one part per core.
-func (w *EDFWM) trySplit(ctx analysis.Context, t *task.Task, k int, window timeq.Time, m int) ([]task.Part, []timeq.Time, bool) {
+func (w *EDFWM) trySplit(ctx analysis.Context, bs *budgetSearch, t *task.Task, k int, window timeq.Time, m int) ([]task.Part, []timeq.Time, bool) {
 	remaining := t.WCET
 	var parts []task.Part
 	var windows []timeq.Time
@@ -159,7 +160,7 @@ func (w *EDFWM) trySplit(ctx analysis.Context, t *task.Task, k int, window timeq
 			if used[c] {
 				continue
 			}
-			b := w.maxWindowBudget(ctx, parts, windows, t, c, window, remaining, used, m)
+			b := maxWindowBudget(bs, partQuery{ctx: ctx, t: t, whole: wholeSplit, prior: parts, priorWins: windows, window: window, core: c, next: placeholder(c, used), remaining: remaining})
 			if b > bestBudget {
 				bestCore, bestBudget = c, b
 			}
@@ -181,60 +182,13 @@ func (w *EDFWM) trySplit(ctx analysis.Context, t *task.Task, k int, window timeq
 	return parts, windows, true
 }
 
-// maxWindowBudget binary-searches the largest budget b ≤
-// min(remaining, window) such that core c admits the tentative part
-// with deadline window `window`. With the window fixed, feasibility
-// is monotone in the budget. A non-final part (b < remaining) is
-// probed with a remainder placeholder on another unused core so the
-// migration flags — and hence the departure overhead — are correct.
-func (w *EDFWM) maxWindowBudget(ctx analysis.Context, priorParts []task.Part, priorWindows []timeq.Time, t *task.Task, c int, window, remaining timeq.Time, used []bool, m int) timeq.Time {
-	placeholder := -1
-	for o := 0; o < m; o++ {
-		if o != c && !used[o] {
-			placeholder = o
-			break
-		}
-	}
-	fits := func(b timeq.Time) bool {
-		final := b >= remaining
-		parts := make([]task.Part, len(priorParts), len(priorParts)+2)
-		copy(parts, priorParts)
-		parts = append(parts, task.Part{Core: c, Budget: b})
-		windows := make([]timeq.Time, len(priorWindows), len(priorWindows)+2)
-		copy(windows, priorWindows)
-		windows = append(windows, window)
-		if !final {
-			if placeholder == -1 {
-				return false
-			}
-			parts = append(parts, task.Part{Core: placeholder, Budget: remaining - b})
-			windows = append(windows, window)
-		}
-		ok := ctx.TrySplit(&task.Split{Task: t, Parts: parts, Windows: windows}, c)
-		ctx.Rollback()
-		return ok
-	}
-	cap := remaining
-	if cap > window {
-		cap = window
-	}
-	if cap < minPartBudget {
+// maxWindowBudget returns the largest budget b ≤ min(remaining,
+// window) such that core c admits the tentative part with deadline
+// window `window` (see budgetSearch).
+func maxWindowBudget(bs *budgetSearch, q partQuery) timeq.Time {
+	limit := min(q.remaining, q.window)
+	if limit < minPartBudget {
 		return 0
 	}
-	if fits(cap) {
-		return cap
-	}
-	loUS, hiUS := int64(1), int64(cap/timeq.Microsecond)
-	if hiUS < 1 || !fits(timeq.Time(loUS)*timeq.Microsecond) {
-		return 0
-	}
-	for loUS < hiUS {
-		mid := (loUS + hiUS + 1) / 2
-		if fits(timeq.Time(mid) * timeq.Microsecond) {
-			loUS = mid
-		} else {
-			hiUS = mid - 1
-		}
-	}
-	return timeq.Time(loUS) * timeq.Microsecond
+	return bs.largest(q, limit)
 }

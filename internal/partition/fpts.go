@@ -72,6 +72,7 @@ func (f *FPTS) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Option
 	a := o.newAssignment(f.Policy(), m)
 	ctx := newContext(f, a, model, o)
 	defer ctx.Flush()
+	bs := o.newBudgetSearch()
 	for _, t := range s.SortedByUtilizationDesc() {
 		if err := o.err(); err != nil {
 			return nil, err
@@ -79,7 +80,7 @@ func (f *FPTS) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Option
 		if placeWholeFirstFit(ctx, t, m) {
 			continue
 		}
-		if !f.split(ctx, t, m) {
+		if !f.split(ctx, bs, t, m) {
 			return nil, ErrUnschedulable
 		}
 	}
@@ -102,7 +103,7 @@ func placeWholeFirstFit(ctx analysis.Context, t *task.Task, m int) bool {
 // split carves t across several cores: repeatedly find the core with
 // the largest admissible budget for the next part and place it there,
 // until the remainder fits. Each core hosts at most one part of t.
-func (f *FPTS) split(ctx analysis.Context, t *task.Task, m int) bool {
+func (f *FPTS) split(ctx analysis.Context, bs *budgetSearch, t *task.Task, m int) bool {
 	remaining := t.WCET
 	var parts []task.Part
 	used := make([]bool, m)
@@ -113,7 +114,8 @@ func (f *FPTS) split(ctx analysis.Context, t *task.Task, m int) bool {
 			if used[c] {
 				continue
 			}
-			b := maxBudgetOnCore(ctx, parts, t, remaining, c, used, m, f.NoBoost)
+			q := partQuery{ctx: ctx, t: t, noBoost: f.NoBoost, whole: wholeRefuse, prior: parts, core: c, next: placeholder(c, used), remaining: remaining}
+			b := bs.largest(q, remaining)
 			if b > bestBudget {
 				bestCore, bestBudget = c, b
 			}
@@ -139,67 +141,13 @@ func (f *FPTS) split(ctx analysis.Context, t *task.Task, m int) bool {
 	return true
 }
 
-// maxBudgetOnCore returns the largest budget b ≤ remaining such that
-// core c admits a tentative part (priorParts…, (c,b)), searching the
-// same 1µs grid as the SPA fill. A non-final part needs a remainder
-// placeholder on some other unused core for correct migration flags.
-func maxBudgetOnCore(ctx analysis.Context, priorParts []task.Part, t *task.Task, remaining timeq.Time, c int, used []bool, m int, noBoost bool) timeq.Time {
-	// Pick a placeholder core for the remainder of a non-final part.
-	placeholder := -1
-	for o := 0; o < m; o++ {
+// placeholder returns the lowest unused core other than c, the one a
+// non-final part's remainder is probed on (-1: none).
+func placeholder(c int, used []bool) int {
+	for o := range used {
 		if o != c && !used[o] {
-			placeholder = o
-			break
+			return o
 		}
 	}
-	fits := func(b timeq.Time) bool {
-		return tentativePartFits(ctx, priorParts, t, remaining, b, c, placeholder, noBoost)
-	}
-	if fits(remaining) {
-		return remaining
-	}
-	if placeholder == -1 {
-		// No core left for a remainder: only a final part is possible.
-		return 0
-	}
-	loUS, hiUS := int64(1), int64(remaining/timeq.Microsecond)
-	if hiUS < 1 || !fits(timeq.Time(loUS)*timeq.Microsecond) {
-		return 0
-	}
-	for loUS < hiUS {
-		mid := (loUS + hiUS + 1) / 2
-		if fits(timeq.Time(mid) * timeq.Microsecond) {
-			loUS = mid
-		} else {
-			hiUS = mid - 1
-		}
-	}
-	return timeq.Time(loUS) * timeq.Microsecond
-}
-
-// tentativePartFits probes core c with the tentative split
-// (priorParts…, (c,b)[, remainder on placeholder]) installed.
-func tentativePartFits(ctx analysis.Context, priorParts []task.Part, t *task.Task, remaining, b timeq.Time, c, placeholder int, noBoost bool) bool {
-	if b <= 0 {
-		return true
-	}
-	final := b >= remaining
-	if final && len(priorParts) == 0 {
-		// A "split" with a single part is just a priority-boosted
-		// whole placement; whole placement already failed, so reject
-		// (a real split of ≥ 2 parts will be found on the grid).
-		return false
-	}
-	parts := make([]task.Part, len(priorParts), len(priorParts)+2)
-	copy(parts, priorParts)
-	parts = append(parts, task.Part{Core: c, Budget: b})
-	if !final {
-		if placeholder == -1 {
-			return false
-		}
-		parts = append(parts, task.Part{Core: placeholder, Budget: remaining - b})
-	}
-	ok := ctx.TrySplit(&task.Split{Task: t, Parts: parts, NoBoost: noBoost}, c)
-	ctx.Rollback()
-	return ok
+	return -1
 }

@@ -120,6 +120,7 @@ func (alg *SPA) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Optio
 		order = light
 	}
 
+	bs := o.newBudgetSearch()
 	cur := 0 // current core of the sequential fill
 	for _, t := range order {
 		if err := o.err(); err != nil {
@@ -132,7 +133,7 @@ func (alg *SPA) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Optio
 				return nil, ErrUnschedulable
 			}
 			c := cur
-			b := alg.maxBudget(ctx, a, parts, t, remaining, c, m)
+			b := alg.maxBudget(ctx, bs, a, parts, t, remaining, c, m)
 			switch {
 			case b >= remaining:
 				// The remainder fits entirely: place and stay on
@@ -180,35 +181,19 @@ func heavyTasks(s *task.Set) []*task.Task {
 
 // maxBudget returns the largest budget b ≤ remaining such that core c
 // stays schedulable with a tentative split part (priorParts…, (c,b))
-// added. Feasibility is monotone in b (a larger part only adds
-// interference), so the RTA fill uses binary search.
-func (alg *SPA) maxBudget(ctx analysis.Context, a *task.Assignment, priorParts []task.Part, t *task.Task, remaining timeq.Time, c, m int) timeq.Time {
+// added: the RTA fill's shared search (see budgetSearch), or the bound
+// fill.
+func (alg *SPA) maxBudget(ctx analysis.Context, bs *budgetSearch, a *task.Assignment, priorParts []task.Part, t *task.Task, remaining timeq.Time, c, m int) timeq.Time {
 	if alg.FillByBound {
 		return alg.boundBudget(a, t, remaining, c)
 	}
-	fits := func(b timeq.Time) bool {
-		return alg.partFits(ctx, priorParts, t, remaining, b, c, m)
+	// A non-final part's remainder lives on the next core for flag
+	// purposes; if there is no next core the split cannot complete.
+	next := c + 1
+	if next >= m {
+		next = -1
 	}
-	if fits(remaining) {
-		return remaining
-	}
-	// Binary search on a 1µs grid for the exact largest admissible
-	// budget. A grid (rather than raw nanoseconds) makes the search
-	// land on the critical value exactly when task parameters are
-	// round, so knife-edge sets are not lost to search slack.
-	loUS, hiUS := int64(1), int64(remaining/timeq.Microsecond)
-	if hiUS < 1 || !fits(timeq.Time(loUS)*timeq.Microsecond) {
-		return 0
-	}
-	for loUS < hiUS {
-		mid := (loUS + hiUS + 1) / 2
-		if fits(timeq.Time(mid) * timeq.Microsecond) {
-			loUS = mid
-		} else {
-			hiUS = mid - 1
-		}
-	}
-	return timeq.Time(loUS) * timeq.Microsecond
+	return bs.largest(partQuery{ctx: ctx, t: t, whole: wholePlace, prior: priorParts, core: c, next: next, remaining: remaining}, remaining)
 }
 
 // boundBudget fills the core to the Liu & Layland utilization
@@ -226,37 +211,4 @@ func (alg *SPA) boundBudget(a *task.Assignment, t *task.Task, remaining timeq.Ti
 		b = remaining
 	}
 	return b
-}
-
-// partFits tests schedulability of core c with the tentative part
-// added. A non-final part is modeled with its remainder placed on the
-// next core so migration flags (and hence overhead charges) are
-// correct; the remainder's own schedulability is decided later, when
-// the fill reaches that core.
-func (alg *SPA) partFits(ctx analysis.Context, priorParts []task.Part, t *task.Task, remaining, b timeq.Time, c, m int) bool {
-	if b <= 0 {
-		return true
-	}
-	final := b >= remaining
-	if final && len(priorParts) == 0 {
-		// Whole-task placement.
-		ok := ctx.TryPlace(t, c)
-		ctx.Rollback()
-		return ok
-	}
-	parts := make([]task.Part, len(priorParts), len(priorParts)+2)
-	copy(parts, priorParts)
-	parts = append(parts, task.Part{Core: c, Budget: b})
-	if !final {
-		// Remainder lives on the next core for flag purposes; if
-		// there is no next core the split cannot complete.
-		next := c + 1
-		if next >= m {
-			return false
-		}
-		parts = append(parts, task.Part{Core: next, Budget: remaining - b})
-	}
-	ok := ctx.TrySplit(&task.Split{Task: t, Parts: parts}, c)
-	ctx.Rollback()
-	return ok
 }

@@ -7,7 +7,8 @@
 # runs in (engine.go) with its two owners — the recycling admission
 # contexts (context_fp.go, context_edf.go) and the snapshot probers
 # (snapshot.go) — the cross-algorithm verdict cache (sweepcache.go),
-# the pooled generator (taskgen.go NextInto/uuniFastInto) and the
+# the split-budget hint and search (hint.go, partition/budget.go), the
+# pooled generator (taskgen.go NextInto/uuniFastInto) and the
 # sweep worker loop (experiment.go runShard) are written to keep every
 # per-iteration value on the stack; the allocation guards
 # (alloc_test.go, sweep_alloc_test.go) prove the steady state, and
@@ -41,7 +42,10 @@ check() {
 }
 
 check "analysis kernel" ./internal/analysis/ \
-	'^(\./)?internal/analysis/(rta|edf|engine|snapshot|context_fp|context_edf|sweepcache)\.go' ""
+	'^(\./)?internal/analysis/(rta|edf|engine|hint|snapshot|context_fp|context_edf|sweepcache)\.go' ""
+
+check "split-budget search" ./internal/partition/ \
+	'^(\./)?internal/partition/budget\.go' ""
 
 # Cold-path allowlist: rand.rng is the generator's RNG constructed
 # once in New; name is the PeriodDist JSON decoder's scratch; cfg and
@@ -54,4 +58,4 @@ check "taskgen/experiment sweep kernel" ./internal/experiment/ \
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "escape-check: sweep kernels (analysis, taskgen, experiment) keep their locals on the stack"
+echo "escape-check: sweep kernels (analysis, partition budget search, taskgen, experiment) keep their locals on the stack"

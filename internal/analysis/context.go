@@ -486,10 +486,11 @@ type fpVerdict struct {
 // probeRecord remembers the latest rolled-back whole-task probe against
 // a core, so an unprobed Place of the identical task in the same
 // committed epoch promotes the probe's verdict and what it converged —
-// the probe-every-core-then-place-on-best pattern of the bin-packing
-// heuristics. Under fixed priorities run names the engine run whose
-// views hold the converged values (0: a memo answered); under EDF
-// busyWarm is the busy period the probe converged.
+// the pattern of SPA's whole-task path, whose budget search probes the
+// task whole at its cap and rolls back before SPA places it with Place.
+// Under fixed priorities run names the engine run whose views hold the
+// converged values (0: a memo answered); under EDF busyWarm is the busy
+// period the probe converged.
 type probeRecord struct {
 	seq      int64   // the committed epoch probed in
 	id       task.ID // the task probed

@@ -57,8 +57,9 @@ func TestSweepInnerLoopAllocFree(t *testing.T) {
 // cache the guard above passes for EDF whatever the test allocates: the
 // cache answers first). One recycled packing pass exercises every way a
 // writer runs the engine — TryPlace + Commit, TryPlace + Rollback on
-// every core and then Place on one of them (best fit's pattern, which
-// promotes the rolled-back probe), TrySplit + Rollback, Schedulable —
+// every core and then Place on one of them (an unprobed Place after a
+// rolled-back probe, SPA's whole-task pattern, promotes the probe),
+// TrySplit + Rollback, Schedulable —
 // and none of them may allocate: what a passing probe leaves behind is
 // one number in the core's record.
 func TestEDFWriterProbeAllocFree(t *testing.T) {

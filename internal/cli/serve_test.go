@@ -45,13 +45,16 @@ func TestServeDisconnectsSlowLoris(t *testing.T) {
 	go hs.Serve(ln) //nolint:errcheck // closed below
 	defer hs.Close()
 
+	// The server's header deadline starts once it has accepted the
+	// connection, which can be before Dial returns here: timing from
+	// after Dial could see the hang-up a little "early".
+	start := time.Now()
 	slow, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.Close()
 	closed := make(chan time.Duration, 1)
-	start := time.Now()
 	go func() {
 		// The server closes the connection (possibly after a 408); the
 		// read then ends.

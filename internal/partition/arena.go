@@ -27,6 +27,7 @@ type Arena struct {
 	slots  [2]arenaSlot // indexed by task.Policy
 	zero   *overhead.Model
 	search budgetSearch
+	order  coreOrder
 }
 
 type arenaSlot struct {

@@ -53,13 +53,13 @@ func observeSearches(t testing.TB, obs func(*budgetSearch), fn func()) {
 	fn()
 }
 
-// sweepSets draws perPoint task sets at every point of the Section-4
-// grid, at the sweep's shape: 16 tasks on 4 cores.
-func sweepSets(seed int64, perPoint int) []*task.Set {
-	const cores, tasks = 4, 16
+// sweepSets draws perPoint task sets of the sweep's 16 tasks at every
+// point of the Section-4 grid for the given core count (the paper: 4).
+func sweepSets(seed int64, perPoint, cores int) []*task.Set {
+	const tasks = 16
 	var sets []*task.Set
 	for pm := 600; pm <= 975; pm += 25 {
-		u := float64(pm) / 1000 * cores
+		u := float64(pm) / 1000 * float64(cores)
 		for i := 0; i < perPoint; i++ {
 			sets = append(sets, taskgen.New(taskgen.Config{N: tasks, TotalUtilization: u, Seed: seed + int64(pm)*1000 + int64(i)}).Next())
 		}
@@ -102,7 +102,7 @@ func TestSplitBudgetMatchesBisection(t *testing.T) {
 		if want, _ := bisectBudget(s); s.got != want {
 			t.Errorf("search on core %d of task %v (cap %v, hint %v): got %v, bisection %v", s.q.core, s.q.t, s.cap, s.hint, s.got, want)
 		}
-	}, func() { partitionAll(t, splitAlgorithms(), sweepSets(1, perPoint), 4) })
+	}, func() { partitionAll(t, splitAlgorithms(), sweepSets(1, perPoint, 4), 4) })
 	if hinted < 50 {
 		t.Fatalf("degenerate sweep: %d searches, %d past the cap probe", searches, hinted)
 	}
@@ -125,7 +125,7 @@ func TestSplitHintExactOnForwardChains(t *testing.T) {
 		if got := hintOnGrid(s); got != s.got {
 			t.Errorf("SPA search on core %d of task %v (cap %v): hint %v, answer %v", s.q.core, s.q.t, s.cap, s.hint, s.got)
 		}
-	}, func() { partitionAll(t, []Algorithm{SPA1, SPA2}, sweepSets(2, perPoint), 4) })
+	}, func() { partitionAll(t, []Algorithm{SPA1, SPA2}, sweepSets(2, perPoint, 4), 4) })
 	if hinted < 50 {
 		t.Fatalf("degenerate sweep: %d hinted searches", hinted)
 	}
@@ -221,7 +221,7 @@ func FuzzSplitBudget(f *testing.F) {
 // same states, the share of searches whose hint was the answer, and the
 // share whose confirm failed and bisected.
 func BenchmarkSplitBudgetSearch(b *testing.B) {
-	sets := sweepSets(3, 2)
+	sets := sweepSets(3, 2, 4)
 	var searches, probes, exact, fellBack, refProbes int
 	b.ResetTimer()
 	observeSearches(b, func(s *budgetSearch) {

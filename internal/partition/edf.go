@@ -66,11 +66,12 @@ func (h *EDFHeuristic) PartitionOpts(s *task.Set, m int, model *overhead.Model, 
 	a := o.newAssignment(h.Policy(), m)
 	ctx := newContext(h, a, model, o)
 	defer ctx.Flush()
+	co := o.newCoreOrder()
 	for _, t := range s.SortedByUtilizationDesc() {
 		if err := o.err(); err != nil {
 			return nil, err
 		}
-		if !placeByFit(ctx, a, t, h.Fit, m) {
+		if !placeByFit(ctx, a, t, h.Fit, m, co) {
 			return nil, ErrUnschedulable
 		}
 	}
@@ -112,11 +113,12 @@ func (w *EDFWM) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Optio
 	ctx := newContext(w, a, model, o)
 	defer ctx.Flush()
 	bs := o.newBudgetSearch()
+	co := o.newCoreOrder()
 	for _, t := range s.SortedByUtilizationDesc() {
 		if err := o.err(); err != nil {
 			return nil, err
 		}
-		if placeWholeFirstFit(ctx, t, m) {
+		if placeByFit(ctx, a, t, FirstFit, m, co) {
 			continue
 		}
 		if !w.split(ctx, bs, t, m) {

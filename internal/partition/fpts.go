@@ -73,11 +73,12 @@ func (f *FPTS) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Option
 	ctx := newContext(f, a, model, o)
 	defer ctx.Flush()
 	bs := o.newBudgetSearch()
+	co := o.newCoreOrder()
 	for _, t := range s.SortedByUtilizationDesc() {
 		if err := o.err(); err != nil {
 			return nil, err
 		}
-		if placeWholeFirstFit(ctx, t, m) {
+		if placeByFit(ctx, a, t, FirstFit, m, co) {
 			continue
 		}
 		if !f.split(ctx, bs, t, m) {
@@ -85,19 +86,6 @@ func (f *FPTS) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Option
 		}
 	}
 	return finalize(ctx, a)
-}
-
-// placeWholeFirstFit puts t whole on the lowest-indexed core that
-// admits it, reporting success.
-func placeWholeFirstFit(ctx analysis.Context, t *task.Task, m int) bool {
-	for c := 0; c < m; c++ {
-		if ctx.TryPlace(t, c) {
-			ctx.Commit()
-			return true
-		}
-		ctx.Rollback()
-	}
-	return false
 }
 
 // split carves t across several cores: repeatedly find the core with

@@ -99,11 +99,12 @@ func (h *Heuristic) PartitionOpts(s *task.Set, m int, model *overhead.Model, o O
 	a := o.newAssignment(h.Policy(), m)
 	ctx := newContext(h, a, model, o)
 	defer ctx.Flush()
+	co := o.newCoreOrder()
 	for _, t := range order {
 		if err := o.err(); err != nil {
 			return nil, err
 		}
-		if !placeByFit(ctx, a, t, h.Fit, m) {
+		if !placeByFit(ctx, a, t, h.Fit, m, co) {
 			return nil, ErrUnschedulable
 		}
 	}

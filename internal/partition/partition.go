@@ -26,9 +26,11 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/overhead"
@@ -145,42 +147,75 @@ func newContext(alg Algorithm, a *task.Assignment, model *overhead.Model, o Opti
 	return ctx
 }
 
-// placeByFit runs one bin-packing placement: probe the cores on the
-// live context (rolling back after every candidate) for the ones that
-// admit t under the fit rule, then commit t onto the winner. Reports
-// false when no core admits t.
-func placeByFit(ctx analysis.Context, a *task.Assignment, t *task.Task, fit Fit, m int) bool {
-	best := -1
-	var bestU float64
-scan:
-	for c := 0; c < m; c++ {
-		fits := ctx.TryPlace(t, c)
+// placeByFit runs one bin-packing placement: visit the cores in the
+// fit rule's order and commit t onto the first that admits it.
+// Reports false when no core admits t.
+//
+// The fit rules are fixed orders on committed utilization, so the
+// first admitting core in that order is the core a scan of every core
+// would pick: the placement probes only the winner and the cores ahead
+// of it that reject t. A probe never moves committed state, so the
+// utilizations read before the first probe are the ones a scan reads.
+func placeByFit(ctx analysis.Context, a *task.Assignment, t *task.Task, fit Fit, m int, co *coreOrder) bool {
+	for _, k := range co.visit(a, fit, m) {
+		if ctx.TryPlace(t, k.core) {
+			ctx.Commit()
+			return true
+		}
 		ctx.Rollback()
-		if !fits {
-			continue
-		}
-		u := a.CoreUtilization(c)
-		switch fit {
-		case FirstFit:
-			best = c
-			break scan // first fit stops at the first candidate
-		case BestFit:
-			if best == -1 || u > bestU {
-				best, bestU = c, u
-			}
-		case WorstFit:
-			if best == -1 || u < bestU {
-				best, bestU = c, u
-			}
-		}
 	}
-	if best == -1 {
-		return false
+	return false
+}
+
+// fitKey is one core in a placement's visiting order.
+type fitKey struct {
+	u    float64 // the core's committed utilization
+	core int
+}
+
+// coreOrder is the scratch a Partition call orders its cores in: the
+// arena's when one is attached, so a placement allocates nothing once
+// the buffer has grown to m.
+type coreOrder struct{ keys []fitKey }
+
+// newCoreOrder returns the call's core-order scratch.
+func (o Options) newCoreOrder() *coreOrder {
+	if o.Arena != nil {
+		return &o.Arena.order
 	}
-	// The winning core was probed in this committed epoch, so the
-	// context promotes that probe's verdict and warm values.
-	ctx.Place(t, best)
-	return true
+	return new(coreOrder)
+}
+
+// visit returns the m cores in the order fit probes them: FirstFit by
+// index, WorstFit by ascending and BestFit by descending committed
+// utilization. Equal utilizations keep the lower index first, as the
+// strict comparisons of a scan do — every core ties at 0 on the first
+// placements.
+func (co *coreOrder) visit(a *task.Assignment, fit Fit, m int) []fitKey {
+	keys := co.keys[:0]
+	for c := 0; c < m; c++ {
+		k := fitKey{core: c}
+		if fit != FirstFit {
+			k.u = a.CoreUtilization(c)
+		}
+		keys = append(keys, k)
+	}
+	co.keys = keys
+	switch fit {
+	case WorstFit:
+		slices.SortFunc(keys, leastLoadedFirst)
+	case BestFit:
+		slices.SortFunc(keys, mostLoadedFirst)
+	}
+	return keys
+}
+
+func leastLoadedFirst(x, y fitKey) int {
+	return cmp.Or(cmp.Compare(x.u, y.u), x.core-y.core)
+}
+
+func mostLoadedFirst(x, y fitKey) int {
+	return cmp.Or(cmp.Compare(y.u, x.u), x.core-y.core)
 }
 
 // validateInput performs the shared sanity checks. Fixed-priority

@@ -8,10 +8,12 @@
 # contexts (context_fp.go, context_edf.go) and the snapshot probers
 # (snapshot.go) — the cross-algorithm verdict cache (sweepcache.go),
 # the split-budget hint and search (hint.go, partition/budget.go), the
+# bin-packers' fit-ordered placement (partition/partition.go), the
 # pooled generator (taskgen.go NextInto/uuniFastInto) and the
 # sweep worker loop (experiment.go runShard) are written to keep every
 # per-iteration value on the stack; the allocation guards
-# (alloc_test.go, sweep_alloc_test.go) prove the steady state, and
+# (alloc_test.go, sweep_alloc_test.go, partition's budget_test.go and
+# place_test.go) prove the steady state, and
 # this check catches the compiler-level cause early: a local in a
 # kernel file being "moved to heap" means some refactor made scratch
 # escape, and the next bench run would pay an allocation per probe.
@@ -44,8 +46,8 @@ check() {
 check "analysis kernel" ./internal/analysis/ \
 	'^(\./)?internal/analysis/(rta|edf|engine|hint|snapshot|context_fp|context_edf|sweepcache)\.go' ""
 
-check "split-budget search" ./internal/partition/ \
-	'^(\./)?internal/partition/budget\.go' ""
+check "split-budget search and fit-ordered placement" ./internal/partition/ \
+	'^(\./)?internal/partition/(budget|partition)\.go' ""
 
 # Cold-path allowlist: rand.rng is the generator's RNG constructed
 # once in New; name is the PeriodDist JSON decoder's scratch; cfg and
@@ -58,4 +60,4 @@ check "taskgen/experiment sweep kernel" ./internal/experiment/ \
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "escape-check: sweep kernels (analysis, partition budget search, taskgen, experiment) keep their locals on the stack"
+echo "escape-check: sweep kernels (analysis, partition budget search and placement, taskgen, experiment) keep their locals on the stack"

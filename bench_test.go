@@ -8,7 +8,6 @@
 //	BenchmarkAblationRemotePenalty   — ablation A (remote queue cost)
 //	BenchmarkAblationCPMD            — ablation B (migration CPMD)
 //	BenchmarkMixedPolicySweep        — FP vs EDF as one paired sweep
-//	BenchmarkAdmitdThroughput        — admission daemon requests/sec
 //	BenchmarkSimulatorThroughput     — simulator events/sec (engine)
 //
 // Each benchmark prints the regenerated rows once (on the first
@@ -17,18 +16,18 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
 
-	"repro/client"
-	"repro/internal/admitd"
-	"repro/internal/core"
+	"repro/internal/analysis"
 	"repro/internal/experiment"
 	"repro/internal/measure"
+	"repro/internal/overhead"
 	"repro/internal/partition"
+	"repro/internal/sched"
 	"repro/internal/task"
+	"repro/internal/taskgen"
 	"repro/internal/timeq"
 	"repro/internal/trace"
 )
@@ -58,8 +57,8 @@ func BenchmarkFigure1Timeline(b *testing.B) {
 		return a
 	}
 	a := mkAssign()
-	cfg := core.SimConfig{
-		Model:   core.PaperOverheads(),
+	cfg := sched.Config{
+		Model:   overhead.PaperModel(),
 		Horizon: 20 * timeq.Millisecond,
 		Offsets: map[task.ID]timeq.Time{1: 2 * timeq.Millisecond},
 	}
@@ -68,7 +67,7 @@ func BenchmarkFigure1Timeline(b *testing.B) {
 		buf := &trace.Buffer{}
 		c := cfg
 		c.Recorder = buf
-		res, err := core.Simulate(a, c)
+		res, err := sched.Run(a, c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,8 +107,8 @@ func BenchmarkTable1FunctionCosts(b *testing.B) {
 }
 
 // section4 runs one Section 4 sweep (shared by the benches below).
-func section4(model *core.OverheadModel, sets int, seed int64) *core.SweepResults {
-	return core.Sweep(core.SweepConfig{
+func section4(model *overhead.Model, sets int, seed int64) *experiment.Results {
+	return experiment.Run(experiment.Config{
 		Cores:        4,
 		Tasks:        12,
 		SetsPerPoint: sets,
@@ -124,8 +123,8 @@ func section4(model *core.OverheadModel, sets int, seed int64) *core.SweepResult
 // overheads integrated (and the zero-overhead baseline).
 func BenchmarkSection4AcceptanceRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		zero := section4(core.ZeroOverheads(), 60, 42)
-		paper := section4(core.PaperOverheads(), 60, 42)
+		zero := section4(overhead.Zero(), 60, 42)
+		paper := section4(overhead.PaperModel(), 60, 42)
 		once("section4", func() {
 			fmt.Println("\n=== Section 4: acceptance ratio, zero overheads ===")
 			fmt.Print(zero.Table())
@@ -145,7 +144,7 @@ func BenchmarkAblationRemotePenalty(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var out string
 		for _, p := range []float64{1, 2, 4, 8} {
-			r := section4(core.PaperOverheads().WithRemotePenalty(p), 40, 7)
+			r := section4(overhead.PaperModel().WithRemotePenalty(p), 40, 7)
 			out += fmt.Sprintf("  remote×%-3.0f FP-TS %.3f  FFD %.3f\n",
 				p, r.WeightedScore("FP-TS"), r.WeightedScore("FFD"))
 		}
@@ -162,7 +161,7 @@ func BenchmarkAblationCPMD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var out string
 		for _, f := range []float64{1, 2, 5, 10} {
-			m := core.PaperOverheads()
+			m := overhead.PaperModel()
 			r := section4(m.WithCache(m.Cache.WithMigrationFactor(f)), 40, 7)
 			out += fmt.Sprintf("  CPMD×%-4.0f FP-TS %.3f  FFD %.3f\n",
 				f, r.WeightedScore("FP-TS"), r.WeightedScore("FFD"))
@@ -179,11 +178,11 @@ func BenchmarkAblationCPMD(b *testing.B) {
 // shipped design) versus plain RM priority.
 func BenchmarkAblationPriorityBoost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := core.Sweep(core.SweepConfig{
+		r := experiment.Run(experiment.Config{
 			Cores: 4, Tasks: 12, SetsPerPoint: 40,
 			Utilizations: []float64{3.4, 3.6, 3.8, 3.9},
-			Algorithms:   []core.Algorithm{partition.TS, partition.TSNoBoost, partition.FFD},
-			Model:        core.PaperOverheads(),
+			Algorithms:   []partition.Algorithm{partition.TS, partition.TSNoBoost, partition.FFD},
+			Model:        overhead.PaperModel(),
 			Seed:         7,
 		})
 		once("boost", func() {
@@ -209,11 +208,11 @@ func BenchmarkAblationPriorityBoost(b *testing.B) {
 // overheads.
 func BenchmarkExtensionEDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := core.Sweep(core.SweepConfig{
+		r := experiment.Run(experiment.Config{
 			Cores: 4, Tasks: 12, SetsPerPoint: 40,
 			Utilizations: []float64{3.2, 3.4, 3.6, 3.8, 3.9},
-			Algorithms:   []core.Algorithm{core.EDFWM, core.EDFFFD, core.FPTS},
-			Model:        core.PaperOverheads(),
+			Algorithms:   []partition.Algorithm{partition.WM, partition.EDFFFD, partition.TS},
+			Model:        overhead.PaperModel(),
 			Seed:         17,
 		})
 		once("edf", func() {
@@ -233,11 +232,11 @@ func BenchmarkExtensionEDF(b *testing.B) {
 // two separate runs.
 func BenchmarkMixedPolicySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := core.Sweep(core.SweepConfig{
+		r := experiment.Run(experiment.Config{
 			Cores: 4, Tasks: 12, SetsPerPoint: 30,
 			Utilizations: []float64{3.0, 3.4, 3.8},
-			Algorithms:   []core.Algorithm{core.FPTS, core.EDFWM, core.FFD, core.EDFFFD},
-			Model:        core.PaperOverheads(),
+			Algorithms:   []partition.Algorithm{partition.TS, partition.WM, partition.FFD, partition.EDFFFD},
+			Model:        overhead.PaperModel(),
 			Seed:         23,
 			SimHorizon:   timeq.Second,
 		})
@@ -259,10 +258,10 @@ func BenchmarkMixedPolicySweep(b *testing.B) {
 // before rejecting, overheads integrated — a scalar companion to the
 // Section 4 curves.
 func BenchmarkBreakdownUtilization(b *testing.B) {
-	gsets := core.GenerateTaskSets(core.GenConfig{N: 12, TotalUtilization: 2.8, Seed: 3}, 8)
-	algs := []core.Algorithm{core.FPTS, core.FFD, core.WFD, core.EDFWM}
+	gsets := taskgen.New(taskgen.Config{N: 12, TotalUtilization: 2.8, Seed: 3}).Batch(8)
+	algs := []partition.Algorithm{partition.TS, partition.FFD, partition.WFD, partition.WM}
 	for i := 0; i < b.N; i++ {
-		res := experiment.BreakdownComparison(gsets, 4, algs, core.PaperOverheads(), 200)
+		res := experiment.BreakdownComparison(gsets, 4, algs, overhead.PaperModel(), 200)
 		once("breakdown", func() {
 			fmt.Println("\n=== Breakdown utilization (mean per-core, overheads integrated) ===")
 			for _, alg := range algs {
@@ -280,9 +279,9 @@ func BenchmarkBreakdownUtilization(b *testing.B) {
 // splitting costs relative to plain partitioning, measured over
 // commonly-admitted sets.
 func BenchmarkOverheadCharacterization(b *testing.B) {
-	sets := core.GenerateTaskSets(core.GenConfig{N: 10, TotalUtilization: 3.7, Seed: 5150}, 25)
+	sets := taskgen.New(taskgen.Config{N: 10, TotalUtilization: 3.7, Seed: 5150}).Batch(25)
 	for i := 0; i < b.N; i++ {
-		c, err := experiment.CharacterizeSplitting(sets, 4, partition.TS, core.PaperOverheads(), timeq.Second)
+		c, err := experiment.CharacterizeSplitting(sets, 4, partition.TS, overhead.PaperModel(), timeq.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,17 +307,17 @@ func BenchmarkOverheadCharacterization(b *testing.B) {
 // longer needs) even as each set gets faster, so read it beside the
 // per-set figures, never alone.
 func BenchmarkPartitionProbes(b *testing.B) {
-	algs := []core.Algorithm{
-		core.FPTS, core.FFD, core.WFD, core.BFD,
-		core.SPA1, core.SPA2,
-		core.EDFWM, core.EDFFFD, core.EDFWFD,
+	algs := []partition.Algorithm{
+		partition.TS, partition.FFD, partition.WFD, partition.BFD,
+		partition.SPA1, partition.SPA2,
+		partition.WM, partition.EDFFFD, partition.EDFWFD,
 	}
-	var sets []*core.TaskSet
+	var sets []*task.Set
 	for _, u := range []float64{3.0, 3.4, 3.7} {
-		sets = append(sets, core.GenerateTaskSets(core.GenConfig{N: 12, TotalUtilization: u, Seed: int64(1000 * u)}, 4)...)
+		sets = append(sets, taskgen.New(taskgen.Config{N: 12, TotalUtilization: u, Seed: int64(1000 * u)}).Batch(4)...)
 	}
-	model := core.PaperOverheads()
-	before := core.AdmissionStatsSnapshot()
+	model := overhead.PaperModel()
+	before := analysis.StatsSnapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, set := range sets {
@@ -328,7 +327,7 @@ func BenchmarkPartitionProbes(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	delta := core.AdmissionStatsSnapshot().Sub(before)
+	delta := analysis.StatsSnapshot().Sub(before)
 	once("probes", func() {
 		fmt.Printf("\n=== Partition probe statistics (paper model) ===\n  %v\n", delta)
 	})
@@ -342,50 +341,18 @@ func BenchmarkPartitionProbes(b *testing.B) {
 	b.ReportMetric(delta.MeanFPIterations(), "fp-iters/solve")
 }
 
-// BenchmarkAdmitdThroughput measures the admission-control daemon:
-// requests per wall second through the full HTTP handler path, with
-// a mixed try/admit/remove/state workload spread over concurrent
-// warm sessions (each backed by a live incremental admission
-// context). One load-generator iteration is one complete run; the
-// metric is the sustained request rate.
-func BenchmarkAdmitdThroughput(b *testing.B) {
-	requests := int64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A fresh server per iteration keeps the workload stationary:
-		// reusing one would re-seed the same session names into
-		// already-loaded sessions and drift the admit/reject mix.
-		srv, err := admitd.New(admitd.Config{MaxSessions: 64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats, err := admitd.RunLoad(context.Background(), client.InProcess(srv), admitd.LoadConfig{
-			Sessions: 16, Requests: 20_000, Cores: 4, TasksPerSession: 12, Seed: int64(i + 1),
-		})
-		srv.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if stats.Errors > 0 {
-			b.Fatalf("%d load errors", stats.Errors)
-		}
-		requests += stats.Requests
-	}
-	b.ReportMetric(float64(requests)/b.Elapsed().Seconds(), "req/s")
-}
-
 // BenchmarkSimulatorThroughput measures raw engine speed: simulated
 // kernel events per wall second on a loaded 4-core assignment.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	set := core.GenerateTaskSet(core.GenConfig{N: 16, TotalUtilization: 3.2, Seed: 5})
-	a, err := core.Schedule(set, 4, core.FPTS, core.PaperOverheads())
+	set := taskgen.New(taskgen.Config{N: 16, TotalUtilization: 3.2, Seed: 5}).Next()
+	a, err := partition.TS.Partition(set, 4, overhead.PaperModel())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	events := 0
 	for i := 0; i < b.N; i++ {
-		res, err := core.Simulate(a, core.SimConfig{Model: core.PaperOverheads(), Horizon: timeq.Second})
+		res, err := sched.Run(a, sched.Config{Model: overhead.PaperModel(), Horizon: timeq.Second})
 		if err != nil {
 			b.Fatal(err)
 		}

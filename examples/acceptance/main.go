@@ -7,13 +7,15 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/overhead"
+	"repro/internal/timeq"
 )
 
 func main() {
 	grid := []float64{2.8, 3.0, 3.2, 3.4, 3.6, 3.8}
 
-	base := core.SweepConfig{
+	base := experiment.Config{
 		Cores:        4,
 		Tasks:        12,
 		SetsPerPoint: 100,
@@ -22,14 +24,14 @@ func main() {
 	}
 
 	fmt.Println("Section 4 — acceptance ratio, zero overheads (theory)")
-	zero := core.Sweep(base)
+	zero := experiment.Run(base)
 	fmt.Print(zero.Table())
 
 	withOv := base
-	withOv.Model = core.PaperOverheads()
-	withOv.SimHorizon = 2 * core.Second
+	withOv.Model = overhead.PaperModel()
+	withOv.SimHorizon = 2 * timeq.Second
 	fmt.Println("\nSection 4 — acceptance ratio, measured overheads integrated")
-	paper := core.Sweep(withOv)
+	paper := experiment.Run(withOv)
 	fmt.Print(paper.Table())
 	fmt.Printf("\nsimulation validation of every accepted assignment: %d violations (expect 0)\n",
 		paper.TotalSimViolations())

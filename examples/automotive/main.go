@@ -10,45 +10,48 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/overhead"
+	"repro/internal/partition"
 	"repro/internal/report"
+	"repro/internal/sched"
 	"repro/internal/taskgen"
+	"repro/internal/timeq"
 )
 
 func main() {
-	set := core.GenerateTaskSet(core.GenConfig{
+	set := taskgen.New(taskgen.Config{
 		N:                20,
 		TotalUtilization: 3.3,
 		Periods:          taskgen.Automotive,
 		Seed:             2015,
-	})
+	}).Next()
 	fmt.Printf("automotive workload: %d tasks, ΣU = %.3f\n", set.Len(), set.TotalUtilization())
-	hist := map[core.Time]int{}
+	hist := map[timeq.Time]int{}
 	for _, t := range set.Tasks {
 		hist[t.Period]++
 	}
 	fmt.Print("period histogram:")
 	for _, p := range []int64{1, 2, 5, 10, 20, 50, 100, 200, 1000} {
-		if n := hist[core.Time(p)*core.Millisecond]; n > 0 {
+		if n := hist[timeq.Time(p)*timeq.Millisecond]; n > 0 {
 			fmt.Printf(" %dms×%d", p, n)
 		}
 	}
 	fmt.Println()
 
-	model := core.PaperOverheads()
-	a, err := core.Schedule(set, 4, core.FPTS, model)
+	model := overhead.PaperModel()
+	a, err := partition.TS.Partition(set, 4, model)
 	if err != nil {
 		log.Fatalf("FP-TS could not schedule: %v", err)
 	}
 	fmt.Printf("\n%s\n", a)
 
-	res, err := core.Simulate(a, core.SimConfig{
+	res, err := sched.Run(a, sched.Config{
 		Model:   model,
-		Horizon: 2 * core.Second,
+		Horizon: 2 * timeq.Second,
 		// Real automotive tasks are sporadic: angle-synchronous tasks
 		// arrive with jitter. 200µs of arrival jitter exercises the
 		// sporadic path without changing the worst case.
-		ArrivalJitter: 200 * core.Microsecond,
+		ArrivalJitter: 200 * timeq.Microsecond,
 		Seed:          1,
 	})
 	if err != nil {

@@ -14,29 +14,33 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/overhead"
+	"repro/internal/partition"
+	"repro/internal/sched"
 	"repro/internal/task"
+	"repro/internal/timeq"
 )
 
 func main() {
 	fmt.Println("1) EDF schedules what RM cannot (C=(2,4), T=(5,7); U = 0.971)")
-	mk := func() *core.TaskSet {
+	mk := func() *task.Set {
 		s := task.NewSet(
-			&core.Task{ID: 1, WCET: 2 * core.Millisecond, Period: 5 * core.Millisecond},
-			&core.Task{ID: 2, WCET: 4 * core.Millisecond, Period: 7 * core.Millisecond},
+			&task.Task{ID: 1, WCET: 2 * timeq.Millisecond, Period: 5 * timeq.Millisecond},
+			&task.Task{ID: 2, WCET: 4 * timeq.Millisecond, Period: 7 * timeq.Millisecond},
 		)
 		s.AssignRM()
 		return s
 	}
-	if _, err := core.Schedule(mk(), 1, core.FFD, nil); err == nil {
+	if _, err := partition.FFD.Partition(mk(), 1, nil); err == nil {
 		log.Fatal("RM unexpectedly accepted")
 	}
 	fmt.Println("   RM/FFD rejects the pair on one core")
-	a, err := core.Schedule(mk(), 1, core.EDFFFD, nil)
+	a, err := partition.EDFFFD.Partition(mk(), 1, nil)
 	if err != nil {
 		log.Fatal("EDF-FFD rejected a feasible set: ", err)
 	}
-	res, err := core.Simulate(a, core.SimConfig{Horizon: 350 * core.Millisecond})
+	res, err := sched.Run(a, sched.Config{Horizon: 350 * timeq.Millisecond})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,17 +48,17 @@ func main() {
 
 	fmt.Println("2) EDF-WM window splitting (3 × U=0.65 on 2 cores)")
 	s2 := task.NewSet(
-		&core.Task{ID: 1, WCET: 13 * core.Millisecond, Period: 20 * core.Millisecond},
-		&core.Task{ID: 2, WCET: 13 * core.Millisecond, Period: 20 * core.Millisecond},
-		&core.Task{ID: 3, WCET: 13 * core.Millisecond, Period: 20 * core.Millisecond},
+		&task.Task{ID: 1, WCET: 13 * timeq.Millisecond, Period: 20 * timeq.Millisecond},
+		&task.Task{ID: 2, WCET: 13 * timeq.Millisecond, Period: 20 * timeq.Millisecond},
+		&task.Task{ID: 3, WCET: 13 * timeq.Millisecond, Period: 20 * timeq.Millisecond},
 	)
 	s2.AssignRM()
-	model := core.PaperOverheads()
-	if _, err := core.Schedule(s2.Clone(), 2, core.EDFFFD, model); err == nil {
+	model := overhead.PaperModel()
+	if _, err := partition.EDFFFD.Partition(s2.Clone(), 2, model); err == nil {
 		log.Fatal("partitioned EDF unexpectedly accepted")
 	}
 	fmt.Println("   partitioned EDF-FFD rejects (no pair fits a core)")
-	a2, err := core.Schedule(s2.Clone(), 2, core.EDFWM, model)
+	a2, err := partition.WM.Partition(s2.Clone(), 2, model)
 	if err != nil {
 		log.Fatal("EDF-WM failed: ", err)
 	}
@@ -62,7 +66,7 @@ func main() {
 	for _, sp := range a2.Splits {
 		fmt.Printf("   windows: %v\n", sp.Windows)
 	}
-	res2, err := core.Simulate(a2, core.SimConfig{Model: model, Horizon: 2 * core.Second})
+	res2, err := sched.Run(a2, sched.Config{Model: model, Horizon: 2 * timeq.Second})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,10 +74,10 @@ func main() {
 		res2.Stats.Migrations, len(res2.Misses))
 
 	fmt.Println("3) acceptance ratio, EDF edition (overheads integrated)")
-	r := core.Sweep(core.SweepConfig{
+	r := experiment.Run(experiment.Config{
 		Cores: 4, Tasks: 12, SetsPerPoint: 60,
 		Utilizations: []float64{3.2, 3.4, 3.6, 3.8, 3.9},
-		Algorithms:   []core.Algorithm{core.EDFWM, core.EDFFFD, core.FPTS},
+		Algorithms:   []partition.Algorithm{partition.WM, partition.EDFFFD, partition.TS},
 		Model:        model,
 		Seed:         17,
 	})

@@ -7,27 +7,31 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/overhead"
+	"repro/internal/partition"
+	"repro/internal/sched"
+	"repro/internal/taskgen"
+	"repro/internal/timeq"
 )
 
 func main() {
 	// A 12-task set at 85% utilization of a 4-core machine — too
 	// heavy for naive partitioning to be comfortable, easy for FP-TS.
-	set := core.GenerateTaskSet(core.GenConfig{
+	set := taskgen.New(taskgen.Config{
 		N:                12,
 		TotalUtilization: 3.4,
 		Seed:             2011,
-	})
+	}).Next()
 	fmt.Printf("generated %d tasks, ΣU = %.3f\n", set.Len(), set.TotalUtilization())
 
-	model := core.PaperOverheads()
-	a, err := core.Schedule(set, 4, core.FPTS, model)
+	model := overhead.PaperModel()
+	a, err := partition.TS.Partition(set, 4, model)
 	if err != nil {
 		log.Fatalf("FP-TS could not schedule the set: %v", err)
 	}
 	fmt.Printf("\nFP-TS assignment (admitted with measured overheads):\n%s\n", a)
 
-	res, err := core.Simulate(a, core.SimConfig{Model: model, Horizon: 2 * core.Second})
+	res, err := sched.Run(a, sched.Config{Model: model, Horizon: 2 * timeq.Second})
 	if err != nil {
 		log.Fatal(err)
 	}

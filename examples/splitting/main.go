@@ -13,40 +13,44 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/core"
+	"repro/internal/overhead"
+	"repro/internal/partition"
+	"repro/internal/sched"
 	"repro/internal/task"
+	"repro/internal/timeq"
+	"repro/internal/trace"
 )
 
 func main() {
-	model := core.PaperOverheads()
-	mk := func(id task.ID) *core.Task {
+	model := overhead.PaperModel()
+	mk := func(id task.ID) *task.Task {
 		// U = 0.575 each: any two overload a core, so partitioning
 		// fails, while total utilization is only 1.725 of 2.0. (The
 		// 25ms of slack per hyperperiod absorbs the µs overheads.)
-		return &core.Task{ID: id, WCET: 11500 * core.Microsecond, Period: 20 * core.Millisecond, WSS: 512 << 10}
+		return &task.Task{ID: id, WCET: 11500 * timeq.Microsecond, Period: 20 * timeq.Millisecond, WSS: 512 << 10}
 	}
 	set := task.NewSet(mk(1), mk(2), mk(3))
 	set.AssignRM()
 	fmt.Printf("3 tasks × U=0.575 on 2 cores (ΣU = %.3f)\n\n", set.TotalUtilization())
 
-	for _, alg := range []core.Algorithm{core.FFD, core.WFD} {
-		if _, err := core.Schedule(set.Clone(), 2, alg, model); err != nil {
+	for _, alg := range []partition.Algorithm{partition.FFD, partition.WFD} {
+		if _, err := alg.Partition(set.Clone(), 2, model); err != nil {
 			fmt.Printf("%-5s cannot schedule the set (bin-packing waste)\n", alg.Name())
 		} else {
 			fmt.Printf("%-5s unexpectedly schedulable?!\n", alg.Name())
 		}
 	}
 
-	a, err := core.Schedule(set.Clone(), 2, core.FPTS, model)
+	a, err := partition.TS.Partition(set.Clone(), 2, model)
 	if err != nil {
 		log.Fatalf("FP-TS failed: %v", err)
 	}
 	fmt.Printf("FP-TS schedules it by splitting:\n%s\n", a)
 
-	buf := &core.TraceBuffer{}
-	res, err := core.Simulate(a, core.SimConfig{
+	buf := &trace.Buffer{}
+	res, err := sched.Run(a, sched.Config{
 		Model:    model,
-		Horizon:  200 * core.Millisecond,
+		Horizon:  200 * timeq.Millisecond,
 		Recorder: buf,
 	})
 	if err != nil {
@@ -58,11 +62,11 @@ func main() {
 		res.Stats.TotalOverhead(), 100*res.Stats.OverheadRatio(2), res.Schedulable())
 
 	fmt.Println("first 25ms of the timeline (watch the split task hop cores):")
-	if err := buf.Timeline(os.Stdout, 0, 25*core.Millisecond); err != nil {
+	if err := buf.Timeline(os.Stdout, 0, 25*timeq.Millisecond); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nand as a gantt chart (τ3 is the split task — see it on both cores):")
-	if err := buf.Gantt(os.Stdout, 0, 40*core.Millisecond, 80); err != nil {
+	if err := buf.Gantt(os.Stdout, 0, 40*timeq.Millisecond, 80); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -13,16 +13,25 @@ import (
 // half of the analysis-layer guards in internal/analysis/alloc_test.go:
 // a non-holding try, a cache-hit state render, and a try-only batch
 // must not allocate in steady state. These are the endpoints loadgen
-// hammers; a single alloc per request shows up directly as GC time on
-// the multi-core rig.
+// hammers; a single alloc per request shows up directly as GC time.
 //
 // testing.AllocsPerRun pins GOMAXPROCS to 1 during measurement, so
 // the batch guard exercises the inline single-worker path — the
 // worker fan-out itself (goroutines, WaitGroup) allocates by nature
 // and is covered by the race suite instead.
 
+// benchTask is a deterministic light task (≤1.5% core utilization)
+// drawn from a finite catalog of classes, so repeated probes hit the
+// snapshot verdict memo the way real admission traffic would.
+func benchTask(id int64) api.Task {
+	period := int64(20+id%180) * 1_000_000
+	wcet := period / 80
+	return api.Task{ID: id, WCETNs: wcet, PeriodNs: period, Priority: int(100 + id%4000), WSS: 64 << 10}
+}
+
 // allocSession seeds a 4-core fixed-priority session with a dozen
-// resident tasks, mirroring benchSession's steady-state shape.
+// resident tasks: six on core 3, which pins the global queue bound,
+// and two on each other core.
 func allocSession(tb testing.TB) *Session {
 	tb.Helper()
 	s := newSession("alloc", task.FixedPriority, overhead.PaperModel(), task.NewAssignment(4), nil, nil)

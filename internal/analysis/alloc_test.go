@@ -13,7 +13,7 @@ import (
 // admission hot loop is TryPlace/TrySplit on a published snapshot;
 // after the SoA kernels and the pooled probe scratch these must not
 // allocate at all in steady state — a single alloc per probe caps
-// throughput on the multi-core rig long before the arithmetic does.
+// throughput long before the arithmetic does.
 //
 // testing.AllocsPerRun averages over every run and does not warm up,
 // so each guard first runs its probe a few times to populate the

@@ -87,3 +87,24 @@ func TestEDFAnalyzerRequiresWindows(t *testing.T) {
 		t.Fatal("windowless split must fail EDF admission")
 	}
 }
+
+// A nil model means zero overheads: a harmonic core at exactly U = 1
+// passes with nil and Zero() but not with the paper model, under
+// both policies.
+func TestSchedulableNilModel(t *testing.T) {
+	full := task.NewAssignment(1)
+	full.Place(&task.Task{ID: 1, WCET: 5 * timeq.Millisecond, Period: 10 * timeq.Millisecond, Priority: 1}, 0)
+	full.Place(&task.Task{ID: 2, WCET: 10 * timeq.Millisecond, Period: 20 * timeq.Millisecond, Priority: 2}, 0)
+	for _, p := range []task.Policy{task.FixedPriority, task.EDF} {
+		full.Policy = p
+		if !Schedulable(full, nil) {
+			t.Errorf("%v: nil model should mean zero overheads", p)
+		}
+		if !Schedulable(full, overhead.Zero()) {
+			t.Errorf("%v: U = 1 core must pass with zero overheads", p)
+		}
+		if Schedulable(full, overhead.PaperModel()) {
+			t.Errorf("%v: U = 1 core must fail with paper overheads", p)
+		}
+	}
+}

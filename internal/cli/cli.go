@@ -12,31 +12,31 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/overhead"
 	"repro/internal/partition"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/task"
+	"repro/internal/taskgen"
 	"repro/internal/timeq"
 	"repro/internal/trace"
 )
 
 // AlgorithmByName maps the CLI names to algorithms (the shared
 // partition.ByName lookup, also used by the admitd sweep endpoint).
-func AlgorithmByName(name string) (core.Algorithm, error) {
+func AlgorithmByName(name string) (partition.Algorithm, error) {
 	return partition.ByName(name)
 }
 
 // IsEDF reports whether the algorithm's assignments need EDF
 // dispatching in the simulator.
-func IsEDF(alg core.Algorithm) bool {
-	return alg.Policy() == core.EDF
+func IsEDF(alg partition.Algorithm) bool {
+	return alg.Policy() == task.EDF
 }
 
 // modelFromFlags resolves -overheads/-model/-scale.
-func modelFromFlags(ovName, modelFile string, scale float64) (*core.OverheadModel, error) {
-	var model *core.OverheadModel
+func modelFromFlags(ovName, modelFile string, scale float64) (*overhead.Model, error) {
+	var model *overhead.Model
 	switch {
 	case modelFile != "":
 		m, err := overhead.LoadModel(modelFile)
@@ -45,9 +45,9 @@ func modelFromFlags(ovName, modelFile string, scale float64) (*core.OverheadMode
 		}
 		model = m
 	case ovName == "paper":
-		model = core.PaperOverheads()
+		model = overhead.PaperModel()
 	case ovName == "zero":
-		model = core.ZeroOverheads()
+		model = overhead.Zero()
 	default:
 		return nil, fmt.Errorf("unknown overhead model %q (zero|paper)", ovName)
 	}
@@ -109,16 +109,16 @@ func Sim(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown ready-queue backend %q (binheap|rbtree)", *rq)
 	}
 
-	set := core.GenerateTaskSet(core.GenConfig{N: *tasks, TotalUtilization: *util, Seed: *seed})
+	set := taskgen.New(taskgen.Config{N: *tasks, TotalUtilization: *util, Seed: *seed}).Next()
 	fmt.Fprintf(w, "task set: %d tasks, ΣU = %.3f\n", set.Len(), set.TotalUtilization())
-	a, err := core.Schedule(set, *cores, alg, model)
+	a, err := alg.Partition(set, *cores, model)
 	if err != nil {
 		return fmt.Errorf("%s: unschedulable: %w", alg.Name(), err)
 	}
 	fmt.Fprintf(w, "%s admitted the set:\n%s", alg.Name(), a)
 
 	buf := &trace.Buffer{}
-	cfg := core.SimConfig{
+	cfg := sched.Config{
 		Model:         model,
 		Horizon:       timeq.FromDuration(*horizon),
 		Recorder:      buf,
@@ -127,7 +127,7 @@ func Sim(args []string, w io.Writer) error {
 		ReadyQueue:    backend,
 	}
 	// The assignment carries its policy; no need to restate it.
-	res, err := core.Simulate(a, cfg)
+	res, err := sched.Run(a, cfg)
 	if err != nil {
 		return err
 	}
@@ -166,7 +166,7 @@ func Sim(args []string, w io.Writer) error {
 	return nil
 }
 
-func writeSimResult(w io.Writer, res *core.SimResult, cores int) {
+func writeSimResult(w io.Writer, res *sched.Result, cores int) {
 	s := res.Stats
 	fmt.Fprintf(w, "\nsimulated %v: %d releases, %d finishes, %d preemptions, %d migrations\n",
 		s.Horizon, s.Releases, s.Finishes, s.Preemptions, s.Migrations)
@@ -203,8 +203,8 @@ func Figure1(w io.Writer) error {
 	a.Place(t2, 0)
 
 	buf := &trace.Buffer{}
-	res, err := core.Simulate(a, core.SimConfig{
-		Model:    core.PaperOverheads(),
+	res, err := sched.Run(a, sched.Config{
+		Model:    overhead.PaperModel(),
 		Horizon:  20 * timeq.Millisecond,
 		Recorder: buf,
 		Offsets:  map[task.ID]timeq.Time{1: 2 * timeq.Millisecond},

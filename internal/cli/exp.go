@@ -8,8 +8,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/overhead"
+	"repro/internal/partition"
 	"repro/internal/report"
+	"repro/internal/taskgen"
 	"repro/internal/timeq"
 )
 
@@ -50,7 +53,7 @@ func Exp(args []string, w io.Writer) error {
 	for i := 0; i <= steps; i++ {
 		grid = append(grid, (*umin+float64(i)**ustep)*float64(*cores))
 	}
-	var algs []core.Algorithm
+	var algs []partition.Algorithm
 	switch {
 	case *algsF != "" && *edf:
 		return fmt.Errorf("-edf and -algs are mutually exclusive; add EDF algorithms to -algs instead")
@@ -63,14 +66,14 @@ func Exp(args []string, w io.Writer) error {
 			algs = append(algs, alg)
 		}
 	case *edf:
-		algs = []core.Algorithm{core.EDFWM, core.EDFFFD, core.FPTS}
+		algs = []partition.Algorithm{partition.WM, partition.EDFFFD, partition.TS}
 	}
 	// Paired runs (-overheads both) share one set cache: the second
 	// sweep analyzes the same generated sets under the other model
 	// instead of re-generating them.
-	setCache := core.NewSweepSetCache()
-	run := func(model *core.OverheadModel, label string) {
-		cfg := core.SweepConfig{
+	setCache := taskgen.NewSetCache()
+	run := func(model *overhead.Model, label string) {
+		cfg := experiment.Config{
 			Cores:        *cores,
 			Tasks:        *tasks,
 			SetsPerPoint: *sets,
@@ -82,7 +85,7 @@ func Exp(args []string, w io.Writer) error {
 			SetCache:     setCache,
 		}
 		if *progress {
-			cfg.Progress = func(u core.SweepProgress) {
+			cfg.Progress = func(u experiment.CellUpdate) {
 				line := fmt.Sprintf("[%3d/%3d] %-10s U=%.3f %4d/%-4d %.3f [%.3f,%.3f]",
 					u.DoneShards, u.TotalShards, u.Algorithm, u.TotalUtilization,
 					u.Accepted, u.Total, u.Ratio, u.WilsonLo, u.WilsonHi)
@@ -95,7 +98,7 @@ func Exp(args []string, w io.Writer) error {
 			}
 		}
 		start := time.Now()
-		r := core.Sweep(cfg)
+		r := experiment.Run(cfg)
 		if *jsonOut {
 			_ = report.SweepResultJSON(r).Encode(w) //nolint:errcheck // writer errors surface downstream
 			return
@@ -129,12 +132,12 @@ func Exp(args []string, w io.Writer) error {
 	}
 	switch *ovName {
 	case "zero":
-		run(core.ZeroOverheads(), "zero")
+		run(overhead.Zero(), "zero")
 	case "paper":
-		run(core.PaperOverheads(), "measured (paper)")
+		run(overhead.PaperModel(), "measured (paper)")
 	case "both":
-		run(core.ZeroOverheads(), "zero")
-		run(core.PaperOverheads(), "measured (paper)")
+		run(overhead.Zero(), "zero")
+		run(overhead.PaperModel(), "measured (paper)")
 	default:
 		return fmt.Errorf("unknown overhead model %q (zero|paper|both)", *ovName)
 	}

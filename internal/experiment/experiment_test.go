@@ -213,3 +213,17 @@ func TestEDFSimValidationCleanSweep(t *testing.T) {
 		t.Fatalf("%d EDF assignments missed in simulation", v)
 	}
 }
+
+func TestSweepSmoke(t *testing.T) {
+	r := Run(Config{
+		Cores: 4, Tasks: 8, SetsPerPoint: 10,
+		Utilizations: []float64{3.0, 3.6},
+		Seed:         5,
+	})
+	if len(r.Series) != 3 {
+		t.Fatalf("series %d", len(r.Series))
+	}
+	if r.Table() == "" || r.CSV() == "" {
+		t.Fatal("empty outputs")
+	}
+}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/analysis"
@@ -377,5 +378,30 @@ func TestBoostAblation(t *testing.T) {
 	}
 	if TSNoBoost.Name() != "FP-TS-noboost" {
 		t.Errorf("name %q", TSNoBoost.Name())
+	}
+}
+
+// ΣU = 3.9 on 2 cores is infeasible for every algorithm, EDF and
+// splitting included: each refuses it with ErrUnschedulable.
+func TestScheduleUnschedulable(t *testing.T) {
+	set := taskgen.New(taskgen.Config{N: 8, TotalUtilization: 3.9, Seed: 1}).Next()
+	for _, alg := range []Algorithm{FFD, WFD, BFD, FF, SPA1, SPA2, TS, EDFFFD, EDFWFD, WM} {
+		if _, err := alg.Partition(set.Clone(), 2, nil); !errors.Is(err, ErrUnschedulable) {
+			t.Errorf("%s: got %v, want ErrUnschedulable", alg.Name(), err)
+		}
+	}
+}
+
+// Every exported algorithm carries the name the sweep tables and the
+// CLI's -algs flag use.
+func TestAlgorithmsExported(t *testing.T) {
+	names := map[string]Algorithm{
+		"FP-TS": TS, "FFD": FFD, "WFD": WFD, "BFD": BFD, "SPA1": SPA1, "SPA2": SPA2,
+		"EDF-WM": WM, "EDF-FFD": EDFFFD, "EDF-WFD": EDFWFD,
+	}
+	for want, alg := range names {
+		if alg.Name() != want {
+			t.Errorf("algorithm %q has name %q", want, alg.Name())
+		}
 	}
 }

@@ -263,3 +263,15 @@ func TestReconfigureMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+func TestGenerateTaskSets(t *testing.T) {
+	sets := New(Config{N: 5, TotalUtilization: 1.0, Seed: 9}).Batch(3)
+	if len(sets) != 3 {
+		t.Fatalf("got %d sets", len(sets))
+	}
+	for _, s := range sets {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -1175,6 +1175,33 @@ func TestOnRecoverSeesEachKeptRecordOnce(t *testing.T) {
 	}
 }
 
+// TestAppendAllocFree pins the append path at fsync=off: framing an
+// admit-sized record into the write buffer, and the commit at every
+// 32nd append (the actor-drain boundary), allocate nothing.
+func TestAppendAllocFree(t *testing.T) {
+	l, _ := openT(t, t.TempDir(), Options{Policy: SyncOff})
+	defer l.Close()
+	payload := make([]byte, 96)
+	var seq int64
+	appendOne := func() {
+		seq++
+		if _, err := l.Append("bench/1", seq, payload); err != nil {
+			t.Fatal(err)
+		}
+		if seq%32 == 0 {
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		appendOne()
+	}
+	if n := testing.AllocsPerRun(320, appendOne); n != 0 {
+		t.Fatalf("Append at fsync=off: %.2f allocs/op, want 0", n)
+	}
+}
+
 // TestScanAllocatesPerStreamNotPerRecord pins the scan's allocation
 // shape: reading a log costs a fixed number of allocations per segment
 // and per distinct stream, none per record.

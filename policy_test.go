@@ -5,8 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
+	"repro/internal/overhead"
 	"repro/internal/partition"
+	"repro/internal/sched"
 	"repro/internal/taskgen"
 	"repro/internal/timeq"
 )
@@ -26,7 +27,7 @@ func allAlgorithms() []partition.Algorithm {
 // and those assignments re-pass the policy's analyzer — the admission
 // contract of the unified layer.
 func TestAllAlgorithmsAdmitThroughAnalyzer(t *testing.T) {
-	model := core.PaperOverheads()
+	model := overhead.PaperModel()
 	for _, alg := range allAlgorithms() {
 		admitted := 0
 		for seed := int64(1); seed <= 10; seed++ {
@@ -67,7 +68,7 @@ func TestAnalyzerAdmissionImpliesZeroMisses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	model := core.PaperOverheads()
+	model := overhead.PaperModel()
 	for _, alg := range allAlgorithms() {
 		for seed := int64(20); seed < 26; seed++ {
 			set := taskgen.New(taskgen.Config{N: 8, TotalUtilization: 3.1, Seed: seed}).Next()
@@ -75,7 +76,7 @@ func TestAnalyzerAdmissionImpliesZeroMisses(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			res, err := core.Simulate(a, core.SimConfig{Model: model, Horizon: 2 * timeq.Second})
+			res, err := sched.Run(a, sched.Config{Model: model, Horizon: 2 * timeq.Second})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", alg.Name(), seed, err)
 			}
@@ -87,22 +88,42 @@ func TestAnalyzerAdmissionImpliesZeroMisses(t *testing.T) {
 	}
 }
 
-// The deprecated wrappers stay behaviorally identical to the unified
-// entry points.
+// The policy-dispatched analysis.Schedulable agrees with the EDF
+// analyzer called directly on an EDF assignment.
 func TestDeprecatedWrappersAgree(t *testing.T) {
-	model := core.PaperOverheads()
+	model := overhead.PaperModel()
 	set := taskgen.New(taskgen.Config{N: 10, TotalUtilization: 3.0, Seed: 4}).Next()
 	if a, err := partition.TS.Partition(set.Clone(), 4, model); err == nil {
-		if !core.Schedulable(a, model) {
+		if !analysis.Schedulable(a, model) {
 			t.Fatal("FP assignment must pass unified Schedulable")
 		}
 	}
 	if a, err := partition.WM.Partition(set.Clone(), 4, model); err == nil {
-		if !core.Schedulable(a, model) {
+		if !analysis.Schedulable(a, model) {
 			t.Fatal("EDF assignment must pass unified Schedulable (policy dispatch)")
 		}
-		if !core.EDFSchedulable(a, model) {
-			t.Fatal("EDF assignment must pass deprecated EDFSchedulable")
+		if !analysis.EDFDemand.Schedulable(a, model) {
+			t.Fatal("EDF assignment must pass EDFDemand.Schedulable")
 		}
+	}
+}
+
+// The library pipeline end to end: generate, split with FP-TS under the
+// paper's overheads, re-check the assignment, and simulate it miss-free.
+func TestEndToEndPipeline(t *testing.T) {
+	set := taskgen.New(taskgen.Config{N: 12, TotalUtilization: 3.0, Seed: 11}).Next()
+	a, err := partition.TS.Partition(set, 4, overhead.PaperModel())
+	if err != nil {
+		t.Fatalf("Partition: %v", err)
+	}
+	if !analysis.Schedulable(a, overhead.PaperModel()) {
+		t.Fatal("returned assignment fails Schedulable")
+	}
+	res, err := sched.Run(a, sched.Config{Model: overhead.PaperModel(), Horizon: 2 * timeq.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Schedulable() {
+		t.Fatalf("simulation missed deadlines: %v", res.Misses)
 	}
 }

@@ -21,8 +21,7 @@ import (
 // and is covered by the race suite instead.
 
 // benchTask is a deterministic light task (≤1.5% core utilization)
-// drawn from a finite catalog of classes, so repeated probes hit the
-// snapshot verdict memo the way real admission traffic would.
+// drawn from a finite catalog of classes, like real admission traffic.
 func benchTask(id int64) api.Task {
 	period := int64(20+id%180) * 1_000_000
 	wcet := period / 80

@@ -399,9 +399,7 @@ func (lg *loadGen) one(ctx context.Context, rng *rand.Rand, st *api.State) bool 
 // smallTask draws a light task (≤2% core utilization) from a finite
 // catalog of task classes — discrete periods, budgets and priority
 // bands, the shape of real admission traffic (task *types*, not
-// unique tasks). Sessions stay schedulable while the mix churns, and
-// repeated try probes of the same class hit the server's snapshot
-// probe memo the way production traffic would.
+// unique tasks). Sessions stay schedulable while the mix churns.
 func (lg *loadGen) smallTask(id int64, rng *rand.Rand) api.Task {
 	periodMs := int64(20 * (1 + rng.Intn(10))) // 20ms..200ms in 20ms steps
 	period := periodMs * int64(time.Millisecond)

@@ -17,12 +17,11 @@ import (
 //
 // testing.AllocsPerRun averages over every run and does not warm up,
 // so each guard first runs its probe a few times to populate the
-// scratch pools and verdict memos.
+// scratch pools.
 
 // allocSnapshot builds a committed context with a few admitted tasks
 // (and optionally a split chain), engages publication, and returns
-// the snapshot plus a probe task that is NOT in any verdict memo
-// core-0 path yet.
+// the snapshot plus a probe task that was never committed.
 func allocSnapshot(t *testing.T, pol task.Policy, withSplit bool) (Snapshot, *task.Task) {
 	t.Helper()
 	m := overhead.PaperModel()
@@ -69,16 +68,16 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 		t.Skip("alloc guards are meaningless under -race: sync.Pool drops Puts to randomize reuse")
 	}
 	for i := 0; i < 5; i++ {
-		f() // warm pools, cost caches and verdict memos
+		f() // warm pools and cost caches
 	}
 	if n := testing.AllocsPerRun(100, f); n != 0 {
 		t.Errorf("%s: %.1f allocs/op, want 0", name, n)
 	}
 }
 
-// TestSnapshotTryPlaceAllocFree guards the memoized whole-task probe:
-// after the first miss stores the verdict, repeats are a lock-free
-// hash lookup with zero allocations.
+// TestSnapshotTryPlaceAllocFree guards the whole-task probe of a
+// repeated shape: every probe solves from pooled scratch and leaves
+// nothing behind in the snapshot, under both policies.
 func TestSnapshotTryPlaceAllocFree(t *testing.T) {
 	for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
 		snap, tk := allocSnapshot(t, pol, false)
@@ -89,19 +88,32 @@ func TestSnapshotTryPlaceAllocFree(t *testing.T) {
 }
 
 // TestSnapshotTryPlaceSolveAllocFree guards the full solve path: a
-// fixed-priority snapshot with a committed split chain disables the
-// verdict memo, so every probe builds per-core views, clones the
-// chains and runs the jitter resolution — all from pooled scratch.
+// stream of shapes that never repeat costs the same zero allocations as
+// a repeated one, under both policies. With a committed fixed-priority
+// split chain the probe also builds per-core views, clones the chains
+// and runs the jitter resolution.
 func TestSnapshotTryPlaceSolveAllocFree(t *testing.T) {
+	for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
+		snap, _ := allocSnapshot(t, pol, false)
+		rng := rand.New(rand.NewSource(5))
+		unique := make([]*task.Task, 128)
+		for i := range unique {
+			unique[i] = probeTask(rng, int64(1000+i))
+		}
+		i := 0
+		assertZeroAllocs(t, pol.String()+"/TryPlace unique shapes", func() {
+			snap.TryPlace(unique[i%len(unique)], i%snap.NumCores())
+			i++
+		})
+	}
 	snap, tk := allocSnapshot(t, task.FixedPriority, true)
 	assertZeroAllocs(t, "FP/TryPlace+chains", func() {
 		snap.TryPlace(tk, 2)
 	})
 }
 
-// TestSnapshotTrySplitAllocFree guards split probes, which never use
-// the verdict memo: FP runs the chain path, EDF the demand test, both
-// from pooled scratch.
+// TestSnapshotTrySplitAllocFree guards split probes: FP runs the chain
+// path, EDF the demand test, both from pooled scratch.
 func TestSnapshotTrySplitAllocFree(t *testing.T) {
 	for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
 		snap, _ := allocSnapshot(t, pol, pol == task.FixedPriority)

@@ -122,11 +122,6 @@ type Context interface {
 	// pending. Snapshots forked before the Reset stay valid (they are
 	// self-contained); publication is disengaged until the next Fork.
 	Reset(a *task.Assignment, m *overhead.Model)
-	// SetSweepCache attaches a cross-context probe-verdict memo (nil
-	// detaches): whole-task probe verdicts become shareable with other
-	// contexts probing identically built cores — the sweep's nine
-	// partitioners probing the same task set. See SweepCache.
-	SetSweepCache(*SweepCache)
 	// Fork returns the latest published Snapshot of the committed
 	// state: an immutable view any number of goroutines may probe
 	// concurrently, lock-free. Publication is engaged by the first
@@ -190,7 +185,9 @@ type AdmissionStats struct {
 	// Schedulable calls.
 	Probes, FullTests int64
 	// CoreTests counts single-core admission evaluations requested;
-	// VerdictHits the subset served from the per-core verdict cache.
+	// VerdictHits the subset a writer context's full test served from
+	// its per-core verdict of the last test (fpVerdict). Probes never
+	// hit: every one runs the engine.
 	CoreTests, VerdictHits int64
 	// FPSolves counts response-time fixed points solved, FPIterations
 	// the iterations they took, WarmStarts the solves that began from
@@ -405,8 +402,8 @@ func modelMonotone(m *overhead.Model) bool {
 
 // ctxBase is the policy-independent half of both writer contexts: the
 // committed state in the shape it is published in, the one pending
-// probe, publication and group commit, the entity pool and the sweep
-// memo plumbing. Its fields and methods are promoted by embedding.
+// probe, publication and group commit, and the entity pool. Its fields
+// and methods are promoted by embedding.
 type ctxBase struct {
 	an    Analyzer
 	a     *task.Assignment
@@ -458,18 +455,6 @@ type ctxBase struct {
 	// snapshot can reference (rolled-back split probes, and committed
 	// entities of a context that never engaged publication).
 	pool entPool
-
-	// Cross-context verdict sharing. sweepNodes[c] is core c's interned
-	// committed state, folded lazily at the first memo consultation
-	// after a mutation: sweepRevs[c] remembers which revision the
-	// cached node reflects (-1 = never folded), so adoptions pay
-	// nothing and cores that are never probed again are never folded.
-	// sweepOff disables sharing until the next Reset once per-core
-	// verdicts stop being local (fixed-priority chains, removals).
-	sweep      *SweepCache
-	sweepNodes []*sweepNode
-	sweepRevs  []int64
-	sweepOff   bool
 }
 
 // fpVerdict caches one core's last admission verdict, keyed by the
@@ -489,8 +474,8 @@ type fpVerdict struct {
 // the pattern of SPA's whole-task path, whose budget search probes the
 // task whole at its cap and rolls back before SPA places it with Place.
 // Under fixed priorities run names the engine run whose views hold the
-// converged values (0: a memo answered); under EDF busyWarm is the busy
-// period the probe converged.
+// converged values; under EDF busyWarm is the busy period the probe
+// converged.
 type probeRecord struct {
 	seq      int64   // the committed epoch probed in
 	id       task.ID // the task probed
@@ -514,7 +499,7 @@ type pending struct {
 	addEnts  []*Entity // tentative entities
 	addCores []int     // their host cores (parallel)
 
-	run      int64      // FP: the engine run that evaluated it (0: a memo answered)
+	run      int64      // FP: the engine run that evaluated it
 	resolved bool       // FP: a jitter resolution ran
 	busyWarm timeq.Time // EDF: the busy period the probe converged (0: none)
 }
@@ -555,15 +540,14 @@ func (b *ctxBase) ensureNoPending(op string) {
 }
 
 // own returns core c's record with its entity and warm slices safe to
-// write in place. A record a published snapshot references (probes !=
-// nil) gets private copies first and gives its probe memo up; the next
-// publish hands it a fresh one. A context that never forked owns every
-// record already. grow says the caller is about to insert: the copies
-// then get room for a few entries, so a group of commits onto one core
-// copies it once.
+// write in place. A record a published snapshot references (shared)
+// gets private copies first; the next publish shares them again. A
+// context that never forked owns every record already. grow says the
+// caller is about to insert: the copies then get room for a few
+// entries, so a group of commits onto one core copies it once.
 func (b *ctxBase) own(c int, grow bool) *coreRec {
 	r := &b.cores[c]
-	if r.probes != nil {
+	if r.shared {
 		n := len(r.ents)
 		if grow {
 			n += 4
@@ -572,7 +556,7 @@ func (b *ctxBase) own(c int, grow bool) *coreRec {
 		if r.warm != nil {
 			r.warm = append(make([]timeq.Time, 0, n), r.warm...)
 		}
-		r.probes = nil
+		r.shared = false
 	}
 	return r
 }
@@ -643,7 +627,7 @@ func (b *ctxBase) rebind(a *task.Assignment, m *overhead.Model) (fresh bool) {
 			r := &b.cores[c]
 			b.pool.put(r.ents...)
 			// rev keeps counting: recycled cores must never match old
-			// verdicts or folds.
+			// verdicts.
 			*r = coreRec{ents: r.ents[:0], warm: r.warm[:0], rev: r.rev + 1}
 			b.verdicts[c] = fpVerdict{}
 			b.lastProbe[c] = probeRecord{}
@@ -656,7 +640,6 @@ func (b *ctxBase) rebind(a *task.Assignment, m *overhead.Model) (fresh bool) {
 	b.maxN = 0
 	b.pubHold, b.pubAny, b.pubOwed = false, false, false
 	b.groupHint, b.groupFits = pubUnknown, false
-	b.SetSweepCache(b.sweep)
 	return fresh
 }
 
@@ -674,10 +657,8 @@ func (b *ctxBase) fork() *snapState {
 
 // publish atomically installs a fresh snapshot of the committed state:
 // an O(cores) copy of the records. Runs on the owner after every
-// committed mutation once forking is engaged. A record keeps its probe
-// memo from snapshot to snapshot until a mutation takes the record
-// private (own) or the global queue bound moves, which every memoized
-// verdict depends on (probeN).
+// committed mutation once forking is engaged. Every record is shared
+// from then on, until a mutation takes it private (own).
 func (b *ctxBase) publish(hint pubHint, fits bool) {
 	prev := b.pub.Load()
 	s := &snapState{cores: make([]coreRec, len(b.cores)), chains: b.chains[:len(b.chains):len(b.chains)]}
@@ -688,111 +669,28 @@ func (b *ctxBase) publish(hint pubHint, fits bool) {
 		pv = &prev.snapView
 	}
 	for c := range b.cores {
-		if r := &b.cores[c]; r.probes == nil || pv == nil || pv.maxN != s.maxN {
-			r.probes = &probeCache{}
-		}
+		b.cores[c].shared = true
 	}
 	copy(s.cores, b.cores)
 	s.deriveSched(pv, hint, fits, len(b.chains) > 0)
 	b.pub.Store(s)
 }
 
-// sweepNode returns core c's interned committed state, or nil when
-// sharing is unavailable (no cache attached, or disabled). The fold
-// runs lazily, once per committed revision, over the record's entity
-// order, which the core's contents alone determine however a context
-// arrived at them: fixed-priority records are priority-sorted with
-// unique priorities within a task set; EDF records keep the canonical
-// normals-then-parts order — the demand test's floating-point
-// utilization sum is order-sensitive — and split parts carry migration
-// flags where normals carry none, so the fold also pins the position a
-// tentative normal is inserted at, making probe keys unambiguous.
-func (b *ctxBase) sweepNode(c int) *sweepNode {
-	if b.sweep == nil || b.sweepOff {
-		return nil
-	}
-	r := &b.cores[c]
-	if b.sweepRevs[c] != r.rev {
-		b.sweepNodes[c] = b.sweep.fold(r.ents)
-		b.sweepRevs[c] = r.rev
-	}
-	return b.sweepNodes[c]
-}
-
-// sweepDisable turns off cross-context sharing until the next Reset.
-func (b *ctxBase) sweepDisable() {
-	if b.sweep != nil {
-		b.sweepOff = true
-	}
-}
-
-// SetSweepCache attaches (or, with nil, detaches) the cross-context
-// probe-verdict memo; committed state is interned lazily at the first
-// consultation. Committed fixed-priority chains couple their host
-// cores through the jitter resolution, so sharing starts disabled over
-// them.
-func (b *ctxBase) SetSweepCache(sc *SweepCache) {
-	b.sweep = sc
-	b.sweepOff = sc != nil && len(b.chains) > 0
-	if sc == nil {
-		b.sweepNodes, b.sweepRevs = nil, nil
-		return
-	}
-	if len(b.sweepNodes) != len(b.cores) {
-		b.sweepNodes = make([]*sweepNode, len(b.cores))
-		b.sweepRevs = make([]int64, len(b.cores))
-	}
-	// Drop every cached fold; the next sweepNode call per core refolds
-	// against the (possibly rebuilt) cache tries.
-	for i := range b.sweepRevs {
-		b.sweepRevs[i] = -1
-	}
-}
-
-// sweepShared answers the pending whole-task probe of entity e from the
-// shared memo when it can, counting the hit; otherwise node says where
-// to store the verdict the caller computes (nil: sharing is off).
-func (b *ctxBase) sweepShared(e *Entity) (node *sweepNode, shape sweepShape, hit bool) {
-	if node = b.sweepNode(b.pend.core); node == nil {
-		return nil, shape, false
-	}
-	shape = sweepShapeOf(e)
-	v, hit := b.sweep.lookup(node, b.pend.n, shape)
-	if hit {
-		b.stats.CoreTests++
-		b.stats.VerdictHits++
-		b.pend.fits = v
-	}
-	return node, shape, hit
-}
-
 // cachedVerdict serves core c's committed full-core test from the
-// context's own verdict or, failing that, the shared memo — the test
-// is a pure function of (state, N) — counting the hit. jGen is the
-// core's jitter generation (0 under EDF). On a miss node says where to
-// store the verdict the caller computes.
-func (b *ctxBase) cachedVerdict(c int, jGen int64) (node *sweepNode, ok, hit bool) {
-	v, rev := b.verdicts[c], b.cores[c].rev
-	if v.valid && v.rev == rev && v.n == b.maxN && v.jGen == jGen {
-		ok, hit = v.ok, true
-	} else if node = b.sweepNode(c); node != nil {
-		if ok, hit = b.sweep.lookup(node, b.maxN, sweepShape{flags: sweepCoreTest}); hit {
-			b.verdicts[c] = fpVerdict{valid: true, ok: ok, rev: rev, n: b.maxN, jGen: jGen}
-		}
+// context's own verdict when no mutation invalidated it, counting the
+// hit. jGen is the core's jitter generation (0 under EDF).
+func (b *ctxBase) cachedVerdict(c int, jGen int64) (ok, hit bool) {
+	v := b.verdicts[c]
+	if !v.valid || v.rev != b.cores[c].rev || v.n != b.maxN || v.jGen != jGen {
+		return false, false
 	}
-	if hit {
-		b.stats.CoreTests++
-		b.stats.VerdictHits++
-	}
-	return node, ok, hit
+	b.stats.CoreTests++
+	b.stats.VerdictHits++
+	return v.ok, true
 }
 
-// setVerdict records core c's computed full-core verdict, sharing it
-// when node is set.
-func (b *ctxBase) setVerdict(c int, jGen int64, node *sweepNode, ok bool) {
-	if node != nil {
-		b.sweep.store(node, b.maxN, sweepShape{flags: sweepCoreTest}, ok)
-	}
+// setVerdict records core c's computed full-core verdict.
+func (b *ctxBase) setVerdict(c int, jGen int64, ok bool) {
 	b.verdicts[c] = fpVerdict{valid: true, ok: ok, rev: b.cores[c].rev, n: b.maxN, jGen: jGen}
 }
 
@@ -941,7 +839,6 @@ func (cc *checkedContext) Reset(a *task.Assignment, m *overhead.Model) {
 	cc.ctx.Reset(a, m)
 	cc.m = overhead.Normalize(m) // mirror the concrete Reset's normalization
 }
-func (cc *checkedContext) SetSweepCache(sc *SweepCache) { cc.ctx.SetSweepCache(sc) }
 
 func (cc *checkedContext) TryPlace(t *task.Task, c int) bool {
 	got := cc.ctx.TryPlace(t, c)

@@ -97,16 +97,7 @@ func (x *edfContext) TryPlace(t *task.Task, c int) bool {
 	newEDFEntityInto(&x.sc.ent, t)
 	x.sc.addCores[0] = c
 	x.pend = pending{kind: pendPlace, core: c, n: probeN(x.cores, x.maxN, x.sc.addCores[:])}
-	// The per-core demand verdict is a pure function of (core state,
-	// probed shape, queue bound): the shared sweep memo can answer
-	// before any demand test runs.
-	node, shape, hit := x.sweepShared(&x.sc.ent)
-	if !hit {
-		x.probe()
-		if node != nil {
-			x.sweep.store(node, x.pend.n, shape, x.pend.fits)
-		}
-	}
+	x.probe()
 	return x.pend.fits
 }
 
@@ -202,10 +193,10 @@ func (x *edfContext) dropEntity(c int, id task.ID, part bool) {
 		lo, hi = r.nNormals, len(r.ents)
 	}
 	j := lo + slices.IndexFunc(r.ents[lo:hi], func(e *Entity) bool { return e.Task.ID == id })
-	if r.probes == nil {
+	if !r.shared {
 		r.ents = slices.Delete(r.ents, j, j+1)
 	} else {
-		r.ents, r.probes = removeAtCOW(r.ents, j), nil
+		r.ents, r.shared = removeAtCOW(r.ents, j), false
 	}
 	if !part {
 		r.nNormals--
@@ -225,7 +216,6 @@ func (x *edfContext) dropEntity(c int, id task.ID, part bool) {
 // utilization sum — stay bit-identical to the stateless build.
 func (x *edfContext) Remove(id task.ID) bool {
 	x.ensureNoPending("Remove")
-	x.sweepDisable()
 	found := false
 search:
 	for c := range x.a.Normal {
@@ -264,10 +254,10 @@ func (x *edfContext) Schedulable() bool {
 		return false
 	}
 	for c := range x.cores {
-		node, ok, hit := x.cachedVerdict(c, 0)
+		ok, hit := x.cachedVerdict(c, 0)
 		if !hit {
 			ok, x.cores[c].busyWarm = x.evalCore(c, nil, nil, nil, x.maxN)
-			x.setVerdict(c, 0, node, ok)
+			x.setVerdict(c, 0, ok)
 		}
 		if !ok {
 			return false

@@ -100,11 +100,8 @@ func (x *fpContext) recycleTent() {
 	x.tent = fpSnapChain{}
 }
 
-// adoptChain commits the tentative chain. A committed chain couples
-// its host cores through the jitter resolution: per-core verdicts stop
-// being shareable.
+// adoptChain commits the tentative chain.
 func (x *fpContext) adoptChain() {
-	x.sweepDisable()
 	for i, e := range x.tent.ents {
 		x.adopt(e, x.tent.cores[i])
 	}
@@ -122,16 +119,7 @@ func (x *fpContext) TryPlace(t *task.Task, c int) bool {
 	sc.addEnts[0], sc.addCores[0] = newFPEntityInto(&sc.ent, t), c
 	x.pend = pending{kind: pendPlace, core: c, addEnts: sc.addEnts[:], addCores: sc.addCores[:]}
 	x.pend.n = probeN(x.cores, x.maxN, x.pend.addCores)
-	// Without chains the verdict is a pure function of (core state,
-	// probed shape, queue bound), so the shared sweep memo can answer
-	// before any fixed point runs (sharing is off over chains).
-	node, shape, hit := x.sweepShared(&sc.ent)
-	if !hit {
-		x.probe(nil)
-		if node != nil {
-			x.sweep.store(node, x.pend.n, shape, x.pend.fits)
-		}
-	}
+	x.probe(nil)
 	return x.pend.fits
 }
 
@@ -185,11 +173,11 @@ func (x *fpContext) install(run int64, jitters bool) {
 
 // setWarm makes w core d's committed warm vector: in place on a record
 // no snapshot references, otherwise — and only if a value moved — as a
-// fresh vector beside the published one. The record keeps its probe
-// memo either way; verdicts do not depend on warm values.
+// fresh vector beside the published one. The record stays shared
+// either way; verdicts do not depend on warm values.
 func (x *fpContext) setWarm(d int, w []timeq.Time) {
 	r := &x.cores[d]
-	if r.probes == nil {
+	if !r.shared {
 		copy(r.warm, w)
 	} else if !slices.Equal(r.warm, w) {
 		r.warm = slices.Clone(w)
@@ -230,9 +218,7 @@ func (x *fpContext) Commit() {
 	case pendSplit:
 		x.adoptChain()
 	}
-	if p.run != 0 {
-		x.install(p.run, p.resolved)
-	}
+	x.install(p.run, p.resolved)
 	x.commitSeq++
 	if p.resolved {
 		x.resolveSeq = x.commitSeq
@@ -273,7 +259,7 @@ func (x *fpContext) Place(t *task.Task, c int) {
 		// its verdict stands and, if no later evaluation has refilled
 		// the core's view, so do the values the probe converged. The
 		// probe's jitters are not kept; the next full test resolves.
-		if rec.run != 0 && x.sc.views[c].run == rec.run {
+		if x.sc.views[c].run == rec.run {
 			x.install(rec.run, false)
 		}
 		x.verdicts[c] = fpVerdict{valid: true, ok: true, rev: x.cores[c].rev, n: x.maxN, jGen: x.coreJGen[c]}
@@ -295,11 +281,11 @@ func (x *fpContext) AddSplit(sp *task.Split) {
 // snapshot references, otherwise into private copies without it.
 func (x *fpContext) dropEntity(c, i int) {
 	r := &x.cores[c]
-	if r.probes == nil {
+	if !r.shared {
 		r.ents = slices.Delete(r.ents, i, i+1)
 		r.warm = slices.Delete(r.warm, i, i+1)
 	} else {
-		r.ents, r.warm, r.probes = removeAtCOW(r.ents, i), removeAtCOW(r.warm, i), nil
+		r.ents, r.warm, r.shared = removeAtCOW(r.ents, i), removeAtCOW(r.warm, i), false
 	}
 	x.dropped(r)
 }
@@ -316,7 +302,6 @@ func (x *fpContext) dropEntity(c, i int) {
 // bit-identical to the stateless build of the shrunken assignment.
 func (x *fpContext) Remove(id task.ID) bool {
 	x.ensureNoPending("Remove")
-	x.sweepDisable()
 	affected := -1
 search:
 	for c := range x.a.Normal {
@@ -348,7 +333,7 @@ search:
 		// Chain jitters and the shared queue bound couple the cores:
 		// reset warm state everywhere and force a fresh resolution.
 		for d := range x.cores {
-			if r := &x.cores[d]; r.probes == nil {
+			if r := &x.cores[d]; !r.shared {
 				clear(r.warm)
 			} else {
 				r.warm = make([]timeq.Time, len(r.warm))
@@ -399,7 +384,7 @@ func (x *fpContext) Schedulable() bool {
 	}
 	p := x.engine()
 	for c := range x.cores {
-		node, ok, hit := x.cachedVerdict(c, x.coreJGen[c])
+		ok, hit := x.cachedVerdict(c, x.coreJGen[c])
 		if !hit {
 			// The converged values of a committed core are its new warm
 			// vector, whatever the verdict.
@@ -408,7 +393,7 @@ func (x *fpContext) Schedulable() bool {
 			p.fillView(v, c, nil, nil, x.maxN)
 			ok = fpEvalCore(&p, v, nil)
 			x.setWarm(c, v.warm)
-			x.setVerdict(c, x.coreJGen[c], node, ok)
+			x.setVerdict(c, x.coreJGen[c], ok)
 		}
 		if !ok {
 			return false

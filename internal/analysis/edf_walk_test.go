@@ -323,9 +323,9 @@ func TestEDFExtremePeriodRatio(t *testing.T) {
 // BenchmarkEDFDemand times one demand test on a core of the Section-4
 // sweep's shape — 16 tasks packed first-fit onto 4 cores at 0.975 per
 // core, paper model — as the incremental engine runs it (a writer
-// probe, no SweepCache) and as the stateless oracle does, with the
-// deadlines each looks at. The probe is the last task of the packing
-// that fits, on the core it fits.
+// probe) and as the stateless oracle does, with the deadlines each
+// looks at. The probe is the last task of the packing that fits, on
+// the core it fits.
 func BenchmarkEDFDemand(b *testing.B) {
 	const cores = 4
 	m := overhead.PaperModel()

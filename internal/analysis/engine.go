@@ -44,9 +44,9 @@ type coreRec struct {
 	busyWarm timeq.Time
 	cacheMax timeq.Time
 	rev      int64 // content revision
-	// probes memoizes whole-task probe verdicts on published records. A
-	// nil memo marks a record whose slices no snapshot references.
-	probes *probeCache
+	// shared marks a record whose slices a published snapshot
+	// references: the writer copies them before writing (ctxBase.own).
+	shared bool
 }
 
 // fpSnapChain is one split chain: its entities in part order, with

@@ -64,7 +64,7 @@ func checkFork(t *testing.T, rng *rand.Rand, ctx Context, m *overhead.Model, pro
 
 		snapGot := snap.TryPlace(tk, c)
 		if again := snap.TryPlace(tk, c); again != snapGot {
-			t.Fatalf("memoized re-probe diverged: %v then %v", snapGot, again)
+			t.Fatalf("repeated probe diverged: %v then %v", snapGot, again)
 		}
 		ctxGot := ctx.TryPlace(tk, c)
 		ctx.Rollback()

@@ -50,7 +50,6 @@ import (
 
 	"repro/internal/overhead"
 	"repro/internal/task"
-	"repro/internal/timeq"
 )
 
 // Snapshot is an immutable, concurrently shareable view of a
@@ -249,216 +248,6 @@ func (v *snapView) captureView(b *ctxBase, seq int64) {
 	v.rs = &b.readStats
 }
 
-// --- probe verdict memoization ---------------------------------------
-
-// probeKey identifies a whole-task probe up to everything its verdict
-// depends on besides the (immutable) core state: the task's analysis
-// parameters. Two tasks with equal parameters get identical verdicts
-// on the same snapshot core — admission is a pure function — so the
-// verdict can be memoized. This is an optimization only immutability
-// makes trivially correct: the mutable context would need
-// invalidation bookkeeping on every commit, the snapshot's cache
-// simply lives as long as the core record's contents (see
-// ctxBase.publish).
-type probeKey struct {
-	c, t, d timeq.Time
-	prio    int
-	wss     int64
-}
-
-func probeKeyOf(t *task.Task) probeKey {
-	return probeKey{c: t.WCET, t: t.Period, d: t.EffectiveDeadline(), prio: t.Priority, wss: t.WSS}
-}
-
-// probeCache memoizes per-core whole-task probe verdicts. It is
-// shared by every goroutine probing the snapshot, and carried over to
-// the next snapshot for cores whose published record (and the global
-// queue bound) did not change — repeated admission tries of the same
-// task shapes, the bread and butter of admission control traffic,
-// then cost a hash lookup.
-//
-// A memo only pays where shapes repeat, so every record starts on a
-// trial: it earns its memo with its probeTrialHits-th lookup hit, and
-// a record that takes probeTrialInserts inserts first retires — its
-// table is released, and every later lookup and store returns before
-// hashing or locking. Traffic whose task parameters are unique per
-// request would otherwise pay a mutex, a cold table line and a table
-// grown to probeCacheCap entries (16384 slots, ≈0.75 MB) per core
-// record for a hit ratio of zero. A record that passes keeps its memo
-// for life and stops counting; it is bounded by probeCacheCap.
-// Retirement is a property of the record: carried over to the next
-// snapshot it stays retired, and the fresh record of a dirtied core
-// starts a fresh trial.
-//
-// The cache is an insert-only open-addressing hash table tuned for
-// the read path: a lookup is linear probing over a published slot
-// array with one atomic load per slot and zero allocations (a
-// sync.Map here would box the struct key on every Load — one heap
-// allocation per probe on the hottest path in the system). Writers
-// run on the miss path, which just paid a full admission solve, so
-// they simply serialize on a mutex; each entry becomes visible
-// through a release store of its slot state that reader acquire
-// loads observe, and nothing is ever deleted or moved within a
-// table, so a reader either finds a fully published entry or stops
-// at an empty slot and reports a miss.
-type probeCache struct {
-	tab   atomic.Pointer[probeTable]
-	state atomic.Uint32 // memoTrial, memoKept or memoRetired
-	hits  atomic.Int64  // lookup hits, counted during the trial only
-	mu    sync.Mutex    // serializes store, growth and retirement
-}
-
-type probeTable struct {
-	slots []probeSlot // power-of-two length
-	used  int         // completed inserts; guarded by probeCache.mu
-}
-
-type probeSlot struct {
-	state   atomic.Uint32 // slotEmpty or slotReady
-	verdict bool
-	key     probeKey
-}
-
-const (
-	slotEmpty uint32 = iota
-	slotReady
-)
-
-const (
-	memoTrial uint32 = iota
-	memoKept
-	memoRetired
-)
-
-const (
-	probeCacheCap  = 8192 // max memoized verdicts per core record: the memory bound of a record that earns its memo
-	probeTableInit = 8    // initial slot count (see store)
-
-	// A cycle of K distinct shapes repeats nothing before its K+1st
-	// probe, so no trial can tell it from unique traffic in fewer than
-	// K inserts. This one outlasts, four times over, the longest cycles
-	// the daemon's own traffic has (the 50-class load catalog, the
-	// 64-task try-only batch), and a table of that many entries is
-	// 24 KB — a thirtieth of what probeCacheCap lets a record hold. A
-	// hit saves a core test and a miss adds a lookup and a store to
-	// one, which puts break-even near one hit in twenty probes: a
-	// record that has not had one in sixteen by the trial's end is
-	// below it.
-	probeTrialInserts = 256
-	probeTrialHits    = probeTrialInserts / 16
-)
-
-// hash mixes the key's five words Fibonacci-style; quality only
-// affects probe-chain length, not correctness.
-func (k probeKey) hash() uint64 {
-	const m = 0x9e3779b97f4a7c15
-	h := (uint64(k.c) ^ 0x8f1bbcdcbfa53e0b) * m
-	h = (h ^ uint64(k.t)) * m
-	h = (h ^ uint64(k.d)) * m
-	h = (h ^ uint64(k.prio)) * m
-	h = (h ^ uint64(k.wss)) * m
-	return h ^ (h >> 32)
-}
-
-// retired reports whether the record has given its memo up; callers
-// skip building a key for one that has.
-func (pc *probeCache) retired() bool { return pc.state.Load() == memoRetired }
-
-func (pc *probeCache) lookup(k probeKey) (bool, bool) {
-	t := pc.tab.Load()
-	if t == nil {
-		return false, false // nothing stored yet, or retired
-	}
-	mask := uint64(len(t.slots) - 1)
-	h := k.hash()
-	for i := 0; i < len(t.slots); i++ {
-		s := &t.slots[(h+uint64(i))&mask]
-		if s.state.Load() != slotReady {
-			// Insert-only: an empty slot ends k's probe chain. (The
-			// entry may be mid-publication by a concurrent writer —
-			// that is a plain miss; the storer re-checks under the
-			// mutex, so no duplicate is inserted.)
-			return false, false
-		}
-		if s.key == k {
-			if pc.state.Load() == memoTrial && pc.hits.Add(1) >= probeTrialHits {
-				pc.state.CompareAndSwap(memoTrial, memoKept)
-			}
-			return s.verdict, true
-		}
-	}
-	return false, false
-}
-
-// store publishes a solved verdict. The initial table is deliberately
-// tiny: a core dirtied by steady commit churn gets a fresh probeCache
-// every publish and sees only a handful of distinct probes before the
-// next commit discards it, so the common table is a few hundred bytes
-// of short-lived garbage, not a kilobytes-scale slab (a 64-slot
-// initial table measured ~10% of the session read mix in allocation
-// and cold-write cost). Long-lived records grow by doubling as their
-// memo fills. The insert that completes the trial retires a record
-// still on it.
-func (pc *probeCache) store(k probeKey, verdict bool) {
-	if pc.retired() {
-		return
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.retired() {
-		return
-	}
-	t := pc.tab.Load()
-	if t == nil {
-		t = &probeTable{slots: make([]probeSlot, probeTableInit)}
-		pc.tab.Store(t)
-	}
-	if t.used >= probeCacheCap {
-		return
-	}
-	// Grow at 3/4 load: readers keep probing the old table until the
-	// new one is published; entries are copied, never mutated.
-	if t.used >= len(t.slots)*3/4 {
-		nt := &probeTable{slots: make([]probeSlot, 2*len(t.slots)), used: 0}
-		for i := range t.slots {
-			s := &t.slots[i]
-			if s.state.Load() == slotReady && nt.insert(s.key, s.verdict) {
-				nt.used++
-			}
-		}
-		pc.tab.Store(nt)
-		t = nt
-	}
-	if t.insert(k, verdict) {
-		t.used++
-	}
-	if t.used >= probeTrialInserts && pc.state.CompareAndSwap(memoTrial, memoRetired) {
-		// Under the mutex, so no store can publish a table after this;
-		// readers still probing the old one finish on it.
-		pc.tab.Store(nil)
-	}
-}
-
-// insert publishes (k, verdict) in the first free slot of k's probe
-// chain; false if the key is already present. Caller holds the mutex
-// (or owns the table exclusively, during growth).
-func (t *probeTable) insert(k probeKey, verdict bool) bool {
-	mask := uint64(len(t.slots) - 1)
-	for h := k.hash(); ; h++ {
-		s := &t.slots[h&mask]
-		if s.state.Load() == slotReady {
-			if s.key == k {
-				return false
-			}
-			continue
-		}
-		s.key = k
-		s.verdict = verdict
-		s.state.Store(slotReady) // release: payload above is now visible
-		return true
-	}
-}
-
 // --- published state -------------------------------------------------
 
 // snapState is a published copy of a context's committed state: the
@@ -519,25 +308,10 @@ func (p *fpProber) TryPlace(t *task.Task, c int) bool {
 	if c < 0 || c >= s.ncores {
 		return false
 	}
-	// Whole-task probes on chain-free snapshots are pure per-core
-	// functions of the task parameters: serve repeats from the memo.
-	pc := s.cores[c].probes
-	useMemo := pc != nil && len(s.chains) == 0 && !pc.retired()
-	var key probeKey
-	if useMemo {
-		key = probeKeyOf(t)
-		if ok, hit := pc.lookup(key); hit {
-			s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1, VerdictHits: 1})
-			return ok
-		}
-	}
 	run := p.engine(AdmissionStats{Probes: 1})
 	sc.addEnts[0], sc.addCores[0] = newFPEntityInto(&sc.ent, t), c
 	ok := run.run(sc.addEnts[:], sc.addCores[:], nil, c, probeN(s.cores, s.maxN, sc.addCores[:]))
 	s.rs.Add(sc.stats)
-	if useMemo {
-		pc.store(key, ok)
-	}
 	return ok
 }
 
@@ -625,23 +399,10 @@ func (p *edfProber) TryPlace(t *task.Task, c int) bool {
 	if c < 0 || c >= s.ncores {
 		return false
 	}
-	pc := s.cores[c].probes
-	useMemo := pc != nil && !pc.retired()
-	var key probeKey
-	if useMemo {
-		key = probeKeyOf(t)
-		if ok, hit := pc.lookup(key); hit {
-			s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1, VerdictHits: 1})
-			return ok
-		}
-	}
 	sc.addCores[0] = c
 	n := probeN(s.cores, s.maxN, sc.addCores[:])
 	ok, _, points := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, newEDFEntityInto(&sc.ent, t), nil, nil, n)
 	s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1, DemandTests: 1, DemandPoints: points})
-	if useMemo {
-		pc.store(key, ok)
-	}
 	return ok
 }
 

@@ -11,21 +11,15 @@ import (
 // TestSweepInnerLoopAllocFree guards the Section-4 sweep engine's
 // per-algorithm inner loop: one long-lived context rebound to a
 // recycled assignment with Reset, then a full probe-all-cores packing
-// pass with the cross-algorithm SweepCache attached. After warmup
-// every piece — entity slabs, probe scratch, verdict memos, the
-// cache's interned states — recycles, so the steady-state loop must
-// not allocate at all. (Interning a never-seen core state allocates
-// its trie node; that happens once per state per task-set cell, which
-// is why the guard keeps the cache warm across runs, like the nine
-// algorithms of one cell do.)
+// pass. After warmup every piece — entity slabs, probe scratch,
+// per-core verdicts — recycles and every probe runs the engine, so the
+// steady-state loop must not allocate at all.
 func TestSweepInnerLoopAllocFree(t *testing.T) {
 	for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
 		m := overhead.PaperModel()
 		a := task.NewAssignment(4)
 		a.Policy = pol
 		ctx := ForPolicy(pol).NewContext(a, m)
-		sc := NewSweepCache()
-		ctx.SetSweepCache(sc)
 		rng := rand.New(rand.NewSource(7))
 		tasks := make([]*task.Task, 10)
 		for i := range tasks {
@@ -52,16 +46,13 @@ func TestSweepInnerLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestEDFWriterProbeAllocFree guards the EDF writer context with no
-// SweepCache attached, so every probe reaches the demand test (with the
-// cache the guard above passes for EDF whatever the test allocates: the
-// cache answers first). One recycled packing pass exercises every way a
-// writer runs the engine — TryPlace + Commit, TryPlace + Rollback on
-// every core and then Place on one of them (an unprobed Place after a
-// rolled-back probe, SPA's whole-task pattern, promotes the probe),
-// TrySplit + Rollback, Schedulable —
-// and none of them may allocate: what a passing probe leaves behind is
-// one number in the core's record.
+// TestEDFWriterProbeAllocFree guards every way the EDF writer context
+// runs the demand test. One recycled packing pass exercises them —
+// TryPlace + Commit, TryPlace + Rollback on every core and then Place
+// on one of them (an unprobed Place after a rolled-back probe, SPA's
+// whole-task pattern, promotes the probe), TrySplit + Rollback,
+// Schedulable — and none of them may allocate: what a passing probe
+// leaves behind is one number in the core's record.
 func TestEDFWriterProbeAllocFree(t *testing.T) {
 	const cores = 4
 	m := overhead.PaperModel()
@@ -75,7 +66,7 @@ func TestEDFWriterProbeAllocFree(t *testing.T) {
 	}
 	sp := probeSplit(task.EDF)
 	var fits, misses int
-	assertZeroAllocs(t, "EDF writer, no sweep cache", func() {
+	assertZeroAllocs(t, "EDF writer", func() {
 		for c := range a.Normal {
 			a.Normal[c] = a.Normal[c][:0]
 		}

@@ -10,9 +10,8 @@ import (
 
 // The sweep engine's whole performance apparatus — per-worker
 // contexts recycled with Context.Reset, assignments and entity slabs
-// from the arena, probe verdicts shared across all nine algorithms
-// through the SweepCache, sets generated into recycled slabs (and
-// optionally memoized in a SetCache) — must be invisible in the
+// from the arena, sets generated into recycled slabs (and optionally
+// memoized in a SetCache) — must be invisible in the
 // numbers. Every cell of a Run is pinned here against a reference
 // that partitions freshly generated sets with no arena, no cache and
 // no recycling at all, one call per (set, algorithm).

@@ -304,8 +304,7 @@ func Run(cfg Config) *Results {
 
 // workerState is one worker's long-lived scratch: a reconfigurable
 // generator and task-set slab (taskgen pooling), and a partition
-// arena holding one recycled admission context per policy plus the
-// cross-algorithm probe-verdict memo.
+// arena holding one recycled admission context per policy.
 type workerState struct {
 	gen   *taskgen.Generator
 	set   *task.Set
@@ -450,7 +449,6 @@ func runShard(ctx context.Context, cfg *Config, sh shard, coll *analysis.Collect
 			ws.set = ws.gen.NextInto(ws.set)
 		}
 		set := ws.set
-		ws.arena.BeginSet()
 		for ai, alg := range cfg.Algorithms {
 			c := &partial[ai]
 			a, err := alg.PartitionOpts(set, cfg.Cores, cfg.Model, opts)

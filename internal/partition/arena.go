@@ -10,19 +10,14 @@ import (
 // Partition calls via Options.Arena. It holds, per scheduling policy,
 // one long-lived admission context (rebound to each call's assignment
 // with Context.Reset, so entity slabs, warm vectors and verdict memos
-// recycle instead of reallocating), one recycled assignment, and one
-// cross-algorithm SweepCache: within a (task set, utilization) cell
-// the nine algorithms probe the same task shapes against identical
-// early-packing core states, so each other's verdicts are free
-// acceptance tests. Sharing is exact (see analysis.SweepCache) —
-// decisions stay bit-identical to arena-free calls, which the sweep
+// recycle instead of reallocating) and one recycled assignment.
+// Decisions stay bit-identical to arena-free calls, which the sweep
 // differential test pins.
 //
 // An Arena is single-goroutine, like the contexts it owns. An
 // assignment returned by a PartitionOpts call carrying an arena is
 // valid only until the next call with the same arena — the sweep
-// consumes each result before moving on. Call BeginSet between task
-// sets (or on a model change) to invalidate the shared memos.
+// consumes each result before moving on.
 type Arena struct {
 	slots  [2]arenaSlot // indexed by task.Policy
 	zero   *overhead.Model
@@ -31,25 +26,18 @@ type Arena struct {
 }
 
 type arenaSlot struct {
-	ctx   analysis.Context
-	a     *task.Assignment
-	sweep *analysis.SweepCache
+	ctx analysis.Context
+	a   *task.Assignment
 }
 
 // NewArena returns an empty arena; slabs grow on first use.
 func NewArena() *Arena { return &Arena{} }
 
-// BeginSet invalidates the cross-algorithm probe-verdict memos. Call
-// it whenever the task set or the overhead model changes: the memo
-// shapes do not encode either, so stale entries would otherwise leak
-// across cells.
-func (ar *Arena) BeginSet() {
-	for i := range ar.slots {
-		if ar.slots[i].sweep != nil {
-			ar.slots[i].sweep.Begin()
-		}
-	}
-}
+// BeginSet does nothing: an arena keeps no state across task sets that
+// a new set or model could make stale (Context.Reset re-tags every
+// cached value). It stays because callers outside this module, the
+// benchmark's sweep workload among them, call it between task sets.
+func (ar *Arena) BeginSet() {}
 
 // normalize mirrors overhead.Normalize but reuses one zero model:
 // analysis cost caches are keyed by model pointer, so handing every
@@ -89,8 +77,6 @@ func (ar *Arena) context(p task.Policy, a *task.Assignment, model *overhead.Mode
 	s := ar.slot(p)
 	if s.ctx == nil {
 		s.ctx = analysis.ForPolicy(p).NewContext(a, model)
-		s.sweep = analysis.NewSweepCache()
-		s.ctx.SetSweepCache(s.sweep)
 	} else {
 		s.ctx.Reset(a, model)
 	}

@@ -74,7 +74,6 @@ func partitionAll(t testing.TB, algs []Algorithm, sets []*task.Set, cores int) {
 	ar := NewArena()
 	for _, model := range []*overhead.Model{overhead.Zero(), overhead.PaperModel()} {
 		for _, s := range sets {
-			ar.BeginSet()
 			for _, alg := range algs {
 				if _, err := alg.PartitionOpts(s, cores, model, Options{Arena: ar}); err != nil && !errors.Is(err, ErrUnschedulable) {
 					t.Fatalf("%s: %v", alg.Name(), err)

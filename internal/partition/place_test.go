@@ -72,9 +72,9 @@ func placedOn(a *task.Assignment, t *task.Task) int {
 // 4 and 8 cores, first, best and worst fit, both policies, both models
 // — against the reference scan on a twin context, and requires the
 // same core (or the same "no core") and no more probes than the scan
-// took. The fit-ordered side runs on arena contexts, so the shared
-// verdict memo is in the loop as it is in a sweep; the scan side runs
-// on plain ones and commits with an unprobed Place, as it used to.
+// took. The fit-ordered side runs on recycled arena contexts, as it
+// does in a sweep; the scan side runs on plain ones and commits with an
+// unprobed Place, as it used to.
 func TestPlaceByFitMatchesScan(t *testing.T) {
 	perPoint := 3
 	if testing.Short() {
@@ -89,7 +89,6 @@ func TestPlaceByFitMatchesScan(t *testing.T) {
 			for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
 				for _, fit := range []Fit{FirstFit, BestFit, WorstFit} {
 					for _, s := range sets {
-						ar.BeginSet()
 						a := Options{Arena: ar}.newAssignment(pol, m)
 						ctx := &countingContext{Context: ar.context(pol, a, model, nil)}
 						ref := task.NewAssignment(m)
@@ -191,8 +190,8 @@ func TestPlaceByFitTies(t *testing.T) {
 
 // TestPlaceByFitAllocFree guards a placement's own cost: ordering the
 // cores and committing the winner allocate nothing once the scratch
-// has grown, with an arena (the sweep's path, the verdict memo
-// attached) and without one (every probe reaches the engine).
+// has grown, with an arena (the sweep's path) and without one (a plain
+// context reset in place).
 func TestPlaceByFitAllocFree(t *testing.T) {
 	const m = 4
 	s := sweepSets(9, 1, m)[4] // ΣU = 2.8: every fit places all 16 tasks
@@ -234,7 +233,7 @@ func TestPlaceByFitAllocFree(t *testing.T) {
 					}
 				}
 				for i := 0; i < 3; i++ {
-					pack() // grow the slabs, the memos and the scratch
+					pack() // grow the slabs and the scratch
 				}
 				if n := testing.AllocsPerRun(20, pack); n != 0 {
 					t.Errorf("%v %v %s: %.1f allocations per packing pass", pol, fit, run.name, n)

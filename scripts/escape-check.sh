@@ -6,8 +6,7 @@
 # edf.go), the incremental probe engine every writer and reader probe
 # runs in (engine.go) with its two owners — the recycling admission
 # contexts (context_fp.go, context_edf.go) and the snapshot probers
-# (snapshot.go) — the cross-algorithm verdict cache (sweepcache.go),
-# the split-budget hint and search (hint.go, partition/budget.go), the
+# (snapshot.go) — the split-budget hint and search (hint.go, partition/budget.go), the
 # bin-packers' fit-ordered placement (partition/partition.go), the
 # pooled generator (taskgen.go NextInto/uuniFastInto) and the
 # sweep worker loop (experiment.go runShard) are written to keep every
@@ -18,7 +17,7 @@
 # kernel file being "moved to heap" means some refactor made scratch
 # escape, and the next bench run would pay an allocation per probe.
 #
-# Intentional heap allocations remain: memo/entity construction on the
+# Intentional heap allocations remain: entity construction on the
 # setup path and panic-message strings report "escapes to heap" and are
 # fine. Only "moved to heap" — a stack local forced off the stack — is
 # a regression.
@@ -44,7 +43,7 @@ check() {
 }
 
 check "analysis kernel" ./internal/analysis/ \
-	'^(\./)?internal/analysis/(rta|edf|engine|hint|snapshot|context_fp|context_edf|sweepcache)\.go' ""
+	'^(\./)?internal/analysis/(rta|edf|engine|hint|snapshot|context_fp|context_edf)\.go' ""
 
 check "split-budget search and fit-ordered placement" ./internal/partition/ \
 	'^(\./)?internal/partition/(budget|partition)\.go' ""

@@ -9,7 +9,7 @@ import (
 // serverMetrics is the daemon's telemetry plane: every instrument
 // the transport, the session actors, the read path, the store and
 // the analysis collectors report into, owned by one per-server
-// registry (GET /metrics). Hot-path instruments are sharded
+// registry (GET /metrics). Hot-path instruments are one-atomic
 // counters/histograms — pure atomic adds, no allocation — so the
 // lock-free read path stays 0 allocs/op with telemetry enabled;
 // occupancy-style values are computed at scrape time from the same

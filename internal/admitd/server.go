@@ -3,6 +3,7 @@ package admitd
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -47,10 +48,11 @@ type Config struct {
 	// opt-in because it costs two allocations per request, which the
 	// default configuration keeps off the measured handler path.
 	Trace bool
-	// EventLog, when non-nil, receives one structured NDJSON event
-	// per request (and server lifecycle events), trace-ID stamped.
-	// Nil disables logging at the cost of one branch per request.
-	EventLog *telemetry.EventLog
+	// EventLog, when non-nil, receives one structured event per
+	// request ("request": route, trace ID, latency), built by
+	// telemetry.NewEventLog. Nil disables logging at the cost of one
+	// branch per request.
+	EventLog *slog.Logger
 }
 
 // Server is the admission-control transport: a thin HTTP layer that
@@ -78,7 +80,7 @@ type Server struct {
 	mux   *http.ServeMux
 
 	met   *serverMetrics
-	elog  *telemetry.EventLog
+	elog  *slog.Logger
 	trace bool
 
 	requests atomic.Int64
@@ -145,8 +147,8 @@ const (
 
 // handle registers one instrumented route: per-route request
 // counter, path-class latency histogram, in-flight gauge, and the
-// optional per-request NDJSON event. The instruments are sharded
-// atomics — the wrapper adds no allocation to the handler path.
+// optional per-request event. The instruments are plain atomics —
+// the wrapper adds no allocation to the handler path.
 func (s *Server) handle(pattern, route string, class int, h http.HandlerFunc) {
 	count := s.met.routeCounter(route)
 	var lat *telemetry.Histogram
@@ -168,12 +170,11 @@ func (s *Server) handle(pattern, route string, class int, h http.HandlerFunc) {
 		}
 		count.Inc()
 		m.inflight.Dec()
-		if elog.Enabled(telemetry.LevelInfo) {
-			elog.Event(telemetry.LevelInfo, "request").
-				Str("route", route).
-				Str("trace", r.Header.Get(api.TraceHeader)).
-				Dur("latency_us", d).
-				Send()
+		if elog != nil {
+			elog.LogAttrs(r.Context(), slog.LevelInfo, "request",
+				slog.String("route", route),
+				slog.String("trace", r.Header.Get(api.TraceHeader)),
+				slog.Int64("latency_us", d.Microseconds()))
 		}
 	})
 }

@@ -918,7 +918,7 @@ func (s *Session) renderState(snap analysis.Snapshot) api.State {
 
 // noteStateMemo records one state read against the rendered-body
 // memo: the per-session atomic feeds the session stats response, the
-// server-wide sharded counter feeds /metrics. Pure atomic adds.
+// server-wide counter feeds /metrics. Pure atomic adds.
 func (s *Session) noteStateMemo(hit bool) {
 	if hit {
 		s.stateHits.Add(1)

@@ -2,10 +2,12 @@ package admitd
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -396,6 +398,75 @@ func TestTraceIDs(t *testing.T) {
 	plain.ServeHTTP(rec, req)
 	if got := rec.Header().Get(api.TraceHeader); got != "" {
 		t.Fatalf("untraced server minted %q", got)
+	}
+}
+
+// TestRequestEventLog pins the request event line: with a logger,
+// every request writes exactly one JSON line carrying event=request,
+// level=info, an RFC 3339 ts, the route, latency_us and the trace ID
+// a valid client header supplied (an invalid one is dropped before
+// it can be logged). With no logger the request is served and
+// nothing is logged, not even through slog's default logger.
+func TestRequestEventLog(t *testing.T) {
+	var buf bytes.Buffer
+	srv := newTestServer(t, Config{EventLog: telemetry.NewEventLog(&buf)})
+	serve := func(h http.Handler, method, path, traceIn string, body string) int {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		if traceIn != "" {
+			req.Header.Set(api.TraceHeader, traceIn)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	event := func(route string) map[string]any {
+		t.Helper()
+		line := buf.String()
+		buf.Reset()
+		if strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
+			t.Fatalf("%s: want exactly one event line, got %q", route, line)
+		}
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("%s: event line is not JSON: %v\n%q", route, err, line)
+		}
+		if m["event"] != "request" || m["level"] != "info" || m["route"] != route {
+			t.Fatalf("%s: event/level/route = %v/%v/%v", route, m["event"], m["level"], m["route"])
+		}
+		if ts, ok := m["ts"].(string); !ok {
+			t.Fatalf("%s: no ts in %q", route, line)
+		} else if _, err := time.Parse(time.RFC3339, ts); err != nil {
+			t.Fatalf("%s: ts %q: %v", route, ts, err)
+		}
+		if us, ok := m["latency_us"].(float64); !ok || us < 0 || us != float64(int64(us)) {
+			t.Fatalf("%s: latency_us = %v, want a whole non-negative number", route, m["latency_us"])
+		}
+		return m
+	}
+
+	if code := serve(srv, "GET", api.PathHealth, "client-id_1", ""); code != http.StatusOK {
+		t.Fatalf("health: status %d", code)
+	}
+	if m := event("health"); m["trace"] != "client-id_1" {
+		t.Fatalf("valid client trace logged as %v", m["trace"])
+	}
+	if code := serve(srv, "POST", api.PathSessions, `bad"id`, `{"name":"ev","cores":2}`); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	if m := event("create"); m["trace"] != "" {
+		t.Fatalf("invalid client trace logged as %v", m["trace"])
+	}
+
+	var def bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&def, nil)))
+	defer slog.SetDefault(prev)
+	quiet := newTestServer(t, Config{})
+	if code := serve(quiet, "GET", api.PathHealth, "client-id_1", ""); code != http.StatusOK {
+		t.Fatalf("health without a logger: status %d", code)
+	}
+	if def.Len() != 0 || buf.Len() != 0 {
+		t.Fatalf("a server without a logger wrote %q / %q", def.String(), buf.String())
 	}
 }
 

@@ -799,52 +799,36 @@ var SelfCheck bool
 // normalized model the context was bound to.
 func wrapChecked(ctx Context, m *overhead.Model) Context {
 	if SelfCheck {
-		return &checkedContext{ctx: ctx, m: m}
+		return &checkedContext{Context: ctx, m: m}
 	}
 	return ctx
 }
 
-// checkedContext shadows a real context with the stateless path.
+// checkedContext shadows a real context with the stateless path. It
+// embeds the context the way checkedSnapshot embeds its Snapshot and
+// overrides only the decisions, Fork (so snapshots are shadowed too)
+// and Reset (so the shadow follows the rebound model).
 type checkedContext struct {
-	ctx Context
-	m   *overhead.Model
+	Context
+	m *overhead.Model
 }
-
-func (cc *checkedContext) Analyzer() Analyzer           { return cc.ctx.Analyzer() }
-func (cc *checkedContext) Assignment() *task.Assignment { return cc.ctx.Assignment() }
-func (cc *checkedContext) ReadStats() AdmissionStats    { return cc.ctx.ReadStats() }
-func (cc *checkedContext) ReadCollector() *Collector    { return cc.ctx.ReadCollector() }
-func (cc *checkedContext) CommitSeq() int64             { return cc.ctx.CommitSeq() }
 
 // Fork wraps the inner snapshot so forked decisions are shadowed by
 // the stateless analyzer too.
 func (cc *checkedContext) Fork() Snapshot {
-	return &checkedSnapshot{Snapshot: cc.ctx.Fork(), m: cc.m}
+	return &checkedSnapshot{Snapshot: cc.Context.Fork(), m: cc.m}
 }
-func (cc *checkedContext) BeginGroup()               { cc.ctx.BeginGroup() }
-func (cc *checkedContext) EndGroup()                 { cc.ctx.EndGroup() }
-func (cc *checkedContext) Place(t *task.Task, c int) { cc.ctx.Place(t, c) }
-func (cc *checkedContext) AddSplit(sp *task.Split)   { cc.ctx.AddSplit(sp) }
-func (cc *checkedContext) SplitHint(sp *task.Split, c int) timeq.Time {
-	return cc.ctx.SplitHint(sp, c)
-}
-func (cc *checkedContext) Commit()                   { cc.ctx.Commit() }
-func (cc *checkedContext) Rollback()                 { cc.ctx.Rollback() }
-func (cc *checkedContext) Remove(id task.ID) bool    { return cc.ctx.Remove(id) }
-func (cc *checkedContext) Stats() AdmissionStats     { return cc.ctx.Stats() }
-func (cc *checkedContext) SetCollector(c *Collector) { cc.ctx.SetCollector(c) }
-func (cc *checkedContext) Flush()                    { cc.ctx.Flush() }
 
 func (cc *checkedContext) Reset(a *task.Assignment, m *overhead.Model) {
-	cc.ctx.Reset(a, m)
+	cc.Context.Reset(a, m)
 	cc.m = overhead.Normalize(m) // mirror the concrete Reset's normalization
 }
 
 func (cc *checkedContext) TryPlace(t *task.Task, c int) bool {
-	got := cc.ctx.TryPlace(t, c)
+	got := cc.Context.TryPlace(t, c)
 	// The inner context has applied the provisional mutation, so the
 	// stateless probe sees the identical assignment state.
-	want := cc.ctx.Analyzer().CoreSchedulable(cc.ctx.Assignment(), c, cc.model())
+	want := cc.Analyzer().CoreSchedulable(cc.Assignment(), c, cc.m)
 	if got != want {
 		panic(fmt.Sprintf("analysis: context TryPlace(%v, core %d) = %v, stateless CoreSchedulable = %v", t, c, got, want))
 	}
@@ -852,8 +836,8 @@ func (cc *checkedContext) TryPlace(t *task.Task, c int) bool {
 }
 
 func (cc *checkedContext) TrySplit(sp *task.Split, c int) bool {
-	got := cc.ctx.TrySplit(sp, c)
-	want := cc.ctx.Analyzer().CoreSchedulable(cc.ctx.Assignment(), c, cc.model())
+	got := cc.Context.TrySplit(sp, c)
+	want := cc.Analyzer().CoreSchedulable(cc.Assignment(), c, cc.m)
 	if got != want {
 		panic(fmt.Sprintf("analysis: context TrySplit(%v, core %d) = %v, stateless CoreSchedulable = %v", sp.Task, c, got, want))
 	}
@@ -861,13 +845,10 @@ func (cc *checkedContext) TrySplit(sp *task.Split, c int) bool {
 }
 
 func (cc *checkedContext) Schedulable() bool {
-	got := cc.ctx.Schedulable()
-	want := cc.ctx.Analyzer().Schedulable(cc.ctx.Assignment(), cc.model())
+	got := cc.Context.Schedulable()
+	want := cc.Analyzer().Schedulable(cc.Assignment(), cc.m)
 	if got != want {
 		panic(fmt.Sprintf("analysis: context Schedulable = %v, stateless Schedulable = %v", got, want))
 	}
 	return got
 }
-
-// model returns the overhead model the shadowed context is bound to.
-func (cc *checkedContext) model() *overhead.Model { return cc.m }

@@ -58,9 +58,11 @@ func runForkRace(t *testing.T, an Analyzer, m *overhead.Model, seed int64, write
 				snap := ctx.Fork()
 				clone := snap.CloneAssignment()
 				for k := 0; k < 3; k++ {
-					// Draw from a small shape pool so the snapshot probe
-					// memo (and its carryover across publishes) is raced
-					// too; IDs repeat, which is harmless for probes.
+					// Draw from a small shape pool so the same probe
+					// repeats against successive snapshots, whose
+					// per-core records a publish carries over from the
+					// writer (shared until it copies one on write); IDs
+					// repeat, which is harmless for probes.
 					shape := rrng.Int63n(48)
 					tk := probeTask(rand.New(rand.NewSource(shape)), 1<<41+shape)
 					c := rrng.Intn(cores)

@@ -16,7 +16,7 @@ func TestSelfCheckWrapperEngaged(t *testing.T) {
 			t.Fatalf("SelfCheck did not wrap the context: %T", ctx)
 		}
 		tk := &task.Task{ID: 1, WCET: timeq.Millisecond, Period: 10 * timeq.Millisecond, Priority: 1}
-		inner := ctx.(*checkedContext).ctx.(*fpContext)
+		inner := ctx.(*checkedContext).Context.(*fpContext)
 		if !ctx.TryPlace(tk, 0) {
 			t.Fatal("trivial placement must fit")
 		}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
@@ -27,7 +28,6 @@ import (
 //	               [-fsync-interval 5ms] [-checkpoint-every 30s]
 //	               [-max-sessions 1024]
 //	               [-pprof localhost:6060] [-trace] [-events log.ndjson]
-//	               [-events-level info]
 //	spadmitd load  [-addr http://host:7007] [-sessions 64] [-requests 100000]
 //	               [-workers 0] [-cores 4] [-tasks 12] [-policy fp] [-seed 1]
 //	               [-mix 90/10] [-data-dir dir] [-fsync group]
@@ -65,14 +65,12 @@ func admitdServe(args []string, w io.Writer) error {
 		pprofAddr = fs.String("pprof", "", "serve /debug/pprof and /metrics on this side address (e.g. localhost:6060); empty = off")
 		trace     = fs.Bool("trace", true, "generate Admitd-Trace-Id for requests that did not supply one")
 		events    = fs.String("events", "", "append structured NDJSON request events to this file (- for stderr); empty = off")
-		evLevel   = fs.String("events-level", "info", "minimum event level: debug|info|warn|error")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var elog *telemetry.EventLog
+	var elog *slog.Logger
 	if *events != "" {
-		lv := telemetry.ParseLevel(*evLevel)
 		sink := io.Writer(os.Stderr)
 		if *events != "-" {
 			f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -82,7 +80,7 @@ func admitdServe(args []string, w io.Writer) error {
 			defer f.Close() //nolint:errcheck // event log, best-effort
 			sink = f
 		}
-		elog = telemetry.NewEventLog(sink, lv)
+		elog = telemetry.NewEventLog(sink)
 	}
 	srv, err := admitd.New(admitd.Config{
 		MaxSessions:     *maxSess,

@@ -1,18 +1,17 @@
 // Package telemetry is the daemon's in-process instrumentation
 // plane: lock-free, allocation-free counters, gauges and log-bucketed
-// histograms, merged only at scrape time into a hand-rolled
-// Prometheus text-format exposition (no client_golang dependency —
-// the writer is append-based over pooled buffers, in the same ethos
-// as api/fast.go).
+// histograms, read only at scrape time into a hand-rolled Prometheus
+// text-format exposition (no client_golang dependency — the writer
+// is append-based over pooled buffers, in the same ethos as
+// api/fast.go), plus a structured event log on log/slog.
 //
-// The memory model mirrors the repo's RCU discipline: the hot path
-// only ever performs independent atomic adds on cache-line-padded
-// shards (writers never share a line), and the scrape path folds the
-// shards into totals with plain atomic loads. There is no locking on
-// either side; a scrape concurrent with updates sees a value at
-// least as fresh as every update that completed before the scrape
-// began — the same monotone-staleness contract the snapshot read
-// path gives.
+// Every instrument is plain atomics, laid out in whole cache lines
+// so that two instruments never share one: the hot path performs
+// independent atomic adds and the scrape path reads them with atomic
+// loads. There is no locking on either side; a scrape concurrent
+// with updates sees a value at least as fresh as every update that
+// completed before the scrape began — the same monotone-staleness
+// contract the snapshot read path gives.
 //
 // Registration (NewCounter, NewGauge, …) is startup-time and may
 // allocate, validate and panic; everything on the update path
@@ -20,66 +19,42 @@
 package telemetry
 
 import (
+	"io"
+	"log/slog"
 	"math/bits"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
-// shardCount stripes every counter and histogram. Power of two, so
-// the shard pick is a mask; 16 covers typical GOMAXPROCS without
-// bloating the fixed arrays.
-const shardCount = 16
-
-// shardIndex picks a stripe for the calling goroutine. Go offers no
-// portable per-P hint without runtime internals, so we fingerprint
-// the goroutine by its stack: the address of a local variable.
-// Stacks are allocated in distinct spans ≥2KiB apart, so discarding
-// the low 10 bits spreads goroutines across stripes; one goroutine
-// maps to a stable stripe (modulo stack moves, which only re-home
-// its updates — never lose them). The unsafe.Pointer→uintptr
-// conversion never escapes b.
-func shardIndex() int {
-	var b byte
-	return int((uintptr(unsafe.Pointer(&b)) >> 10) & (shardCount - 1))
-}
-
-// counterShard is one stripe, padded to a cache line so concurrent
-// writers on different stripes never false-share.
-type counterShard struct {
+// Counter is a monotonically increasing counter: one atomic on a
+// cache line of its own (a 64-byte object is line-aligned on the
+// heap), so writers of different instruments never false-share. The
+// zero value is NOT usable — obtain counters from a Registry so they
+// carry exposition metadata.
+type Counter struct {
 	v atomic.Int64
 	_ [56]byte
 }
 
-// Counter is a monotonically increasing, per-goroutine-sharded
-// counter. The zero value is NOT usable — obtain counters from a
-// Registry so they carry exposition metadata.
-type Counter struct {
-	shards [shardCount]counterShard
-}
-
-// Add folds n (n ≥ 0) into the calling goroutine's stripe.
-func (c *Counter) Add(n int64) { c.shards[shardIndex()].v.Add(n) }
+// Add adds n (n ≥ 0).
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Inc is Add(1).
-func (c *Counter) Inc() { c.shards[shardIndex()].v.Add(1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value folds the stripes. Scrape-path only; O(shardCount).
-func (c *Counter) Value() int64 {
-	var sum int64
-	for i := range c.shards {
-		sum += c.shards[i].v.Load()
-	}
-	return sum
+// Value returns the current total.
+func (c *Counter) Value() int64 { return c.v.Load() }
+
+// Gauge is a settable instantaneous value: one atomic on a cache line
+// of its own, like Counter.
+type Gauge struct {
+	v atomic.Int64
+	_ [56]byte
 }
-
-// Gauge is a settable instantaneous value (single atomic — gauges
-// are set rarely or track small in-flight populations, where a
-// shared line is the correct trade).
-type Gauge struct{ v atomic.Int64 }
 
 // Set stores the current value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
@@ -107,38 +82,33 @@ const (
 	UnitSeconds
 )
 
-// histMaxBuckets bounds the fixed per-shard bucket array: shifts
+// histMaxBuckets bounds the fixed bucket array: shifts
 // 0..histMaxShift inclusive, plus one overflow (+Inf) bucket.
 const (
 	histMaxShift   = 38
 	histMaxBuckets = histMaxShift + 2
 )
 
-// histShard is one stripe of a histogram: bucket counts plus the
-// sum. There is no separate count: the exposed _count is the +Inf
-// cumulative bucket, so the two can never disagree in a scrape that
-// races observers. Arrays are fixed-size so the whole histogram is a
-// flat allocation; adjacent shards are naturally line-separated by
-// the array length.
-type histShard struct {
-	buckets [histMaxBuckets]atomic.Int64
-	sum     atomic.Int64
-}
-
 // Histogram is a log₂-bucketed distribution: bucket i (of the
 // configured [minShift, maxShift] range) counts observations
 // v ≤ 2^(minShift+i), with one +Inf overflow bucket. Observing is
-// two independent atomic adds on the caller's stripe (bucket, sum);
-// merging happens only at scrape. _count is derived from the buckets
-// and is always consistent with them; _sum is best-effort under
-// concurrent observation — a scrape may see an observation's bucket
-// and not yet its sum, or the reverse — and exact once observers
-// quiesce. The zero value is not usable — obtain histograms from a
-// Registry.
+// two independent atomic adds (bucket, sum). There is no separate
+// count: the exposed _count is the +Inf cumulative bucket, so the two
+// can never disagree in a scrape that races observers. _sum is
+// best-effort under concurrent observation — a scrape may see an
+// observation's bucket and not yet its sum, or the reverse — and
+// exact once observers quiesce. The layout is whole cache lines: the
+// header every observation reads has a line to itself, so observers
+// never invalidate it, and the total (448 bytes, a heap size class of
+// seven lines) keeps neighbouring histograms off each other's lines.
+// The zero value is not usable — obtain histograms from a Registry.
 type Histogram struct {
 	minShift, maxShift int
 	unit               Unit
-	shards             [shardCount]histShard
+	_                  [40]byte
+	buckets            [histMaxBuckets]atomic.Int64
+	sum                atomic.Int64
+	_                  [56]byte
 }
 
 // bucketFor maps an observed value to its bucket index (0-based
@@ -164,9 +134,8 @@ func (h *Histogram) Observe(d time.Duration) { h.ObserveInt(int64(d)) }
 
 // ObserveInt records one observation.
 func (h *Histogram) ObserveInt(v int64) {
-	sh := &h.shards[shardIndex()]
-	sh.buckets[h.bucketFor(v)].Add(1)
-	sh.sum.Add(v)
+	h.buckets[h.bucketFor(v)].Add(1)
+	h.sum.Add(v)
 }
 
 // ObserveGroup records count observations totalling sum, bucketed at
@@ -178,31 +147,22 @@ func (h *Histogram) ObserveGroup(sum, count int64) {
 	if count <= 0 {
 		return
 	}
-	sh := &h.shards[shardIndex()]
-	sh.buckets[h.bucketFor(sum/count)].Add(count)
-	sh.sum.Add(sum)
+	h.buckets[h.bucketFor(sum/count)].Add(count)
+	h.sum.Add(sum)
 }
 
-// snapshot folds the stripes into cumulative bucket counts (le ≤
-// 2^shift per configured bucket, then +Inf), plus the sum and the
-// count — the +Inf cumulative bucket, so count and buckets agree by
+// snapshot reads cumulative bucket counts (le ≤ 2^shift per
+// configured bucket, then +Inf), plus the sum and the count — the
+// +Inf cumulative bucket, so count and buckets agree by
 // construction. Scrape-path only.
 func (h *Histogram) snapshot(cum []int64) (sum, count int64, n int) {
 	n = h.maxShift - h.minShift + 2 // configured buckets + overflow
+	var run int64
 	for i := 0; i < n; i++ {
-		cum[i] = 0
+		run += h.buckets[i].Load()
+		cum[i] = run
 	}
-	for s := range h.shards {
-		sh := &h.shards[s]
-		for i := 0; i < n; i++ {
-			cum[i] += sh.buckets[i].Load()
-		}
-		sum += sh.sum.Load()
-	}
-	for i := 1; i < n; i++ {
-		cum[i] += cum[i-1]
-	}
-	return sum, cum[n-1], n
+	return h.sum.Load(), run, n
 }
 
 // Quantile estimates quantile q (0..1) from the bucketed counts,
@@ -571,4 +531,36 @@ func appendEscapedHelp(b []byte, s string) []byte {
 		}
 	}
 	return b
+}
+
+// --- event log -------------------------------------------------------
+
+// NewEventLog returns the structured event log: one JSON object per
+// line on w, {"ts":…,"level":"info","event":…,<attrs>}, events below
+// info dropped. It is a slog.JSONHandler whose built-in keys are
+// renamed to the line's; a nil *slog.Logger is the disabled log, so
+// callers guard each event with one nil check.
+func NewEventLog(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{ReplaceAttr: eventLineKeys}))
+}
+
+// eventLineKeys maps slog's built-in keys onto the event line's: ts
+// in UTC, a lowercase level, event for the message.
+func eventLineKeys(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) > 0 {
+		return a
+	}
+	switch a.Key {
+	case slog.TimeKey:
+		if a.Value.Kind() == slog.KindTime {
+			return slog.Time("ts", a.Value.Time().UTC())
+		}
+	case slog.LevelKey:
+		if lv, ok := a.Value.Any().(slog.Level); ok {
+			return slog.String(slog.LevelKey, strings.ToLower(lv.String()))
+		}
+	case slog.MessageKey:
+		a.Key = "event"
+	}
+	return a
 }

@@ -2,11 +2,14 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestCounterShardedSum(t *testing.T) {
@@ -231,19 +234,20 @@ func TestTraceID(t *testing.T) {
 
 func TestEventLogNDJSON(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewEventLog(&buf, LevelInfo)
-	l.clock = func() time.Time { return time.Date(2026, 8, 8, 1, 2, 3, 400, time.UTC) }
-	l.Event(LevelInfo, "request").
-		Str("trace", "abc").
-		Str("route", "try").
-		Int("status", 200).
-		Dur("latency_us", 1500*time.Microsecond).
-		Bool("read", true).
-		Send()
-	l.Event(LevelDebug, "dropped").Str("k", "v").Send() // below threshold
+	l := NewEventLog(&buf)
+	l.LogAttrs(context.Background(), slog.LevelInfo, "request",
+		slog.String("trace", "abc"),
+		slog.String("route", "try"),
+		slog.Int("status", 200),
+		slog.Int64("latency_us", (1500*time.Microsecond).Microseconds()),
+		slog.Bool("read", true))
+	l.Debug("dropped", "k", "v") // below threshold
 	line := buf.String()
 	if strings.Count(line, "\n") != 1 {
 		t.Fatalf("want exactly one NDJSON line, got %q", line)
+	}
+	if !strings.HasPrefix(line, `{"ts":"`) || !strings.Contains(line, `,"level":"info","event":"request",`) {
+		t.Fatalf("line does not lead with ts, level, event: %q", line)
 	}
 	var m map[string]any
 	if err := json.Unmarshal([]byte(line), &m); err != nil {
@@ -257,38 +261,29 @@ func TestEventLogNDJSON(t *testing.T) {
 			t.Errorf("field %s = %v, want %v", k, m[k], want)
 		}
 	}
-	if _, err := time.Parse(time.RFC3339Nano, m["ts"].(string)); err != nil {
+	ts, err := time.Parse(time.RFC3339Nano, m["ts"].(string))
+	if err != nil {
 		t.Errorf("ts %q: %v", m["ts"], err)
+	} else if ts.Location() != time.UTC {
+		t.Errorf("ts %q is not UTC", m["ts"])
 	}
-}
-
-func TestEventLogNilSafe(t *testing.T) {
-	var l *EventLog
-	if l.Enabled(LevelError) {
-		t.Fatal("nil log enabled")
+	for _, k := range []string{"time", "msg"} {
+		if _, ok := m[k]; ok {
+			t.Errorf("slog key %q leaked into the line", k)
+		}
 	}
-	// Every chained call on a disabled log must be a no-op.
-	l.Event(LevelError, "x").Str("a", "b").Int("n", 1).Bool("y", true).Dur("d", time.Second).Send()
 }
 
 func TestEventLogEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewEventLog(&buf, LevelDebug)
-	l.Event(LevelWarn, `e"v\n`).Str("k", "line\nbreak\ttab\x01ctl").Send()
+	l := NewEventLog(&buf)
+	l.Warn("e\"v\n", "k", "line\nbreak\ttab\x01ctl")
 	var m map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatalf("escaped line is not JSON: %v\n%q", err, buf.String())
 	}
-	if m["k"] != "line\nbreak\ttab\x01ctl" {
-		t.Fatalf("roundtrip = %q", m["k"])
-	}
-}
-
-func TestLevelParsing(t *testing.T) {
-	for s, want := range map[string]Level{"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn, "error": LevelError, "bogus": LevelInfo} {
-		if got := ParseLevel(s); got != want {
-			t.Errorf("ParseLevel(%q) = %v, want %v", s, got, want)
-		}
+	if m["k"] != "line\nbreak\ttab\x01ctl" || m["event"] != "e\"v\n" || m["level"] != "warn" {
+		t.Fatalf("roundtrip = %v", m)
 	}
 }
 
@@ -324,4 +319,24 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestInstrumentLayout pins the cache-line layout the instruments rely
+// on: each is a whole number of 64-byte lines (so its heap size class
+// keeps it line-aligned), and a histogram's header line holds no
+// bucket.
+func TestInstrumentLayout(t *testing.T) {
+	const line = 64
+	for name, size := range map[string]uintptr{
+		"Counter":   unsafe.Sizeof(Counter{}),
+		"Gauge":     unsafe.Sizeof(Gauge{}),
+		"Histogram": unsafe.Sizeof(Histogram{}),
+	} {
+		if size%line != 0 {
+			t.Errorf("%s is %d bytes, not a whole number of cache lines", name, size)
+		}
+	}
+	if off := unsafe.Offsetof(Histogram{}.buckets); off != line {
+		t.Errorf("histogram buckets start at byte %d, want %d", off, line)
+	}
 }

@@ -45,6 +45,24 @@ func TestRunContextCancel(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
+	// The default list derives FFD from FP-TS: a set the source did
+	// not finish is not counted for its twin either, and one it did
+	// finish is counted for both.
+	derived := 0
+	for ai, si := range twinSources(res.Config.Algorithms) {
+		if si < 0 {
+			continue
+		}
+		derived++
+		for ui, p := range res.Series[ai].Points {
+			if q := res.Series[si].Points[ui]; p.Total != q.Total {
+				t.Fatalf("%s U=%v: total %d, its source %s counted %d", res.Series[ai].Algorithm, p.TotalUtilization, p.Total, res.Series[si].Algorithm, q.Total)
+			}
+		}
+	}
+	if derived == 0 {
+		t.Fatal("the default algorithm list has no derived twin")
+	}
 }
 
 // TestRunStatsScopedPerRun checks the per-run collector: two

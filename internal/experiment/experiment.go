@@ -21,6 +21,12 @@
 // or which other algorithms share the sweep — a mixed fixed-priority +
 // EDF algorithm list is one paired sweep, and each algorithm's curve
 // equals the one a single-algorithm run would produce.
+//
+// When the list holds both members of a dominance pair (FP-TS and FFD,
+// EDF-WM and EDF-FFD; see partition.Unsplit), only the splitting
+// member packs each set: the partitioned twin's verdict is read off
+// the splitter's, accepted exactly when the splitter accepted without
+// a split. The twin's curve is still the one a standalone run gives.
 package experiment
 
 import (
@@ -226,6 +232,55 @@ type cell struct {
 	violations      int
 }
 
+// add counts one set's outcome.
+func (c *cell) add(o outcome) {
+	c.total++
+	if o.accepted {
+		c.accepted++
+		c.splits += o.splits
+		if o.violated {
+			c.violations++
+		}
+	}
+}
+
+// outcome is one algorithm's verdict on a worker's current set, kept
+// until the set's derived cells are filled.
+type outcome struct {
+	accepted, violated bool
+	splits             int
+}
+
+// twin is the verdict of the splitter's partitioned twin on the same
+// set: the twin accepts iff the splitter accepted without a split, and
+// then holds the identical assignment, so the simulation (deterministic
+// per assignment and model) has the same outcome too.
+func (o outcome) twin() outcome {
+	if o.splits > 0 {
+		return outcome{}
+	}
+	return o
+}
+
+// twinSources returns, per algorithm, the index of the splitting
+// algorithm in algs whose verdict it is derived from (its
+// partition.Unsplit twin), or -1 when it packs its own sets. The first
+// such splitter in the list is the source, wherever it stands relative
+// to the twin.
+func twinSources(algs []partition.Algorithm) []int {
+	src := make([]int, len(algs))
+	for ai, alg := range algs {
+		src[ai] = -1
+		for si, s := range algs {
+			if partition.Unsplit(s) == alg {
+				src[ai] = si
+				break
+			}
+		}
+	}
+	return src
+}
+
 // merge folds another partial cell in.
 func (c *cell) merge(o cell) {
 	c.accepted += o.accepted
@@ -295,20 +350,23 @@ func (ag *aggregator) fold(sh shard, partial []cell) {
 // queues with work stealing; each worker generates its sets on the fly
 // into a recycled slab (one generation per set, shared across every
 // algorithm and both policies — the comparison is paired), offers
-// every set to every algorithm through its long-lived partition.Arena,
-// optionally simulates accepted assignments under their own policy,
+// every set to every algorithm that is not a derived twin through its
+// long-lived partition.Arena, optionally simulates accepted
+// assignments under their own policy, derives the twins' verdicts,
 // and folds the shard into the aggregator.
 func Run(cfg Config) *Results {
 	return RunContext(context.Background(), cfg)
 }
 
 // workerState is one worker's long-lived scratch: a reconfigurable
-// generator and task-set slab (taskgen pooling), and a partition
-// arena holding one recycled admission context per policy.
+// generator and task-set slab (taskgen pooling), a partition arena
+// holding one recycled admission context per policy, and the current
+// set's per-algorithm outcomes.
 type workerState struct {
 	gen   *taskgen.Generator
 	set   *task.Set
 	arena *partition.Arena
+	out   []outcome
 }
 
 // shardQueue is one worker's share of the sweep with an atomic take
@@ -347,6 +405,7 @@ func RunContext(ctx context.Context, cfg Config) *Results {
 		}
 	}
 	ag := newAggregator(&cfg, len(shards))
+	src := twinSources(cfg.Algorithms)
 
 	// Deal the shards round-robin into per-worker queues; workers
 	// drain their own queue first, then steal from the others. The
@@ -365,7 +424,7 @@ func RunContext(ctx context.Context, cfg Config) *Results {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ws := &workerState{arena: partition.NewArena()}
+			ws := &workerState{arena: partition.NewArena(), out: make([]outcome, len(cfg.Algorithms))}
 			for qi := 0; qi < cfg.Workers; qi++ {
 				q := queues[(w+qi)%cfg.Workers]
 				for {
@@ -376,7 +435,7 @@ func RunContext(ctx context.Context, cfg Config) *Results {
 					if ctx.Err() != nil {
 						continue // drain without working
 					}
-					ag.fold(sh, runShard(ctx, &cfg, sh, ag.coll, ws))
+					ag.fold(sh, runShard(ctx, &cfg, sh, src, ag.coll, ws))
 				}
 			}
 		}(w)
@@ -416,7 +475,11 @@ func RunContext(ctx context.Context, cfg Config) *Results {
 // it and thread it through; see analysis.Context), so a cell does
 // O(changed-core) admission work per probe; the contexts flush their
 // probe/cache/fixed-point counters into the sweep's Admission totals.
-func runShard(ctx context.Context, cfg *Config, sh shard, coll *analysis.Collector, ws *workerState) []cell {
+// An algorithm with src[ai] >= 0 does not pack: once every other
+// algorithm has run on the set, its cell takes the twin of its
+// source's outcome. A set canceled mid-way counts neither the
+// algorithms that did not finish it nor their twins.
+func runShard(ctx context.Context, cfg *Config, sh shard, src []int, coll *analysis.Collector, ws *workerState) []cell {
 	partial := make([]cell, len(cfg.Algorithms))
 	u := cfg.Utilizations[sh.ui]
 	opts := partition.Options{Ctx: ctx, Stats: coll, Arena: ws.arena}
@@ -449,28 +512,38 @@ func runShard(ctx context.Context, cfg *Config, sh shard, coll *analysis.Collect
 			ws.set = ws.gen.NextInto(ws.set)
 		}
 		set := ws.set
+		done := len(cfg.Algorithms) // algorithms that finished the set
 		for ai, alg := range cfg.Algorithms {
-			c := &partial[ai]
-			a, err := alg.PartitionOpts(set, cfg.Cores, cfg.Model, opts)
-			if err != nil {
-				if ctx.Err() != nil {
-					return partial // canceled mid-set: don't count it
-				}
-				c.total++
+			if src[ai] >= 0 {
 				continue
 			}
-			c.total++
-			c.accepted++
-			c.splits += a.NumSplit()
-			if cfg.SimHorizon > 0 {
-				// The assignment carries its policy, so a mixed
-				// fixed-priority + EDF sweep needs no per-algorithm
-				// dispatch plumbing here.
-				r, serr := sched.Run(a, sched.Config{Model: cfg.Model, Horizon: cfg.SimHorizon})
-				if serr != nil || !r.Schedulable() {
-					c.violations++
+			a, err := alg.PartitionOpts(set, cfg.Cores, cfg.Model, opts)
+			if err != nil && ctx.Err() != nil {
+				done = ai // canceled mid-set: count it for no later algorithm
+				break
+			}
+			var o outcome
+			if err == nil {
+				o.accepted = true
+				o.splits = a.NumSplit()
+				if cfg.SimHorizon > 0 {
+					// The assignment carries its policy, so a mixed
+					// fixed-priority + EDF sweep needs no per-algorithm
+					// dispatch plumbing here.
+					r, serr := sched.Run(a, sched.Config{Model: cfg.Model, Horizon: cfg.SimHorizon})
+					o.violated = serr != nil || !r.Schedulable()
 				}
 			}
+			ws.out[ai] = o
+			partial[ai].add(o)
+		}
+		for ai, s := range src {
+			if s >= 0 && s < done {
+				partial[ai].add(ws.out[s].twin())
+			}
+		}
+		if done < len(cfg.Algorithms) {
+			return partial // partial cells; the run is canceled anyway
 		}
 	}
 	return partial

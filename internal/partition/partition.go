@@ -4,12 +4,21 @@
 //   - FFD, WFD (and companions FF, BF, BFD): partitioned
 //     fixed-priority scheduling with bin-packing heuristics ordered by
 //     decreasing utilization;
-//   - SPA1 and SPA2: the semi-partitioned task-splitting algorithms of
-//     Guan et al. (RTAS 2010) — the "FP-TS" the paper implements —
-//     which fill each core up to a threshold and split the overflowing
-//     task across core boundaries;
+//   - FP-TS (FPTS): the semi-partitioned fixed-priority algorithm the
+//     paper evaluates, which places first fit in decreasing
+//     utilization order and splits a task across cores only when it
+//     fits nowhere whole;
+//   - SPA1 and SPA2: the literal sequential task-splitting
+//     constructions of Guan et al. (RTAS 2010), which fill each core up
+//     to a threshold and split the overflowing task across core
+//     boundaries;
 //   - EDF-FFD, EDF-WFD and EDF-WM: the partitioned and
 //     window-splitting EDF extensions.
+//
+// Two of these are dominance pairs: FP-TS (boosted or not) runs FFD's
+// packing loop until its first split, and EDF-WM runs EDF-FFD's, so
+// each partitioned member accepts exactly the sets its splitting twin
+// accepts without a split, with the same assignment (see Unsplit).
 //
 // Every algorithm declares its scheduling policy and admits every
 // placement through the analysis.Analyzer for that policy — the
@@ -56,10 +65,9 @@ type Options struct {
 	// updated too).
 	Stats *analysis.Collector
 	// Arena, when non-nil, supplies the call's assignment and
-	// admission context from per-worker recycled slabs and shares
-	// probe verdicts across the algorithms of one task-set cell; see
-	// Arena. Decisions are unchanged. The returned assignment is only
-	// valid until the next call with the same arena.
+	// admission context from per-worker recycled slabs; see Arena.
+	// Decisions are unchanged. The returned assignment is only valid
+	// until the next call with the same arena.
 	Arena *Arena
 }
 
@@ -123,6 +131,25 @@ func ByName(name string) (Algorithm, error) {
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q (fpts|ffd|wfd|bfd|spa1|spa2|edfwm|edfffd|edfwfd)", name)
 	}
+}
+
+// Unsplit returns the partitioned twin that a splitting algorithm
+// runs as its prefix, or nil when a has none: FFD for FP-TS (boosted
+// or NoBoost) and EDF-FFD for EDF-WM. The splitter places first fit in
+// decreasing utilization order exactly as its twin does and splits
+// only a task that fits on no core whole, where the twin gives up. So
+// on every set and model the twin accepts iff the splitter accepts
+// with NumSplit() == 0, and then with the identical assignment; a
+// sweep running both derives the twin's verdict instead of packing
+// twice.
+func Unsplit(a Algorithm) Algorithm {
+	switch a.(type) {
+	case *FPTS:
+		return FFD
+	case *EDFWM:
+		return EDFFFD
+	}
+	return nil
 }
 
 // newContext opens the incremental admission context every packing

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -300,16 +301,68 @@ func TestFPTSDominatesPartitioned(t *testing.T) {
 	}
 }
 
-// Per-set domination: every FFD-schedulable set is FP-TS-schedulable.
-func TestFPTSAcceptsEveryFFDSet(t *testing.T) {
-	g := taskgen.New(taskgen.Config{N: 10, TotalUtilization: 3.4, Seed: 31})
-	m := overhead.PaperModel()
-	for si, s := range g.Batch(30) {
-		if _, err := FFD.Partition(s.Clone(), 4, m); err != nil {
-			continue
+// Each splitter's Unsplit twin is its whole-task prefix: on every set
+// of the default 4-core grid (ΣU/m 0.600…0.975), under the zero, paper
+// and 10× paper models, the twin accepts iff the splitter accepts with
+// no split, and then with the identical per-core lists. The sweep
+// derives the twins' cells from this. Unsplit names no twin for any
+// other algorithm.
+func TestUnsplitTwinMatchesSplitter(t *testing.T) {
+	sets := 30
+	if testing.Short() {
+		sets = 8
+	}
+	models := []struct {
+		name  string
+		model *overhead.Model
+	}{
+		{"zero", overhead.Zero()},
+		{"paper", overhead.PaperModel()},
+		{"paper10x", overhead.PaperModel().Scale(10)},
+	}
+	accepted := 0
+	for _, md := range models {
+		for pm := 600; pm <= 975; pm += 25 {
+			g := taskgen.New(taskgen.Config{N: 16, TotalUtilization: 4 * float64(pm) / 1000, Seed: int64(pm)})
+			for si, s := range g.Batch(sets) {
+				for _, sp := range []Algorithm{TS, TSNoBoost, WM} {
+					tw := Unsplit(sp)
+					a, err := sp.Partition(s, 4, md.model)
+					b, terr := tw.Partition(s, 4, md.model)
+					derived := err == nil && a.NumSplit() == 0
+					if derived != (terr == nil) {
+						t.Fatalf("%s pm=%d set %d: %s accepted=%v splits>0=%v, %s accepted=%v",
+							md.name, pm, si, sp.Name(), err == nil, err == nil && !derived, tw.Name(), terr == nil)
+					}
+					if !derived {
+						continue
+					}
+					accepted++
+					if a.Policy != b.Policy || len(b.Splits) != 0 {
+						t.Fatalf("%s pm=%d set %d: %s and %s stamp %v/%v", md.name, pm, si, sp.Name(), tw.Name(), a.Policy, b.Policy)
+					}
+					for c := range a.Normal {
+						if !slices.Equal(a.Normal[c], b.Normal[c]) {
+							t.Fatalf("%s pm=%d set %d core %d: %s places %v, %s places %v",
+								md.name, pm, si, c, sp.Name(), a.Normal[c], tw.Name(), b.Normal[c])
+						}
+					}
+				}
+			}
 		}
-		if _, err := TS.Partition(s.Clone(), 4, m); err != nil {
-			t.Fatalf("set %d: FFD admits but FP-TS rejects", si)
+	}
+	if accepted == 0 {
+		t.Fatal("no set accepted without a split: the equivalence was never exercised")
+	}
+
+	twins := map[string]Algorithm{"fpts": FFD, "edfwm": EDFFFD}
+	for _, name := range []string{"fpts", "ffd", "wfd", "bfd", "spa1", "spa2", "edfwm", "edfffd", "edfwfd"} {
+		alg, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Unsplit(alg); got != twins[name] {
+			t.Errorf("Unsplit(%s) = %v, want %v", name, got, twins[name])
 		}
 	}
 }

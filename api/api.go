@@ -16,8 +16,9 @@
 // fields (the encoding/json default) — an older client against a
 // newer server, or the reverse, keeps working on the fields it
 // knows. Removing or redefining a field requires a new version
-// prefix. Servers stamp every response with the VersionHeader so
-// clients can detect what they are talking to.
+// prefix. A route can be withdrawn whole, and then answers 404.
+// Servers stamp every response with the VersionHeader so clients can
+// detect what they are talking to.
 //
 // # Errors
 //
@@ -40,7 +41,6 @@ const VersionHeader = "Admitd-Api-Version"
 // PathSessions/{name}/{op} — see SessionPath and SessionOpPath.
 const (
 	PathSessions = "/" + Version + "/sessions"
-	PathSweep    = "/" + Version + "/sweep"
 	PathStats    = "/" + Version + "/stats"
 	PathHealth   = "/healthz"
 	// PathMetrics is the Prometheus text-format exposition endpoint.
@@ -64,20 +64,11 @@ const (
 	OpRemove   = "remove"
 	OpStats    = "stats"
 	OpBatch    = "batch"
-	// OpFeed is the SSE change feed: GET, text/event-stream, one
-	// sequence-numbered event per committed mutation. With durability
-	// on, the from_seq query parameter replays the commit log's tail
-	// (from_seq exclusive) before splicing onto the live stream.
-	OpFeed = "feed"
 	// OpAudit replays the commit log: GET with a seq query parameter
 	// rebuilds the session at seq-1 and re-runs the logged mutation's
 	// probe with the collector on. Requires durability (-data-dir).
 	OpAudit = "audit"
 )
-
-// FeedFromSeqParam is OpFeed's resume query parameter: the last
-// sequence number the subscriber has already seen.
-const FeedFromSeqParam = "from_seq"
 
 // AuditSeqParam is OpAudit's query parameter: the sequence number of
 // the logged mutation to audit.

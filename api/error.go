@@ -39,8 +39,8 @@ const (
 	CodeUnknownTask Code = "unknown_task"
 	// CodeSeqTruncated: the requested sequence range predates the
 	// commit log's retained window (checkpoint compaction removed
-	// it), or the session has no commit log at all. Feed resumers
-	// re-sync via a fresh subscription plus a state read.
+	// it), or the session has no commit log at all. Seqs past the
+	// compacted prefix still audit.
 	CodeSeqTruncated Code = "seq_truncated"
 	// CodeInternal is an unexpected server-side failure.
 	CodeInternal Code = "internal"

@@ -8,9 +8,8 @@ import (
 	"testing"
 )
 
-func intp(v int) *int       { return &v }
-func boolp(v bool) *bool    { return &v }
-func int64p(v int64) *int64 { return &v }
+func intp(v int) *int    { return &v }
+func boolp(v bool) *bool { return &v }
 
 // goldenCases pins the v1 wire schema: one populated value and its
 // exact JSON for every type that crosses the wire. A failure here
@@ -155,41 +154,11 @@ var goldenCases = []struct {
 		`{"done":true,"admitted":3,"rejected":1,"schedulable":true,"task_count":5,"try_only":true}`,
 	},
 	{
-		"SweepRequest",
-		SweepRequest{Cores: 4, Tasks: 12, SetsPerPoint: 50, Algorithms: []string{"fpts", "ffd"}, Model: json.RawMessage(`"zero"`), Seed: 3, Utilizations: []float64{1.2, 1.6}, Stream: true},
-		`{"cores":4,"tasks":12,"sets_per_point":50,"algorithms":["fpts","ffd"],"model":"zero","seed":3,"utilizations":[1.2,1.6],"stream":true}`,
-	},
-	{
 		"SweepResult",
 		SweepResult{Cores: 2, Tasks: 6, SetsPerPoint: 4, Seed: 3, Canceled: true,
 			Series:    []SweepSeries{{Algorithm: "FFD", Points: []SweepPoint{{TotalUtilization: 1.2, PerCoreUtilization: 0.6, Accepted: 3, Total: 4, Ratio: 0.75, WilsonLo: 0.3, WilsonHi: 0.95, MeanSplits: 0.5, SimViolations: 0}}}},
 			Admission: AdmissionStats{Probes: 42}},
 		`{"cores":2,"tasks":6,"sets_per_point":4,"seed":3,"canceled":true,"series":[{"algorithm":"FFD","points":[{"total_utilization":1.2,"per_core_utilization":0.6,"accepted":3,"total":4,"ratio":0.75,"wilson_lo":0.3,"wilson_hi":0.95,"mean_splits":0.5,"sim_violations":0}]}],"admission":{"probes":42,"full_tests":0,"core_tests":0,"verdict_hits":0,"fp_solves":0,"fp_iterations":0,"warm_starts":0,"cache_hit_rate":0,"mean_fp_iterations":0,"warm_start_rate":0}}`,
-	},
-	{
-		"SweepProgress",
-		SweepProgress{Algorithm: "FFD", TotalUtilization: 1.2, Accepted: 3, Total: 4, Ratio: 0.75, WilsonLo: 0.3, WilsonHi: 0.95, DoneShards: 2, TotalShards: 8, Admission: AdmissionStats{Probes: 5}},
-		`{"algorithm":"FFD","total_utilization":1.2,"accepted":3,"total":4,"ratio":0.75,"wilson_lo":0.3,"wilson_hi":0.95,"done_shards":2,"total_shards":8,"admission":{"probes":5,"full_tests":0,"core_tests":0,"verdict_hits":0,"fp_solves":0,"fp_iterations":0,"warm_starts":0,"cache_hit_rate":0,"mean_fp_iterations":0,"warm_start_rate":0}}`,
-	},
-	{
-		"FeedHello",
-		FeedHello{Name: "rack1", Seq: 42, Tasks: 7},
-		`{"name":"rack1","seq":42,"tasks":7}`,
-	},
-	{
-		"FeedHello-resume",
-		FeedHello{Name: "rack1", Seq: 42, Tasks: 7, ResumeFrom: int64p(17)},
-		`{"name":"rack1","seq":42,"tasks":7,"resume_from":17}`,
-	},
-	{
-		"FeedEvent",
-		FeedEvent{Seq: 43, Op: "admit", Task: 9, Core: 2, Tasks: 8},
-		`{"seq":43,"op":"admit","task":9,"core":2,"tasks":8}`,
-	},
-	{
-		"FeedEvent-remove",
-		FeedEvent{Seq: 44, Op: "remove", Task: 9, Core: -1, Tasks: 7},
-		`{"seq":44,"op":"remove","task":9,"core":-1,"tasks":7}`,
 	},
 	{
 		"AuditReport",
@@ -330,7 +299,7 @@ func TestPaths(t *testing.T) {
 	if SessionOpPath("a b/c", OpAdmit) != "/v1/sessions/a%20b%2Fc/admit" {
 		t.Fatal(SessionOpPath("a b/c", OpAdmit))
 	}
-	if PathSweep != "/v1/sweep" || PathStats != "/v1/stats" || PathSessions != "/v1/sessions" {
+	if PathStats != "/v1/stats" || PathSessions != "/v1/sessions" {
 		t.Fatal("route roots drifted")
 	}
 }

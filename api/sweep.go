@@ -5,21 +5,6 @@ import (
 	"io"
 )
 
-// SweepRequest runs a whole acceptance-ratio sweep server-side —
-// the batch experiment driver as a service, sharing its result
-// schema with the spexp CLI. Stream adds NDJSON SweepProgress lines
-// before the final SweepResult object.
-type SweepRequest struct {
-	Cores        int             `json:"cores"`
-	Tasks        int             `json:"tasks"`
-	SetsPerPoint int             `json:"sets_per_point"`
-	Algorithms   []string        `json:"algorithms,omitempty"`
-	Model        json.RawMessage `json:"model,omitempty"`
-	Seed         int64           `json:"seed,omitempty"`
-	Utilizations []float64       `json:"utilizations,omitempty"`
-	Stream       bool            `json:"stream,omitempty"`
-}
-
 // AdmissionStats is the wire form of the admission-work counters,
 // with the derived rates precomputed so consumers need no formulas.
 type AdmissionStats struct {
@@ -54,9 +39,8 @@ type SweepSeries struct {
 	Points    []SweepPoint `json:"points"`
 }
 
-// SweepResult is the wire form of a whole acceptance-ratio sweep —
-// the same schema whether produced by spexp -json or the sweep
-// route.
+// SweepResult is the wire form of a whole acceptance-ratio sweep, as
+// spexp -json writes it.
 type SweepResult struct {
 	Cores        int            `json:"cores"`
 	Tasks        int            `json:"tasks"`
@@ -72,19 +56,4 @@ func (s *SweepResult) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// SweepProgress is one streaming partial-result line (NDJSON),
-// emitted while a streamed sweep runs.
-type SweepProgress struct {
-	Algorithm        string         `json:"algorithm"`
-	TotalUtilization float64        `json:"total_utilization"`
-	Accepted         int            `json:"accepted"`
-	Total            int            `json:"total"`
-	Ratio            float64        `json:"ratio"`
-	WilsonLo         float64        `json:"wilson_lo"`
-	WilsonHi         float64        `json:"wilson_hi"`
-	DoneShards       int            `json:"done_shards"`
-	TotalShards      int            `json:"total_shards"`
-	Admission        AdmissionStats `json:"admission"`
 }

@@ -181,33 +181,6 @@ type BatchRequest struct {
 	TryOnly  bool     `json:"try_only,omitempty"`
 }
 
-// FeedHello is the first event of an SSE change-feed subscription
-// (event: hello): the sequence number the stream is anchored at —
-// every later change event's seq is strictly greater, gaplessly.
-// ResumeFrom is present when the subscription resumed with from_seq:
-// events in (ResumeFrom, Seq] are replayed from the commit log
-// before live events follow.
-type FeedHello struct {
-	Name       string `json:"name"`
-	Seq        int64  `json:"seq"`
-	Tasks      int64  `json:"tasks"`
-	ResumeFrom *int64 `json:"resume_from,omitempty"`
-}
-
-// FeedEvent is one committed mutation on the SSE change feed
-// (event: change): op is "admit", "split" or "remove"; Core is the
-// placement (-1 for splits and removes); Tasks is the committed task
-// count after the mutation. Seq numbers are dense per session — one
-// per committed mutation — and survive restarts when durability is
-// on.
-type FeedEvent struct {
-	Seq   int64  `json:"seq"`
-	Op    string `json:"op"`
-	Task  int64  `json:"task"`
-	Core  int64  `json:"core"`
-	Tasks int64  `json:"tasks"`
-}
-
 // AuditReport answers "why did mutation N commit?": the session is
 // rebuilt from checkpoint + commit-log replay to seq N-1, and the
 // logged mutation is re-run cold with the stats collector attached.

@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -317,63 +318,17 @@ func (c *Client) Health(ctx context.Context) error {
 	return nil
 }
 
-// Sweep runs a whole acceptance-ratio sweep server-side and returns
-// the final result. Canceling ctx cancels the sweep between
-// placements (the server aborts on disconnect).
-func (c *Client) Sweep(ctx context.Context, req api.SweepRequest) (*api.SweepResult, error) {
-	return c.SweepStream(ctx, req, nil)
-}
+// --- session history -------------------------------------------------
 
-// SweepStream is Sweep with streamed progress: onProgress (when
-// non-nil) receives every partial-result line as the sweep runs.
-func (c *Client) SweepStream(ctx context.Context, req api.SweepRequest, onProgress func(api.SweepProgress)) (*api.SweepResult, error) {
-	if onProgress != nil {
-		req.Stream = true
-	}
-	body, done, err := c.stream(ctx, api.PathSweep, req)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	defer body.Close() //nolint:errcheck // read-side close
-	sc := newLineScanner(body)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		// A line is a progress update, the final result, or an error
-		// envelope; classify by its discriminating fields.
-		var probe struct {
-			Code   api.Code        `json:"code"`
-			Series json.RawMessage `json:"series"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("client: bad sweep line: %w", err)
-		}
-		switch {
-		case probe.Code != "":
-			ae := &api.Error{}
-			_ = json.Unmarshal(line, ae) //nolint:errcheck // probe proved it decodes
-			return nil, ae
-		case probe.Series != nil:
-			res := &api.SweepResult{}
-			if err := json.Unmarshal(line, res); err != nil {
-				return nil, err
-			}
-			return res, nil
-		default:
-			if onProgress != nil {
-				var p api.SweepProgress
-				if err := json.Unmarshal(line, &p); err != nil {
-					return nil, err
-				}
-				onProgress(p)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("client: sweep stream ended without a result")
+// Audit replays the commit log: the server rebuilds the session's
+// state as of just before durable sequence seq, re-runs that
+// mutation's probe with the stats collector attached, and reports
+// what the analysis concluded. Requires a server started with
+// durability on (api.CodeSeqTruncated otherwise, also returned when
+// seq predates the retained log).
+func (s *Session) Audit(ctx context.Context, seq int64) (api.AuditReport, error) {
+	var out api.AuditReport
+	path := api.SessionOpPath(s.name, api.OpAudit) + "?" + api.AuditSeqParam + "=" + strconv.FormatInt(seq, 10)
+	err := s.c.do(ctx, http.MethodGet, path, nil, &out)
+	return out, err
 }

@@ -213,29 +213,3 @@ func TestBatchStreamParsing(t *testing.T) {
 		t.Fatal("truncated stream must error")
 	}
 }
-
-// TestSweepStreamParsing: progress lines reach the callback, the
-// final line becomes the result, and an error envelope surfaces
-// typed.
-func TestSweepStreamParsing(t *testing.T) {
-	c := InProcess(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, `{"algorithm":"FFD","total_utilization":1.2,"accepted":1,"total":2,"ratio":0.5,"wilson_lo":0,"wilson_hi":1,"done_shards":1,"total_shards":2,"admission":{"probes":3,"full_tests":0,"core_tests":0,"verdict_hits":0,"fp_solves":0,"fp_iterations":0,"warm_starts":0,"cache_hit_rate":0,"mean_fp_iterations":0,"warm_start_rate":0}}`)
-		fmt.Fprintln(w, `{"cores":2,"tasks":6,"sets_per_point":2,"seed":3,"series":[{"algorithm":"FFD","points":[]}],"admission":{"probes":6,"full_tests":0,"core_tests":0,"verdict_hits":0,"fp_solves":0,"fp_iterations":0,"warm_starts":0,"cache_hit_rate":0,"mean_fp_iterations":0,"warm_start_rate":0}}`)
-	}))
-	var progress []api.SweepProgress
-	res, err := c.SweepStream(context.Background(), api.SweepRequest{}, func(p api.SweepProgress) { progress = append(progress, p) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(progress) != 1 || progress[0].DoneShards != 1 || res.Series[0].Algorithm != "FFD" || res.Admission.Probes != 6 {
-		t.Fatalf("sweep stream: %+v, %+v", progress, res)
-	}
-
-	c = InProcess(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(api.Error{Code: api.CodeBadRequest, Message: "unknown algorithm"}) //nolint:errcheck
-	}))
-	if _, err := c.Sweep(context.Background(), api.SweepRequest{}); !api.IsCode(err, api.CodeBadRequest) {
-		t.Fatalf("sweep error: %v", err)
-	}
-}

@@ -10,8 +10,8 @@ import (
 	"repro/api"
 )
 
-// maxLine bounds one NDJSON line (a full sweep result rides on a
-// single line).
+// maxLine bounds one NDJSON line of a batch response, far above any
+// verdict or summary.
 const maxLine = 16 << 20
 
 // newLineScanner builds a bufio.Scanner sized for NDJSON payloads.

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -487,44 +486,6 @@ func TestEDFExtremePeriodRatio(t *testing.T) {
 	}
 }
 
-// TestSweepEndpoint runs a small server-side sweep and checks the
-// shared report JSON schema comes back.
-func TestSweepEndpoint(t *testing.T) {
-	srv := newTestServer(t, Config{})
-	body := mustStatus(t, srv, "POST", "/v1/sweep", api.SweepRequest{
-		Cores: 2, Tasks: 6, SetsPerPoint: 4,
-		Algorithms:   []string{"fpts", "ffd"},
-		Model:        json.RawMessage(`"zero"`),
-		Utilizations: []float64{1.2, 1.6},
-		Seed:         3,
-	}, http.StatusOK)
-	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
-	var sweep struct {
-		Series []struct {
-			Algorithm string `json:"algorithm"`
-			Points    []struct {
-				Total int `json:"total"`
-			} `json:"points"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sweep); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, s := range sweep.Series {
-		names = append(names, s.Algorithm)
-		for _, p := range s.Points {
-			if p.Total != 4 {
-				t.Fatalf("cell incomplete: %+v", sweep)
-			}
-		}
-	}
-	sort.Strings(names)
-	if fmt.Sprint(names) != "[FFD FP-TS]" {
-		t.Fatalf("series: %v", names)
-	}
-}
-
 // TestSessionLifecycleErrors covers the error surface.
 func TestSessionLifecycleErrors(t *testing.T) {
 	srv := newTestServer(t, Config{})
@@ -542,4 +503,8 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	mustStatus(t, srv, "DELETE", "/v1/sessions/x", nil, http.StatusOK)
 	mustStatus(t, srv, "DELETE", "/v1/sessions/x", nil, http.StatusNotFound)
 	mustStatus(t, srv, "GET", "/healthz", nil, http.StatusOK)
+	// The daemon neither sweeps nor streams: spexp runs sweeps.
+	mustStatus(t, srv, "POST", "/v1/sweep", nil, http.StatusNotFound)
+	mustStatus(t, srv, "POST", "/v1/sessions", api.CreateSessionRequest{Name: "y", Cores: 2}, http.StatusCreated)
+	mustStatus(t, srv, "GET", "/v1/sessions/y/feed", nil, http.StatusNotFound)
 }

@@ -64,8 +64,7 @@ func differentialScript() []transportStep {
 		// Batch (server-side generation, FFD order) on a fresh session.
 		transportStep{"POST", "/v1/sessions", api.CreateSessionRequest{Name: "b", Cores: 4}},
 		transportStep{"POST", "/v1/sessions/b/batch", api.BatchRequest{Generate: &api.TaskGen{N: 10, TotalUtilization: 2.0, Seed: 5}, Order: "util-desc"}},
-		// Sweep (deterministic seed), server stats, lifecycle tail.
-		transportStep{"POST", "/v1/sweep", api.SweepRequest{Cores: 2, Tasks: 6, SetsPerPoint: 2, Algorithms: []string{"ffd"}, Model: json.RawMessage(`"zero"`), Utilizations: []float64{1.2}, Seed: 3}},
+		// Server stats, lifecycle tail.
 		transportStep{"GET", "/v1/stats", nil},
 		transportStep{"DELETE", "/v1/sessions/b", nil},
 		transportStep{"DELETE", "/v1/sessions/b", nil}, // 404 session_not_found
@@ -305,7 +304,7 @@ func driveClientE2E(t *testing.T, c *client.Client) {
 		t.Fatalf("split: %+v, %v", v, err)
 	}
 
-	// Server-scoped surface: list, stats, sweep (plain + streamed).
+	// Server-scoped surface: list, stats.
 	list, err := c.ListSessions(ctx)
 	if err != nil || list.Count != 2 {
 		t.Fatalf("list: %+v, %v", list, err)
@@ -314,22 +313,6 @@ func driveClientE2E(t *testing.T, c *client.Client) {
 	if err != nil || sstats.SessionsLive != 2 || sstats.Requests == 0 {
 		t.Fatalf("server stats: %+v, %v", sstats, err)
 	}
-	sweepReq := api.SweepRequest{Cores: 2, Tasks: 6, SetsPerPoint: 2, Algorithms: []string{"ffd"}, Model: json.RawMessage(`"zero"`), Utilizations: []float64{1.2}, Seed: 3}
-	res, err := c.Sweep(ctx, sweepReq)
-	if err != nil || len(res.Series) != 1 || res.Series[0].Algorithm != "FFD" {
-		t.Fatalf("sweep: %+v, %v", res, err)
-	}
-	progress := 0
-	res2, err := c.SweepStream(ctx, sweepReq, func(api.SweepProgress) { progress++ })
-	if err != nil || progress == 0 {
-		t.Fatalf("streamed sweep: %d progress lines, %v", progress, err)
-	}
-	a, _ := json.Marshal(res)
-	b, _ := json.Marshal(res2)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("streamed and plain sweep disagree:\n %s\n %s", a, b)
-	}
-
 	// Lifecycle tail: delete, then every handle call 404s.
 	if err := esess.Delete(ctx); err != nil {
 		t.Fatal(err)

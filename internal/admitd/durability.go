@@ -16,7 +16,6 @@ import (
 
 	"repro/api"
 	"repro/internal/analysis"
-	"repro/internal/report"
 	"repro/internal/task"
 	"repro/internal/wal"
 )
@@ -33,13 +32,13 @@ import (
 // + gen — so deleting a session and recreating the name never splices
 // two histories: a delete appends a tombstone, the next create opens
 // gen+1. Sequence numbers are dense per generation (create = 0, each
-// mutation seqBase+CommitSeq), so a feed resume verifies gaplessness by
+// mutation seqBase+CommitSeq), so a replay verifies gaplessness by
 // counting; a checkpoint shares the seq of the mutation it follows.
 //
 // Not logged, so reset to their checkpoint values by a crash: the
 // rejected-probe and state-cache counters.
 
-// ErrSeqTruncated: a replay request (feed from_seq, audit seq)
+// ErrSeqTruncated: a replay request (an audit seq)
 // reaches before the commit log's retained window — checkpoint
 // compaction removed it — or the session has no commit log at all.
 var ErrSeqTruncated = errors.New("admitd: sequence range predates the retained commit log")
@@ -968,6 +967,6 @@ func auditReplay(name string, seq int64, base *sessionSnapshot, rec *walRec) (*a
 		ctx.Rollback()
 	}
 	rep.Schedulable = ctx.Schedulable()
-	rep.Admission = report.AdmissionJSON(ctx.Stats())
+	rep.Admission = ctx.Stats().Wire()
 	return rep, nil
 }

@@ -1,16 +1,13 @@
 package admitd
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/api"
-	"repro/client"
 )
 
 // durableConfig is the in-process durability-test configuration: the
@@ -274,85 +271,6 @@ func TestDurableEvictionRestore(t *testing.T) {
 	}
 	if srv.store.restored.Load() == 0 {
 		t.Fatal("restore did not count")
-	}
-}
-
-// TestFeedResumeAcrossRestart: a reader that remembers its last seen
-// durable seq resumes across a server crash with zero gaps — the
-// commit log splices the missed events into the live feed.
-func TestFeedResumeAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	srv := newTestServer(t, durableConfig(dir))
-	mustStatus(t, srv, "POST", "/v1/sessions",
-		api.CreateSessionRequest{Name: "feed", Cores: 4, Policy: "fp"}, http.StatusCreated)
-	acked := admitAcked(t, srv, "feed", 1, 5)
-	crashServer(srv)
-
-	srv2 := newTestServer(t, durableConfig(dir))
-	ts := httptest.NewServer(srv2)
-	defer ts.Close()
-	c, err := client.New(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	feed, err := c.Session("feed").FeedFrom(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer feed.Close() //nolint:errcheck // test teardown
-	hello := feed.Hello()
-	if hello.ResumeFrom == nil || *hello.ResumeFrom != 0 {
-		t.Fatalf("hello.ResumeFrom = %v, want 0", hello.ResumeFrom)
-	}
-	if hello.Seq != int64(acked) {
-		t.Fatalf("hello.Seq = %d, want %d (acked mutations)", hello.Seq, acked)
-	}
-	// The replayed prefix: seqs 1..acked, dense, all admits.
-	for want := int64(1); want <= int64(acked); want++ {
-		if !feed.Next() {
-			t.Fatalf("feed ended at seq %d (err %v), want %d replayed events", want-1, feed.Err(), acked)
-		}
-		ev := feed.Event()
-		if ev.Seq != want || ev.Op != "admit" {
-			t.Fatalf("replayed event %+v, want seq %d op admit", ev, want)
-		}
-	}
-	// Live continuation: the next committed mutation arrives with the
-	// next dense seq.
-	go func() {
-		_, _ = c.Session("feed").Admit(context.Background(), //nolint:errcheck // verified via the feed
-			api.AdmitRequest{Task: api.Task{ID: 99, WCETNs: 1_000_000, PeriodNs: 100_000_000, DeadlineNs: 100_000_000, Priority: 99}})
-	}()
-	if !feed.Next() {
-		t.Fatalf("no live event after replay: %v", feed.Err())
-	}
-	if ev := feed.Event(); ev.Seq != int64(acked)+1 || ev.Task != 99 {
-		t.Fatalf("live event %+v, want seq %d task 99", ev, acked+1)
-	}
-}
-
-// TestFeedResumeTruncated: resuming from below the compaction
-// low-water is a 410 — the log no longer holds those records.
-func TestFeedResumeTruncated(t *testing.T) {
-	dir := t.TempDir()
-	srv := newTestServer(t, durableConfig(dir))
-	mustStatus(t, srv, "POST", "/v1/sessions",
-		api.CreateSessionRequest{Name: "tr", Cores: 4, Policy: "fp"}, http.StatusCreated)
-	admitAcked(t, srv, "tr", 1, 5)
-	if err := srv.store.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c, err := client.New(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Session("tr").FeedFrom(context.Background(), 0)
-	if !api.IsCode(err, api.CodeSeqTruncated) {
-		t.Fatalf("feed resume below the low-water: err = %v, want %s", err, api.CodeSeqTruncated)
 	}
 }
 

@@ -40,11 +40,6 @@ type serverMetrics struct {
 	// sum/count, buckets at the per-probe mean).
 	fpIters *telemetry.Histogram
 
-	// SSE feed plane.
-	feedSubs    *telemetry.Gauge
-	feedEvents  *telemetry.Counter
-	feedDropped *telemetry.Counter
-
 	// Durability plane: commit-log activity. The counters/histograms
 	// are registered unconditionally (zero without -data-dir) so the
 	// exposition schema does not depend on configuration; the rates
@@ -144,13 +139,6 @@ func newServerMetrics(store *Store) *serverMetrics {
 		"Absolute deadlines those tests evaluated the demand at.",
 		func() float64 { return float64(m.agg.DemandPoints) })
 
-	m.feedSubs = reg.NewGauge("admitd_feed_subscribers",
-		"Live SSE change-feed subscriptions.")
-	m.feedEvents = reg.NewCounter("admitd_feed_events_total",
-		"Change events published to SSE subscribers.")
-	m.feedDropped = reg.NewCounter("admitd_feed_dropped_subscribers_total",
-		"SSE subscriptions disconnected by the slow-consumer drop policy.")
-
 	// Durability plane (zero-valued without -data-dir).
 	m.walFsyncLat = reg.NewHistogram("admitd_wal_fsync_duration_seconds",
 		"Commit-log fsync latency (background committer under the group policy, ack-path batches under always).",
@@ -189,7 +177,7 @@ func newServerMetrics(store *Store) *serverMetrics {
 		"Bytes held by the commit-log segments across all shards.",
 		walStat(func(s wal.Stats) float64 { return float64(s.Bytes) }))
 	reg.NewCounterFunc("admitd_wal_read_bytes_total",
-		"Commit-log segment bytes read back since open: the recovery scan (each segment once) plus feed-resume, audit and restore replays.",
+		"Commit-log segment bytes read back since open: the recovery scan (each segment once) plus audit and restore replays.",
 		walStat(func(s wal.Stats) float64 { return float64(s.ReadBytes) }))
 	reg.NewGaugeFunc("admitd_wal_recovered_records",
 		"Commit-log records the open-time recovery scan verified and kept.",

@@ -11,10 +11,7 @@ import (
 	"time"
 
 	"repro/api"
-	"repro/internal/experiment"
 	"repro/internal/overhead"
-	"repro/internal/partition"
-	"repro/internal/report"
 	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
@@ -72,7 +69,6 @@ type Config struct {
 //	POST   /v1/sessions/{name}/remove      remove an admitted task
 //	GET    /v1/sessions/{name}/stats       per-session admission stats
 //	POST   /v1/sessions/{name}/batch       admit a whole set, streaming NDJSON verdicts
-//	POST   /v1/sweep                       run an acceptance-ratio sweep (cancelable)
 //	GET    /v1/stats                       server-wide counters
 //	GET    /healthz                        liveness
 type Server struct {
@@ -123,26 +119,24 @@ func New(cfg Config) (*Server, error) {
 	s.handle(op(api.OpRemove), api.OpRemove, classActor, s.handleRemove)
 	s.handle("GET "+api.PathSessions+"/{name}/"+api.OpStats, "session_stats", classRead, s.handleSessionStats)
 	s.handle(op(api.OpBatch), api.OpBatch, classActor, s.handleBatch)
-	s.handle("GET "+api.PathSessions+"/{name}/"+api.OpFeed, api.OpFeed, classStream, s.handleFeed)
 	s.handle("GET "+api.PathSessions+"/{name}/"+api.OpAudit, api.OpAudit, classRead, s.handleAudit)
-	s.handle("POST "+api.PathSweep, "sweep", classStream, s.handleSweep)
 	s.handle("GET "+api.PathStats, "stats", classRead, s.handleStats)
 	s.handle("GET "+api.PathHealth, "health", classRead, func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, api.Health{Status: "ok"})
 	})
-	s.handle("GET "+api.PathMetrics, "metrics", classStream, s.met.reg.ServeHTTP)
+	s.handle("GET "+api.PathMetrics, "metrics", classScrape, s.met.reg.ServeHTTP)
 	return s, nil
 }
 
 // Path classes split the request latency histogram the way the
 // architecture splits request handling: classRead is the lock-free
-// snapshot path, classActor the serialized write path. classStream
-// routes (feed, sweep, metrics) are counted but excluded from the
-// latency histograms — a subscription's lifetime is not a latency.
+// snapshot path, classActor the serialized write path. The classScrape
+// route (/metrics) is counted but excluded from the latency
+// histograms: a scrape reads them, it is not admission work.
 const (
 	classRead = iota
 	classActor
-	classStream
+	classScrape
 )
 
 // handle registers one instrumented route: per-route request
@@ -536,7 +530,7 @@ func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 		Removed:          sess.removed.Load(),
 		StateCacheHits:   sess.stateHits.Load(),
 		StateCacheMisses: sess.stateMisses.Load(),
-		Admission:        report.AdmissionJSON(admission),
+		Admission:        admission.Wire(),
 	}
 	ws := wirePool.Get().(*wireScratch)
 	defer wirePool.Put(ws)
@@ -578,11 +572,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SessionsDeleted:  st.deleted.Load(),
 		// Admission totals flushed by closed/evicted sessions; live
 		// session detail is at /v1/sessions/{name}/stats.
-		AdmissionFlushed: report.AdmissionJSON(st.coll.Snapshot()),
+		AdmissionFlushed: st.coll.Snapshot().Wire(),
 	})
 }
 
-// --- batch & sweep ---------------------------------------------------
+// --- batch -----------------------------------------------------------
 
 // handleBatch admits a whole set through the session's live context,
 // streaming one NDJSON verdict per task and a final summary line. The
@@ -639,84 +633,4 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_ = enc.Encode(sum) //nolint:errcheck
-}
-
-// handleSweep runs the experiment pipeline under the request context:
-// a dropped connection cancels the in-flight sweep between
-// placements (experiment.RunContext).
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req api.SweepRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	model, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var algs []partition.Algorithm
-	for _, name := range req.Algorithms {
-		alg, err := partition.ByName(name)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		algs = append(algs, alg)
-	}
-	cfg := experiment.Config{
-		Cores:        req.Cores,
-		Tasks:        req.Tasks,
-		SetsPerPoint: req.SetsPerPoint,
-		Algorithms:   algs,
-		Model:        model,
-		Seed:         req.Seed,
-		Utilizations: req.Utilizations,
-	}
-	if r.Header.Get("Accept") == "text/event-stream" {
-		// SSE negotiation: the same progress stream (the Progress/
-		// Wilson aggregator's cell updates) framed as event-stream
-		// for browser EventSource consumers; Stream is implied.
-		s.sweepSSE(w, r, cfg)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	if req.Stream {
-		flusher, _ := w.(http.Flusher)
-		cfg.Progress = func(u experiment.CellUpdate) {
-			_ = enc.Encode(report.ProgressJSON(u)) //nolint:errcheck
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-	}
-	res := experiment.RunContext(r.Context(), cfg)
-	_ = enc.Encode(report.SweepResultJSON(res)) //nolint:errcheck
-}
-
-// sweepSSE streams sweep progress as Server-Sent Events: one
-// "progress" event per aggregator cell update, a final "result"
-// event with the full sweep result.
-func (s *Server) sweepSSE(w http.ResponseWriter, r *http.Request, cfg experiment.Config) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, errStreamingUnsupported)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	emit := func(event string, v any) {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return
-		}
-		_, _ = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-		flusher.Flush()
-	}
-	cfg.Progress = func(u experiment.CellUpdate) { emit("progress", report.ProgressJSON(u)) }
-	res := experiment.RunContext(r.Context(), cfg)
-	emit("result", report.SweepResultJSON(res))
 }

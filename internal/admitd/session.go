@@ -104,16 +104,6 @@ type Session struct {
 	// use is a nil-checked atomic op — never an allocation.
 	met *serverMetrics
 
-	// feed is the SSE change-feed hub, created lazily by the first
-	// subscriber; nil means no subscribers ever attached and the
-	// write path pays one atomic load per committed mutation.
-	// feedPend stages events within one actor drain (actor-owned);
-	// they flush to the hub after the drain's snapshot publish, so a
-	// subscriber never learns a sequence number before the snapshot
-	// carrying it is readable.
-	feed     atomic.Pointer[feedHub]
-	feedPend []feedEvent
-
 	// Durability plane (nil/zero without one), set by attachWal before
 	// the session is reachable; actor-owned. Each committed mutation
 	// appends one record at its durable seq (seqBase + CommitSeq), and
@@ -128,7 +118,7 @@ type Session struct {
 
 	// walTail is the previous drain handoff's completion channel
 	// (actor-owned; nil before the first durable drain). Handoffs
-	// chain on it so acks and feed publishes release in drain order
+	// chain on it so acks release in drain order
 	// even though each drain's fsync wait runs off the actor.
 	walTail <-chan struct{}
 
@@ -294,12 +284,12 @@ func (s *Session) loop() {
 		}
 		// Close the drain's commit boundary. Under the always policy the
 		// fsync wait is handed off the actor, with the completion tokens
-		// of the ops that staged records and the drain's feed events:
-		// they release after the covering fsync, in drain order (the
-		// handoffs chain), so no seq is acked or published before it is
-		// durable. Ops that staged nothing release at once. Under group
-		// and off, acks never wait for the device: the background
-		// committer (group) or the OS (off) carries the records down.
+		// of the ops that staged records: they release after the
+		// covering fsync, in drain order (the handoffs chain), so no seq
+		// is acked before it is durable. Ops that staged nothing
+		// release at once. Under group and off, acks never wait for the
+		// device: the background committer (group) or the OS (off)
+		// carries the records down.
 		if s.wlog != nil && s.walStaged > 0 {
 			if m := s.met; m != nil {
 				m.walRecsPerDrain.ObserveInt(s.walStaged)
@@ -319,20 +309,16 @@ func (s *Session) loop() {
 				}
 				h := &walHandoff{
 					calls: calls,
-					feed:  s.feedPend,
 					prev:  s.walTail,
 					done:  make(chan struct{}),
 				}
-				s.feedPend = nil
 				s.walTail = h.done
 				go s.commitHandoff(h)
 				continue
 			}
 		}
 		// Immediate release: read-only, non-durable, or bounded-loss
-		// drains. The feed flush still runs after the drain's publish —
-		// every sequence number a subscriber sees is already readable.
-		s.feedFlush()
+		// drains.
 		for i := 0; i < n; i++ {
 			batch[i].done <- struct{}{}
 			batch[i] = nil
@@ -342,35 +328,26 @@ func (s *Session) loop() {
 }
 
 // walHandoff carries one drain's durability wait off the actor: the
-// completion tokens and staged feed events that may release only after
-// the covering fsync. prev is the preceding drain's handoff (nil for
-// the first), giving per-session FIFO release.
+// completion tokens that may release only after the covering fsync.
+// prev is the preceding drain's handoff (nil for the first), giving
+// per-session FIFO release.
 type walHandoff struct {
 	calls []*sessionCall
-	feed  []feedEvent
 	prev  <-chan struct{}
 	done  chan struct{}
 }
 
 // commitHandoff completes one drain off the actor: wait for the
-// covering fsync, then — in drain order — publish the staged feed
-// events and release the completion tokens. Commit errors latch the
-// session's failure flag but still release the tokens (the callers
-// already hold their verdicts; subsequent mutations will refuse).
+// covering fsync, then — in drain order — release the completion
+// tokens. Commit errors latch the session's failure flag but still
+// release the tokens (the callers already hold their verdicts;
+// subsequent mutations will refuse).
 func (s *Session) commitHandoff(h *walHandoff) {
 	if err := s.wplane.commitLog(s.wlog); err != nil {
 		s.walFail()
 	}
 	if h.prev != nil {
 		<-h.prev
-	}
-	if len(h.feed) > 0 {
-		if hub := s.feed.Load(); hub != nil {
-			hub.publish(h.feed, s.met)
-			if m := s.met; m != nil {
-				m.feedEvents.Add(int64(len(h.feed)))
-			}
-		}
 	}
 	for _, c := range h.calls {
 		c.done <- struct{}{}
@@ -567,7 +544,6 @@ func (s *Session) resolveProbe(resp *api.Verdict, hold bool, t *task.Task, sp *t
 		s.registerAdmitted(t, sp)
 		s.actx.Commit()
 		s.walNoteAdmit(t, sp, core)
-		s.feedNote(t, sp, core)
 	} else {
 		s.actx.Rollback()
 		s.rejected.Add(1)
@@ -608,7 +584,6 @@ func (s *Session) commitLocked() (api.Verdict, error) {
 	s.registerAdmitted(s.pendTask, s.pendSplit)
 	s.actx.Commit()
 	s.walNoteAdmit(s.pendTask, s.pendSplit, s.pendCore)
-	s.feedNote(s.pendTask, s.pendSplit, s.pendCore)
 	s.clearPending()
 	return resp, nil
 }
@@ -665,7 +640,6 @@ func (s *Session) removeLocked(id task.ID) error {
 	}
 	s.removed.Add(1)
 	s.walNoteRemove(id)
-	s.feedNoteRemove(id)
 	return nil
 }
 

@@ -1,17 +1,14 @@
 package admitd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -158,208 +155,6 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
-// sseEvent is one parsed server-sent event.
-type sseEvent struct {
-	id, event, data string
-}
-
-// readSSE parses events off an SSE stream, sending each on out;
-// returns on stream end.
-func readSSE(r *bufio.Reader, out chan<- sseEvent) {
-	defer close(out)
-	var ev sseEvent
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return
-		}
-		line = strings.TrimRight(line, "\n")
-		switch {
-		case line == "":
-			if ev.event != "" || ev.data != "" {
-				out <- ev
-			}
-			ev = sseEvent{}
-		case strings.HasPrefix(line, "id: "):
-			ev.id = line[4:]
-		case strings.HasPrefix(line, "event: "):
-			ev.event = line[7:]
-		case strings.HasPrefix(line, "data: "):
-			ev.data = line[6:]
-		}
-	}
-}
-
-// TestFeedGaplessOrdering subscribes to a session's SSE change feed
-// over real HTTP, then commits mutations while reading: the
-// subscriber must observe every committed mutation exactly once, in
-// order, with contiguous sequence numbers starting right after the
-// hello anchor.
-func TestFeedGaplessOrdering(t *testing.T) {
-	srv := newTestServer(t, Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	mustStatus(t, srv, "POST", "/v1/sessions", api.CreateSessionRequest{Name: "f", Cores: 4}, http.StatusCreated)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/sessions/f/feed", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("feed content type %q", ct)
-	}
-	events := make(chan sseEvent, 1024)
-	go readSSE(bufio.NewReader(resp.Body), events)
-
-	hello, ok := <-events
-	if !ok || hello.event != "hello" {
-		t.Fatalf("first event: %+v", hello)
-	}
-	var anchor struct {
-		Seq int64 `json:"seq"`
-	}
-	if err := json.Unmarshal([]byte(hello.data), &anchor); err != nil {
-		t.Fatal(err)
-	}
-
-	// Commit mutations after the subscription is live: admits onto a
-	// 4-core session (tiny utilization, all admit) plus removes.
-	const admits = 30
-	committed := 0
-	for i := int64(0); i < admits; i++ {
-		body := mustStatus(t, srv, "POST", "/v1/sessions/f/admit",
-			api.AdmitRequest{Task: benchTask(100 + i)}, http.StatusOK)
-		if strings.Contains(string(body), `"admitted":true`) {
-			committed++
-		}
-	}
-	for i := int64(0); i < 5; i++ {
-		mustStatus(t, srv, "POST", "/v1/sessions/f/remove",
-			api.RemoveRequest{ID: 100 + i}, http.StatusOK)
-		committed++
-	}
-
-	var got []sseEvent
-	deadline := time.After(10 * time.Second)
-	for len(got) < committed {
-		select {
-		case ev, open := <-events:
-			if !open {
-				t.Fatalf("stream ended after %d/%d events", len(got), committed)
-			}
-			if ev.event == "change" {
-				got = append(got, ev)
-			}
-		case <-deadline:
-			t.Fatalf("timeout: %d/%d events", len(got), committed)
-		}
-	}
-
-	removes := 0
-	for i, ev := range got {
-		seq, err := strconv.ParseInt(ev.id, 10, 64)
-		if err != nil {
-			t.Fatalf("event %d id %q: %v", i, ev.id, err)
-		}
-		if want := anchor.Seq + int64(i) + 1; seq != want {
-			t.Fatalf("event %d: seq %d, want %d (gapless from hello anchor %d)", i, seq, want, anchor.Seq)
-		}
-		if !strings.Contains(ev.data, fmt.Sprintf(`"seq":%d`, seq)) {
-			t.Fatalf("event %d: id/data seq mismatch: %s", i, ev.data)
-		}
-		if strings.Contains(ev.data, `"op":"remove"`) {
-			removes++
-		}
-	}
-	if removes != 5 {
-		t.Fatalf("saw %d remove events, want 5", removes)
-	}
-}
-
-// TestFeedSlowConsumerDropped checks the backpressure policy: a
-// subscriber that never drains its buffer is disconnected with a
-// terminal dropped event instead of stalling the actor.
-func TestFeedSlowConsumerDropped(t *testing.T) {
-	srv := newTestServer(t, Config{})
-	mustStatus(t, srv, "POST", "/v1/sessions", api.CreateSessionRequest{Name: "slow", Cores: 4}, http.StatusCreated)
-	sess, err := srv.store.Get("slow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, _, err := sess.feedSubscribe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Never read sub.ch; overflow the buffer with committed churn
-	// (admit+remove pairs so the session never fills up).
-	for i := int64(0); i < feedSubBuffer+8; i++ {
-		mustStatus(t, srv, "POST", "/v1/sessions/slow/admit",
-			api.AdmitRequest{Task: benchTask(1000 + i)}, http.StatusOK)
-		mustStatus(t, srv, "POST", "/v1/sessions/slow/remove",
-			api.RemoveRequest{ID: 1000 + i}, http.StatusOK)
-	}
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case _, open := <-sub.ch:
-			if !open {
-				if d := sampleValue(t, scrapeMetrics(t, srv), "admitd_feed_dropped_subscribers_total"); d != "1" {
-					t.Fatalf("dropped counter %s, want 1", d)
-				}
-				return // dropped, as the policy promises
-			}
-		case <-deadline:
-			t.Fatal("slow subscriber never dropped")
-		}
-	}
-}
-
-// TestSweepSSE exercises the Accept-negotiated SSE framing of the
-// sweep endpoint: progress events followed by a terminal result.
-func TestSweepSSE(t *testing.T) {
-	srv := newTestServer(t, Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	payload := `{"cores":2,"tasks":6,"sets_per_point":2,"algorithms":["ffd"],"model":"zero","utilizations":[1.2],"seed":3}`
-	req, err := http.NewRequest("POST", ts.URL+"/v1/sweep", strings.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("sweep SSE content type %q", ct)
-	}
-	events := make(chan sseEvent, 256)
-	go readSSE(bufio.NewReader(resp.Body), events)
-	var progress, results int
-	for ev := range events {
-		switch ev.event {
-		case "progress":
-			progress++
-		case "result":
-			results++
-			if !strings.Contains(ev.data, `"series"`) {
-				t.Fatalf("result payload: %s", ev.data)
-			}
-		}
-	}
-	if progress == 0 || results != 1 {
-		t.Fatalf("sweep SSE: %d progress, %d results", progress, results)
-	}
-}
-
 // TestTraceIDs pins the trace contract: valid client IDs are echoed
 // verbatim, garbage is not, and with Config.Trace the server mints
 // IDs for bare requests.
@@ -471,8 +266,7 @@ func TestRequestEventLog(t *testing.T) {
 }
 
 // TestTelemetrySmoke is the CI smoke: a live TCP server under
-// loadgen write/read traffic with a concurrent SSE subscriber and a
-// steady /metrics scraper — the whole telemetry plane exercised at
+// loadgen write/read traffic with a steady /metrics scraper — the whole telemetry plane exercised at
 // once (run under -race in CI). It ends with the loadgen cross-check
 // of client percentiles against the scraped histograms.
 func TestTelemetrySmoke(t *testing.T) {
@@ -491,7 +285,7 @@ func TestTelemetrySmoke(t *testing.T) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	var scrapes, feedEvents atomic.Int64
+	var scrapes atomic.Int64
 
 	// Scraper: steady exposition pulls while the load runs; every
 	// payload must stay lint-clean under concurrency.
@@ -517,58 +311,6 @@ func TestTelemetrySmoke(t *testing.T) {
 		}
 	}()
 
-	// SSE subscriber on one loadgen session (created by RunLoad's
-	// seeding phase; retry until it exists).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		go func() { <-done; cancel() }()
-		var resp *http.Response
-		for {
-			req, rerr := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/sessions/load-0000/feed", nil)
-			if rerr != nil {
-				t.Errorf("feed request: %v", rerr)
-				return
-			}
-			r, derr := http.DefaultClient.Do(req)
-			if derr != nil {
-				return // load finished before the session appeared
-			}
-			if r.StatusCode == http.StatusOK {
-				resp = r
-				break
-			}
-			r.Body.Close()
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-		}
-		defer resp.Body.Close()
-		events := make(chan sseEvent, 1024)
-		go readSSE(bufio.NewReader(resp.Body), events)
-		var last int64
-		for ev := range events {
-			if ev.event != "change" {
-				continue
-			}
-			seq, perr := strconv.ParseInt(ev.id, 10, 64)
-			if perr != nil {
-				t.Errorf("feed id %q: %v", ev.id, perr)
-				return
-			}
-			if seq <= last {
-				t.Errorf("feed seq went backwards: %d after %d", seq, last)
-				return
-			}
-			last = seq
-			feedEvents.Add(1)
-		}
-	}()
-
 	stats, err := RunLoad(context.Background(), c, cfg)
 	close(done)
 	wg.Wait()
@@ -579,7 +321,7 @@ func TestTelemetrySmoke(t *testing.T) {
 		t.Fatalf("load errors: %d", stats.Errors)
 	}
 	t.Logf("load: %v", stats)
-	t.Logf("telemetry: %d scrapes, %d feed events observed", scrapes.Load(), feedEvents.Load())
+	t.Logf("telemetry: %d scrapes", scrapes.Load())
 
 	expo, err := c.Metrics(context.Background())
 	if err != nil {

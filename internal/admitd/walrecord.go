@@ -18,8 +18,9 @@ import (
 // and decoding never touches encoding/json but for that model. A
 // checkpoint is versioned and lists every field explicitly, the model
 // and the admission counters too, so no new field elsewhere can change
-// its bytes. Mutations carry the task count after them and the
-// placement core, so a feed resume synthesizes events from the log.
+// its bytes. Mutations carry the placement core and the task count
+// after them; replay and audit read only the core, and the count stays
+// in the format so older logs decode unchanged.
 const (
 	walKindCreate byte = 1 // cores, policy, model JSON
 	walKindAdmit  byte = 2 // core, tasks-after, task
@@ -39,7 +40,6 @@ type walRec struct {
 	policy string
 	model  json.RawMessage
 	core   int32
-	tasks  int32 // committed task count after the mutation
 	task   api.Task
 	split  api.Split
 	id     int64 // remove target
@@ -257,13 +257,13 @@ func walDecode(payload []byte) (walRec, error) {
 		rec.model = r.bytes32()
 	case walKindAdmit:
 		rec.core = r.i32()
-		rec.tasks = r.i32()
+		r.i32() // tasks after
 		r.task(&rec.task)
 	case walKindSplit:
-		rec.tasks = r.i32()
+		r.i32() // tasks after
 		r.split(&rec.split)
 	case walKindRemove:
-		rec.tasks = r.i32()
+		r.i32() // tasks after
 		rec.id = r.i64()
 	case walKindDelete:
 		// Tombstone: kind byte only.
@@ -313,7 +313,7 @@ func walDecodeCheckpoint(payload []byte) (*sessionSnapshot, error) {
 	return s, nil
 }
 
-// walOpName maps a record kind to the feed op name.
+// walOpName maps a mutation record kind to the audit report's op name.
 func walOpName(kind byte) string {
 	switch kind {
 	case walKindSplit:

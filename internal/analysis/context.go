@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/api"
 	"repro/internal/overhead"
 	"repro/internal/task"
 	"repro/internal/timeq"
@@ -262,6 +263,24 @@ func (s AdmissionStats) MeanDemandPoints() float64 {
 		return 0
 	}
 	return float64(s.DemandPoints) / float64(s.DemandTests)
+}
+
+// Wire converts the counters to their wire form, with the derived
+// rates precomputed so consumers need no formulas. The daemon's stats
+// and audit responses and spexp's JSON sweep result share it.
+func (s AdmissionStats) Wire() api.AdmissionStats {
+	return api.AdmissionStats{
+		Probes:           s.Probes,
+		FullTests:        s.FullTests,
+		CoreTests:        s.CoreTests,
+		VerdictHits:      s.VerdictHits,
+		FPSolves:         s.FPSolves,
+		FPIterations:     s.FPIterations,
+		WarmStarts:       s.WarmStarts,
+		CacheHitRate:     s.CacheHitRate(),
+		MeanFPIterations: s.MeanFPIterations(),
+		WarmStartRate:    s.WarmStartRate(),
+	}
 }
 
 // String renders the counters compactly for CLI/bench reporting.

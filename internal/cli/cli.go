@@ -23,7 +23,7 @@ import (
 )
 
 // AlgorithmByName maps the CLI names to algorithms (the shared
-// partition.ByName lookup, also used by the admitd sweep endpoint).
+// partition.ByName lookup).
 func AlgorithmByName(name string) (partition.Algorithm, error) {
 	return partition.ByName(name)
 }

@@ -1,48 +1,13 @@
 package report
 
-// JSON export of sweep and admission results. The wire types
-// themselves live in the public api package — the single versioned
-// schema shared by the spexp CLI (-json), the admitd server (batch
-// and sweep endpoints), and the client SDK — this file holds the
-// converters from the internal result structs, plus aliases keeping
-// the historical report.*JSON names valid.
+// JSON export of sweep results. The wire types live in the public api
+// package, the one versioned schema; spexp -json writes a sweep in it,
+// and this file converts the internal result struct to it.
 
 import (
 	"repro/api"
-	"repro/internal/analysis"
 	"repro/internal/experiment"
 )
-
-// Aliases: the report package's historical names for the wire types.
-type (
-	// AdmissionStatsJSON is the wire form of analysis.AdmissionStats.
-	AdmissionStatsJSON = api.AdmissionStats
-	// SweepPointJSON is one (algorithm × utilization) cell.
-	SweepPointJSON = api.SweepPoint
-	// SweepSeriesJSON is one algorithm's acceptance curve.
-	SweepSeriesJSON = api.SweepSeries
-	// SweepJSON is the wire form of a whole acceptance-ratio sweep.
-	SweepJSON = api.SweepResult
-	// SweepProgressJSON is one streaming partial-result line (NDJSON).
-	SweepProgressJSON = api.SweepProgress
-)
-
-// AdmissionJSON converts admission counters to their wire form, with
-// the derived rates precomputed so consumers need no formulas.
-func AdmissionJSON(s analysis.AdmissionStats) api.AdmissionStats {
-	return api.AdmissionStats{
-		Probes:           s.Probes,
-		FullTests:        s.FullTests,
-		CoreTests:        s.CoreTests,
-		VerdictHits:      s.VerdictHits,
-		FPSolves:         s.FPSolves,
-		FPIterations:     s.FPIterations,
-		WarmStarts:       s.WarmStarts,
-		CacheHitRate:     s.CacheHitRate(),
-		MeanFPIterations: s.MeanFPIterations(),
-		WarmStartRate:    s.WarmStartRate(),
-	}
-}
 
 // SweepResultJSON converts sweep results to their wire form.
 func SweepResultJSON(r *experiment.Results) *api.SweepResult {
@@ -52,7 +17,7 @@ func SweepResultJSON(r *experiment.Results) *api.SweepResult {
 		SetsPerPoint: r.Config.SetsPerPoint,
 		Seed:         r.Config.Seed,
 		Canceled:     r.Canceled,
-		Admission:    AdmissionJSON(r.Admission),
+		Admission:    r.Admission.Wire(),
 	}
 	m := float64(r.Config.Cores)
 	for _, s := range r.Series {
@@ -73,20 +38,4 @@ func SweepResultJSON(r *experiment.Results) *api.SweepResult {
 		out.Series = append(out.Series, series)
 	}
 	return out
-}
-
-// ProgressJSON converts one streaming update to its wire form.
-func ProgressJSON(u experiment.CellUpdate) api.SweepProgress {
-	return api.SweepProgress{
-		Algorithm:        u.Algorithm,
-		TotalUtilization: u.TotalUtilization,
-		Accepted:         u.Accepted,
-		Total:            u.Total,
-		Ratio:            u.Ratio,
-		WilsonLo:         u.WilsonLo,
-		WilsonHi:         u.WilsonHi,
-		DoneShards:       u.DoneShards,
-		TotalShards:      u.TotalShards,
-		Admission:        AdmissionJSON(u.Admission),
-	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/api"
+
 	"repro/internal/analysis"
 	"repro/internal/experiment"
 	"repro/internal/overhead"
@@ -24,7 +26,7 @@ func TestSweepResultJSONRoundTrip(t *testing.T) {
 	if err := SweepResultJSON(res).Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var back SweepJSON
+	var back api.SweepResult
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +52,11 @@ func TestSweepResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdmissionJSONRates checks the derived-rate fields.
+// TestAdmissionJSONRates checks the derived-rate fields of the wire
+// counters a sweep result embeds.
 func TestAdmissionJSONRates(t *testing.T) {
 	s := analysis.AdmissionStats{Probes: 10, CoreTests: 8, VerdictHits: 2, FPSolves: 4, FPIterations: 12, WarmStarts: 1}
-	j := AdmissionJSON(s)
+	j := s.Wire()
 	if j.CacheHitRate != 0.25 || j.MeanFPIterations != 3 || j.WarmStartRate != 0.25 {
 		t.Fatalf("rates: %+v", j)
 	}

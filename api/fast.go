@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Fast wire codecs for the hot request/response shapes — admission
@@ -161,9 +162,10 @@ func (s *fastScan) delim(c byte) bool {
 	return false
 }
 
-// str parses a string with no escapes and no control characters,
-// returning the raw bytes between the quotes. Escaped strings fail —
-// the fallback handles them.
+// str parses a string with no escapes, no control characters and no
+// invalid UTF-8, returning the raw bytes between the quotes. Anything
+// else fails — the fallback unescapes, and replaces invalid UTF-8 with
+// U+FFFD.
 func (s *fastScan) str() ([]byte, bool) {
 	s.ws()
 	if s.i >= len(s.b) || s.b[s.i] != '"' {
@@ -171,16 +173,18 @@ func (s *fastScan) str() ([]byte, bool) {
 	}
 	s.i++
 	start := s.i
+	ascii := true
 	for s.i < len(s.b) {
 		c := s.b[s.i]
 		if c == '"' {
 			out := s.b[start:s.i]
 			s.i++
-			return out, true
+			return out, ascii || utf8.Valid(out)
 		}
 		if c == '\\' || c < 0x20 {
 			return nil, false
 		}
+		ascii = ascii && c < utf8.RuneSelf
 		s.i++
 	}
 	return nil, false
@@ -247,11 +251,19 @@ func (s *fastScan) isNull() bool {
 	return s.lit("null")
 }
 
-// skipValue skips one well-formed value of any type; it validates
-// strictly enough that nothing json.Unmarshal would reject is
+// maxSkipDepth bounds how deep a skipped value may nest. The wire
+// shapes nest at most 3 deep, so an unknown field nested past it is
+// declined, and encoding/json gives its canonical answer (past its own
+// depth limit, an error) instead of this scanner recursing without
+// bound.
+const maxSkipDepth = 32
+
+// skipValue skips one well-formed value of any type, d containers deep
+// inside an unknown field's value (0: the field's value itself); it
+// validates strictly enough that nothing json.Unmarshal would reject is
 // silently accepted (malformed input fails and falls back, where the
 // stdlib produces the canonical error).
-func (s *fastScan) skipValue() bool {
+func (s *fastScan) skipValue(d int) bool {
 	s.ws()
 	if s.i >= len(s.b) {
 		return false
@@ -259,13 +271,15 @@ func (s *fastScan) skipValue() bool {
 	switch c := s.b[s.i]; {
 	case c == '"':
 		return s.skipString()
+	case (c == '{' || c == '[') && d >= maxSkipDepth:
+		return false
 	case c == '{':
 		s.i++
 		if s.delim('}') {
 			return true
 		}
 		for {
-			if !s.skipStringAfterWS() || !s.delim(':') || !s.skipValue() {
+			if !s.skipStringAfterWS() || !s.delim(':') || !s.skipValue(d+1) {
 				return false
 			}
 			if s.delim(',') {
@@ -279,7 +293,7 @@ func (s *fastScan) skipValue() bool {
 			return true
 		}
 		for {
-			if !s.skipValue() {
+			if !s.skipValue(d + 1) {
 				return false
 			}
 			if s.delim(',') {
@@ -411,7 +425,7 @@ func (s *fastScan) fields(f func(key []byte) (handled, ok bool)) bool {
 		if !ok {
 			return false
 		}
-		if !handled && !s.skipValue() {
+		if !handled && !s.skipValue(0) {
 			return false
 		}
 		if s.delim(',') {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -242,6 +243,72 @@ func TestFastParseEdgeCases(t *testing.T) {
 	}
 }
 
+// nested returns a JSON value of d nested arrays.
+func nested(d int) string { return strings.Repeat("[", d) + strings.Repeat("]", d) }
+
+// withUnknown returns the object doc with an unknown field x holding v
+// put first.
+func withUnknown(doc, v string) []byte { return []byte(`{"x":` + v + `,` + doc[1:]) }
+
+// deepDepth nests an unknown field one level past encoding/json's
+// depth limit (10 000).
+const deepDepth = 10001
+
+// TestFastParseDepthBound pins every parser's nesting bound: an
+// unknown field nested maxSkipDepth deep is still skipped, one level
+// deeper is declined (encoding/json decodes it), and one past
+// encoding/json's own limit is declined where the stdlib rejects it.
+func TestFastParseDepthBound(t *testing.T) {
+	parsers := []struct {
+		name, doc string
+		parse     func([]byte) bool
+		std       func([]byte) error
+	}{
+		{"ParseAdmitRequest", `{"task":{"id":1,"wcet_ns":2,"period_ns":3}}`,
+			func(b []byte) bool { _, _, ok := ParseAdmitRequest(b, new(AdmitRequest)); return ok },
+			func(b []byte) error { return json.Unmarshal(b, new(AdmitRequest)) }},
+		{"ParseRemoveRequest", `{"id":1}`,
+			func(b []byte) bool { return ParseRemoveRequest(b, new(RemoveRequest)) },
+			func(b []byte) error { return json.Unmarshal(b, new(RemoveRequest)) }},
+		{"ParseVerdict", `{"task_id":1,"admitted":true,"core":0,"probes":1}`,
+			func(b []byte) bool { return ParseVerdict(b, new(Verdict)) },
+			func(b []byte) error { return json.Unmarshal(b, new(Verdict)) }},
+		{"ParseRemoved", `{"removed":true,"id":1}`,
+			func(b []byte) bool { return ParseRemoved(b, new(Removed)) },
+			func(b []byte) error { return json.Unmarshal(b, new(Removed)) }},
+		{"ParseState", `{"name":"r","cores":1,"policy":"fp","tasks":[{"id":1,"wcet_ns":2,"period_ns":3}],"core_utilization":[0.5]}`,
+			func(b []byte) bool { return ParseState(b, new(State)) },
+			func(b []byte) error { return json.Unmarshal(b, new(State)) }},
+		{"ParseSessionStats", `{"name":"r","tasks":1,"admission":{"probes":2}}`,
+			func(b []byte) bool { return ParseSessionStats(b, new(SessionStats)) },
+			func(b []byte) error { return json.Unmarshal(b, new(SessionStats)) }},
+	}
+	for _, p := range parsers {
+		t.Run(p.name, func(t *testing.T) {
+			if !p.parse([]byte(p.doc)) {
+				t.Fatalf("fast path declined the plain document %s", p.doc)
+			}
+			if !p.parse(withUnknown(p.doc, nested(maxSkipDepth))) {
+				t.Fatalf("fast path declined an unknown field %d deep", maxSkipDepth)
+			}
+			past := withUnknown(p.doc, nested(maxSkipDepth+1))
+			if p.parse(past) {
+				t.Fatalf("fast path accepted an unknown field %d deep", maxSkipDepth+1)
+			}
+			if err := p.std(past); err != nil {
+				t.Fatalf("stdlib rejects %d deep: %v", maxSkipDepth+1, err)
+			}
+			deep := withUnknown(p.doc, nested(deepDepth))
+			if p.parse(deep) {
+				t.Fatalf("fast path accepted an unknown field %d deep", deepDepth)
+			}
+			if p.std(deep) == nil {
+				t.Fatalf("stdlib accepts an unknown field %d deep", deepDepth)
+			}
+		})
+	}
+}
+
 // FuzzFastParseAdmit cross-checks the fast parser against
 // encoding/json on arbitrary bytes: whenever the fast path accepts,
 // stdlib must accept with the same value.
@@ -250,6 +317,12 @@ func FuzzFastParseAdmit(f *testing.F) {
 	f.Add([]byte(`{"task":{"name":"n","id":1,"wcet_ns":2,"period_ns":3},"core":null}`))
 	f.Add([]byte(`{"task":{"id":-1,"wss":65536,"priority":7,"wcet_ns":2,"period_ns":3,"deadline_ns":4,"core":1}}`))
 	f.Add([]byte(`{"z":[{"a":1},"s",1.25e-3,null,true],"task":{}}`))
+	f.Add(withUnknown(`{"task":{"id":1,"wcet_ns":2,"period_ns":3}}`, nested(deepDepth)))
+	f.Add([]byte(`{"task":{"id":9223372036854775808,"wcet_ns":2,"period_ns":3}}`))
+	f.Add([]byte(`{"task":{"id":-0,"wcet_ns":2,"period_ns":3},"core":-0}`))
+	f.Add([]byte(`{"task":{"id":1e2,"wcet_ns":2,"period_ns":3}}`))
+	f.Add([]byte(`{"x":1e400,"task":{"id":1,"wcet_ns":1e400,"period_ns":3}}`))
+	f.Add([]byte("{\"task\":{\"name\":\"\xee\",\"id\":1,\"wcet_ns\":2,\"period_ns\":3}}"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got AdmitRequest
 		core, corePresent, ok := ParseAdmitRequest(data, &got)
@@ -273,6 +346,11 @@ func FuzzFastParseAdmit(f *testing.F) {
 func FuzzFastParseVerdict(f *testing.F) {
 	f.Add([]byte(`{"task_id":1,"admitted":true,"core":0,"probes":3}`))
 	f.Add([]byte(`{"task_id":1,"admitted":false,"core":-1,"pending":true,"probes":0}`))
+	f.Add(withUnknown(`{"task_id":1,"admitted":true}`, nested(deepDepth)))
+	f.Add([]byte(`{"task_id":-9223372036854775809,"admitted":true}`))
+	f.Add([]byte(`{"task_id":-0,"core":-0}`))
+	f.Add([]byte(`{"task_id":1e2,"probes":1}`))
+	f.Add([]byte(`{"x":1e400,"task_id":1e400}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got Verdict
 		if !ParseVerdict(data, &got) {
@@ -465,6 +543,11 @@ func FuzzFastParseState(f *testing.F) {
 	f.Add([]byte(`{"name":"r","cores":4,"policy":"fp","tasks":[{"id":1,"wcet_ns":2,"period_ns":3}],"core_utilization":[0.25,0],"schedulable":true}`))
 	f.Add([]byte(`{"name":"","cores":0,"policy":"edf","tasks":[],"core_utilization":[1e-7],"probe_pending":true}`))
 	f.Add([]byte(`{"name":"r","cores":1,"policy":"fp","tasks":null,"core_utilization":null,"schedulable":null}`))
+	f.Add(withUnknown(`{"name":"r","cores":1,"policy":"fp"}`, nested(deepDepth)))
+	f.Add([]byte(`{"name":"r","cores":9223372036854775808,"policy":"fp"}`))
+	f.Add([]byte(`{"name":"r","cores":-0,"policy":"fp","tasks":[{"id":-0,"wcet_ns":2,"period_ns":3}]}`))
+	f.Add([]byte(`{"name":"r","cores":1e2,"policy":"fp"}`))
+	f.Add([]byte(`{"name":"r","cores":1,"policy":"fp","core_utilization":[1e400]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got State
 		if !ParseState(data, &got) {

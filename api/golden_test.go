@@ -155,10 +155,10 @@ var goldenCases = []struct {
 	},
 	{
 		"SweepResult",
-		SweepResult{Cores: 2, Tasks: 6, SetsPerPoint: 4, Seed: 3, Canceled: true,
+		SweepResult{Cores: 2, Tasks: 6, SetsPerPoint: 4, Seed: 3,
 			Series:    []SweepSeries{{Algorithm: "FFD", Points: []SweepPoint{{TotalUtilization: 1.2, PerCoreUtilization: 0.6, Accepted: 3, Total: 4, Ratio: 0.75, WilsonLo: 0.3, WilsonHi: 0.95, MeanSplits: 0.5, SimViolations: 0}}}},
 			Admission: AdmissionStats{Probes: 42}},
-		`{"cores":2,"tasks":6,"sets_per_point":4,"seed":3,"canceled":true,"series":[{"algorithm":"FFD","points":[{"total_utilization":1.2,"per_core_utilization":0.6,"accepted":3,"total":4,"ratio":0.75,"wilson_lo":0.3,"wilson_hi":0.95,"mean_splits":0.5,"sim_violations":0}]}],"admission":{"probes":42,"full_tests":0,"core_tests":0,"verdict_hits":0,"fp_solves":0,"fp_iterations":0,"warm_starts":0,"cache_hit_rate":0,"mean_fp_iterations":0,"warm_start_rate":0}}`,
+		`{"cores":2,"tasks":6,"sets_per_point":4,"seed":3,"series":[{"algorithm":"FFD","points":[{"total_utilization":1.2,"per_core_utilization":0.6,"accepted":3,"total":4,"ratio":0.75,"wilson_lo":0.3,"wilson_hi":0.95,"mean_splits":0.5,"sim_violations":0}]}],"admission":{"probes":42,"full_tests":0,"core_tests":0,"verdict_hits":0,"fp_solves":0,"fp_iterations":0,"warm_starts":0,"cache_hit_rate":0,"mean_fp_iterations":0,"warm_start_rate":0}}`,
 	},
 	{
 		"AuditReport",

@@ -46,7 +46,6 @@ type SweepResult struct {
 	Tasks        int            `json:"tasks"`
 	SetsPerPoint int            `json:"sets_per_point"`
 	Seed         int64          `json:"seed"`
-	Canceled     bool           `json:"canceled,omitempty"`
 	Series       []SweepSeries  `json:"series"`
 	Admission    AdmissionStats `json:"admission"`
 }

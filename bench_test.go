@@ -317,17 +317,18 @@ func BenchmarkPartitionProbes(b *testing.B) {
 		sets = append(sets, taskgen.New(taskgen.Config{N: 12, TotalUtilization: u, Seed: int64(1000 * u)}).Batch(4)...)
 	}
 	model := overhead.PaperModel()
-	before := analysis.StatsSnapshot()
+	coll := &analysis.Collector{}
+	opts := partition.Options{Stats: coll}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, set := range sets {
 			for _, alg := range algs {
-				_, _ = alg.Partition(set.Clone(), 4, model) //nolint:errcheck // rejections are expected at high U
+				_, _ = alg.PartitionOpts(set.Clone(), 4, model, opts) //nolint:errcheck // rejections are expected at high U
 			}
 		}
 	}
 	b.StopTimer()
-	delta := analysis.StatsSnapshot().Sub(before)
+	delta := coll.Snapshot()
 	once("probes", func() {
 		fmt.Printf("\n=== Partition probe statistics (paper model) ===\n  %v\n", delta)
 	})

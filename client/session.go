@@ -70,13 +70,13 @@ func (s *Session) Split(ctx context.Context, req api.SplitRequest) (api.Verdict,
 	return v, err
 }
 
-// Commit keeps the held probe's mutation. Only an admitted probe may
-// be committed (api.CodeProbeRejected otherwise).
+// Commit admits the held probe's task. Only an admitted probe may be
+// committed (api.CodeProbeRejected otherwise).
 func (s *Session) Commit(ctx context.Context) (api.Verdict, error) {
 	return s.c.postVerdict(ctx, s.pathCommit, nil)
 }
 
-// Rollback undoes the held probe's mutation.
+// Rollback drops the held probe.
 func (s *Session) Rollback(ctx context.Context) (api.Verdict, error) {
 	return s.c.postVerdict(ctx, s.pathRollback, nil)
 }

@@ -65,3 +65,33 @@ func TestOversizedChunkedBodyRejected(t *testing.T) {
 		t.Errorf("body of exactly %d bytes: status %d: %.120s", len(fits), rec.Code, rec.Body.Bytes())
 	}
 }
+
+// TestDeepNestingRejected sends try and admit bodies whose unknown
+// field nests one level past encoding/json's depth limit (10 000). The
+// fast decoder must decline them, so each answers bad_request as the
+// stdlib decoder would, and nothing is admitted.
+func TestDeepNestingRejected(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	mustStatus(t, srv, "POST", "/v1/sessions", api.CreateSessionRequest{Name: "s", Cores: 2}, http.StatusCreated)
+	const depth = 10001
+	body := `{"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) +
+		`,"task":{"id":1,"wcet_ns":1000000,"period_ns":10000000,"priority":1}}`
+	for _, path := range []string{"/v1/sessions/s/try", "/v1/sessions/s/admit"} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		var ae api.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &ae); err != nil {
+			t.Fatalf("%s: body is not an error envelope: %v: %.80s", path, err, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusBadRequest || ae.Code != api.CodeBadRequest || !strings.Contains(ae.Message, "exceeded max depth") {
+			t.Fatalf("%s: HTTP %d %+v, want 400 bad_request (exceeded max depth)", path, rec.Code, ae)
+		}
+	}
+	var st api.State
+	if err := json.Unmarshal(mustStatus(t, srv, "GET", "/v1/sessions/s", nil, http.StatusOK), &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Tasks) != 0 {
+		t.Fatalf("a rejected body admitted tasks: %+v", st.Tasks)
+	}
+}

@@ -806,9 +806,8 @@ func (st *Store) replayToSeq(name string, e *streamState, limit int64) (base *se
 // Checkpoint runs one round: the logs rotate, every live stream gets
 // its latest checkpoint record into the fresh segment, one fsync, and
 // the logs compact — so the retained log starts with the checkpoints.
-// A session appends its checkpoint on its actor (idle, or holding a
-// two-phase probe, it carries its last one instead); a stream no
-// session serves is carried.
+// A session appends its checkpoint on its actor (idle, it carries its
+// last one instead); a stream no session serves is carried.
 func (st *Store) Checkpoint() error {
 	if st.plane == nil {
 		return nil
@@ -854,7 +853,7 @@ func (st *Store) checkpointStream(name string, e *streamState, fresh uint64) err
 	sh.mu.Unlock()
 	var err error
 	_ = s.call(func() { //nolint:errcheck // closed: it checkpointed on its way out
-		if s.pendKind == pendNone && s.walEnt.ckptSeq.Load() != s.durableSeq() {
+		if s.walEnt.ckptSeq.Load() != s.durableSeq() {
 			err = s.checkpointLocked()
 		} else {
 			err = st.plane.carry(name, s.walEnt, fresh)

@@ -49,7 +49,7 @@ func gcApply(s *Session, op *gcOp) {
 		op.v, err = s.admitLocked(req)
 	case 't':
 		req.Hold = true
-		op.v, err = s.tryLocked(req)
+		op.v, err = s.holdLocked(req)
 	case 'c':
 		op.v, err = s.commitLocked()
 	case 'r':
@@ -121,12 +121,10 @@ func FuzzGroupCommitCoalescing(f *testing.F) {
 		if t.Failed() {
 			return
 		}
-		// Resolve any probe still held before comparing: an EndGroup
-		// that lands while a probe is pending defers its snapshot
-		// publish as a debt the probe's Commit/Rollback settles (the
-		// documented deferral window in analysis.Context). The final
-		// rollback is logged, so the replay resolves identically; with
-		// no probe pending it errors — identically on both sides.
+		// Resolve any probe still held before comparing, so both final
+		// states carry the same overlay. The final rollback is logged,
+		// so the replay resolves identically; with no probe held it
+		// errors — identically on both sides.
 		final := &gcOp{kind: 'r', id: -1, core: -1}
 		if err := live.call(func() {
 			gcApply(live, final)

@@ -65,7 +65,7 @@ type Config struct {
 //	POST   /v1/sessions/{name}/try         probe only; "hold":true keeps it pending
 //	POST   /v1/sessions/{name}/split       probe/admit a split task
 //	POST   /v1/sessions/{name}/commit      keep the held probe
-//	POST   /v1/sessions/{name}/rollback    undo the held probe
+//	POST   /v1/sessions/{name}/rollback    drop the held probe
 //	POST   /v1/sessions/{name}/remove      remove an admitted task
 //	GET    /v1/sessions/{name}/stats       per-session admission stats
 //	POST   /v1/sessions/{name}/batch       admit a whole set, streaming NDJSON verdicts
@@ -380,7 +380,8 @@ func (s *Server) sessionVerdict(op func(*Session, api.AdmitRequest) (api.Verdict
 // handleTry routes admission queries: a non-holding try is a pure
 // read, served concurrently from the published snapshot without
 // entering the actor (a held probe elsewhere does not block it); a
-// holding try mutates held-probe state and stays on the actor.
+// holding try probes the writer context and records the hold on the
+// actor.
 func (s *Server) handleTry(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r)
 	if sess == nil {
@@ -425,7 +426,7 @@ func (s *Server) tryHold(w http.ResponseWriter, ws *wireScratch, sess *Session, 
 	}
 	var resp api.Verdict
 	var opErr error
-	if !callSession(w, sess, func() { resp, opErr = sess.tryLocked(req) }) {
+	if !callSession(w, sess, func() { resp, opErr = sess.holdLocked(req) }) {
 		return
 	}
 	if opErr != nil {
@@ -447,7 +448,7 @@ func (s *Server) handleSplit(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp api.Verdict
 	var opErr error
-	if !callSession(w, sess, func() { resp, opErr = sess.splitLocked(req, req.Hold) }) {
+	if !callSession(w, sess, func() { resp, opErr = sess.splitLocked(req) }) {
 		return
 	}
 	if opErr != nil {

@@ -35,12 +35,6 @@ var (
 	ErrUnknownTask = errors.New("admitd: no such task in session")
 )
 
-const (
-	pendNone = iota
-	pendPlace
-	pendSplit
-)
-
 // Session is one live cluster session, split into two paths:
 //
 //   - The write path — admit, split, commit, rollback, remove, and
@@ -53,7 +47,7 @@ const (
 //     of goroutines read concurrently while the actor commits.
 //
 // Mutable fields the read path needs are mirrored in atomics
-// (pendFlag, nTasks, pubStats) or concurrent structures (tasks); the
+// (holding, nTasks, pubStats) or concurrent structures (tasks); the
 // actor owns their updates. Everything else below mu is actor-owned.
 type Session struct {
 	name   string
@@ -71,14 +65,11 @@ type Session struct {
 	tasks  *idSet
 	nTasks atomic.Int64
 
-	// Held-probe state (the two-phase try/commit|rollback protocol);
-	// actor-owned, with pendFlag mirroring pendKind for the read path.
-	pendKind  int
-	pendFlag  atomic.Int32
-	pendFits  bool
-	pendTask  *task.Task
-	pendSplit *task.Split
-	pendCore  int
+	// hold is the held probe of the two-phase try/commit|rollback
+	// protocol; actor-owned, with holding mirroring "a hold is out"
+	// for the read path's state overlay.
+	hold    heldProbe
+	holding atomic.Bool
 
 	// Request counters (atomics: read by /stats without the actor).
 	admitted, rejected, removed atomic.Int64
@@ -399,108 +390,113 @@ func (s *Session) close() {
 	s.actx.Flush()
 }
 
-// admitLocked runs one admission on the actor: explicit-core or
-// first-fit probe, committed when it fits. Two-phase admission goes
-// through try with "hold" (or split's Hold) instead.
-func (s *Session) admitLocked(req api.AdmitRequest) (api.Verdict, error) {
-	if s.pendKind != pendNone {
-		return api.Verdict{}, ErrProbePending
-	}
-	t, err := toTask(req.Task, s.policy)
-	if err != nil {
-		return api.Verdict{}, err
-	}
-	if s.hasTask(t.ID) {
-		return api.Verdict{}, fmt.Errorf("%w: %d", ErrDuplicateTask, t.ID)
-	}
-	resp := api.Verdict{TaskID: int64(t.ID), Core: -1}
-	probe := func(c int) bool {
-		resp.Probes++
-		return s.actx.TryPlace(t, c)
-	}
-	if req.Core != nil {
-		c := *req.Core
-		if c < 0 || c >= s.a.NumCores {
-			return api.Verdict{}, fmt.Errorf("core %d out of range (%d cores)", c, s.a.NumCores)
-		}
-		resp.Admitted = probe(c)
-		if resp.Admitted {
-			resp.Core = c
-		}
-		s.resolveProbe(&resp, false, t, nil, c)
-		return resp, nil
-	}
-	// First fit over all cores.
-	for c := 0; c < s.a.NumCores; c++ {
-		if probe(c) {
-			resp.Admitted, resp.Core = true, c
-			s.resolveProbe(&resp, false, t, nil, c)
-			return resp, nil
-		}
-		s.actx.Rollback()
-	}
-	s.rejected.Add(1)
-	return resp, nil
+// heldProbe is the verdict of a holding try or split: the task (t) or
+// split (sp) it judged, the core a whole task fits on, and whether it
+// fits. The probe itself was rolled back in the op that ran it, so no
+// tentative mutation outlives an actor op. While a hold is out every
+// mutation answers probe_pending, so commit installs it onto exactly
+// the state it judged, with Place or AddSplit.
+type heldProbe struct {
+	t    *task.Task
+	sp   *task.Split
+	core int
+	fits bool
 }
 
-// tryLocked answers an admission query without changing the
-// committed state: the probe is rolled back after the verdict —
-// unless req.Hold keeps it pending for an explicit commit/rollback
-// (the two-phase protocol).
-func (s *Session) tryLocked(req api.AdmitRequest) (api.Verdict, error) {
-	if s.pendKind != pendNone {
-		return api.Verdict{}, ErrProbePending
+func (h *heldProbe) taskID() int64 {
+	if h.sp != nil {
+		return int64(h.sp.Task.ID)
+	}
+	return int64(h.t.ID)
+}
+
+// setHold records h as the held probe, or clears it when h is the zero
+// value, mirroring it into the flag the read path consults. Actor-only.
+func (s *Session) setHold(h heldProbe) {
+	s.hold = h
+	s.holding.Store(h.t != nil || h.sp != nil)
+}
+
+// probeLocked probes req's task on the writer context for admit and a
+// holding try: on the named core, or first fit over all cores. A probe
+// that admits stays pending for the caller to resolve; every rejection
+// is rolled back here.
+func (s *Session) probeLocked(req api.AdmitRequest) (*task.Task, api.Verdict, error) {
+	if s.holding.Load() {
+		return nil, api.Verdict{}, ErrProbePending
 	}
 	t, err := toTask(req.Task, s.policy)
 	if err != nil {
-		return api.Verdict{}, err
+		return nil, api.Verdict{}, err
 	}
 	if s.hasTask(t.ID) {
-		return api.Verdict{}, fmt.Errorf("%w: %d", ErrDuplicateTask, t.ID)
+		return nil, api.Verdict{}, fmt.Errorf("%w: %d", ErrDuplicateTask, t.ID)
+	}
+	lo, hi := 0, s.a.NumCores
+	if req.Core != nil {
+		lo = *req.Core
+		if lo < 0 || lo >= hi {
+			return nil, api.Verdict{}, fmt.Errorf("core %d out of range (%d cores)", lo, hi)
+		}
+		hi = lo + 1
 	}
 	resp := api.Verdict{TaskID: int64(t.ID), Core: -1}
-	hold := func(c int) {
-		resp.Pending = true
-		s.setPend(pendPlace)
-		s.pendFits = resp.Admitted
-		s.pendTask, s.pendCore = t, c
-	}
-	if req.Core != nil {
-		c := *req.Core
-		if c < 0 || c >= s.a.NumCores {
-			return api.Verdict{}, fmt.Errorf("core %d out of range (%d cores)", c, s.a.NumCores)
-		}
-		resp.Probes = 1
-		resp.Admitted = s.actx.TryPlace(t, c)
-		if resp.Admitted {
-			resp.Core = c
-		}
-		if req.Hold {
-			hold(c)
-		} else {
-			s.actx.Rollback()
-		}
-		return resp, nil
-	}
-	for c := 0; c < s.a.NumCores; c++ {
+	for c := lo; c < hi; c++ {
 		resp.Probes++
 		if s.actx.TryPlace(t, c) {
 			resp.Admitted, resp.Core = true, c
-			if req.Hold {
-				hold(c)
-			} else {
-				s.actx.Rollback()
-			}
-			return resp, nil
+			return t, resp, nil
 		}
 		s.actx.Rollback()
+	}
+	return t, resp, nil
+}
+
+// admitLocked runs one admission on the actor: explicit-core or
+// first-fit probe, committed when it fits. Two-phase admission goes
+// through a holding try or split instead.
+func (s *Session) admitLocked(req api.AdmitRequest) (api.Verdict, error) {
+	t, resp, err := s.probeLocked(req)
+	if err != nil {
+		return api.Verdict{}, err
+	}
+	if !resp.Admitted {
+		s.rejected.Add(1)
+		return resp, nil
+	}
+	// Register before Commit publishes the grown snapshot: a
+	// concurrent read in the window then sees duplicate_task —
+	// linearizable as ordered after the admission — rather than a
+	// snapshot containing a task the duplicate check missed.
+	s.registerAdmitted(t, nil)
+	s.actx.Commit()
+	s.walNoteAdmit(t, nil, resp.Core)
+	return resp, nil
+}
+
+// holdLocked is a holding try: it probes as admit does, rolls the
+// probe back, and holds the verdict for commit or rollback. A named
+// core is held whatever its verdict; a first fit that finds no core
+// holds nothing.
+func (s *Session) holdLocked(req api.AdmitRequest) (api.Verdict, error) {
+	t, resp, err := s.probeLocked(req)
+	if err != nil {
+		return api.Verdict{}, err
+	}
+	if resp.Admitted {
+		s.actx.Rollback()
+	}
+	if resp.Admitted || req.Core != nil {
+		s.setHold(heldProbe{t: t, core: resp.Core, fits: resp.Admitted})
+		resp.Pending = true
 	}
 	return resp, nil
 }
 
-// splitLocked probes/admits a split task.
-func (s *Session) splitLocked(req api.SplitRequest, hold bool) (api.Verdict, error) {
-	if s.pendKind != pendNone {
+// splitLocked probes a split task: committed when it fits, or held
+// with req.Hold.
+func (s *Session) splitLocked(req api.SplitRequest) (api.Verdict, error) {
+	if s.holding.Load() {
 		return api.Verdict{}, ErrProbePending
 	}
 	sp, err := toSplit(req.Split, s.policy)
@@ -517,37 +513,20 @@ func (s *Session) splitLocked(req api.SplitRequest, hold bool) (api.Verdict, err
 	}
 	resp := api.Verdict{TaskID: int64(sp.Task.ID), Core: -1, Probes: 1}
 	resp.Admitted = s.actx.TrySplit(sp, sp.Parts[0].Core)
-	s.resolveProbe(&resp, hold, nil, sp, -1)
-	return resp, nil
-}
-
-// resolveProbe finishes a resolved TryPlace/TrySplit: commit the
-// admitted mutation, roll a rejection back, or hold the probe for the
-// explicit two-phase protocol.
-func (s *Session) resolveProbe(resp *api.Verdict, hold bool, t *task.Task, sp *task.Split, core int) {
-	if hold {
+	switch {
+	case req.Hold:
+		s.actx.Rollback()
+		s.setHold(heldProbe{sp: sp, core: -1, fits: resp.Admitted})
 		resp.Pending = true
-		s.pendFits = resp.Admitted
-		s.pendTask, s.pendSplit, s.pendCore = t, sp, core
-		if sp != nil {
-			s.setPend(pendSplit)
-		} else {
-			s.setPend(pendPlace)
-		}
-		return
-	}
-	if resp.Admitted {
-		// Register before Commit publishes the grown snapshot: a
-		// concurrent read in the window then sees duplicate_task —
-		// linearizable as ordered after the admission — rather than a
-		// snapshot containing a task the duplicate check missed.
-		s.registerAdmitted(t, sp)
+	case resp.Admitted:
+		s.registerAdmitted(nil, sp) // before the publishing Commit (see admitLocked)
 		s.actx.Commit()
-		s.walNoteAdmit(t, sp, core)
-	} else {
+		s.walNoteAdmit(nil, sp, -1)
+	default:
 		s.actx.Rollback()
 		s.rejected.Add(1)
 	}
+	return resp, nil
 }
 
 // registerAdmitted records a committed admission.
@@ -564,57 +543,43 @@ func (s *Session) registerAdmitted(t *task.Task, sp *task.Split) {
 // negative — committing it would install an inadmissible task.
 var ErrProbeRejected = errors.New("admitd: held probe was rejected; rollback it")
 
-// commitLocked resolves a held probe by keeping the mutation. Only
-// an admitted probe may be committed: a rejected one would put the
-// session into a committed-but-unschedulable state.
+// commitLocked installs the held probe. Only an admitted probe may be
+// committed: a rejected one would put the session into a
+// committed-but-unschedulable state.
 func (s *Session) commitLocked() (api.Verdict, error) {
-	if s.pendKind == pendNone {
+	h := s.hold
+	if !s.holding.Load() {
 		return api.Verdict{}, ErrNoProbePending
 	}
-	if !s.pendFits {
+	if !h.fits {
 		return api.Verdict{}, ErrProbeRejected
 	}
-	resp := api.Verdict{Admitted: true, Core: s.pendCore}
-	if s.pendSplit != nil {
-		resp.TaskID = int64(s.pendSplit.Task.ID)
+	s.registerAdmitted(h.t, h.sp) // before the publishing install (see admitLocked)
+	if h.sp != nil {
+		s.actx.AddSplit(h.sp)
 	} else {
-		resp.TaskID = int64(s.pendTask.ID)
+		s.actx.Place(h.t, h.core)
 	}
-	// Register before the publishing Commit (see resolveProbe).
-	s.registerAdmitted(s.pendTask, s.pendSplit)
-	s.actx.Commit()
-	s.walNoteAdmit(s.pendTask, s.pendSplit, s.pendCore)
-	s.clearPending()
-	return resp, nil
+	s.walNoteAdmit(h.t, h.sp, h.core)
+	s.setHold(heldProbe{})
+	return api.Verdict{TaskID: h.taskID(), Admitted: true, Core: h.core}, nil
 }
 
-// rollbackLocked resolves a held probe by undoing the mutation.
+// rollbackLocked drops the held probe, counting a rejection.
 func (s *Session) rollbackLocked() (api.Verdict, error) {
-	if s.pendKind == pendNone {
+	if !s.holding.Load() {
 		return api.Verdict{}, ErrNoProbePending
 	}
-	resp := api.Verdict{Admitted: false, Core: -1}
-	if s.pendSplit != nil {
-		resp.TaskID = int64(s.pendSplit.Task.ID)
-	} else {
-		resp.TaskID = int64(s.pendTask.ID)
-	}
-	s.actx.Rollback()
+	resp := api.Verdict{TaskID: s.hold.taskID(), Admitted: false, Core: -1}
+	s.setHold(heldProbe{})
 	s.rejected.Add(1)
-	s.clearPending()
 	return resp, nil
-}
-
-func (s *Session) clearPending() {
-	s.setPend(pendNone)
-	s.pendFits = false
-	s.pendTask, s.pendSplit, s.pendCore = nil, nil, -1
 }
 
 // removeLocked deletes an admitted task — the analysis layer's
 // removal invalidation path.
 func (s *Session) removeLocked(id task.ID) error {
-	if s.pendKind != pendNone {
+	if s.holding.Load() {
 		return ErrProbePending
 	}
 	if !s.hasTask(id) {
@@ -626,7 +591,7 @@ func (s *Session) removeLocked(id task.ID) error {
 	// Unregister after Remove published the shrunken snapshot: a
 	// concurrent read of the same ID in the window sees
 	// duplicate_task, linearizable as ordered before the removal
-	// (the inverse of the admit ordering in resolveProbe). Inside a
+	// (the inverse of the admit ordering in admitLocked). Inside a
 	// drain the publish itself is deferred to EndGroup, so the ID-set
 	// removal defers with it; an admit of the same ID later in the
 	// drain then reports duplicate_task — linearizable as ordered
@@ -715,13 +680,6 @@ func (s *Session) walFail() {
 	}
 }
 
-// setPend records the held-probe kind, mirroring it into the atomic
-// flag the read path consults. Actor-only.
-func (s *Session) setPend(kind int) {
-	s.pendKind = kind
-	s.pendFlag.Store(int32(kind))
-}
-
 // --- the lock-free read path -----------------------------------------
 //
 // Everything below runs on arbitrary goroutines, concurrently with
@@ -808,7 +766,7 @@ func (s *Session) stateRead() (api.State, error) {
 		s.noteStateMemo(true)
 	}
 	body := e.st
-	if s.pendFlag.Load() == pendNone {
+	if !s.holding.Load() {
 		if snap.Schedulable() {
 			body.Schedulable = &schedTrue
 		} else {
@@ -843,7 +801,7 @@ func (s *Session) stateReadBytes() ([]byte, error) {
 		s.noteStateMemo(true)
 	}
 	variant := stateVariantPending
-	if s.pendFlag.Load() == pendNone {
+	if !s.holding.Load() {
 		if snap.Schedulable() {
 			variant = stateVariantSchedTrue
 		} else {
@@ -936,7 +894,7 @@ func (s *Session) statsLocked() analysis.AdmissionStats {
 // batchLocked admits a whole set task by task, emitting one verdict
 // per task; ctx aborts the remainder (client disconnect).
 func (s *Session) batchLocked(ctx context.Context, req api.BatchRequest, emit func(api.Verdict)) (api.BatchSummary, error) {
-	if s.pendKind != pendNone {
+	if s.holding.Load() {
 		return api.BatchSummary{}, ErrProbePending
 	}
 	wire, err := s.batchWire(req)

@@ -15,8 +15,9 @@ import (
 // answers bit-identically to the evicted one. On disk it is a
 // checkpoint record (walEncodeCheckpoint); the JSON tags describe the
 // older layout's checkpoint files, read once by the import. A held
-// probe is never checkpointed: the session is being evicted or shut
-// down, so checkpointLocked rolls it back rather than persist it.
+// probe is never checkpointed: it is a verdict beside the committed
+// state, not part of it, and a session evicted or shut down with one
+// out drops it.
 type sessionSnapshot struct {
 	Name   string          `json:"name"`
 	Cores  int             `json:"cores"`
@@ -44,11 +45,8 @@ type sessionSnapshot struct {
 
 // checkpointLocked appends the session's committed state as a
 // checkpoint record at its durable seq — on the actor, so a stream's
-// LSN order is its seq order. A held probe is rolled back first.
+// LSN order is its seq order. A held probe stays held.
 func (s *Session) checkpointLocked() error {
-	if s.pendKind != pendNone {
-		_, _ = s.rollbackLocked() //nolint:errcheck // pending by the check above
-	}
 	snap := &sessionSnapshot{
 		Name:             s.name,
 		Cores:            s.a.NumCores,

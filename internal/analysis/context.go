@@ -146,10 +146,8 @@ type Context interface {
 	// ungrouped commits.
 	BeginGroup()
 	// EndGroup closes the group and publishes the committed state
-	// once, if any mutation committed since BeginGroup. If a held
-	// probe is pending (its tentative mutation must not be captured),
-	// the publish is deferred once more and settled by the probe's
-	// Commit or Rollback.
+	// once, if any mutation committed since BeginGroup. No probe may
+	// be pending: a probe never outlives the call that resolves it.
 	EndGroup()
 	// ReadStats returns the admission counters accumulated by the
 	// read path — probes served from forked snapshots — since
@@ -167,20 +165,18 @@ type Context interface {
 	// Stats returns the counters accumulated by this context since
 	// creation (or the last Flush).
 	Stats() AdmissionStats
-	// SetCollector attaches a per-context stats sink: Flush then
-	// folds the counters into it in addition to the process-wide
-	// aggregate. A nil collector detaches.
+	// SetCollector attaches a per-context stats sink for Flush. A nil
+	// collector detaches.
 	SetCollector(*Collector)
 	// Flush folds the context's counters into the attached Collector
-	// (if any) and the process-wide admission totals (see
-	// StatsSnapshot), then zeroes them locally.
+	// (if any), then zeroes them locally.
 	Flush()
 }
 
 // AdmissionStats counts admission work. Contexts accumulate them
-// locally (uncontended) and Flush folds them into process-wide totals
-// so sweeps can report probe counts, cache hit rates and fixed-point
-// effort without threading a collector through every layer.
+// locally (uncontended) and Flush folds them into the attached
+// Collector, so sweeps can report probe counts, cache hit rates and
+// fixed-point effort.
 type AdmissionStats struct {
 	// Probes counts TryPlace + TrySplit calls; FullTests counts
 	// Schedulable calls.
@@ -293,8 +289,7 @@ func (s AdmissionStats) String() string {
 // Each consumer of admission statistics owns its own Collector — a
 // sweep, an admission-control session, a benchmark — and attaches it
 // to the contexts whose work it wants scoped (Context.SetCollector),
-// so concurrent consumers in one process no longer contaminate each
-// other the way diffing the process-global totals did.
+// so concurrent consumers in one process never see each other's work.
 type Collector struct {
 	probes, fullTests, coreTests, verdictHits, fpSolves, fpIterations, warmStarts atomic.Int64
 
@@ -373,18 +368,6 @@ func (c *Collector) Drain() AdmissionStats {
 	}
 }
 
-// totals is the process-wide aggregate, updated by every Flush
-// regardless of attached collectors, so StatsSnapshot remains a
-// whole-process view.
-var totals Collector
-
-// StatsSnapshot returns the process-wide admission totals flushed so
-// far — the aggregate over every context in the process. Scoped
-// accounting (one sweep, one session) should attach a Collector
-// instead; diffing two snapshots only isolates a workload when
-// nothing else in the process flushes concurrently.
-func StatsSnapshot() AdmissionStats { return totals.Snapshot() }
-
 // modelMonotone reports whether every effective queue-operation cost
 // (remote penalty applied) is nondecreasing in the queue bound N.
 // This is the property the warm-start and memoization machinery
@@ -457,13 +440,9 @@ type ctxBase struct {
 	// Group-commit state (owner-only): between BeginGroup and
 	// EndGroup, pubHold defers snapshot publication; pubAny records
 	// whether any mutation committed, and groupHint/groupFits carry
-	// the coalesced derivation hint EndGroup publishes with. pubOwed
-	// marks a publish EndGroup had to defer past a held probe (the
-	// tentative mutation must not be captured); the probe's Commit or
-	// Rollback settles the debt.
+	// the coalesced derivation hint EndGroup publishes with.
 	pubHold   bool
 	pubAny    bool
-	pubOwed   bool
 	groupHint pubHint
 	groupFits bool
 
@@ -543,7 +522,6 @@ func (b *ctxBase) SetCollector(c *Collector)    { b.coll = c }
 
 func (b *ctxBase) Flush() {
 	s := b.stats.Add(b.readStats.Drain())
-	totals.Add(s)
 	if b.coll != nil {
 		b.coll.Add(s)
 	}
@@ -657,7 +635,7 @@ func (b *ctxBase) rebind(a *task.Assignment, m *overhead.Model) (fresh bool) {
 	b.m = overhead.Normalize(m)
 	b.mono = modelMonotone(b.m)
 	b.maxN = 0
-	b.pubHold, b.pubAny, b.pubOwed = false, false, false
+	b.pubHold, b.pubAny = false, false
 	b.groupHint, b.groupFits = pubUnknown, false
 	return fresh
 }
@@ -719,46 +697,20 @@ func (b *ctxBase) BeginGroup() {
 		panic("analysis: BeginGroup inside an open group (groups do not nest)")
 	}
 	b.pubHold = true
-	// An unsettled debt from a previous group folds into this one: its
-	// hint is already in groupHint/groupFits, so seeding pubAny makes
-	// new mutations coalesce onto it and EndGroup publish both.
-	b.pubAny = b.pubOwed
-	b.pubOwed = false
 }
 
 // EndGroup closes a group commit and publishes the committed state
-// once — unless a held probe's tentative mutation is in the
-// assignment: publishing would capture uncommitted state, so the
-// publish becomes a debt (pubOwed) that the probe's Commit (via
-// committed) or Rollback (rolledBack) settles.
+// once.
 func (b *ctxBase) EndGroup() {
 	if !b.pubHold {
 		panic("analysis: EndGroup without BeginGroup")
 	}
+	b.ensureNoPending("EndGroup")
 	b.pubHold = false
-	pub := b.pubAny && b.publishing.Load()
-	b.pubAny = false
-	if pub && b.pend.kind != pendNone {
-		b.pubOwed = true
-		return
-	}
-	if pub {
+	if b.pubAny && b.publishing.Load() {
 		b.publish(b.groupHint, b.groupFits)
 	}
-}
-
-// coalesce folds one more committed mutation's hint into the group
-// hint. Two shapes chain (see committed); anything else degrades to
-// pubUnknown, which is always sound.
-func (b *ctxBase) coalesce(hint pubHint, fits bool) {
-	switch {
-	case b.groupHint == pubAdmitted && b.groupFits && hint == pubAdmitted && fits:
-		// still all-admitted, all-fitting
-	case b.groupHint == pubRemoved && hint == pubRemoved:
-		// still all-removals
-	default:
-		b.groupHint, b.groupFits = pubUnknown, false
-	}
+	b.pubAny = false
 }
 
 // committed is called by the concrete contexts after every committed
@@ -770,13 +722,6 @@ func (b *ctxBase) committed(hint pubHint, fits bool) {
 		return
 	}
 	if !b.pubHold {
-		if b.pubOwed {
-			// Settle the deferred-past-a-probe publish along with this
-			// mutation: one publish covering both, hint coalesced.
-			b.pubOwed = false
-			b.coalesce(hint, fits)
-			hint, fits = b.groupHint, b.groupFits
-		}
 		b.publish(hint, fits)
 		return
 	}
@@ -789,21 +734,16 @@ func (b *ctxBase) committed(hint pubHint, fits bool) {
 	// model). Any mix, a failed fit, or a hint deriveSched ignores
 	// falls back to pubUnknown — always sound: the full-test verdict
 	// is simply recomputed lazily by the first reader that asks.
-	if !b.pubAny {
+	switch {
+	case !b.pubAny:
 		b.pubAny = true
 		b.groupHint, b.groupFits = hint, fits
-		return
-	}
-	b.coalesce(hint, fits)
-}
-
-// rolledBack is called by the concrete contexts after a Rollback
-// dropped the pending probe: a rollback publishes nothing of its own,
-// but it must settle a deferred-past-this-probe publish debt.
-func (b *ctxBase) rolledBack() {
-	if b.pubOwed && !b.pubHold && b.publishing.Load() {
-		b.pubOwed = false
-		b.publish(b.groupHint, b.groupFits)
+	case b.groupHint == pubAdmitted && b.groupFits && hint == pubAdmitted && fits:
+		// still all-admitted, all-fitting
+	case b.groupHint == pubRemoved && hint == pubRemoved:
+		// still all-removals
+	default:
+		b.groupHint, b.groupFits = pubUnknown, false
 	}
 }
 

@@ -218,14 +218,15 @@ func TestContextWarmRepeatedFullTests(t *testing.T) {
 	})
 }
 
-// TestContextStatsAccumulate sanity-checks the stats plumbing: totals
-// grow by what the context flushed.
+// TestContextStatsAccumulate sanity-checks the stats plumbing: the
+// attached collector grows by what the context flushed.
 func TestContextStatsAccumulate(t *testing.T) {
-	before := StatsSnapshot()
+	coll := &Collector{}
 	rng := rand.New(rand.NewSource(99))
 	set := randomSet(rng, 8, 2.5)
 	a := task.NewAssignment(4)
 	ctx := FixedPriorityRTA.NewContext(a, overhead.PaperModel())
+	ctx.SetCollector(coll)
 	for _, tk := range set.SortedByUtilizationDesc() {
 		for c := 0; c < 4; c++ {
 			if ctx.TryPlace(tk, c) {
@@ -244,8 +245,32 @@ func TestContextStatsAccumulate(t *testing.T) {
 	if got := ctx.Stats(); got != (AdmissionStats{}) {
 		t.Fatalf("Flush must zero local stats, got %+v", got)
 	}
-	delta := StatsSnapshot().Sub(before)
-	if delta.Probes < local.Probes {
-		t.Fatalf("flushed totals %+v missing local %+v", delta, local)
+	if got := coll.Snapshot(); got != local {
+		t.Fatalf("collector %+v != flushed local %+v", got, local)
+	}
+}
+
+// TestEndGroupRefusesPendingProbe pins the probe invariant: no probe
+// is pending outside one call, so closing a group commit over an
+// unresolved probe panics, under both policies and whether or not the
+// context publishes.
+func TestEndGroupRefusesPendingProbe(t *testing.T) {
+	for _, an := range []Analyzer{FixedPriorityRTA, EDFDemand} {
+		for _, fork := range []bool{false, true} {
+			ctx := an.NewContext(task.NewAssignment(2), overhead.PaperModel())
+			if fork {
+				ctx.Fork()
+			}
+			ctx.BeginGroup()
+			ctx.TryPlace(&task.Task{ID: 1, WCET: timeq.Millisecond, Period: 10 * timeq.Millisecond, Priority: 1}, 0)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%T fork=%v: EndGroup with a pending probe did not panic", an, fork)
+					}
+				}()
+				ctx.EndGroup()
+			}()
+		}
 	}
 }

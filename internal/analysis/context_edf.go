@@ -154,7 +154,6 @@ func (x *edfContext) Rollback() {
 		x.pool.put(p.addEnts...)
 	}
 	x.pend = pending{}
-	x.rolledBack()
 }
 
 func (x *edfContext) Place(t *task.Task, c int) {

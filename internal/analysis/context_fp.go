@@ -242,7 +242,6 @@ func (x *fpContext) Rollback() {
 		x.recycleTent()
 	}
 	x.pend = pending{}
-	x.rolledBack()
 }
 
 func (x *fpContext) Place(t *task.Task, c int) {

@@ -75,7 +75,6 @@ func Sim(args []string, w io.Writer) error {
 		horizon  = fs.Duration("horizon", 2*time.Second, "simulated duration")
 		jitter   = fs.Duration("jitter", 0, "sporadic arrival jitter")
 		seed     = fs.Int64("seed", 1, "generator seed")
-		rq       = fs.String("rq", "binheap", "ready-queue backend: binheap|rbtree")
 		timeline = fs.Bool("timeline", false, "print the event timeline (first 5ms)")
 		gantt    = fs.Bool("gantt", false, "print a bucketed per-core gantt chart (first 50ms)")
 		logAll   = fs.Bool("log", false, "print the raw event log")
@@ -99,15 +98,6 @@ func Sim(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var backend sched.QueueBackend
-	switch *rq {
-	case "binheap":
-		backend = sched.BinomialHeap
-	case "rbtree":
-		backend = sched.RedBlackTree
-	default:
-		return fmt.Errorf("unknown ready-queue backend %q (binheap|rbtree)", *rq)
-	}
 
 	set := taskgen.New(taskgen.Config{N: *tasks, TotalUtilization: *util, Seed: *seed}).Next()
 	fmt.Fprintf(w, "task set: %d tasks, ΣU = %.3f\n", set.Len(), set.TotalUtilization())
@@ -124,7 +114,6 @@ func Sim(args []string, w io.Writer) error {
 		Recorder:      buf,
 		ArrivalJitter: timeq.FromDuration(*jitter),
 		Seed:          *seed,
-		ReadyQueue:    backend,
 	}
 	// The assignment carries its policy; no need to restate it.
 	res, err := sched.Run(a, cfg)

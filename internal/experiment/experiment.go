@@ -30,7 +30,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -220,9 +219,6 @@ type Results struct {
 	// analysis.Collector, so concurrent sweeps do not see each
 	// other's work.
 	Admission analysis.AdmissionStats
-	// Canceled reports that the run's context was canceled before the
-	// sweep completed; the cells hold whatever shards finished.
-	Canceled bool
 }
 
 // cell accumulates one (algorithm × utilization) grid cell.
@@ -345,19 +341,6 @@ func (ag *aggregator) fold(sh shard, partial []cell) {
 	}
 }
 
-// Run executes the sweep as a streaming sharded pipeline: a fixed
-// worker pool consumes (grid point × set range) shards from per-worker
-// queues with work stealing; each worker generates its sets on the fly
-// into a recycled slab (one generation per set, shared across every
-// algorithm and both policies — the comparison is paired), offers
-// every set to every algorithm that is not a derived twin through its
-// long-lived partition.Arena, optionally simulates accepted
-// assignments under their own policy, derives the twins' verdicts,
-// and folds the shard into the aggregator.
-func Run(cfg Config) *Results {
-	return RunContext(context.Background(), cfg)
-}
-
 // workerState is one worker's long-lived scratch: a reconfigurable
 // generator and task-set slab (taskgen pooling), a partition arena
 // holding one recycled admission context per policy, and the current
@@ -386,12 +369,16 @@ func (q *shardQueue) take() (shard, bool) {
 	return q.shards[i], true
 }
 
-// RunContext is Run with cancellation: when ctx is canceled, workers
-// stop picking up shards, the in-flight packing loops abort between
-// placements, and the call returns promptly with whatever shards
-// completed (Results.Canceled set). Servers use this to tear down
-// sweeps whose client disconnected.
-func RunContext(ctx context.Context, cfg Config) *Results {
+// Run executes the sweep as a streaming sharded pipeline: a fixed
+// worker pool consumes (grid point × set range) shards from per-worker
+// queues with work stealing; each worker generates its sets on the fly
+// into a recycled slab (one generation per set, shared across every
+// algorithm and both policies — the comparison is paired), offers
+// every set to every algorithm that is not a derived twin through its
+// long-lived partition.Arena, optionally simulates accepted
+// assignments under their own policy, derives the twins' verdicts,
+// and folds the shard into the aggregator.
+func Run(cfg Config) *Results {
 	cfg = cfg.withDefaults()
 
 	var shards []shard
@@ -432,17 +419,14 @@ func RunContext(ctx context.Context, cfg Config) *Results {
 					if !ok {
 						break
 					}
-					if ctx.Err() != nil {
-						continue // drain without working
-					}
-					ag.fold(sh, runShard(ctx, &cfg, sh, src, ag.coll, ws))
+					ag.fold(sh, runShard(&cfg, sh, src, ag.coll, ws))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	res := &Results{Config: cfg, Admission: ag.coll.Snapshot(), Canceled: ctx.Err() != nil}
+	res := &Results{Config: cfg, Admission: ag.coll.Snapshot()}
 	for ai, alg := range cfg.Algorithms {
 		series := Series{Algorithm: alg.Name()}
 		for ui, u := range cfg.Utilizations {
@@ -477,16 +461,12 @@ func RunContext(ctx context.Context, cfg Config) *Results {
 // probe/cache/fixed-point counters into the sweep's Admission totals.
 // An algorithm with src[ai] >= 0 does not pack: once every other
 // algorithm has run on the set, its cell takes the twin of its
-// source's outcome. A set canceled mid-way counts neither the
-// algorithms that did not finish it nor their twins.
-func runShard(ctx context.Context, cfg *Config, sh shard, src []int, coll *analysis.Collector, ws *workerState) []cell {
+// source's outcome.
+func runShard(cfg *Config, sh shard, src []int, coll *analysis.Collector, ws *workerState) []cell {
 	partial := make([]cell, len(cfg.Algorithms))
 	u := cfg.Utilizations[sh.ui]
-	opts := partition.Options{Ctx: ctx, Stats: coll, Arena: ws.arena}
+	opts := partition.Options{Stats: coll, Arena: ws.arena}
 	for si := sh.lo; si < sh.hi; si++ {
-		if ctx.Err() != nil {
-			return partial // partial cells; the run is canceled anyway
-		}
 		gcfg := taskgen.Config{
 			N:                cfg.Tasks,
 			TotalUtilization: u,
@@ -512,16 +492,11 @@ func runShard(ctx context.Context, cfg *Config, sh shard, src []int, coll *analy
 			ws.set = ws.gen.NextInto(ws.set)
 		}
 		set := ws.set
-		done := len(cfg.Algorithms) // algorithms that finished the set
 		for ai, alg := range cfg.Algorithms {
 			if src[ai] >= 0 {
 				continue
 			}
 			a, err := alg.PartitionOpts(set, cfg.Cores, cfg.Model, opts)
-			if err != nil && ctx.Err() != nil {
-				done = ai // canceled mid-set: count it for no later algorithm
-				break
-			}
 			var o outcome
 			if err == nil {
 				o.accepted = true
@@ -538,12 +513,9 @@ func runShard(ctx context.Context, cfg *Config, sh shard, src []int, coll *analy
 			partial[ai].add(o)
 		}
 		for ai, s := range src {
-			if s >= 0 && s < done {
+			if s >= 0 {
 				partial[ai].add(ws.out[s].twin())
 			}
-		}
-		if done < len(cfg.Algorithms) {
-			return partial // partial cells; the run is canceled anyway
 		}
 	}
 	return partial

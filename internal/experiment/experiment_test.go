@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/overhead"
@@ -225,5 +226,37 @@ func TestSweepSmoke(t *testing.T) {
 	}
 	if r.Table() == "" || r.CSV() == "" {
 		t.Fatal("empty outputs")
+	}
+}
+
+// TestRunStatsScopedPerRun checks the per-run collector: two
+// identical sweeps running concurrently must each report exactly the
+// admission work a solo run reports — the process-global
+// contamination the collector replaced would double the totals.
+func TestRunStatsScopedPerRun(t *testing.T) {
+	cfg := Config{
+		Cores: 4, Tasks: 10, SetsPerPoint: 10, Seed: 7,
+		Utilizations: []float64{2.4, 2.8},
+		Algorithms:   []partition.Algorithm{partition.FFD, partition.TS},
+		Model:        overhead.PaperModel(),
+	}
+	solo := Run(cfg)
+	if solo.Admission.Probes == 0 {
+		t.Fatal("solo sweep recorded no probes")
+	}
+	var wg sync.WaitGroup
+	results := make([]*Results, 2)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = Run(cfg)
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range results {
+		if r.Admission != solo.Admission {
+			t.Fatalf("concurrent run %d admission %+v != solo %+v (cross-run contamination)", i, r.Admission, solo.Admission)
+		}
 	}
 }

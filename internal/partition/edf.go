@@ -57,7 +57,7 @@ func (h *EDFHeuristic) Partition(s *task.Set, m int, model *overhead.Model) (*ta
 	return h.PartitionOpts(s, m, model, Options{})
 }
 
-// PartitionOpts is Partition with cancellation and a stats sink.
+// PartitionOpts is Partition with a stats sink and an arena.
 func (h *EDFHeuristic) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Options) (*task.Assignment, error) {
 	model = overhead.Normalize(model)
 	if err := validateInput(s, m, h.Policy()); err != nil {
@@ -68,9 +68,6 @@ func (h *EDFHeuristic) PartitionOpts(s *task.Set, m int, model *overhead.Model, 
 	defer ctx.Flush()
 	co := o.newCoreOrder()
 	for _, t := range s.SortedByUtilizationDesc() {
-		if err := o.err(); err != nil {
-			return nil, err
-		}
 		if !placeByFit(ctx, a, t, h.Fit, m, co) {
 			return nil, ErrUnschedulable
 		}
@@ -103,7 +100,7 @@ func (w *EDFWM) Partition(s *task.Set, m int, model *overhead.Model) (*task.Assi
 	return w.PartitionOpts(s, m, model, Options{})
 }
 
-// PartitionOpts is Partition with cancellation and a stats sink.
+// PartitionOpts is Partition with a stats sink and an arena.
 func (w *EDFWM) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Options) (*task.Assignment, error) {
 	model = overhead.Normalize(model)
 	if err := validateInput(s, m, w.Policy()); err != nil {
@@ -115,9 +112,6 @@ func (w *EDFWM) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Optio
 	bs := o.newBudgetSearch()
 	co := o.newCoreOrder()
 	for _, t := range s.SortedByUtilizationDesc() {
-		if err := o.err(); err != nil {
-			return nil, err
-		}
 		if placeByFit(ctx, a, t, FirstFit, m, co) {
 			continue
 		}

@@ -63,7 +63,7 @@ func (f *FPTS) Partition(s *task.Set, m int, model *overhead.Model) (*task.Assig
 	return f.PartitionOpts(s, m, model, Options{})
 }
 
-// PartitionOpts is Partition with cancellation and a stats sink.
+// PartitionOpts is Partition with a stats sink and an arena.
 func (f *FPTS) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Options) (*task.Assignment, error) {
 	model = overhead.Normalize(model)
 	if err := validateInput(s, m, f.Policy()); err != nil {
@@ -75,9 +75,6 @@ func (f *FPTS) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Option
 	bs := o.newBudgetSearch()
 	co := o.newCoreOrder()
 	for _, t := range s.SortedByUtilizationDesc() {
-		if err := o.err(); err != nil {
-			return nil, err
-		}
 		if placeByFit(ctx, a, t, FirstFit, m, co) {
 			continue
 		}

@@ -83,7 +83,7 @@ func (h *Heuristic) Partition(s *task.Set, m int, model *overhead.Model) (*task.
 	return h.PartitionOpts(s, m, model, Options{})
 }
 
-// PartitionOpts is Partition with cancellation and a stats sink.
+// PartitionOpts is Partition with a stats sink and an arena.
 func (h *Heuristic) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Options) (*task.Assignment, error) {
 	model = overhead.Normalize(model)
 	if err := validateInput(s, m, h.Policy()); err != nil {
@@ -101,9 +101,6 @@ func (h *Heuristic) PartitionOpts(s *task.Set, m int, model *overhead.Model, o O
 	defer ctx.Flush()
 	co := o.newCoreOrder()
 	for _, t := range order {
-		if err := o.err(); err != nil {
-			return nil, err
-		}
 		if !placeByFit(ctx, a, t, h.Fit, m, co) {
 			return nil, ErrUnschedulable
 		}

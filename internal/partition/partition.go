@@ -36,7 +36,6 @@ package partition
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -51,18 +50,11 @@ import (
 var ErrUnschedulable = errors.New("partition: task set not schedulable by this algorithm")
 
 // Options carries the cross-cutting concerns of one Partition call.
-// The zero value is the historical behavior: no cancellation, stats
-// folded into the process-wide aggregate only.
+// The zero value is the plain call: no stats sink, fresh allocations.
 type Options struct {
-	// Ctx, when non-nil, cancels the packing loop between placements;
-	// the call then returns the context's error. In-flight single
-	// probes are not interrupted (they are microseconds-scale).
-	Ctx context.Context
-	// Stats, when non-nil, additionally receives the admission
-	// counters this call's context flushes, so concurrent callers in
-	// one process can each scope their own admission work (the
-	// process-wide aggregate behind analysis.StatsSnapshot is always
-	// updated too).
+	// Stats, when non-nil, receives the admission counters this call's
+	// context flushes, so concurrent callers in one process can each
+	// scope their own admission work.
 	Stats *analysis.Collector
 	// Arena, when non-nil, supplies the call's assignment and
 	// admission context from per-worker recycled slabs; see Arena.
@@ -80,14 +72,6 @@ func (o Options) newAssignment(p task.Policy, m int) *task.Assignment {
 	return task.NewAssignment(m)
 }
 
-// err reports the cancellation state.
-func (o Options) err() error {
-	if o.Ctx == nil {
-		return nil
-	}
-	return o.Ctx.Err()
-}
-
 // Algorithm produces an assignment of a task set onto m cores, or
 // ErrUnschedulable. Every implementation declares the scheduling
 // policy its assignments require; admission goes through the
@@ -101,7 +85,7 @@ type Algorithm interface {
 	Policy() task.Policy
 	Partition(s *task.Set, m int, model *overhead.Model) (*task.Assignment, error)
 	// PartitionOpts is Partition with explicit cross-cutting options:
-	// cancellation and a per-call admission-stats sink.
+	// a per-call admission-stats sink and a recycling arena.
 	PartitionOpts(s *task.Set, m int, model *overhead.Model, o Options) (*task.Assignment, error)
 }
 

@@ -71,7 +71,7 @@ func (alg *SPA) Partition(s *task.Set, m int, model *overhead.Model) (*task.Assi
 	return alg.PartitionOpts(s, m, model, Options{})
 }
 
-// PartitionOpts is Partition with cancellation and a stats sink.
+// PartitionOpts is Partition with a stats sink and an arena.
 func (alg *SPA) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Options) (*task.Assignment, error) {
 	model = overhead.Normalize(model)
 	if err := validateInput(s, m, alg.Policy()); err != nil {
@@ -123,9 +123,6 @@ func (alg *SPA) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Optio
 	bs := o.newBudgetSearch()
 	cur := 0 // current core of the sequential fill
 	for _, t := range order {
-		if err := o.err(); err != nil {
-			return nil, err
-		}
 		remaining := t.WCET
 		var parts []task.Part
 		for remaining > 0 {

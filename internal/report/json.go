@@ -16,7 +16,6 @@ func SweepResultJSON(r *experiment.Results) *api.SweepResult {
 		Tasks:        r.Config.Tasks,
 		SetsPerPoint: r.Config.SetsPerPoint,
 		Seed:         r.Config.Seed,
-		Canceled:     r.Canceled,
 		Admission:    r.Admission.Wire(),
 	}
 	m := float64(r.Config.Cores)

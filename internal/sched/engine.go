@@ -78,7 +78,7 @@ func (j *job) partCore(i int) int {
 type core struct {
 	id    int
 	n     int // entities hosted here: the N of δ(N)/θ(N)
-	ready readyQueue
+	ready binheap.Heap[*job]
 	sleep rbtree.Tree[*job]
 
 	running *job
@@ -136,7 +136,7 @@ type engine struct {
 // above any legitimate experiment.
 const maxEvents = 100_000_000
 
-func newEngine(a *task.Assignment, model *overhead.Model, rec trace.Recorder, horizon timeq.Time, offsets map[task.ID]timeq.Time, backend QueueBackend) *engine {
+func newEngine(a *task.Assignment, model *overhead.Model, rec trace.Recorder, horizon timeq.Time, offsets map[task.ID]timeq.Time) *engine {
 	e := &engine{
 		a: a, model: model, rec: rec, horizon: horizon,
 		maxResponse:  make(map[task.ID]timeq.Time),
@@ -150,7 +150,7 @@ func newEngine(a *task.Assignment, model *overhead.Model, rec trace.Recorder, ho
 	// tasks in the queue" (Section 3) — and shared with the analysis.
 	n := a.MaxTasksPerCore()
 	for c := 0; c < a.NumCores; c++ {
-		e.cores = append(e.cores, &core{id: c, n: n, ready: newReadyQueue(backend)})
+		e.cores = append(e.cores, &core{id: c, n: n})
 	}
 	mkJob := func(t *task.Task, sp *task.Split, home int, prio int64) {
 		j := &job{t: t, split: sp, home: home, staticPrio: prio, prio: prio, state: jsSleeping, core: home}
@@ -354,9 +354,9 @@ func (e *engine) handleWake(cid int) {
 func (e *engine) schedulerPass(c *core) (timeq.Time, *job) {
 	var dur timeq.Time
 	dur += e.charge(c.id, "sch", e.model.Sched)
-	candKey, _, haveCand := c.ready.Min()
+	cand := c.ready.Min()
 	cur := c.running
-	switchTo := haveCand && (cur == nil || candKey < cur.prio)
+	switchTo := cand != nil && (cur == nil || cand.Key < cur.prio)
 	if cur != nil {
 		e.pauseRunning(c)
 	}
@@ -375,7 +375,7 @@ func (e *engine) schedulerPass(c *core) (timeq.Time, *job) {
 	}
 	dur += e.charge(c.id, "rq-del", e.model.QueueOpCost(overhead.ReadyDelete, c.n, false))
 	dur += e.charge(c.id, "cnt1", e.model.CtxSwitch)
-	chosen := c.ready.ExtractMin()
+	chosen := c.ready.ExtractMin().Value
 	chosen.state = jsRunning // staged: the switch to it is in progress
 	chosen.core = c.id
 	return dur, chosen
@@ -499,7 +499,7 @@ func (e *engine) pickNext(c *core) (timeq.Time, *job) {
 		return 0, nil
 	}
 	dur := e.charge(c.id, "rq-del", e.model.QueueOpCost(overhead.ReadyDelete, c.n, false))
-	chosen := c.ready.ExtractMin()
+	chosen := c.ready.ExtractMin().Value
 	chosen.state = jsRunning
 	chosen.core = c.id
 	return dur, chosen
@@ -527,11 +527,11 @@ func (e *engine) reschedule(cid int) {
 	if e.deferred(c, evResched) {
 		return
 	}
-	candKey, _, haveCand := c.ready.Min()
-	if !haveCand {
+	cand := c.ready.Min()
+	if cand == nil {
 		return
 	}
-	if c.running != nil && candKey >= c.running.prio {
+	if c.running != nil && cand.Key >= c.running.prio {
 		return // no preemption; the waiting job costs nothing now
 	}
 	dur, resume := e.schedulerPass(c)

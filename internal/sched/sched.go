@@ -40,32 +40,6 @@ const (
 	EDF = task.EDF
 )
 
-// QueueBackend selects the data structure backing each core's ready
-// queue. Both backends implement the same (key, FIFO) ordering, so a
-// run is event-for-event identical across them; the choice exists for
-// measurement and cross-validation (see Table 1).
-type QueueBackend int
-
-const (
-	// BinomialHeap is the paper's ready-queue structure (default).
-	BinomialHeap QueueBackend = iota
-	// RedBlackTree backs the ready queue with the sleep queue's
-	// red-black tree instead.
-	RedBlackTree
-)
-
-// String names the backend.
-func (b QueueBackend) String() string {
-	switch b {
-	case BinomialHeap:
-		return "binomial-heap"
-	case RedBlackTree:
-		return "red-black-tree"
-	default:
-		return fmt.Sprintf("QueueBackend(%d)", int(b))
-	}
-}
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// Model is the overhead model to inject; nil means overhead.Zero().
@@ -79,9 +53,6 @@ type Config struct {
 	// windows are meaningless under fixed priority, and FixedPriority
 	// is indistinguishable from "unset").
 	Policy Policy
-	// ReadyQueue selects the ready-queue backend (default binomial
-	// heap, the paper's structure).
-	ReadyQueue QueueBackend
 	// Horizon is the simulated duration; 0 means 10× the longest
 	// period in the assignment.
 	Horizon timeq.Time
@@ -247,7 +218,7 @@ func Run(a *task.Assignment, cfg Config) (*Result, error) {
 	if cfg.ArrivalJitter < 0 {
 		return nil, errors.New("sched: negative arrival jitter")
 	}
-	e := newEngine(a, model, rec, horizon, cfg.Offsets, cfg.ReadyQueue)
+	e := newEngine(a, model, rec, horizon, cfg.Offsets)
 	e.policy = policy
 	if cfg.ArrivalJitter > 0 {
 		e.jitter = cfg.ArrivalJitter

@@ -3,7 +3,7 @@
 // the admitd HTTP surface, as plain structs with fixed JSON tags and
 // no dependency outside the standard library. It is the one contract
 // shared by the server (internal/admitd), the typed Go client SDK
-// (package client), the CLI load generator, the examples, and any
+// (package client), the benchmark module, the examples, and any
 // external embedder — if a field is not in this package, it is not
 // on the wire.
 //

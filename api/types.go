@@ -169,11 +169,11 @@ type TaskGen struct {
 // utilization (the FFD replay order); default is input order.
 //
 // TryOnly switches the batch to the server's concurrent read path:
-// nothing is committed, and every task is probed independently
-// against one immutable snapshot of the committed state (fanned
-// across a bounded worker pool). Each verdict then answers "would
-// this task fit right now, alone?" — successive tasks do not see
-// each other, unlike the sequential admitting batch.
+// nothing is committed, and every task is probed independently, in
+// input order, against one immutable snapshot of the committed state.
+// Each verdict then answers "would this task fit right now, alone?" —
+// successive tasks do not see each other, unlike the sequential
+// admitting batch.
 type BatchRequest struct {
 	Tasks    []Task   `json:"tasks,omitempty"`
 	Generate *TaskGen `json:"generate,omitempty"`

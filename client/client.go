@@ -27,19 +27,18 @@ import (
 	"repro/api"
 )
 
-// Doer issues one HTTP request; *http.Client satisfies it.
-type Doer interface {
+// doer issues one HTTP request; *http.Client satisfies it.
+type doer interface {
 	Do(*http.Request) (*http.Response, error)
 }
 
 // Client speaks the v1 admission-control schema to one server.
 type Client struct {
 	baseURL string
-	doer    Doer
+	doer    doer
 	timeout time.Duration
 	retries int
 	backoff time.Duration
-	headers http.Header
 	hook    func(*http.Request)
 }
 
@@ -49,9 +48,6 @@ type Option func(*Client)
 // WithHTTPClient substitutes the underlying *http.Client (pooling,
 // TLS, proxies).
 func WithHTTPClient(h *http.Client) Option { return func(c *Client) { c.doer = h } }
-
-// WithDoer substitutes any transport implementing Doer.
-func WithDoer(d Doer) Option { return func(c *Client) { c.doer = d } }
 
 // WithTimeout bounds each request (streaming bodies included): a
 // per-call deadline is added whenever the caller's context has none.
@@ -64,17 +60,6 @@ func WithTimeout(d time.Duration) Option { return func(c *Client) { c.timeout = 
 // committed.
 func WithRetry(retries int, base time.Duration) Option {
 	return func(c *Client) { c.retries, c.backoff = retries, base }
-}
-
-// WithHeader adds a static header to every request.
-func WithHeader(key, value string) Option {
-	return func(c *Client) { c.headers.Add(key, value) }
-}
-
-// WithAuthToken sends "Authorization: Bearer <token>" on every
-// request.
-func WithAuthToken(token string) Option {
-	return WithHeader("Authorization", "Bearer "+token)
 }
 
 // WithRequestHook runs f on every outgoing request just before it is
@@ -96,7 +81,6 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 		baseURL: strings.TrimRight(baseURL, "/"),
 		doer:    &http.Client{},
 		backoff: 100 * time.Millisecond,
-		headers: http.Header{},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -113,7 +97,6 @@ func InProcess(h http.Handler, opts ...Option) *Client {
 		baseURL: "http://admitd.inprocess",
 		doer:    handlerDoer{h: h},
 		backoff: 100 * time.Millisecond,
-		headers: http.Header{},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -121,7 +104,7 @@ func InProcess(h http.Handler, opts ...Option) *Client {
 	return c
 }
 
-// handlerDoer adapts an http.Handler into a Doer.
+// handlerDoer adapts an http.Handler into a doer.
 type handlerDoer struct{ h http.Handler }
 
 func (d handlerDoer) Do(req *http.Request) (*http.Response, error) {
@@ -143,8 +126,7 @@ func (c *Client) withDeadline(ctx context.Context) (context.Context, context.Can
 	return context.WithTimeout(ctx, c.timeout)
 }
 
-// newRequest builds one outgoing request with headers and hook
-// applied.
+// newRequest builds one outgoing request with the hook applied.
 func (c *Client) newRequest(ctx context.Context, method, path string, payload []byte) (*http.Request, error) {
 	var body io.Reader
 	if payload != nil {
@@ -156,11 +138,6 @@ func (c *Client) newRequest(ctx context.Context, method, path string, payload []
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	for k, vs := range c.headers {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
 	}
 	if c.hook != nil {
 		c.hook(req)

@@ -90,9 +90,9 @@ var (
 )
 
 // fastHandler returns the in-process handler when the fast transport
-// applies (no hook, no custom headers to stamp per request).
+// applies (no hook to run per request).
 func (c *Client) fastHandler() (http.Handler, bool) {
-	if c.hook != nil || len(c.headers) > 0 {
+	if c.hook != nil {
 		return nil, false
 	}
 	hd, ok := c.doer.(handlerDoer)

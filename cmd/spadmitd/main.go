@@ -6,7 +6,6 @@
 // Usage:
 //
 //	spadmitd serve [-addr :7007] [-data-dir dir] [-max-sessions 1024]
-//	spadmitd load  [-addr http://host:7007] [-sessions 64] [-requests 100000]
 //
 // The wire contract is the public api package (the v1 versioned
 // schema); package client is the typed Go SDK over it. See DESIGN.md

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/api"
 	"repro/internal/analysis"
@@ -483,6 +484,38 @@ func TestEDFExtremePeriodRatio(t *testing.T) {
 		if n := after.TotalAlloc - before.TotalAlloc; n > 256<<10 {
 			t.Errorf("task %d: one try allocated %d B, want < 256 KB", tc.tk.ID, n)
 		}
+	}
+}
+
+// TestCreateCoresLimit checks the cap on cores per session: the limit
+// itself is created, one more is refused as a bad request naming both
+// numbers, and a huge count is refused before anything is sized by it.
+func TestCreateCoresLimit(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	mustStatus(t, srv, "POST", "/v1/sessions", api.CreateSessionRequest{Name: "max", Cores: maxSessionCores}, http.StatusCreated)
+	body := mustStatus(t, srv, "POST", "/v1/sessions", api.CreateSessionRequest{Name: "over", Cores: maxSessionCores + 1}, http.StatusBadRequest)
+	var e api.Error
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Code != api.CodeBadRequest || !strings.Contains(e.Message, "1025") || !strings.Contains(e.Message, "1024") {
+		t.Fatalf("over-limit create answered %+v", e)
+	}
+
+	huge := api.CreateSessionRequest{Name: "huge", Cores: 1 << 20}
+	create := func() { mustStatus(t, srv, "POST", "/v1/sessions", huge, http.StatusBadRequest) }
+	create() // warm the handler's pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	create()
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("a %d-core create allocated %d B, want < 64 KB", huge.Cores, n)
+	}
+	if elapsed >= time.Millisecond && !raceEnabled {
+		t.Errorf("a %d-core create took %v, want < 1 ms", huge.Cores, elapsed)
 	}
 }
 

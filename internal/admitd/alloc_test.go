@@ -12,13 +12,9 @@ import (
 // Allocation-regression guards for the service read path, the admitd
 // half of the analysis-layer guards in internal/analysis/alloc_test.go:
 // a non-holding try, a cache-hit state render, and a try-only batch
-// must not allocate in steady state. These are the endpoints loadgen
-// hammers; a single alloc per request shows up directly as GC time.
-//
-// testing.AllocsPerRun pins GOMAXPROCS to 1 during measurement, so
-// the batch guard exercises the inline single-worker path — the
-// worker fan-out itself (goroutines, WaitGroup) allocates by nature
-// and is covered by the race suite instead.
+// must not allocate in steady state. These are the endpoints read
+// traffic hammers; a single alloc per request shows up directly as GC
+// time.
 
 // benchTask is a deterministic light task (≤1.5% core utilization)
 // drawn from a finite catalog of classes, like real admission traffic.
@@ -89,14 +85,14 @@ func TestTryReadAllocFree(t *testing.T) {
 	})
 }
 
-// TestStateReadAllocFree guards the memoized state render: between
-// commits, repeat reads are a cache hit plus the shared schedulable
-// pointer — no render, no allocation.
+// TestStateReadAllocFree guards the served state read: between
+// commits, repeat reads hit the rendered-body memo and return its
+// encoded bytes — no render, no encoding, no allocation.
 func TestStateReadAllocFree(t *testing.T) {
 	s := allocSession(t)
 	defer s.close()
-	sessAssertZeroAllocs(t, "stateRead/cache-hit", func() {
-		if _, err := s.stateRead(); err != nil {
+	sessAssertZeroAllocs(t, "stateReadBytes/cache-hit", func() {
+		if _, err := s.stateReadBytes(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -115,10 +111,8 @@ func TestStatsReadAllocFree(t *testing.T) {
 }
 
 // TestBatchTryReadAllocFree guards the try-only batch: K wire tasks
-// convert into the pooled slab and probe first-fit against one
-// snapshot through one prober, with verdicts written into the pooled
-// slab. Under AllocsPerRun's GOMAXPROCS=1 this is the inline
-// single-worker path.
+// convert into the pooled slab and probe first-fit, in order, against
+// one snapshot through one prober.
 func TestBatchTryReadAllocFree(t *testing.T) {
 	s := allocSession(t)
 	defer s.close()

@@ -1,7 +1,6 @@
 package admitd
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -148,13 +147,11 @@ func FuzzGroupCommitCoalescing(f *testing.F) {
 			}
 		}
 
-		liveState, err1 := live.stateRead()
-		replayState, err2 := replay.stateRead()
+		lb, err1 := live.stateReadBytes()
+		rb, err2 := replay.stateReadBytes()
 		if err1 != nil || err2 != nil {
-			t.Fatalf("stateRead: %v / %v", err1, err2)
+			t.Fatalf("stateReadBytes: %v / %v", err1, err2)
 		}
-		lb, _ := json.Marshal(liveState)
-		rb, _ := json.Marshal(replayState)
 		if string(lb) != string(rb) {
 			var seq []string
 			for _, op := range log {

@@ -29,7 +29,7 @@ type serverMetrics struct {
 	publishes *telemetry.Counter
 	forks     *telemetry.Counter
 
-	// stateRead's per-snapshot rendered-body memo (server-wide
+	// stateReadBytes' per-snapshot rendered-body memo (server-wide
 	// totals; the per-session split rides the session stats
 	// response).
 	stateHits   *telemetry.Counter

@@ -139,7 +139,7 @@ func TestHeldProbeErrorEnvelopes(t *testing.T) {
 	mustStatus(t, srv, "POST", "/v1/sessions/g/rollback", nil, http.StatusOK)
 }
 
-// TestBatchTryOnly checks the fan-out read batch: verdicts match the
+// TestBatchTryOnly checks the read-path batch: verdicts match the
 // individual read-path tries, the summary is stamped try_only, and
 // the session is not mutated.
 func TestBatchTryOnly(t *testing.T) {

@@ -613,8 +613,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var sum api.BatchSummary
 	var opErr error
 	if req.TryOnly {
-		// Read path: probes fan out over a worker pool against one
-		// snapshot; nothing enters the actor, nothing commits.
+		// Read path: probes run in order against one snapshot;
+		// nothing enters the actor, nothing commits.
 		sum, opErr = sess.batchTryRead(r.Context(), req, emit)
 	} else if !callSession(w, sess, func() {
 		sum, opErr = sess.batchLocked(r.Context(), req, emit)

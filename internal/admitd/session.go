@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -731,59 +730,31 @@ func (s *Session) tryRead(req api.AdmitRequest) (api.Verdict, error) {
 	}
 	pr := snap.Prober()
 	defer pr.Close()
-	for c := 0; c < snap.NumCores(); c++ {
-		resp.Probes++
-		if pr.TryPlace(t, c) {
-			resp.Admitted, resp.Core = true, c
-			return resp, nil
-		}
-	}
+	probeFirstFit(pr, snap, t, &resp)
 	return resp, nil
 }
 
-// stateRead renders the committed assignment from the latest
-// published snapshot. The body is memoized per snapshot sequence —
-// repeated reads between commits are O(1) — with the probe-pending
-// overlay stamped per request (the full test is omitted while a
-// probe is held, matching the historical actor-path contract).
-func (s *Session) stateRead() (api.State, error) {
-	if s.closedFlag.Load() {
-		return api.State{}, ErrSessionClosed
-	}
-	snap := s.actx.Fork()
-	if m := s.met; m != nil {
-		m.forks.Inc()
-	}
-	e := s.stateCache.Load()
-	if e == nil || e.seq != snap.Seq() {
-		// Render in a separate frame: the range closures there take
-		// the body's address, and hoisting them out of this function
-		// keeps the cache-hit path's copy on the stack (zero allocs).
-		e = &stateCacheEntry{seq: snap.Seq(), st: s.renderState(snap)}
-		s.stateCache.Store(e)
-		s.noteStateMemo(false)
-	} else {
-		s.noteStateMemo(true)
-	}
-	body := e.st
-	if !s.holding.Load() {
-		if snap.Schedulable() {
-			body.Schedulable = &schedTrue
-		} else {
-			body.Schedulable = &schedFalse
+// probeFirstFit probes t on the snapshot's cores in order through pr,
+// counting the probes in v and stopping at the first core that admits
+// it.
+func probeFirstFit(pr analysis.Prober, snap analysis.Snapshot, t *task.Task, v *api.Verdict) {
+	for c := 0; c < snap.NumCores(); c++ {
+		v.Probes++
+		if pr.TryPlace(t, c) {
+			v.Admitted, v.Core = true, c
+			return
 		}
-	} else {
-		body.Schedulable = nil
-		body.ProbePending = true
 	}
-	return body, nil
 }
 
-// stateReadBytes is stateRead pre-marshaled: the JSON response body
-// (trailing newline included, byte-identical to json.Encoder output)
-// cached per (snapshot sequence, overlay variant). Steady-state reads
-// between commits return shared bytes without encoding anything. The
-// returned slice is immutable and safe to write concurrently.
+// stateReadBytes renders the committed assignment from the latest
+// published snapshot as the JSON response body (trailing newline
+// included, byte-identical to json.Encoder output). The rendered body
+// is memoized per snapshot sequence and its bytes per overlay variant
+// (the full test's verdict, or probe_pending with the verdict omitted
+// while a probe is held), so steady-state reads between commits return
+// shared bytes without encoding anything. The returned slice is
+// immutable and safe to write concurrently.
 func (s *Session) stateReadBytes() ([]byte, error) {
 	if s.closedFlag.Load() {
 		return nil, ErrSessionClosed
@@ -971,80 +942,16 @@ func (s *Session) batchWire(req api.BatchRequest) ([]api.Task, error) {
 	return wire, nil
 }
 
-// batchScratch recycles a try-only batch's buffers: the converted
-// task slab and the verdict slab grow to the largest batch seen and
-// are reused across requests. The worker fan-out state is resident
-// too — cursor, wait group, and the one closure handed to `go` — so a
-// multi-worker batch allocates nothing per call (each of those
-// escaped to the heap per batch when they were locals).
-type batchScratch struct {
-	taskSlab []task.Task
-	verdicts []api.Verdict
+// batchSlabPool recycles a try-only batch's converted tasks: the slab
+// grows to the largest batch seen and is reused across requests.
+var batchSlabPool = sync.Pool{New: func() any { return new([]task.Task) }}
 
-	next atomic.Int64
-	wg   sync.WaitGroup
-	work func() // built once per scratch, reads the fields below
-	// Per-batch inputs for the resident closure; nil'd after Wait so
-	// the pool never pins a snapshot or session.
-	s    *Session
-	snap analysis.Snapshot
-	ctx  context.Context
-	n    int
-}
-
-// runWorkers fans the current batch across w workers through the
-// resident closure.
-func (bb *batchScratch) runWorkers(w int) {
-	if bb.work == nil {
-		bb.work = func() {
-			defer bb.wg.Done()
-			// One prober per worker: K/workers probes share its
-			// scratch, nothing is allocated per probe.
-			pr := bb.snap.Prober()
-			defer pr.Close()
-			for {
-				i := int(bb.next.Add(1)) - 1
-				if i >= bb.n || bb.ctx.Err() != nil {
-					return
-				}
-				bb.s.probeFirstFit(pr, bb.snap, &bb.taskSlab[i], &bb.verdicts[i])
-			}
-		}
-	}
-	bb.next.Store(0)
-	bb.wg.Add(w)
-	for i := 0; i < w; i++ {
-		go bb.work()
-	}
-	bb.wg.Wait()
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// probeFirstFit probes one task first-fit across the snapshot's cores
-// through the shared prober, writing the verdict in place.
-func (s *Session) probeFirstFit(pr analysis.Prober, snap analysis.Snapshot, t *task.Task, v *api.Verdict) {
-	v.TaskID, v.Core = int64(t.ID), -1
-	if s.hasTask(t.ID) {
-		// Already admitted: the committed state can't take a
-		// duplicate; report it as not admissible.
-		return
-	}
-	for c := 0; c < snap.NumCores(); c++ {
-		v.Probes++
-		if pr.TryPlace(t, c) {
-			v.Admitted, v.Core = true, c
-			return
-		}
-	}
-}
-
-// batchTryRead is the read-path batch: every task probed first-fit
-// against ONE forked snapshot, fanned across a bounded worker pool,
-// with nothing committed. Verdicts are independent "would this task
-// fit the committed state right now, alone?" answers — successive
-// tasks do not see each other, which is exactly what makes the fan-out
-// safe. Verdicts stream in input order; ctx aborts the remainder.
+// batchTryRead is the read-path batch: every task probed first-fit,
+// in input order through one prober, against ONE forked snapshot, with
+// nothing committed. Verdicts are independent "would this task fit
+// the committed state right now, alone?" answers — successive tasks
+// do not see each other. Each verdict is emitted as it is computed;
+// ctx aborts the remainder.
 func (s *Session) batchTryRead(ctx context.Context, req api.BatchRequest, emit func(api.Verdict)) (api.BatchSummary, error) {
 	if s.closedFlag.Load() {
 		return api.BatchSummary{}, ErrSessionClosed
@@ -1054,19 +961,14 @@ func (s *Session) batchTryRead(ctx context.Context, req api.BatchRequest, emit f
 		return api.BatchSummary{}, err
 	}
 	n := len(wire)
-	bb := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(bb)
-	if cap(bb.taskSlab) < n {
-		bb.taskSlab = make([]task.Task, n)
-		bb.verdicts = make([]api.Verdict, n)
+	bp := batchSlabPool.Get().(*[]task.Task)
+	defer batchSlabPool.Put(bp)
+	if cap(*bp) < n {
+		*bp = make([]task.Task, n)
 	}
-	slab, verdicts := bb.taskSlab[:n], bb.verdicts[:n]
-	// The verdict slab is recycled and TaskID == 0 is the "a worker
-	// never reached it" cancellation marker below (wire IDs are
-	// validated nonzero), so it must start zeroed.
-	clear(verdicts)
-	// Validate serially first (cheap), so a malformed task fails the
-	// batch the way the actor path would, not mid-stream.
+	slab := (*bp)[:n]
+	// Validate first (cheap), so a malformed task fails the batch the
+	// way the actor path would, not mid-stream.
 	for i, j := range wire {
 		if err := toTaskInto(&slab[i], j, s.policy); err != nil {
 			return api.BatchSummary{}, err
@@ -1076,43 +978,28 @@ func (s *Session) batchTryRead(ctx context.Context, req api.BatchRequest, emit f
 	if m := s.met; m != nil {
 		m.forks.Inc()
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 {
-		// Inline fast path: no goroutine, no closure, one pooled
-		// prober's scratch shared across all K probes.
-		pr := snap.Prober()
-		for i := 0; i < n && ctx.Err() == nil; i++ {
-			s.probeFirstFit(pr, snap, &slab[i], &verdicts[i])
-		}
-		pr.Close()
-	} else {
-		bb.s, bb.snap, bb.ctx, bb.n = s, snap, ctx, n
-		bb.runWorkers(workers)
-		bb.s, bb.snap, bb.ctx = nil, nil, nil
-	}
+	pr := snap.Prober()
+	defer pr.Close()
 	sum := api.BatchSummary{Done: true, TryOnly: true}
-	for i := range verdicts {
-		if verdicts[i].TaskID == 0 {
-			// A worker never reached it: the context was canceled.
+	for i := range slab {
+		if ctx.Err() != nil {
 			sum.Canceled = true
 			break
 		}
-		if verdicts[i].Admitted {
+		t := &slab[i]
+		v := api.Verdict{TaskID: int64(t.ID), Core: -1}
+		// An admitted task cannot be admitted twice: it is reported
+		// as not admissible.
+		if !s.hasTask(t.ID) {
+			probeFirstFit(pr, snap, t, &v)
+		}
+		if v.Admitted {
 			sum.Admitted++
 		} else {
 			sum.Rejected++
 		}
 		if emit != nil {
-			emit(verdicts[i])
+			emit(v)
 		}
 	}
 	sum.Schedulable = snap.Schedulable()

@@ -165,6 +165,11 @@ func (st *Store) shardSizes(sizes *[numShards]int) {
 	}
 }
 
+// maxSessionCores caps a session's core count. The count sizes every
+// per-core structure of the session's assignment and analysis context,
+// so Create refuses a larger one before allocating any of them.
+const maxSessionCores = 1024
+
 // Create opens a fresh session. The eviction loop runs before the
 // shard lock is taken (evicting scans all shards), so the cap can
 // transiently overshoot under concurrent creates — it is a resource
@@ -175,6 +180,9 @@ func (st *Store) Create(name string, cores int, p task.Policy, model *overhead.M
 	}
 	if cores <= 0 {
 		return nil, fmt.Errorf("admitd: %d cores", cores)
+	}
+	if cores > maxSessionCores {
+		return nil, fmt.Errorf("admitd: %d cores exceeds the limit of %d per session", cores, maxSessionCores)
 	}
 	st.shrink(int64(st.maxSessions) - 1)
 	sh := st.shardFor(name)

@@ -3,7 +3,6 @@ package admitd
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/api"
@@ -160,48 +159,4 @@ func TestMetricsScrapeAllocFree(t *testing.T) {
 	allocsAtMost(t, "WritePrometheus", 24, func() {
 		buf = reg.WritePrometheus(buf[:0])
 	})
-}
-
-// TestBatchTryP2AllocFree guards the multi-worker batch path at
-// GOMAXPROCS=2 — the configuration that regressed to 0.0625 allocs
-// per task (4 per 64-task batch) when prober scratch leaked out of
-// the pool. AllocsPerRun pins GOMAXPROCS=1, so this measures with a
-// MemStats mallocs delta instead; budget is half an allocation per
-// whole batch, far under one leak per worker.
-func TestBatchTryP2AllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc guards are meaningless under -race: sync.Pool drops Puts to randomize reuse")
-	}
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-	s := allocSession(t)
-	defer s.close()
-	tasks := make([]api.Task, 64)
-	for i := range tasks {
-		tasks[i] = benchTask(1<<41 + int64(i))
-	}
-	req := api.BatchRequest{Tasks: tasks, TryOnly: true}
-	ctx := context.Background()
-	run := func() {
-		sum, err := s.batchTryRead(ctx, req, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sum.Admitted+sum.Rejected != len(tasks) {
-			t.Fatalf("batch summary %+v, want %d verdicts", sum, len(tasks))
-		}
-	}
-	for i := 0; i < 20; i++ {
-		run() // warm worker pools on both procs
-	}
-	var m0, m1 runtime.MemStats
-	const iters = 200
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < iters; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&m1)
-	if perBatch := float64(m1.Mallocs-m0.Mallocs) / iters; perBatch > 0.5 {
-		t.Errorf("batchTryRead@2: %.3f allocs/batch, budget 0.5", perBatch)
-	}
 }

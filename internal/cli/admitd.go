@@ -10,42 +10,32 @@ import (
 	httppprof "net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 	"time"
 
 	"repro/api"
-	"repro/client"
 	"repro/internal/admitd"
 	"repro/internal/telemetry"
 )
 
-// Admitd is the spadmitd entry point: the admission-control daemon
-// and its load generator (driven through the typed client SDK).
+// Admitd is the spadmitd entry point: the admission-control daemon.
 //
 //	spadmitd serve [-addr :7007] [-data-dir dir] [-fsync group]
 //	               [-fsync-interval 5ms] [-checkpoint-every 30s]
 //	               [-max-sessions 1024]
 //	               [-pprof localhost:6060] [-trace] [-events log.ndjson]
-//	spadmitd load  [-addr http://host:7007] [-sessions 64] [-requests 100000]
-//	               [-workers 0] [-cores 4] [-tasks 12] [-policy fp] [-seed 1]
-//	               [-mix 90/10] [-data-dir dir] [-fsync group]
-//	               [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// `load` without -addr runs against an in-process server — a
-// self-contained smoke/throughput run needing no listener.
+// Traffic comes from clients; the repository's benchmark module
+// (benchmark/) is the load generator.
 func Admitd(args []string, w io.Writer) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: spadmitd <serve|load> [flags]")
+		return fmt.Errorf("usage: spadmitd serve [flags]")
 	}
 	switch args[0] {
 	case "serve":
 		return admitdServe(args[1:], w)
-	case "load":
-		return admitdLoad(args[1:], w)
 	default:
-		return fmt.Errorf("unknown subcommand %q (serve|load)", args[0])
+		return fmt.Errorf("unknown subcommand %q (serve)", args[0])
 	}
 }
 
@@ -170,97 +160,4 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		WriteTimeout:      serveWriteTimeout,
 		IdleTimeout:       serveIdleTimeout,
 	}
-}
-
-// admitdLoad drives the request mix against a remote server (-addr)
-// or an in-process one.
-func admitdLoad(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("spadmitd load", flag.ContinueOnError)
-	fs.SetOutput(w)
-	var (
-		addr     = fs.String("addr", "", "server base URL (empty: run in-process)")
-		sessions = fs.Int("sessions", 64, "concurrent cluster sessions")
-		requests = fs.Int("requests", 100000, "total admission requests")
-		workers  = fs.Int("workers", 0, "client concurrency (0: 2x sessions, capped at 64)")
-		cores    = fs.Int("cores", 4, "cores per session")
-		tasks    = fs.Int("tasks", 12, "resident tasks seeded per session")
-		policy   = fs.String("policy", "fp", "session policy: fp|edf")
-		seed     = fs.Int64("seed", 1, "workload seed")
-		mix      = fs.String("mix", "", `read/write mix as "R/W" percentages, e.g. 90/10 (default 60/40); reads ride the lock-free snapshot path`)
-		dataDir  = fs.String("data-dir", "", "in-process runs: durability directory for the embedded server")
-		fsync    = fs.String("fsync", "group", "in-process runs: commit-log sync policy (group|always|off)")
-		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile of the load run to this file")
-		memprof  = fs.String("memprofile", "", "write a post-run heap profile to this file")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			return err
-		}
-		defer f.Close() //nolint:errcheck // profile file
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	cfg := admitd.LoadConfig{
-		Sessions:        *sessions,
-		Requests:        *requests,
-		Workers:         *workers,
-		Cores:           *cores,
-		TasksPerSession: *tasks,
-		Policy:          *policy,
-		Seed:            *seed,
-		Mix:             *mix,
-	}
-	var c *client.Client
-	if *addr == "" {
-		srv, err := admitd.New(admitd.Config{MaxSessions: 2 * *sessions, DataDir: *dataDir, Fsync: *fsync})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		c = client.InProcess(srv)
-	} else {
-		var err error
-		if c, err = client.New(*addr, client.WithTimeout(30*time.Second)); err != nil {
-			return err
-		}
-	}
-	stats, err := admitd.RunLoad(context.Background(), c, cfg)
-	if err != nil {
-		return err
-	}
-	// End-of-run cross-check: scrape the server's histograms and
-	// verify the client-observed percentiles land in the same
-	// buckets. Warnings only — the run's verdict is the error count.
-	if expo, merr := c.Metrics(context.Background()); merr == nil {
-		for _, warn := range admitd.CrossCheckMetrics(expo, stats) {
-			fmt.Fprintln(w, "warning:", warn)
-		}
-	} else {
-		fmt.Fprintf(w, "warning: metrics scrape failed: %v\n", merr)
-	}
-	if *memprof != "" {
-		f, ferr := os.Create(*memprof)
-		if ferr != nil {
-			return ferr
-		}
-		runtime.GC() // settle: profile live retained memory, not garbage
-		if ferr := pprof.WriteHeapProfile(f); ferr != nil {
-			f.Close() //nolint:errcheck // already failing
-			return ferr
-		}
-		if ferr := f.Close(); ferr != nil {
-			return ferr
-		}
-	}
-	fmt.Fprintln(w, stats)
-	if stats.Errors > 0 {
-		return fmt.Errorf("load run finished with %d unexpected errors", stats.Errors)
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -19,21 +18,8 @@ func TestAdmitdUsageErrors(t *testing.T) {
 	if err := Admitd([]string{"serve", "-bogus"}, &buf); err == nil {
 		t.Fatal("bad serve flag must error")
 	}
-	if err := Admitd([]string{"load", "-bogus"}, &buf); err == nil {
-		t.Fatal("bad load flag must error")
-	}
-}
-
-// TestAdmitdLoadInProcess runs a tiny self-contained load through the
-// CLI path (no listener).
-func TestAdmitdLoadInProcess(t *testing.T) {
-	var buf bytes.Buffer
-	err := Admitd([]string{"load", "-sessions", "4", "-requests", "300", "-tasks", "6"}, &buf)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "req/s") {
-		t.Fatalf("load output: %s", buf.String())
+	if err := Admitd([]string{"load"}, &buf); err == nil {
+		t.Fatal("load is no subcommand: must error")
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 
 // HistogramSnapshot is one histogram series decoded from Prometheus
 // text exposition — enough to answer quantile questions at bucket
-// resolution. Used by consumers that cross-check client-side
-// measurements against a scraped /metrics payload (the load
-// generator); it is a reader for the format WritePrometheus emits,
-// not a general Prometheus parser.
+// resolution. Used by consumers that read percentiles off a scraped
+// /metrics payload (the benchmark module); it is a reader for the
+// format WritePrometheus emits, not a general Prometheus parser.
 type HistogramSnapshot struct {
 	// UpperBounds holds each bucket's le value in exposition order,
 	// ending with +Inf; CumCounts the matching cumulative counts.

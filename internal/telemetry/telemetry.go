@@ -165,30 +165,6 @@ func (h *Histogram) snapshot(cum []int64) (sum, count int64, n int) {
 	return h.sum.Load(), run, n
 }
 
-// Quantile estimates quantile q (0..1) from the bucketed counts,
-// returning the upper bound of the bucket holding it (the resolution
-// the log₂ buckets give). Scrape-path / cross-check helper.
-func (h *Histogram) Quantile(q float64) int64 {
-	var cum [histMaxBuckets]int64
-	_, count, n := h.snapshot(cum[:])
-	if count == 0 {
-		return 0
-	}
-	target := int64(q * float64(count))
-	if target >= count {
-		target = count - 1
-	}
-	for i := 0; i < n; i++ {
-		if cum[i] > target {
-			if h.minShift+i > h.maxShift {
-				return int64(1) << h.maxShift // overflow bucket: clamp
-			}
-			return int64(1) << (h.minShift + i)
-		}
-	}
-	return int64(1) << h.maxShift
-}
-
 // --- registry and exposition -----------------------------------------
 
 // Label is one static label pair attached to a series at

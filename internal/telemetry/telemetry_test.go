@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -81,23 +82,31 @@ func TestHistogramObserveGroup(t *testing.T) {
 	}
 }
 
+// TestQuantile reads percentiles back off a scrape: the exposition's
+// histogram decodes, and a quantile lands on its bucket's upper bound.
 func TestQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("t_q", "q", UnitCount, 0, 16)
+	r.NewHistogram("t_empty", "e", UnitCount, 0, 16)
 	for i := 0; i < 90; i++ {
 		h.ObserveInt(3) // bucket le=4
 	}
 	for i := 0; i < 10; i++ {
 		h.ObserveInt(1000) // bucket le=1024
 	}
-	if q := h.Quantile(0.5); q != 4 {
-		t.Fatalf("p50 = %d, want 4", q)
+	expo := r.WritePrometheus(nil)
+	snap := ExtractHistogram(expo, "t_q", "")
+	if snap == nil || snap.Count != 100 {
+		t.Fatalf("extracted %+v from:\n%s", snap, expo)
 	}
-	if q := h.Quantile(0.99); q != 1024 {
-		t.Fatalf("p99 = %d, want 1024", q)
+	if q := snap.Quantile(0.5); q != 4 {
+		t.Fatalf("p50 = %v, want 4", q)
 	}
-	if q := (&Histogram{minShift: 0, maxShift: 4}).Quantile(0.5); q != 0 {
-		t.Fatalf("empty histogram quantile = %d, want 0", q)
+	if q := snap.Quantile(0.99); q != 1024 {
+		t.Fatalf("p99 = %v, want 1024", q)
+	}
+	if q := ExtractHistogram(expo, "t_empty", "").Quantile(0.5); !math.IsNaN(q) {
+		t.Fatalf("empty histogram quantile = %v, want NaN", q)
 	}
 }
 

@@ -519,6 +519,56 @@ func TestCreateCoresLimit(t *testing.T) {
 	}
 }
 
+// TestBatchGenerateLimit checks the cap on a batch's generated set: the
+// limit itself is generated and probed, one more is refused as a bad
+// request naming both numbers, and the refusal allocates nothing the
+// count sizes.
+func TestBatchGenerateLimit(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	mustStatus(t, srv, "POST", "/v1/sessions", api.CreateSessionRequest{Name: "g", Cores: 2}, http.StatusCreated)
+	gen := func(n int) api.BatchRequest {
+		return api.BatchRequest{Generate: &api.TaskGen{N: n, TotalUtilization: 1.0, Seed: 1}, TryOnly: true}
+	}
+	body := mustStatus(t, srv, "POST", "/v1/sessions/g/batch", gen(maxGenerateN), http.StatusOK)
+	if lines := bytes.Count(body, []byte("\n")); lines != maxGenerateN+1 {
+		t.Fatalf("an at-limit batch answered %d lines, want %d verdicts and a summary", lines, maxGenerateN)
+	}
+	body = mustStatus(t, srv, "POST", "/v1/sessions/g/batch", gen(maxGenerateN+1), http.StatusBadRequest)
+	var e api.Error
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Code != api.CodeBadRequest || !strings.Contains(e.Message, "16385") || !strings.Contains(e.Message, "16384") {
+		t.Fatalf("over-limit batch answered %+v", e)
+	}
+
+	s, err := srv.store.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Measured over many refusals, so no background allocation passes
+	// for one of theirs.
+	perRefusal := func(n int) (allocs, bytes float64) {
+		const runs = 1000
+		req := gen(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := s.batchWire(req); err == nil {
+				t.Fatalf("generate.n = %d was not refused", n)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	overAllocs, _ := perRefusal(maxGenerateN + 1)
+	hugeAllocs, hugeBytes := perRefusal(1 << 30)
+	if hugeAllocs > overAllocs+0.5 || hugeBytes >= 256 {
+		t.Errorf("refusing generate.n = %d took %.1f allocations and %.0f B, want < 256 B and no more allocations than at the limit + 1 (%.1f)",
+			1<<30, hugeAllocs, hugeBytes, overAllocs)
+	}
+}
+
 // TestSessionLifecycleErrors covers the error surface.
 func TestSessionLifecycleErrors(t *testing.T) {
 	srv := newTestServer(t, Config{})

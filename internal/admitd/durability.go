@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,11 +76,19 @@ type streamState struct {
 	poison    error
 }
 
-func newStreamState(gen uint64, ckptSeq, lastSeq int64) *streamState {
-	e := &streamState{gen: gen}
-	e.ckptSeq.Store(ckptSeq)
-	e.lastSeq.Store(lastSeq)
+func newStreamState(gen uint64, lastSeq int64) *streamState {
+	e := &streamState{}
+	e.reset(gen, lastSeq)
 	return e
+}
+
+// reset makes e a fresh generation's entry, with no checkpoint. The
+// open-time scan reuses a name's entry this way when a newer generation
+// starts; nothing else holds entries then.
+func (e *streamState) reset(gen uint64, lastSeq int64) {
+	e.gen, e.deleted, e.ckpt, e.recovered, e.poison = gen, false, wal.Pos{}, nil, nil
+	e.ckptSeq.Store(-1)
+	e.lastSeq.Store(lastSeq)
 }
 
 // walShards stripes sessions over commit-log files; deliberately 1,
@@ -152,6 +161,19 @@ func parseStreamKey(key string) (name string, gen uint64, ok bool) {
 	return name, gen, err == nil
 }
 
+// streamKeys memoizes the open-time scan's stream keys, so each
+// distinct key is parsed once: to its session name, its generation and
+// the name's registry entry. The entry's own gen says whether the key
+// is still the live generation (equal), a newer one (the entry is
+// reset to it) or a retired one (lower).
+type streamKeys map[string]parsedKey
+
+type parsedKey struct {
+	name string
+	gen  uint64
+	e    *streamState
+}
+
 // walKind is a record payload's kind byte (0 for an empty payload).
 func walKind(payload []byte) byte {
 	if len(payload) == 0 {
@@ -193,9 +215,11 @@ func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (
 			m.walFsyncLat.Observe(d)
 		}
 	}
+	keys := make(streamKeys)
+	onRecover := func(r wal.Record) error { return p.recoverRecord(keys, r) }
 	for i := range p.logs {
 		dir := filepath.Join(dataDir, "wal", fmt.Sprintf("shard-%02d", i))
-		l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: logPolicy, OnFsync: onFsync, OnRecover: p.recoverRecord})
+		l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: logPolicy, OnFsync: onFsync, OnRecover: onRecover})
 		if err != nil {
 			p.closeLogs()
 			return nil, fmt.Errorf("admitd: wal shard %d: %w", i, err)
@@ -254,17 +278,27 @@ func (p *walPlane) syncLoop(window time.Duration) {
 // latest checkpoint's position) and folds each live generation. Only a
 // malformed stream key (the log is not ours) fails the open; anything
 // else wrong poisons its stream alone, until a checkpoint rebases it.
-func (p *walPlane) recoverRecord(r wal.Record) error {
-	name, gen, ok := parseStreamKey(r.Stream)
+// keys is the scan's memo of the stream keys it has met.
+func (p *walPlane) recoverRecord(keys streamKeys, r wal.Record) error {
+	k, ok := keys[r.Stream]
 	if !ok {
-		return fmt.Errorf("admitd: wal: malformed stream key %q", r.Stream)
+		name, gen, ok := parseStreamKey(r.Stream)
+		if !ok {
+			return fmt.Errorf("admitd: wal: malformed stream key %q", r.Stream)
+		}
+		e := p.streams[name]
+		if e == nil {
+			e = newStreamState(gen, r.Seq)
+			p.streams[name] = e
+		}
+		k = parsedKey{name: name, gen: gen, e: e}
+		keys[r.Stream] = k
 	}
-	e := p.streams[name]
+	name, e := k.name, k.e
 	switch {
-	case e == nil || gen > e.gen:
-		e = newStreamState(gen, -1, r.Seq)
-		p.streams[name] = e
-	case gen < e.gen:
+	case k.gen > e.gen:
+		e.reset(k.gen, r.Seq)
+	case k.gen < e.gen:
 		return nil // retired generation, awaiting compaction
 	}
 	if r.Seq > e.lastSeq.Load() {
@@ -337,7 +371,7 @@ func (p *walPlane) importCheckpointFiles(dir string) error {
 			if uerr != nil || p.streams[name] != nil {
 				p.noteError()
 			} else {
-				p.streams[name] = newStreamState(0, -1, -1)
+				p.streams[name] = newStreamState(0, -1)
 				p.streams[name].poison = fmt.Errorf("%w: checkpoint file %s: %w", errUnrecoverable, path, err)
 			}
 			continue
@@ -381,7 +415,7 @@ func (p *walPlane) importCheckpoint(snap *sessionSnapshot) error {
 			return err
 		}
 	} else {
-		e = newStreamState(snap.Gen, -1, snap.Seq)
+		e = newStreamState(snap.Gen, snap.Seq)
 		p.streams[name] = e
 	}
 	pos, err := l.Append(key, snap.Seq, walEncodeCheckpoint(nil, snap))
@@ -436,7 +470,7 @@ func (p *walPlane) create(name string, cores int, policy string, modelJSON []byt
 	if e != nil {
 		gen = e.gen + 1
 	}
-	ne := newStreamState(gen, -1, 0)
+	ne := newStreamState(gen, 0)
 	p.streams[name] = ne
 	p.mu.Unlock()
 
@@ -634,10 +668,14 @@ func (p *walPlane) closeLogs() {
 // foldRecord applies one stream record onto the state *base — the one
 // place a logged mutation or checkpoint becomes session state. With a
 // base in hand a mutation must be at base.Seq+1, a checkpoint (which
-// replaces it) at base.Seq.
+// replaces it) at base.Seq. A mutation folds in place: an admit or a
+// split is decoded straight into the slot it takes in the state. A
+// record that fails leaves *base as it was. A mutation arriving with
+// no base means the prefix (create record included) was compacted past
+// the requested point.
 func foldRecord(name string, base **sessionSnapshot, r wal.Record) error {
-	s := *base
-	if walKind(r.Payload) == walKindCkpt {
+	s, kind := *base, walKind(r.Payload)
+	if kind == walKindCkpt {
 		if s != nil && r.Seq != s.Seq {
 			return fmt.Errorf("%w: stream %q: checkpoint at seq %d, state at %d", ErrSeqGap, r.Stream, r.Seq, s.Seq)
 		}
@@ -652,53 +690,49 @@ func foldRecord(name string, base **sessionSnapshot, r wal.Record) error {
 	if s != nil && r.Seq != s.Seq+1 {
 		return fmt.Errorf("%w: stream %q: seq %d follows %d", ErrSeqGap, r.Stream, r.Seq, s.Seq)
 	}
-	rec, err := walDecode(r.Payload)
-	if err != nil {
+	var rec walRec
+	switch {
+	case s == nil:
+	case kind == walKindAdmit:
+		s.Tasks = append(s.Tasks, api.Task{})
+		rec.task = &s.Tasks[len(s.Tasks)-1]
+	case kind == walKindSplit:
+		s.Splits = append(s.Splits, api.Split{})
+		rec.split = &s.Splits[len(s.Splits)-1]
+	}
+	if err := walDecode(r.Payload, &rec); err != nil {
+		switch { // take back the slot the record did not fill
+		case s == nil:
+		case kind == walKindAdmit:
+			s.Tasks = slices.Delete(s.Tasks, len(s.Tasks)-1, len(s.Tasks))
+		case kind == walKindSplit:
+			s.Splits = slices.Delete(s.Splits, len(s.Splits)-1, len(s.Splits))
+		}
 		return fmt.Errorf("stream %q seq %d: %w", r.Stream, r.Seq, err)
 	}
-	if err := applyWalRecord(name, base, &rec); err != nil {
-		return err
-	}
-	(*base).Seq = r.Seq
-	return nil
-}
-
-// applyWalRecord folds one decoded mutation into a session snapshot
-// under construction. base starts nil when replay begins before the
-// create record; a mutation arriving with no base means the prefix
-// (create record included) was compacted past the requested point.
-func applyWalRecord(name string, base **sessionSnapshot, rec *walRec) error {
-	if rec.kind == walKindCreate {
-		s := &sessionSnapshot{Name: name, Cores: int(rec.cores), Policy: rec.policy}
+	switch {
+	case rec.kind == walKindCreate:
+		s = &sessionSnapshot{Name: name, Cores: int(rec.cores), Policy: rec.policy}
 		if err := json.Unmarshal(rec.model, &s.Model); err != nil {
 			return fmt.Errorf("admitd: wal replay: create record model: %w", err)
 		}
 		*base = s
-		return nil
-	}
-	s := *base
-	if s == nil {
+	case s == nil:
 		return fmt.Errorf("%w: replay reached a mutation before any base state", ErrSeqTruncated)
-	}
-	switch rec.kind {
-	case walKindAdmit:
-		t := rec.task
-		t.Core = int(rec.core)
-		s.Tasks = append(s.Tasks, t)
+	case rec.kind == walKindAdmit:
+		rec.task.Core = int(rec.core)
 		s.Admitted++
-	case walKindSplit:
-		s.Splits = append(s.Splits, rec.split)
+	case rec.kind == walKindSplit:
 		s.Admitted++
-	case walKindRemove:
+	case rec.kind == walKindRemove:
 		if !snapshotRemove(s, rec.id) {
 			return fmt.Errorf("admitd: wal replay: remove of unknown task %d", rec.id)
 		}
 		s.Removed++
-	case walKindDelete:
+	default: // walDecode refuses every kind but these and the tombstone
 		return fmt.Errorf("admitd: wal replay: tombstone in a live stream")
-	default:
-		return fmt.Errorf("admitd: wal replay: unknown record kind %d", rec.kind)
 	}
+	s.Seq = r.Seq
 	return nil
 }
 
@@ -776,11 +810,10 @@ func (st *Store) replayToSeq(name string, e *streamState, limit int64) (base *se
 	err = p.logFor(name).ReplayStream(streamKey(name, e.gen), after, func(r wal.Record) error {
 		if r.Seq >= limit {
 			if r.Seq == limit && walKind(r.Payload) != walKindCkpt {
-				rec, err := walDecode(r.Payload)
-				if err != nil {
+				at = &walRec{}
+				if err := walDecode(r.Payload, at); err != nil {
 					return err
 				}
-				at = &rec
 			}
 			return errWalStop
 		}
@@ -932,19 +965,19 @@ func auditReplay(name string, seq int64, base *sessionSnapshot, rec *walRec) (*a
 	}
 	switch rec.kind {
 	case walKindAdmit:
-		t, terr := toTask(rec.task, p)
+		t, terr := toTask(*rec.task, p)
 		if terr != nil {
 			return nil, terr
 		}
 		rep.TaskID = rec.task.ID
-		tcopy := rec.task
+		tcopy := *rec.task
 		tcopy.Core = int(rec.core)
 		rep.Task = &tcopy
 		if rep.Admitted = ctx.TryPlace(t, int(rec.core)); rep.Admitted {
 			rep.Core = int(rec.core)
 		}
 	case walKindSplit:
-		sp, serr := toSplit(rec.split, p)
+		sp, serr := toSplit(*rec.split, p)
 		if serr != nil {
 			return nil, serr
 		}

@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -628,6 +630,114 @@ type fuzzName struct {
 	heldCore int
 }
 
+// TestRecoverKeyMemoGenerations feeds the open-time fold a name's two
+// generations interleaved with another stream: gen 0's create, admits
+// and tombstone, gen 1's create, a stray gen 0 record, then gen 1's
+// mutations and a checkpoint, another stray, and a gap that poisons the
+// other stream.
+// With the scan's stream-key memo the registry and the folded states
+// come out as parsing every record's key anew gives them, and a
+// malformed key still fails the open.
+func TestRecoverKeyMemoGenerations(t *testing.T) {
+	g0, g1, h := streamKey("g", 0), streamKey("g", 1), streamKey("h x/y", 1)
+	remove := func(id int64) []byte { return walEncodeRemove(nil, 0, id) }
+	ckpt := &sessionSnapshot{Cores: 2, Policy: "fp", Model: overhead.Normalize(overhead.Zero()), Admitted: 2, Removed: 1,
+		Tasks: []api.Task{{ID: 11, WCETNs: 1e6, PeriodNs: 1e8, DeadlineNs: 1e8, Priority: 11}}}
+	steps := []struct {
+		stream  string
+		seq     int64
+		payload []byte
+	}{
+		{g0, 0, createPayload(t)},
+		{g0, 1, admitPayload(1)},
+		{h, 0, createPayload(t)},
+		{g0, 2, admitPayload(2)},
+		{g0, 3, walEncodeDelete(nil)},
+		{g1, 0, createPayload(t)},
+		{g0, 4, admitPayload(3)}, // stray: gen 0 is retired
+		{g1, 1, admitPayload(10)},
+		{h, 1, admitPayload(1)},
+		{g1, 2, admitPayload(11)},
+		{g1, 3, remove(10)},
+		{g1, 3, walEncodeCheckpoint(nil, ckpt)},
+		{h, 3, admitPayload(2)},  // skips seq 2
+		{g0, 9, admitPayload(4)}, // stray again, past gen 1's last seq
+		{g1, 4, admitPayload(12)},
+		{h, 4, admitPayload(3)},
+	}
+	records := make([]wal.Record, len(steps))
+	for i, st := range steps {
+		records[i] = wal.Record{LSN: uint64(i + 1), Off: int64(16 + 100*i), Seq: st.seq, Stream: st.stream, Payload: st.payload}
+	}
+	fold := func(memo bool) *walPlane {
+		p := &walPlane{streams: make(map[string]*streamState)}
+		keys := make(streamKeys)
+		for _, r := range records {
+			if !memo {
+				keys = make(streamKeys)
+			}
+			if err := p.recoverRecord(keys, r); err != nil {
+				t.Fatalf("record %d (%s seq %d): %v", r.LSN, r.Stream, r.Seq, err)
+			}
+		}
+		return p
+	}
+	got, want := fold(true), fold(false)
+	if len(got.streams) != 2 || len(want.streams) != 2 {
+		t.Fatalf("registries hold %d and %d names, want 2", len(got.streams), len(want.streams))
+	}
+	if got.recoveredCkpts != want.recoveredCkpts || got.recoveredCkpts != 1 {
+		t.Fatalf("checkpoints counted: memo %d, per record %d, want 1", got.recoveredCkpts, want.recoveredCkpts)
+	}
+	state := func(s *sessionSnapshot) string {
+		if s == nil {
+			return "none"
+		}
+		return fmt.Sprintf("%s@%d %x", s.Name, s.Seq, walEncodeCheckpoint(nil, s))
+	}
+	for name, w := range want.streams {
+		e := got.streams[name]
+		if e == nil {
+			t.Fatalf("%q: missing from the memo's registry", name)
+		}
+		if e.gen != w.gen || e.lastSeq.Load() != w.lastSeq.Load() || e.ckptSeq.Load() != w.ckptSeq.Load() ||
+			e.ckpt != w.ckpt || e.deleted != w.deleted || fmt.Sprint(e.poison) != fmt.Sprint(w.poison) {
+			t.Errorf("%q: memo gen %d last %d ckpt %d@%+v deleted %v poison %v; per record gen %d last %d ckpt %d@%+v deleted %v poison %v",
+				name, e.gen, e.lastSeq.Load(), e.ckptSeq.Load(), e.ckpt, e.deleted, e.poison,
+				w.gen, w.lastSeq.Load(), w.ckptSeq.Load(), w.ckpt, w.deleted, w.poison)
+		}
+		if a, b := state(e.recovered), state(w.recovered); a != b {
+			t.Errorf("%q: memo folded %s, per record %s", name, a, b)
+		}
+	}
+	g := got.streams["g"]
+	if g.gen != 1 || g.deleted || g.poison != nil || g.lastSeq.Load() != 4 || g.ckptSeq.Load() != 3 || g.ckpt != records[11].Pos() {
+		t.Fatalf("g: gen %d deleted %v poison %v last %d ckpt %d@%+v", g.gen, g.deleted, g.poison, g.lastSeq.Load(), g.ckptSeq.Load(), g.ckpt)
+	}
+	if s := g.recovered; s == nil || s.Seq != 4 || len(s.Tasks) != 2 || s.Tasks[0].ID != 11 || s.Tasks[1].ID != 12 || s.Admitted != 3 {
+		t.Fatalf("g folded to %+v", s)
+	}
+	if e := got.streams["h x/y"]; !errors.Is(e.poison, ErrSeqGap) || e.recovered != nil || e.lastSeq.Load() != 4 {
+		t.Fatalf("h: poison %v, state %v, last %d", e.poison, e.recovered, e.lastSeq.Load())
+	}
+
+	for _, key := range []string{"no-generation", "g/x", "bad%zz/1"} {
+		p := &walPlane{streams: make(map[string]*streamState)}
+		if err := p.recoverRecord(make(streamKeys), wal.Record{Stream: key, Payload: createPayload(t)}); err == nil {
+			t.Errorf("stream key %q was accepted", key)
+		}
+	}
+	dir := t.TempDir()
+	handWrittenLog(t, dir, func(l *wal.Log) {
+		mustAppend(t, l, g1, 0, createPayload(t))
+		mustAppend(t, l, "g/x", 1, admitPayload(1))
+	})
+	if srv, err := New(durableConfig(dir)); err == nil {
+		srv.Close()
+		t.Fatal("a log with a malformed stream key opened")
+	}
+}
+
 // TestRecoverDifferentialFuzz drives seeded random histories — create,
 // admit, remove, held probes, delete, recreate, Checkpoint(), crash, and
 // a crash between a round's carry-forward and its compaction — over
@@ -819,6 +929,84 @@ func recoverFuzz(t *testing.T, seed int64) (spanning int) {
 	}
 	t.Logf("restarts on a multi-segment log: %d", spanning)
 	return spanning
+}
+
+// TestRecoverFoldAllocFree guards the restart's per-record fold: an
+// admit (an unnamed task) is decoded into the slot it takes in a
+// pre-sized state, and a remove reads its ID and closes the gap, with
+// no allocation.
+func TestRecoverFoldAllocFree(t *testing.T) {
+	base := &sessionSnapshot{Name: "a", Cores: 2, Policy: "fp", Model: overhead.Normalize(overhead.Zero()),
+		Tasks: make([]api.Task, 0, 8)}
+	r := wal.Record{Stream: streamKey("a", 1)}
+	fold := func(payload []byte) {
+		r.Seq, r.Payload = base.Seq+1, payload
+		if err := foldRecord("a", &base, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	admits, removes := make([][]byte, 64), make([][]byte, 64)
+	for i := range admits {
+		admits[i], removes[i] = admitPayload(int64(i+1)), walEncodeRemove(nil, 3, int64(i+1))
+	}
+	for _, p := range admits[:3] {
+		fold(p)
+	}
+	i := 3
+	admitRemove := func() { // admit the next task, remove the oldest
+		fold(admits[i%64])
+		fold(removes[(i-3)%64])
+		i++
+	}
+	if n := testing.AllocsPerRun(200, admitRemove); n != 0 {
+		t.Fatalf("folding an admit and a remove: %.1f allocs, want 0", n)
+	}
+	if len(base.Tasks) != 3 || base.Tasks[0].ID != int64((i-3)%64+1) || base.Admitted != int64(i) || base.Removed != int64(i-3) {
+		t.Fatalf("folded to %d tasks (first %d), %d admitted, %d removed", len(base.Tasks), base.Tasks[0].ID, base.Admitted, base.Removed)
+	}
+}
+
+// FuzzFoldRecord: any payload folds onto a state or fails without a
+// panic, and a failure leaves the state byte for byte as it was — a
+// task or split partly decoded into its slot is taken back.
+func FuzzFoldRecord(f *testing.F) {
+	tk := api.Task{ID: 21, Name: "n", WCETNs: 1e6, PeriodNs: 1e7, DeadlineNs: 1e7, Priority: 3}
+	sp := api.Split{Task: tk, Parts: []api.Part{{Core: 0, BudgetNs: 5e5}, {Core: 1, BudgetNs: 5e5}}, WindowsNs: []int64{5e6, 5e6}}
+	admit, split := walEncodeAdmit(nil, 1, 3, &tk), walEncodeSplit(nil, 3, &sp)
+	for _, p := range [][]byte{
+		admit, admit[:len(admit)-1], append(admit, 0),
+		split, split[:len(split)-5],
+		walEncodeRemove(nil, 2, 9), walEncodeRemove(nil, 2, 99),
+		walEncodeCreate(nil, 2, "edf", []byte(`{}`)), walEncodeCreate(nil, 2, "fp", []byte(`{`)),
+		walEncodeDelete(nil), walEncodeCheckpoint(nil, goldenSnapshot()), {}, {99},
+	} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		base := goldenSnapshot()
+		base.Name, base.Seq = "f", 5
+		// Spare capacity: a slot is taken in place, not in a copy.
+		base.Tasks = append(make([]api.Task, 0, 8), base.Tasks...)
+		base.Splits = append(make([]api.Split, 0, 4), base.Splits...)
+		orig, enc := base, walEncodeCheckpoint(nil, base)
+		tasks, splits := slices.Clone(base.Tasks[:cap(base.Tasks)]), slices.Clone(base.Splits[:cap(base.Splits)])
+		seq := base.Seq + 1
+		if walKind(payload) == walKindCkpt {
+			seq = base.Seq
+		}
+		if err := foldRecord("f", &base, wal.Record{Seq: seq, Stream: "f/1", Payload: payload}); err == nil {
+			return
+		}
+		if base != orig || base.Name != "f" || base.Seq != 5 {
+			t.Fatalf("a failed fold replaced or moved the state: %p %q@%d", base, base.Name, base.Seq)
+		}
+		if got := walEncodeCheckpoint(nil, base); !bytes.Equal(got, enc) {
+			t.Fatalf("a failed fold changed the state:\n  was %x\n  now %x", enc, got)
+		}
+		if !reflect.DeepEqual(base.Tasks[:cap(base.Tasks)], tasks) || !reflect.DeepEqual(base.Splits[:cap(base.Splits)], splits) {
+			t.Fatal("a failed fold left a slot filled")
+		}
+	})
 }
 
 // copyTree copies a data directory (regular files only).

@@ -906,6 +906,9 @@ func (s *Session) batchWire(req api.BatchRequest) ([]api.Task, error) {
 	case req.Generate != nil && len(req.Tasks) > 0:
 		return nil, fmt.Errorf("batch: tasks and generate are mutually exclusive")
 	case req.Generate != nil:
+		if n := req.Generate.N; n > maxGenerateN {
+			return nil, fmt.Errorf("batch: generate.n %d exceeds the limit of %d", n, maxGenerateN)
+		}
 		cfg, err := toTaskGen(req.Generate)
 		if err != nil {
 			return nil, err

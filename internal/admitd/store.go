@@ -170,6 +170,11 @@ func (st *Store) shardSizes(sizes *[numShards]int) {
 // so Create refuses a larger one before allocating any of them.
 const maxSessionCores = 1024
 
+// maxGenerateN caps the task count a batch asks the server to
+// generate. The count sizes the generated set, so a batch naming a
+// larger one is refused before anything is generated.
+const maxGenerateN = 16384
+
 // Create opens a fresh session. The eviction loop runs before the
 // shard lock is taken (evicting scans all shards), so the cap can
 // transiently overshoot under concurrent creates — it is a resource

@@ -33,15 +33,18 @@ const (
 	walMaxString      = 1<<16 - 1 // a record's strings are u16-length-prefixed
 )
 
-// walRec is one decoded record.
+// walRec is one decoded record. An admit's task and a split are
+// decoded into *task and *split: the fold points them at the slots they
+// take in the state it builds, so a record is decoded in place; left
+// nil, walDecode allocates them.
 type walRec struct {
 	kind   byte
 	cores  int32
 	policy string
 	model  json.RawMessage
 	core   int32
-	task   api.Task
-	split  api.Split
+	task   *api.Task
+	split  *api.Split
 	id     int64 // remove target
 }
 
@@ -144,18 +147,23 @@ func walEncodeCheckpoint(b []byte, s *sessionSnapshot) []byte {
 	return b
 }
 
+// ckptInts counts a v1 checkpoint's fixed-width integers: the overhead
+// model's seven, four per queue operation, and fourteen counters.
+const ckptInts = 7 + 4*len(overhead.QueueCosts{}.LocalN4) + 14
+
 // ckptFixed lists a checkpoint's fixed-width fields in v1 order — the
 // overhead model's, then the counters' — for encode and decode alike.
-func ckptFixed(s *sessionSnapshot) ([]*int64, []*float64) {
+func ckptFixed(s *sessionSnapshot) (ints [ckptInts]*int64, floats [3]*float64) {
 	m, q, a := s.Model, &s.Model.Queues, &s.Admission
-	ints := []*int64{(*int64)(&m.Release), (*int64)(&m.Sched), (*int64)(&m.CtxSwitch),
-		(*int64)(&m.Cache.ReloadPerKiB), (*int64)(&m.Cache.MemPerKiB), &m.Cache.PrivateBytes, &m.Cache.SharedBytes}
+	// ints has room for every field, so the appends fill it in place.
+	b := append(ints[:0], (*int64)(&m.Release), (*int64)(&m.Sched), (*int64)(&m.CtxSwitch),
+		(*int64)(&m.Cache.ReloadPerKiB), (*int64)(&m.Cache.MemPerKiB), &m.Cache.PrivateBytes, &m.Cache.SharedBytes)
 	for i := range q.LocalN4 {
-		ints = append(ints, (*int64)(&q.LocalN4[i]), (*int64)(&q.LocalN64[i]), (*int64)(&q.RemoteN4[i]), (*int64)(&q.RemoteN64[i]))
+		b = append(b, (*int64)(&q.LocalN4[i]), (*int64)(&q.LocalN64[i]), (*int64)(&q.RemoteN4[i]), (*int64)(&q.RemoteN64[i]))
 	}
-	ints = append(ints, &s.Admitted, &s.Rejected, &s.Removed, &s.StateCacheHits, &s.StateCacheMisses,
+	_ = append(b, &s.Admitted, &s.Rejected, &s.Removed, &s.StateCacheHits, &s.StateCacheMisses,
 		&a.Probes, &a.FullTests, &a.CoreTests, &a.VerdictHits, &a.FPSolves, &a.FPIterations, &a.WarmStarts, &a.DemandTests, &a.DemandPoints)
-	return ints, []*float64{&m.Cache.SmallWSSRetention, &m.Cache.MigrationFactor, &m.RemotePenalty}
+	return ints, [3]*float64{&m.Cache.SmallWSSRetention, &m.Cache.MigrationFactor, &m.RemotePenalty}
 }
 
 // --- decoding --------------------------------------------------------
@@ -242,13 +250,14 @@ func (r *walReader) task(j *api.Task) {
 	j.Name = r.str()
 }
 
-// walDecode parses one record payload. The returned walRec owns its
-// memory (strings and the model are copied out of the replay buffer).
-func walDecode(payload []byte) (walRec, error) {
+// walDecode parses one record payload into rec, whose strings and
+// model it copies out of the replay buffer. On an error rec holds
+// whatever was read before it.
+func walDecode(payload []byte, rec *walRec) error {
 	if len(payload) == 0 {
-		return walRec{}, fmt.Errorf("admitd: empty wal record payload")
+		return fmt.Errorf("admitd: empty wal record payload")
 	}
-	rec := walRec{kind: payload[0]}
+	rec.kind = payload[0]
 	r := &walReader{b: payload, off: 1}
 	switch rec.kind {
 	case walKindCreate:
@@ -258,24 +267,27 @@ func walDecode(payload []byte) (walRec, error) {
 	case walKindAdmit:
 		rec.core = r.i32()
 		r.i32() // tasks after
-		r.task(&rec.task)
+		if rec.task == nil {
+			rec.task = new(api.Task)
+		}
+		r.task(rec.task)
 	case walKindSplit:
 		r.i32() // tasks after
-		r.split(&rec.split)
+		if rec.split == nil {
+			rec.split = new(api.Split)
+		}
+		r.split(rec.split)
 	case walKindRemove:
 		r.i32() // tasks after
 		rec.id = r.i64()
 	case walKindDelete:
 		// Tombstone: kind byte only.
 	case walKindCkpt:
-		return rec, nil // decoded by walDecodeCheckpoint, when folded
+		return nil // decoded by walDecodeCheckpoint, when folded
 	default:
-		return walRec{}, fmt.Errorf("admitd: unknown wal record kind %d", rec.kind)
+		return fmt.Errorf("admitd: unknown wal record kind %d", rec.kind)
 	}
-	if err := r.done(); err != nil {
-		return walRec{}, err
-	}
-	return rec, nil
+	return r.done()
 }
 
 // walDecodeCheckpoint parses a checkpoint payload into a session state

@@ -213,6 +213,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // for one stream — the compaction coverage index.
 type seqRange struct{ min, max int64 }
 
+// add widens the range to cover seq.
+func (r *seqRange) add(seq int64) {
+	if seq < r.min {
+		r.min = seq
+	}
+	if seq > r.max {
+		r.max = seq
+	}
+}
+
 type segment struct {
 	path     string
 	firstLSN uint64
@@ -225,15 +235,9 @@ type segment struct {
 func (s *segment) note(stream string, seq int64) {
 	r, ok := s.streams[stream]
 	if !ok {
-		s.streams[stream] = seqRange{min: seq, max: seq}
-		return
+		r = seqRange{min: seq, max: seq}
 	}
-	if seq < r.min {
-		r.min = seq
-	}
-	if seq > r.max {
-		r.max = seq
-	}
+	r.add(seq)
 	s.streams[stream] = r
 }
 
@@ -288,16 +292,67 @@ type frame struct {
 
 // streamNames interns stream keys, so reading the log allocates one
 // string per distinct stream instead of one per frame (the
-// m[string(b)] lookup itself does not allocate).
-type streamNames map[string]string
+// m[string(b)] lookup itself does not allocate). The zero value is
+// ready to use.
+type streamNames struct {
+	idx  map[string]int
+	ents []streamName
+}
 
-func (n streamNames) of(b []byte) string {
-	if s, ok := n[string(b)]; ok {
-		return s
+// streamName is one interned stream key. The recovery scan also keeps
+// in it the stream's seq range in the segment being scanned, so a
+// frame costs the scan one map lookup; the ranges reach the segment's
+// index once per stream, when its scan ends.
+type streamName struct {
+	name string
+	seg  *segment // the segment r spans; nil before the scan meets the stream
+	r    seqRange
+}
+
+// of returns b's entry, valid until the next new key is interned.
+func (n *streamNames) of(b []byte) *streamName {
+	i, ok := n.idx[string(b)]
+	if !ok {
+		if n.idx == nil {
+			n.idx = make(map[string]int)
+		}
+		i = len(n.ents)
+		n.ents = append(n.ents, streamName{name: string(b)})
+		n.idx[n.ents[i].name] = i
 	}
-	s := string(b)
-	n[s] = s
-	return s
+	return &n.ents[i]
+}
+
+// scanner is Open's state across the segments it scans: the read
+// window, the interned stream keys, and how many streams the current
+// segment holds.
+type scanner struct {
+	sr    segReader
+	names streamNames
+	held  int
+}
+
+// note counts one frame of stream b at seq into seg's ranges.
+func (sc *scanner) note(seg *segment, b []byte, seq int64) *streamName {
+	e := sc.names.of(b)
+	if e.seg != seg {
+		e.seg, e.r = seg, seqRange{min: seq, max: seq}
+		sc.held++
+	} else {
+		e.r.add(seq)
+	}
+	return e
+}
+
+// index writes the ranges of seg, the segment just scanned, to its
+// index.
+func (sc *scanner) index(seg *segment) {
+	seg.streams = make(map[string]seqRange, sc.held)
+	for i := range sc.names.ents {
+		if e := &sc.names.ents[i]; e.seg == seg {
+			seg.streams[e.name] = e.r
+		}
+	}
 }
 
 // parseFrame decodes one frame at data[off:]. A "" reason with size 0
@@ -409,7 +464,9 @@ func (sr *segReader) next() (f frame, off int64, reason string, err error) {
 // that passes is handed to Options.OnRecover on the spot — a frame is
 // checksummed and LSN-checked once per restart, here. An I/O error
 // (or an OnRecover error) aborts the open instead.
-func (l *Log) scanSegment(sr *segReader, path string, wantFirst uint64, names streamNames) (seg *segment, reason string, offset int64, err error) {
+func (l *Log) scanSegment(sc *scanner, path string, wantFirst uint64) (seg *segment, reason string, offset int64, err error) {
+	sr := &sc.sr
+	sc.held = 0
 	file, err := os.Open(path)
 	if err != nil {
 		return nil, "", 0, err
@@ -445,7 +502,6 @@ func (l *Log) scanSegment(sr *segReader, path string, wantFirst uint64, names st
 		firstLSN: first,
 		lastLSN:  first - 1,
 		size:     headerSize,
-		streams:  make(map[string]seqRange),
 	}
 	for {
 		f, off, bad, err := sr.next()
@@ -453,22 +509,24 @@ func (l *Log) scanSegment(sr *segReader, path string, wantFirst uint64, names st
 		case err != nil:
 			return nil, "", 0, err
 		case bad != "":
-			return seg, bad, off, nil
-		case sr.off == off:
-			return seg, "", 0, nil
+			reason, offset = bad, off
+		case sr.off == off: // clean end
 		case f.lsn != seg.lastLSN+1:
-			return seg, fmt.Sprintf("lsn discontinuity (%d after %d)", f.lsn, seg.lastLSN), off, nil
-		}
-		stream := names.of(f.stream)
-		if l.opts.OnRecover != nil {
-			if err := l.opts.OnRecover(Record{LSN: f.lsn, Off: off, Seq: f.seq, Stream: stream, Payload: f.payload}); err != nil {
-				return nil, "", 0, err
+			reason, offset = fmt.Sprintf("lsn discontinuity (%d after %d)", f.lsn, seg.lastLSN), off
+		default:
+			e := sc.note(seg, f.stream, f.seq)
+			if l.opts.OnRecover != nil {
+				if err := l.opts.OnRecover(Record{LSN: f.lsn, Off: off, Seq: f.seq, Stream: e.name, Payload: f.payload}); err != nil {
+					return nil, "", 0, err
+				}
 			}
+			seg.lastLSN = f.lsn
+			seg.records++
+			seg.size = sr.off
+			continue
 		}
-		seg.lastLSN = f.lsn
-		seg.records++
-		seg.note(stream, f.seq)
-		seg.size = sr.off
+		sc.index(seg)
+		return seg, reason, offset, nil
 	}
 }
 
@@ -517,8 +575,7 @@ func Open(opts Options) (*Log, *Recovery, error) {
 		}
 		return syncDir(opts.Dir)
 	}
-	streams := make(streamNames)
-	var sr segReader
+	sc := &scanner{}
 scan:
 	for i, name := range names {
 		path := filepath.Join(opts.Dir, name)
@@ -530,7 +587,7 @@ scan:
 		if haveSeg {
 			wantFirst = lastLSN + 1
 		}
-		seg, reason, offset, err := l.scanSegment(&sr, path, wantFirst, streams)
+		seg, reason, offset, err := l.scanSegment(sc, path, wantFirst)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -945,12 +1002,9 @@ func (l *Log) replay(stream string, afterSeq int64, fn func(Record) error) error
 	l.mu.Unlock()
 
 	var names streamNames
-	if stream == "" {
-		names = make(streamNames)
-	}
 	var sr segReader
 	for _, sp := range spans {
-		if err := l.replaySpan(&sr, sp, stream, afterSeq, names, fn); err != nil {
+		if err := l.replaySpan(&sr, sp, stream, afterSeq, &names, fn); err != nil {
 			return err
 		}
 	}
@@ -959,7 +1013,7 @@ func (l *Log) replay(stream string, afterSeq int64, fn func(Record) error) error
 
 // replaySpan replays the records of one segment file (its first
 // sp.limit bytes) through the window.
-func (l *Log) replaySpan(sr *segReader, sp replaySpan, stream string, afterSeq int64, names streamNames, fn func(Record) error) error {
+func (l *Log) replaySpan(sr *segReader, sp replaySpan, stream string, afterSeq int64, names *streamNames, fn func(Record) error) error {
 	file, err := os.Open(sp.path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -989,7 +1043,7 @@ func (l *Log) replaySpan(sr *segReader, sp replaySpan, stream string, afterSeq i
 		}
 		name := stream
 		if stream == "" {
-			name = names.of(f.stream)
+			name = names.of(f.stream).name
 		} else if string(f.stream) != stream || f.seq <= afterSeq {
 			continue
 		}

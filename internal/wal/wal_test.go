@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -1173,6 +1175,135 @@ func TestOnRecoverSeesEachKeptRecordOnce(t *testing.T) {
 	}}); err == nil || err.Error() != "stop" {
 		t.Fatalf("Open with a failing OnRecover: %v", err)
 	}
+}
+
+// TestScanIndexMatchesAppendIndex: the per-segment stream index Open's
+// scan builds equals the one the appending Log kept, for a multi-
+// segment, multi-stream log reopened whole and reopened with a torn
+// tail (against a twin that appended only the records it keeps). On
+// each, ReplayStream reads the same segments for the same records and
+// Compact is offered the same coverage.
+func TestScanIndexMatchesAppendIndex(t *testing.T) {
+	type rec struct {
+		stream  string
+		seq     int64
+		payload []byte
+	}
+	rng := rand.New(rand.NewSource(7))
+	streams := []string{"a/1", "b/1", "c/2", "d%2Fe/1"}
+	next := map[string]int64{}
+	var plan []rec
+	for i := 0; i < 400; i++ {
+		s := streams[rng.Intn(len(streams))]
+		if rng.Intn(8) != 0 { // else it shares the seq, as a checkpoint does
+			next[s]++
+		}
+		plan = append(plan, rec{s, next[s], make([]byte, rng.Intn(64))})
+	}
+	// write appends plan[:n] to a fresh log, sealing a segment after
+	// every 37th record but never after the last two.
+	write := func(dir string, n int) *Log {
+		l, _ := openT(t, dir, Options{Policy: SyncOff, SegmentBytes: 64 << 10})
+		for i, r := range plan[:n] {
+			if _, err := l.Append(r.stream, r.seq, r.payload); err != nil {
+				t.Fatal(err)
+			}
+			if i%37 == 36 && i < len(plan)-2 {
+				if _, err := l.Rotate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	type segIndex struct {
+		first, last uint64
+		streams     map[string]seqRange
+	}
+	index := func(l *Log) []segIndex {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		var out []segIndex
+		for _, s := range append(l.sealed[:len(l.sealed):len(l.sealed)], l.active) {
+			out = append(out, segIndex{s.firstLSN, s.lastLSN, s.streams})
+		}
+		return out
+	}
+	// observe is what the index decides: per stream and watermark, the
+	// records ReplayStream returns and the bytes it reads, and every
+	// (stream, maxSeq, lastLSN) Compact is offered (it then removes every
+	// sealed segment).
+	observe := func(l *Log) []string {
+		var out []string
+		for _, s := range streams {
+			for _, after := range []int64{-1, 0, next[s] / 3, next[s] / 2, next[s] - 1, next[s]} {
+				n, before := 0, l.Stats().ReadBytes
+				if err := l.ReplayStream(s, after, func(Record) error { n++; return nil }); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, fmt.Sprintf("replay %s after %d: %d records, %d bytes", s, after, n, l.Stats().ReadBytes-before))
+			}
+		}
+		var offered []string
+		if _, err := l.Compact(func(s string, maxSeq int64, lastLSN uint64) bool {
+			offered = append(offered, fmt.Sprintf("compact %s max %d last %d", s, maxSeq, lastLSN))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(offered)
+		return append(out, offered...)
+	}
+	check := func(t *testing.T, wantIdx []segIndex, wantObs []string, dir string) {
+		l, rec := openT(t, dir, Options{Policy: SyncOff, SegmentBytes: 64 << 10})
+		defer l.Close()
+		if got := index(l); !reflect.DeepEqual(got, wantIdx) {
+			t.Fatalf("scanned index (%+v)\n  %v\nappended\n  %v", rec, got, wantIdx)
+		}
+		if got := observe(l); !reflect.DeepEqual(got, wantObs) {
+			t.Fatalf("after the scan\n  %q\nafter appending\n  %q", got, wantObs)
+		}
+	}
+
+	// twin appends the first n records to a second directory and reports
+	// what its appending Log holds and decides (observing compacts it).
+	twin := func(t *testing.T, n int) ([]segIndex, []string) {
+		l := write(t.TempDir(), n)
+		defer l.Close()
+		if len(l.sealed) < 8 {
+			t.Fatalf("%d sealed segments, want several", len(l.sealed))
+		}
+		return index(l), observe(l)
+	}
+
+	t.Run("whole", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := write(dir, len(plan)).Close(); err != nil {
+			t.Fatal(err)
+		}
+		idx, obs := twin(t, len(plan))
+		check(t, idx, obs, dir)
+	})
+	t.Run("torn tail", func(t *testing.T) {
+		dir := t.TempDir()
+		l := write(dir, len(plan))
+		last := l.active.path
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(last, fi.Size()-3); err != nil {
+			t.Fatal(err)
+		}
+		idx, obs := twin(t, len(plan)-1)
+		check(t, idx, obs, dir)
+	})
 }
 
 // TestAppendAllocFree pins the append path at fsync=off: framing an

@@ -161,14 +161,18 @@ func parseStreamKey(key string) (name string, gen uint64, ok bool) {
 	return name, gen, err == nil
 }
 
-// streamKeys memoizes the open-time scan's stream keys, so each
-// distinct key is parsed once: to its session name, its generation and
-// the name's registry entry. The entry's own gen says whether the key
-// is still the live generation (equal), a newer one (the entry is
-// reset to it) or a retired one (lower).
-type streamKeys map[string]parsedKey
+// streamKeys memoizes the open-time scan's stream keys by the index the
+// scan gave each (wal.Record.StreamIndex), so each distinct key is
+// parsed once — to its session name, its generation and the name's
+// registry entry — and a record costs a slot read, not a hash. A slot
+// holding another key (the same index in another shard's scan, or a
+// record that carries no index) is parsed afresh. The entry's own gen
+// says whether the key is still the live generation (equal), a newer
+// one (the entry is reset to it) or a retired one (lower).
+type streamKeys []parsedKey
 
 type parsedKey struct {
+	key  string // the stream key; "" in an unused slot
 	name string
 	gen  uint64
 	e    *streamState
@@ -215,8 +219,8 @@ func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (
 			m.walFsyncLat.Observe(d)
 		}
 	}
-	keys := make(streamKeys)
-	onRecover := func(r wal.Record) error { return p.recoverRecord(keys, r) }
+	var keys streamKeys
+	onRecover := func(r wal.Record) error { return p.recoverRecord(&keys, r) }
 	for i := range p.logs {
 		dir := filepath.Join(dataDir, "wal", fmt.Sprintf("shard-%02d", i))
 		l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: logPolicy, OnFsync: onFsync, OnRecover: onRecover})
@@ -279,9 +283,12 @@ func (p *walPlane) syncLoop(window time.Duration) {
 // malformed stream key (the log is not ours) fails the open; anything
 // else wrong poisons its stream alone, until a checkpoint rebases it.
 // keys is the scan's memo of the stream keys it has met.
-func (p *walPlane) recoverRecord(keys streamKeys, r wal.Record) error {
-	k, ok := keys[r.Stream]
-	if !ok {
+func (p *walPlane) recoverRecord(keys *streamKeys, r wal.Record) error {
+	if r.StreamIndex >= len(*keys) {
+		*keys = append(*keys, make(streamKeys, r.StreamIndex+1-len(*keys))...)
+	}
+	k := &(*keys)[r.StreamIndex]
+	if k.key != r.Stream || k.e == nil {
 		name, gen, ok := parseStreamKey(r.Stream)
 		if !ok {
 			return fmt.Errorf("admitd: wal: malformed stream key %q", r.Stream)
@@ -291,8 +298,7 @@ func (p *walPlane) recoverRecord(keys streamKeys, r wal.Record) error {
 			e = newStreamState(gen, r.Seq)
 			p.streams[name] = e
 		}
-		k = parsedKey{name: name, gen: gen, e: e}
-		keys[r.Stream] = k
+		*k = parsedKey{key: r.Stream, name: name, gen: gen, e: e}
 	}
 	name, e := k.name, k.e
 	switch {

@@ -91,7 +91,8 @@ func TestSnapshotTryPlaceAllocFree(t *testing.T) {
 // stream of shapes that never repeat costs the same zero allocations as
 // a repeated one, under both policies. With a committed fixed-priority
 // split chain the probe also builds per-core views, clones the chains
-// and runs the jitter resolution.
+// and runs the jitter resolution. A probe the fluid screen refuses and
+// one it starts cost nothing either.
 func TestSnapshotTryPlaceSolveAllocFree(t *testing.T) {
 	for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
 		snap, _ := allocSnapshot(t, pol, false)
@@ -110,6 +111,28 @@ func TestSnapshotTryPlaceSolveAllocFree(t *testing.T) {
 	assertZeroAllocs(t, "FP/TryPlace+chains", func() {
 		snap.TryPlace(tk, 2)
 	})
+	// Chain-free, a task below every committed priority meets the fluid
+	// screen: a heavy one is refused by it, a light one started by it.
+	snap, _ = allocSnapshot(t, task.FixedPriority, false)
+	for _, tc := range []struct {
+		name   string
+		wcet   timeq.Time
+		refuse bool
+	}{{"refused", ms(99), true}, {"started", ms(2), false}} {
+		tk := &task.Task{ID: 700, WCET: tc.wcet, Period: ms(100), Priority: 20000, WSS: 64 << 10}
+		s := snap.(*fpSnapshot)
+		p := fpProbe{m: s.m, cores: s.cores, sc: new(fpProbeScratch)}
+		p.sc.size(1)
+		start, refuse := p.fluidScreen(&p.sc.views[0], &s.cores[0], newFPEntityInto(new(Entity), tk), probeN(s.cores, s.maxN, []int{0}))
+		if refuse != tc.refuse || (!refuse && start == 0) {
+			t.Fatalf("FP/TryPlace fluid %s: screen start %d, refuse %v", tc.name, start, refuse)
+		}
+		assertZeroAllocs(t, "FP/TryPlace fluid "+tc.name, func() {
+			if snap.TryPlace(tk, 0) == tc.refuse {
+				t.Fatalf("fluid %s: verdict %v", tc.name, !tc.refuse)
+			}
+		})
+	}
 }
 
 // TestSnapshotTrySplitAllocFree guards split probes: FP runs the chain

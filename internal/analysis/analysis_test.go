@@ -169,24 +169,6 @@ func TestLiuLaylandBound(t *testing.T) {
 	}
 }
 
-func TestCoreUtilizationSchedulable(t *testing.T) {
-	z := overhead.Zero()
-	cs := oneCore(z,
-		&task.Task{ID: 1, WCET: ms(1), Period: ms(4)},  // 0.25
-		&task.Task{ID: 2, WCET: ms(2), Period: ms(10)}, // 0.2
-	)
-	if !cs.CoreUtilizationSchedulable() {
-		t.Error("U=0.45 under Θ(2)=0.828 rejected")
-	}
-	cs2 := oneCore(z,
-		&task.Task{ID: 1, WCET: ms(2), Period: ms(4)},
-		&task.Task{ID: 2, WCET: ms(5), Period: ms(10)},
-	)
-	if cs2.CoreUtilizationSchedulable() {
-		t.Error("U=1.0 over Θ(2) accepted")
-	}
-}
-
 // A split assignment: τ3 split across both cores; the chain must be
 // schedulable and the tail's jitter must reflect the body's response.
 func TestSplitChainSchedulable(t *testing.T) {
@@ -312,57 +294,6 @@ func TestQuickOverheadOnlyHurts(t *testing.T) {
 			&task.Task{ID: 3, WCET: tasks[2].WCET, Period: ms(40)},
 		)
 		return noOv.CoreSchedulable(z)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHyperbolicBound(t *testing.T) {
-	z := overhead.Zero()
-	// Π(U+1): two tasks at U=0.41 each → 1.41² = 1.988 ≤ 2 passes
-	// where L&L (ΣU = 0.82 ≤ 0.828) barely passes too.
-	ok := oneCore(z,
-		&task.Task{ID: 1, WCET: ms(41), Period: ms(100)},
-		&task.Task{ID: 2, WCET: ms(41), Period: ms(100)},
-	)
-	if !ok.CoreHyperbolicSchedulable() {
-		t.Fatal("hyperbolic bound rejected 1.41²")
-	}
-	// U = (0.5, 0.4): L&L fails (0.9 > 0.828) but hyperbolic passes
-	// (1.5·1.4 = 2.1 > 2 → no). Pick (0.5, 0.33): 1.5·1.33 = 1.995 ≤ 2
-	// while ΣU = 0.83 > Θ(2): hyperbolic dominates L&L.
-	better := oneCore(z,
-		&task.Task{ID: 1, WCET: ms(50), Period: ms(100)},
-		&task.Task{ID: 2, WCET: ms(33), Period: ms(100)},
-	)
-	if better.CoreUtilizationSchedulable() {
-		t.Fatal("L&L should reject ΣU=0.83 for n=2")
-	}
-	if !better.CoreHyperbolicSchedulable() {
-		t.Fatal("hyperbolic should accept Π=1.995")
-	}
-	// Constrained deadlines opt out.
-	con := oneCore(z, &task.Task{ID: 1, WCET: ms(10), Period: ms(100), Deadline: ms(50)})
-	if con.CoreHyperbolicSchedulable() {
-		t.Fatal("hyperbolic bound must refuse constrained deadlines")
-	}
-}
-
-// Hyperbolic-accepted cores are always RTA-schedulable (the bound is
-// sufficient).
-func TestQuickHyperbolicImpliesRTA(t *testing.T) {
-	z := overhead.Zero()
-	f := func(c1Raw, c2Raw, c3Raw uint8) bool {
-		cs := oneCore(z,
-			&task.Task{ID: 1, WCET: timeq.Time(c1Raw%30+1) * timeq.Millisecond, Period: ms(100)},
-			&task.Task{ID: 2, WCET: timeq.Time(c2Raw%30+1) * timeq.Millisecond, Period: ms(150)},
-			&task.Task{ID: 3, WCET: timeq.Time(c3Raw%60+1) * timeq.Millisecond, Period: ms(350)},
-		)
-		if !cs.CoreHyperbolicSchedulable() {
-			return true
-		}
-		return cs.CoreSchedulable(z)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -23,7 +23,7 @@
 //
 // A Context must answer every probe exactly as the stateless
 // Analyzer.CoreSchedulable / Analyzer.Schedulable would on the same
-// assignment state. Two mechanisms guarantee it:
+// assignment state. Three mechanisms guarantee it:
 //
 //   - Warm starts only ever begin a fixed-point iteration at a value
 //     that is provably at or below the least fixed point being
@@ -37,6 +37,15 @@
 //     at context creation; a pathological (inverted) model simply
 //     disables warm starts and memos, falling back to cold
 //     iterations everywhere.
+//   - The fluid screen (fpProbe.fluidScreen) decides a whole-task
+//     probe only from a bound every fixed point obeys. When the new
+//     task is strictly lowest on its core and every entity there is
+//     plain, ⌈x⌉ ≥ x gives f(r) ≥ B + r·U, so r ≥ B/(1 − U): the probe
+//     is refused only when no fixed point can lie at or below D, and
+//     otherwise that bound, at or below the least fixed point, is the
+//     new task's start value — dropped where the cold solve might have
+//     hit the iteration cap. It is fixed-priority only: the EDF test
+//     already screens utilization in edfHorizon.
 //
 // The test suite enforces identity with randomized differential runs
 // (see context_diff_test.go) and with SelfCheck, which shadows every

@@ -57,8 +57,9 @@ func newFPContext(an Analyzer, a *task.Assignment, m *overhead.Model) *fpContext
 func (x *fpContext) adoptAll() {
 	for c, ts := range x.a.Normal {
 		for _, t := range ts {
-			x.adopt(newFPEntityInto(x.pool.get(), t), c)
+			x.insert(newFPEntityInto(x.pool.get(), t), c)
 		}
+		x.cores[c].summarize()
 	}
 	for _, sp := range x.a.Splits {
 		x.newChain(sp)
@@ -76,9 +77,16 @@ func (x *fpContext) engine() fpProbe {
 
 // adopt commits e onto core c with a cold warm slot.
 func (x *fpContext) adopt(e *Entity, c int) {
+	x.insert(e, c).summarize()
+}
+
+// insert is adopt leaving the record's fluid summary for the caller to
+// refresh.
+func (x *fpContext) insert(e *Entity, c int) *coreRec {
 	r := x.own(c, true)
 	r.ents, r.warm = insertByPriority(r.ents, r.warm, e)
 	x.adopted(r, e)
+	return r
 }
 
 // newChain builds the tentative chain of sp from the recycle pools:
@@ -287,6 +295,7 @@ func (x *fpContext) dropEntity(c, i int) {
 		r.ents, r.warm, r.shared = removeAtCOW(r.ents, i), removeAtCOW(r.warm, i), false
 	}
 	x.dropped(r)
+	r.summarize()
 }
 
 // Remove deletes the task (whole placement or split chain) and
@@ -390,7 +399,7 @@ func (x *fpContext) Schedulable() bool {
 			x.sc.run++
 			v := &x.sc.views[c]
 			p.fillView(v, c, nil, nil, x.maxN)
-			ok = fpEvalCore(&p, v, nil)
+			ok = fpEvalCore(&p, v, nil, 0)
 			x.setWarm(c, v.warm)
 			x.setVerdict(c, x.coreJGen[c], ok)
 		}

@@ -44,9 +44,34 @@ type coreRec struct {
 	busyWarm timeq.Time
 	cacheMax timeq.Time
 	rev      int64 // content revision
+	// fluid summarizes ents for the fluid screen (fixed priorities
+	// only): a pure function of the list, refreshed whenever rev moves.
+	fluid fluidSum
 	// shared marks a record whose slices a published snapshot
 	// references: the writer copies them before writing (ctxBase.own).
 	shared bool
+}
+
+// fluidSum is what the fluid screen reads of a committed core: ΣC/T
+// and Σ1/T over its entities, summed in list order, the largest
+// LocalPriority among them (the lowest priority) and whether any is not
+// plain — a split part, or released with jitter.
+type fluidSum struct {
+	sumCT, sumInvT float64
+	maxPrio        int
+	mixed          bool
+}
+
+// summarize refreshes r.fluid from r.ents.
+func (r *coreRec) summarize() {
+	f := fluidSum{}
+	for _, e := range r.ents {
+		f.sumCT += float64(e.C) / float64(e.T)
+		f.sumInvT += 1 / float64(e.T)
+		f.maxPrio = max(f.maxPrio, e.LocalPriority)
+		f.mixed = f.mixed || e.MigrIn || e.MigrOut || e.RemoteSleepAdd || e.Jitter != 0
+	}
+	r.fluid = f
 }
 
 // fpSnapChain is one split chain: its entities in part order, with
@@ -233,18 +258,76 @@ func (p *fpProbe) run(add []*Entity, addCores []int, tent *fpSnapChain, probeCor
 	sc.size(len(p.cores))
 	if len(p.chains) == 0 && tent == nil {
 		// No chains, no cross-core coupling: probe the core alone (the
-		// stateless fast path).
+		// stateless fast path). The probe is one whole task on its own
+		// core, which the fluid screen may decide without a solve.
 		v := &sc.views[0]
 		if sc.perCore {
 			v = &sc.views[probeCore]
 		}
+		start, refuse := p.fluidScreen(v, &p.cores[probeCore], add[0], n)
+		if refuse {
+			p.stats.CoreTests++
+			return false
+		}
 		p.fillView(v, probeCore, add, addCores, n)
-		return fpEvalCore(p, v, nil)
+		return fpEvalCore(p, v, nil, start)
 	}
 	p.buildViews(add, addCores, probeCore, n)
 	p.cloneChains(tent)
 	p.resolve()
-	return fpEvalCore(p, &sc.views[probeCore], sc.failed)
+	return fpEvalCore(p, &sc.views[probeCore], sc.failed, 0)
+}
+
+// fluidMargin is the relative slack the fluid screen leaves its float
+// arithmetic: within it of the deadline, the exact solve decides.
+const fluidMargin = 1e-9
+
+// fluidScreen bounds the response time of a whole task e probed onto
+// the committed core r under queue bound n, before any view is built.
+// It applies when e is strictly lower in priority than every committed
+// entity and every one of them is plain. Each then interferes with e
+// at Cⱼ + a, a = arr + dep + CacheMax′ being what ensureCosts charges
+// a plain entity on the probe state (v's queue-cost memo holds arr +
+// dep at n), nothing lower in priority releases, and e's own base is
+// B = C + a + blocking, blocking = arr + dep. Since ⌈x⌉ ≥ x,
+//
+//	f(r) = B + Σⱼ ⌈r/Tⱼ⌉·(Cⱼ + a) ≥ B + r·U,  U = ΣCⱼ/Tⱼ + a·Σ1/Tⱼ,
+//
+// so every fixed point has r·(1 − U) ≥ B: none exists at or below D
+// when B + D·U > D (B > 0), and otherwise every one is at least
+// B/(1 − U). refuse reports the first case, beyond the margin; start
+// is the second bound, rounded down past the float error of U, a lower
+// bound of e's least fixed point to start its solve from. The solve
+// then converges to the same point as from 0, so neither the verdict
+// nor a converged value moves — as long as the cold solve would not
+// have hit the iteration cap first: each of its iterations but the
+// last two raises some ⌈r/Tⱼ⌉, so one converging at or below D takes
+// at most Σⱼ⌈D/Tⱼ⌉ + 2 ≤ D·Σ1/Tⱼ + len + 2. start is 0 where that may
+// reach the cap, or where U is too near 1 for its float error.
+func (p *fpProbe) fluidScreen(v *probeView, r *coreRec, e *Entity, n int) (start timeq.Time, refuse bool) {
+	f := &r.fluid
+	if f.mixed || e.LocalPriority <= f.maxPrio {
+		return 0, false
+	}
+	cm := r.cacheMax
+	if d := p.m.Cache.MaxDelay(e.Task.WSS); d > cm {
+		cm = d
+	}
+	ad := v.cs.queueCosts(p.m, n)
+	a := ad + cm
+	b := timeq.AddSat(e.C+a, ad)
+	u := f.sumCT + float64(a)*f.sumInvT
+	bf, d := float64(b), float64(e.D)
+	if b > 0 && bf+d*u > d*(1+fluidMargin) {
+		return 0, true
+	}
+	// U sums len(ents)+1 rounded terms, so its relative error is below
+	// (len+2)·2⁻⁵³; the bound keeps twice that clear of the margin.
+	den, k := 1-u, float64(len(r.ents))
+	if den*fluidMargin <= (k+4)*0x1p-52*u || d*f.sumInvT+k >= maxFPIterations-3 {
+		return 0, false
+	}
+	return timeq.Time(min(bf/den*(1-fluidMargin), d)), false
 }
 
 // fullTest is the full admission test of the committed state.
@@ -259,7 +342,7 @@ func (p *fpProbe) fullTest() bool {
 		return false
 	}
 	for c := range p.cores {
-		if !fpEvalCore(p, &sc.views[c], nil) {
+		if !fpEvalCore(p, &sc.views[c], nil, 0) {
 			return false
 		}
 	}
@@ -391,11 +474,12 @@ func (p *fpProbe) cloneChains(tent *fpSnapChain) {
 }
 
 // solve runs one response-time fixed point of the view's entity idx,
-// warm-started from the view's vector, and records the converged value
-// back into it.
-func (p *fpProbe) solve(v *probeView, idx int) (timeq.Time, bool) {
-	var start timeq.Time
-	if p.mono {
+// started from floor or, when higher, from the view's warm vector, and
+// records the converged value back into it. floor must be a lower
+// bound of the entity's least fixed point on the view.
+func (p *fpProbe) solve(v *probeView, idx int, floor timeq.Time) (timeq.Time, bool) {
+	start := floor
+	if p.mono && v.warm[idx] > start {
 		start = v.warm[idx]
 	}
 	r, ok, iters := v.cs.responseTime(v.cs.Entities[idx], p.m, start)
@@ -424,7 +508,10 @@ func (p *fpProbe) solve(v *probeView, idx int) (timeq.Time, bool) {
 // solves every passing entity above it before finding out. The
 // stateless Cores.SchedulableCore keeps the naive top-down order and
 // is what the differential suites compare against.
-func fpEvalCore(p *fpProbe, v *probeView, failed map[*Entity]bool) bool {
+//
+// start is a lower bound of the lowest entity's least fixed point (the
+// fluid screen's, or 0); that entity is solved first.
+func fpEvalCore(p *fpProbe, v *probeView, failed map[*Entity]bool, start timeq.Time) bool {
 	p.stats.CoreTests++
 	if len(failed) > 0 {
 		for _, e := range v.cs.Entities {
@@ -434,9 +521,10 @@ func fpEvalCore(p *fpProbe, v *probeView, failed map[*Entity]bool) bool {
 		}
 	}
 	for i := len(v.cs.Entities) - 1; i >= 0; i-- {
-		if _, ok := p.solve(v, i); !ok {
+		if _, ok := p.solve(v, i, start); !ok {
 			return false
 		}
+		start = 0
 	}
 	return true
 }
@@ -472,7 +560,7 @@ func (p *fpProbe) resolve() {
 				for v.cs.Entities[idx] != e {
 					idx++
 				}
-				r, ok := p.solve(v, idx)
+				r, ok := p.solve(v, idx, 0)
 				if !ok {
 					if sc.failed == nil {
 						sc.failed = make(map[*Entity]bool)

@@ -112,11 +112,14 @@ type CoreSet struct {
 	// Queue-op cost memo keyed (model, N) only: it survives
 	// invalidateCosts — swapping entities does not move these six
 	// interpolations — so the per-probe cache refill skips the log₂
-	// interpolation entirely while the queue bound is stable.
+	// interpolation entirely while the queue bound is stable. qcPlain
+	// is the arrival plus departure charge of a plain entity (timer
+	// released, departing to its local sleep queue) at that N.
 	qcOK       bool
 	qcModel    *overhead.Model
 	qcN        int
 	qc         [6]timeq.Time
+	qcPlain    timeq.Time
 	infl       []timeq.Time
 	blocking   []timeq.Time
 	maxDep     timeq.Time
@@ -184,15 +187,7 @@ func (cs *CoreSet) ensureCosts(m *overhead.Model) {
 	// The six queue-operation costs at this N, interpolated once and
 	// reused for every entity (arrivalCost/departureCost/ReleaseCost
 	// spelled out with the shared constants).
-	if !cs.qcOK || cs.qcModel != m || cs.qcN != cs.N {
-		cs.qc[0] = m.QueueOpCost(overhead.ReadyAdd, cs.N, false)
-		cs.qc[1] = m.QueueOpCost(overhead.ReadyDelete, cs.N, false)
-		cs.qc[2] = m.QueueOpCost(overhead.ReadyAdd, cs.N, true)
-		cs.qc[3] = m.QueueOpCost(overhead.SleepAdd, cs.N, false)
-		cs.qc[4] = m.QueueOpCost(overhead.SleepAdd, cs.N, true)
-		cs.qc[5] = m.QueueOpCost(overhead.SleepDelete, cs.N, false)
-		cs.qcOK, cs.qcModel, cs.qcN = true, m, cs.N
-	}
+	cs.queueCosts(m, cs.N)
 	dReadyAddL := cs.qc[0]
 	dReadyDelL := cs.qc[1]
 	dReadyAddR := cs.qc[2]
@@ -317,6 +312,26 @@ func (cs *CoreSet) ensureCosts(m *overhead.Model) {
 	cs.costsLen = k
 }
 
+// queueCosts fills the (model, N) queue-cost memo for queue bound n
+// and returns the plain entity's arrival plus departure charge — what
+// ensureCosts charges an entity that is neither migrated in nor out
+// nor a migrated tail.
+func (cs *CoreSet) queueCosts(m *overhead.Model, n int) timeq.Time {
+	if !cs.qcOK || cs.qcModel != m || cs.qcN != n {
+		cs.qc[0] = m.QueueOpCost(overhead.ReadyAdd, n, false)
+		cs.qc[1] = m.QueueOpCost(overhead.ReadyDelete, n, false)
+		cs.qc[2] = m.QueueOpCost(overhead.ReadyAdd, n, true)
+		cs.qc[3] = m.QueueOpCost(overhead.SleepAdd, n, false)
+		cs.qc[4] = m.QueueOpCost(overhead.SleepAdd, n, true)
+		cs.qc[5] = m.QueueOpCost(overhead.SleepDelete, n, false)
+		arr := m.Release + cs.qc[5] + cs.qc[0] + m.Sched + cs.qc[0] + cs.qc[1] + m.CtxSwitch
+		dep := m.Sched + m.CtxSwitch + cs.qc[3] + cs.qc[1]
+		cs.qcPlain = arr + dep
+		cs.qcOK, cs.qcModel, cs.qcN = true, m, n
+	}
+	return cs.qcPlain
+}
+
 // NewCoreSet builds a CoreSet over the given queue-size bound n and
 // derives CacheMax from the entity list and the model's cache
 // parameters.
@@ -421,14 +436,4 @@ func (cs *CoreSet) Blocking(e *Entity, m *overhead.Model) timeq.Time {
 		}
 	}
 	return b + maxDep + maxArr
-}
-
-// Utilization returns the total budget utilization on the core
-// (ΣC/T over entities, without overhead inflation).
-func (cs *CoreSet) Utilization() float64 {
-	u := 0.0
-	for _, e := range cs.Entities {
-		u += float64(e.C) / float64(e.T)
-	}
-	return u
 }

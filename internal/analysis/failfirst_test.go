@@ -168,7 +168,8 @@ func TestFailureFirstMatchesStateless(t *testing.T) {
 // with rate-monotonic ones (the probe then lands mid-order). A
 // rejected core test must stop within a few solves of the entity that
 // misses; walking the core from the top it solved about every entity
-// above that one (≈ k, a dozen here).
+// above that one (≈ k, a dozen here). A refusal the fluid screen
+// decides runs no solve at all.
 func TestRejectedCoreTestSolves(t *testing.T) {
 	const cores = 8
 	rng := rand.New(rand.NewSource(1))

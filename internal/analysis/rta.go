@@ -7,6 +7,10 @@ import (
 	"repro/internal/timeq"
 )
 
+// maxFPIterations caps one response-time fixed point: a solve that has
+// not converged after this many iterations reports a miss.
+const maxFPIterations = 10000
+
 // ResponseTime computes the worst-case response time of entity e on
 // core cs under preemptive fixed-priority scheduling with release
 // jitter and overheads, using the fixed-point iteration
@@ -112,7 +116,7 @@ func (cs *CoreSet) responseTime(e *Entity, m *overhead.Model, start timeq.Time) 
 	if start > r {
 		r = start
 	}
-	for iter := 0; iter < 10000; iter++ {
+	for iter := 0; iter < maxFPIterations; iter++ {
 		total := base
 		for j := 0; j < k; j++ {
 			c := coef[j]
@@ -136,7 +140,7 @@ func (cs *CoreSet) responseTime(e *Entity, m *overhead.Model, start timeq.Time) 
 	}
 	// Non-convergence within the iteration cap means effective
 	// utilization ≥ 1 at this priority level; report unschedulable.
-	return timeq.Infinity, false, 10000
+	return timeq.Infinity, false, maxFPIterations
 }
 
 // CoreSchedulable reports whether every entity on the core meets its
@@ -159,28 +163,4 @@ func LiuLaylandBound(n int) float64 {
 	}
 	fn := float64(n)
 	return fn * (math.Pow(2, 1/fn) - 1)
-}
-
-// CoreUtilizationSchedulable is the Liu & Layland sufficient test:
-// the core is schedulable if its budget utilization does not exceed
-// Θ(n). Only meaningful for the overhead-free setting; the
-// overhead-aware path uses exact RTA.
-func (cs *CoreSet) CoreUtilizationSchedulable() bool {
-	return cs.Utilization() <= LiuLaylandBound(len(cs.Entities))+1e-12
-}
-
-// CoreHyperbolicSchedulable is Bini & Buttazzo's hyperbolic bound:
-// Π(Uᵢ + 1) ≤ 2 suffices for RM schedulability with implicit
-// deadlines. It is strictly less pessimistic than Liu & Layland and
-// still O(n), so it serves as a fast sufficient pre-filter before
-// exact RTA.
-func (cs *CoreSet) CoreHyperbolicSchedulable() bool {
-	p := 1.0
-	for _, e := range cs.Entities {
-		if e.D < e.T || e.Jitter > 0 {
-			return false // bound only valid for implicit deadlines
-		}
-		p *= float64(e.C)/float64(e.T) + 1
-	}
-	return p <= 2+1e-12
 }

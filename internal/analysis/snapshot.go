@@ -36,12 +36,16 @@
 // # Decision identity
 //
 // Snapshot verdicts are bit-identical to the stateless Analyzer on
-// the snapshot's assignment, by the same arguments as the owning
+// the snapshot's assignment, by the same three arguments as the owning
 // Context: warm starts are converged values of the committed system,
 // which a probe only extends (monotone fixed points converge to the
-// same least fixed point from any value at or below it), and
-// non-monotone overhead models disable warm starts entirely. The
-// fork differential and racing fuzz tests enforce this.
+// same least fixed point from any value at or below it); non-monotone
+// overhead models disable warm starts entirely; and the fluid screen
+// refuses or starts a whole-task probe only from a bound every fixed
+// point obeys, reading the per-core sums the publisher copied with the
+// records (fixed priorities only; EDF screens utilization in
+// edfHorizon). The fork differential and racing fuzz tests and
+// FuzzFPFluidScreen enforce this.
 package analysis
 
 import (

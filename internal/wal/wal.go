@@ -129,7 +129,8 @@ type Options struct {
 	// first anomaly, which is the truncation point, and a segment Open
 	// drops whole is refused on its header before any of its frames is
 	// delivered. Payload is valid only during the call; Stream is one
-	// string shared by all of a stream's records. An error aborts Open.
+	// string shared by all of a stream's records, and StreamIndex its
+	// index in this scan. An error aborts Open.
 	OnRecover func(Record) error
 }
 
@@ -143,6 +144,12 @@ type Record struct {
 	Seq     int64
 	Stream  string
 	Payload []byte
+	// StreamIndex, in a record Open's recovery scan hands OnRecover, is
+	// the index the scan interned Stream under: from 0 in the order the
+	// scan met the streams, and stable for one Open, so a caller can
+	// keep per-stream state in a slice instead of hashing Stream again.
+	// Replay, ReplayStream and ReadAt leave it 0.
+	StreamIndex int
 }
 
 // Pos locates one frame: the LSN it was appended at and its byte
@@ -309,8 +316,8 @@ type streamName struct {
 	r    seqRange
 }
 
-// of returns b's entry, valid until the next new key is interned.
-func (n *streamNames) of(b []byte) *streamName {
+// of returns the index of b's entry in ents.
+func (n *streamNames) of(b []byte) int {
 	i, ok := n.idx[string(b)]
 	if !ok {
 		if n.idx == nil {
@@ -320,7 +327,7 @@ func (n *streamNames) of(b []byte) *streamName {
 		n.ents = append(n.ents, streamName{name: string(b)})
 		n.idx[n.ents[i].name] = i
 	}
-	return &n.ents[i]
+	return i
 }
 
 // scanner is Open's state across the segments it scans: the read
@@ -332,16 +339,17 @@ type scanner struct {
 	held  int
 }
 
-// note counts one frame of stream b at seq into seg's ranges.
-func (sc *scanner) note(seg *segment, b []byte, seq int64) *streamName {
-	e := sc.names.of(b)
-	if e.seg != seg {
+// note counts one frame of stream b at seq into seg's ranges and
+// returns the stream's index.
+func (sc *scanner) note(seg *segment, b []byte, seq int64) int {
+	i := sc.names.of(b)
+	if e := &sc.names.ents[i]; e.seg != seg {
 		e.seg, e.r = seg, seqRange{min: seq, max: seq}
 		sc.held++
 	} else {
 		e.r.add(seq)
 	}
-	return e
+	return i
 }
 
 // index writes the ranges of seg, the segment just scanned, to its
@@ -514,9 +522,10 @@ func (l *Log) scanSegment(sc *scanner, path string, wantFirst uint64) (seg *segm
 		case f.lsn != seg.lastLSN+1:
 			reason, offset = fmt.Sprintf("lsn discontinuity (%d after %d)", f.lsn, seg.lastLSN), off
 		default:
-			e := sc.note(seg, f.stream, f.seq)
+			i := sc.note(seg, f.stream, f.seq)
 			if l.opts.OnRecover != nil {
-				if err := l.opts.OnRecover(Record{LSN: f.lsn, Off: off, Seq: f.seq, Stream: e.name, Payload: f.payload}); err != nil {
+				r := Record{LSN: f.lsn, Off: off, Seq: f.seq, Stream: sc.names.ents[i].name, Payload: f.payload, StreamIndex: i}
+				if err := l.opts.OnRecover(r); err != nil {
 					return nil, "", 0, err
 				}
 			}
@@ -1043,7 +1052,7 @@ func (l *Log) replaySpan(sr *segReader, sp replaySpan, stream string, afterSeq i
 		}
 		name := stream
 		if stream == "" {
-			name = names.of(f.stream).name
+			name = names.ents[names.of(f.stream)].name
 		} else if string(f.stream) != stream || f.seq <= afterSeq {
 			continue
 		}

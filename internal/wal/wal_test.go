@@ -112,6 +112,42 @@ func TestReplayStreamFilters(t *testing.T) {
 	}
 }
 
+// TestRecordStreamIndex: the recovery scan numbers the streams it
+// meets from 0 in meeting order, one index per stream across segments;
+// Replay's records carry 0.
+func TestRecordStreamIndex(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{Policy: SyncOff, SegmentBytes: 1 << 10})
+	for i := int64(1); i <= 30; i++ {
+		for _, s := range []string{"c", "a", "b"} {
+			if _, err := l.Append(s, i, []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l.Close()
+	want := map[string]int{"c": 0, "a": 1, "b": 2}
+	check := func(how string, r Record) error {
+		if i, ok := want[r.Stream]; !ok || i != r.StreamIndex {
+			t.Fatalf("%s: record %d of %q carries index %d, want %d", how, r.LSN, r.Stream, r.StreamIndex, i)
+		}
+		return nil
+	}
+	l2, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(r Record) error { return check("scan", r) }})
+	defer l2.Close()
+	if rec.Segments < 2 || rec.Records != 90 {
+		t.Fatalf("recovery %+v, want 90 records over several segments", rec)
+	}
+	if err := l2.Replay(func(r Record) error {
+		if r.StreamIndex != 0 {
+			t.Fatalf("Replay record %d carries index %d", r.LSN, r.StreamIndex)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: force many rotations.

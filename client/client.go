@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"strings"
@@ -104,13 +103,29 @@ func InProcess(h http.Handler, opts ...Option) *Client {
 	return c
 }
 
-// handlerDoer adapts an http.Handler into a doer.
+// handlerDoer adapts an http.Handler into a doer: it serves the request
+// into an in-memory response (fast.go's memResponse, not the test
+// framework's recorder) and hands back its buffered body.
 type handlerDoer struct{ h http.Handler }
 
 func (d handlerDoer) Do(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	d.h.ServeHTTP(rec, req)
-	return rec.Result(), nil
+	rec := memResponse{hdr: make(http.Header)}
+	d.h.ServeHTTP(&rec, req)
+	status := rec.status
+	if status == 0 {
+		status = http.StatusOK
+	}
+	return &http.Response{
+		Status:        fmt.Sprintf("%03d %s", status, http.StatusText(status)),
+		StatusCode:    status,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        rec.hdr,
+		Body:          io.NopCloser(bytes.NewReader(rec.buf)),
+		ContentLength: int64(len(rec.buf)),
+		Request:       req,
+	}, nil
 }
 
 // --- core request machinery ------------------------------------------

@@ -67,7 +67,8 @@ func sessAssertZeroAllocs(t *testing.T, name string, f func()) {
 // TestTryReadAllocFree guards the non-holding admission query: wire
 // conversion into pooled scratch, the COW duplicate check, and a
 // first-fit probe through one pinned prober; on an explicit core, also
-// a probe the fluid screen refuses and one it starts.
+// a probe the fluid screen refuses and ones the per-entity screen
+// passes, refuses and starts.
 func TestTryReadAllocFree(t *testing.T) {
 	s := allocSession(t)
 	defer s.close()
@@ -84,23 +85,33 @@ func TestTryReadAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Below every resident priority the fluid screen decides: a heavy
-	// task is refused with no fixed point solved, a light one has its
-	// solve started from the bound (so every solve of the probe starts
-	// warm, the new task's included).
+	// Below every resident priority the fluid screen refuses a heavy
+	// task with no fixed point solved. Every entity of a probed core then
+	// meets its own screen: a light task leaves nothing to solve, a heavy
+	// one at the top of the order is refused by the screens of the
+	// residents below it, and one whose bounds straddle its deadline is
+	// solved once, started from the screen's bound (a new task has no
+	// warm value of its own).
 	for _, tc := range []struct {
-		name  string
-		wcet  int64
-		admit bool
-	}{{"fluid-refused", 99_000_000, false}, {"fluid-started", 1_000_000, true}} {
-		req := api.AdmitRequest{Task: api.Task{ID: 1<<40 + 2, WCETNs: tc.wcet, PeriodNs: 100_000_000, Priority: 9000, WSS: 64 << 10}, Core: &core}
+		name   string
+		wcet   int64
+		prio   int
+		admit  bool
+		solves int64
+	}{
+		{"fluid-refused", 99_000_000, 9000, false, 0},
+		{"screen-passed", 1_000_000, 9000, true, 0},
+		{"screen-refused", 99_000_000, 1, false, 0},
+		{"screen-started", 96_400_000, 9000, true, 1},
+	} {
+		req := api.AdmitRequest{Task: api.Task{ID: 1<<40 + 2, WCETNs: tc.wcet, PeriodNs: 100_000_000, Priority: tc.prio, WSS: 64 << 10}, Core: &core}
 		before := s.actx.ReadStats()
 		v, err := s.tryRead(req)
 		w := s.actx.ReadStats().Sub(before)
 		if err != nil || v.Admitted != tc.admit || w.CoreTests != 1 {
 			t.Fatalf("%s: verdict %+v, %v, %d core tests", tc.name, v, err, w.CoreTests)
 		}
-		if tc.admit && (w.FPSolves == 0 || w.WarmStarts != w.FPSolves) || !tc.admit && w.FPSolves != 0 {
+		if w.FPSolves != tc.solves || w.WarmStarts != w.FPSolves {
 			t.Fatalf("%s: %d solves, %d warm", tc.name, w.FPSolves, w.WarmStarts)
 		}
 		sessAssertZeroAllocs(t, "tryRead/"+tc.name, func() {

@@ -275,13 +275,28 @@ func TestDurableEvictionRestore(t *testing.T) {
 }
 
 // TestAuditReplay: the audit endpoint rebuilds state as of seq-1 and
-// re-runs the logged mutation with the collector on.
+// re-runs the logged mutation with the collector on. The audited admit
+// lands below two heavy tasks on core 0, where neither its bounds nor
+// the second task's decide without a fixed point: the re-run must
+// solve some.
 func TestAuditReplay(t *testing.T) {
 	dir := t.TempDir()
 	srv := newTestServer(t, durableConfig(dir))
 	mustStatus(t, srv, "POST", "/v1/sessions",
 		api.CreateSessionRequest{Name: "au", Cores: 2, Policy: "fp"}, http.StatusCreated)
-	acked := admitAcked(t, srv, "au", 1, 4)
+	acked := 0
+	for i, wcet := range []int64{40_000_000, 40_000_000, 15_000_000, 1_000_000} {
+		body := mustStatus(t, srv, "POST", "/v1/sessions/au/admit", api.AdmitRequest{Task: api.Task{
+			ID: int64(i + 1), WCETNs: wcet, PeriodNs: 100_000_000, DeadlineNs: 100_000_000, Priority: i + 1,
+		}}, http.StatusOK)
+		var v api.Verdict
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.Admitted {
+			acked++
+		}
+	}
 	if acked != 4 {
 		t.Fatalf("setup: %d/4 admitted", acked)
 	}

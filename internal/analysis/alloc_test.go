@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/overhead"
@@ -91,8 +92,9 @@ func TestSnapshotTryPlaceAllocFree(t *testing.T) {
 // stream of shapes that never repeat costs the same zero allocations as
 // a repeated one, under both policies. With a committed fixed-priority
 // split chain the probe also builds per-core views, clones the chains
-// and runs the jitter resolution. A probe the fluid screen refuses and
-// one it starts cost nothing either.
+// and runs the jitter resolution. A probe the fluid screen refuses, and
+// ones the per-entity screen passes, refuses and starts, cost nothing
+// either.
 func TestSnapshotTryPlaceSolveAllocFree(t *testing.T) {
 	for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
 		snap, _ := allocSnapshot(t, pol, false)
@@ -112,24 +114,43 @@ func TestSnapshotTryPlaceSolveAllocFree(t *testing.T) {
 		snap.TryPlace(tk, 2)
 	})
 	// Chain-free, a task below every committed priority meets the fluid
-	// screen: a heavy one is refused by it, a light one started by it.
+	// screen, which refuses a heavy one before any view is built. Every
+	// entity then meets its own screen, which passes, refuses or starts
+	// it: a light lowest task leaves nothing to solve, a heavy one at the
+	// top is refused with no solve, and a lowest one whose bounds
+	// straddle its deadline is solved from the screen's start.
 	snap, _ = allocSnapshot(t, task.FixedPriority, false)
+	s := snap.(*fpSnapshot)
 	for _, tc := range []struct {
-		name   string
-		wcet   timeq.Time
-		refuse bool
-	}{{"refused", ms(99), true}, {"started", ms(2), false}} {
-		tk := &task.Task{ID: 700, WCET: tc.wcet, Period: ms(100), Priority: 20000, WSS: 64 << 10}
-		s := snap.(*fpSnapshot)
-		p := fpProbe{m: s.m, cores: s.cores, sc: new(fpProbeScratch)}
-		p.sc.size(1)
-		start, refuse := p.fluidScreen(&p.sc.views[0], &s.cores[0], newFPEntityInto(new(Entity), tk), probeN(s.cores, s.maxN, []int{0}))
-		if refuse != tc.refuse || (!refuse && start == 0) {
-			t.Fatalf("FP/TryPlace fluid %s: screen start %d, refuse %v", tc.name, start, refuse)
+		name         string
+		wcet         timeq.Time
+		prio         int
+		fits, solves bool
+	}{
+		{"fluid-refused", ms(99), 20000, false, false},
+		{"screen-passed", ms(1), 20000, true, false},
+		{"screen-refused", ms(99), 1, false, false},
+		{"screen-started", ms(93), 20000, true, true},
+	} {
+		tk := &task.Task{ID: 700, WCET: tc.wcet, Period: ms(100), Priority: tc.prio, WSS: 64 << 10}
+		e := newFPEntityInto(new(Entity), tk)
+		p := fpProbe{m: s.m, mono: s.mono, maxN: s.maxN, cores: s.cores, chains: s.chains}
+		n := probeN(s.cores, s.maxN, []int{0})
+		p, v, scr := probeScreens(p, []*Entity{e}, []int{0}, nil, 0, n)
+		fluid := p.fluidRefuses(&s.cores[0], e, v.cs.qc.plain)
+		before := s.rs.Snapshot()
+		fits := snap.TryPlace(tk, 0)
+		w := s.rs.Snapshot().Sub(before)
+		if fits != tc.fits || fluid != (tc.name == "fluid-refused") || (w.FPSolves > 0) != tc.solves || w.CoreTests != 1 {
+			t.Fatalf("FP/TryPlace %s: verdict %v, fluid refusal %v, %+v", tc.name, fits, fluid, work(w))
 		}
-		assertZeroAllocs(t, "FP/TryPlace fluid "+tc.name, func() {
-			if snap.TryPlace(tk, 0) == tc.refuse {
-				t.Fatalf("fluid %s: verdict %v", tc.name, !tc.refuse)
+		own := scr[slices.Index(v.cs.Entities, e)]
+		if tc.name == "screen-started" && (own.start == 0 || own.pass || own.refuse || w.WarmStarts == 0) {
+			t.Fatalf("FP/TryPlace %s: the probed task's screen %+v, %+v", tc.name, own, work(w))
+		}
+		assertZeroAllocs(t, "FP/TryPlace "+tc.name, func() {
+			if snap.TryPlace(tk, 0) != tc.fits {
+				t.Fatalf("%s: verdict %v", tc.name, !tc.fits)
 			}
 		})
 	}

@@ -37,15 +37,26 @@
 //     at context creation; a pathological (inverted) model simply
 //     disables warm starts and memos, falling back to cold
 //     iterations everywhere.
-//   - The fluid screen (fpProbe.fluidScreen) decides a whole-task
-//     probe only from a bound every fixed point obeys. When the new
-//     task is strictly lowest on its core and every entity there is
-//     plain, ⌈x⌉ ≥ x gives f(r) ≥ B + r·U, so r ≥ B/(1 − U): the probe
-//     is refused only when no fixed point can lie at or below D, and
-//     otherwise that bound, at or below the least fixed point, is the
-//     new task's start value — dropped where the cold solve might have
-//     hit the iteration cap. It is fixed-priority only: the EDF test
-//     already screens utilization in edfHorizon.
+//   - The closed-form screens decide only from bounds every fixed point
+//     obeys. Each entity of a fixed-priority core test meets rtaScreen
+//     before its solve: with B its base, limit = D − J and, over its
+//     interferers, U = Σc/T, L = Σc·J/T and N = Σc + L, ⌈x⌉ ≥ x gives
+//     f(r) ≥ B + L + r·U and ⌈x⌉ < x + 1 gives f(r) < B + N + r·U. It
+//     refuses when B + L + limit·U > limit (no fixed point at or below
+//     limit), passes without a solve when B + N + limit·U ≤ limit
+//     (f(limit) ≤ limit, so the least fixed point is at most limit),
+//     and otherwise starts the solve from (B + L)/(1 − U), at or below
+//     the least fixed point. Both inequalities keep a 1e-9 relative
+//     margin for their float sums; the start is rounded down past the
+//     float error of U and dropped where U is too near 1 for it; and
+//     neither a pass nor a start applies where the cold solve might hit
+//     its iteration cap (limit·Σ1/T + ΣJ/T + k + 3 ≥ the cap), where
+//     they could admit what the cold solve misses. The fluid screen
+//     (fpProbe.fluidRefuses) is the refusal of the same bound for a
+//     whole task strictly lowest on a plain core, read off the
+//     committed record before any view is built. Both are
+//     fixed-priority only: the EDF test already screens utilization in
+//     edfHorizon.
 //
 // The test suite enforces identity with randomized differential runs
 // (see context_diff_test.go) and with SelfCheck, which shadows every
@@ -324,24 +335,30 @@ func (c *Collector) SetFPObserver(fn func(iterations, solves int64)) {
 	c.fpObs.Store(&fn)
 }
 
-// Add folds s into the collector.
+// Add folds s into the collector. It adds only the nonzero counters: a
+// read probe carries no full test and no verdict hit, one its screens
+// decide no solve, and fixed-priority traffic no demand test, and each
+// skipped counter is an atomic read-modify-write saved.
 func (c *Collector) Add(s AdmissionStats) {
-	c.probes.Add(s.Probes)
-	c.fullTests.Add(s.FullTests)
-	c.coreTests.Add(s.CoreTests)
-	c.verdictHits.Add(s.VerdictHits)
-	c.fpSolves.Add(s.FPSolves)
-	c.fpIterations.Add(s.FPIterations)
-	c.warmStarts.Add(s.WarmStarts)
-	if s.DemandTests != 0 {
-		// Fixed-priority traffic executes no atomic for these.
-		c.demandTests.Add(s.DemandTests)
-		c.demandPoints.Add(s.DemandPoints)
-	}
+	addNonzero(&c.probes, s.Probes)
+	addNonzero(&c.fullTests, s.FullTests)
+	addNonzero(&c.coreTests, s.CoreTests)
+	addNonzero(&c.verdictHits, s.VerdictHits)
+	addNonzero(&c.fpSolves, s.FPSolves)
+	addNonzero(&c.fpIterations, s.FPIterations)
+	addNonzero(&c.warmStarts, s.WarmStarts)
+	addNonzero(&c.demandTests, s.DemandTests)
+	addNonzero(&c.demandPoints, s.DemandPoints)
 	if s.FPSolves > 0 {
 		if f := c.fpObs.Load(); f != nil {
 			(*f)(s.FPIterations, s.FPSolves)
 		}
+	}
+}
+
+func addNonzero(a *atomic.Int64, v int64) {
+	if v != 0 {
+		a.Add(v)
 	}
 }
 

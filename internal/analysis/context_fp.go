@@ -399,7 +399,7 @@ func (x *fpContext) Schedulable() bool {
 			x.sc.run++
 			v := &x.sc.views[c]
 			p.fillView(v, c, nil, nil, x.maxN)
-			ok = fpEvalCore(&p, v, nil, 0)
+			ok = fpEvalCore(&p, v, nil)
 			x.setWarm(c, v.warm)
 			x.setVerdict(c, x.coreJGen[c], ok)
 		}

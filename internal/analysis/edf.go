@@ -194,7 +194,7 @@ func (cs *CoreSet) edfBusyPeriod(infl []timeq.Time, rel, b, start timeq.Time) (t
 	// its cache, so the mirrors are filled and parallel).
 	k := len(cs.Entities)
 	periods, migr := cs.soaT[:k], cs.soaMigr[:k]
-	for iter := 0; iter < 10000; iter++ {
+	for iter := 0; iter < maxBusyIterations; iter++ {
 		next := b
 		for i := 0; i < k; i++ {
 			n := timeq.CeilDiv(w, periods[i])

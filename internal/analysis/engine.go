@@ -226,6 +226,9 @@ type fpProbeScratch struct {
 	tent  fpSnapChain    // the reader's tentative split chain
 	pool  entPool        // the entities it is built from
 	stats AdmissionStats // and the reader's counters for one probe
+
+	mm modelMemo // the queue costs and cache delays the views are filled with
+	hp []rtaSums // per entity of the view under test, its higher-priority sums
 }
 
 // size makes room for nc cores.
@@ -246,6 +249,10 @@ type fpProbe struct {
 	chains []fpSnapChain
 	sc     *fpProbeScratch
 	stats  *AdmissionStats
+	// addCM is the cache delay of the tentative task, which every
+	// tentative entity of a run shares: computed once per run, before
+	// the views are filled (fillView reads it).
+	addCM timeq.Time
 }
 
 // run evaluates one probe: the tentative entities add placed on
@@ -259,75 +266,66 @@ func (p *fpProbe) run(add []*Entity, addCores []int, tent *fpSnapChain, probeCor
 	if len(p.chains) == 0 && tent == nil {
 		// No chains, no cross-core coupling: probe the core alone (the
 		// stateless fast path). The probe is one whole task on its own
-		// core, which the fluid screen may decide without a solve.
+		// core, which the fluid screen may refuse before any view is
+		// built.
 		v := &sc.views[0]
 		if sc.perCore {
 			v = &sc.views[probeCore]
 		}
-		start, refuse := p.fluidScreen(v, &p.cores[probeCore], add[0], n)
-		if refuse {
+		p.addCM = p.sc.mm.maxDelay(p.m, add[0].Task.WSS)
+		if p.fluidRefuses(&p.cores[probeCore], add[0], p.queueCosts(v, n)) {
 			p.stats.CoreTests++
 			return false
 		}
 		p.fillView(v, probeCore, add, addCores, n)
-		return fpEvalCore(p, v, nil, start)
+		return fpEvalCore(p, v, nil)
 	}
 	p.buildViews(add, addCores, probeCore, n)
 	p.cloneChains(tent)
 	p.resolve()
-	return fpEvalCore(p, &sc.views[probeCore], sc.failed, 0)
+	return fpEvalCore(p, &sc.views[probeCore], sc.failed)
 }
 
-// fluidMargin is the relative slack the fluid screen leaves its float
-// arithmetic: within it of the deadline, the exact solve decides.
-const fluidMargin = 1e-9
+// screenMargin is the relative slack the closed-form screens leave
+// their float arithmetic: within it of the deadline, the exact solve
+// decides.
+const screenMargin = 1e-9
 
-// fluidScreen bounds the response time of a whole task e probed onto
-// the committed core r under queue bound n, before any view is built.
-// It applies when e is strictly lower in priority than every committed
-// entity and every one of them is plain. Each then interferes with e
-// at Cⱼ + a, a = arr + dep + CacheMax′ being what ensureCosts charges
-// a plain entity on the probe state (v's queue-cost memo holds arr +
-// dep at n), nothing lower in priority releases, and e's own base is
-// B = C + a + blocking, blocking = arr + dep. Since ⌈x⌉ ≥ x,
+// queueCosts fills v's queue-cost memo for bound n from the scratch's
+// memo and returns a plain entity's arrival plus departure charge.
+func (p *fpProbe) queueCosts(v *probeView, n int) timeq.Time {
+	cs := &v.cs
+	if !cs.qcOK || cs.qcModel != p.m || cs.qcN != n {
+		cs.useQueueCosts(p.m, n, *p.sc.mm.queueCosts(p.m, n))
+	}
+	return cs.qc.plain
+}
+
+// fluidRefuses bounds the response time of a whole task e probed onto
+// the committed core r, before any view is built; ad is the plain
+// charge at the probe's queue bound. It applies when e is strictly
+// lower in priority than every committed entity and every one of them
+// is plain. Each then interferes with e at Cⱼ + a, a = ad + CacheMax′
+// being what ensureCosts charges a plain entity on the probe state,
+// nothing lower in priority releases, and e's own base is
+// B = C + a + blocking, blocking = ad. Since ⌈x⌉ ≥ x,
 //
 //	f(r) = B + Σⱼ ⌈r/Tⱼ⌉·(Cⱼ + a) ≥ B + r·U,  U = ΣCⱼ/Tⱼ + a·Σ1/Tⱼ,
 //
-// so every fixed point has r·(1 − U) ≥ B: none exists at or below D
-// when B + D·U > D (B > 0), and otherwise every one is at least
-// B/(1 − U). refuse reports the first case, beyond the margin; start
-// is the second bound, rounded down past the float error of U, a lower
-// bound of e's least fixed point to start its solve from. The solve
-// then converges to the same point as from 0, so neither the verdict
-// nor a converged value moves — as long as the cold solve would not
-// have hit the iteration cap first: each of its iterations but the
-// last two raises some ⌈r/Tⱼ⌉, so one converging at or below D takes
-// at most Σⱼ⌈D/Tⱼ⌉ + 2 ≤ D·Σ1/Tⱼ + len + 2. start is 0 where that may
-// reach the cap, or where U is too near 1 for its float error.
-func (p *fpProbe) fluidScreen(v *probeView, r *coreRec, e *Entity, n int) (start timeq.Time, refuse bool) {
+// so no fixed point lies at or below D when B + D·U > D (B > 0): the
+// probe is refused, beyond the margin. It is the per-entity screen of
+// fpEvalCore (rtaScreen) for this one entity, from the committed
+// record's summary instead of a filled view.
+func (p *fpProbe) fluidRefuses(r *coreRec, e *Entity, ad timeq.Time) bool {
 	f := &r.fluid
 	if f.mixed || e.LocalPriority <= f.maxPrio {
-		return 0, false
+		return false
 	}
-	cm := r.cacheMax
-	if d := p.m.Cache.MaxDelay(e.Task.WSS); d > cm {
-		cm = d
-	}
-	ad := v.cs.queueCosts(p.m, n)
-	a := ad + cm
+	a := ad + max(r.cacheMax, p.addCM)
 	b := timeq.AddSat(e.C+a, ad)
 	u := f.sumCT + float64(a)*f.sumInvT
 	bf, d := float64(b), float64(e.D)
-	if b > 0 && bf+d*u > d*(1+fluidMargin) {
-		return 0, true
-	}
-	// U sums len(ents)+1 rounded terms, so its relative error is below
-	// (len+2)·2⁻⁵³; the bound keeps twice that clear of the margin.
-	den, k := 1-u, float64(len(r.ents))
-	if den*fluidMargin <= (k+4)*0x1p-52*u || d*f.sumInvT+k >= maxFPIterations-3 {
-		return 0, false
-	}
-	return timeq.Time(min(bf/den*(1-fluidMargin), d)), false
+	return b > 0 && bf+d*u > d*(1+screenMargin)
 }
 
 // fullTest is the full admission test of the committed state.
@@ -342,7 +340,7 @@ func (p *fpProbe) fullTest() bool {
 		return false
 	}
 	for c := range p.cores {
-		if !fpEvalCore(p, &sc.views[c], nil, 0) {
+		if !fpEvalCore(p, &sc.views[c], nil) {
 			return false
 		}
 	}
@@ -354,6 +352,9 @@ func (p *fpProbe) fullTest() bool {
 // land on and the cores hosting a chain entity. Nothing solves on any
 // other.
 func (p *fpProbe) buildViews(add []*Entity, addCores []int, probeCore, n int) {
+	if len(add) > 0 {
+		p.addCM = p.sc.mm.maxDelay(p.m, add[0].Task.WSS)
+	}
 	fill := func(c int) {
 		if v := &p.sc.views[c]; v.run != p.sc.run {
 			p.fillView(v, c, add, addCores, n)
@@ -396,13 +397,12 @@ func (p *fpProbe) fillView(v *probeView, c int, add []*Entity, addCores []int, n
 		}
 		src = nil
 		ents, warm = insertByPriority(ents, warm, e)
-		if d := p.m.Cache.MaxDelay(e.Task.WSS); d > cm {
-			cm = d
-		}
+		cm = max(cm, p.addCM)
 	}
 	if src == nil || src != v.src || base.rev != v.rev {
 		v.cs.invalidateCosts()
 	}
+	p.queueCosts(v, n)
 	v.src, v.rev = src, base.rev
 	v.warm = warm
 	v.run = p.sc.run
@@ -509,9 +509,11 @@ func (p *fpProbe) solve(v *probeView, idx int, floor timeq.Time) (timeq.Time, bo
 // stateless Cores.SchedulableCore keeps the naive top-down order and
 // is what the differential suites compare against.
 //
-// start is a lower bound of the lowest entity's least fixed point (the
-// fluid screen's, or 0); that entity is solved first.
-func fpEvalCore(p *fpProbe, v *probeView, failed map[*Entity]bool, start timeq.Time) bool {
+// Each entity meets its closed-form screen (rtaScreen) first, which
+// refuses it, passes it or starts its solve; only the entities the
+// screen leaves open are solved. A passed entity keeps its view warm
+// value, which is still a lower bound.
+func fpEvalCore(p *fpProbe, v *probeView, failed map[*Entity]bool) bool {
 	p.stats.CoreTests++
 	if len(failed) > 0 {
 		for _, e := range v.cs.Entities {
@@ -520,13 +522,150 @@ func fpEvalCore(p *fpProbe, v *probeView, failed map[*Entity]bool, start timeq.T
 			}
 		}
 	}
+	w := p.screens(v)
 	for i := len(v.cs.Entities) - 1; i >= 0; i-- {
+		start, pass, refuse := w.next(i)
+		if refuse {
+			return false
+		}
+		if pass {
+			continue
+		}
 		if _, ok := p.solve(v, i, start); !ok {
 			return false
 		}
-		start = 0
 	}
 	return true
+}
+
+// rtaSums are sums over an entity's interferers: with each one's
+// coefficient c — C′ⱼ for a higher-priority entity, rel for a
+// lower-priority timer-released one — u = Σc/T, c = Σc, l = Σc·J/T,
+// and over the same entities invT = Σ1/T and jT = ΣJ/T.
+type rtaSums struct{ u, c, l, invT, jT float64 }
+
+// add counts one interferer of period t, jitter j and coefficient c.
+func (s *rtaSums) add(c, t, j float64) {
+	inv := 1 / t
+	s.u += c * inv
+	s.c += c
+	s.l += c * j * inv
+	s.invT += inv
+	s.jT += j * inv
+}
+
+// screenWalk yields the screen of every entity of one view, lowest
+// priority first: next(k−1), next(k−2), … next(0), in that order.
+type screenWalk struct {
+	cs *CoreSet
+	hp []rtaSums // the higher-priority sums of each entity
+	ok bool      // the entities are priority-sorted; else none is screened
+	// The timer-released entities strictly below the current priority
+	// group, and those in it, counted at c = 1.
+	lo, grp rtaSums
+}
+
+// screens makes the walk's one O(k) pass over the view: the prefix
+// sums over higher-priority groups. responseTime classifies the same
+// way: an equal priority, the entity itself and a lower-priority
+// migrated arrival are inert.
+func (p *fpProbe) screens(v *probeView) screenWalk {
+	cs := &v.cs
+	cs.ensureCosts(p.m)
+	ents := cs.Entities
+	if cap(p.sc.hp) < len(ents) {
+		p.sc.hp = make([]rtaSums, len(ents))
+	}
+	w := screenWalk{cs: cs, hp: p.sc.hp[:len(ents)], ok: true}
+	var run, grp rtaSums
+	for i, e := range ents {
+		if i == 0 || e.LocalPriority != ents[i-1].LocalPriority {
+			w.ok = w.ok && (i == 0 || e.LocalPriority > ents[i-1].LocalPriority)
+			grp = run
+		}
+		w.hp[i] = grp
+		run.add(float64(cs.infl[i]), float64(e.T), float64(e.Jitter))
+	}
+	return w
+}
+
+// next screens entity i, after every entity below it.
+func (w *screenWalk) next(i int) (start timeq.Time, pass, refuse bool) {
+	ents := w.cs.Entities
+	e := ents[i]
+	if i < len(ents)-1 && e.LocalPriority != ents[i+1].LocalPriority {
+		w.lo.c += w.grp.c
+		w.lo.invT += w.grp.invT
+		w.lo.jT += w.grp.jT
+		w.grp = rtaSums{}
+	}
+	s := w.hp[i]
+	if rel := float64(w.cs.relCost); rel > 0 {
+		s.u += rel * w.lo.invT
+		s.c += rel * w.lo.c
+		s.l += rel * w.lo.jT
+		s.invT += w.lo.invT
+		s.jT += w.lo.jT
+	}
+	if !e.MigrIn {
+		w.grp.add(1, float64(e.T), float64(e.Jitter))
+	}
+	if !w.ok {
+		return 0, false, false
+	}
+	return rtaScreen(timeq.AddSat(w.cs.infl[i], w.cs.blocking[i]), e.D-e.Jitter, s, len(ents))
+}
+
+// rtaScreen decides an entity from closed-form bounds of its
+// response-time function
+//
+//	f(r) = B + Σⱼ cⱼ·⌈(r + Jⱼ)/Tⱼ⌉
+//
+// on a core of k entities, where B = C′ + blocking is its base, the
+// sums s run over its interferers and limit = D − J. Since
+// x ≤ ⌈x⌉ < x + 1,
+//
+//	B + L + r·U ≤ f(r) < B + N + r·U,  N = Σc·(1 + J/T) = s.c + L,
+//
+// with U = s.u and L = s.l. It refuses when B + L + limit·U > limit
+// (B > 0): every r ≤ limit then has f(r) > r, so no fixed point lies
+// at or below limit. It passes when B + N + limit·U ≤ limit: then
+// f(limit) ≤ limit, and the iteration from B (f(r) ≥ B) climbs to the
+// least fixed point without leaving [B, limit]. Both tests keep the
+// relative margin clear of their float sums. Otherwise start is
+// (B + L)/(1 − U), rounded down past the float error of U: every fixed
+// point r has r ≥ B + L + r·U, so it is a lower bound of the least one
+// to start the solve from, which converges to the same point as from 0.
+//
+// A pass and a start change the verdict the cold solve would give only
+// where the cold solve hits maxFPIterations first. Each of its
+// iterations but the last two raises some ⌈(r + Jⱼ)/Tⱼ⌉, so one
+// converging at or below limit takes at most
+// Σⱼ⌈(limit + Jⱼ)/Tⱼ⌉ + 2 ≤ limit·Σ1/Tⱼ + ΣJⱼ/Tⱼ + k + 2 iterations;
+// neither applies where that may reach the cap, nor the start where U
+// is too near 1 for its float error.
+func rtaScreen(b, limit timeq.Time, s rtaSums, k int) (start timeq.Time, pass, refuse bool) {
+	if limit <= 0 {
+		return 0, false, false
+	}
+	bf, d := float64(b), float64(limit)
+	if b > 0 && bf+s.l+d*s.u > d*(1+screenMargin) {
+		return 0, false, true
+	}
+	if d*s.invT+s.jT+float64(k)+3 >= maxFPIterations {
+		return 0, false, false
+	}
+	if bf+s.c+s.l+d*s.u <= d*(1-screenMargin) {
+		return 0, true, false
+	}
+	// U's terms carry two roundings each and its sums one per term, so
+	// its relative error is below (k+1)·2⁻⁵²; the guard keeps that
+	// clear of the margin, with room for the error of B + L.
+	den := 1 - s.u
+	if den*screenMargin <= float64(k+4)*0x1p-52*s.u {
+		return 0, false, false
+	}
+	return timeq.Time(min((bf+s.l)/den*(1-screenMargin), d)), false, false
 }
 
 // resolve runs the split-chain jitter fixed point over the views,

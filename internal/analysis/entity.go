@@ -112,14 +112,13 @@ type CoreSet struct {
 	// Queue-op cost memo keyed (model, N) only: it survives
 	// invalidateCosts — swapping entities does not move these six
 	// interpolations — so the per-probe cache refill skips the log₂
-	// interpolation entirely while the queue bound is stable. qcPlain
-	// is the arrival plus departure charge of a plain entity (timer
-	// released, departing to its local sleep queue) at that N.
+	// interpolation entirely while the queue bound is stable. The probe
+	// engine fills it from its scratch's modelMemo, which also hits
+	// across queue bounds and sessions.
 	qcOK       bool
 	qcModel    *overhead.Model
 	qcN        int
-	qc         [6]timeq.Time
-	qcPlain    timeq.Time
+	qc         queueCostSet
 	infl       []timeq.Time
 	blocking   []timeq.Time
 	maxDep     timeq.Time
@@ -188,12 +187,12 @@ func (cs *CoreSet) ensureCosts(m *overhead.Model) {
 	// reused for every entity (arrivalCost/departureCost/ReleaseCost
 	// spelled out with the shared constants).
 	cs.queueCosts(m, cs.N)
-	dReadyAddL := cs.qc[0]
-	dReadyDelL := cs.qc[1]
-	dReadyAddR := cs.qc[2]
-	dSleepAddL := cs.qc[3]
-	dSleepAddR := cs.qc[4]
-	dSleepDelL := cs.qc[5]
+	dReadyAddL := cs.qc.ops[0]
+	dReadyDelL := cs.qc.ops[1]
+	dReadyAddR := cs.qc.ops[2]
+	dSleepAddL := cs.qc.ops[3]
+	dSleepAddR := cs.qc.ops[4]
+	dSleepDelL := cs.qc.ops[5]
 	cs.relCost = m.Release + dSleepDelL + dReadyAddL + m.Sched
 	cs.maxDep, cs.maxArr = 0, 0
 	cs.nonMigr = 0
@@ -318,18 +317,91 @@ func (cs *CoreSet) ensureCosts(m *overhead.Model) {
 // nor a migrated tail.
 func (cs *CoreSet) queueCosts(m *overhead.Model, n int) timeq.Time {
 	if !cs.qcOK || cs.qcModel != m || cs.qcN != n {
-		cs.qc[0] = m.QueueOpCost(overhead.ReadyAdd, n, false)
-		cs.qc[1] = m.QueueOpCost(overhead.ReadyDelete, n, false)
-		cs.qc[2] = m.QueueOpCost(overhead.ReadyAdd, n, true)
-		cs.qc[3] = m.QueueOpCost(overhead.SleepAdd, n, false)
-		cs.qc[4] = m.QueueOpCost(overhead.SleepAdd, n, true)
-		cs.qc[5] = m.QueueOpCost(overhead.SleepDelete, n, false)
-		arr := m.Release + cs.qc[5] + cs.qc[0] + m.Sched + cs.qc[0] + cs.qc[1] + m.CtxSwitch
-		dep := m.Sched + m.CtxSwitch + cs.qc[3] + cs.qc[1]
-		cs.qcPlain = arr + dep
-		cs.qcOK, cs.qcModel, cs.qcN = true, m, n
+		cs.useQueueCosts(m, n, newQueueCostSet(m, n))
 	}
-	return cs.qcPlain
+	return cs.qc.plain
+}
+
+// useQueueCosts installs set, the queue costs at (m, n), as the memo.
+func (cs *CoreSet) useQueueCosts(m *overhead.Model, n int, set queueCostSet) {
+	cs.qc, cs.qcOK, cs.qcModel, cs.qcN = set, true, m, n
+}
+
+// queueOps are the six queue operations ensureCosts charges, in the
+// order of queueCostSet.ops.
+var queueOps = [6]overhead.QueueOp{
+	{Op: overhead.ReadyAdd}, {Op: overhead.ReadyDelete}, {Op: overhead.ReadyAdd, Remote: true},
+	{Op: overhead.SleepAdd}, {Op: overhead.SleepAdd, Remote: true}, {Op: overhead.SleepDelete},
+}
+
+// queueCostSet is what the cost cache reads of the model at one queue
+// bound: the six queue-operation costs of queueOps, and plain, the
+// arrival plus departure charge of a plain entity (timer released,
+// departing to its local sleep queue).
+type queueCostSet struct {
+	ops   [6]timeq.Time
+	plain timeq.Time
+}
+
+// newQueueCostSet interpolates the set at (m, n) from one log₂(n).
+func newQueueCostSet(m *overhead.Model, n int) queueCostSet {
+	var q queueCostSet
+	m.QueueOpCosts(n, queueOps[:], q.ops[:])
+	arr := m.Release + q.ops[5] + q.ops[0] + m.Sched + q.ops[0] + q.ops[1] + m.CtxSwitch
+	dep := m.Sched + m.CtxSwitch + q.ops[3] + q.ops[1]
+	q.plain = arr + dep
+	return q
+}
+
+// modelMemo keeps what the probe engine reads of a model across the
+// queue bounds, tasks and sessions one probe scratch serves — the
+// queue-cost set per bound, and the cache delay of the last working
+// set probed. A pooled reader scratch probes for every session, each
+// with a model of its own (mostly with equal contents), at the bounds
+// its cores reach, so the memo is keyed by the model's contents, with
+// one queue-cost slot per bound modulo its size.
+type modelMemo struct {
+	model *overhead.Model // the last model seen; its contents are key
+	key   overhead.Model
+	slots [16]struct {
+		ok  bool
+		n   int
+		set queueCostSet
+	}
+	cmOK  bool
+	cmWSS int64
+	cm    timeq.Time
+}
+
+// use keys the memo to m's contents.
+func (q *modelMemo) use(m *overhead.Model) {
+	if m != q.model {
+		if q.model == nil || *m != q.key {
+			q.key = *m
+			clear(q.slots[:])
+			q.cmOK = false
+		}
+		q.model = m
+	}
+}
+
+// queueCosts returns the set at (m, n).
+func (q *modelMemo) queueCosts(m *overhead.Model, n int) *queueCostSet {
+	q.use(m)
+	s := &q.slots[uint(n)%uint(len(q.slots))]
+	if !s.ok || s.n != n {
+		s.ok, s.n, s.set = true, n, newQueueCostSet(m, n)
+	}
+	return &s.set
+}
+
+// maxDelay returns m.Cache.MaxDelay(wss).
+func (q *modelMemo) maxDelay(m *overhead.Model, wss int64) timeq.Time {
+	q.use(m)
+	if !q.cmOK || q.cmWSS != wss {
+		q.cmOK, q.cmWSS, q.cm = true, wss, m.Cache.MaxDelay(wss)
+	}
+	return q.cm
 }
 
 // NewCoreSet builds a CoreSet over the given queue-size bound n and

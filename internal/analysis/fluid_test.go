@@ -146,7 +146,9 @@ func ratFloor(r *big.Rat) int64 {
 // strong as its bound, computed here in exact arithmetic from the
 // stateless overhead methods — it refuses whenever B + D·U clears D by
 // 1e-8 of D, and, with U clear of 1 and D short of the iteration cap's
-// reach, starts within 1e-8 of the bound B/(1 − U).
+// reach, the probed task's per-entity screen (rtaScreen, which holds
+// the fluid start) starts within 1e-8 of the bound B/(1 − U) unless it
+// decides the task outright.
 // The seed corpus (testdata/fuzz/FuzzFPFluidScreen) holds exact hits
 // under all three models, one at D = 1.26 s, U within 1e-7 of 1, and
 // bounds a few ns either side of D.
@@ -207,8 +209,11 @@ func checkFluidScreen(t *testing.T, fc *fluidCase) {
 
 	x := ctx.(*fpContext)
 	n := probeN(x.cores, x.maxN, []int{0})
-	p := x.engine()
-	start, refuse := p.fluidScreen(&x.sc.views[0], &x.cores[0], newFPEntityInto(new(Entity), fc.probe), n)
+	e := newFPEntityInto(new(Entity), fc.probe)
+	p, v, scr := probeScreens(x.engine(), []*Entity{e}, []int{0}, nil, 0, n)
+	refuse := p.fluidRefuses(&x.cores[0], e, v.cs.qc.plain)
+	lowest := scr[len(scr)-1] // the probed task's own screen
+	start := lowest.start
 
 	if onWriter != want || onReader != want {
 		t.Fatalf("writer %v, snapshot %v, stateless %v", onWriter, onReader, want)
@@ -244,7 +249,7 @@ func checkFluidScreen(t *testing.T, fc *fluidCase) {
 	for _, tk := range fc.committed {
 		jobs.Add(jobs, big.NewRat(int64(probed.D), int64(tk.Period)))
 	}
-	if !refuse && den.Cmp(big.NewRat(1, 1000)) > 0 && jobs.Cmp(big.NewRat(maxFPIterations-4, 1)) < 0 {
+	if !refuse && !lowest.pass && !lowest.refuse && den.Cmp(big.NewRat(1, 1000)) > 0 && jobs.Cmp(big.NewRat(maxFPIterations-4, 1)) < 0 {
 		bound := new(big.Rat).Quo(b, den)
 		low := min(ratFloor(new(big.Rat).Mul(bound, new(big.Rat).Sub(one, slack)))-1, int64(probed.D))
 		if int64(start) < low {

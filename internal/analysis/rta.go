@@ -7,9 +7,19 @@ import (
 	"repro/internal/timeq"
 )
 
-// maxFPIterations caps one response-time fixed point: a solve that has
-// not converged after this many iterations reports a miss.
-const maxFPIterations = 10000
+// The analysis' two iteration caps. maxFPIterations caps one
+// response-time fixed point (responseTime): a solve that has not
+// converged after this many iterations reports a miss.
+// maxBusyIterations caps the EDF busy-period fixed point
+// (edfBusyPeriod): a busy period that has not converged after this
+// many iterations makes the core unschedulable. Either cap can turn a
+// fixed point that exists into a miss, so an exact oracle must model
+// both; the FP engine's closed-form screens (rtaScreen) decide nothing
+// where the cap might bind.
+const (
+	maxFPIterations   = 10000
+	maxBusyIterations = 10000
+)
 
 // ResponseTime computes the worst-case response time of entity e on
 // core cs under preemptive fixed-priority scheduling with release

@@ -40,12 +40,12 @@
 // Context: warm starts are converged values of the committed system,
 // which a probe only extends (monotone fixed points converge to the
 // same least fixed point from any value at or below it); non-monotone
-// overhead models disable warm starts entirely; and the fluid screen
-// refuses or starts a whole-task probe only from a bound every fixed
-// point obeys, reading the per-core sums the publisher copied with the
-// records (fixed priorities only; EDF screens utilization in
-// edfHorizon). The fork differential and racing fuzz tests and
-// FuzzFPFluidScreen enforce this.
+// overhead models disable warm starts entirely; and the fluid and
+// per-entity screens refuse, pass or start only from bounds every fixed
+// point obeys, the fluid one reading the per-core sums the publisher
+// copied with the records (fixed priorities only; EDF screens
+// utilization in edfHorizon). The fork differential and racing fuzz
+// tests, FuzzFPFluidScreen and FuzzFPEntityScreen enforce this.
 package analysis
 
 import (

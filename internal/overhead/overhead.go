@@ -63,6 +63,23 @@ type QueueCosts struct {
 // and extrapolates with the same slope, clamped below at the N=4
 // value (a near-empty queue is not cheaper than the measured floor).
 func (q *QueueCosts) Cost(op Op, n int, remote bool) timeq.Time {
+	return q.costAt(op, n, queueFrac(n), remote)
+}
+
+// queueFrac is where queue bound n sits between the anchors, linear in
+// log2(n): 0 at n = 4, 1 at n = 64 (slope per doubling between
+// log2(4) = 2 and log2(64) = 6). It is 0 for n ≤ 4, which costAt
+// clamps to the N = 4 value anyway.
+func queueFrac(n int) float64 {
+	if n <= 4 {
+		return 0
+	}
+	return (math.Log2(float64(n)) - 2) / 4
+}
+
+// costAt is Cost with n's interpolation position f = queueFrac(n)
+// already taken.
+func (q *QueueCosts) costAt(op Op, n int, f float64, remote bool) timeq.Time {
 	lo, hi := q.LocalN4[op], q.LocalN64[op]
 	if remote {
 		lo, hi = q.RemoteN4[op], q.RemoteN64[op]
@@ -70,9 +87,6 @@ func (q *QueueCosts) Cost(op Op, n int, remote bool) timeq.Time {
 	if n <= 4 {
 		return lo
 	}
-	// slope per doubling between log2(4)=2 and log2(64)=6.
-	l := math.Log2(float64(n))
-	f := (l - 2) / 4 // 0 at n=4, 1 at n=64
 	c := float64(lo) + f*float64(hi-lo)
 	if c < float64(lo) {
 		c = float64(lo)
@@ -190,8 +204,13 @@ func (m *Model) Theta(n int) timeq.Time {
 // remoteCost applies the RemotePenalty multiplier to the extra cost
 // of a remote op over its local counterpart.
 func (m *Model) remoteCost(op Op, n int) timeq.Time {
-	local := m.Queues.Cost(op, n, false)
-	remote := m.Queues.Cost(op, n, true)
+	return m.remoteCostAt(op, n, queueFrac(n))
+}
+
+// remoteCostAt is remoteCost at interpolation position f = queueFrac(n).
+func (m *Model) remoteCostAt(op Op, n int, f float64) timeq.Time {
+	local := m.Queues.costAt(op, n, f, false)
+	remote := m.Queues.costAt(op, n, f, true)
 	if remote <= local {
 		return remote
 	}
@@ -206,10 +225,30 @@ func (m *Model) remoteCost(op Op, n int) timeq.Time {
 // with the remote penalty applied. This is what the simulator charges
 // at each queue touch.
 func (m *Model) QueueOpCost(op Op, n int, remote bool) timeq.Time {
+	return m.queueOpCostAt(op, n, queueFrac(n), remote)
+}
+
+func (m *Model) queueOpCostAt(op Op, n int, f float64, remote bool) timeq.Time {
 	if !remote {
-		return m.Queues.Cost(op, n, false)
+		return m.Queues.costAt(op, n, f, false)
 	}
-	return m.remoteCost(op, n)
+	return m.remoteCostAt(op, n, f)
+}
+
+// QueueOp names one queue operation and whether it is remote.
+type QueueOp struct {
+	Op     Op
+	Remote bool
+}
+
+// QueueOpCosts sets out[i] to QueueOpCost(ops[i].Op, n, ops[i].Remote)
+// for every i, taking log2(n) once for all of them. out must be at
+// least as long as ops.
+func (m *Model) QueueOpCosts(n int, ops []QueueOp, out []timeq.Time) {
+	f := queueFrac(n)
+	for i, o := range ops {
+		out[i] = m.queueOpCostAt(o.Op, n, f, o.Remote)
+	}
 }
 
 // WithRemotePenalty returns a copy of m with the remote-penalty

@@ -2,6 +2,7 @@ package overhead
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -136,6 +137,55 @@ func TestRemotePenaltyScalesOnlyExtra(t *testing.T) {
 	if PaperModel().QueueOpCost(ReadyAdd, 4, true) != 3300 {
 		t.Fatal("penalty 1 distorted measured value")
 	}
+}
+
+// TestQueueOpCostsMatchesQueueOpCost: the batched costs, interpolated
+// from one log2(n), equal QueueOpCost op by op — and QueueOpCost the
+// per-call interpolation it always was — at every queue bound a core
+// can reach, under remote penalties and scaled and inverted anchors.
+func TestQueueOpCostsMatchesQueueOpCost(t *testing.T) {
+	inverted := PaperModel()
+	inverted.Queues.LocalN64[SleepDelete] = inverted.Queues.LocalN4[SleepDelete] / 2
+	var ops []QueueOp
+	for op := Op(0); op < numOps; op++ {
+		ops = append(ops, QueueOp{op, false}, QueueOp{op, true})
+	}
+	out := make([]timeq.Time, len(ops))
+	for _, m := range []*Model{Zero(), PaperModel(), PaperModel().WithRemotePenalty(2.5), PaperModel().Scale(1.7), inverted} {
+		for n := 0; n <= 300; n++ {
+			m.QueueOpCosts(n, ops, out)
+			for i, o := range ops {
+				want := perCallCost(m, o.Op, n, o.Remote)
+				if got := m.QueueOpCost(o.Op, n, o.Remote); got != want || out[i] != want {
+					t.Fatalf("%v remote=%v n=%d: QueueOpCosts %v, QueueOpCost %v, per-call interpolation %v", o.Op, o.Remote, n, out[i], got, want)
+				}
+			}
+		}
+	}
+}
+
+// perCallCost spells out QueueOpCost with its own log2 per anchor pair.
+func perCallCost(m *Model, op Op, n int, remote bool) timeq.Time {
+	cost := func(lo, hi timeq.Time) timeq.Time {
+		if n <= 4 {
+			return lo
+		}
+		f := (math.Log2(float64(n)) - 2) / 4
+		return timeq.Time(math.Round(math.Max(float64(lo)+f*float64(hi-lo), float64(lo))))
+	}
+	local := cost(m.Queues.LocalN4[op], m.Queues.LocalN64[op])
+	if !remote {
+		return local
+	}
+	r := cost(m.Queues.RemoteN4[op], m.Queues.RemoteN64[op])
+	if r <= local {
+		return r
+	}
+	p := m.RemotePenalty
+	if p == 0 {
+		p = 1
+	}
+	return local + timeq.Time(math.Round(float64(r-local)*p))
 }
 
 func TestScale(t *testing.T) {

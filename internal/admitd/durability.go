@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -21,7 +20,7 @@ import (
 	"repro/internal/wal"
 )
 
-// The durability plane: a per-store-shard write-ahead commit log
+// The durability plane: the store's one write-ahead commit log
 // (internal/wal), the one place state persists. A session's stream
 // holds its committed mutations and its checkpoints: the whole state
 // at the last mutation seq they cover. Recovery is one pass, rebasing
@@ -91,26 +90,20 @@ func (e *streamState) reset(gen uint64, lastSeq int64) {
 	e.lastSeq.Store(lastSeq)
 }
 
-// walShards stripes sessions over commit-log files; deliberately 1,
-// decoupled from numShards: a durable ack is dominated by the fsync,
-// whose CPU burn is per *file* — one log lets every drain in a sync
-// window share one fsync, where sixteen would pay sixteen. Append
-// contention on one log is microseconds; parallel-flush hosts can
-// raise this.
-const walShards = 1
-
-// walPlane owns the store's commit logs (walShards segmented logs,
-// fnv-striped by session name) and the per-name stream registry.
+// walPlane owns the store's commit log and the per-name stream
+// registry. One log for every session: a durable ack is dominated by
+// the fsync, whose cost is per file, so one log lets every drain
+// waiting at once share one fsync.
 type walPlane struct {
-	logs [walShards]*wal.Log
+	log *wal.Log
 
 	// syncOnDrain (always policy): acks wait for the covering fsync,
-	// which group batches across actors; the actor hands each drain's
-	// completion tokens off so it never blocks on the device itself.
+	// which the log's Sync shares across actors; the actor hands each
+	// drain's completion tokens off so it never blocks on the device
+	// itself.
 	syncOnDrain bool
-	group       *wal.GroupSync
 
-	// The group policy's background committer: fsyncs dirty logs once
+	// The group policy's background committer: fsyncs the log once
 	// per interval, so an acked write is on the device within ~one
 	// interval of the ack (the bounded-loss contract).
 	syncStop chan struct{}
@@ -128,7 +121,7 @@ type walPlane struct {
 	encMu  sync.Mutex
 	encBuf []byte
 
-	// Recovery summary across all shards (admitd_wal_recover* gauges).
+	// Recovery summary (admitd_wal_recover* gauges).
 	recoveredRecords  uint64
 	recoveredCkpts    uint64
 	truncatedSegments int
@@ -137,12 +130,6 @@ type walPlane struct {
 	ckptRecords atomic.Int64 // checkpoint records appended, carried ones included
 	carried     atomic.Int64 // checkpoint records re-appended by carry
 	walErrors   atomic.Int64
-}
-
-func shardIndex(name string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return h.Sum32() % walShards
 }
 
 // streamKey names one session generation's WAL stream.
@@ -165,8 +152,7 @@ func parseStreamKey(key string) (name string, gen uint64, ok bool) {
 // scan gave each (wal.Record.StreamIndex), so each distinct key is
 // parsed once — to its session name, its generation and the name's
 // registry entry — and a record costs a slot read, not a hash. A slot
-// holding another key (the same index in another shard's scan, or a
-// record that carries no index) is parsed afresh. The entry's own gen
+// holding another key is parsed afresh. The entry's own gen
 // says whether the key is still the live generation (equal), a newer
 // one (the entry is reset to it) or a retired one (lower).
 type streamKeys []parsedKey
@@ -186,34 +172,26 @@ func walKind(payload []byte) byte {
 	return payload[0]
 }
 
-// openWalPlane opens (or creates) the data directory: walShards
-// segmented logs under wal/shard-NN. Recovery reads each log once —
-// truncating it at its last valid record — as its verifying scan hands
-// every record it keeps to recoverRecord; sessions are instantiated
-// lazily, on their first Get. The older layout's checkpoint files are
-// imported into the log once.
+// openWalPlane opens (or creates) the data directory: one segmented
+// log under wal/shard-00. The directory keeps the name it had when the
+// store could stripe sessions over several logs, so data directories
+// written then open unchanged. Recovery reads the log once — truncating
+// it at its last valid record — as its verifying scan hands every
+// record it keeps to recoverRecord; sessions are instantiated lazily,
+// on their first Get. The older layout's checkpoint files are imported
+// into the log once.
 //
 // The fsync policies, over buffered appends:
 //
-//   - always: every commit boundary (drain, create, delete) fsyncs —
-//     batched across actors by a GroupSync — before the ack releases.
-//   - group: a background committer fsyncs dirty logs once per window;
-//     a crash loses at most ~one window of acked writes, never
+//   - always: every commit boundary (drain, create, delete) calls the
+//     log's Sync, which shares fsyncs across actors, before the ack
+//     releases.
+//   - group: a background committer syncs the log once per window; a
+//     crash loses at most ~one window of acked writes, never
 //     consistency (synchronous_commit=off / appendfsync everysec).
 //   - off: the OS decides when bytes reach the device.
 func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (*walPlane, error) {
-	p := &walPlane{streams: make(map[string]*streamState)}
-	// The log's own per-append fsync mode is never used: the plane
-	// owns the commit boundary. always/group both open buffered logs
-	// (SyncGroup) and differ in who calls Sync and whether acks wait.
-	logPolicy := wal.SyncGroup
-	if policy == wal.SyncOff {
-		logPolicy = wal.SyncOff
-	}
-	if policy == wal.SyncAlways {
-		p.syncOnDrain = true
-		p.group = wal.NewGroupSync(0)
-	}
+	p := &walPlane{streams: make(map[string]*streamState), syncOnDrain: policy == wal.SyncAlways}
 	onFsync := func(d time.Duration) {
 		if m := p.met.Load(); m != nil {
 			m.walFsyncLat.Observe(d)
@@ -221,25 +199,22 @@ func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (
 	}
 	var keys streamKeys
 	onRecover := func(r wal.Record) error { return p.recoverRecord(&keys, r) }
-	for i := range p.logs {
-		dir := filepath.Join(dataDir, "wal", fmt.Sprintf("shard-%02d", i))
-		l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: logPolicy, OnFsync: onFsync, OnRecover: onRecover})
-		if err != nil {
-			p.closeLogs()
-			return nil, fmt.Errorf("admitd: wal shard %d: %w", i, err)
+	dir := filepath.Join(dataDir, "wal", "shard-00")
+	l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: policy, OnFsync: onFsync, OnRecover: onRecover})
+	if err != nil {
+		return nil, fmt.Errorf("admitd: wal: %w", err)
+	}
+	p.log = l
+	p.recoveredRecords = rec.Records
+	if rec.Truncated {
+		p.truncatedSegments = rec.DroppedSegments
+		if _, err := os.Stat(filepath.Join(dir, rec.File)); err == nil {
+			p.truncatedSegments++ // the cut segment kept its valid prefix
 		}
-		p.logs[i] = l
-		p.recoveredRecords += rec.Records
-		if rec.Truncated {
-			p.truncatedSegments += rec.DroppedSegments
-			if _, err := os.Stat(filepath.Join(dir, rec.File)); err == nil {
-				p.truncatedSegments++ // the cut segment kept its valid prefix
-			}
-			p.droppedBytes += rec.DroppedBytes
-		}
+		p.droppedBytes = rec.DroppedBytes
 	}
 	if err := p.importCheckpointFiles(filepath.Join(dataDir, "checkpoints")); err != nil {
-		p.closeLogs()
+		p.closeLog()
 		return nil, fmt.Errorf("admitd: importing checkpoint files: %w", err)
 	}
 	for _, e := range p.streams { // a refusal counts if it stood to the log's end
@@ -256,8 +231,7 @@ func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (
 }
 
 // syncLoop is the group policy's background committer: once per
-// window (about: it rides the runtime timer) it flushes and fsyncs
-// every log with unsynced bytes.
+// window (about: it rides the runtime timer) it syncs the log.
 func (p *walPlane) syncLoop(window time.Duration) {
 	defer close(p.syncDone)
 	tick := time.NewTicker(window)
@@ -267,10 +241,8 @@ func (p *walPlane) syncLoop(window time.Duration) {
 		case <-p.syncStop:
 			return
 		case <-tick.C:
-			for _, l := range p.logs {
-				if err := l.Sync(); err != nil {
-					p.noteError()
-				}
+			if err := p.log.Sync(); err != nil {
+				p.noteError()
 			}
 		}
 	}
@@ -349,7 +321,7 @@ func (p *walPlane) fold(name string, base **sessionSnapshot, r wal.Record) error
 
 // importCheckpointFiles moves the older layout's checkpoint files (JSON,
 // one per session, under dir) into the log once: each not yet covered
-// becomes a record, the logs sync, then the files go — a crash between
+// becomes a record, the log syncs, then the files go — a crash between
 // leaves files the next open finds covered. One that cannot be read,
 // folded or appended is left, and its stream answers with why.
 func (p *walPlane) importCheckpointFiles(dir string) error {
@@ -390,10 +362,8 @@ func (p *walPlane) importCheckpointFiles(dir string) error {
 		}
 		done = append(done, path)
 	}
-	for _, l := range p.logs {
-		if err := l.Sync(); err != nil {
-			return err
-		}
+	if err := p.log.Sync(); err != nil {
+		return err
 	}
 	for _, path := range done {
 		if err := os.Remove(path); err != nil {
@@ -414,7 +384,7 @@ func (p *walPlane) importCheckpoint(snap *sessionSnapshot) error {
 	if snap.Gen == 0 || e != nil && (e.gen > snap.Gen || e.gen == snap.Gen && (e.deleted || e.ckptSeq.Load() >= snap.Seq)) {
 		return nil
 	}
-	key, l := streamKey(name, snap.Gen), p.logFor(name)
+	key, l := streamKey(name, snap.Gen), p.log
 	if e != nil && e.gen == snap.Gen {
 		if err := l.ReplayStream(key, snap.Seq, func(r wal.Record) error { return p.fold(name, &snap, r) }); err != nil {
 			e.poison = err
@@ -434,20 +404,15 @@ func (p *walPlane) importCheckpoint(snap *sessionSnapshot) error {
 	return nil
 }
 
-func (p *walPlane) logFor(name string) *wal.Log {
-	return p.logs[shardIndex(name)]
-}
-
-// commitLog closes one commit boundary on a shard log, as durably as
-// the policy promises: always routes through the cross-actor fsync
-// batcher (the caller's ack waits on it), group and off just flush to
-// the OS — the background committer (group) or the OS (off) takes it
-// from there.
-func (p *walPlane) commitLog(l *wal.Log) error {
-	if p.group != nil {
-		return p.group.Commit(l)
+// commitLog closes one commit boundary, as durably as the policy
+// promises: always syncs (the caller's ack waits on it), group and off
+// just flush to the OS — the background committer (group) or the OS
+// (off) takes it from there.
+func (p *walPlane) commitLog() error {
+	if p.syncOnDrain {
+		return p.log.Sync()
 	}
-	return l.Flush()
+	return p.log.Flush()
 }
 
 // lookup returns the live stream entry for a name (nil if the name
@@ -464,13 +429,13 @@ func (p *walPlane) lookup(name string) *streamState {
 
 // create opens the next generation for a name: the create record
 // (seq 0), committed per the plane's policy before the caller acks.
-// Returns the stream key, the registry entry and the shard log.
-func (p *walPlane) create(name string, cores int, policy string, modelJSON []byte) (string, *streamState, *wal.Log, error) {
+// Returns the stream key and the registry entry.
+func (p *walPlane) create(name string, cores int, policy string, modelJSON []byte) (string, *streamState, error) {
 	p.mu.Lock()
 	e := p.streams[name]
 	if e != nil && !e.deleted {
 		p.mu.Unlock()
-		return "", nil, nil, fmt.Errorf("%w: %q", ErrSessionExists, name)
+		return "", nil, fmt.Errorf("%w: %q", ErrSessionExists, name)
 	}
 	gen := uint64(1)
 	if e != nil {
@@ -481,10 +446,10 @@ func (p *walPlane) create(name string, cores int, policy string, modelJSON []byt
 	p.mu.Unlock()
 
 	key := streamKey(name, gen)
-	if err := p.appendCommit(name, key, 0, func(b []byte) []byte { return walEncodeCreate(b, cores, policy, modelJSON) }); err != nil {
-		return "", nil, nil, err
+	if err := p.appendCommit(key, 0, func(b []byte) []byte { return walEncodeCreate(b, cores, policy, modelJSON) }); err != nil {
+		return "", nil, err
 	}
-	return key, ne, p.logFor(name), nil
+	return key, ne, nil
 }
 
 // delete retires a name's live generation: a tombstone (committed like
@@ -504,21 +469,20 @@ func (p *walPlane) delete(name string) bool {
 	e.recovered = nil
 	e.lastSeq.Store(seq)
 	p.mu.Unlock()
-	_ = p.appendCommit(name, streamKey(name, gen), seq, walEncodeDelete) //nolint:errcheck // counted
+	_ = p.appendCommit(streamKey(name, gen), seq, walEncodeDelete) //nolint:errcheck // counted
 	return true
 }
 
 // appendCommit appends one record the plane encodes (create,
 // tombstone) into the recycled scratch and closes the commit boundary;
 // a failure is counted.
-func (p *walPlane) appendCommit(name, key string, seq int64, enc func([]byte) []byte) error {
-	l := p.logFor(name)
+func (p *walPlane) appendCommit(key string, seq int64, enc func([]byte) []byte) error {
 	p.encMu.Lock()
 	p.encBuf = enc(p.encBuf[:0])
-	_, err := l.Append(key, seq, p.encBuf)
+	_, err := p.log.Append(key, seq, p.encBuf)
 	p.encMu.Unlock()
 	if err == nil {
-		err = p.commitLog(l)
+		err = p.commitLog()
 	}
 	if err != nil {
 		p.noteError()
@@ -557,29 +521,25 @@ func (p *walPlane) covered(stream string, maxSeq int64, lastLSN uint64) bool {
 	return e.ckptSeq.Load() >= maxSeq && e.ckpt.LSN > lastLSN
 }
 
-// rotate seals every shard log's active segment, returning per shard
-// the first LSN of the fresh one.
-func (p *walPlane) rotate() (fresh [walShards]uint64) {
-	for i, l := range p.logs {
-		var err error
-		if fresh[i], err = l.Rotate(); err != nil {
-			p.noteError()
-		}
+// rotate seals the log's active segment, returning the first LSN of
+// the fresh one.
+func (p *walPlane) rotate() uint64 {
+	fresh, err := p.log.Rotate()
+	if err != nil {
+		p.noteError()
 	}
 	return fresh
 }
 
-// compact fsyncs each shard log once (its checkpoints) and drops the
-// prefix they cover; an unsynced log is not compacted.
+// compact syncs the log once (its checkpoints) and drops the prefix
+// they cover; an unsynced log is not compacted.
 func (p *walPlane) compact() {
-	for _, l := range p.logs {
-		if err := l.Sync(); err != nil {
-			p.noteError()
-			continue
-		}
-		if _, err := l.Compact(p.covered); err != nil {
-			p.noteError()
-		}
+	if err := p.log.Sync(); err != nil {
+		p.noteError()
+		return
+	}
+	if _, err := p.log.Compact(p.covered); err != nil {
+		p.noteError()
 	}
 }
 
@@ -593,7 +553,7 @@ func (p *walPlane) carry(name string, e *streamState, fresh uint64) error {
 	p.mu.Lock()
 	pos, seq, rec, skip := e.ckpt, e.ckptSeq.Load(), e.recovered, e.deleted || e.poison != nil
 	p.mu.Unlock()
-	l := p.logFor(name)
+	l := p.log
 	var payload []byte
 	switch {
 	case skip:
@@ -618,18 +578,9 @@ func (p *walPlane) carry(name string, e *streamState, fresh uint64) error {
 	return nil
 }
 
-// stats sums the shard logs' counters (scrape path).
+// stats is the log's counters (scrape path).
 func (p *walPlane) stats() wal.Stats {
-	var sum wal.Stats
-	for _, l := range p.logs {
-		s := l.Stats()
-		sum.Segments += s.Segments
-		sum.Bytes += s.Bytes
-		sum.Appends += s.Appends
-		sum.Fsyncs += s.Fsyncs
-		sum.ReadBytes += s.ReadBytes
-	}
-	return sum
+	return p.log.Stats()
 }
 
 // streamCounts samples the registry (scrape path): live streams and
@@ -656,17 +607,13 @@ func (p *walPlane) noteError() {
 	}
 }
 
-func (p *walPlane) closeLogs() {
+func (p *walPlane) closeLog() {
 	if p.syncStop != nil {
 		close(p.syncStop)
 		<-p.syncDone
 		p.syncStop = nil
 	}
-	for _, l := range p.logs {
-		if l != nil {
-			l.Close()
-		}
-	}
+	p.log.Close()
 }
 
 // --- replay ----------------------------------------------------------
@@ -779,7 +726,7 @@ func (st *Store) restoreDurable(name string) (*Session, error) {
 		return nil, err
 	}
 	lastSeq := max(base.Seq, e.lastSeq.Load())
-	s.attachWal(st.plane, st.plane.logFor(name), streamKey(name, e.gen), e, lastSeq)
+	s.attachWal(st.plane, streamKey(name, e.gen), e, lastSeq)
 	return s, nil
 }
 
@@ -803,7 +750,7 @@ func (st *Store) replayToSeq(name string, e *streamState, limit int64) (base *se
 	}
 	var ckptErr error
 	if base == nil && seq >= 0 && seq < limit {
-		r, err := p.logFor(name).ReadAt(pos)
+		r, err := p.log.ReadAt(pos)
 		if err == nil {
 			err = foldRecord(name, &base, r)
 		}
@@ -813,7 +760,7 @@ func (st *Store) replayToSeq(name string, e *streamState, limit int64) (base *se
 	if base != nil {
 		after = base.Seq
 	}
-	err = p.logFor(name).ReplayStream(streamKey(name, e.gen), after, func(r wal.Record) error {
+	err = p.log.ReplayStream(streamKey(name, e.gen), after, func(r wal.Record) error {
 		if r.Seq >= limit {
 			if r.Seq == limit && walKind(r.Payload) != walKindCkpt {
 				at = &walRec{}
@@ -842,9 +789,9 @@ func (st *Store) replayToSeq(name string, e *streamState, limit int64) (base *se
 
 // --- checkpointing ---------------------------------------------------
 
-// Checkpoint runs one round: the logs rotate, every live stream gets
+// Checkpoint runs one round: the log rotates, every live stream gets
 // its latest checkpoint record into the fresh segment, one fsync, and
-// the logs compact — so the retained log starts with the checkpoints.
+// the log compacts — so the retained log starts with the checkpoints.
 // A session appends its checkpoint on its actor (idle, it carries its
 // last one instead); a stream no session serves is carried.
 func (st *Store) Checkpoint() error {
@@ -857,9 +804,9 @@ func (st *Store) Checkpoint() error {
 }
 
 // checkpointStreams leaves every live stream's latest checkpoint record
-// at or past its shard's fresh LSN, each through whatever orders the
+// at or past the log's fresh LSN, each through whatever orders the
 // stream's appends: its session's actor, or else the shard lock.
-func (st *Store) checkpointStreams(fresh [walShards]uint64) error {
+func (st *Store) checkpointStreams(fresh uint64) error {
 	p := st.plane
 	p.mu.Lock()
 	live := make(map[string]*streamState, len(p.streams))
@@ -871,7 +818,7 @@ func (st *Store) checkpointStreams(fresh [walShards]uint64) error {
 	p.mu.Unlock()
 	var errs []error
 	for name, e := range live {
-		if err := st.checkpointStream(name, e, fresh[shardIndex(name)]); err != nil {
+		if err := st.checkpointStream(name, e, fresh); err != nil {
 			p.noteError()
 			errs = append(errs, err)
 		} else if m := st.met; m != nil {

@@ -19,7 +19,7 @@ func durableConfig(dir string) Config {
 
 // crashServer simulates kill -9 for in-process durability tests: the
 // checkpoint driver halts, every actor stops WITHOUT snapshotting,
-// and the shard logs close. Nothing but what the commit log already
+// and the commit log closes. Nothing but what the log already
 // holds survives — exactly a crash's disk state. The server's later
 // Close (the test cleanup) finds an empty store and is a no-op.
 func crashServer(srv *Server) {
@@ -40,7 +40,7 @@ func crashServer(srv *Server) {
 		}
 	}
 	if st.plane != nil {
-		st.plane.closeLogs()
+		st.plane.closeLog()
 	}
 }
 

@@ -619,79 +619,6 @@ func TestRecoverSummaryMetrics(t *testing.T) {
 	}
 }
 
-// TestRecoverKeySlotsAcrossShards folds two shards' scans through one
-// slot table, as openWalPlane does: each scan numbers its streams from
-// 0, so shard B's streams land in slots that hold shard A's keys. The
-// registry and the folded states must come out as parsing every
-// record's key anew gives them, and the slots end holding shard B's
-// keys.
-func TestRecoverKeySlotsAcrossShards(t *testing.T) {
-	a, b, c, d := streamKey("a", 0), streamKey("b", 0), streamKey("c", 0), streamKey("d", 3)
-	steps := []struct {
-		stream string
-		index  int
-		seq    int64
-		load   []byte
-	}{
-		{a, 0, 0, createPayload(t)},
-		{b, 1, 0, createPayload(t)},
-		{a, 0, 1, admitPayload(1)},
-		{b, 1, 1, admitPayload(2)},
-		{a, 0, 2, admitPayload(3)},
-		// shard B's scan
-		{c, 0, 0, createPayload(t)},
-		{d, 1, 0, createPayload(t)},
-		{c, 0, 1, admitPayload(4)},
-		{d, 1, 2, admitPayload(5)}, // skips seq 1
-		{c, 0, 2, walEncodeDelete(nil)},
-	}
-	fold := func(memo bool) (*walPlane, streamKeys) {
-		p := &walPlane{streams: make(map[string]*streamState)}
-		var keys streamKeys
-		for i, st := range steps {
-			if !memo {
-				keys = nil
-			}
-			r := wal.Record{LSN: uint64(i + 1), Off: int64(16 + 100*i), Seq: st.seq, Stream: st.stream, Payload: st.load, StreamIndex: st.index}
-			if err := p.recoverRecord(&keys, r); err != nil {
-				t.Fatalf("record %d (%s seq %d): %v", i, st.stream, st.seq, err)
-			}
-		}
-		return p, keys
-	}
-	got, keys := fold(true)
-	want, _ := fold(false)
-	if len(got.streams) != 4 || len(want.streams) != 4 {
-		t.Fatalf("registries hold %d and %d names, want 4", len(got.streams), len(want.streams))
-	}
-	state := func(s *sessionSnapshot) string {
-		if s == nil {
-			return "none"
-		}
-		return fmt.Sprintf("%x", walEncodeCheckpoint(nil, s))
-	}
-	for name, w := range want.streams {
-		e := got.streams[name]
-		if e == nil {
-			t.Fatalf("%q: missing from the slots' registry", name)
-		}
-		if e.gen != w.gen || e.lastSeq.Load() != w.lastSeq.Load() || e.deleted != w.deleted ||
-			fmt.Sprint(e.poison) != fmt.Sprint(w.poison) || state(e.recovered) != state(w.recovered) {
-			t.Errorf("%q: slots gen %d last %d deleted %v poison %v state %s; per record gen %d last %d deleted %v poison %v state %s",
-				name, e.gen, e.lastSeq.Load(), e.deleted, e.poison, state(e.recovered), w.gen, w.lastSeq.Load(), w.deleted, w.poison, state(w.recovered))
-		}
-	}
-	if s := got.streams["a"].recovered; s == nil || len(s.Tasks) != 2 || got.streams["b"].recovered == nil {
-		t.Fatalf("shard A folded to a %v, b %v", s, got.streams["b"].recovered)
-	}
-	if !got.streams["c"].deleted || !errors.Is(got.streams["d"].poison, ErrSeqGap) || got.streams["d"].gen != 3 {
-		t.Fatalf("shard B: c deleted %v, d poison %v gen %d", got.streams["c"].deleted, got.streams["d"].poison, got.streams["d"].gen)
-	}
-	if len(keys) != 2 || keys[0].key != c || keys[1].key != d {
-		t.Fatalf("slots end as %+v, want shard B's keys", keys)
-	}
-}
-
 // --- recovery differential fuzz ---------------------------------------
 
 // fuzzName is the fuzz's model of one session name.

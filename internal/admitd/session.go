@@ -99,7 +99,7 @@ type Session struct {
 	// appends one record at its durable seq (seqBase + CommitSeq), and
 	// the actor commits the log once per drain, before completions.
 	wlog      *wal.Log
-	wplane    *walPlane // owner of wlog; routes drain commits to the group batcher
+	wplane    *walPlane // owner of wlog; closes each drain's commit boundary
 	wstream   string
 	seqBase   int64
 	walEnt    *streamState
@@ -333,7 +333,7 @@ type walHandoff struct {
 // release the tokens (the callers already hold their verdicts;
 // subsequent mutations will refuse).
 func (s *Session) commitHandoff(h *walHandoff) {
-	if err := s.wplane.commitLog(s.wlog); err != nil {
+	if err := s.wplane.commitLog(); err != nil {
 		s.walFail()
 	}
 	if h.prev != nil {
@@ -613,8 +613,8 @@ func (s *Session) removeLocked(id task.ID) error {
 // before the session is reachable (between newSession/restoreSession
 // and the store-map insert): the first actor call's channel send
 // publishes the fields to the actor goroutine.
-func (s *Session) attachWal(p *walPlane, l *wal.Log, stream string, ent *streamState, seqBase int64) {
-	s.wlog = l
+func (s *Session) attachWal(p *walPlane, stream string, ent *streamState, seqBase int64) {
+	s.wlog = p.log
 	s.wplane = p
 	s.wstream = stream
 	s.walEnt = ent

@@ -83,7 +83,7 @@ type StoreConfig struct {
 	// loss window); off leaves flushing to the OS.
 	Fsync wal.SyncPolicy
 	// FsyncInterval is the group policy's background commit cadence:
-	// dirty logs are fsynced once per interval, bounding the loss
+	// the log is synced once per interval, bounding the loss
 	// window of a crash to about one interval of acked writes.
 	// 0 or negative means 5ms. Ignored by the always/off policies.
 	FsyncInterval time.Duration
@@ -108,7 +108,7 @@ const defaultCheckpointEvery = 30 * time.Second
 const defaultFsyncInterval = 5 * time.Millisecond
 
 // NewStore builds the registry and — with DataDir set — opens the
-// durability plane, running crash recovery on its commit logs before
+// durability plane, running crash recovery on its commit log before
 // the store serves anything.
 func NewStore(cfg StoreConfig) (*Store, error) {
 	max := cfg.MaxSessions
@@ -209,12 +209,12 @@ func (st *Store) Create(name string, cores int, p task.Policy, model *overhead.M
 			s.close()
 			return nil, err
 		}
-		stream, ent, l, err := st.plane.create(name, cores, policyName(p), modelJSON)
+		stream, ent, err := st.plane.create(name, cores, policyName(p), modelJSON)
 		if err != nil {
 			s.close()
 			return nil, err
 		}
-		s.attachWal(st.plane, l, stream, ent, 0)
+		s.attachWal(st.plane, stream, ent, 0)
 	}
 	st.touch(s)
 	sh.m[name] = s
@@ -356,13 +356,12 @@ func (st *Store) Range(f func(*Session)) {
 
 // Close stops all actors — the graceful-shutdown path. With the
 // durability plane it is a last checkpoint round: the periodic driver
-// stops, the logs rotate, every session appends its checkpoint as it
-// closes, evicted streams are carried, the logs compact down to the
-// checkpoints, and the shard logs close (flushing and syncing their
-// tails).
+// stops, the log rotates, every session appends its checkpoint as it
+// closes, evicted streams are carried, the log compacts down to the
+// checkpoints, and closes (flushing and syncing its tail).
 func (st *Store) Close() {
 	st.stopCheckpoints()
-	var fresh [walShards]uint64
+	var fresh uint64
 	if st.plane != nil {
 		fresh = st.plane.rotate()
 	}
@@ -370,7 +369,7 @@ func (st *Store) Close() {
 	if st.plane != nil {
 		_ = st.checkpointStreams(fresh) //nolint:errcheck // counted as wal errors
 		st.plane.compact()
-		st.plane.closeLogs()
+		st.plane.closeLog()
 	}
 }
 

@@ -441,13 +441,11 @@ type ctxBase struct {
 	coll  *Collector // optional per-context sink (SetCollector)
 
 	// Committed state (see coreRec): per-core records, the split chains
-	// (fixed priorities only), per-core verdicts of the last test, and
-	// the latest rolled-back probe against each core.
-	cores     []coreRec
-	chains    []fpSnapChain
-	verdicts  []fpVerdict
-	lastProbe []probeRecord
-	pend      pending
+	// (fixed priorities only) and per-core verdicts of the last test.
+	cores    []coreRec
+	chains   []fpSnapChain
+	verdicts []fpVerdict
+	pend     pending
 
 	// readStats accumulates the read path's counters: probes served
 	// from forked snapshots fold their work here atomically. Flush
@@ -492,22 +490,6 @@ type fpVerdict struct {
 	jGen  int64
 }
 
-// probeRecord remembers the latest rolled-back whole-task probe against
-// a core, so an unprobed Place of the identical task in the same
-// committed epoch promotes the probe's verdict and what it converged —
-// the pattern of SPA's whole-task path, whose budget search probes the
-// task whole at its cap and rolls back before SPA places it with Place.
-// Under fixed priorities run names the engine run whose views hold the
-// converged values; under EDF busyWarm is the busy period the probe
-// converged.
-type probeRecord struct {
-	seq      int64   // the committed epoch probed in
-	id       task.ID // the task probed
-	ok       bool
-	run      int64
-	busyWarm timeq.Time
-}
-
 const (
 	pendNone = iota
 	pendPlace
@@ -532,9 +514,8 @@ func newCtxBase(an Analyzer, a *task.Assignment, m *overhead.Model) ctxBase {
 	nc := a.NumCores
 	return ctxBase{
 		an: an, a: a, m: m, mono: modelMonotone(m),
-		cores:     make([]coreRec, nc),
-		verdicts:  make([]fpVerdict, nc),
-		lastProbe: make([]probeRecord, nc),
+		cores:    make([]coreRec, nc),
+		verdicts: make([]fpVerdict, nc),
 	}
 }
 
@@ -632,7 +613,6 @@ func (b *ctxBase) removed() bool {
 // self-contained) and publication disengages until the next Fork.
 // Otherwise Fork was never called: no snapshot references the slabs,
 // so entities go back to the pool and the records keep their capacity.
-// commitSeq keeps running so stale probe records can never match.
 func (b *ctxBase) rebind(a *task.Assignment, m *overhead.Model) (fresh bool) {
 	b.ensureNoPending("Reset")
 	nc := a.NumCores
@@ -642,7 +622,6 @@ func (b *ctxBase) rebind(a *task.Assignment, m *overhead.Model) (fresh bool) {
 		b.pub.Store(nil)
 		b.cores = make([]coreRec, nc)
 		b.verdicts = make([]fpVerdict, nc)
-		b.lastProbe = make([]probeRecord, nc)
 		b.chains = nil
 		b.pool = entPool{}
 	} else {
@@ -653,7 +632,6 @@ func (b *ctxBase) rebind(a *task.Assignment, m *overhead.Model) (fresh bool) {
 			// verdicts.
 			*r = coreRec{ents: r.ents[:0], warm: r.warm[:0], rev: r.rev + 1}
 			b.verdicts[c] = fpVerdict{}
-			b.lastProbe[c] = probeRecord{}
 		}
 		b.chains = b.chains[:0]
 	}

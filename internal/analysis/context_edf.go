@@ -146,7 +146,6 @@ func (x *edfContext) Rollback() {
 	case pendPlace:
 		c := p.core
 		x.a.Normal[c] = x.a.Normal[c][:len(x.a.Normal[c])-1]
-		x.lastProbe[c] = probeRecord{seq: x.commitSeq, id: x.sc.ent.Task.ID, ok: p.fits, busyWarm: p.busyWarm}
 	case pendSplit:
 		x.a.Splits = x.a.Splits[:len(x.a.Splits)-1]
 		// The tentative part entities were never published: recycle
@@ -159,19 +158,9 @@ func (x *edfContext) Rollback() {
 func (x *edfContext) Place(t *task.Task, c int) {
 	x.ensureNoPending("Place")
 	x.a.Place(t, c)
-	e := newEDFEntityInto(x.pool.get(), t)
-	rec := x.lastProbe[c]
-	promote := x.mono && rec.ok && rec.seq == x.commitSeq && rec.id == t.ID
-	x.adoptNormal(e, c)
+	x.adoptNormal(newEDFEntityInto(x.pool.get(), t), c)
 	x.commitSeq++
-	hint := pubUnknown
-	if promote {
-		r := &x.cores[c]
-		x.verdicts[c] = fpVerdict{valid: true, ok: true, rev: r.rev, n: x.maxN}
-		r.busyWarm = rec.busyWarm
-		hint = pubAdmitted
-	}
-	x.committed(hint, promote)
+	x.committed(pubUnknown, false)
 }
 
 func (x *edfContext) AddSplit(sp *task.Split) {

@@ -14,16 +14,16 @@ import (
 //
 // A probe runs the engine over the context's own views, exactly as a
 // snapshot prober does over pooled ones. What makes the context the
-// writer is what happens next. Rollback drops the views. Commit — and a
-// Place that repeats a rolled-back probe — installs them: the
-// tentative entity is inserted into the committed record, the views'
-// warm vectors become the committed ones (they are the new committed
-// system's least fixed points), and a chain entity whose jitter the
-// resolution moved is replaced by one carrying the new jitter. Until
-// the context forks nothing else can see the committed state, so the
-// install writes it in place and the packing loops allocate nothing;
-// once it has, committed slices and entities are shared with published
-// snapshots and the install is copy-on-write (ctxBase.own, setJitter).
+// writer is what happens next. Rollback drops the views. Commit
+// installs them: the tentative entity is inserted into the committed
+// record, the views' warm vectors become the committed ones (they are
+// the new committed system's least fixed points), and a chain entity
+// whose jitter the resolution moved is replaced by one carrying the
+// new jitter. Until the context forks nothing else can see the
+// committed state, so the install writes it in place and the packing
+// loops allocate nothing; once it has, committed slices and entities
+// are shared with published snapshots and the install is copy-on-write
+// (ctxBase.own, setJitter).
 //
 // Per-core verdicts are cached keyed by (content revision, queue bound
 // N, jitter generation), so a core no mutation dirtied is never
@@ -244,7 +244,6 @@ func (x *fpContext) Rollback() {
 	case pendPlace:
 		c := x.pend.core
 		x.a.Normal[c] = x.a.Normal[c][:len(x.a.Normal[c])-1]
-		x.lastProbe[c] = probeRecord{seq: x.commitSeq, id: x.pend.addEnts[0].Task.ID, ok: x.pend.fits, run: x.pend.run}
 	case pendSplit:
 		x.a.Splits = x.a.Splits[:len(x.a.Splits)-1]
 		x.recycleTent()
@@ -255,24 +254,9 @@ func (x *fpContext) Rollback() {
 func (x *fpContext) Place(t *task.Task, c int) {
 	x.ensureNoPending("Place")
 	x.a.Place(t, c)
-	e := newFPEntityInto(x.pool.get(), t)
-	rec := x.lastProbe[c]
-	promote := x.mono && rec.ok && rec.seq == x.commitSeq && rec.id == t.ID
-	x.adopt(e, c)
+	x.adopt(newFPEntityInto(x.pool.get(), t), c)
 	x.commitSeq++
-	hint := pubUnknown
-	if promote {
-		// The core was probed with this task in this committed epoch:
-		// its verdict stands and, if no later evaluation has refilled
-		// the core's view, so do the values the probe converged. The
-		// probe's jitters are not kept; the next full test resolves.
-		if x.sc.views[c].run == rec.run {
-			x.install(rec.run, false)
-		}
-		x.verdicts[c] = fpVerdict{valid: true, ok: true, rev: x.cores[c].rev, n: x.maxN, jGen: x.coreJGen[c]}
-		hint = pubAdmitted
-	}
-	x.committed(hint, promote)
+	x.committed(pubUnknown, false)
 }
 
 func (x *fpContext) AddSplit(sp *task.Split) {

@@ -106,77 +106,3 @@ func TestOneEngineCountsOneWay(t *testing.T) {
 		}
 	}
 }
-
-// TestPlaceRepeatsRolledBackProbe pins best-fit's pattern: probe every
-// core, roll each back, Place on one probed earlier. The Place must
-// leave the context as a Commit of that core's probe would have — its
-// verdict and the values it converged — so the next full test costs
-// what it costs after the Commit, and less than after a Place the
-// context never saw probed. Every core holds the textbook set
-// C = (1, 2, 3) ms, T = (4, 6, 12) ms, whose lowest task's bounds
-// straddle its deadline: the per-entity screen passes the two above it
-// but leaves it to a solve, so the full test solves something (the
-// fixture's precondition). The fixed-priority counts are pinned: the
-// three cores the promoted verdict does not answer solve their lowest
-// task once each, warm, in one iteration.
-func TestPlaceRepeatsRolledBackProbe(t *testing.T) {
-	const cores = 4
-	for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
-		m := overhead.PaperModel()
-		build := func() (Context, *task.Task) {
-			a := task.NewAssignment(cores)
-			a.Policy = pol
-			ctx := ForPolicy(pol).NewContext(a, m)
-			for c := 0; c < cores; c++ {
-				for i, ct := range [][2]int64{{1, 4}, {2, 6}, {3, 12}} {
-					tk := &task.Task{ID: task.ID(10*c + i + 1), WCET: ms(ct[0]), Period: ms(ct[1]), Priority: i + 2, WSS: 64 << 10}
-					if !ctx.TryPlace(tk, c) {
-						t.Fatalf("%v: the textbook set must fit core %d", pol, c)
-					}
-					ctx.Commit()
-				}
-			}
-			ctx.Schedulable()
-			// A short-period task at the top of the order: it fits
-			// everywhere and moves every response time below it.
-			return ctx, &task.Task{ID: 900, WCET: ms(1) / 10, Period: ms(5), Priority: 1, WSS: 64 << 10}
-		}
-		fullTest := func(ctx Context) AdmissionStats {
-			before := ctx.Stats()
-			if !ctx.Schedulable() {
-				t.Fatalf("%v: fixture must stay schedulable", pol)
-			}
-			return ctx.Stats().Sub(before)
-		}
-		const target = 1 // probed second of four: later probes must not disturb it
-
-		probed, tk := build()
-		for c := 0; c < cores; c++ {
-			if !probed.TryPlace(tk, c) {
-				t.Fatalf("%v: the light probe must fit core %d", pol, c)
-			}
-			probed.Rollback()
-		}
-		probed.Place(tk, target)
-
-		committed, tk := build()
-		committed.TryPlace(tk, target)
-		committed.Commit()
-
-		blind, tk := build()
-		blind.Place(tk, target)
-
-		p, c, b := fullTest(probed), fullTest(committed), fullTest(blind)
-		if p != c {
-			t.Errorf("%v: full test after probe-all + Place %+v, after TryPlace + Commit %+v", pol, p, c)
-		}
-		// The placement raises the queue bound, so the other cores are
-		// re-tested either way; the promoted verdict saves the target's.
-		if p.VerdictHits != b.VerdictHits+1 || (pol == task.FixedPriority && (p.FPSolves == 0 || p.FPSolves >= b.FPSolves)) {
-			t.Errorf("%v: promotion not observable: promoted %v, unprobed %v", pol, p, b)
-		}
-		if want := (AdmissionStats{FullTests: 1, CoreTests: 4, VerdictHits: 1, FPSolves: 3, FPIterations: 3, WarmStarts: 3}); pol == task.FixedPriority && p != want {
-			t.Errorf("%v: full test after the promoting Place %+v, want %+v", pol, work(p), work(want))
-		}
-	}
-}

@@ -49,8 +49,8 @@ func TestSweepInnerLoopAllocFree(t *testing.T) {
 // TestEDFWriterProbeAllocFree guards every way the EDF writer context
 // runs the demand test. One recycled packing pass exercises them —
 // TryPlace + Commit, TryPlace + Rollback on every core and then Place
-// on one of them (an unprobed Place after a rolled-back probe, SPA's
-// whole-task pattern, promotes the probe), TrySplit + Rollback,
+// on one of them (an unprobed Place after a rolled-back probe),
+// TrySplit + Rollback,
 // Schedulable — and none of them may allocate: what a passing probe
 // leaves behind is one number in the core's record.
 func TestEDFWriterProbeAllocFree(t *testing.T) {

@@ -29,8 +29,7 @@ import (
 type wholeMode uint8
 
 const (
-	wholePlace  wholeMode = iota // SPA: the task placed whole
-	wholeRefuse                  // FP-TS: refused, whole placement already failed
+	wholeRefuse wholeMode = iota // SPA, FP-TS: refused, whole placement already failed
 	wholeSplit                   // EDF-WM: a one-part windowed split
 )
 
@@ -155,12 +154,7 @@ func (s *budgetSearch) fits(b timeq.Time) bool {
 	q := &s.q
 	final := b >= q.remaining
 	if final && len(q.prior) == 0 {
-		switch q.whole {
-		case wholePlace:
-			ok := q.ctx.TryPlace(q.t, q.core)
-			q.ctx.Rollback()
-			return ok
-		case wholeRefuse:
+		if q.whole == wholeRefuse {
 			return false
 		}
 	}

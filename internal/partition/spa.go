@@ -130,13 +130,23 @@ func (alg *SPA) PartitionOpts(s *task.Set, m int, model *overhead.Model, o Optio
 				return nil, ErrUnschedulable
 			}
 			c := cur
+			if len(parts) == 0 && !alg.FillByBound {
+				// A fresh task is probed whole first, as placeByFit
+				// does; only a refused one is split.
+				if ctx.TryPlace(t, c) {
+					ctx.Commit()
+					remaining = 0
+					continue
+				}
+				ctx.Rollback()
+			}
 			b := alg.maxBudget(ctx, bs, a, parts, t, remaining, c, m)
 			switch {
 			case b >= remaining:
 				// The remainder fits entirely: place and stay on
 				// this core.
 				if len(parts) == 0 {
-					ctx.Place(t, c)
+					ctx.Place(t, c) // bound fill: the final test judges it
 				} else {
 					parts = append(parts, task.Part{Core: c, Budget: remaining})
 					ctx.AddSplit(&task.Split{Task: t, Parts: parts})
@@ -190,7 +200,7 @@ func (alg *SPA) maxBudget(ctx analysis.Context, bs *budgetSearch, a *task.Assign
 	if next >= m {
 		next = -1
 	}
-	return bs.largest(partQuery{ctx: ctx, t: t, whole: wholePlace, prior: priorParts, core: c, next: next, remaining: remaining}, remaining)
+	return bs.largest(partQuery{ctx: ctx, t: t, whole: wholeRefuse, prior: priorParts, core: c, next: next, remaining: remaining}, remaining)
 }
 
 // boundBudget fills the core to the Liu & Layland utilization

@@ -6,6 +6,6 @@ package wal
 // fsyncing under the log mutex.
 func dupFD(fd uintptr) (int, bool) { return -1, false }
 
-func fsyncFD(fd int) error { return nil }
+var fsyncFD = func(fd int) error { return nil }
 
 func closeFD(fd int) {}

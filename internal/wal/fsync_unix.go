@@ -15,6 +15,7 @@ func dupFD(fd uintptr) (int, bool) {
 	return d, err == nil
 }
 
-func fsyncFD(fd int) error { return syscall.Fsync(fd) }
+// fsyncFD is a variable so a test can hold an fsync in flight.
+var fsyncFD = func(fd int) error { return syscall.Fsync(fd) }
 
 func closeFD(fd int) { _ = syscall.Close(fd) }

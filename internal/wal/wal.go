@@ -25,13 +25,15 @@
 // started. Compact removes a fully-covered prefix of sealed segments
 // — the low-water truncation that pairs with checkpointing.
 //
-// # Fsync policy
+// # Durability
 //
-// SyncAlways fsyncs every append; SyncGroup buffers appends and
-// fsyncs once per Commit (admitd calls Commit at the group-commit
-// drain boundary, so durability piggybacks on the existing batching);
-// SyncOff never fsyncs (the OS flushes when it likes) but still
-// writes on Commit, so a clean process exit loses nothing.
+// Appends are buffered; Flush writes them to the active segment file,
+// and Sync, the one durability call, makes them durable: it returns
+// once an fsync that started after the caller's bytes reached the file
+// has completed, and concurrent callers share fsyncs in ordered
+// batches (group commit, after Helland et al., HPTS 1987).
+// Who calls Sync, and whether acks wait for it, is the caller's
+// policy (SyncPolicy); the log reads only whether it is SyncOff.
 //
 // # Recovery invariant
 //
@@ -66,20 +68,23 @@ import (
 	"time"
 )
 
-// SyncPolicy picks when appends reach stable storage.
+// SyncPolicy names the durability plane's fsync policy (the daemon's
+// -fsync flag). The log itself reads only whether it is SyncOff: a
+// sealed segment and Close then skip their fsync. Every other fsync is
+// a Sync call, whose timing is the caller's.
 type SyncPolicy uint8
 
 const (
-	// SyncGroup (the default) buffers appends and fsyncs once per
-	// Commit, however many records are pending. Callers that want
-	// batching across goroutines use a GroupSync, or skip Commit
-	// entirely and drive Sync from a background committer (admitd's
+	// SyncGroup (the default): acks do not wait for the device; a
+	// background committer calls Sync once per window (admitd's
 	// bounded-loss group policy).
 	SyncGroup SyncPolicy = iota
-	// SyncAlways fsyncs inside every Append.
+	// SyncAlways: every commit boundary calls Sync and its acks wait
+	// for it.
 	SyncAlways
-	// SyncOff never fsyncs; Commit still writes buffered frames to
-	// the file, so only an OS crash (not a process crash) loses data.
+	// SyncOff: nothing waits for the device; Flush still writes
+	// buffered frames to the file, so only an OS crash (not a process
+	// crash) loses data.
 	SyncOff
 )
 
@@ -116,7 +121,8 @@ type Options struct {
 	// SegmentBytes seals the active segment once it grows past this;
 	// 0 means 4 MiB.
 	SegmentBytes int64
-	// Policy is the fsync policy (default SyncGroup).
+	// Policy is the fsync policy (default SyncGroup); the log reads
+	// only whether it is SyncOff.
 	Policy SyncPolicy
 	// OnFsync, when non-nil, observes every fsync's duration —
 	// the telemetry hook (called without the log's lock held state
@@ -207,7 +213,7 @@ const (
 	// garbage, not a record.
 	maxFrame = 16 << 20
 	// flushThreshold bounds the in-memory append buffer between
-	// Commits.
+	// flushes.
 	flushThreshold = 1 << 20
 	// windowBytes is the read window segments are scanned through; a
 	// frame larger than it is read whole.
@@ -249,8 +255,8 @@ func (s *segment) note(stream string, seq int64) {
 }
 
 // Log is one open commit log. All methods are safe for concurrent
-// use; Append serializes under one mutex (admitd shares one Log per
-// store shard).
+// use; Append serializes under one mutex (admitd's store shares one
+// Log).
 type Log struct {
 	mu     sync.Mutex
 	opts   Options
@@ -258,8 +264,12 @@ type Log struct {
 	active *segment
 	f      *os.File
 	buf    []byte // appended frames not yet written to f
-	dirty  bool   // bytes written to f since the last fsync
+	dirty  bool   // bytes written to f since the last fsync started
 	closed bool
+
+	// Group commit: the batch whose fsync is running, and the one
+	// queued behind it, which callers arriving meanwhile join.
+	syncing, queued *syncBatch
 
 	nextLSN uint64
 	appends uint64
@@ -709,20 +719,14 @@ func (l *Log) newSegmentLocked() error {
 		streams:  make(map[string]seqRange),
 	}
 	l.bytes += headerSize
-	if err := syncDir(l.opts.Dir); err != nil {
-		return err
-	}
-	if l.opts.Policy == SyncAlways {
-		return l.syncLocked()
-	}
-	return nil
+	return syncDir(l.opts.Dir)
 }
 
 var errClosed = fmt.Errorf("wal: log closed")
 
-// Append stages one record. Under SyncAlways it is durable on
-// return; under SyncGroup/SyncOff it is buffered until Commit (or
-// the buffer threshold). Returns the record's position.
+// Append stages one record: it is buffered until Flush, Sync (or the
+// buffer threshold) writes it to the file. Returns the record's
+// position.
 func (l *Log) Append(stream string, seq int64, payload []byte) (Pos, error) {
 	if len(stream) > 1<<16-1 {
 		return Pos{}, fmt.Errorf("wal: stream key too long (%d bytes)", len(stream))
@@ -763,10 +767,7 @@ func (l *Log) Append(stream string, seq int64, payload []byte) (Pos, error) {
 	l.bytes += n
 
 	var err error
-	switch {
-	case l.opts.Policy == SyncAlways:
-		err = l.syncLocked()
-	case len(l.buf) >= flushThreshold:
+	if len(l.buf) >= flushThreshold {
 		err = l.flushLocked()
 	}
 	if err == nil && l.active.size >= l.opts.SegmentBytes {
@@ -788,8 +789,9 @@ func (l *Log) flushLocked() error {
 	return nil
 }
 
-// syncLocked flushes and fsyncs (if anything reached the file since
-// the last fsync — concurrent committers coalesce on this check).
+// syncLocked flushes and fsyncs under the mutex, if anything reached
+// the file since the last fsync started: rotation and Close, which
+// hold the mutex anyway.
 func (l *Log) syncLocked() error {
 	if err := l.flushLocked(); err != nil {
 		return err
@@ -809,26 +811,8 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Commit makes everything appended so far as durable as the policy
-// promises: SyncGroup fsyncs (once, however many records are
-// pending), SyncOff and SyncAlways just ensure the file is written.
-// admitd calls this at each actor drain's group-commit boundary,
-// before acknowledging the drained requests.
-func (l *Log) Commit() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errClosed
-	}
-	if l.opts.Policy == SyncGroup {
-		return l.syncLocked()
-	}
-	return l.flushLocked()
-}
-
 // Flush writes buffered frames to the active segment file without
-// fsyncing — the first half of a cross-log group commit; pair with
-// Sync (GroupSync drives both).
+// fsyncing.
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -838,13 +822,22 @@ func (l *Log) Flush() error {
 	return l.flushLocked()
 }
 
-// Sync flushes and fsyncs if anything reached the file since the
-// last fsync. Unlike Commit it ignores the configured policy: the
-// caller (a GroupSync batch or the background committer) has already
-// decided a sync must happen. The fsync itself runs on a dup'ed
-// descriptor with the log mutex released, so appenders are never
-// stalled behind the device flush — records that land mid-sync set
-// the dirty flag again and ride the next sync.
+// syncBatch is one fsync and the Sync callers it covers.
+type syncBatch struct {
+	done chan struct{} // closed once err is set; each waiter blocks here once
+	err  error
+}
+
+// Sync makes everything appended so far durable, whatever the policy:
+// it flushes, then returns once an fsync that started after those
+// bytes reached the file has completed, with that fsync's error.
+// Concurrent callers share fsyncs in ordered batches. While one fsync
+// runs, every caller with newer bytes joins the one batch queued
+// behind it; that batch's first caller leads it, starting its fsync
+// when the running one completes, so batches complete in order. A
+// caller whose bytes the running fsync already covers waits for it.
+// The fsync runs on a dup'ed descriptor with the log mutex released,
+// so appenders never stall behind the device.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	if l.closed {
@@ -855,34 +848,70 @@ func (l *Log) Sync() error {
 		l.mu.Unlock()
 		return err
 	}
-	if !l.dirty {
-		l.mu.Unlock()
+	var b *syncBatch
+	switch {
+	case !l.dirty:
+		// Every byte in the file was written before the last fsync
+		// started: that fsync covers them, done or still running.
+		b = l.syncing
+	case l.queued != nil:
+		b = l.queued
+	default:
+		return l.lead()
+	}
+	l.mu.Unlock()
+	if b == nil {
 		return nil
 	}
-	fd, ok := dupFD(l.f.Fd())
-	if !ok {
-		defer l.mu.Unlock()
-		return l.syncLocked()
-	}
-	l.dirty = false
-	l.mu.Unlock()
+	<-b.done
+	return b.err
+}
 
+// lead runs a new batch: it waits for the running fsync, if any, then
+// fsyncs everything written so far. Called with the mutex held; returns
+// with it released.
+func (l *Log) lead() error {
+	b := &syncBatch{done: make(chan struct{})}
+	if prev := l.syncing; prev != nil {
+		l.queued = b
+		l.mu.Unlock()
+		<-prev.done
+		l.mu.Lock()
+		l.queued = nil
+		if l.closed {
+			l.mu.Unlock()
+			b.err = errClosed
+			close(b.done)
+			return b.err
+		}
+	}
+	l.syncing = b
+	l.dirty = false
+	fd, ok := dupFD(l.f.Fd())
 	start := time.Now()
-	err := fsyncFD(fd)
-	closeFD(fd)
+	if !ok {
+		b.err = l.f.Sync() // no descriptor clone here: fsync under the mutex
+	}
+	l.mu.Unlock()
+	if ok {
+		b.err = fsyncFD(fd)
+		closeFD(fd)
+	}
 	elapsed := time.Since(start)
 
 	l.mu.Lock()
-	if err != nil {
+	l.syncing = nil
+	if b.err != nil {
 		l.dirty = true
 	} else {
 		l.fsyncs++
 	}
 	l.mu.Unlock()
-	if err == nil && l.opts.OnFsync != nil {
+	close(b.done)
+	if b.err == nil && l.opts.OnFsync != nil {
 		l.opts.OnFsync(elapsed)
 	}
-	return err
+	return b.err
 }
 
 // rotateLocked seals the active segment and starts the next one.
@@ -1144,132 +1173,6 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	return err
-}
-
-// --- cross-log group commit -------------------------------------------
-
-// GroupSync coalesces concurrent committers — possibly on different
-// Logs — into shared fsync batches, optionally rate-limited to one
-// sync start per window. A committer flushes its log, joins the
-// accumulating batch, and waits for that batch's fsyncs. The first
-// committer of a batch leads it: if the previous batch's fsync
-// started less than a window ago, the leader sleeps out the
-// remainder — the batch keeps filling with every committer that
-// arrives — then detaches the batch and fsyncs its logs (concurrent
-// fsyncs of distinct files merge under one journal transaction on
-// ext4-like filesystems). An idle committer therefore pays one
-// immediate fsync; a loaded system pays one fsync per window,
-// however many committers pile in.
-//
-// The window is the commit-delay throughput/latency dial (Postgres
-// commit_delay, MySQL binlog sync-delay): on hardware where an fsync
-// burns ~150µs of CPU, an unthrottled fsync-per-drain spends the
-// whole core on syncs; a 1ms window caps that at ~15% while acks
-// still mean durable — they wait for the covering sync.
-type GroupSync struct {
-	mu        sync.Mutex
-	window    time.Duration
-	next      *syncBatch      // accumulating batch; nil until a committer joins
-	last      <-chan struct{} // previous batch's ready channel; chains batch order
-	lastStart time.Time       // when the last batch's fsyncs started
-}
-
-type syncBatch struct {
-	logs  map[*Log]struct{}
-	prev  <-chan struct{} // previous batch's ready; fsyncs start after it closes
-	ready chan struct{}   // closed once err is set; each follower blocks here once
-	err   error           // first fsync error of the batch, reported to every waiter
-}
-
-// NewGroupSync returns a scheduler that starts at most one fsync
-// batch per window (0 = no throttle: every batch syncs as soon as
-// the previous one finishes). The zero value is not usable.
-func NewGroupSync(window time.Duration) *GroupSync {
-	return &GroupSync{window: window}
-}
-
-// Commit makes everything appended to l so far durable, sharing
-// fsyncs with every other Commit in flight on this scheduler. Safe
-// for concurrent use; returns the first error of the batch that
-// covered the call (an error on any log fails the whole batch's
-// waiters — durability was not established for the batch window).
-//
-// Completion is a per-batch closed channel, not a condvar: every
-// waiter blocks exactly once and wakes exactly once. A Broadcast
-// design wakes every in-flight committer on every batch completion —
-// with hundreds of pipelined commits on a small host, that scheduler
-// churn costs more than the fsyncs the window saves.
-func (g *GroupSync) Commit(l *Log) error {
-	// Flush before joining: any batch that starts after this point
-	// covers the flushed bytes.
-	if err := l.Flush(); err != nil {
-		return err
-	}
-	g.mu.Lock()
-	if b := g.next; b != nil {
-		// Follow: the batch's leader fsyncs for us.
-		b.logs[l] = struct{}{}
-		g.mu.Unlock()
-		<-b.ready
-		return b.err
-	}
-	// Lead a new batch. Sleep out the window remainder first — the
-	// batch stays attached, so latecomers keep joining it — then
-	// detach, wait out the previous batch's fsyncs (batches complete
-	// in order), and fsync outside the lock.
-	b := &syncBatch{
-		logs:  map[*Log]struct{}{l: {}},
-		prev:  g.last,
-		ready: make(chan struct{}),
-	}
-	g.next = b
-	g.last = b.ready
-	if wait := g.window - time.Since(g.lastStart); g.window > 0 && wait > 0 {
-		g.mu.Unlock()
-		sleepPrecise(wait)
-		g.mu.Lock()
-	}
-	g.next = nil
-	g.lastStart = time.Now()
-	g.mu.Unlock()
-	if b.prev != nil {
-		<-b.prev
-	}
-	b.err = syncAll(b.logs)
-	close(b.ready)
-	return b.err
-}
-
-// syncAll fsyncs every log of a batch, concurrently when there is
-// more than one — separate files cannot share one fsync call, but
-// parallel fsyncs commit under one journal transaction on ext4-like
-// filesystems.
-func syncAll(logs map[*Log]struct{}) error {
-	if len(logs) == 1 {
-		for l := range logs {
-			return l.Sync()
-		}
-	}
-	var (
-		wg    sync.WaitGroup
-		errMu sync.Mutex
-		first error
-	)
-	for l := range logs {
-		wg.Add(1)
-		go func(l *Log) {
-			defer wg.Done()
-			if err := l.Sync(); err != nil {
-				errMu.Lock()
-				if first == nil {
-					first = err
-				}
-				errMu.Unlock()
-			}
-		}(l)
-	}
-	wg.Wait()
-	return first
 }
 
 // syncDir fsyncs a directory, making renames/creates/removes in it

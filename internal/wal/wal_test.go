@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 )
 
 // openT opens a log in dir, failing the test on I/O errors.
@@ -46,8 +45,8 @@ func appendN(t *testing.T, l *Log, stream string, from, to int64) {
 			t.Fatalf("Append(%s, %d): %v", stream, seq, err)
 		}
 	}
-	if err := l.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
+	if err := l.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 }
 
@@ -248,8 +247,8 @@ func reopenExpectTrunc(t *testing.T, dir string, wantRecords uint64, wantReason 
 	if _, err := l.Append("s", int64(wantRecords+1), []byte("after")); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
-	if err := l.Commit(); err != nil {
-		t.Fatalf("commit after recovery: %v", err)
+	if err := l.Flush(); err != nil {
+		t.Fatalf("flush after recovery: %v", err)
 	}
 	if got := collect(t, l); uint64(len(got)) != wantRecords+1 {
 		t.Fatalf("append after recovery lost: %d records", len(got))
@@ -688,9 +687,9 @@ func TestFuzzMapModelDifferential(t *testing.T) {
 						t.Fatalf("append: %v", err)
 					}
 					model = append(model, modelRec{s, next[s], body})
-				case k < 78: // commit
-					if err := l.Commit(); err != nil {
-						t.Fatalf("commit: %v", err)
+				case k < 78: // flush
+					if err := l.Flush(); err != nil {
+						t.Fatalf("flush: %v", err)
 					}
 				case k < 85: // rotate
 					if _, err := l.Rotate(); err != nil {
@@ -746,28 +745,6 @@ func TestSyncPolicyParse(t *testing.T) {
 	}
 }
 
-func TestSyncAlwaysDurablePerAppend(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{Policy: SyncAlways})
-	for seq := int64(1); seq <= 5; seq++ {
-		if _, err := l.Append("s", seq, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := l.Stats()
-	if st.Fsyncs < 5 {
-		t.Fatalf("SyncAlways fsynced %d times for 5 appends", st.Fsyncs)
-	}
-	// No Close, no Commit: simulate a crash by reopening the dir in a
-	// second log handle — every append must already be on disk.
-	l2, rec := openT(t, dir, Options{Policy: SyncAlways})
-	defer l2.Close()
-	if rec.Records != 5 {
-		t.Fatalf("recovered %d records, want 5", rec.Records)
-	}
-	l.Close()
-}
-
 func TestGroupCommitFsyncCoalesces(t *testing.T) {
 	l, _ := openT(t, t.TempDir(), Options{Policy: SyncGroup})
 	defer l.Close()
@@ -776,49 +753,42 @@ func TestGroupCommitFsyncCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Commit(); err != nil {
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(); err != nil { // nothing new: must coalesce
+	if err := l.Sync(); err != nil { // nothing new: must coalesce
 		t.Fatal(err)
 	}
 	st := l.Stats()
 	if st.Fsyncs != 1 {
-		t.Fatalf("group commit fsynced %d times for 64 appends + 2 commits, want 1", st.Fsyncs)
+		t.Fatalf("group commit fsynced %d times for 64 appends + 2 syncs, want 1", st.Fsyncs)
 	}
 }
 
-// TestGroupSyncConcurrentCommits hammers one scheduler from many
-// goroutines across several logs: every commit must succeed, every
-// committed record must survive a reopen, and the batcher must never
-// fsync more often than committers ask.
+// TestGroupSyncConcurrentCommits hammers one log's Sync from many
+// goroutines: every sync must succeed, every synced record must
+// survive a reopen, and the batching must never fsync more often than
+// callers ask.
 func TestGroupSyncConcurrentCommits(t *testing.T) {
 	const (
-		nLogs   = 4
 		workers = 8
 		perW    = 25
 	)
 	dir := t.TempDir()
-	logs := make([]*Log, nLogs)
-	for i := range logs {
-		l, _ := openT(t, filepath.Join(dir, fmt.Sprintf("l%d", i)), Options{Policy: SyncGroup})
-		logs[i] = l
-	}
-	g := NewGroupSync(0)
+	l, _ := openT(t, dir, Options{Policy: SyncGroup})
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			l := logs[w%nLogs]
 			stream := fmt.Sprintf("w%d", w)
 			for i := 0; i < perW; i++ {
 				if _, err := l.Append(stream, int64(i), []byte("payload")); err != nil {
 					errs <- err
 					return
 				}
-				if err := g.Commit(l); err != nil {
+				if err := l.Sync(); err != nil {
 					errs <- err
 					return
 				}
@@ -830,118 +800,42 @@ func TestGroupSyncConcurrentCommits(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("group commit: %v", err)
 	}
-	var fsyncs uint64
-	for _, l := range logs {
-		fsyncs += l.Stats().Fsyncs
-		if err := l.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
+	if fsyncs := l.Stats().Fsyncs; fsyncs > workers*perW {
+		t.Fatalf("%d fsyncs for %d syncs: the batching amplified fsyncs", fsyncs, workers*perW)
 	}
-	if fsyncs > workers*perW {
-		t.Fatalf("%d fsyncs for %d commits: the batcher amplified syncs", fsyncs, workers*perW)
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	// Every committed record is on disk.
-	for i := range logs {
-		l, rec := openT(t, filepath.Join(dir, fmt.Sprintf("l%d", i)), Options{})
-		if rec.Truncated {
-			t.Fatalf("log %d truncated on reopen: %+v", i, rec)
-		}
-		want := uint64(perW * (workers / nLogs))
-		if rec.Records != want {
-			t.Fatalf("log %d: %d records survived, want %d", i, rec.Records, want)
-		}
-		l.Close()
+	// Every synced record is on disk.
+	l, rec := openT(t, dir, Options{})
+	defer l.Close()
+	if rec.Truncated {
+		t.Fatalf("log truncated on reopen: %+v", rec)
+	}
+	if rec.Records != workers*perW {
+		t.Fatalf("%d records survived, want %d", rec.Records, workers*perW)
 	}
 }
 
-// TestGroupSyncSingleCommitter: alone, the batcher degenerates to
-// one fsync per commit with pending bytes — no batching overhead, no
-// extra syncs.
+// TestGroupSyncSingleCommitter: alone, a caller pays one fsync per
+// Sync with pending bytes — no batching overhead, no extra fsyncs.
 func TestGroupSyncSingleCommitter(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{Policy: SyncGroup})
+	l, _ := openT(t, t.TempDir(), Options{Policy: SyncGroup})
 	defer l.Close()
-	g := NewGroupSync(0)
 	for i := 0; i < 10; i++ {
 		if _, err := l.Append("s", int64(i), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Commit(l); err != nil {
+		if err := l.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A commit with nothing new pending must not fsync again.
-	if err := g.Commit(l); err != nil {
+	// A Sync with nothing new pending must not fsync again.
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Stats().Fsyncs; got != 10 {
-		t.Fatalf("%d fsyncs for 10 dirty commits", got)
-	}
-}
-
-// TestGroupSyncClosedLog: committing a closed log reports the error
-// without wedging the scheduler for other logs.
-func TestGroupSyncClosedLog(t *testing.T) {
-	dir := t.TempDir()
-	l1, _ := openT(t, filepath.Join(dir, "a"), Options{Policy: SyncGroup})
-	l2, _ := openT(t, filepath.Join(dir, "b"), Options{Policy: SyncGroup})
-	defer l2.Close()
-	g := NewGroupSync(0)
-	if err := l1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Commit(l1); err == nil {
-		t.Fatal("commit on a closed log succeeded")
-	}
-	if _, err := l2.Append("s", 1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Commit(l2); err != nil {
-		t.Fatalf("scheduler wedged after a closed-log commit: %v", err)
-	}
-}
-
-// TestGroupSyncWindowCoalesces: with a sync window, concurrent
-// committers arriving within one window share a single sync batch —
-// the fsync count stays far below the commit count.
-func TestGroupSyncWindowCoalesces(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{Policy: SyncGroup})
-	defer l.Close()
-	g := NewGroupSync(5 * time.Millisecond)
-	const workers = 8
-	const perW = 5
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				if _, err := l.Append(fmt.Sprintf("w%d", w), int64(i), []byte("x")); err != nil {
-					errs <- err
-					return
-				}
-				if err := g.Commit(l); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("windowed commit: %v", err)
-	}
-	// 40 commits in well under a handful of 5ms windows: the throttle
-	// must have merged most of them. Generous bound to stay unflaky.
-	if got := l.Stats().Fsyncs; got > workers*perW/2 {
-		t.Fatalf("%d fsyncs for %d windowed commits: no coalescing", got, workers*perW)
-	}
-	got := collect(t, l)
-	if len(got) != workers*perW {
-		t.Fatalf("replayed %d records, want %d", len(got), workers*perW)
+		t.Fatalf("%d fsyncs for 10 dirty syncs", got)
 	}
 }
 
@@ -1250,7 +1144,7 @@ func TestScanIndexMatchesAppendIndex(t *testing.T) {
 				}
 			}
 		}
-		if err := l.Commit(); err != nil {
+		if err := l.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return l
@@ -1343,7 +1237,7 @@ func TestScanIndexMatchesAppendIndex(t *testing.T) {
 }
 
 // TestAppendAllocFree pins the append path at fsync=off: framing an
-// admit-sized record into the write buffer, and the commit at every
+// admit-sized record into the write buffer, and the flush at every
 // 32nd append (the actor-drain boundary), allocate nothing.
 func TestAppendAllocFree(t *testing.T) {
 	l, _ := openT(t, t.TempDir(), Options{Policy: SyncOff})
@@ -1356,7 +1250,7 @@ func TestAppendAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if seq%32 == 0 {
-			if err := l.Commit(); err != nil {
+			if err := l.Flush(); err != nil {
 				t.Fatal(err)
 			}
 		}

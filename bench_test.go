@@ -190,7 +190,7 @@ func BenchmarkAblationPriorityBoost(b *testing.B) {
 			fmt.Print(r.Table())
 			fmt.Println("(neither variant dominates universally: boosted parts migrate")
 			fmt.Println(" predictably but steal from every local task; plain-RM parts")
-			fmt.Println(" interfere less but push jitter downstream — see EXPERIMENTS.md)")
+			fmt.Println(" interfere less but push jitter downstream)")
 		})
 		// Both variants extend FFD by a splitting fallback, so both
 		// must dominate FFD; the boost comparison itself is reported,

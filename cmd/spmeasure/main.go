@@ -7,7 +7,7 @@
 //	spmeasure [-samples 2000] [-raw]
 //
 // The paper's kernel-mode values are printed alongside for
-// comparison; see EXPERIMENTS.md for the interpretation.
+// comparison; README.md's spmeasure section shows how to run it.
 package main
 
 import (

@@ -60,6 +60,6 @@ func main() {
 		fmt.Printf("%-10.0fx %-8.3f %-8.3f\n", k, fp, ffd)
 	}
 
-	fmt.Println("\nTable 1 re-measured on this machine (see EXPERIMENTS.md):")
+	fmt.Println("\nTable 1 re-measured on this machine (README.md: spmeasure):")
 	fmt.Print(measure.FormatTable1(measure.Table1(500)))
 }

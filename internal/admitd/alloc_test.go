@@ -67,8 +67,8 @@ func sessAssertZeroAllocs(t *testing.T, name string, f func()) {
 // TestTryReadAllocFree guards the non-holding admission query: wire
 // conversion into pooled scratch, the COW duplicate check, and a
 // first-fit probe through one pinned prober; on an explicit core, also
-// a probe the fluid screen refuses and ones the per-entity screen
-// passes, refuses and starts.
+// a probe the new task's own screen refuses and ones the per-entity
+// screens pass, refuse and start.
 func TestTryReadAllocFree(t *testing.T) {
 	s := allocSession(t)
 	defer s.close()
@@ -85,8 +85,9 @@ func TestTryReadAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Below every resident priority the fluid screen refuses a heavy
-	// task with no fixed point solved. Every entity of a probed core then
+	// Below every resident priority the new task's own screen, which a
+	// chain-free probe meets first, refuses a heavy task with no fixed
+	// point solved. Every entity of a probed core then
 	// meets its own screen: a light task leaves nothing to solve, a heavy
 	// one at the top of the order is refused by the screens of the
 	// residents below it, and one whose bounds straddle its deadline is
@@ -99,7 +100,7 @@ func TestTryReadAllocFree(t *testing.T) {
 		admit  bool
 		solves int64
 	}{
-		{"fluid-refused", 99_000_000, 9000, false, 0},
+		{"own-screen-refused", 99_000_000, 9000, false, 0},
 		{"screen-passed", 1_000_000, 9000, true, 0},
 		{"screen-refused", 99_000_000, 1, false, 0},
 		{"screen-started", 96_400_000, 9000, true, 1},

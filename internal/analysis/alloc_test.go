@@ -92,9 +92,9 @@ func TestSnapshotTryPlaceAllocFree(t *testing.T) {
 // stream of shapes that never repeat costs the same zero allocations as
 // a repeated one, under both policies. With a committed fixed-priority
 // split chain the probe also builds per-core views, clones the chains
-// and runs the jitter resolution. A probe the fluid screen refuses, and
-// ones the per-entity screen passes, refuses and starts, cost nothing
-// either.
+// and runs the jitter resolution. Chain-free probes, answered from the
+// core's table, cost nothing either: one the probed task's own screen
+// refuses, and ones the per-entity screens pass, refuse and start.
 func TestSnapshotTryPlaceSolveAllocFree(t *testing.T) {
 	for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
 		snap, _ := allocSnapshot(t, pol, false)
@@ -113,12 +113,12 @@ func TestSnapshotTryPlaceSolveAllocFree(t *testing.T) {
 	assertZeroAllocs(t, "FP/TryPlace+chains", func() {
 		snap.TryPlace(tk, 2)
 	})
-	// Chain-free, a task below every committed priority meets the fluid
-	// screen, which refuses a heavy one before any view is built. Every
-	// entity then meets its own screen, which passes, refuses or starts
-	// it: a light lowest task leaves nothing to solve, a heavy one at the
-	// top is refused with no solve, and a lowest one whose bounds
-	// straddle its deadline is solved from the screen's start.
+	// Chain-free, the probed task meets its own screen first, which
+	// refuses a heavy one below every committed priority. Every entity
+	// then meets its own screen, which passes, refuses or starts it: a
+	// light lowest task leaves nothing to solve, a heavy one at the top
+	// is refused with no solve, and a lowest one whose bounds straddle
+	// its deadline is solved from the screen's start.
 	snap, _ = allocSnapshot(t, task.FixedPriority, false)
 	s := snap.(*fpSnapshot)
 	for _, tc := range []struct {
@@ -127,7 +127,7 @@ func TestSnapshotTryPlaceSolveAllocFree(t *testing.T) {
 		prio         int
 		fits, solves bool
 	}{
-		{"fluid-refused", ms(99), 20000, false, false},
+		{"own-screen-refused", ms(99), 20000, false, false},
 		{"screen-passed", ms(1), 20000, true, false},
 		{"screen-refused", ms(99), 1, false, false},
 		{"screen-started", ms(93), 20000, true, true},
@@ -135,14 +135,14 @@ func TestSnapshotTryPlaceSolveAllocFree(t *testing.T) {
 		tk := &task.Task{ID: 700, WCET: tc.wcet, Period: ms(100), Priority: tc.prio, WSS: 64 << 10}
 		e := newFPEntityInto(new(Entity), tk)
 		p := fpProbe{m: s.m, mono: s.mono, maxN: s.maxN, cores: s.cores, chains: s.chains}
-		n := probeN(s.cores, s.maxN, []int{0})
-		p, v, scr := probeScreens(p, []*Entity{e}, []int{0}, nil, 0, n)
-		fluid := p.fluidRefuses(&s.cores[0], e, v.cs.qc.plain)
+		n := placeN(s.cores, s.maxN, 0)
+		_, v, scr := probeScreens(p, []*Entity{e}, []int{0}, nil, 0, n)
+		ownRefused := tableScreens(p, 0, e, n)[slices.Index(v.cs.Entities, e)].refuse
 		before := s.rs.Snapshot()
 		fits := snap.TryPlace(tk, 0)
 		w := s.rs.Snapshot().Sub(before)
-		if fits != tc.fits || fluid != (tc.name == "fluid-refused") || (w.FPSolves > 0) != tc.solves || w.CoreTests != 1 {
-			t.Fatalf("FP/TryPlace %s: verdict %v, fluid refusal %v, %+v", tc.name, fits, fluid, work(w))
+		if fits != tc.fits || ownRefused != (tc.name == "own-screen-refused") || (w.FPSolves > 0) != tc.solves || w.CoreTests != 1 {
+			t.Fatalf("FP/TryPlace %s: verdict %v, own screen refused %v, %+v", tc.name, fits, ownRefused, work(w))
 		}
 		own := scr[slices.Index(v.cs.Entities, e)]
 		if tc.name == "screen-started" && (own.start == 0 || own.pass || own.refuse || w.WarmStarts == 0) {

@@ -51,10 +51,12 @@
 //     float error of U and dropped where U is too near 1 for it; and
 //     neither a pass nor a start applies where the cold solve might hit
 //     its iteration cap (limit·Σ1/T + ΣJ/T + k + 3 ≥ the cap), where
-//     they could admit what the cold solve misses. The fluid screen
-//     (fpProbe.fluidRefuses) is the refusal of the same bound for a
-//     whole task strictly lowest on a plain core, read off the
-//     committed record before any view is built. Both are
+//     they could admit what the cold solve misses. A chain-free
+//     whole-task probe computes the same sums from its core's table
+//     (fpProbe.tableProbe), and screens the new task first, with the
+//     interferers of period T ≥ D charged once in its base
+//     (tableSlot.long): one release each is all they make in (0, D].
+//     The screens are
 //     fixed-priority only: the EDF test already screens utilization in
 //     edfHorizon.
 //
@@ -171,12 +173,14 @@ type Context interface {
 	EndGroup()
 	// ReadStats returns the admission counters accumulated by the
 	// read path — probes served from forked snapshots — since
-	// creation (or the last Flush). Safe to call concurrently.
+	// creation (or the last Flush). A Prober folds its probes' counters
+	// in when it is closed. Safe to call concurrently.
 	ReadStats() AdmissionStats
 	// ReadCollector exposes the collector behind ReadStats — the sink
-	// every snapshot probe folds its per-probe counters into — so an
-	// observability layer can attach per-contribution observers
-	// (Collector.SetFPObserver) without the context knowing about it.
+	// every snapshot Prober folds its counters into — so an
+	// observability layer can attach an observer of each probe's
+	// fixed-point work (Collector.SetFPObserver) without the context
+	// knowing about it.
 	ReadCollector() *Collector
 	// CommitSeq returns the number of mutations committed since
 	// creation — the sequence number the next published snapshot
@@ -313,10 +317,11 @@ func (s AdmissionStats) String() string {
 type Collector struct {
 	probes, fullTests, coreTests, verdictHits, fpSolves, fpIterations, warmStarts atomic.Int64
 
-	// fpObs, when set, observes every folded contribution that
-	// carried fixed-point solves — the telemetry plane's hook for a
-	// live iteration histogram, at per-Add grain (per probe on the
-	// read path). Atomic pointer: SetFPObserver may race Adds.
+	// fpObs, when set, observes every contribution that carried
+	// fixed-point solves — the telemetry plane's hook for a live
+	// iteration histogram, at per-Add grain, and per probe on the read
+	// path, whose Probers fold their counters at Close. Atomic pointer:
+	// SetFPObserver may race Adds.
 	fpObs atomic.Pointer[func(iterations, solves int64)]
 
 	// Written by EDF contributions only (see Add); last, so the words
@@ -324,9 +329,10 @@ type Collector struct {
 	demandTests, demandPoints atomic.Int64
 }
 
-// SetFPObserver attaches fn to every subsequent Add that carries
-// fixed-point solves (nil detaches). fn must be lock-free and
-// allocation-free: it runs inline on the read path's stat fold.
+// SetFPObserver attaches fn to every subsequent Add, and every
+// snapshot probe, that carries fixed-point solves (nil detaches). fn
+// must be lock-free and allocation-free: it runs inline on the read
+// path.
 func (c *Collector) SetFPObserver(fn func(iterations, solves int64)) {
 	if fn == nil {
 		c.fpObs.Store(nil)
@@ -335,11 +341,18 @@ func (c *Collector) SetFPObserver(fn func(iterations, solves int64)) {
 	c.fpObs.Store(&fn)
 }
 
-// Add folds s into the collector. It adds only the nonzero counters: a
-// read probe carries no full test and no verdict hit, one its screens
-// decide no solve, and fixed-priority traffic no demand test, and each
-// skipped counter is an atomic read-modify-write saved.
+// Add folds s into the collector and shows its fixed-point work to the
+// observer.
 func (c *Collector) Add(s AdmissionStats) {
+	c.fold(s)
+	c.observe(s.FPIterations, s.FPSolves)
+}
+
+// fold adds s's counters without observing them. It adds only the
+// nonzero ones: a read probe carries no full test and no verdict hit,
+// one its screens decide no solve, and fixed-priority traffic no demand
+// test, and each skipped counter is an atomic read-modify-write saved.
+func (c *Collector) fold(s AdmissionStats) {
 	addNonzero(&c.probes, s.Probes)
 	addNonzero(&c.fullTests, s.FullTests)
 	addNonzero(&c.coreTests, s.CoreTests)
@@ -349,9 +362,14 @@ func (c *Collector) Add(s AdmissionStats) {
 	addNonzero(&c.warmStarts, s.WarmStarts)
 	addNonzero(&c.demandTests, s.DemandTests)
 	addNonzero(&c.demandPoints, s.DemandPoints)
-	if s.FPSolves > 0 {
+}
+
+// observe passes one contribution's fixed-point work to the observer,
+// if it solved any and one is attached.
+func (c *Collector) observe(iterations, solves int64) {
+	if solves > 0 {
 		if f := c.fpObs.Load(); f != nil {
-			(*f)(s.FPIterations, s.FPSolves)
+			(*f)(iterations, solves)
 		}
 	}
 }
@@ -560,6 +578,9 @@ func (b *ctxBase) own(c int, grow bool) *coreRec {
 		if r.warm != nil {
 			r.warm = append(make([]timeq.Time, 0, n), r.warm...)
 		}
+		if r.tab != nil {
+			r.tab = append(make([]fpRow, 0, n), r.tab...)
+		}
 		r.shared = false
 	}
 	return r
@@ -630,7 +651,7 @@ func (b *ctxBase) rebind(a *task.Assignment, m *overhead.Model) (fresh bool) {
 			b.pool.put(r.ents...)
 			// rev keeps counting: recycled cores must never match old
 			// verdicts.
-			*r = coreRec{ents: r.ents[:0], warm: r.warm[:0], rev: r.rev + 1}
+			*r = coreRec{ents: r.ents[:0], warm: r.warm[:0], tab: r.tab[:0], rev: r.rev + 1}
 			b.verdicts[c] = fpVerdict{}
 		}
 		b.chains = b.chains[:0]
@@ -658,8 +679,11 @@ func (b *ctxBase) fork() *snapState {
 
 // publish atomically installs a fresh snapshot of the committed state:
 // an O(cores) copy of the records. Runs on the owner after every
-// committed mutation once forking is engaged. Every record is shared
-// from then on, until a mutation takes it private (own).
+// committed mutation once forking is engaged. Under fixed priorities it
+// first brings every record's table up to date — only a record a
+// mutation took private can be stale — so readers never build one.
+// Every record is shared from then on, until a mutation takes it
+// private (own).
 func (b *ctxBase) publish(hint pubHint, fits bool) {
 	prev := b.pub.Load()
 	s := &snapState{cores: make([]coreRec, len(b.cores)), chains: b.chains[:len(b.chains):len(b.chains)]}
@@ -669,7 +693,11 @@ func (b *ctxBase) publish(hint pubHint, fits bool) {
 	if prev != nil {
 		pv = &prev.snapView
 	}
+	fp := b.an.Policy() == task.FixedPriority
 	for c := range b.cores {
+		if fp {
+			b.cores[c].ensureTable()
+		}
 		b.cores[c].shared = true
 	}
 	copy(s.cores, b.cores)

@@ -95,8 +95,7 @@ func (x *edfContext) TryPlace(t *task.Task, c int) bool {
 	x.stats.Probes++
 	x.a.Place(t, c)
 	newEDFEntityInto(&x.sc.ent, t)
-	x.sc.addCores[0] = c
-	x.pend = pending{kind: pendPlace, core: c, n: probeN(x.cores, x.maxN, x.sc.addCores[:])}
+	x.pend = pending{kind: pendPlace, core: c, n: placeN(x.cores, x.maxN, c)}
 	x.probe()
 	return x.pend.fits
 }

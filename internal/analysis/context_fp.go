@@ -46,7 +46,7 @@ type fpContext struct {
 
 func newFPContext(an Analyzer, a *task.Assignment, m *overhead.Model) *fpContext {
 	x := &fpContext{ctxBase: newCtxBase(an, a, m), coreJGen: make([]int64, a.NumCores), resolveSeq: -1}
-	x.sc.perCore = true
+	x.sc.install = true
 	x.sc.size(a.NumCores)
 	x.adoptAll()
 	return x
@@ -57,9 +57,8 @@ func newFPContext(an Analyzer, a *task.Assignment, m *overhead.Model) *fpContext
 func (x *fpContext) adoptAll() {
 	for c, ts := range x.a.Normal {
 		for _, t := range ts {
-			x.insert(newFPEntityInto(x.pool.get(), t), c)
+			x.adopt(newFPEntityInto(x.pool.get(), t), c)
 		}
-		x.cores[c].summarize()
 	}
 	for _, sp := range x.a.Splits {
 		x.newChain(sp)
@@ -77,16 +76,9 @@ func (x *fpContext) engine() fpProbe {
 
 // adopt commits e onto core c with a cold warm slot.
 func (x *fpContext) adopt(e *Entity, c int) {
-	x.insert(e, c).summarize()
-}
-
-// insert is adopt leaving the record's fluid summary for the caller to
-// refresh.
-func (x *fpContext) insert(e *Entity, c int) *coreRec {
 	r := x.own(c, true)
 	r.ents, r.warm = insertByPriority(r.ents, r.warm, e)
 	x.adopted(r, e)
-	return r
 }
 
 // newChain builds the tentative chain of sp from the recycle pools:
@@ -125,8 +117,7 @@ func (x *fpContext) TryPlace(t *task.Task, c int) bool {
 	// clones it onto the heap before adopting it.
 	sc := &x.sc
 	sc.addEnts[0], sc.addCores[0] = newFPEntityInto(&sc.ent, t), c
-	x.pend = pending{kind: pendPlace, core: c, addEnts: sc.addEnts[:], addCores: sc.addCores[:]}
-	x.pend.n = probeN(x.cores, x.maxN, x.pend.addCores)
+	x.pend = pending{kind: pendPlace, core: c, addEnts: sc.addEnts[:], addCores: sc.addCores[:], n: placeN(x.cores, x.maxN, c)}
 	x.probe(nil)
 	return x.pend.fits
 }
@@ -277,9 +268,9 @@ func (x *fpContext) dropEntity(c, i int) {
 		r.warm = slices.Delete(r.warm, i, i+1)
 	} else {
 		r.ents, r.warm, r.shared = removeAtCOW(r.ents, i), removeAtCOW(r.warm, i), false
+		r.tab = nil // rebuilt for the new revision
 	}
 	x.dropped(r)
-	r.summarize()
 }
 
 // Remove deletes the task (whole placement or split chain) and

@@ -10,13 +10,27 @@
 // Committed state has one shape whoever holds it: a coreRec per core
 // and, under fixed priorities, the split chains as fpSnapChain with the
 // committed jitters baked into their entities. Committed entities are
-// immutable. Everything a probe changes lives in a probeView, a
-// scratch copy of one core's record with the tentative entities merged
-// in: the entity slice, the warm vector parallel to it, and a CoreSet
-// whose cost buffers persist across probes. A chain entity whose
-// jitter the probe may move is swapped in the view for a probe-local
-// clone. A reader throws its views away; the writer installs them (see
-// context_fp.go).
+// immutable.
+//
+// A whole-task probe of a state without split chains reads its core's
+// table (coreRec.tab, fpRow): per entity C, T, D, the priority, C/T and
+// 1/T, and the sums over the entities above and below it, none of
+// which depends on the probe. The probe derives its charges — the inflation every
+// entity of a plain core shares, the blocking per lower entity, the
+// release cost — and screens and, where need be, solves each entity
+// from its row plus the new task's one term (fpProbe.tableProbe). The
+// table is rebuilt when the record's revision moves: in place on a
+// record no snapshot references, and by publish before the records are
+// shared, so readers only read it; a shared one is copied with the
+// entity and warm slices (ctxBase.own).
+//
+// Every other evaluation works in a probeView, a scratch copy of one
+// core's record with the tentative entities merged in: the entity
+// slice, the warm vector parallel to it, and a CoreSet whose cost
+// buffers persist across probes. A chain entity whose jitter the probe
+// may move is swapped in the view for a probe-local clone. A reader
+// throws its views away; the writer installs them, and the warm vector
+// a table probe fills, on Commit (see context_fp.go).
 package analysis
 
 import (
@@ -44,34 +58,71 @@ type coreRec struct {
 	busyWarm timeq.Time
 	cacheMax timeq.Time
 	rev      int64 // content revision
-	// fluid summarizes ents for the fluid screen (fixed priorities
-	// only): a pure function of the list, refreshed whenever rev moves.
-	fluid fluidSum
+	// tab is the fixed-priority table of ents, parallel to it, as of
+	// revision tabRev (ensureTable).
+	tab    []fpRow
+	tabRev int64
 	// shared marks a record whose slices a published snapshot
 	// references: the writer copies them before writing (ctxBase.own).
 	shared bool
 }
 
-// fluidSum is what the fluid screen reads of a committed core: ΣC/T
-// and Σ1/T over its entities, summed in list order, the largest
-// LocalPriority among them (the lowest priority) and whether any is not
-// plain — a split part, or released with jitter.
-type fluidSum struct {
-	sumCT, sumInvT float64
-	maxPrio        int
-	mixed          bool
+// fpRow is one committed entity's line in its core's table: its
+// parameters, C/T and 1/T, and the sums over the entities strictly
+// above it in priority (hp) and strictly below it (lo). Nothing in it
+// depends on the queue bound, the cache delay or the model: a probe
+// derives its charges and adds them (see fpProbe.tableProbe).
+type fpRow struct {
+	c, t, d  timeq.Time
+	prio     int
+	ct, invT float64
+	hp, lo   tabSums
 }
 
-// summarize refreshes r.fluid from r.ents.
-func (r *coreRec) summarize() {
-	f := fluidSum{}
-	for _, e := range r.ents {
-		f.sumCT += float64(e.C) / float64(e.T)
-		f.sumInvT += 1 / float64(e.T)
-		f.maxPrio = max(f.maxPrio, e.LocalPriority)
-		f.mixed = f.mixed || e.MigrIn || e.MigrOut || e.RemoteSleepAdd || e.Jitter != 0
+// tabSums sums a run of committed entities: ΣC, ΣC/T, Σ1/T and their
+// count.
+type tabSums struct {
+	c, ct, invT float64
+	n           int
+}
+
+func (s *tabSums) add(r *fpRow) {
+	s.c += float64(r.c)
+	s.ct += r.ct
+	s.invT += r.invT
+	s.n++
+}
+
+// ensureTable rebuilds r.tab from r.ents unless it is current. The
+// caller owns the slice: the writer's record after own, or a record
+// publish is about to share.
+func (r *coreRec) ensureTable() {
+	if r.tabRev == r.rev {
+		return
 	}
-	r.fluid = f
+	tab := r.tab[:0]
+	if cap(tab) < len(r.ents) {
+		tab = make([]fpRow, 0, len(r.ents)+4)
+	}
+	var run, hp tabSums
+	for i, e := range r.ents {
+		if i == 0 || e.LocalPriority != r.ents[i-1].LocalPriority {
+			hp = run
+		}
+		tab = append(tab, fpRow{c: e.C, t: e.T, d: e.D, prio: e.LocalPriority,
+			ct: float64(e.C) / float64(e.T), invT: 1 / float64(e.T), hp: hp})
+		run.add(&tab[i])
+	}
+	run = tabSums{}
+	var lo tabSums
+	for i := len(tab) - 1; i >= 0; i-- {
+		if i == len(tab)-1 || tab[i].prio != tab[i+1].prio {
+			lo = run
+		}
+		tab[i].lo = lo
+		run.add(&tab[i])
+	}
+	r.tab, r.tabRev = tab, r.rev
 }
 
 // fpSnapChain is one split chain: its entities in part order, with
@@ -113,6 +164,12 @@ func probeN(cores []coreRec, maxN int, addCores []int) int {
 		}
 	}
 	return n
+}
+
+// placeN is probeN for one whole task placed on core c: no other core
+// grows, and none holds more than maxN.
+func placeN(cores []coreRec, maxN, c int) int {
+	return max(maxN, len(cores[c].ents)+1)
 }
 
 // newFPEntityInto fills e with the whole-task entity of BuildCores.
@@ -212,23 +269,25 @@ type fpProbeScratch struct {
 
 	run   int64 // bumped per evaluation; views filled by it carry the value
 	views []probeView
-	// perCore is set by the writer: a chain-free probe then fills its
-	// own core's view, so what it converged outlives probes of other
-	// cores (see fpContext.Place). A reader's all share view 0 — one set
-	// of buffers for a pooled scratch to rebuild after a collection.
-	perCore bool
+	// install is set by the writer: a chain-free probe then leaves the
+	// probe state's warm vector, with what it converged, in its core's
+	// view for Commit to install (fpContext.install).
+	install bool
 
 	chains    []fpSnapChain // probe-local clones of the committed chains, then the tentative chain
 	cloneSlab []Entity
 	clonePtrs []*Entity
 	failed    map[*Entity]bool // chain entities the resolution could not fit
 
-	tent  fpSnapChain    // the reader's tentative split chain
-	pool  entPool        // the entities it is built from
-	stats AdmissionStats // and the reader's counters for one probe
+	tent fpSnapChain // the reader's tentative split chain
+	pool entPool     // the entities it is built from
 
 	mm modelMemo // the queue costs and cache delays the views are filled with
 	hp []rtaSums // per entity of the view under test, its higher-priority sums
+
+	// A table probe's solve: the coefficients and periods of the solved
+	// entity's interferers, and as many zero jitters.
+	coef, per, jit []timeq.Time
 }
 
 // size makes room for nc cores.
@@ -262,28 +321,237 @@ type fpProbe struct {
 func (p *fpProbe) run(add []*Entity, addCores []int, tent *fpSnapChain, probeCore, n int) bool {
 	sc := p.sc
 	sc.run++
-	sc.size(len(p.cores))
 	if len(p.chains) == 0 && tent == nil {
-		// No chains, no cross-core coupling: probe the core alone (the
-		// stateless fast path). The probe is one whole task on its own
-		// core, which the fluid screen may refuse before any view is
-		// built.
-		v := &sc.views[0]
-		if sc.perCore {
-			v = &sc.views[probeCore]
-		}
-		p.addCM = p.sc.mm.maxDelay(p.m, add[0].Task.WSS)
-		if p.fluidRefuses(&p.cores[probeCore], add[0], p.queueCosts(v, n)) {
-			p.stats.CoreTests++
-			return false
-		}
-		p.fillView(v, probeCore, add, addCores, n)
-		return fpEvalCore(p, v, nil)
+		// No chains, no cross-core coupling: the probe is one whole task
+		// on its own core, answered from the core's table. It needs no
+		// views (the writer's are sized with the context).
+		return p.tableProbe(probeCore, add[0], n)
 	}
+	sc.size(len(p.cores))
 	p.buildViews(add, addCores, probeCore, n)
 	p.cloneChains(tent)
 	p.resolve()
 	return fpEvalCore(p, &sc.views[probeCore], sc.failed)
+}
+
+// tableProbe is the chain-free probe of whole task e onto core c at
+// queue bound n, answered from the core's table instead of a view. On a
+// core without split parts every entity is plain, so ensureCosts would
+// charge each the same a = plain(n) + CacheMax′ (CacheMax′ the core's,
+// raised by e's), a blocking term that counts only the strictly lower
+// entities, and the same release cost rel to lower-priority releases.
+// The probe state is the committed core with e inserted after its equal
+// priorities (insertByPriority), so each entity's screen sums are its
+// table sums plus e's one term: C′ₑ for an entity below e, rel for one
+// above it, none for an equal priority. Every entity then meets
+// rtaScreen and, where it decides nothing, one solve from max(screen
+// start, committed warm value) — e first, the commonest refusal, then
+// the rest from the bottom up (see fpEvalCore for why the order cannot
+// change the verdict). e's own sums take one pass over the table (see
+// tableSlot.long).
+func (p *fpProbe) tableProbe(c int, e *Entity, n int) bool {
+	p.stats.CoreTests++
+	var t tableState
+	var x tableSlot
+	p.tableRun(&t, c, e, n)
+	t.slot(-1, &x)
+	if !p.tableDecide(&t, &x) {
+		return false
+	}
+	for i := len(t.r.tab) - 1; i >= 0; i-- {
+		t.slot(i, &x)
+		if !p.tableDecide(&t, &x) {
+			return false
+		}
+	}
+	return true
+}
+
+// tableState is one table probe: the record r with e placed at pos,
+// after the entities above it (those before eq) and its equal
+// priorities; the charges; and on the writer the probe state's warm
+// vector, which the solves fill.
+type tableState struct {
+	r        *coreRec
+	e        *Entity
+	eq, pos  int
+	a, rel   timeq.Time // C′ − C of every entity, and what a lower-priority release costs
+	zero     bool       // the zero model: no blocking
+	blockRel timeq.Time // the blocking term's charge per lower-priority entity,
+	sched    timeq.Time // plus sch when there is any,
+	plain    timeq.Time // plus a plain entity's arrival and departure
+	mono     bool
+	warm     []timeq.Time
+}
+
+// tableRun fills t for a probe of e onto core c at queue bound n: the
+// charges from the scratch's memo, e's place and, on the writer, the
+// warm vector of the probe state (a zero for e, as insertByPriority
+// gives it).
+func (p *fpProbe) tableRun(t *tableState, c int, e *Entity, n int) {
+	sc, m, r := p.sc, p.m, &p.cores[c]
+	r.ensureTable() // a snapshot's is current: publish built it
+	qc := sc.mm.queueCosts(m, n)
+	t.r, t.e = r, e
+	t.a = qc.plain + max(r.cacheMax, sc.mm.maxDelay(m, e.Task.WSS))
+	t.blockRel = m.Release + qc.ops[5] + qc.ops[0]
+	t.rel = t.blockRel + m.Sched
+	t.zero, t.sched, t.plain, t.mono = sc.mm.zero, m.Sched, qc.plain, p.mono
+	tab := r.tab
+	for t.eq < len(tab) && tab[t.eq].prio < e.LocalPriority {
+		t.eq++
+	}
+	t.pos = t.eq
+	for t.pos < len(tab) && tab[t.pos].prio == e.LocalPriority {
+		t.pos++
+	}
+	if sc.install {
+		v := &sc.views[c]
+		t.warm = append(append(append(v.warm[:0], r.warm[:t.pos]...), 0), r.warm[t.pos:]...)
+		v.warm, v.run = t.warm, sc.run
+	}
+}
+
+// blocking is ensureCosts' blocking term of an entity with lc strictly
+// lower entities.
+func (t *tableState) blocking(lc int) timeq.Time {
+	if t.zero {
+		return 0
+	}
+	batch := t.blockRel * timeq.Time(lc)
+	if batch > 0 {
+		batch += t.sched
+	}
+	return batch + t.plain
+}
+
+// sums sets s to the screen sums of an entity whose committed
+// interferers are those of hp, at C′, and those of lo, at rel.
+func (t *tableState) sums(s *rtaSums, hp, lo *tabSums) {
+	a := float64(t.a)
+	*s = rtaSums{u: hp.ct + a*hp.invT, c: hp.c + a*float64(hp.n), invT: hp.invT}
+	if t.rel > 0 {
+		rel := float64(t.rel)
+		s.u += rel * lo.invT
+		s.c += rel * float64(lo.n)
+		s.invT += lo.invT
+	}
+}
+
+// tableSlot is one entity of a table probe's state: its base b,
+// deadline d and screen sums s; its committed interferers, those before
+// hpEnd at C′ and those from loStart on at rel; the probed task's
+// coefficient ec in its response time (0: inert); its committed warm
+// value and its index in the probe state.
+//
+// long is what the interferers of period T ≥ d charge, for the screen:
+// each releases exactly once in (0, d], so for r in (0, d] its term
+// c·⌈r/T⌉ is c, not merely at least c·r/T. The probed task's slot moves
+// them from s into the screen's base B + long, which tightens every
+// bound rtaScreen reads: f(r) ≥ B + long + r·U′ for every r > 0, since
+// ⌈r/T⌉ ≥ 1; f(r) < B + long + N′ + r·U′ on (0, d]; and the cap guard's
+// count of their releases, one each, stays within its k. The primed
+// sums are over the shorter periods; a committed slot has long = 0.
+type tableSlot struct {
+	b, d           timeq.Time
+	s              rtaSums
+	hpEnd, loStart int
+	ec, warm, long timeq.Time
+	at             int
+}
+
+// slot sets x to committed entity i of the probe state, or to e for
+// i < 0.
+func (t *tableState) slot(i int, x *tableSlot) {
+	tab, e := t.r.tab, t.e
+	if i < 0 {
+		var hp, lo tabSums
+		x.long = 0
+		for j := range t.eq {
+			if r := &tab[j]; r.t >= e.D {
+				x.long += r.c + t.a
+			} else {
+				hp.add(r)
+			}
+		}
+		for j := t.pos; j < len(tab); j++ {
+			if r := &tab[j]; r.t >= e.D && t.rel > 0 {
+				x.long += t.rel
+			} else {
+				lo.add(r)
+			}
+		}
+		t.sums(&x.s, &hp, &lo)
+		x.b, x.d = timeq.AddSat(e.C+t.a, t.blocking(len(tab)-t.pos)), e.D
+		x.hpEnd, x.loStart, x.ec, x.warm, x.at = t.eq, t.pos, 0, 0, t.pos
+		return
+	}
+	row := &tab[i]
+	t.sums(&x.s, &row.hp, &row.lo)
+	x.d, x.hpEnd, x.loStart, x.ec, x.warm, x.long, x.at = row.d, row.hp.n, len(tab)-row.lo.n, 0, 0, 0, i
+	lc := row.lo.n
+	switch {
+	case e.LocalPriority < row.prio:
+		x.ec = e.C + t.a
+	case e.LocalPriority > row.prio:
+		lc++
+		x.ec = t.rel
+	}
+	if x.ec > 0 {
+		x.s.add(float64(x.ec), float64(e.T), 0)
+	}
+	if i >= t.pos {
+		x.at++
+	}
+	if t.mono {
+		x.warm = t.r.warm[i]
+	}
+	x.b = timeq.AddSat(row.c+t.a, t.blocking(lc))
+}
+
+// tableDecide screens entity x of table probe t and, where the screen
+// decides nothing, solves it, recording a converged value in the
+// writer's warm vector.
+func (p *fpProbe) tableDecide(t *tableState, x *tableSlot) bool {
+	start, pass, refuse := rtaScreen(timeq.AddSat(x.b, x.long), x.d, x.s, len(t.r.tab)+1)
+	if refuse || pass {
+		return pass
+	}
+	start = max(start, x.warm)
+	rt, ok, iters := p.tableSolve(t, x, start)
+	p.stats.FPSolves++
+	p.stats.FPIterations += int64(iters)
+	if start > 0 {
+		p.stats.WarmStarts++
+	}
+	if ok && t.mono && t.warm != nil {
+		t.warm[x.at] = rt
+	}
+	return ok
+}
+
+// tableSolve runs the response-time fixed point of entity x of table
+// probe t from start.
+func (p *fpProbe) tableSolve(t *tableState, x *tableSlot, start timeq.Time) (timeq.Time, bool, int) {
+	sc, tab := p.sc, t.r.tab
+	coef, per := sc.coef[:0], sc.per[:0]
+	for j := range x.hpEnd {
+		coef = append(coef, tab[j].c+t.a)
+		per = append(per, tab[j].t)
+	}
+	if t.rel > 0 {
+		for j := x.loStart; j < len(tab); j++ {
+			coef = append(coef, t.rel)
+			per = append(per, tab[j].t)
+		}
+	}
+	coef = append(coef, x.ec)
+	per = append(per, t.e.T)
+	for len(sc.jit) < len(coef) {
+		sc.jit = append(sc.jit, 0)
+	}
+	sc.coef, sc.per = coef, per
+	return fpFixedPoint(x.b, start, x.d, coef, sc.jit[:len(coef)], per)
 }
 
 // screenMargin is the relative slack the closed-form screens leave
@@ -292,40 +560,12 @@ func (p *fpProbe) run(add []*Entity, addCores []int, tent *fpSnapChain, probeCor
 const screenMargin = 1e-9
 
 // queueCosts fills v's queue-cost memo for bound n from the scratch's
-// memo and returns a plain entity's arrival plus departure charge.
-func (p *fpProbe) queueCosts(v *probeView, n int) timeq.Time {
+// memo.
+func (p *fpProbe) queueCosts(v *probeView, n int) {
 	cs := &v.cs
 	if !cs.qcOK || cs.qcModel != p.m || cs.qcN != n {
 		cs.useQueueCosts(p.m, n, *p.sc.mm.queueCosts(p.m, n))
 	}
-	return cs.qc.plain
-}
-
-// fluidRefuses bounds the response time of a whole task e probed onto
-// the committed core r, before any view is built; ad is the plain
-// charge at the probe's queue bound. It applies when e is strictly
-// lower in priority than every committed entity and every one of them
-// is plain. Each then interferes with e at Cⱼ + a, a = ad + CacheMax′
-// being what ensureCosts charges a plain entity on the probe state,
-// nothing lower in priority releases, and e's own base is
-// B = C + a + blocking, blocking = ad. Since ⌈x⌉ ≥ x,
-//
-//	f(r) = B + Σⱼ ⌈r/Tⱼ⌉·(Cⱼ + a) ≥ B + r·U,  U = ΣCⱼ/Tⱼ + a·Σ1/Tⱼ,
-//
-// so no fixed point lies at or below D when B + D·U > D (B > 0): the
-// probe is refused, beyond the margin. It is the per-entity screen of
-// fpEvalCore (rtaScreen) for this one entity, from the committed
-// record's summary instead of a filled view.
-func (p *fpProbe) fluidRefuses(r *coreRec, e *Entity, ad timeq.Time) bool {
-	f := &r.fluid
-	if f.mixed || e.LocalPriority <= f.maxPrio {
-		return false
-	}
-	a := ad + max(r.cacheMax, p.addCM)
-	b := timeq.AddSat(e.C+a, ad)
-	u := f.sumCT + float64(a)*f.sumInvT
-	bf, d := float64(b), float64(e.D)
-	return b > 0 && bf+d*u > d*(1+screenMargin)
 }
 
 // fullTest is the full admission test of the committed state.

@@ -51,8 +51,9 @@ func work(s AdmissionStats) [6]int64 {
 // incremental engine, so the verdicts and the work counted — core
 // tests, fixed points solved, their iterations, the warm starts among
 // them, and under EDF the demand tests and the deadlines they looked
-// at — must be equal probe by probe. Probed shapes are unique, so no
-// verdict memo answers for the engine.
+// at — must be equal probe by probe. A Prober folds its counters at
+// Close, so each reader probe runs on a Prober of its own. Probed
+// shapes are unique, so no verdict memo answers for the engine.
 func TestOneEngineCountsOneWay(t *testing.T) {
 	const cores = 4
 	for _, pol := range []task.Policy{task.FixedPriority, task.EDF} {
@@ -61,7 +62,6 @@ func TestOneEngineCountsOneWay(t *testing.T) {
 				name := fmt.Sprintf("%v/zero=%v/chains=%v", pol, m.IsZero(), chains)
 				rng := rand.New(rand.NewSource(20261001))
 				ctx := engineFixture(t, rng, pol, m, cores, chains)
-				pr := ctx.Fork().Prober()
 				var fit, solves, points int64
 				for i := int64(0); i < 120; i++ {
 					tk := heavyProbe(rng, 1<<20+i)
@@ -72,6 +72,7 @@ func TestOneEngineCountsOneWay(t *testing.T) {
 					}
 					w0, r0 := ctx.Stats(), ctx.ReadStats()
 					var onWriter, onReader bool
+					pr := ctx.Fork().Prober()
 					if sp != nil {
 						c = sp.Parts[0].Core
 						onWriter = ctx.TrySplit(sp, c)
@@ -82,6 +83,7 @@ func TestOneEngineCountsOneWay(t *testing.T) {
 						ctx.Rollback()
 						onReader = pr.TryPlace(tk, c)
 					}
+					pr.Close()
 					w, r := ctx.Stats().Sub(w0), ctx.ReadStats().Sub(r0)
 					if onWriter != onReader || work(w) != work(r) {
 						t.Fatalf("%s probe %d (split=%v, core %d): writer %v %v, reader %v %v",
@@ -94,11 +96,8 @@ func TestOneEngineCountsOneWay(t *testing.T) {
 						fit++
 						ctx.TryPlace(tk, c)
 						ctx.Commit()
-						pr.Close()
-						pr = ctx.Fork().Prober()
 					}
 				}
-				pr.Close()
 				if fit < 3 || (pol == task.FixedPriority && solves < 200) || (pol == task.EDF && points < 100) {
 					t.Fatalf("%s: degenerate run: %d commits, %d solves, %d demand points", name, fit, solves, points)
 				}

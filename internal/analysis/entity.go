@@ -371,6 +371,7 @@ type modelMemo struct {
 	cmOK  bool
 	cmWSS int64
 	cm    timeq.Time
+	zero  bool // the model is the zero model (Model.IsZero)
 }
 
 // use keys the memo to m's contents.
@@ -380,6 +381,7 @@ func (q *modelMemo) use(m *overhead.Model) {
 			q.key = *m
 			clear(q.slots[:])
 			q.cmOK = false
+			q.zero = m.IsZero()
 		}
 		q.model = m
 	}

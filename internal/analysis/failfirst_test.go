@@ -168,9 +168,9 @@ func TestFailureFirstMatchesStateless(t *testing.T) {
 // with rate-monotonic ones (the probe then lands mid-order). A
 // rejected core test must stop within a few solves of the entity that
 // misses; walking the core from the top it solved about every entity
-// above that one (≈ k, a dozen here). A refusal the fluid screen
-// decides runs no solve at all, and neither does an entity the
-// per-entity screen refuses or passes: screened entities run 0 solves.
+// above that one (≈ k, a dozen here). An entity the screens refuse or
+// pass — the new task first, on a chain-free core — runs no solve:
+// screened entities run 0 solves.
 func TestRejectedCoreTestSolves(t *testing.T) {
 	const cores = 8
 	rng := rand.New(rand.NewSource(1))

@@ -9,7 +9,7 @@ import (
 	"repro/internal/timeq"
 )
 
-// fluidCase is one decoded FuzzFPFluidScreen input: committed plain
+// fluidCase is one decoded input of the fluid format: committed plain
 // tasks for core 0, ballast for core 1 (it raises the queue bound), and
 // the probed task, strictly lowest in priority on core 0.
 type fluidCase struct {
@@ -137,28 +137,32 @@ func ratFloor(r *big.Rat) int64 {
 	return q.Int64()
 }
 
-// FuzzFPFluidScreen is the differential of the fluid screen. On a plain
-// core probed with a strictly lowest task it requires: a screen
-// refusal only where the stateless CoreSchedulable refuses, and no
-// solve behind it; a start no later than the stateless response time
-// of the probed task; the writer and its snapshot agreeing with the
-// stateless verdict and counting the same work; and the screen as
-// strong as its bound, computed here in exact arithmetic from the
-// stateless overhead methods — it refuses whenever B + D·U clears D by
-// 1e-8 of D, and, with U clear of 1 and D short of the iteration cap's
-// reach, the probed task's per-entity screen (rtaScreen, which holds
-// the fluid start) starts within 1e-8 of the bound B/(1 − U) unless it
-// decides the task outright.
-// The seed corpus (testdata/fuzz/FuzzFPFluidScreen) holds exact hits
-// under all three models, one at D = 1.26 s, U within 1e-7 of 1, and
-// bounds a few ns either side of D.
+// The fluid format: a plain core probed with a strictly lowest task,
+// where the table probe screens the probed task first, from its
+// table sums (fpProbe.tableProbe), with no view built. checkFluidScreen
+// requires: a refusal of that screen only where the stateless
+// CoreSchedulable refuses, and no solve behind it; a start no later
+// than the stateless response time of the probed task; the writer and
+// its snapshot agreeing with the stateless verdict and counting the
+// same work; and the screen as strong as its bound, computed here in
+// exact arithmetic from the stateless overhead methods, with the
+// committed tasks of period T ≥ D charged once in the base (B′) and
+// the rest in U′ (see tableSlot.long) — it refuses whenever
+// B′ + D·U′ clears D by 1e-8 of D, and, with U′ clear of 1 and D short
+// of the iteration cap's reach, it starts within 1e-8 of the bound
+// B′/(1 − U′) unless it decides the task outright.
+//
+// FuzzFPEntityScreen fuzzes the format, tagged by bit 7 of the first
+// byte, from a tagged copy of this corpus
+// (testdata/fuzz/FuzzFPEntityScreen/fluid_*). FuzzFPFluidScreen keeps
+// running the seeds under their own names: exact hits under all three
+// models, one at D = 1.26 s, U within 1e-7 of 1, bounds a few ns either
+// side of D and the iteration cap's reach.
 func FuzzFPFluidScreen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fc := fluidCaseFromBytes(data)
-		if fc == nil {
-			return
+		if fc := fluidCaseFromBytes(data); fc != nil {
+			checkFluidScreen(t, fc)
 		}
-		checkFluidScreen(t, fc)
 	})
 }
 
@@ -208,12 +212,10 @@ func checkFluidScreen(t *testing.T, fc *fluidCase) {
 	rOracle, okOracle := cs.ResponseTime(probed, m)
 
 	x := ctx.(*fpContext)
-	n := probeN(x.cores, x.maxN, []int{0})
+	n := placeN(x.cores, x.maxN, 0)
 	e := newFPEntityInto(new(Entity), fc.probe)
-	p, v, scr := probeScreens(x.engine(), []*Entity{e}, []int{0}, nil, 0, n)
-	refuse := p.fluidRefuses(&x.cores[0], e, v.cs.qc.plain)
-	lowest := scr[len(scr)-1] // the probed task's own screen
-	start := lowest.start
+	lowest := tableScreens(x.engine(), 0, e, n)[len(fc.committed)] // the probed task's own screen
+	refuse, start := lowest.refuse, lowest.start
 
 	if onWriter != want || onReader != want {
 		t.Fatalf("writer %v, snapshot %v, stateless %v", onWriter, onReader, want)
@@ -233,20 +235,32 @@ func checkFluidScreen(t *testing.T, fc *fluidCase) {
 		t.Fatalf("probe queue bound %d, want %d", n, wantN)
 	}
 	ac, blk := plainCharge(m, probed, n, cm)
+	// The bound the screen reads: B′ = B + the committed tasks of period
+	// T ≥ D at C + a each (one release in (0, D]), U′ over the rest.
 	b := big.NewRat(int64(probed.C+ac+blk), 1)
-	u := fluidU(fc.committed, ac)
+	var short []*task.Task
+	for _, tk := range fc.committed {
+		if tk.Period >= probed.D {
+			b.Add(b, big.NewRat(int64(tk.WCET+ac), 1))
+		} else {
+			short = append(short, tk)
+		}
+	}
+	u := fluidU(short, ac)
 	d := big.NewRat(int64(probed.D), 1)
 	one := big.NewRat(1, 1)
 	slack := big.NewRat(1, 1e8)
-	// Refused whenever B + D·U clears D by the slack: the screen's own
-	// test, which near U = 1 is far from the bound clearing D.
+	// Refused whenever B′ + D·U′ clears D by the slack: the screen's own
+	// test, which near U′ = 1 is far from the bound clearing D. It
+	// implies the fluid bound's B + D·U clearing D: a long task's C + a
+	// is at least D·(C + a)/T.
 	lhs := new(big.Rat).Add(b, new(big.Rat).Mul(d, u))
 	if lhs.Cmp(new(big.Rat).Mul(d, new(big.Rat).Add(one, slack))) > 0 && !refuse {
-		t.Fatalf("B + D·U = %s clears D = %s (U = %s), not refused", lhs.FloatString(3), d, u.FloatString(12))
+		t.Fatalf("B′ + D·U′ = %s clears D = %s (U′ = %s), not refused", lhs.FloatString(3), d, u.FloatString(12))
 	}
 	den := new(big.Rat).Sub(one, u)
 	jobs := big.NewRat(int64(len(fc.committed)), 1) // D·Σ1/Tⱼ + len: what the iteration cap allows
-	for _, tk := range fc.committed {
+	for _, tk := range short {
 		jobs.Add(jobs, big.NewRat(int64(probed.D), int64(tk.Period)))
 	}
 	if !refuse && !lowest.pass && !lowest.refuse && den.Cmp(big.NewRat(1, 1000)) > 0 && jobs.Cmp(big.NewRat(maxFPIterations-4, 1)) < 0 {

@@ -68,9 +68,6 @@ func (cs *CoreSet) responseTime(e *Entity, m *overhead.Model, start timeq.Time) 
 		// entity on its own set).
 		base = timeq.AddSat(cs.InflatedCost(e, m), cs.Blocking(e, m))
 	}
-	if base > limit {
-		return base, false, 0
-	}
 	relCost := cs.relCost
 	ep := e.LocalPriority
 	// Per-solve struct-of-arrays setup: classify every entity's
@@ -80,9 +77,9 @@ func (cs *CoreSet) responseTime(e *Entity, m *overhead.Model, start timeq.Time) 
 	// itself, equal priorities, migrated lower-priority arrivals) —
 	// and refresh the jitter mirror (chain resolution mutates Jitter
 	// without invalidating the cost cache, so it cannot live there).
-	// The fixed-point loop below then touches only flat slices: a
-	// skipped zero coefficient contributes exactly the zero the
-	// entity-walk formulation added, so verdicts are bit-identical.
+	// The fixed-point loop (fpFixedPoint) then touches only flat
+	// slices: a skipped zero coefficient contributes exactly the zero
+	// the entity-walk formulation added, so verdicts are bit-identical.
 	k := len(cs.Entities)
 	if cap(cs.soaJ) < k {
 		cs.soaJ = make([]timeq.Time, k)
@@ -121,15 +118,27 @@ func (cs *CoreSet) responseTime(e *Entity, m *overhead.Model, start timeq.Time) 
 			}
 		}
 	}
-	periods := cs.soaT[:k]
-	r := base
-	if start > r {
-		r = start
+	return fpFixedPoint(base, start, limit, coef, jit, cs.soaT[:k])
+}
+
+// fpFixedPoint is the one response-time iteration of the package,
+//
+//	R ← base + Σⱼ coef[j]·⌈(R + jit[j])/periods[j]⌉,
+//
+// started from max(base, start), where start is at or below the least
+// fixed point (0 for a cold start). A zero coefficient is an inert
+// entity; the terms are non-negative and saturate, so their order does
+// not matter. It returns the fixed point and whether it lies at or
+// below limit, or the first total past limit and false, and the
+// iterations spent.
+func fpFixedPoint(base, start, limit timeq.Time, coef, jit, periods []timeq.Time) (timeq.Time, bool, int) {
+	if base > limit {
+		return base, false, 0
 	}
+	r := max(base, start)
 	for iter := 0; iter < maxFPIterations; iter++ {
 		total := base
-		for j := 0; j < k; j++ {
-			c := coef[j]
+		for j, c := range coef {
 			if c == 0 {
 				continue
 			}

@@ -37,17 +37,38 @@ func probeScreens(p fpProbe, add []*Entity, addCores []int, tent *fpSnapChain, p
 	return p, v, res
 }
 
+// tableScreens returns the screen of every entity of a table probe of
+// whole task e onto core c at queue bound n, indexed by its place in
+// the probe state (as in the view probeScreens fills). It runs on a
+// scratch of its own; the record's table must be current.
+func tableScreens(p fpProbe, c int, e *Entity, n int) []screenResult {
+	p.sc, p.stats = new(fpProbeScratch), new(AdmissionStats)
+	var t tableState
+	var x tableSlot
+	p.tableRun(&t, c, e, n)
+	res := make([]screenResult, len(t.r.tab)+1)
+	for i := -1; i < len(t.r.tab); i++ {
+		t.slot(i, &x)
+		r := &res[x.at]
+		r.start, r.pass, r.refuse = rtaScreen(timeq.AddSat(x.b, x.long), x.d, x.s, len(res))
+	}
+	return res
+}
+
 // exactBounds are the screen's quantities for one entity in exact
 // arithmetic, classified and charged by the stateless methods
 // (InflatedCost, Blocking, ReleaseCost), not by the engine's sums: the
 // base B, limit = D − J, and over its interferers U = Σc/T,
 // L = Σc·J/T, N = Σc + L, and jobs = limit·Σ1/T + ΣJ/T + k + 3, the
-// bound on the cold solve's iterations the cap guard uses.
+// bound on the cold solve's iterations the cap guard uses. With fold,
+// the interferers released without jitter at periods T ≥ limit are
+// charged once in B instead, their one release each counted in k, as
+// the table probe screens the probed task (tableSlot.long).
 type exactBounds struct {
 	b, limit, u, l, n, jobs *big.Rat
 }
 
-func exactScreen(v *probeView, i int, m *overhead.Model) exactBounds {
+func exactScreen(v *probeView, i int, m *overhead.Model, fold bool) exactBounds {
 	cs := &CoreSet{Entities: v.cs.Entities, N: v.cs.N, CacheMax: v.cs.CacheMax}
 	e := cs.Entities[i]
 	rel := cs.ReleaseCost(m)
@@ -70,6 +91,10 @@ func exactScreen(v *probeView, i int, m *overhead.Model) exactBounds {
 			continue
 		}
 		cr := big.NewRat(int64(c), 1)
+		if fold && o.Jitter == 0 && o.T >= e.D-e.Jitter {
+			x.b.Add(x.b, cr) // its one release is counted in jobs' k
+			continue
+		}
 		x.u.Add(x.u, big.NewRat(int64(c), int64(o.T)))
 		cjt := new(big.Rat).Mul(cr, big.NewRat(int64(o.Jitter), int64(o.T)))
 		x.l.Add(x.l, cjt)
@@ -272,7 +297,7 @@ func (sc *screenCase) nearOne(gap *big.Rat) {
 			own = (&CoreSet{Entities: v.cs.Entities, N: v.cs.N, CacheMax: v.cs.CacheMax}).InflatedCost(o, sc.m)
 		}
 	}
-	u := exactScreen(v, index(v, sc.probe), sc.m).u
+	u := exactScreen(v, index(v, sc.probe), sc.m, false).u
 	// Σ without last, then the budget that brings U to 1 − gap.
 	rest := new(big.Rat).Sub(u, big.NewRat(int64(own), int64(last.Period)))
 	target := new(big.Rat).Sub(big.NewRat(1, 1), gap)
@@ -298,13 +323,24 @@ func (sc *screenCase) nearOne(gap *big.Rat) {
 //   - a start no later than the cold response time, nor than
 //     (B + L)/(1 − U), and only under the cap guard.
 //
-// And the writer, its snapshot and the stateless test give one verdict,
-// the writer and the snapshot counting the same work. The seed corpus
+// On a chain-free core the same holds of the screens the table probe
+// runs (fpProbe.tableProbe). And the writer, its snapshot and the
+// stateless test give one verdict, the writer and the snapshot counting
+// the same work. An input whose first byte has bit 7 set is of the
+// fluid format instead (checkFluidScreen). The seed corpus
 // (testdata/fuzz/FuzzFPEntityScreen) steers to each edge under each
 // model, U within 1e-9 of 1, deadlines past a second and the cap
-// guard's edge.
+// guard's edge; its fluid_* entries are FuzzFPFluidScreen's seeds.
 func FuzzFPEntityScreen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 && data[0]&0x80 != 0 {
+			// The fluid format: a plain core probed with a strictly
+			// lowest task (fluidCaseFromBytes ignores the tag bit).
+			if fc := fluidCaseFromBytes(data); fc != nil {
+				checkFluidScreen(t, fc)
+			}
+			return
+		}
 		sc := screenCaseFromBytes(data)
 		if sc == nil {
 			return
@@ -340,31 +376,40 @@ func checkEntityScreen(t *testing.T, sc *screenCase) {
 		t.Fatalf("writer counted %+v, snapshot %+v", w, r)
 	}
 
-	v, res := sc.screens(ctx.(*fpContext))
+	fx := ctx.(*fpContext)
+	v, res := sc.screens(fx)
+	screens := [][]screenResult{res}
+	if len(sc.splits) == 0 {
+		// Chain-free, the probe runs from the table: its screens must
+		// meet the same inequalities.
+		screens = append(screens, tableScreens(fx.engine(), 0, newFPEntityInto(new(Entity), sc.probe), placeN(fx.cores, fx.maxN, 0)))
+	}
 	iterCap := big.NewRat(maxFPIterations, 1)
 	one := big.NewRat(1, 1)
 	for i, e := range v.cs.Entities {
-		s := res[i]
-		x := exactScreen(v, i, m)
 		rt, ok, _ := v.cs.responseTime(e, m, 0)
-		switch {
-		case s.pass:
-			if !ok || x.lhs(x.n).Cmp(x.limit) > 0 || x.jobs.Cmp(iterCap) >= 0 {
-				t.Fatalf("entity %d (%v) passed: cold solve %d %v, B + N + limit·U = %s, limit %s, jobs %s",
-					i, e, rt, ok, x.lhs(x.n).FloatString(3), x.limit, x.jobs.FloatString(1))
-			}
-		case s.refuse:
-			if ok || want || x.lhs(x.l).Cmp(x.limit) <= 0 {
-				t.Fatalf("entity %d (%v) refused: cold solve %d %v, stateless %v, B + L + limit·U = %s, limit %s",
-					i, e, rt, ok, want, x.lhs(x.l).FloatString(3), x.limit)
-			}
-		case s.start > 0:
-			den := new(big.Rat).Sub(one, x.u)
-			bound := new(big.Rat).Add(x.b, x.l)
-			if (ok && s.start > rt) || den.Sign() <= 0 || x.jobs.Cmp(iterCap) >= 0 ||
-				big.NewRat(int64(s.start), 1).Cmp(bound.Quo(bound, den)) > 0 {
-				t.Fatalf("entity %d (%v) started at %d: cold solve %d %v, U = %s, jobs %s",
-					i, e, s.start, rt, ok, x.u.FloatString(12), x.jobs.FloatString(1))
+		for path, scr := range screens {
+			s := scr[i]
+			x := exactScreen(v, i, m, path == 1 && e.Task == sc.probe)
+			switch {
+			case s.pass:
+				if !ok || x.lhs(x.n).Cmp(x.limit) > 0 || x.jobs.Cmp(iterCap) >= 0 {
+					t.Fatalf("path %d entity %d (%v) passed: cold solve %d %v, B + N + limit·U = %s, limit %s, jobs %s",
+						path, i, e, rt, ok, x.lhs(x.n).FloatString(3), x.limit, x.jobs.FloatString(1))
+				}
+			case s.refuse:
+				if ok || want || x.lhs(x.l).Cmp(x.limit) <= 0 {
+					t.Fatalf("path %d entity %d (%v) refused: cold solve %d %v, stateless %v, B + L + limit·U = %s, limit %s",
+						path, i, e, rt, ok, want, x.lhs(x.l).FloatString(3), x.limit)
+				}
+			case s.start > 0:
+				den := new(big.Rat).Sub(one, x.u)
+				bound := new(big.Rat).Add(x.b, x.l)
+				if (ok && s.start > rt) || den.Sign() <= 0 || x.jobs.Cmp(iterCap) >= 0 ||
+					big.NewRat(int64(s.start), 1).Cmp(bound.Quo(bound, den)) > 0 {
+					t.Fatalf("path %d entity %d (%v) started at %d: cold solve %d %v, U = %s, jobs %s",
+						path, i, e, s.start, rt, ok, x.u.FloatString(12), x.jobs.FloatString(1))
+				}
 			}
 		}
 	}

@@ -17,21 +17,26 @@
 // context is the first) and holds it in the same shape: a copy, by
 // value, of the writer's per-core records and of its chain list
 // (ctxBase.publish) — O(cores) slice headers, not O(tasks) entities.
-// It has no evaluator of its own. A Prober binds pooled scratch to
-// the snapshot and runs the probe engine of engine.go over it — the
-// fillView, fpEvalCore, resolve and edfEvalProbe a writer probe runs —
-// and then drops the views the writer would have installed.
+// Under fixed priorities the records carry their cores' tables, which
+// publish brings up to date before it shares them: a reader reads a
+// table and never builds one. The snapshot has no evaluator of its
+// own. A Prober binds pooled scratch to the snapshot and runs the probe
+// engine of engine.go over it — the tableProbe, fillView, fpEvalCore,
+// resolve and edfEvalProbe a writer probe runs — and then drops what
+// the writer would have installed. It sums its probes' counters and
+// folds them into the context's read collector once, at Close.
 //
 // # Why sharing is safe
 //
 // Committed entities are immutable. Warm values live in the records'
 // vectors, and a probe copies a vector into its view before any solve
-// writes it; chain jitters are baked into the committed chain
-// entities, and a probe that resolves jitters moves those of its own
-// clones. The slices a snapshot shares with the writer are never
-// written in place while a snapshot references them (ctxBase.own),
-// and the assignment's task and split lists are only ever replaced,
-// or appended to beyond every published length.
+// writes it (a reader's table probe writes none); chain jitters are
+// baked into the committed chain entities, and a probe that resolves
+// jitters moves those of its own clones. The slices a snapshot shares
+// with the writer — entities, warm vectors, tables — are never written
+// in place while a snapshot references them (ctxBase.own), and the
+// assignment's task and split lists are only ever replaced, or
+// appended to beyond every published length.
 //
 // # Decision identity
 //
@@ -40,12 +45,12 @@
 // Context: warm starts are converged values of the committed system,
 // which a probe only extends (monotone fixed points converge to the
 // same least fixed point from any value at or below it); non-monotone
-// overhead models disable warm starts entirely; and the fluid and
-// per-entity screens refuse, pass or start only from bounds every fixed
-// point obeys, the fluid one reading the per-core sums the publisher
-// copied with the records (fixed priorities only; EDF screens
-// utilization in edfHorizon). The fork differential and racing fuzz
-// tests, FuzzFPFluidScreen and FuzzFPEntityScreen enforce this.
+// overhead models disable warm starts entirely; and the per-entity
+// screens refuse, pass or start only from bounds every fixed point
+// obeys, on a view or from the table the publisher built (fixed
+// priorities only; EDF screens utilization in edfHorizon). The fork
+// differential and racing fuzz tests, TestPlainProbeMatchesViews and
+// FuzzFPEntityScreen enforce this.
 package analysis
 
 import (
@@ -81,8 +86,9 @@ type Snapshot interface {
 	// answers exactly like TryPlace/TrySplit but pins one set of
 	// goroutine-local scratch across calls, so a batch of K probes
 	// runs without per-probe pool traffic. A Prober is not safe for
-	// concurrent use; Close returns the scratch (the snapshot itself
-	// remains valid).
+	// concurrent use; Close folds its counters into the owning
+	// context's read stats and returns the scratch (the snapshot
+	// itself remains valid).
 	Prober() Prober
 	// Schedulable runs the full admission test on the committed
 	// state. It is computed at most once per snapshot and cached.
@@ -279,10 +285,15 @@ type Prober interface {
 
 // --- fixed-priority snapshot -----------------------------------------
 
-// fpProber binds pooled scratch to one snapshot across many probes.
+// fpProber binds pooled scratch to one snapshot across many probes:
+// eng is the engine bound to both, counting into acc. The counters fold
+// into the snapshot's collector once, at Close; the collector's
+// fixed-point observer still sees each probe.
 type fpProber struct {
-	s  *fpSnapshot
-	sc *fpProbeScratch
+	s   *fpSnapshot
+	sc  *fpProbeScratch
+	eng fpProbe
+	acc AdmissionStats
 }
 
 var fpProberPool = sync.Pool{New: func() any { return &fpProber{sc: new(fpProbeScratch)} }}
@@ -290,21 +301,20 @@ var fpProberPool = sync.Pool{New: func() any { return &fpProber{sc: new(fpProbeS
 func (s *fpSnapshot) Prober() Prober {
 	p := fpProberPool.Get().(*fpProber)
 	p.s = s
+	p.eng = fpProbe{m: s.m, mono: s.mono, maxN: s.maxN, cores: s.cores, chains: s.chains, sc: p.sc, stats: &p.acc}
 	return p
 }
 
 func (p *fpProber) Close() {
-	p.s = nil
+	p.s.rs.fold(p.acc)
+	p.s, p.eng, p.acc = nil, fpProbe{}, AdmissionStats{}
 	fpProberPool.Put(p)
 }
 
-// engine binds the probe engine to the snapshot's state, counting
-// into the scratch (a counter on the caller's stack would escape
-// through the engine).
-func (p *fpProber) engine(stats AdmissionStats) fpProbe {
-	s := p.s
-	p.sc.stats = stats
-	return fpProbe{m: s.m, mono: s.mono, maxN: s.maxN, cores: s.cores, chains: s.chains, sc: p.sc, stats: &p.sc.stats}
+// observe shows the collector's observer the fixed-point work counted
+// since acc held solves solves of iters iterations.
+func (p *fpProber) observe(solves, iters int64) {
+	p.s.rs.observe(p.acc.FPIterations-iters, p.acc.FPSolves-solves)
 }
 
 func (p *fpProber) TryPlace(t *task.Task, c int) bool {
@@ -312,10 +322,11 @@ func (p *fpProber) TryPlace(t *task.Task, c int) bool {
 	if c < 0 || c >= s.ncores {
 		return false
 	}
-	run := p.engine(AdmissionStats{Probes: 1})
+	solves, iters := p.acc.FPSolves, p.acc.FPIterations
+	p.acc.Probes++
 	sc.addEnts[0], sc.addCores[0] = newFPEntityInto(&sc.ent, t), c
-	ok := run.run(sc.addEnts[:], sc.addCores[:], nil, c, probeN(s.cores, s.maxN, sc.addCores[:]))
-	s.rs.Add(sc.stats)
+	ok := p.eng.run(sc.addEnts[:], sc.addCores[:], nil, c, placeN(s.cores, s.maxN, c))
+	p.observe(solves, iters)
 	return ok
 }
 
@@ -324,11 +335,12 @@ func (p *fpProber) TrySplit(sp *task.Split, c int) bool {
 	if c < 0 || c >= s.ncores {
 		return false
 	}
-	run := p.engine(AdmissionStats{Probes: 1})
+	solves, iters := p.acc.FPSolves, p.acc.FPIterations
+	p.acc.Probes++
 	fillFPChain(&sc.tent, sp, &sc.pool)
-	ok := run.run(sc.tent.ents, sc.tent.cores, &sc.tent, c, probeN(s.cores, s.maxN, sc.tent.cores))
+	ok := p.eng.run(sc.tent.ents, sc.tent.cores, &sc.tent, c, probeN(s.cores, s.maxN, sc.tent.cores))
 	sc.pool.put(sc.tent.ents...)
-	s.rs.Add(sc.stats)
+	p.observe(solves, iters)
 	return ok
 }
 
@@ -354,9 +366,9 @@ func (s *fpSnapshot) Schedulable() bool {
 	}
 	s.schedOnce.Do(func() {
 		p := s.Prober().(*fpProber)
-		run := p.engine(AdmissionStats{FullTests: 1})
-		s.schedOK = run.fullTest()
-		s.rs.Add(p.sc.stats)
+		p.acc.FullTests++
+		s.schedOK = p.eng.fullTest()
+		p.observe(0, 0)
 		p.Close()
 		s.schedDone.Store(true)
 	})
@@ -372,17 +384,18 @@ func (s *fpSnapshot) Schedulable() bool {
 // owns one for life (see edfContext).
 type edfProbeScratch struct {
 	ent       Entity
-	addCores  [1]int
 	cs        CoreSet
 	parts     []*Entity
 	partCores []int
 	pool      entPool
 }
 
-// edfProber binds pooled scratch to one snapshot across many probes.
+// edfProber binds pooled scratch to one snapshot across many probes,
+// folding their counters at Close like fpProber.
 type edfProber struct {
-	s  *edfSnapshot
-	sc *edfProbeScratch
+	s   *edfSnapshot
+	sc  *edfProbeScratch
+	acc AdmissionStats
 }
 
 var edfProberPool = sync.Pool{New: func() any { return &edfProber{sc: new(edfProbeScratch)} }}
@@ -394,7 +407,8 @@ func (s *edfSnapshot) Prober() Prober {
 }
 
 func (p *edfProber) Close() {
-	p.s = nil
+	p.s.rs.fold(p.acc)
+	p.s, p.acc = nil, AdmissionStats{}
 	edfProberPool.Put(p)
 }
 
@@ -403,10 +417,9 @@ func (p *edfProber) TryPlace(t *task.Task, c int) bool {
 	if c < 0 || c >= s.ncores {
 		return false
 	}
-	sc.addCores[0] = c
-	n := probeN(s.cores, s.maxN, sc.addCores[:])
+	n := placeN(s.cores, s.maxN, c)
 	ok, _, points := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, newEDFEntityInto(&sc.ent, t), nil, nil, n)
-	s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1, DemandTests: 1, DemandPoints: points})
+	p.acc = p.acc.Add(AdmissionStats{Probes: 1, CoreTests: 1, DemandTests: 1, DemandPoints: points})
 	return ok
 }
 
@@ -419,7 +432,7 @@ func (p *edfProber) TrySplit(sp *task.Split, c int) bool {
 	n := probeN(s.cores, s.maxN, sc.partCores)
 	ok, _, points := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, nil, sc.parts, sc.partCores, n)
 	sc.pool.put(sc.parts...)
-	s.rs.Add(AdmissionStats{Probes: 1, CoreTests: 1, DemandTests: 1, DemandPoints: points})
+	p.acc = p.acc.Add(AdmissionStats{Probes: 1, CoreTests: 1, DemandTests: 1, DemandPoints: points})
 	return ok
 }
 

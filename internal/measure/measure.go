@@ -11,7 +11,8 @@
 // user-space Go microbenchmark on a time-shared machine reproduces
 // the *shape* — remote > local, costs growing with N — at nanosecond
 // scale; the calibrated paper numbers (overhead.PaperModel) remain
-// the canonical inputs to the analysis. See EXPERIMENTS.md.
+// the canonical inputs to the analysis. README.md's spmeasure section
+// shows how to run it.
 package measure
 
 import (

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -71,9 +73,14 @@ type Config struct {
 //	POST   /v1/sessions/{name}/batch       admit a whole set, streaming NDJSON verdicts
 //	GET    /v1/stats                       server-wide counters
 //	GET    /healthz                        liveness
+//	GET    /metrics                        Prometheus exposition
+//
+// The routes live in one fixed table (routeTable), not a mux: a
+// request's path is split once and its session name handed to the
+// handler.
 type Server struct {
-	store *Store
-	mux   *http.ServeMux
+	store  *Store
+	routes routeTable
 
 	met   *serverMetrics
 	elog  *slog.Logger
@@ -98,7 +105,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{store: store, mux: http.NewServeMux(), elog: cfg.EventLog, trace: cfg.Trace}
+	s := &Server{store: store, elog: cfg.EventLog, trace: cfg.Trace}
 	s.met = newServerMetrics(store)
 	store.met = s.met
 	s.handle("POST "+api.PathSessions, "create", classActor, s.handleCreate)
@@ -121,10 +128,12 @@ func New(cfg Config) (*Server, error) {
 	s.handle(op(api.OpBatch), api.OpBatch, classActor, s.handleBatch)
 	s.handle("GET "+api.PathSessions+"/{name}/"+api.OpAudit, api.OpAudit, classRead, s.handleAudit)
 	s.handle("GET "+api.PathStats, "stats", classRead, s.handleStats)
-	s.handle("GET "+api.PathHealth, "health", classRead, func(w http.ResponseWriter, r *http.Request) {
+	s.handle("GET "+api.PathHealth, "health", classRead, func(w http.ResponseWriter, _ *http.Request, _ string) {
 		writeJSON(w, http.StatusOK, api.Health{Status: "ok"})
 	})
-	s.handle("GET "+api.PathMetrics, "metrics", classScrape, s.met.reg.ServeHTTP)
+	s.handle("GET "+api.PathMetrics, "metrics", classScrape, func(w http.ResponseWriter, r *http.Request, _ string) {
+		s.met.reg.ServeHTTP(w, r)
+	})
 	return s, nil
 }
 
@@ -139,65 +148,240 @@ const (
 	classScrape
 )
 
-// handle registers one instrumented route: per-route request
-// counter, path-class latency histogram, in-flight gauge, and the
-// optional per-request event. The instruments are plain atomics —
-// the wrapper adds no allocation to the handler path.
-func (s *Server) handle(pattern, route string, class int, h http.HandlerFunc) {
-	count := s.met.routeCounter(route)
-	var lat *telemetry.Histogram
+// handle registers one instrumented route in the table: per-route
+// request counter, path-class latency histogram, in-flight gauge, and
+// the optional per-request event (all counted in ServeHTTP). The
+// instruments are plain atomics — they add no allocation to the
+// handler path.
+func (s *Server) handle(pattern, name string, class int, h handlerFunc) {
+	rt := &route{name: name, h: h, count: s.met.routeCounter(name)}
 	switch class {
 	case classRead:
-		lat = s.met.latRead
+		rt.lat = s.met.latRead
 	case classActor:
-		lat = s.met.latActor
+		rt.lat = s.met.latActor
 	}
-	m := s.met
-	elog := s.elog
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		m.inflight.Inc()
-		start := time.Now()
-		h(w, r)
-		d := time.Since(start)
-		if lat != nil {
-			lat.Observe(d)
+	s.routes.add(pattern, rt)
+}
+
+// handlerFunc serves one route; name is the request's session name,
+// "" on a route without one.
+type handlerFunc func(w http.ResponseWriter, r *http.Request, name string)
+
+// route is one method of one path: its handler and its instruments.
+type route struct {
+	name  string
+	h     handlerFunc
+	count *telemetry.Counter
+	lat   *telemetry.Histogram // nil: not timed (classScrape)
+}
+
+// endpoint is one path's routes by method. GET also serves HEAD.
+type endpoint struct {
+	get, post, del *route
+	allow          string // the 405 Allow header: its methods, sorted
+}
+
+func (e *endpoint) route(method string) *route {
+	switch method {
+	case http.MethodGet, http.MethodHead:
+		return e.get
+	case http.MethodPost:
+		return e.post
+	case http.MethodDelete:
+		return e.del
+	}
+	return nil
+}
+
+// routeTable is every route of the server. The fixed paths match
+// exactly; /v1/sessions/{name} and /v1/sessions/{name}/{op} match by
+// splitting the path once. Matching follows net/http's ServeMux on
+// canonical paths — segments compare unescaped, a name is one
+// non-empty segment, unescaped — except that a non-canonical path
+// (an empty, "." or ".." segment) answers 404 where the mux
+// redirected.
+type routeTable struct {
+	fixed   map[string]*endpoint
+	session endpoint
+	ops     map[string]*endpoint
+}
+
+// add registers rt under pattern, "METHOD path" with path one of the
+// fixed paths or api.PathSessions+"/{name}"[+"/op"].
+func (t *routeTable) add(pattern string, rt *route) {
+	method, path, _ := strings.Cut(pattern, " ")
+	var e *endpoint
+	if rest, ok := strings.CutPrefix(path, api.PathSessions+"/{name}"); !ok {
+		if t.fixed == nil {
+			t.fixed = make(map[string]*endpoint)
 		}
-		count.Inc()
-		m.inflight.Dec()
-		if elog != nil {
-			elog.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String("route", route),
-				slog.String("trace", r.Header.Get(api.TraceHeader)),
-				slog.Int64("latency_us", d.Microseconds()))
+		if e = t.fixed[path]; e == nil {
+			e = new(endpoint)
+			t.fixed[path] = e
 		}
-	})
+	} else if op, ok := strings.CutPrefix(rest, "/"); ok {
+		if t.ops == nil {
+			t.ops = make(map[string]*endpoint)
+		}
+		if e = t.ops[op]; e == nil {
+			e = new(endpoint)
+			t.ops[op] = e
+		}
+	} else {
+		e = &t.session
+	}
+	switch method {
+	case http.MethodGet:
+		e.get = rt
+	case http.MethodPost:
+		e.post = rt
+	case http.MethodDelete:
+		e.del = rt
+	default:
+		panic("admitd: no route slot for method " + method)
+	}
+	var allow []string
+	if e.del != nil {
+		allow = append(allow, http.MethodDelete)
+	}
+	if e.get != nil {
+		allow = append(allow, http.MethodGet, http.MethodHead)
+	}
+	if e.post != nil {
+		allow = append(allow, http.MethodPost)
+	}
+	e.allow = strings.Join(allow, ", ")
+}
+
+// lookup resolves u's path to its endpoint and session name; nil when
+// no route has the path.
+func (t *routeTable) lookup(u *url.URL) (*endpoint, string) {
+	if u.RawPath != "" {
+		return t.lookupEscaped(u.EscapedPath())
+	}
+	rest, ok := strings.CutPrefix(u.Path, api.PathSessions+"/")
+	if !ok {
+		return t.fixed[u.Path], ""
+	}
+	name, op, hasOp := strings.Cut(rest, "/")
+	if !routeSegment(name) {
+		return nil, ""
+	}
+	if !hasOp {
+		return &t.session, name
+	}
+	return t.ops[op], name
+}
+
+// lookupEscaped is lookup for a path whose escaped form differs from
+// its default one (a %2F in a name, say): it splits the escaped path
+// and unescapes each segment, as ServeMux does. Only the name may
+// unescape to a segment holding '/'.
+func (t *routeTable) lookupEscaped(esc string) (*endpoint, string) {
+	segs := strings.Split(esc, "/")
+	if segs[0] != "" {
+		return nil, ""
+	}
+	segs = segs[1:]
+	for i, seg := range segs {
+		if !routeSegment(seg) {
+			return nil, ""
+		}
+		u, err := url.PathUnescape(seg)
+		if err != nil {
+			return nil, ""
+		}
+		segs[i] = u
+	}
+	nameAt := -1
+	if len(segs) >= 3 && len(segs) <= 4 && "/"+segs[0]+"/"+segs[1] == api.PathSessions {
+		nameAt = 2
+	}
+	for i, seg := range segs {
+		if i != nameAt && strings.Contains(seg, "/") {
+			return nil, ""
+		}
+	}
+	switch {
+	case nameAt < 0:
+		return t.fixed["/"+strings.Join(segs, "/")], ""
+	case len(segs) == 3:
+		return &t.session, segs[2]
+	default:
+		return t.ops[segs[3]], segs[2]
+	}
+}
+
+// routeSegment reports whether seg can be a whole path segment of a
+// route: non-empty and neither "." nor "..".
+func routeSegment(seg string) bool {
+	return seg != "" && seg != "." && seg != ".."
 }
 
 // Metrics exposes the server's telemetry registry so embedders can
 // mount the exposition elsewhere (the -pprof side listener does).
 func (s *Server) Metrics() *telemetry.Registry { return s.met.reg }
 
-// ServeHTTP implements http.Handler. Every response is stamped with
-// the schema version so clients can detect what they talk to.
+// ServeHTTP implements http.Handler: it stamps the schema version
+// (and the trace ID) on the response, resolves the route in the table
+// and runs it under the route's instruments. An unknown path answers 404 and a known path with
+// another method 405 with Allow, with net/http's bodies.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	w.Header().Set(api.VersionHeader, api.Version)
-	// Trace correlation: a valid client-supplied ID is echoed (and
-	// visible to the event log downstream); with Config.Trace set,
-	// requests without one get a generated ID. The no-ID, no-Trace
-	// path touches nothing — zero allocations.
-	if id := r.Header.Get(api.TraceHeader); id != "" {
-		if telemetry.ValidTraceID(id) {
-			w.Header().Set(api.TraceHeader, id)
-		} else {
-			r.Header.Del(api.TraceHeader) // never log or echo garbage
+	h := w.Header()
+	h.Set(api.VersionHeader, api.Version)
+	trace := s.stampTrace(h, r.Header)
+	ep, name := s.routes.lookup(r.URL)
+	if ep == nil {
+		http.NotFound(w, r)
+		return
+	}
+	rt := ep.route(r.Method)
+	if rt == nil {
+		h.Set("Allow", ep.allow)
+		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+		return
+	}
+	m := s.met
+	m.inflight.Inc()
+	start := time.Now()
+	rt.h(w, r, name)
+	d := time.Since(start)
+	if rt.lat != nil {
+		rt.lat.Observe(d)
+	}
+	rt.count.Inc()
+	m.inflight.Dec()
+	if s.elog != nil {
+		s.elog.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("route", rt.name),
+			slog.String("trace", trace),
+			slog.Int64("latency_us", d.Microseconds()))
+	}
+}
+
+// stampTrace puts the request's trace ID on the response header and
+// returns it for the event log: a valid client-supplied ID is echoed,
+// an invalid one is neither echoed nor logged, and with Config.Trace a
+// request without one gets a generated ID. The request's header is
+// only read — an in-process caller may share one header map across
+// requests. The no-ID, no-Trace path touches nothing: zero
+// allocations.
+func (s *Server) stampTrace(h, req http.Header) string {
+	var id string
+	if v := req.Get(api.TraceHeader); v != "" {
+		if !telemetry.ValidTraceID(v) {
+			return ""
 		}
+		id = v
 	} else if s.trace {
 		id = telemetry.NewTraceID()
-		r.Header.Set(api.TraceHeader, id)
-		w.Header().Set(api.TraceHeader, id)
+	} else {
+		return ""
 	}
-	s.mux.ServeHTTP(w, r)
+	h.Set(api.TraceHeader, id)
+	return id
 }
 
 // Close checkpoints every live session (when durable) and stops the actors (graceful
@@ -261,8 +445,8 @@ func parseModel(raw json.RawMessage) (*overhead.Model, error) {
 }
 
 // session resolves the path's session and stamps its LRU position.
-func (s *Server) session(w http.ResponseWriter, r *http.Request) *Session {
-	sess, err := s.store.Get(r.PathValue("name"))
+func (s *Server) session(w http.ResponseWriter, name string) *Session {
+	sess, err := s.store.Get(name)
 	if err != nil {
 		writeError(w, err)
 		return nil
@@ -282,7 +466,7 @@ func callSession(w http.ResponseWriter, sess *Session, f func()) bool {
 
 // --- session lifecycle -----------------------------------------------
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request, _ string) {
 	var req api.CreateSessionRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, err)
@@ -307,7 +491,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request, _ string) {
 	var names []string
 	s.store.Range(func(sess *Session) { names = append(names, sess.name) })
 	sort.Strings(names)
@@ -316,8 +500,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // handleState serves committed state from the published snapshot —
 // the lock-free read path; it never enters the session actor.
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
+func (s *Server) handleState(w http.ResponseWriter, r *http.Request, name string) {
+	sess := s.session(w, name)
 	if sess == nil {
 		return
 	}
@@ -329,8 +513,8 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	writeRaw(w, body)
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if err := s.store.Delete(r.PathValue("name")); err != nil {
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, name string) {
+	if err := s.store.Delete(name); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -342,9 +526,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // sessionVerdict adapts a session operation taking an AdmitRequest.
 // The wire round trip runs on pooled scratch: fast decode into a
 // stack request (core backing included), fast verdict encode out.
-func (s *Server) sessionVerdict(op func(*Session, api.AdmitRequest) (api.Verdict, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sess := s.session(w, r)
+func (s *Server) sessionVerdict(op func(*Session, api.AdmitRequest) (api.Verdict, error)) handlerFunc {
+	return func(w http.ResponseWriter, r *http.Request, name string) {
+		sess := s.session(w, name)
 		if sess == nil {
 			return
 		}
@@ -382,8 +566,8 @@ func (s *Server) sessionVerdict(op func(*Session, api.AdmitRequest) (api.Verdict
 // entering the actor (a held probe elsewhere does not block it); a
 // holding try probes the writer context and records the hold on the
 // actor.
-func (s *Server) handleTry(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
+func (s *Server) handleTry(w http.ResponseWriter, r *http.Request, name string) {
+	sess := s.session(w, name)
 	if sess == nil {
 		return
 	}
@@ -436,8 +620,8 @@ func (s *Server) tryHold(w http.ResponseWriter, ws *wireScratch, sess *Session, 
 	ws.writeVerdict(w, &resp)
 }
 
-func (s *Server) handleSplit(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
+func (s *Server) handleSplit(w http.ResponseWriter, r *http.Request, name string) {
+	sess := s.session(w, name)
 	if sess == nil {
 		return
 	}
@@ -459,9 +643,9 @@ func (s *Server) handleSplit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResolve adapts commit/rollback.
-func (s *Server) handleResolve(op func(*Session) (api.Verdict, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sess := s.session(w, r)
+func (s *Server) handleResolve(op func(*Session) (api.Verdict, error)) handlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request, name string) {
+		sess := s.session(w, name)
 		if sess == nil {
 			return
 		}
@@ -480,8 +664,8 @@ func (s *Server) handleResolve(op func(*Session) (api.Verdict, error)) http.Hand
 	}
 }
 
-func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
+func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request, name string) {
+	sess := s.session(w, name)
 	if sess == nil {
 		return
 	}
@@ -513,8 +697,8 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 // handleSessionStats serves session counters lock-free: every field
 // is an atomic, the republished writer-side counters, or the read
 // path's own collector — no actor round trip.
-func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
+func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request, name string) {
+	sess := s.session(w, name)
 	if sess == nil {
 		return
 	}
@@ -547,14 +731,14 @@ func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 // handleAudit replays the commit log: rebuild the session's state as
 // of just before durable sequence seq, re-run that mutation's probe
 // with the collector on, and report what the analysis concluded.
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request, name string) {
 	raw := r.URL.Query().Get(api.AuditSeqParam)
 	seq, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
 		writeError(w, fmt.Errorf("audit: bad %s %q: want a positive integer", api.AuditSeqParam, raw))
 		return
 	}
-	rep, err := s.store.Audit(r.PathValue("name"), seq)
+	rep, err := s.store.Audit(name, seq)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -562,7 +746,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ string) {
 	st := s.store
 	writeJSON(w, http.StatusOK, api.ServerStats{
 		Requests:         s.requests.Load(),
@@ -582,8 +766,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleBatch admits a whole set through the session's live context,
 // streaming one NDJSON verdict per task and a final summary line. The
 // request context cancels the remainder (client disconnect).
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, name string) {
+	sess := s.session(w, name)
 	if sess == nil {
 		return
 	}

@@ -39,6 +39,9 @@ type Client struct {
 	retries int
 	backoff time.Duration
 	hook    func(*http.Request)
+	// fast is the handler a request may be served into directly: set
+	// for an InProcess client with no request hook, nil otherwise.
+	fast http.Handler
 }
 
 // Option configures a Client.
@@ -99,6 +102,9 @@ func InProcess(h http.Handler, opts ...Option) *Client {
 	}
 	for _, opt := range opts {
 		opt(c)
+	}
+	if hd, ok := c.doer.(handlerDoer); ok && c.hook == nil {
+		c.fast = hd.h
 	}
 	return c
 }
@@ -162,8 +168,9 @@ func (c *Client) newRequest(ctx context.Context, method, path string, payload []
 
 // do issues one request, retrying idempotent methods per WithRetry,
 // and decodes the response into out (when non-nil). Error responses
-// come back as *api.Error.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// come back as *api.Error. fast is the handler the path may be served
+// into directly, or nil (see roundTrip).
+func (c *Client) do(ctx context.Context, fast http.Handler, method, path string, in, out any) error {
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
 	var payload []byte
@@ -175,7 +182,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 	os := opPool.Get().(*opScratch)
 	defer opPool.Put(os)
-	status, body, err := c.doRaw(ctx, os, method, path, payload)
+	status, body, err := c.doRaw(ctx, os, fast, method, path, payload)
 	if err != nil {
 		return err
 	}
@@ -191,7 +198,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // doRaw is the transport under do: one exchange through the pooled
 // scratch, retrying idempotent methods per WithRetry on transport
 // errors and 5xx responses. The returned body aliases os.
-func (c *Client) doRaw(ctx context.Context, os *opScratch, method, path string, payload []byte) (int, []byte, error) {
+func (c *Client) doRaw(ctx context.Context, os *opScratch, fast http.Handler, method, path string, payload []byte) (int, []byte, error) {
 	idempotent := method == http.MethodGet || method == http.MethodDelete
 	attempts := 1
 	if idempotent {
@@ -206,7 +213,7 @@ func (c *Client) doRaw(ctx context.Context, os *opScratch, method, path string, 
 			case <-time.After(c.backoff << (attempt - 1)):
 			}
 		}
-		status, body, err := c.roundTrip(ctx, os, method, path, payload)
+		status, body, err := c.roundTrip(ctx, os, fast, method, path, payload)
 		if err != nil {
 			lastErr = err
 			continue
@@ -255,7 +262,7 @@ func (c *Client) stream(ctx context.Context, path string, in any) (io.ReadCloser
 // handle.
 func (c *Client) CreateSession(ctx context.Context, req api.CreateSessionRequest) (*Session, error) {
 	var created api.SessionCreated
-	if err := c.do(ctx, http.MethodPost, api.PathSessions, req, &created); err != nil {
+	if err := c.do(ctx, c.fast, http.MethodPost, api.PathSessions, req, &created); err != nil {
 		return nil, err
 	}
 	return newSession(c, req.Name), nil
@@ -270,14 +277,14 @@ func (c *Client) Session(name string) *Session {
 // ListSessions names the live sessions.
 func (c *Client) ListSessions(ctx context.Context) (api.SessionList, error) {
 	var out api.SessionList
-	err := c.do(ctx, http.MethodGet, api.PathSessions, nil, &out)
+	err := c.do(ctx, c.fast, http.MethodGet, api.PathSessions, nil, &out)
 	return out, err
 }
 
 // ServerStats reads the server-wide counters.
 func (c *Client) ServerStats(ctx context.Context) (api.ServerStats, error) {
 	var out api.ServerStats
-	err := c.do(ctx, http.MethodGet, api.PathStats, nil, &out)
+	err := c.do(ctx, c.fast, http.MethodGet, api.PathStats, nil, &out)
 	return out, err
 }
 
@@ -288,7 +295,7 @@ func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
 	defer cancel()
 	os := opPool.Get().(*opScratch)
 	defer opPool.Put(os)
-	status, body, err := c.doRaw(ctx, os, http.MethodGet, api.PathMetrics, nil)
+	status, body, err := c.doRaw(ctx, os, c.fast, http.MethodGet, api.PathMetrics, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +308,7 @@ func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
 // Health checks liveness.
 func (c *Client) Health(ctx context.Context) error {
 	var out api.Health
-	if err := c.do(ctx, http.MethodGet, api.PathHealth, nil, &out); err != nil {
+	if err := c.do(ctx, c.fast, http.MethodGet, api.PathHealth, nil, &out); err != nil {
 		return err
 	}
 	if out.Status != "ok" {
@@ -321,6 +328,6 @@ func (c *Client) Health(ctx context.Context) error {
 func (s *Session) Audit(ctx context.Context, seq int64) (api.AuditReport, error) {
 	var out api.AuditReport
 	path := api.SessionOpPath(s.name, api.OpAudit) + "?" + api.AuditSeqParam + "=" + strconv.FormatInt(seq, 10)
-	err := s.c.do(ctx, http.MethodGet, path, nil, &out)
+	err := s.c.do(ctx, nil, http.MethodGet, path, nil, &out) // the query takes the generic route
 	return out, err
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 
 	"repro/api"
@@ -21,7 +20,9 @@ import (
 // encoding/json as the fallback. The in-process shortcut only engages
 // for a plain InProcess client — request hooks, custom headers, or
 // paths needing escape handling take the generic transport, which
-// still reuses the pooled read buffer.
+// still reuses the pooled read buffer. Both are decided once: the
+// client's when it is built (Client.fast), a session's paths when its
+// handle is made (Session.fast).
 
 const inprocHost = "admitd.inprocess"
 
@@ -89,21 +90,14 @@ var (
 	emptyReqHeader = http.Header{}
 )
 
-// fastHandler returns the in-process handler when the fast transport
-// applies (no hook to run per request).
-func (c *Client) fastHandler() (http.Handler, bool) {
-	if c.hook != nil {
-		return nil, false
-	}
-	hd, ok := c.doer.(handlerDoer)
-	return hd.h, ok
-}
-
 // roundTrip performs one request/response exchange through the pooled
 // scratch, returning the status and response body. The body aliases
-// os and is valid until os is reused.
-func (c *Client) roundTrip(ctx context.Context, os *opScratch, method, path string, payload []byte) (int, []byte, error) {
-	if h, ok := c.fastHandler(); ok && !strings.ContainsAny(path, "%?#") {
+// os and is valid until os is reused. A non-nil fast serves the
+// request straight into that handler: the caller passes the client's
+// (Client.fast) only for a path with no escape, query or fragment,
+// decided when the path was built, and nil otherwise.
+func (c *Client) roundTrip(ctx context.Context, os *opScratch, fast http.Handler, method, path string, payload []byte) (int, []byte, error) {
+	if fast != nil {
 		os.url = url.URL{Scheme: "http", Host: inprocHost, Path: path}
 		hdr := emptyReqHeader
 		var rc io.ReadCloser
@@ -129,7 +123,7 @@ func (c *Client) roundTrip(ctx context.Context, os *opScratch, method, path stri
 			req = req.WithContext(ctx)
 		}
 		os.resp.reset()
-		h.ServeHTTP(&os.resp, req)
+		fast.ServeHTTP(&os.resp, req)
 		status := os.resp.status
 		if status == 0 {
 			status = http.StatusOK
@@ -173,7 +167,7 @@ func readAllInto(b []byte, r io.Reader) ([]byte, error) {
 // postVerdict is the hot-path POST returning a Verdict (admit, try,
 // commit, rollback): fast-encoded request, pooled transport,
 // fast-parsed response. req == nil posts an empty body.
-func (c *Client) postVerdict(ctx context.Context, path string, req *api.AdmitRequest) (api.Verdict, error) {
+func (c *Client) postVerdict(ctx context.Context, fast http.Handler, path string, req *api.AdmitRequest) (api.Verdict, error) {
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
 	os := opPool.Get().(*opScratch)
@@ -190,7 +184,7 @@ func (c *Client) postVerdict(ctx context.Context, path string, req *api.AdmitReq
 			}
 		}
 	}
-	status, body, err := c.roundTrip(ctx, os, http.MethodPost, path, payload)
+	status, body, err := c.roundTrip(ctx, os, fast, http.MethodPost, path, payload)
 	if err != nil {
 		return api.Verdict{}, err
 	}
@@ -212,13 +206,13 @@ func (c *Client) postVerdict(ctx context.Context, path string, req *api.AdmitReq
 }
 
 // postRemove is postVerdict for the remove op.
-func (c *Client) postRemove(ctx context.Context, path string, id int64) (api.Removed, error) {
+func (c *Client) postRemove(ctx context.Context, fast http.Handler, path string, id int64) (api.Removed, error) {
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
 	os := opPool.Get().(*opScratch)
 	defer opPool.Put(os)
 	os.enc = api.AppendRemoveRequest(os.enc[:0], &api.RemoveRequest{ID: id})
-	status, body, err := c.roundTrip(ctx, os, http.MethodPost, path, os.enc)
+	status, body, err := c.roundTrip(ctx, os, fast, http.MethodPost, path, os.enc)
 	if err != nil {
 		return api.Removed{}, err
 	}

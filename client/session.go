@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 
 	"repro/api"
 )
@@ -17,6 +18,9 @@ import (
 type Session struct {
 	c    *Client
 	name string
+	// fast is the client's in-process handler when the session's paths
+	// can take that route (an escaped name cannot), nil otherwise.
+	fast http.Handler
 
 	pathSelf     string // GET state / DELETE
 	pathAdmit    string
@@ -28,7 +32,7 @@ type Session struct {
 }
 
 func newSession(c *Client, name string) *Session {
-	return &Session{
+	s := &Session{
 		c:            c,
 		name:         name,
 		pathSelf:     api.SessionPath(name),
@@ -39,27 +43,31 @@ func newSession(c *Client, name string) *Session {
 		pathRemove:   api.SessionOpPath(name, api.OpRemove),
 		pathStats:    api.SessionOpPath(name, api.OpStats),
 	}
+	if !strings.ContainsAny(s.pathSelf, "%?#") {
+		s.fast = c.fast
+	}
+	return s
 }
 
 // Name is the session's wire name.
 func (s *Session) Name() string { return s.name }
 
 func (s *Session) post(ctx context.Context, op string, in, out any) error {
-	return s.c.do(ctx, http.MethodPost, api.SessionOpPath(s.name, op), in, out)
+	return s.c.do(ctx, s.fast, http.MethodPost, api.SessionOpPath(s.name, op), in, out)
 }
 
 // Admit probes and, on a fitting verdict, commits the task —
 // first-fit over all cores when req.Core is nil. req.Hold is invalid
 // here (admit commits immediately).
 func (s *Session) Admit(ctx context.Context, req api.AdmitRequest) (api.Verdict, error) {
-	return s.c.postVerdict(ctx, s.pathAdmit, &req)
+	return s.c.postVerdict(ctx, s.fast, s.pathAdmit, &req)
 }
 
 // Try answers the admission question without changing committed
 // state — unless req.Hold keeps the probe pending for an explicit
 // Commit or Rollback (the two-phase protocol).
 func (s *Session) Try(ctx context.Context, req api.AdmitRequest) (api.Verdict, error) {
-	return s.c.postVerdict(ctx, s.pathTry, &req)
+	return s.c.postVerdict(ctx, s.fast, s.pathTry, &req)
 }
 
 // Split probes (req.Hold) or admits a split task across its parts'
@@ -73,18 +81,18 @@ func (s *Session) Split(ctx context.Context, req api.SplitRequest) (api.Verdict,
 // Commit admits the held probe's task. Only an admitted probe may be
 // committed (api.CodeProbeRejected otherwise).
 func (s *Session) Commit(ctx context.Context) (api.Verdict, error) {
-	return s.c.postVerdict(ctx, s.pathCommit, nil)
+	return s.c.postVerdict(ctx, s.fast, s.pathCommit, nil)
 }
 
 // Rollback drops the held probe.
 func (s *Session) Rollback(ctx context.Context) (api.Verdict, error) {
-	return s.c.postVerdict(ctx, s.pathRollback, nil)
+	return s.c.postVerdict(ctx, s.fast, s.pathRollback, nil)
 }
 
 // Remove deletes an admitted task by ID — the analysis layer's
 // removal-invalidation path.
 func (s *Session) Remove(ctx context.Context, id int64) (api.Removed, error) {
-	return s.c.postRemove(ctx, s.pathRemove, id)
+	return s.c.postRemove(ctx, s.fast, s.pathRemove, id)
 }
 
 // State reads the committed assignment and its schedulability.
@@ -102,7 +110,7 @@ func (s *Session) StateInto(ctx context.Context, out *api.State) error {
 	defer cancel()
 	os := opPool.Get().(*opScratch)
 	defer opPool.Put(os)
-	status, body, err := s.c.doRaw(ctx, os, http.MethodGet, s.pathSelf, nil)
+	status, body, err := s.c.doRaw(ctx, os, s.fast, http.MethodGet, s.pathSelf, nil)
 	if err != nil {
 		return err
 	}
@@ -125,7 +133,7 @@ func (s *Session) Stats(ctx context.Context) (api.SessionStats, error) {
 	os := opPool.Get().(*opScratch)
 	defer opPool.Put(os)
 	var out api.SessionStats
-	status, body, err := s.c.doRaw(ctx, os, http.MethodGet, s.pathStats, nil)
+	status, body, err := s.c.doRaw(ctx, os, s.fast, http.MethodGet, s.pathStats, nil)
 	if err != nil {
 		return out, err
 	}
@@ -142,7 +150,7 @@ func (s *Session) Stats(ctx context.Context) (api.SessionStats, error) {
 // Delete closes and forgets the session (snapshot included).
 func (s *Session) Delete(ctx context.Context) error {
 	var out api.SessionDeleted
-	return s.c.do(ctx, http.MethodDelete, s.pathSelf, nil, &out)
+	return s.c.do(ctx, s.fast, http.MethodDelete, s.pathSelf, nil, &out)
 }
 
 // Batch admits a whole task set task by task, returning the NDJSON

@@ -2,6 +2,7 @@ package admitd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/api"
+	"repro/client"
 	"repro/internal/analysis"
 	"repro/internal/overhead"
 	"repro/internal/partition"
@@ -484,6 +486,110 @@ func TestEDFExtremePeriodRatio(t *testing.T) {
 		if n := after.TotalAlloc - before.TotalAlloc; n > 256<<10 {
 			t.Errorf("task %d: one try allocated %d B, want < 256 KB", tc.tk.ID, n)
 		}
+	}
+}
+
+// TestFPExtremePeriodRatio sends a fixed-priority session, in process
+// and over TCP, the one-core pair whose lowest task's cold solve takes
+// over 10 000 iterations (analysis.TestFPVerdictIsTheLeastFixedPoint):
+// next to a 1176 ns / 1179 ns task, a 51 188 ns / 1 s task puts the
+// committed periods' max/min at 848 176, past maxPeriodSpan. Admit,
+// try, a held try, split and both batch kinds refuse it as bad_request
+// before any probe. A task at exactly the span is answered with the
+// stateless analyzer's verdict, one a nanosecond past it is refused,
+// and once the short task is removed the span shrinks and the long one
+// fits beside the other.
+func TestFPExtremePeriodRatio(t *testing.T) {
+	transports := []struct {
+		name  string
+		build func(t *testing.T, srv *Server) *client.Client
+	}{
+		{"inprocess", func(t *testing.T, srv *Server) *client.Client { return client.InProcess(srv) }},
+		{"tcp", func(t *testing.T, srv *Server) *client.Client {
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
+			c, err := client.New(ts.URL, client.WithHTTPClient(ts.Client()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	}
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			srv := newTestServer(t, Config{})
+			c := tr.build(t, srv)
+			ctx := context.Background()
+			sess, err := c.CreateSession(ctx, api.CreateSessionRequest{Name: "x", Cores: 2, Model: json.RawMessage(`"zero"`)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			core0 := 0
+			short := api.Task{ID: 1, WCETNs: 1176, PeriodNs: 1179, Priority: 1}
+			if v, err := sess.Admit(ctx, api.AdmitRequest{Task: short, Core: &core0}); err != nil || !v.Admitted {
+				t.Fatalf("admit the short task: %+v %v", v, err)
+			}
+			stats := func() api.SessionStats {
+				st, err := sess.Stats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			badRequest := func(what string, err error) {
+				t.Helper()
+				if !api.IsCode(err, api.CodeBadRequest) || !strings.Contains(err.Error(), "1000") {
+					t.Fatalf("%s: %v, want %s naming the limit", what, err, api.CodeBadRequest)
+				}
+			}
+			long := api.Task{ID: 3, WCETNs: 51188, PeriodNs: 1e9, Priority: 3}
+			before := stats()
+			_, err = sess.Admit(ctx, api.AdmitRequest{Task: long})
+			badRequest("admit", err)
+			_, err = sess.Try(ctx, api.AdmitRequest{Task: long})
+			badRequest("try", err)
+			_, err = sess.Try(ctx, api.AdmitRequest{Task: long, Core: &core0, Hold: true})
+			badRequest("held try", err)
+			_, err = sess.Split(ctx, api.SplitRequest{Split: api.Split{Task: long, Parts: []api.Part{{Core: 0, BudgetNs: 25594}, {Core: 1, BudgetNs: 25594}}}})
+			badRequest("split", err)
+			for _, tryOnly := range []bool{false, true} {
+				_, err = sess.Batch(ctx, api.BatchRequest{Tasks: []api.Task{{ID: 5, WCETNs: 10, PeriodNs: 2000, Priority: 2}, long}, TryOnly: tryOnly})
+				badRequest(fmt.Sprintf("batch (try only %v)", tryOnly), err)
+			}
+			if after := stats(); after.Admission.Probes != before.Admission.Probes || after.Admission.CoreTests != before.Admission.CoreTests || after.Tasks != 1 {
+				t.Fatalf("refusals probed: stats %+v before, %+v after", before, after)
+			}
+
+			// At the span: the analyzer decides.
+			at := api.Task{ID: 4, WCETNs: 1000, PeriodNs: 1179 * maxPeriodSpan, Priority: 2}
+			mirror := task.NewAssignment(1)
+			mirror.Policy = task.FixedPriority
+			for _, j := range []api.Task{short, at} {
+				mirror.Place(&task.Task{ID: task.ID(j.ID), WCET: timeq.Time(j.WCETNs), Period: timeq.Time(j.PeriodNs), Priority: j.Priority}, 0)
+			}
+			oracle := analysis.FixedPriorityRTA.CoreSchedulable(mirror, 0, overhead.Zero())
+			if !oracle {
+				t.Fatal("the fixture is not what it says: the at-span task does not fit")
+			}
+			if v, err := sess.Try(ctx, api.AdmitRequest{Task: at, Core: &core0}); err != nil || v.Admitted != oracle {
+				t.Fatalf("try at the span: %+v %v, the analyzer %v", v, err, oracle)
+			}
+			past := at
+			past.PeriodNs++
+			_, err = sess.Try(ctx, api.AdmitRequest{Task: past, Core: &core0})
+			badRequest("try past the span", err)
+			if v, err := sess.Admit(ctx, api.AdmitRequest{Task: at, Core: &core0}); err != nil || v.Admitted != oracle {
+				t.Fatalf("admit at the span: %+v %v, the analyzer %v", v, err, oracle)
+			}
+
+			// Without the short task the span is 1 s / 1.179 ms.
+			if _, err := sess.Remove(ctx, short.ID); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := sess.Admit(ctx, api.AdmitRequest{Task: long, Core: &core0}); err != nil || !v.Admitted {
+				t.Fatalf("admit the long task after the remove: %+v %v", v, err)
+			}
+		})
 	}
 }
 

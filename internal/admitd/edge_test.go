@@ -3,6 +3,7 @@ package admitd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -38,8 +39,8 @@ func routeCount(t *testing.T, srv *Server, name string) int64 {
 // route reaches its handler, an unknown path answers 404 and a known
 // path with another method 405 with Allow (net/http's bodies), HEAD
 // is served by the GET routes, names with '/', '%', a space and
-// non-ASCII reach the session the client names, and a non-canonical
-// path answers 404.
+// non-ASCII reach the session the client names, the names "." and ".."
+// are refused, and a non-canonical path answers 404.
 func TestRouteTable(t *testing.T) {
 	type reply struct {
 		status int
@@ -179,6 +180,13 @@ func TestRouteTable(t *testing.T) {
 				}
 				if r := send("GET", api.SessionOpPath(name, api.OpStats), ""); r.status != http.StatusOK || !strings.Contains(r.body, `"tasks":1`) {
 					t.Fatalf("GET %s: HTTP %d %s", api.SessionOpPath(name, api.OpStats), r.status, r.body)
+				}
+			}
+			// A dot segment would be a session no path reaches: refused.
+			for _, name := range []string{".", ".."} {
+				var e *api.Error
+				if _, err := c.CreateSession(ctx, api.CreateSessionRequest{Name: name, Cores: 2}); !errors.As(err, &e) || e.Code != api.CodeBadRequest {
+					t.Fatalf("create %q: %v, want %s", name, err, api.CodeBadRequest)
 				}
 			}
 		})

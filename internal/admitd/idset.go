@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/task"
+	"repro/internal/timeq"
 )
 
 // idSet is the committed task-ID set: a lock-free open-addressing
@@ -22,8 +23,16 @@ import (
 // readers load the state first (acquire) — a reader either sees a
 // fully-written slot or treats it as missing, which linearizes the
 // lookup before the insert.
+//
+// Beside the keys it keeps their tasks' period span: each slot holds
+// its key's period, and lo and hi are the least and greatest period of
+// the live keys (both 0 with none). add widens them; remove narrows
+// them, rescanning the table only when the key it drops held lo or hi.
+// Readers load them as they load a slot, with no lock and no
+// allocation.
 type idSet struct {
-	tab atomic.Pointer[idTable]
+	tab    atomic.Pointer[idTable]
+	lo, hi atomic.Int64
 }
 
 type idTable struct {
@@ -33,8 +42,9 @@ type idTable struct {
 }
 
 type idSlot struct {
-	state atomic.Uint32
-	key   task.ID
+	state  atomic.Uint32
+	key    task.ID
+	period timeq.Time
 }
 
 const (
@@ -75,8 +85,15 @@ func (s *idSet) has(id task.ID) bool {
 	}
 }
 
-// add inserts id. Writer-only. No-op if already present.
-func (s *idSet) add(id task.ID) {
+// span returns the least and greatest period of the live keys, 0 and
+// 0 when there are none. Lock-free, allocation-free.
+func (s *idSet) span() (lo, hi timeq.Time) {
+	return timeq.Time(s.lo.Load()), timeq.Time(s.hi.Load())
+}
+
+// add inserts id, whose task has the given period. Writer-only. No-op
+// if already present.
+func (s *idSet) add(id task.ID, period timeq.Time) {
 	t := s.tab.Load()
 	// Rebuild at 3/4 load (ready + tombstones): the table doubles
 	// while live keys dominate, or just purges tombstones after churn.
@@ -102,9 +119,15 @@ func (s *idSet) add(id task.ID) {
 				t.used++
 			}
 			sl = &t.slots[reuse]
-			sl.key = id
+			sl.key, sl.period = id, period
 			sl.state.Store(idReady) // release: key visible before state
 			t.live++
+			if lo := timeq.Time(s.lo.Load()); lo == 0 || period < lo {
+				s.lo.Store(int64(period))
+			}
+			if period > timeq.Time(s.hi.Load()) {
+				s.hi.Store(int64(period))
+			}
 			return
 		}
 	}
@@ -123,10 +146,28 @@ func (s *idSet) remove(id task.ID) {
 			if sl.key == id {
 				sl.state.Store(idGone)
 				t.live--
+				if lo, hi := s.span(); sl.period == lo || sl.period == hi {
+					s.respan(t)
+				}
 				return
 			}
 		}
 	}
+}
+
+// respan recomputes the period span from t's live slots. Writer-only.
+func (s *idSet) respan(t *idTable) {
+	var lo, hi timeq.Time
+	for i := range t.slots {
+		if sl := &t.slots[i]; sl.state.Load() == idReady {
+			if lo == 0 || sl.period < lo {
+				lo = sl.period
+			}
+			hi = max(hi, sl.period)
+		}
+	}
+	s.lo.Store(int64(lo))
+	s.hi.Store(int64(hi))
 }
 
 // each calls f for every live key (writer-side uses only: ID scans).
@@ -158,7 +199,7 @@ func (s *idSet) rebuild(old *idTable) *idTable {
 		for j := idHash(id) & mask; ; j = (j + 1) & mask {
 			sl := &t.slots[j]
 			if sl.state.Load() == idEmpty {
-				sl.key = id
+				sl.key, sl.period = id, old.slots[i].period
 				sl.state.Store(idReady)
 				break
 			}

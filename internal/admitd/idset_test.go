@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/task"
+	"repro/internal/timeq"
 )
 
 // Edge-case coverage for the lock-free committed-ID set: tombstone
@@ -40,7 +41,7 @@ func chainIDs(tb testing.TB, mask uint64, n int) []task.ID {
 
 func TestIDSetTombstoneReuse(t *testing.T) {
 	s := newIDSet()
-	s.add(42)
+	s.add(42, 1)
 	t0 := s.tab.Load()
 	if t0.live != 1 || t0.used != 1 {
 		t.Fatalf("after add: live=%d used=%d, want 1/1", t0.live, t0.used)
@@ -55,10 +56,10 @@ func TestIDSetTombstoneReuse(t *testing.T) {
 	// Re-adding the same key must land on the tombstone, not burn a
 	// fresh slot: used stays flat across arbitrary churn of one key.
 	for i := 0; i < 100; i++ {
-		s.add(42)
+		s.add(42, 1)
 		s.remove(42)
 	}
-	s.add(42)
+	s.add(42, 1)
 	t1 := s.tab.Load()
 	if t1 != t0 {
 		t.Fatal("single-key churn rebuilt the table; tombstone reuse failed")
@@ -76,7 +77,7 @@ func TestIDSetProbeChainPastTombstones(t *testing.T) {
 	mask := uint64(len(s.tab.Load().slots) - 1)
 	ids := chainIDs(t, mask, 5)
 	for _, id := range ids {
-		s.add(id)
+		s.add(id, 1)
 	}
 	// Tombstone the head and middle of the chain: lookups for the tail
 	// must probe straight past both.
@@ -90,7 +91,7 @@ func TestIDSetProbeChainPastTombstones(t *testing.T) {
 	}
 	// Re-add the head: it reuses its own tombstone (first reusable slot
 	// in the chain) and the tail stays reachable.
-	s.add(ids[0])
+	s.add(ids[0], 1)
 	for i, id := range ids {
 		want := i != 2
 		if s.has(id) != want {
@@ -119,12 +120,12 @@ func TestIDSetRebuildThreshold(t *testing.T) {
 			s := newIDSet()
 			next := task.ID(1)
 			for i := 0; i < tc.churn; i++ {
-				s.add(next)
+				s.add(next, 1)
 				s.remove(next)
 				next++
 			}
 			for i := 0; i < tc.live; i++ {
-				s.add(next)
+				s.add(next, 1)
 				next++
 			}
 			tab := s.tab.Load()
@@ -156,7 +157,7 @@ func TestIDSetRebuildSizeDecision(t *testing.T) {
 	build := func(live int) *idSet {
 		s := newIDSet()
 		for i := 0; i < live; i++ {
-			s.add(task.ID(i + 1))
+			s.add(task.ID(i+1), 1)
 		}
 		return s
 	}
@@ -189,7 +190,7 @@ func TestIDSetGrowthDuringRebuild(t *testing.T) {
 	s := newIDSet()
 	live := map[task.ID]bool{}
 	for id := task.ID(1); id <= 4096; id++ {
-		s.add(id)
+		s.add(id, 1)
 		live[id] = true
 		if id%3 == 0 {
 			s.remove(id / 3)
@@ -220,7 +221,8 @@ func TestIDSetGrowthDuringRebuild(t *testing.T) {
 }
 
 // FuzzIDSet drives a random op sequence against a map model: after
-// every op, membership, live count, and each() agree exactly.
+// every op, membership, live count, each() and the period span agree
+// exactly.
 func FuzzIDSet(f *testing.F) {
 	f.Add(int64(1), uint(256))
 	f.Add(int64(7), uint(2000))
@@ -230,19 +232,32 @@ func FuzzIDSet(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		s := newIDSet()
-		model := map[task.ID]bool{}
+		model := map[task.ID]timeq.Time{}
 		for i := uint(0); i < n; i++ {
 			id := task.ID(rng.Intn(512)) // small key space forces churn
 			switch rng.Intn(3) {
 			case 0, 1:
-				s.add(id)
-				model[id] = true
+				p := timeq.Time(1 + rng.Intn(8)) // few periods: extremes repeat
+				s.add(id, p)
+				if _, ok := model[id]; !ok {
+					model[id] = p
+				}
 			case 2:
 				s.remove(id)
 				delete(model, id)
 			}
-			if s.has(id) != model[id] {
-				t.Fatalf("op %d: has(%d) = %v, model %v", i, id, !model[id], model[id])
+			if _, ok := model[id]; s.has(id) != ok {
+				t.Fatalf("op %d: has(%d) = %v, model %v", i, id, !ok, ok)
+			}
+			var lo, hi timeq.Time
+			for _, p := range model {
+				if lo == 0 || p < lo {
+					lo = p
+				}
+				hi = max(hi, p)
+			}
+			if glo, ghi := s.span(); glo != lo || ghi != hi {
+				t.Fatalf("op %d: span %d..%d, model %d..%d", i, glo, ghi, lo, hi)
 			}
 		}
 		tab := s.tab.Load()

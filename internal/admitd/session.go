@@ -14,6 +14,7 @@ import (
 	"repro/internal/overhead"
 	"repro/internal/task"
 	"repro/internal/taskgen"
+	"repro/internal/timeq"
 	"repro/internal/wal"
 )
 
@@ -193,11 +194,11 @@ func newSession(name string, p task.Policy, model *overhead.Model, a *task.Assig
 	s.tasks = newIDSet()
 	for _, ts := range a.Normal {
 		for _, t := range ts {
-			s.registerTask(t.ID)
+			s.registerTask(t)
 		}
 	}
 	for _, sp := range a.Splits {
-		s.registerTask(sp.Task.ID)
+		s.registerTask(sp.Task)
 	}
 	s.pubStats.Store(&analysis.AdmissionStats{})
 	// Engage snapshot publication before any reader can reach the
@@ -207,12 +208,13 @@ func newSession(name string, p task.Policy, model *overhead.Model, a *task.Assig
 	return s
 }
 
-// registerTask maintains the committed task-ID set. Writers are
-// serialized already (the actor, or construction before the session
-// is reachable); O(1) amortized. The inverse lives in removeLocked,
-// where the ID-set removal is ordered against the snapshot publish.
-func (s *Session) registerTask(id task.ID) {
-	s.tasks.add(id)
+// registerTask maintains the committed task-ID set and its period
+// span. Writers are serialized already (the actor, or construction
+// before the session is reachable); O(1) amortized. The inverse lives
+// in removeLocked, where the ID-set removal is ordered against the
+// snapshot publish.
+func (s *Session) registerTask(t *task.Task) {
+	s.tasks.add(t.ID, t.Period)
 	s.nTasks.Add(1)
 }
 
@@ -220,6 +222,26 @@ func (s *Session) registerTask(id task.ID) {
 // a linear probe, no lock, no allocation.
 func (s *Session) hasTask(id task.ID) bool {
 	return s.tasks.has(id)
+}
+
+// checkPeriods refuses, in a fixed-priority session, tasks of periods
+// in [lo, hi] that would take the committed periods' max/min past
+// maxPeriodSpan. Like hasTask it reads the ID set's span without a lock
+// or an allocation, and it is checked where hasTask is, before any
+// probe. A session recovered past the limit keeps its tasks and
+// refuses every new one.
+func (s *Session) checkPeriods(lo, hi timeq.Time) error {
+	if s.policy != task.FixedPriority {
+		return nil
+	}
+	if clo, chi := s.tasks.span(); clo > 0 && chi > 0 {
+		lo, hi = min(lo, clo), max(hi, chi)
+	}
+	// hi > maxPeriodSpan·lo, without the product (which can overflow).
+	if q := hi / maxPeriodSpan; q > lo || q == lo && hi%maxPeriodSpan != 0 {
+		return fmt.Errorf("periods from %d to %d ns span more than the limit of %d× per session", lo, hi, maxPeriodSpan)
+	}
+	return nil
 }
 
 // maxDrain bounds one mailbox drain: enough to coalesce a deep queue
@@ -436,6 +458,9 @@ func (s *Session) probeLocked(req api.AdmitRequest) (*task.Task, api.Verdict, er
 	if s.hasTask(t.ID) {
 		return nil, api.Verdict{}, fmt.Errorf("%w: %d", ErrDuplicateTask, t.ID)
 	}
+	if err := s.checkPeriods(t.Period, t.Period); err != nil {
+		return nil, api.Verdict{}, err
+	}
 	lo, hi := 0, s.a.NumCores
 	if req.Core != nil {
 		lo = *req.Core
@@ -510,6 +535,9 @@ func (s *Session) splitLocked(req api.SplitRequest) (api.Verdict, error) {
 	if s.hasTask(sp.Task.ID) {
 		return api.Verdict{}, fmt.Errorf("%w: %d", ErrDuplicateTask, sp.Task.ID)
 	}
+	if err := s.checkPeriods(sp.Task.Period, sp.Task.Period); err != nil {
+		return api.Verdict{}, err
+	}
 	for _, p := range sp.Parts {
 		if p.Core < 0 || p.Core >= s.a.NumCores {
 			return api.Verdict{}, fmt.Errorf("split part core %d out of range (%d cores)", p.Core, s.a.NumCores)
@@ -536,9 +564,9 @@ func (s *Session) splitLocked(req api.SplitRequest) (api.Verdict, error) {
 // registerAdmitted records a committed admission.
 func (s *Session) registerAdmitted(t *task.Task, sp *task.Split) {
 	if sp != nil {
-		s.registerTask(sp.Task.ID)
+		s.registerTask(sp.Task)
 	} else {
-		s.registerTask(t.ID)
+		s.registerTask(t)
 	}
 	s.admitted.Add(1)
 }
@@ -715,6 +743,9 @@ func (s *Session) tryRead(req api.AdmitRequest) (api.Verdict, error) {
 	}
 	if s.hasTask(t.ID) {
 		return api.Verdict{}, fmt.Errorf("%w: %d", ErrDuplicateTask, t.ID)
+	}
+	if err := s.checkPeriods(t.Period, t.Period); err != nil {
+		return api.Verdict{}, err
 	}
 	snap := s.actx.Fork()
 	if m := s.met; m != nil {
@@ -968,8 +999,9 @@ func (s *Session) batchLocked(ctx context.Context, req api.BatchRequest, emit fu
 
 // batchWire resolves a batch request to the ordered wire task list:
 // explicit tasks or a server-side generated set, optionally reordered
-// by decreasing utilization. Safe off the actor (the ID scan reads
-// the concurrent task set).
+// by decreasing utilization, refusing one whose periods take the
+// session's past maxPeriodSpan. Safe off the actor (the ID scan and
+// the span read the concurrent task set).
 func (s *Session) batchWire(req api.BatchRequest) ([]api.Task, error) {
 	var wire []api.Task
 	switch {
@@ -997,6 +1029,23 @@ func (s *Session) batchWire(req api.BatchRequest) ([]api.Task, error) {
 		wire = req.Tasks
 	default:
 		return nil, fmt.Errorf("batch: need tasks or generate")
+	}
+	// Every task of the batch may commit: their periods are checked
+	// with the committed ones at once. A non-positive period fails the
+	// task's own validation.
+	var lo, hi timeq.Time
+	for _, j := range wire {
+		if p := timeq.Time(j.PeriodNs); p > 0 {
+			if lo == 0 || p < lo {
+				lo = p
+			}
+			hi = max(hi, p)
+		}
+	}
+	if hi > 0 {
+		if err := s.checkPeriods(lo, hi); err != nil {
+			return nil, fmt.Errorf("batch: %w", err)
+		}
 	}
 	if req.Order == "util-desc" {
 		sorted := append([]api.Task(nil), wire...)

@@ -170,6 +170,14 @@ func (st *Store) shardSizes(sizes *[numShards]int) {
 // so Create refuses a larger one before allocating any of them.
 const maxSessionCores = 1024
 
+// maxPeriodSpan caps a fixed-priority session's committed periods'
+// max/min. With constrained deadlines it bounds a response-time solve
+// over k entities at k·(2·maxPeriodSpan + 1) + 2 iterations, so it is
+// what bounds the latency of a probe; a task that would take the span
+// past it is refused before any probe. 1 000 covers the WATERS
+// automotive periods (1 ms to 1 s).
+const maxPeriodSpan = 1000
+
 // maxGenerateN caps the task count a batch asks the server to
 // generate. The count sizes the generated set, so a batch naming a
 // larger one is refused before anything is generated.
@@ -182,6 +190,11 @@ const maxGenerateN = 16384
 func (st *Store) Create(name string, cores int, p task.Policy, model *overhead.Model) (*Session, error) {
 	if name == "" {
 		return nil, fmt.Errorf("admitd: empty session name")
+	}
+	if name == "." || name == ".." {
+		// Escaping leaves both as they are, and a path segment of
+		// either is not canonical: no route would reach the session.
+		return nil, fmt.Errorf("admitd: session name %q is a path dot segment", name)
 	}
 	if cores <= 0 {
 		return nil, fmt.Errorf("admitd: %d cores", cores)

@@ -63,6 +63,51 @@ func TestResponseTimeUnschedulable(t *testing.T) {
 	}
 }
 
+// TestFPVerdictIsTheLeastFixedPoint is a one-core case whose cold
+// solve runs past 10 000 iterations, where an iteration cap once made
+// the verdict depend on where the solve started: warm from a full
+// test's converged values the writer and the snapshot admitted, cold
+// they and the stateless test refused. The probed task (1174 ns every
+// 544 474 ns) sits between one that keeps the core 99.7 % busy (1176 ns
+// every 1179 ns) and a long one (51 188 ns every second), whose
+// response time climbs a few ns per step to 132.2 ms. All three must
+// admit, warm or cold, and the cold solve must end within its bound
+// (fpFixedPoint).
+func TestFPVerdictIsTheLeastFixedPoint(t *testing.T) {
+	z := overhead.Zero()
+	probe := &task.Task{ID: 2, WCET: 1174, Period: 544474, Priority: 2}
+	var clone *task.Assignment
+	for _, converge := range []bool{false, true} {
+		a := task.NewAssignment(1)
+		a.Policy = task.FixedPriority
+		ctx := FixedPriorityRTA.NewContext(a, z)
+		ctx.Place(&task.Task{ID: 1, WCET: 1176, Period: 1179, Priority: 1}, 0)
+		ctx.Place(&task.Task{ID: 3, WCET: 51188, Period: timeq.Second, Priority: 3}, 0)
+		if converge {
+			ctx.Schedulable()
+		}
+		snap := ctx.Fork()
+		onWriter := ctx.TryPlace(probe, 0)
+		ctx.Rollback()
+		onReader := snap.TryPlace(probe, 0)
+		clone = snap.CloneAssignment()
+		clone.Place(probe, 0)
+		oracle := FixedPriorityRTA.CoreSchedulable(clone, 0, z)
+		if !onWriter || !onReader || !oracle {
+			t.Fatalf("converged %v: writer %v, snapshot %v, stateless %v; want all to admit", converge, onWriter, onReader, oracle)
+		}
+	}
+
+	cs := BuildCore(clone, 0, z)
+	lowest := cs.Entities[len(cs.Entities)-1]
+	r, ok, iters := cs.responseTime(lowest, z, 0)
+	// Σⱼ⌈(limit + Jⱼ)/Tⱼ⌉ + 2 over the two interferers.
+	bound := int(timeq.CeilDiv(lowest.D, 1179) + timeq.CeilDiv(lowest.D, 544474) + 2)
+	if !ok || r != 132233102 || iters <= 10000 || iters > bound {
+		t.Fatalf("cold solve of %v: R = %d ok = %v in %d iterations; want 132233102 in more than 10000 and at most %d", lowest, r, ok, iters, bound)
+	}
+}
+
 func TestDeadlineEqualsWCETBoundary(t *testing.T) {
 	z := overhead.Zero()
 	// Single task with D = C is exactly schedulable.

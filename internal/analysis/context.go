@@ -47,11 +47,10 @@
 //     (f(limit) ≤ limit, so the least fixed point is at most limit),
 //     and otherwise starts the solve from (B + L)/(1 − U), at or below
 //     the least fixed point. Both inequalities keep a 1e-9 relative
-//     margin for their float sums; the start is rounded down past the
-//     float error of U and dropped where U is too near 1 for it; and
-//     neither a pass nor a start applies where the cold solve might hit
-//     its iteration cap (limit·Σ1/T + ΣJ/T + k + 3 ≥ the cap), where
-//     they could admit what the cold solve misses. A chain-free
+//     margin for their float sums, and the start is rounded down past
+//     the float error of U and dropped where U is too near 1 for it.
+//     No iteration count enters a verdict: the solve (fpFixedPoint)
+//     runs to the least fixed point or past the limit. A chain-free
 //     whole-task probe computes the same sums from its core's table
 //     (fpProbe.tableProbe), and screens the new task first, with the
 //     interferers of period T ≥ D charged once in its base

@@ -429,12 +429,11 @@ func (t *tableState) blocking(lc int) timeq.Time {
 // interferers are those of hp, at C′, and those of lo, at rel.
 func (t *tableState) sums(s *rtaSums, hp, lo *tabSums) {
 	a := float64(t.a)
-	*s = rtaSums{u: hp.ct + a*hp.invT, c: hp.c + a*float64(hp.n), invT: hp.invT}
+	*s = rtaSums{u: hp.ct + a*hp.invT, c: hp.c + a*float64(hp.n)}
 	if t.rel > 0 {
 		rel := float64(t.rel)
 		s.u += rel * lo.invT
 		s.c += rel * float64(lo.n)
-		s.invT += lo.invT
 	}
 }
 
@@ -449,8 +448,7 @@ func (t *tableState) sums(s *rtaSums, hp, lo *tabSums) {
 // c·⌈r/T⌉ is c, not merely at least c·r/T. The probed task's slot moves
 // them from s into the screen's base B + long, which tightens every
 // bound rtaScreen reads: f(r) ≥ B + long + r·U′ for every r > 0, since
-// ⌈r/T⌉ ≥ 1; f(r) < B + long + N′ + r·U′ on (0, d]; and the cap guard's
-// count of their releases, one each, stays within its k. The primed
+// ⌈r/T⌉ ≥ 1; and f(r) < B + long + N′ + r·U′ on (0, d]. The primed
 // sums are over the shorter periods; a committed slot has long = 0.
 type tableSlot struct {
 	b, d           timeq.Time
@@ -780,9 +778,8 @@ func fpEvalCore(p *fpProbe, v *probeView, failed map[*Entity]bool) bool {
 
 // rtaSums are sums over an entity's interferers: with each one's
 // coefficient c — C′ⱼ for a higher-priority entity, rel for a
-// lower-priority timer-released one — u = Σc/T, c = Σc, l = Σc·J/T,
-// and over the same entities invT = Σ1/T and jT = ΣJ/T.
-type rtaSums struct{ u, c, l, invT, jT float64 }
+// lower-priority timer-released one — u = Σc/T, c = Σc and l = Σc·J/T.
+type rtaSums struct{ u, c, l float64 }
 
 // add counts one interferer of period t, jitter j and coefficient c.
 func (s *rtaSums) add(c, t, j float64) {
@@ -790,8 +787,6 @@ func (s *rtaSums) add(c, t, j float64) {
 	s.u += c * inv
 	s.c += c
 	s.l += c * j * inv
-	s.invT += inv
-	s.jT += j * inv
 }
 
 // screenWalk yields the screen of every entity of one view, lowest
@@ -834,18 +829,16 @@ func (w *screenWalk) next(i int) (start timeq.Time, pass, refuse bool) {
 	ents := w.cs.Entities
 	e := ents[i]
 	if i < len(ents)-1 && e.LocalPriority != ents[i+1].LocalPriority {
+		w.lo.u += w.grp.u
 		w.lo.c += w.grp.c
-		w.lo.invT += w.grp.invT
-		w.lo.jT += w.grp.jT
+		w.lo.l += w.grp.l
 		w.grp = rtaSums{}
 	}
 	s := w.hp[i]
 	if rel := float64(w.cs.relCost); rel > 0 {
-		s.u += rel * w.lo.invT
+		s.u += rel * w.lo.u
 		s.c += rel * w.lo.c
-		s.l += rel * w.lo.jT
-		s.invT += w.lo.invT
-		s.jT += w.lo.jT
+		s.l += rel * w.lo.l
 	}
 	if !e.MigrIn {
 		w.grp.add(1, float64(e.T), float64(e.Jitter))
@@ -876,14 +869,7 @@ func (w *screenWalk) next(i int) (start timeq.Time, pass, refuse bool) {
 // (B + L)/(1 − U), rounded down past the float error of U: every fixed
 // point r has r ≥ B + L + r·U, so it is a lower bound of the least one
 // to start the solve from, which converges to the same point as from 0.
-//
-// A pass and a start change the verdict the cold solve would give only
-// where the cold solve hits maxFPIterations first. Each of its
-// iterations but the last two raises some ⌈(r + Jⱼ)/Tⱼ⌉, so one
-// converging at or below limit takes at most
-// Σⱼ⌈(limit + Jⱼ)/Tⱼ⌉ + 2 ≤ limit·Σ1/Tⱼ + ΣJⱼ/Tⱼ + k + 2 iterations;
-// neither applies where that may reach the cap, nor the start where U
-// is too near 1 for its float error.
+// The start is dropped where U is too near 1 for its float error.
 func rtaScreen(b, limit timeq.Time, s rtaSums, k int) (start timeq.Time, pass, refuse bool) {
 	if limit <= 0 {
 		return 0, false, false
@@ -891,9 +877,6 @@ func rtaScreen(b, limit timeq.Time, s rtaSums, k int) (start timeq.Time, pass, r
 	bf, d := float64(b), float64(limit)
 	if b > 0 && bf+s.l+d*s.u > d*(1+screenMargin) {
 		return 0, false, true
-	}
-	if d*s.invT+s.jT+float64(k)+3 >= maxFPIterations {
-		return 0, false, false
 	}
 	if bf+s.c+s.l+d*s.u <= d*(1-screenMargin) {
 		return 0, true, false

@@ -7,19 +7,13 @@ import (
 	"repro/internal/timeq"
 )
 
-// The analysis' two iteration caps. maxFPIterations caps one
-// response-time fixed point (responseTime): a solve that has not
-// converged after this many iterations reports a miss.
 // maxBusyIterations caps the EDF busy-period fixed point
 // (edfBusyPeriod): a busy period that has not converged after this
-// many iterations makes the core unschedulable. Either cap can turn a
+// many iterations makes the core unschedulable. The cap can turn a
 // fixed point that exists into a miss, so an exact oracle must model
-// both; the FP engine's closed-form screens (rtaScreen) decide nothing
-// where the cap might bind.
-const (
-	maxFPIterations   = 10000
-	maxBusyIterations = 10000
-)
+// it. The FP response-time iteration (fpFixedPoint) has no cap: it
+// ends by itself.
+const maxBusyIterations = 10000
 
 // ResponseTime computes the worst-case response time of entity e on
 // core cs under preemptive fixed-priority scheduling with release
@@ -130,13 +124,21 @@ func (cs *CoreSet) responseTime(e *Entity, m *overhead.Model, start timeq.Time) 
 // entity; the terms are non-negative and saturate, so their order does
 // not matter. It returns the fixed point and whether it lies at or
 // below limit, or the first total past limit and false, and the
-// iterations spent.
+// iterations spent. The verdict is "the least fixed point is at most
+// limit" and nothing else: no iteration count decides it.
+//
+// The loop ends by itself. A step that neither converges nor exits
+// raises r to its total, and the next step's total differs from that r
+// only if some ⌈(r + Jⱼ)/Tⱼ⌉ rose; at r ≤ limit each is at most
+// ⌈(limit + Jⱼ)/Tⱼ⌉. So a solve over k entities takes at most
+// Σⱼ⌈(limit + Jⱼ)/Tⱼ⌉ + 2 ≤ limit·Σ1/T + ΣJ/T + k + 2 iterations, and
+// a saturated total exits at total > limit.
 func fpFixedPoint(base, start, limit timeq.Time, coef, jit, periods []timeq.Time) (timeq.Time, bool, int) {
 	if base > limit {
 		return base, false, 0
 	}
 	r := max(base, start)
-	for iter := 0; iter < maxFPIterations; iter++ {
+	for iter := 1; ; iter++ {
 		total := base
 		for j, c := range coef {
 			if c == 0 {
@@ -150,16 +152,13 @@ func fpFixedPoint(base, start, limit timeq.Time, coef, jit, periods []timeq.Time
 			// totals exit below first); a warm start may land on a
 			// fixed point beyond a limit that shrank since the start
 			// value converged, which must still report unschedulable.
-			return r, r <= limit, iter + 1
+			return r, r <= limit, iter
 		}
 		if total > limit {
-			return total, false, iter + 1
+			return total, false, iter
 		}
 		r = total
 	}
-	// Non-convergence within the iteration cap means effective
-	// utilization ≥ 1 at this priority level; report unschedulable.
-	return timeq.Infinity, false, maxFPIterations
 }
 
 // CoreSchedulable reports whether every entity on the core meets its

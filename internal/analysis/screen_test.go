@@ -59,8 +59,8 @@ func tableScreens(p fpProbe, c int, e *Entity, n int) []screenResult {
 // arithmetic, classified and charged by the stateless methods
 // (InflatedCost, Blocking, ReleaseCost), not by the engine's sums: the
 // base B, limit = D − J, and over its interferers U = Σc/T,
-// L = Σc·J/T, N = Σc + L, and jobs = limit·Σ1/T + ΣJ/T + k + 3, the
-// bound on the cold solve's iterations the cap guard uses. With fold,
+// L = Σc·J/T, N = Σc + L, and jobs = limit·Σ1/T + ΣJ/T + k + 2, the
+// bound on the cold solve's iterations (see fpFixedPoint). With fold,
 // the interferers released without jitter at periods T ≥ limit are
 // charged once in B instead, their one release each counted in k, as
 // the table probe screens the probed task (tableSlot.long).
@@ -76,7 +76,7 @@ func exactScreen(v *probeView, i int, m *overhead.Model, fold bool) exactBounds 
 		b:     big.NewRat(int64(timeq.AddSat(cs.InflatedCost(e, m), cs.Blocking(e, m))), 1),
 		limit: big.NewRat(int64(e.D-e.Jitter), 1),
 		u:     new(big.Rat), l: new(big.Rat), n: new(big.Rat),
-		jobs: big.NewRat(int64(len(cs.Entities)+3), 1),
+		jobs: big.NewRat(int64(len(cs.Entities)+2), 1),
 	}
 	for j, o := range cs.Entities {
 		var c timeq.Time
@@ -315,13 +315,14 @@ func (sc *screenCase) nearOne(gap *big.Rat) {
 // the screen's inequalities in exact arithmetic from the stateless
 // overhead methods, it requires:
 //
-//   - a pass only where the cold solve converges at or below D − J,
-//     B + N + limit·U ≤ limit and the cap guard's bound is below the
-//     cap, all exactly;
+//   - a pass only where the cold solve converges at or below D − J
+//     and B + N + limit·U ≤ limit exactly;
 //   - a refusal only where the cold solve and the stateless test
 //     refuse and B + L + limit·U > limit exactly;
 //   - a start no later than the cold response time, nor than
-//     (B + L)/(1 − U), and only under the cap guard.
+//     (B + L)/(1 − U);
+//   - a cold solve of at most ⌊limit·Σ1/T + ΣJ/T⌋ + k + 2 iterations,
+//     the bound that makes the solve end without a cap.
 //
 // On a chain-free core the same holds of the screens the table probe
 // runs (fpProbe.tableProbe). And the writer, its snapshot and the
@@ -329,8 +330,10 @@ func (sc *screenCase) nearOne(gap *big.Rat) {
 // the same work. An input whose first byte has bit 7 set is of the
 // fluid format instead (checkFluidScreen). The seed corpus
 // (testdata/fuzz/FuzzFPEntityScreen) steers to each edge under each
-// model, U within 1e-9 of 1, deadlines past a second and the cap
-// guard's edge; its fluid_* entries are FuzzFPFluidScreen's seeds.
+// model, U within 1e-9 of 1, deadlines past a second and the edge of
+// the iteration cap the solve once had (cap_guard_*, which must now
+// agree like any other input); its fluid_* entries are in the fluid
+// format.
 func FuzzFPEntityScreen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 0 && data[0]&0x80 != 0 {
@@ -384,18 +387,20 @@ func checkEntityScreen(t *testing.T, sc *screenCase) {
 		// meet the same inequalities.
 		screens = append(screens, tableScreens(fx.engine(), 0, newFPEntityInto(new(Entity), sc.probe), placeN(fx.cores, fx.maxN, 0)))
 	}
-	iterCap := big.NewRat(maxFPIterations, 1)
 	one := big.NewRat(1, 1)
 	for i, e := range v.cs.Entities {
-		rt, ok, _ := v.cs.responseTime(e, m, 0)
+		rt, ok, iters := v.cs.responseTime(e, m, 0)
+		if x := exactScreen(v, i, m, false); big.NewRat(int64(iters), 1).Cmp(x.jobs) > 0 {
+			t.Fatalf("entity %d (%v): the cold solve took %d iterations, past the bound %s", i, e, iters, x.jobs.FloatString(1))
+		}
 		for path, scr := range screens {
 			s := scr[i]
 			x := exactScreen(v, i, m, path == 1 && e.Task == sc.probe)
 			switch {
 			case s.pass:
-				if !ok || x.lhs(x.n).Cmp(x.limit) > 0 || x.jobs.Cmp(iterCap) >= 0 {
-					t.Fatalf("path %d entity %d (%v) passed: cold solve %d %v, B + N + limit·U = %s, limit %s, jobs %s",
-						path, i, e, rt, ok, x.lhs(x.n).FloatString(3), x.limit, x.jobs.FloatString(1))
+				if !ok || x.lhs(x.n).Cmp(x.limit) > 0 {
+					t.Fatalf("path %d entity %d (%v) passed: cold solve %d %v, B + N + limit·U = %s, limit %s",
+						path, i, e, rt, ok, x.lhs(x.n).FloatString(3), x.limit)
 				}
 			case s.refuse:
 				if ok || want || x.lhs(x.l).Cmp(x.limit) <= 0 {
@@ -405,10 +410,10 @@ func checkEntityScreen(t *testing.T, sc *screenCase) {
 			case s.start > 0:
 				den := new(big.Rat).Sub(one, x.u)
 				bound := new(big.Rat).Add(x.b, x.l)
-				if (ok && s.start > rt) || den.Sign() <= 0 || x.jobs.Cmp(iterCap) >= 0 ||
+				if (ok && s.start > rt) || den.Sign() <= 0 ||
 					big.NewRat(int64(s.start), 1).Cmp(bound.Quo(bound, den)) > 0 {
-					t.Fatalf("path %d entity %d (%v) started at %d: cold solve %d %v, U = %s, jobs %s",
-						path, i, e, s.start, rt, ok, x.u.FloatString(12), x.jobs.FloatString(1))
+					t.Fatalf("path %d entity %d (%v) started at %d: cold solve %d %v, U = %s",
+						path, i, e, s.start, rt, ok, x.u.FloatString(12))
 				}
 			}
 		}

@@ -253,48 +253,6 @@ func BenchmarkMixedPolicySweep(b *testing.B) {
 	}
 }
 
-// BenchmarkBreakdownUtilization regenerates the breakdown-utilization
-// comparison: the mean per-core utilization each algorithm sustains
-// before rejecting, overheads integrated — a scalar companion to the
-// Section 4 curves.
-func BenchmarkBreakdownUtilization(b *testing.B) {
-	gsets := taskgen.New(taskgen.Config{N: 12, TotalUtilization: 2.8, Seed: 3}).Batch(8)
-	algs := []partition.Algorithm{partition.TS, partition.FFD, partition.WFD, partition.WM}
-	for i := 0; i < b.N; i++ {
-		res := experiment.BreakdownComparison(gsets, 4, algs, overhead.PaperModel(), 200)
-		once("breakdown", func() {
-			fmt.Println("\n=== Breakdown utilization (mean per-core, overheads integrated) ===")
-			for _, alg := range algs {
-				fmt.Printf("  %-8s %.3f\n", alg.Name(), res[alg.Name()])
-			}
-		})
-		if res["FP-TS"] < res["FFD"] {
-			b.Fatal("FP-TS breakdown below FFD")
-		}
-	}
-}
-
-// BenchmarkOverheadCharacterization regenerates the paper's headline
-// quantity from simulation data: the extra kernel overhead task
-// splitting costs relative to plain partitioning, measured over
-// commonly-admitted sets.
-func BenchmarkOverheadCharacterization(b *testing.B) {
-	sets := taskgen.New(taskgen.Config{N: 10, TotalUtilization: 3.7, Seed: 5150}).Batch(25)
-	for i := 0; i < b.N; i++ {
-		c, err := experiment.CharacterizeSplitting(sets, 4, partition.TS, overhead.PaperModel(), timeq.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once("charop", func() {
-			fmt.Println("\n=== Overhead characterization: splitting surcharge ===")
-			fmt.Print(c.Table())
-		})
-		if d := c.Surcharge(); d > 0.01 {
-			b.Fatalf("splitting surcharge %.4f implausibly high", d)
-		}
-	}
-}
-
 // BenchmarkPartitionProbes measures admission speed across all nine
 // partitioning algorithms on a mixed batch of task sets under the
 // paper overhead model. This is the regression guard for the

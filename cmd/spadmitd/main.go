@@ -1,7 +1,8 @@
 // Command spadmitd is the online admission-control daemon: the
 // paper's overhead-aware schedulability test served over HTTP against
 // live cluster sessions, each backed by an incremental admission
-// context (warm probes, not cold re-analysis).
+// context (incremental probes, not re-analysis of the whole
+// assignment).
 //
 // Usage:
 //

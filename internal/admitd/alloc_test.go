@@ -74,14 +74,14 @@ func TestTryReadAllocFree(t *testing.T) {
 	defer s.close()
 	req := api.AdmitRequest{Task: benchTask(1 << 40)}
 	sessAssertZeroAllocs(t, "tryRead/first-fit", func() {
-		if _, err := s.tryRead(req); err != nil {
+		if _, err := s.tryRead(req.Task, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	})
-	core := 2
-	reqCore := api.AdmitRequest{Task: benchTask(1<<40 + 1), Core: &core}
+	const core = 2
+	reqCore := api.AdmitRequest{Task: benchTask(1<<40 + 1)}
 	sessAssertZeroAllocs(t, "tryRead/explicit-core", func() {
-		if _, err := s.tryRead(reqCore); err != nil {
+		if _, err := s.tryRead(reqCore.Task, core, true); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -91,8 +91,7 @@ func TestTryReadAllocFree(t *testing.T) {
 	// meets its own screen: a light task leaves nothing to solve, a heavy
 	// one at the top of the order is refused by the screens of the
 	// residents below it, and one whose bounds straddle its deadline is
-	// solved once, started from the screen's bound (a new task has no
-	// warm value of its own).
+	// solved once, started from the screen's bound.
 	for _, tc := range []struct {
 		name   string
 		wcet   int64
@@ -105,9 +104,9 @@ func TestTryReadAllocFree(t *testing.T) {
 		{"screen-refused", 99_000_000, 1, false, 0},
 		{"screen-started", 96_400_000, 9000, true, 1},
 	} {
-		req := api.AdmitRequest{Task: api.Task{ID: 1<<40 + 2, WCETNs: tc.wcet, PeriodNs: 100_000_000, Priority: tc.prio, WSS: 64 << 10}, Core: &core}
+		wt := api.Task{ID: 1<<40 + 2, WCETNs: tc.wcet, PeriodNs: 100_000_000, Priority: tc.prio, WSS: 64 << 10}
 		before := s.actx.ReadStats()
-		v, err := s.tryRead(req)
+		v, err := s.tryRead(wt, core, true)
 		w := s.actx.ReadStats().Sub(before)
 		if err != nil || v.Admitted != tc.admit || w.CoreTests != 1 {
 			t.Fatalf("%s: verdict %+v, %v, %d core tests", tc.name, v, err, w.CoreTests)
@@ -116,7 +115,7 @@ func TestTryReadAllocFree(t *testing.T) {
 			t.Fatalf("%s: %d solves, %d warm", tc.name, w.FPSolves, w.WarmStarts)
 		}
 		sessAssertZeroAllocs(t, "tryRead/"+tc.name, func() {
-			if _, err := s.tryRead(req); err != nil {
+			if _, err := s.tryRead(wt, core, true); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -130,7 +130,7 @@ func newServerMetrics(store *Store) *serverMetrics {
 		"Iterations those solves took.",
 		func() float64 { return float64(m.agg.FPIterations) })
 	admission("admitd_admission_warm_starts_total",
-		"Solves that began from a previously converged value.",
+		"Solves a closed-form screen started above zero.",
 		func() float64 { return float64(m.agg.WarmStarts) })
 	admission("admitd_admission_edf_demand_tests_total",
 		"EDF processor-demand tests run.",

@@ -592,10 +592,7 @@ func (s *Server) handleTry(w http.ResponseWriter, r *http.Request, name string) 
 		s.tryHold(w, ws, sess, req, core, corePresent)
 		return
 	}
-	if corePresent {
-		req.Core = &core
-	}
-	resp, opErr := sess.tryRead(req)
+	resp, opErr := sess.tryRead(req.Task, core, corePresent)
 	if opErr != nil {
 		writeError(w, opErr)
 		return

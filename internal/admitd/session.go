@@ -728,17 +728,20 @@ func (s *Session) walFail() {
 // using heap tasks, because an admitted task lives in the assignment.
 var taskPool = sync.Pool{New: func() any { return new(task.Task) }}
 
-// tryRead answers a non-holding admission query from the latest
-// published snapshot, without entering the actor. Steady-state it
-// does not allocate: the task converts into pooled scratch and the
-// first-fit loop pins one pooled prober across all cores.
-func (s *Session) tryRead(req api.AdmitRequest) (api.Verdict, error) {
+// tryRead answers a non-holding admission query for wt, on core when
+// corePresent and first fit otherwise, from the latest published
+// snapshot, without entering the actor. Steady-state it does not
+// allocate: the task converts into pooled scratch and the first-fit
+// loop pins one pooled prober across all cores. The core comes by
+// value, not as the request's pointer, so the caller's decoded core
+// stays on its stack.
+func (s *Session) tryRead(wt api.Task, core int, corePresent bool) (api.Verdict, error) {
 	if s.closedFlag.Load() {
 		return api.Verdict{}, ErrSessionClosed
 	}
 	t := taskPool.Get().(*task.Task)
 	defer taskPool.Put(t)
-	if err := toTaskInto(t, req.Task, s.policy); err != nil {
+	if err := toTaskInto(t, wt, s.policy); err != nil {
 		return api.Verdict{}, err
 	}
 	if s.hasTask(t.ID) {
@@ -752,15 +755,14 @@ func (s *Session) tryRead(req api.AdmitRequest) (api.Verdict, error) {
 		m.forks.Inc()
 	}
 	resp := api.Verdict{TaskID: int64(t.ID), Core: -1}
-	if req.Core != nil {
-		c := *req.Core
-		if c < 0 || c >= snap.NumCores() {
-			return api.Verdict{}, fmt.Errorf("core %d out of range (%d cores)", c, snap.NumCores())
+	if corePresent {
+		if core < 0 || core >= snap.NumCores() {
+			return api.Verdict{}, fmt.Errorf("core %d out of range (%d cores)", core, snap.NumCores())
 		}
 		resp.Probes = 1
-		resp.Admitted = snap.TryPlace(t, c)
+		resp.Admitted = snap.TryPlace(t, core)
 		if resp.Admitted {
-			resp.Core = c
+			resp.Core = core
 		}
 		return resp, nil
 	}

@@ -65,14 +65,14 @@ func TestResponseTimeUnschedulable(t *testing.T) {
 
 // TestFPVerdictIsTheLeastFixedPoint is a one-core case whose cold
 // solve runs past 10 000 iterations, where an iteration cap once made
-// the verdict depend on where the solve started: warm from a full
-// test's converged values the writer and the snapshot admitted, cold
-// they and the stateless test refused. The probed task (1174 ns every
+// the verdict depend on where the solve started: warm-started from a
+// full test's converged values the writer and the snapshot admitted,
+// cold they and the stateless test refused. The probed task (1174 ns every
 // 544 474 ns) sits between one that keeps the core 99.7 % busy (1176 ns
 // every 1179 ns) and a long one (51 188 ns every second), whose
 // response time climbs a few ns per step to 132.2 ms. All three must
-// admit, warm or cold, and the cold solve must end within its bound
-// (fpFixedPoint).
+// admit, with or without a full test before the probe, and the cold
+// solve must end within its bound (fpFixedPoint).
 func TestFPVerdictIsTheLeastFixedPoint(t *testing.T) {
 	z := overhead.Zero()
 	probe := &task.Task{ID: 2, WCET: 1174, Period: 544474, Priority: 2}
@@ -234,12 +234,12 @@ func TestSplitChainSchedulable(t *testing.T) {
 		t.Fatal(err)
 	}
 	z := overhead.Zero()
-	if !AssignmentSchedulable(a, z) {
+	if !FixedPriorityRTA.Schedulable(a, z) {
 		t.Fatal("split assignment should be schedulable with zero overhead")
 	}
 	rts, ok := ResponseTimes(a, z)
 	if !ok {
-		t.Fatal("ResponseTimes disagrees with AssignmentSchedulable")
+		t.Fatal("ResponseTimes disagrees with FixedPriorityRTA.Schedulable")
 	}
 	// Parts run at highest local priority: body R = 5ms, so the tail
 	// entity must carry J = 5ms.
@@ -273,7 +273,7 @@ func TestSplitChainUnschedulableTightDeadline(t *testing.T) {
 	// Part 0 at highest priority on core 0 takes 11ms; τ1 then cannot
 	// meet its own 10ms deadline, and the chain leaves the tail 1ms
 	// for 1ms of work with J=11ms > D−C. Either way: unschedulable.
-	if AssignmentSchedulable(a, z) {
+	if FixedPriorityRTA.Schedulable(a, z) {
 		t.Fatal("infeasible chain accepted")
 	}
 }

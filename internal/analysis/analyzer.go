@@ -30,9 +30,8 @@ type Analyzer interface {
 	CoreSchedulable(a *task.Assignment, c int, m *overhead.Model) bool
 	// NewContext opens a stateful admission context over the
 	// assignment: the incremental counterpart of CoreSchedulable that
-	// caches per-core entity sets, warm-starts fixed points from
-	// previously converged values, and memoizes per-core verdicts,
-	// invalidating only the cores a mutation touches. Decisions are
+	// caches per-core entity sets and tables and memoizes per-core
+	// verdicts, invalidating only the cores a mutation touches. Decisions are
 	// bit-identical to the stateless path. The context owns all
 	// mutations of a for its lifetime.
 	NewContext(a *task.Assignment, m *overhead.Model) Context
@@ -57,8 +56,7 @@ func ForPolicy(p task.Policy) Analyzer {
 }
 
 // Schedulable dispatches the full admission test on the assignment's
-// own policy — the single entry point replacing the historical
-// AssignmentSchedulable / EDFAssignmentSchedulable pair.
+// own policy.
 func Schedulable(a *task.Assignment, m *overhead.Model) bool {
 	return ForPolicy(a.Policy).Schedulable(a, overhead.Normalize(m))
 }

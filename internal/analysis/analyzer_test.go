@@ -30,17 +30,17 @@ func twoTaskAssignment() *task.Assignment {
 	return a
 }
 
-// The analyzers agree with the historical entry points, and the
-// policy-generic Schedulable dispatches on the assignment's stamp.
+// The policy-generic Schedulable dispatches on the assignment's stamp
+// to the analyzer of that policy, normalizing the model as the
+// analyzers do.
 func TestAnalyzerMatchesLegacyEntryPoints(t *testing.T) {
 	a := twoTaskAssignment()
 	for _, m := range []*overhead.Model{nil, overhead.Zero(), overhead.PaperModel()} {
-		norm := overhead.Normalize(m)
-		if FixedPriorityRTA.Schedulable(a, m) != AssignmentSchedulable(a, norm) {
-			t.Fatal("FP analyzer disagrees with AssignmentSchedulable")
-		}
-		if EDFDemand.Schedulable(a, m) != EDFAssignmentSchedulable(a, norm) {
-			t.Fatal("EDF analyzer disagrees with EDFAssignmentSchedulable")
+		for _, an := range []Analyzer{FixedPriorityRTA, EDFDemand} {
+			a.Policy = an.Policy()
+			if Schedulable(a, m) != an.Schedulable(a, overhead.Normalize(m)) {
+				t.Fatalf("Schedulable disagrees with the %v analyzer", an.Policy())
+			}
 		}
 	}
 	a.Policy = task.FixedPriority

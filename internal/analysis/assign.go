@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"repro/internal/overhead"
 	"repro/internal/task"
 	"repro/internal/timeq"
@@ -180,18 +178,9 @@ func (cs *Cores) SchedulableCore(c int, m *overhead.Model) bool {
 	return true
 }
 
-// AssignmentSchedulable reports whether the assignment meets all
-// deadlines under fixed-priority dispatching and the overhead model.
-//
-// Deprecated: use FixedPriorityRTA.Schedulable, or the policy-generic
-// Schedulable which dispatches on the assignment's own Policy.
-func AssignmentSchedulable(a *task.Assignment, m *overhead.Model) bool {
-	return FixedPriorityRTA.Schedulable(a, m)
-}
-
 // ResponseTimes returns the final per-entity response times of a
 // schedulable assignment for reporting; the boolean mirrors
-// AssignmentSchedulable.
+// FixedPriorityRTA.Schedulable.
 func ResponseTimes(a *task.Assignment, m *overhead.Model) (map[*Entity]timeq.Time, bool) {
 	cores := BuildCores(a, m)
 	if !cores.Schedulable(m) {
@@ -208,12 +197,4 @@ func ResponseTimes(a *task.Assignment, m *overhead.Model) (map[*Entity]timeq.Tim
 		}
 	}
 	return out, true
-}
-
-// SortEntitiesByPriority orders entities from highest to lowest local
-// priority (helper shared with the simulator and reports).
-func SortEntitiesByPriority(es []*Entity) {
-	sort.SliceStable(es, func(i, j int) bool {
-		return es[i].LocalPriority < es[j].LocalPriority
-	})
 }

@@ -8,16 +8,18 @@
 // probe sequence stateful: it is created once per (assignment,
 // overhead model), tracks which cores each mutation dirties (a split
 // chain dirties every core in the chain), keeps the per-core entity
-// sets built incrementally, warm-starts response-time and busy-period
-// fixed points from the previously converged values, and caches
-// per-core verdicts keyed by (content revision, queue bound, jitter
-// generation).
+// sets built incrementally, and caches per-core verdicts keyed by
+// (content revision, queue bound, jitter generation). It keeps no
+// fixed point's value as the start of the next: a response time is
+// solved from zero or its screen's lower bound, an EDF busy period
+// from its cold start, on the writer, a snapshot and the oracle alike.
 //
 // A context does not evaluate probes itself. The one incremental
 // engine (engine.go) does, over scratch views of the committed state,
 // for the context and for the snapshots it publishes alike; the
-// context is the owner that installs what a probe converged when the
-// probe is committed (context_fp.go), and drops it otherwise.
+// context is the owner that keeps the chain jitters a probe resolved
+// when the probe is committed (context_fp.go), and drops them
+// otherwise.
 //
 // # Decision identity
 //
@@ -25,18 +27,19 @@
 // Analyzer.CoreSchedulable / Analyzer.Schedulable would on the same
 // assignment state. Three mechanisms guarantee it:
 //
-//   - Warm starts only ever begin a fixed-point iteration at a value
-//     that is provably at or below the least fixed point being
-//     sought: converged values of the committed system, which probes
-//     only ever extend (entities are added, never removed, and every
-//     overhead term is nondecreasing in the additions). A monotone
-//     iteration started at or below its least fixed point converges
-//     to exactly that fixed point.
+//   - Every fixed point is the least one, and every iteration starts
+//     where the oracle's does or at a bound every fixed point obeys
+//     (the screens below), so it converges to that same point. The
+//     one start carried across probes is the split chains' committed
+//     jitters, which the next resolution starts from under a monotone
+//     model: probes only ever extend the committed system (entities
+//     are added, and every overhead term is nondecreasing in the
+//     additions), and Remove resets them.
 //   - The monotonicity argument needs queue-operation costs that do
 //     not shrink as the queue bound N grows. Models are checked once
-//     at context creation; a pathological (inverted) model simply
-//     disables warm starts and memos, falling back to cold
-//     iterations everywhere.
+//     at context creation; a pathological (inverted) model resolves
+//     every chain from zero jitters and derives no snapshot verdict
+//     from a removal.
 //   - The closed-form screens decide only from bounds every fixed point
 //     obeys. Each entity of a fixed-priority core test meets rtaScreen
 //     before its solve: with B its base, limit = D − J and, over its
@@ -120,14 +123,13 @@ type Context interface {
 	// Remove deletes the task with the given ID — whole placement or
 	// split — from the assignment and the context's incremental
 	// state, reporting whether it was present. Removal is the one
-	// mutation that shrinks the system, so warm-started values and
-	// cached verdicts that could overshoot the smaller system's least
-	// fixed points are invalidated: the removed task's core always,
-	// and the whole context whenever split chains or the shared queue
-	// bound N are involved (see DESIGN.md §3, "removal
-	// invalidation"). Decisions after a removal remain bit-identical
-	// to the stateless analyzer on the shrunken assignment. No probe
-	// may be pending.
+	// mutation that shrinks the system, so the cached verdicts and
+	// committed chain jitters it could leave stale are invalidated:
+	// the removed task's core always, and the whole context whenever
+	// split chains or the shared queue bound N are involved (see
+	// DESIGN.md §3, "removal invalidation"). Decisions after a removal
+	// remain bit-identical to the stateless analyzer on the shrunken
+	// assignment. No probe may be pending.
 	Remove(id task.ID) bool
 	// Schedulable runs the full admission test on the committed
 	// assignment — the finalize check — reusing every per-core verdict
@@ -135,13 +137,12 @@ type Context interface {
 	Schedulable() bool
 	// Reset rebinds the context to a new assignment (and model),
 	// recycling every slab the context owns — entity pools, per-core
-	// sets with their warm vectors and SoA mirrors, verdict memos,
-	// probe scratch — instead of reallocating, so one long-lived
-	// context serves an entire sweep of task sets. It leaves the
-	// context exactly as Analyzer().NewContext(a, m) would, minus the
-	// allocations; decision identity is untouched because every cached
-	// value is invalidated or re-tagged. Owner-only; no probe may be
-	// pending. Snapshots forked before the Reset stay valid (they are
+	// records and tables, verdict memos, probe scratch — instead of
+	// reallocating, so one long-lived context serves an entire sweep of
+	// task sets. It leaves the context exactly as
+	// Analyzer().NewContext(a, m) would, minus the allocations; decision
+	// identity is untouched because every cached value is invalidated or
+	// re-tagged. Owner-only; no probe may be pending. Snapshots forked before the Reset stay valid (they are
 	// self-contained); publication is disengaged until the next Fork.
 	Reset(a *task.Assignment, m *overhead.Model)
 	// Fork returns the latest published Snapshot of the committed
@@ -210,8 +211,8 @@ type AdmissionStats struct {
 	// hit: every one runs the engine.
 	CoreTests, VerdictHits int64
 	// FPSolves counts response-time fixed points solved, FPIterations
-	// the iterations they took, WarmStarts the solves that began from
-	// a previously converged value.
+	// the iterations they took, WarmStarts the solves a screen started
+	// above zero (rtaScreen's lower bound of the least fixed point).
 	FPSolves, FPIterations, WarmStarts int64
 	// DemandTests counts EDF processor-demand tests the engine ran,
 	// DemandPoints the absolute deadlines at which they evaluated the
@@ -267,7 +268,7 @@ func (s AdmissionStats) MeanFPIterations() float64 {
 	return float64(s.FPIterations) / float64(s.FPSolves)
 }
 
-// WarmStartRate is the fraction of solves that began warm.
+// WarmStartRate is the fraction of solves a screen started above zero.
 func (s AdmissionStats) WarmStartRate() float64 {
 	if s.FPSolves == 0 {
 		return 0
@@ -413,9 +414,10 @@ func (c *Collector) Drain() AdmissionStats {
 
 // modelMonotone reports whether every effective queue-operation cost
 // (remote penalty applied) is nondecreasing in the queue bound N.
-// This is the property the warm-start and memoization machinery
-// relies on: entity additions then only ever grow every overhead
-// term, so previously converged fixed points are valid lower bounds.
+// Entity additions then only ever grow every overhead term, which two
+// things rely on: the split-chain resolution starting from the
+// committed jitters (fpProbe.resolve), and a snapshot deriving a
+// schedulable verdict across a removal (snapView.deriveSched).
 //
 // Local and remote anchor costs are piecewise linear in log2(N), so
 // anchor order (N64 ≥ N4) makes each nondecreasing. A scaling remote
@@ -424,10 +426,10 @@ func (c *Collector) Drain() AdmissionStats {
 // are (each interpolant rounds to integer nanoseconds independently,
 // so the gap can dip by a tick as N grows) — any scaled penalty is
 // therefore treated as non-monotone outright. The remote-penalty
-// ablations (p = 2, 4, 8) thus run cold, which is correct, just
-// slower. The shipped models at p = 1 (Zero, PaperModel, and
-// anything measured on a real log-time queue) are monotone; any
-// model failing the check disables the fast paths but keeps
+// ablations (p = 2, 4, 8) thus resolve chains from zero jitters,
+// which is correct, just slower. The shipped models at p = 1 (Zero,
+// PaperModel, and anything measured on a real log-time queue) are
+// monotone; any model failing the check disables both but keeps
 // decisions bit-identical.
 func modelMonotone(m *overhead.Model) bool {
 	p := m.RemotePenalty
@@ -522,9 +524,7 @@ type pending struct {
 	addEnts  []*Entity // tentative entities
 	addCores []int     // their host cores (parallel)
 
-	run      int64      // FP: the engine run that evaluated it
-	resolved bool       // FP: a jitter resolution ran
-	busyWarm timeq.Time // EDF: the busy period the probe converged (0: none)
+	resolved bool // FP: a jitter resolution ran
 }
 
 func newCtxBase(an Analyzer, a *task.Assignment, m *overhead.Model) ctxBase {
@@ -560,7 +560,7 @@ func (b *ctxBase) ensureNoPending(op string) {
 	}
 }
 
-// own returns core c's record with its entity and warm slices safe to
+// own returns core c's record with its entity slice and table safe to
 // write in place. A record a published snapshot references (shared)
 // gets private copies first; the next publish shares them again. A
 // context that never forked owns every record already. grow says the
@@ -574,9 +574,6 @@ func (b *ctxBase) own(c int, grow bool) *coreRec {
 			n += 4
 		}
 		r.ents = append(make([]*Entity, 0, n), r.ents...)
-		if r.warm != nil {
-			r.warm = append(make([]timeq.Time, 0, n), r.warm...)
-		}
 		if r.tab != nil {
 			r.tab = append(make([]fpRow, 0, n), r.tab...)
 		}
@@ -594,12 +591,10 @@ func (b *ctxBase) adopted(r *coreRec, e *Entity) {
 		b.maxN = n
 	}
 	r.rev++
-	r.busyWarm = 0
 }
 
 // dropped is the bookkeeping of an entity removed from r: CacheMax may
-// shrink, and the committed busy period may overshoot the smaller
-// core's.
+// shrink.
 func (b *ctxBase) dropped(r *coreRec) {
 	r.cacheMax = 0
 	for _, e := range r.ents {
@@ -608,7 +603,6 @@ func (b *ctxBase) dropped(r *coreRec) {
 		}
 	}
 	r.rev++
-	r.busyWarm = 0
 }
 
 // removed recomputes the committed queue bound after a removal and
@@ -650,7 +644,7 @@ func (b *ctxBase) rebind(a *task.Assignment, m *overhead.Model) (fresh bool) {
 			b.pool.put(r.ents...)
 			// rev keeps counting: recycled cores must never match old
 			// verdicts.
-			*r = coreRec{ents: r.ents[:0], warm: r.warm[:0], tab: r.tab[:0], rev: r.rev + 1}
+			*r = coreRec{ents: r.ents[:0], tab: r.tab[:0], rev: r.rev + 1}
 			b.verdicts[c] = fpVerdict{}
 		}
 		b.chains = b.chains[:0]

@@ -143,10 +143,11 @@ func driveRandomOps(rng *rand.Rand, an Analyzer, m *overhead.Model, cores int, s
 func TestContextMatchesStatelessFuzz(t *testing.T) {
 	withSelfCheck(t, func() {
 		rng := rand.New(rand.NewSource(20260729))
-		// Zero and PaperModel are monotone (warm paths); the scaled
-		// remote penalty shrinks the remote-local gap with N, and the
-		// inverted model shrinks a local anchor — both must force the
-		// cold fallback and still match the stateless path exactly.
+		// Zero and PaperModel are monotone (chains resolve from the
+		// committed jitters); the scaled remote penalty shrinks the
+		// remote-local gap with N, and the inverted model shrinks a
+		// local anchor — both must force the cold fallback and still
+		// match the stateless path exactly.
 		inverted := overhead.PaperModel()
 		inverted.Queues.LocalN64[overhead.ReadyAdd] = inverted.Queues.LocalN4[overhead.ReadyAdd] / 2
 		models := []*overhead.Model{
@@ -173,7 +174,7 @@ func TestContextMatchesStatelessFuzz(t *testing.T) {
 	})
 }
 
-// TestModelMonotoneGate pins the warm-start gate: the shipped models
+// TestModelMonotoneGate pins the monotonicity gate: the shipped models
 // at penalty 1 are monotone, scaled penalties over PaperModel's
 // shrinking remote-local gaps are not, and neither are inverted
 // anchor tables.

@@ -5,19 +5,18 @@ import (
 
 	"repro/internal/overhead"
 	"repro/internal/task"
-	"repro/internal/timeq"
 )
 
 // edfContext is the incremental EDF admission context. Deadline
 // windows decouple the cores, so there is no cross-core fixed point:
 // each core record keeps its entity list in the canonical build order
 // (the processor-demand test accumulates a floating-point utilization
-// sum, so the order must match the stateless build exactly) and the
-// converged busy period as the next test's warm start; verdicts are
-// cached keyed by (content revision, queue bound). A probe dirties only
-// the probed core; a split install dirties every core hosting one of
-// its parts. EDF entities are immutable once adopted, so what a commit
-// installs beside them is one number, the probe's busy period.
+// sum, so the order must match the stateless build exactly); verdicts
+// are cached keyed by (content revision, queue bound). A probe dirties
+// only the probed core; a split install dirties every core hosting one
+// of its parts. EDF entities are immutable once adopted, and nothing a
+// test computes is kept for the next: every demand test starts its
+// busy period cold, as the stateless one does.
 type edfContext struct {
 	ctxBase
 
@@ -71,23 +70,22 @@ func (x *edfContext) adoptParts(parts []*Entity, cores []int) {
 
 // evalCore runs the engine on core c with the tentative entities given,
 // counting the test.
-func (x *edfContext) evalCore(c int, place *Entity, parts []*Entity, partCores []int, n int) (bool, timeq.Time) {
-	ok, busyWarm, points := edfEvalProbe(x.m, x.mono, &x.cores[c], &x.sc.cs, c, place, parts, partCores, n)
+func (x *edfContext) evalCore(c int, place *Entity, parts []*Entity, partCores []int, n int) bool {
+	ok, points := edfEvalProbe(x.m, &x.cores[c], &x.sc.cs, c, place, parts, partCores, n)
 	x.stats.CoreTests++
 	x.stats.DemandTests++
 	x.stats.DemandPoints += points
-	return ok, busyWarm
+	return ok
 }
 
-// probe runs the engine on the pending mutation, keeping the busy
-// period it converged for Commit to install.
+// probe runs the engine on the pending mutation.
 func (x *edfContext) probe() {
 	p := &x.pend
 	var place *Entity
 	if p.kind == pendPlace {
 		place = &x.sc.ent
 	}
-	p.fits, p.busyWarm = x.evalCore(p.core, place, p.addEnts, p.addCores, p.n)
+	p.fits = x.evalCore(p.core, place, p.addEnts, p.addCores, p.n)
 }
 
 func (x *edfContext) TryPlace(t *task.Task, c int) bool {
@@ -128,10 +126,7 @@ func (x *edfContext) Commit() {
 		x.adoptParts(p.addEnts, p.addCores)
 	}
 	x.commitSeq++
-	r := &x.cores[p.core]
-	x.verdicts[p.core] = fpVerdict{valid: true, ok: p.fits, rev: r.rev, n: x.maxN}
-	// The probe's entity set is now the committed one.
-	r.busyWarm = p.busyWarm
+	x.verdicts[p.core] = fpVerdict{valid: true, ok: p.fits, rev: x.cores[p.core].rev, n: x.maxN}
 	fits := hint == pubAdmitted && p.fits
 	x.pend = pending{}
 	x.committed(hint, fits)
@@ -193,11 +188,10 @@ func (x *edfContext) dropEntity(c int, id task.ID, part bool) {
 
 // Remove deletes the task (whole or window-split) from the
 // assignment and the per-core state. Deadline windows decouple the
-// cores, so invalidation is local to the touched cores — except the
-// shared queue bound N: when the removal lowers MaxTasksPerCore,
-// every core's inflated costs shrink, so every warm busy period (which
-// could overshoot) is dropped; verdicts are keyed by N and invalidate
-// themselves. The canonical entity order (normals in
+// cores, so invalidation is local to the touched cores, whose
+// revisions retire their verdicts — except the shared queue bound N:
+// verdicts are keyed by N, so a removal that lowers MaxTasksPerCore
+// retires every core's. The canonical entity order (normals in
 // placement order, then split parts in split order) is preserved, so
 // decisions — including the order-sensitive floating-point
 // utilization sum — stay bit-identical to the stateless build.
@@ -225,11 +219,7 @@ search:
 		}
 		x.a.Splits = removeAtCOW(x.a.Splits, si)
 	}
-	if x.removed() {
-		for c := range x.cores {
-			x.cores[c].busyWarm = 0
-		}
-	}
+	x.removed()
 	x.committed(pubRemoved, false)
 	return true
 }
@@ -243,7 +233,7 @@ func (x *edfContext) Schedulable() bool {
 	for c := range x.cores {
 		ok, hit := x.cachedVerdict(c, 0)
 		if !hit {
-			ok, x.cores[c].busyWarm = x.evalCore(c, nil, nil, nil, x.maxN)
+			ok = x.evalCore(c, nil, nil, nil, x.maxN)
 			x.setVerdict(c, 0, ok)
 		}
 		if !ok {

@@ -14,16 +14,15 @@ import (
 //
 // A probe runs the engine over the context's own views, exactly as a
 // snapshot prober does over pooled ones. What makes the context the
-// writer is what happens next. Rollback drops the views. Commit
-// installs them: the tentative entity is inserted into the committed
-// record, the views' warm vectors become the committed ones (they are
-// the new committed system's least fixed points), and a chain entity
-// whose jitter the resolution moved is replaced by one carrying the
-// new jitter. Until the context forks nothing else can see the
-// committed state, so the install writes it in place and the packing
-// loops allocate nothing; once it has, committed slices and entities
-// are shared with published snapshots and the install is copy-on-write
-// (ctxBase.own, setJitter).
+// writer is what happens next. Rollback drops the views. Commit inserts
+// the tentative entity into the committed record and, after a jitter
+// resolution, replaces each chain entity whose jitter it moved by one
+// carrying the new jitter. No response time outlives its probe: the
+// next one solves from zero or its screen's start (see engine.go).
+// Until the context forks nothing else can see the committed state, so
+// a commit writes it in place and the packing loops allocate nothing;
+// once it has, committed slices and entities are shared with published
+// snapshots and a commit is copy-on-write (ctxBase.own, setJitter).
 //
 // Per-core verdicts are cached keyed by (content revision, queue bound
 // N, jitter generation), so a core no mutation dirtied is never
@@ -46,7 +45,6 @@ type fpContext struct {
 
 func newFPContext(an Analyzer, a *task.Assignment, m *overhead.Model) *fpContext {
 	x := &fpContext{ctxBase: newCtxBase(an, a, m), coreJGen: make([]int64, a.NumCores), resolveSeq: -1}
-	x.sc.install = true
 	x.sc.size(a.NumCores)
 	x.adoptAll()
 	return x
@@ -74,10 +72,10 @@ func (x *fpContext) engine() fpProbe {
 	return fpProbe{m: x.m, mono: x.mono, maxN: x.maxN, cores: x.cores, chains: x.chains, sc: &x.sc, stats: &x.stats}
 }
 
-// adopt commits e onto core c with a cold warm slot.
+// adopt commits e onto core c.
 func (x *fpContext) adopt(e *Entity, c int) {
 	r := x.own(c, true)
-	r.ents, r.warm = insertByPriority(r.ents, r.warm, e)
+	r.ents = insertByPriority(r.ents, e)
 	x.adopted(r, e)
 }
 
@@ -137,50 +135,28 @@ func (x *fpContext) TrySplit(sp *task.Split, c int) bool {
 func (x *fpContext) probe(tent *fpSnapChain) {
 	p := x.engine()
 	x.pend.fits = p.run(x.pend.addEnts, x.pend.addCores, tent, x.pend.core, x.pend.n)
-	x.pend.run = x.sc.run
 	x.pend.resolved = len(x.chains) > 0 || tent != nil
 }
 
-// install makes what engine run converged the committed state: the
-// warm vector of every view the run filled and, with jitters, the
-// resolved chain jitters, the cores they moved on and the resolution's
-// outcome for the next full test. The committed records must already
-// hold the run's tentative entities.
-func (x *fpContext) install(run int64, jitters bool) {
-	if jitters {
-		for i, ch := range x.sc.chains {
-			for j, ce := range ch.ents {
-				if x.chains[i].ents[j].Jitter != ce.Jitter {
-					x.setJitter(i, j, ce.Jitter)
-				}
+// installJitters makes what the engine's last resolution converged the
+// committed state: the chain jitters, the cores they moved on and the
+// resolution's outcome for the next full test. The committed chains
+// must already hold the run's tentative one.
+func (x *fpContext) installJitters() {
+	for i, ch := range x.sc.chains {
+		for j, ce := range ch.ents {
+			if x.chains[i].ents[j].Jitter != ce.Jitter {
+				x.setJitter(i, j, ce.Jitter)
 			}
 		}
-		for d := range x.cores {
-			if x.sc.views[d].jMoved {
-				x.jEpoch++
-				x.coreJGen[d] = x.jEpoch
-			}
-		}
-		x.lastFailed = len(x.sc.failed) > 0
 	}
 	for d := range x.cores {
-		if v := &x.sc.views[d]; v.run == run {
-			x.setWarm(d, v.warm)
+		if x.sc.views[d].jMoved {
+			x.jEpoch++
+			x.coreJGen[d] = x.jEpoch
 		}
 	}
-}
-
-// setWarm makes w core d's committed warm vector: in place on a record
-// no snapshot references, otherwise — and only if a value moved — as a
-// fresh vector beside the published one. The record stays shared
-// either way; verdicts do not depend on warm values.
-func (x *fpContext) setWarm(d int, w []timeq.Time) {
-	r := &x.cores[d]
-	if !r.shared {
-		copy(r.warm, w)
-	} else if !slices.Equal(r.warm, w) {
-		r.warm = slices.Clone(w)
-	}
+	x.lastFailed = len(x.sc.failed) > 0
 }
 
 // setJitter gives committed chain i's entity j the jitter jit.
@@ -217,9 +193,9 @@ func (x *fpContext) Commit() {
 	case pendSplit:
 		x.adoptChain()
 	}
-	x.install(p.run, p.resolved)
 	x.commitSeq++
 	if p.resolved {
+		x.installJitters()
 		x.resolveSeq = x.commitSeq
 	}
 	x.verdicts[p.core] = fpVerdict{valid: true, ok: p.fits, rev: x.cores[p.core].rev, n: x.maxN, jGen: x.coreJGen[p.core]}
@@ -265,24 +241,23 @@ func (x *fpContext) dropEntity(c, i int) {
 	r := &x.cores[c]
 	if !r.shared {
 		r.ents = slices.Delete(r.ents, i, i+1)
-		r.warm = slices.Delete(r.warm, i, i+1)
 	} else {
-		r.ents, r.warm, r.shared = removeAtCOW(r.ents, i), removeAtCOW(r.warm, i), false
+		r.ents, r.shared = removeAtCOW(r.ents, i), false
 		r.tab = nil // rebuilt for the new revision
 	}
 	x.dropped(r)
 }
 
-// Remove deletes the task (whole placement or split chain) and
-// invalidates whatever the shrink could have left overshooting.
-// Removal is the only mutation under which committed warm-start
-// values stop being lower bounds of the least fixed points — less
-// interference, a smaller queue bound N, or smaller chain jitters
-// all shrink response times — so warm state is reset: on the removed
-// task's core always, and context-wide when chains exist or N
-// dropped (chain jitters and the shared N couple every core).
-// Entity order within each core is preserved, so decisions stay
-// bit-identical to the stateless build of the shrunken assignment.
+// Remove deletes the task (whole placement or split chain). Removal is
+// the one mutation under which the committed chain jitters, the start
+// of the next resolution, can overshoot its least fixed point: less
+// interference or a smaller queue bound N shrinks response times. So
+// when chains exist or N dropped (the shared N couples every core),
+// every jitter goes back to zero and every core's verdict is dropped;
+// otherwise the removal is local to one core, whose revision retires
+// its verdict. Entity order within each core is preserved, so
+// decisions stay bit-identical to the stateless build of the shrunken
+// assignment.
 func (x *fpContext) Remove(id task.ID) bool {
 	x.ensureNoPending("Remove")
 	affected := -1
@@ -314,15 +289,8 @@ search:
 	}
 	if x.removed() || affected < 0 || len(x.chains) > 0 {
 		// Chain jitters and the shared queue bound couple the cores:
-		// reset warm state everywhere and force a fresh resolution.
-		for d := range x.cores {
-			if r := &x.cores[d]; !r.shared {
-				clear(r.warm)
-			} else {
-				r.warm = make([]timeq.Time, len(r.warm))
-			}
-			x.verdicts[d] = fpVerdict{}
-		}
+		// drop every verdict and force a fresh resolution.
+		clear(x.verdicts)
 		for i, ch := range x.chains {
 			for j, e := range ch.ents {
 				if e.Jitter != 0 {
@@ -332,9 +300,6 @@ search:
 		}
 		x.resolveSeq = -1
 		x.lastFailed = false
-	} else {
-		// No chains and N unchanged: the removal is local to one core.
-		clear(x.cores[affected].warm)
 	}
 	x.committed(pubRemoved, false)
 	return true
@@ -359,7 +324,7 @@ func (x *fpContext) Schedulable() bool {
 		p.buildViews(nil, nil, -1, x.maxN)
 		p.cloneChains(nil)
 		p.resolve()
-		x.install(x.sc.run, true)
+		x.installJitters()
 		x.resolveSeq = x.commitSeq
 	}
 	if x.lastFailed {
@@ -369,13 +334,10 @@ func (x *fpContext) Schedulable() bool {
 	for c := range x.cores {
 		ok, hit := x.cachedVerdict(c, x.coreJGen[c])
 		if !hit {
-			// The converged values of a committed core are its new warm
-			// vector, whatever the verdict.
 			x.sc.run++
 			v := &x.sc.views[c]
 			p.fillView(v, c, nil, nil, x.maxN)
 			ok = fpEvalCore(&p, v, nil)
-			x.setWarm(c, v.warm)
 			x.setVerdict(c, x.coreJGen[c], ok)
 		}
 		if !ok {

@@ -12,9 +12,9 @@ import (
 
 // TestForkedRecordsAreCopyOnWrite pins the copy-on-write mark
 // (coreRec.shared) deterministically: a snapshot's records share their
-// entity and warm slices with the writer, so every writer mutation
+// entity slices and tables with the writer, so every writer mutation
 // after the fork — a commit into the middle of a core, a removal, a
-// full test that moves warm vectors, a chain committed onto every core
+// full test that moves chain jitters, a chain committed onto every core
 // — must leave the snapshot's slices exactly as published, and the
 // snapshot must keep answering as the stateless analyzer does on its
 // own assignment. The fixture gives every published record spare
@@ -55,8 +55,8 @@ func TestForkedRecordsAreCopyOnWrite(t *testing.T) {
 			ctx.Schedulable()
 			ctx.Fork()
 			// One commit per core takes every record private with spare
-			// capacity; the unprobed Place leaves core 3 a cold warm slot
-			// for the next full test to move.
+			// capacity; the unprobed Place leaves core 3 a verdict for the
+			// next full test to compute.
 			for c := 0; c < cores; c++ {
 				ctx.TryPlace(light(int64(40+c), 400+c), c)
 				ctx.Commit()
@@ -73,7 +73,6 @@ func TestForkedRecordsAreCopyOnWrite(t *testing.T) {
 			type published struct {
 				ents []*Entity
 				vals []Entity
-				warm []timeq.Time
 			}
 			want := make([]published, cores)
 			for c := range want {
@@ -82,16 +81,15 @@ func TestForkedRecordsAreCopyOnWrite(t *testing.T) {
 				for _, e := range r.ents {
 					want[c].vals = append(want[c].vals, *e)
 				}
-				want[c].warm = slices.Clone(r.warm)
 			}
 
 			// Every commit republishes, so each kind of write gets a core
-			// no earlier write has copied: the full test moves core 3's
-			// warm vector, a commit lands in the middle of core 0, the
-			// removal shifts core 2 (and, under fixed priorities, resets
-			// every warm vector, core 1's among them), a commit lands
-			// ahead of core 1's split part, and the last chain lands on
-			// every core.
+			// no earlier write has copied: the full test evaluates core
+			// 3, a commit lands in the middle of core 0, the removal
+			// shifts core 2 (and, under fixed priorities, resets every
+			// chain jitter, core 1's among them), a commit lands ahead of
+			// core 1's split part, and the last chain lands on every
+			// core.
 			ctx.Schedulable()
 			ctx.TryPlace(light(60, 150), 0)
 			ctx.Commit()
@@ -114,9 +112,6 @@ func TestForkedRecordsAreCopyOnWrite(t *testing.T) {
 					if *e != want[c].vals[i] {
 						t.Fatalf("core %d entity %d: published entity mutated: %+v, was %+v", c, i, *e, want[c].vals[i])
 					}
-				}
-				if !slices.Equal(r.warm, want[c].warm) {
-					t.Fatalf("core %d: published warm vector changed: %v, was %v", c, r.warm, want[c].warm)
 				}
 			}
 

@@ -39,7 +39,7 @@ import (
 // naive enumeration every other EDF verdict in the package is compared
 // against.
 func (cs *CoreSet) EDFCoreSchedulable(m *overhead.Model) bool {
-	l, b, _, ok := cs.edfHorizon(m, 0)
+	l, b, ok := cs.edfHorizon(m)
 	if !ok {
 		return false
 	}
@@ -82,11 +82,9 @@ func (cs *CoreSet) EDFCoreSchedulable(m *overhead.Model) bool {
 // 1 there is no busy period), the blocking term b and the synchronous
 // busy period, whose extension over the largest relative deadline is
 // the test horizon l. ok is false when a screen rejects the core or the
-// busy period does not converge. busyStart warm-starts the busy period
-// and converged is what a later, larger evaluation may pass back (see
-// edfBusyPeriod); 0 is the cold iteration. It fills the cost cache and
-// the flat mirrors both tests go on to read.
-func (cs *CoreSet) edfHorizon(m *overhead.Model, busyStart timeq.Time) (l, b, converged timeq.Time, ok bool) {
+// busy period does not converge. It fills the cost cache and the flat
+// mirrors both tests go on to read.
+func (cs *CoreSet) edfHorizon(m *overhead.Model) (l, b timeq.Time, ok bool) {
 	cs.ensureCosts(m)
 	infl := cs.infl
 	rel := cs.relCost
@@ -106,15 +104,15 @@ func (cs *CoreSet) edfHorizon(m *overhead.Model, busyStart timeq.Time) (l, b, co
 			uNum += float64(rel) / float64(periods[i])
 		}
 		if deadlines[i] < infl[i] {
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
 	}
 	if uNum > 1 {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	b = cs.edfMaxBlocking(m)
-	l, converged = cs.edfBusyPeriod(infl, rel, b, busyStart)
-	return l, b, converged, l != timeq.Infinity
+	l = cs.edfBusyPeriod(infl, rel, b)
+	return l, b, l != timeq.Infinity
 }
 
 // edfMaxBlocking is max over entities of edfBlocking, computed in one
@@ -174,21 +172,16 @@ func (cs *CoreSet) edfBlocking(e *Entity, m *overhead.Model) timeq.Time {
 }
 
 // edfBusyPeriod computes the synchronous busy period with inflated
-// costs — the test horizon L (first result) — plus the converged
-// value before the max-deadline extension (second result), which is
-// what a Context may pass back as the warm start of a later, larger
-// evaluation. start must be at or below the least fixed point (0
-// reproduces the cold iteration exactly).
-func (cs *CoreSet) edfBusyPeriod(infl []timeq.Time, rel, b, start timeq.Time) (timeq.Time, timeq.Time) {
+// costs, iterated from the cold start B + ΣC′, and extends it over the
+// largest relative deadline: the test horizon L, or Infinity when the
+// iteration does not converge within maxBusyIterations.
+func (cs *CoreSet) edfBusyPeriod(infl []timeq.Time, rel, b timeq.Time) timeq.Time {
 	w := b
 	for _, c := range infl {
 		w += c
 	}
 	if w == 0 {
-		return 0, 0
-	}
-	if start > w {
-		w = start
+		return 0
 	}
 	// Iterate the flat mirrors (the caller ran ensureCosts — infl is
 	// its cache, so the mirrors are filled and parallel).
@@ -204,16 +197,15 @@ func (cs *CoreSet) edfBusyPeriod(infl []timeq.Time, rel, b, start timeq.Time) (t
 			}
 		}
 		if next == w {
-			converged := w
 			// Also cover the largest relative deadline.
 			for i := 0; i < k; i++ {
 				w = timeq.Max(w, cs.soaD[i])
 			}
-			return w, converged
+			return w
 		}
 		w = next
 	}
-	return timeq.Infinity, 0
+	return timeq.Infinity
 }
 
 // deadlinePointCap bounds the number of absolute deadlines tested per
@@ -293,14 +285,4 @@ func EDFBuildCores(a *task.Assignment, m *overhead.Model) []*CoreSet {
 		out = append(out, NewCoreSet(edfEntities(a, c), maxN, m))
 	}
 	return out
-}
-
-// EDFAssignmentSchedulable is the EDF admission test for a whole
-// assignment. Windows decouple cores, so it is a conjunction of
-// per-core demand tests.
-//
-// Deprecated: use EDFDemand.Schedulable, or the policy-generic
-// Schedulable which dispatches on the assignment's own Policy.
-func EDFAssignmentSchedulable(a *task.Assignment, m *overhead.Model) bool {
-	return EDFDemand.Schedulable(a, m)
 }

@@ -106,7 +106,7 @@ func TestEDFAssignmentRequiresWindows(t *testing.T) {
 	a.Splits = append(a.Splits, &task.Split{Task: t1, Parts: []task.Part{
 		{Core: 0, Budget: ms(3)}, {Core: 1, Budget: ms(3)},
 	}})
-	if EDFAssignmentSchedulable(a, overhead.Zero()) {
+	if EDFDemand.Schedulable(a, overhead.Zero()) {
 		t.Fatal("windowless split accepted under EDF")
 	}
 }
@@ -124,7 +124,7 @@ func TestEDFAssignmentWithWindows(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !EDFAssignmentSchedulable(a, overhead.Zero()) {
+	if !EDFDemand.Schedulable(a, overhead.Zero()) {
 		t.Fatal("feasible windowed assignment rejected")
 	}
 	// Core 0 demand: t1 (4/10) + part (3 in 10, T=20): at t=10,
@@ -138,7 +138,7 @@ func TestEDFAssignmentWithWindows(t *testing.T) {
 		Parts:   []task.Part{{Core: 0, Budget: ms(3)}, {Core: 1, Budget: ms(3)}},
 		Windows: []timeq.Time{ms(10), ms(10)},
 	})
-	if EDFAssignmentSchedulable(over, overhead.Zero()) {
+	if EDFDemand.Schedulable(over, overhead.Zero()) {
 		t.Fatal("overloaded core 0 accepted (U=0.9+0.15)")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/overhead"
@@ -23,8 +24,7 @@ import (
 func engineDemand(m *overhead.Model, cs *CoreSet) (bool, int64) {
 	r := coreRec{ents: cs.Entities, nNormals: len(cs.Entities), cacheMax: cs.CacheMax}
 	var set CoreSet
-	ok, _, points := edfEvalProbe(m, modelMonotone(m), &r, &set, 0, nil, nil, nil, cs.N)
-	return ok, points
+	return edfEvalProbe(m, &r, &set, 0, nil, nil, nil, cs.N)
 }
 
 // Entity kinds of an EDF core: a whole task, or the first, a body or
@@ -127,8 +127,9 @@ func TestEDFDemandWalkMatchesEnumeration(t *testing.T) {
 			default:
 				failScreen++
 			}
-			if l, _, conv, ok := cs.edfHorizon(m, 0); ok {
-				if l == conv {
+			if l, _, ok := cs.edfHorizon(m); ok {
+				// The horizon is the busy period extended over D_max.
+				if l > slices.Max(cs.soaD[:len(cs.Entities)]) {
 					byBusy++
 				} else {
 					byDmax++
@@ -373,7 +374,7 @@ func BenchmarkEDFDemand(b *testing.B) {
 	b.Run("oracle", func(b *testing.B) {
 		a.Place(probe, core)
 		cs := EDFBuildCore(a, core, m)
-		l, _, _, _ := cs.edfHorizon(m, 0)
+		l, _, _ := cs.edfHorizon(m)
 		pts, _ := cs.deadlinePoints(l)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

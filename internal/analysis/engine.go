@@ -22,18 +22,26 @@
 // table is rebuilt when the record's revision moves: in place on a
 // record no snapshot references, and by publish before the records are
 // shared, so readers only read it; a shared one is copied with the
-// entity and warm slices (ctxBase.own).
+// entity slice (ctxBase.own).
 //
 // Every other evaluation works in a probeView, a scratch copy of one
 // core's record with the tentative entities merged in: the entity
-// slice, the warm vector parallel to it, and a CoreSet whose cost
-// buffers persist across probes. A chain entity whose jitter the probe
-// may move is swapped in the view for a probe-local clone. A reader
-// throws its views away; the writer installs them, and the warm vector
-// a table probe fills, on Commit (see context_fp.go).
+// slice and a CoreSet whose cost buffers persist across probes. A chain
+// entity whose jitter the probe may move is swapped in the view for a
+// probe-local clone. A reader throws its views away; the writer keeps
+// the chain jitters a resolution moved on Commit (see context_fp.go).
+//
+// Nothing a probe converges is kept as a start for the next one: every
+// fixed point is solved from zero, or from the lower bound its screen
+// proves (rtaScreen), and every EDF busy period from its cold start. A
+// least fixed point does not depend on where the iteration starts, so
+// the writer, a snapshot and the stateless oracle run the same
+// iterations from the same start.
 package analysis
 
 import (
+	"slices"
+
 	"repro/internal/overhead"
 	"repro/internal/task"
 	"repro/internal/timeq"
@@ -49,13 +57,6 @@ type coreRec struct {
 	// and split parts after them.
 	ents     []*Entity
 	nNormals int
-	// warm holds the converged response times of the committed system,
-	// parallel to ents (fixed priorities only): a lower bound for any
-	// probe, since probes only add entities.
-	warm []timeq.Time
-	// busyWarm is the converged busy period of the committed core (EDF):
-	// the warm start of the next demand test, 0 when there is none.
-	busyWarm timeq.Time
 	cacheMax timeq.Time
 	rev      int64 // content revision
 	// tab is the fixed-priority table of ents, parallel to it, as of
@@ -249,7 +250,6 @@ func fillEDFParts(ents []*Entity, cores []int, sp *task.Split, pool *entPool) ([
 // in — the record's first entity slot and revision — or src is nil.
 type probeView struct {
 	cs     CoreSet
-	warm   []timeq.Time
 	run    int64
 	jMoved bool
 	src    **Entity
@@ -269,10 +269,6 @@ type fpProbeScratch struct {
 
 	run   int64 // bumped per evaluation; views filled by it carry the value
 	views []probeView
-	// install is set by the writer: a chain-free probe then leaves the
-	// probe state's warm vector, with what it converged, in its core's
-	// view for Commit to install (fpContext.install).
-	install bool
 
 	chains    []fpSnapChain // probe-local clones of the committed chains, then the tentative chain
 	cloneSlab []Entity
@@ -324,7 +320,7 @@ func (p *fpProbe) run(add []*Entity, addCores []int, tent *fpSnapChain, probeCor
 	if len(p.chains) == 0 && tent == nil {
 		// No chains, no cross-core coupling: the probe is one whole task
 		// on its own core, answered from the core's table. It needs no
-		// views (the writer's are sized with the context).
+		// views.
 		return p.tableProbe(probeCore, add[0], n)
 	}
 	sc.size(len(p.cores))
@@ -344,11 +340,10 @@ func (p *fpProbe) run(add []*Entity, addCores []int, tent *fpSnapChain, probeCor
 // priorities (insertByPriority), so each entity's screen sums are its
 // table sums plus e's one term: C′ₑ for an entity below e, rel for one
 // above it, none for an equal priority. Every entity then meets
-// rtaScreen and, where it decides nothing, one solve from max(screen
-// start, committed warm value) — e first, the commonest refusal, then
-// the rest from the bottom up (see fpEvalCore for why the order cannot
-// change the verdict). e's own sums take one pass over the table (see
-// tableSlot.long).
+// rtaScreen and, where it decides nothing, one solve from the screen's
+// start — e first, the commonest refusal, then the rest from the bottom
+// up (see fpEvalCore for why the order cannot change the verdict). e's
+// own sums take one pass over the table (see tableSlot.long).
 func (p *fpProbe) tableProbe(c int, e *Entity, n int) bool {
 	p.stats.CoreTests++
 	var t tableState
@@ -369,8 +364,7 @@ func (p *fpProbe) tableProbe(c int, e *Entity, n int) bool {
 
 // tableState is one table probe: the record r with e placed at pos,
 // after the entities above it (those before eq) and its equal
-// priorities; the charges; and on the writer the probe state's warm
-// vector, which the solves fill.
+// priorities; and the charges.
 type tableState struct {
 	r        *coreRec
 	e        *Entity
@@ -380,14 +374,10 @@ type tableState struct {
 	blockRel timeq.Time // the blocking term's charge per lower-priority entity,
 	sched    timeq.Time // plus sch when there is any,
 	plain    timeq.Time // plus a plain entity's arrival and departure
-	mono     bool
-	warm     []timeq.Time
 }
 
 // tableRun fills t for a probe of e onto core c at queue bound n: the
-// charges from the scratch's memo, e's place and, on the writer, the
-// warm vector of the probe state (a zero for e, as insertByPriority
-// gives it).
+// charges from the scratch's memo and e's place.
 func (p *fpProbe) tableRun(t *tableState, c int, e *Entity, n int) {
 	sc, m, r := p.sc, p.m, &p.cores[c]
 	r.ensureTable() // a snapshot's is current: publish built it
@@ -396,7 +386,7 @@ func (p *fpProbe) tableRun(t *tableState, c int, e *Entity, n int) {
 	t.a = qc.plain + max(r.cacheMax, sc.mm.maxDelay(m, e.Task.WSS))
 	t.blockRel = m.Release + qc.ops[5] + qc.ops[0]
 	t.rel = t.blockRel + m.Sched
-	t.zero, t.sched, t.plain, t.mono = sc.mm.zero, m.Sched, qc.plain, p.mono
+	t.zero, t.sched, t.plain = sc.mm.zero, m.Sched, qc.plain
 	tab := r.tab
 	for t.eq < len(tab) && tab[t.eq].prio < e.LocalPriority {
 		t.eq++
@@ -404,11 +394,6 @@ func (p *fpProbe) tableRun(t *tableState, c int, e *Entity, n int) {
 	t.pos = t.eq
 	for t.pos < len(tab) && tab[t.pos].prio == e.LocalPriority {
 		t.pos++
-	}
-	if sc.install {
-		v := &sc.views[c]
-		t.warm = append(append(append(v.warm[:0], r.warm[:t.pos]...), 0), r.warm[t.pos:]...)
-		v.warm, v.run = t.warm, sc.run
 	}
 }
 
@@ -439,9 +424,8 @@ func (t *tableState) sums(s *rtaSums, hp, lo *tabSums) {
 
 // tableSlot is one entity of a table probe's state: its base b,
 // deadline d and screen sums s; its committed interferers, those before
-// hpEnd at C′ and those from loStart on at rel; the probed task's
-// coefficient ec in its response time (0: inert); its committed warm
-// value and its index in the probe state.
+// hpEnd at C′ and those from loStart on at rel; and the probed task's
+// coefficient ec in its response time (0: inert).
 //
 // long is what the interferers of period T ≥ d charge, for the screen:
 // each releases exactly once in (0, d], so for r in (0, d] its term
@@ -454,8 +438,7 @@ type tableSlot struct {
 	b, d           timeq.Time
 	s              rtaSums
 	hpEnd, loStart int
-	ec, warm, long timeq.Time
-	at             int
+	ec, long       timeq.Time
 }
 
 // slot sets x to committed entity i of the probe state, or to e for
@@ -481,12 +464,12 @@ func (t *tableState) slot(i int, x *tableSlot) {
 		}
 		t.sums(&x.s, &hp, &lo)
 		x.b, x.d = timeq.AddSat(e.C+t.a, t.blocking(len(tab)-t.pos)), e.D
-		x.hpEnd, x.loStart, x.ec, x.warm, x.at = t.eq, t.pos, 0, 0, t.pos
+		x.hpEnd, x.loStart, x.ec = t.eq, t.pos, 0
 		return
 	}
 	row := &tab[i]
 	t.sums(&x.s, &row.hp, &row.lo)
-	x.d, x.hpEnd, x.loStart, x.ec, x.warm, x.long, x.at = row.d, row.hp.n, len(tab)-row.lo.n, 0, 0, 0, i
+	x.d, x.hpEnd, x.loStart, x.ec, x.long = row.d, row.hp.n, len(tab)-row.lo.n, 0, 0
 	lc := row.lo.n
 	switch {
 	case e.LocalPriority < row.prio:
@@ -498,34 +481,28 @@ func (t *tableState) slot(i int, x *tableSlot) {
 	if x.ec > 0 {
 		x.s.add(float64(x.ec), float64(e.T), 0)
 	}
-	if i >= t.pos {
-		x.at++
-	}
-	if t.mono {
-		x.warm = t.r.warm[i]
-	}
 	x.b = timeq.AddSat(row.c+t.a, t.blocking(lc))
 }
 
 // tableDecide screens entity x of table probe t and, where the screen
-// decides nothing, solves it, recording a converged value in the
-// writer's warm vector.
+// decides nothing, solves it from the screen's start.
 func (p *fpProbe) tableDecide(t *tableState, x *tableSlot) bool {
 	start, pass, refuse := rtaScreen(timeq.AddSat(x.b, x.long), x.d, x.s, len(t.r.tab)+1)
 	if refuse || pass {
 		return pass
 	}
-	start = max(start, x.warm)
-	rt, ok, iters := p.tableSolve(t, x, start)
+	_, ok, iters := p.tableSolve(t, x, start)
+	p.countSolve(start, iters)
+	return ok
+}
+
+// countSolve records one solve from start that took iters iterations.
+func (p *fpProbe) countSolve(start timeq.Time, iters int) {
 	p.stats.FPSolves++
 	p.stats.FPIterations += int64(iters)
 	if start > 0 {
 		p.stats.WarmStarts++
 	}
-	if ok && t.mono && t.warm != nil {
-		t.warm[x.at] = rt
-	}
-	return ok
 }
 
 // tableSolve runs the response-time fixed point of entity x of table
@@ -623,7 +600,6 @@ func (p *fpProbe) buildViews(add []*Entity, addCores []int, probeCore, n int) {
 func (p *fpProbe) fillView(v *probeView, c int, add []*Entity, addCores []int, n int) {
 	base := &p.cores[c]
 	ents := append(v.cs.Entities[:0], base.ents...)
-	warm := append(v.warm[:0], base.warm...)
 	cm := base.cacheMax
 	var src **Entity
 	if len(base.ents) > 0 {
@@ -634,7 +610,7 @@ func (p *fpProbe) fillView(v *probeView, c int, add []*Entity, addCores []int, n
 			continue
 		}
 		src = nil
-		ents, warm = insertByPriority(ents, warm, e)
+		ents = insertByPriority(ents, e)
 		cm = max(cm, p.addCM)
 	}
 	if src == nil || src != v.src || base.rev != v.rev {
@@ -642,7 +618,6 @@ func (p *fpProbe) fillView(v *probeView, c int, add []*Entity, addCores []int, n
 	}
 	p.queueCosts(v, n)
 	v.src, v.rev = src, base.rev
-	v.warm = warm
 	v.run = p.sc.run
 	v.cs.Entities = ents
 	v.cs.N = n
@@ -651,20 +626,14 @@ func (p *fpProbe) fillView(v *probeView, c int, add []*Entity, addCores []int, n
 
 // insertByPriority inserts e into a priority-sorted entity slice, after
 // any equal-priority entities (matching the stable sort of NewCoreSet
-// over the canonical build order), and a zero into the warm vector
-// parallel to it. In place: only for slices no snapshot can reference.
-func insertByPriority(ents []*Entity, warm []timeq.Time, e *Entity) ([]*Entity, []timeq.Time) {
+// over the canonical build order). In place: only for slices no
+// snapshot can reference.
+func insertByPriority(ents []*Entity, e *Entity) []*Entity {
 	i := 0
 	for i < len(ents) && ents[i].LocalPriority <= e.LocalPriority {
 		i++
 	}
-	ents = append(ents, nil)
-	copy(ents[i+1:], ents[i:])
-	ents[i] = e
-	warm = append(warm, 0)
-	copy(warm[i+1:], warm[i:])
-	warm[i] = 0
-	return ents, warm
+	return slices.Insert(ents, i, e)
 }
 
 // cloneChains clones the committed chains into the scratch slabs — the
@@ -711,24 +680,12 @@ func (p *fpProbe) cloneChains(tent *fpSnapChain) {
 	}
 }
 
-// solve runs one response-time fixed point of the view's entity idx,
-// started from floor or, when higher, from the view's warm vector, and
-// records the converged value back into it. floor must be a lower
-// bound of the entity's least fixed point on the view.
-func (p *fpProbe) solve(v *probeView, idx int, floor timeq.Time) (timeq.Time, bool) {
-	start := floor
-	if p.mono && v.warm[idx] > start {
-		start = v.warm[idx]
-	}
+// solve runs one response-time fixed point of the view's entity idx
+// from start, which must be a lower bound of the entity's least fixed
+// point on the view.
+func (p *fpProbe) solve(v *probeView, idx int, start timeq.Time) (timeq.Time, bool) {
 	r, ok, iters := v.cs.responseTime(v.cs.Entities[idx], p.m, start)
-	p.stats.FPSolves++
-	p.stats.FPIterations += int64(iters)
-	if start > 0 {
-		p.stats.WarmStarts++
-	}
-	if ok && p.mono {
-		v.warm[idx] = r
-	}
+	p.countSolve(start, iters)
 	return r, ok
 }
 
@@ -737,8 +694,7 @@ func (p *fpProbe) solve(v *probeView, idx int, floor timeq.Time) (timeq.Time, bo
 //
 // It evaluates failure first. Once the chain jitters are resolved the
 // core's verdict is an AND over per-entity fixed points that share no
-// mutable state — a solve reads the set and writes only its own warm
-// slot — so the order of evaluation cannot change the verdict, only
+// mutable state — a solve only reads the set — so the order of evaluation cannot change the verdict, only
 // how soon a rejection is known. The veto costs no solve, so it goes
 // first; the entities go lowest priority first, because the entity a
 // rejected probe breaks is almost always near the bottom of the order
@@ -749,8 +705,7 @@ func (p *fpProbe) solve(v *probeView, idx int, floor timeq.Time) (timeq.Time, bo
 //
 // Each entity meets its closed-form screen (rtaScreen) first, which
 // refuses it, passes it or starts its solve; only the entities the
-// screen leaves open are solved. A passed entity keeps its view warm
-// value, which is still a lower bound.
+// screen leaves open are solved.
 func fpEvalCore(p *fpProbe, v *probeView, failed map[*Entity]bool) bool {
 	p.stats.CoreTests++
 	if len(failed) > 0 {
@@ -948,21 +903,16 @@ func (p *fpProbe) resolve() {
 // tentative parts last, their split being the newest in a.Splits. With
 // neither it tests the committed core. The probe set is assembled in
 // cs, whose cost buffers persist across calls; nothing else of it
-// outlives the probe. Beside the verdict it returns the busy period the
-// test converged, for the writer to install as the core's next warm
-// start, and the number of deadlines the demand was evaluated at.
-func edfEvalProbe(m *overhead.Model, mono bool, r *coreRec, cs *CoreSet, c int, place *Entity, parts []*Entity, partCores []int, n int) (ok bool, busyWarm timeq.Time, points int64) {
+// outlives the probe. Beside the verdict it returns the number of
+// deadlines the demand was evaluated at.
+func edfEvalProbe(m *overhead.Model, r *coreRec, cs *CoreSet, c int, place *Entity, parts []*Entity, partCores []int, n int) (ok bool, points int64) {
 	edfProbeSet(m, r, cs, c, place, parts, partCores, n)
-	var start timeq.Time
-	if mono {
-		start = r.busyWarm
-	}
-	l, b, busyWarm, ok := cs.edfHorizon(m, start)
+	l, b, ok := cs.edfHorizon(m)
 	if !ok {
-		return false, 0, 0
+		return false, 0
 	}
 	ok, points, _ = cs.edfDemandWalk(l, b)
-	return ok, busyWarm, points
+	return ok, points
 }
 
 // edfProbeSet assembles in cs the probe set edfEvalProbe tests: core

@@ -11,7 +11,7 @@ import (
 
 // engineFixture packs a task set first-fit onto a fresh context and,
 // with chains, commits a split on top, then runs the full test so the
-// committed warm values and jitters are converged.
+// committed jitters are resolved.
 func engineFixture(t *testing.T, rng *rand.Rand, pol task.Policy, m *overhead.Model, cores int, chains bool) Context {
 	t.Helper()
 	a := task.NewAssignment(cores)

@@ -26,8 +26,8 @@ func heavyProbe(rng *rand.Rand, id int64) *task.Task {
 }
 
 // TestFailureFirstMatchesStateless drives first-fit admission of
-// near-saturating task sets through a long-lived (warm) writer
-// context and its snapshots, and through a fresh (cold) context per
+// near-saturating task sets through a long-lived writer context and
+// its snapshots, and through a fresh (cold) context per
 // probe, with and without committed split chains, under the zero and
 // the paper model. Every verdict must equal the stateless
 // CoreSchedulable on the same assignment state.
@@ -143,8 +143,8 @@ func TestFailureFirstMatchesStateless(t *testing.T) {
 				ctx.Rollback()
 			}
 			if i%4 == 3 {
-				// Full tests in between move committed warm values, as
-				// a state read does on the daemon.
+				// Full tests in between resolve the committed jitters
+				// and fill verdicts, as a state read does on the daemon.
 				want := an.Schedulable(ctx.Assignment(), m)
 				if got := ctx.Schedulable(); got != want {
 					t.Fatalf("round %d: warm Schedulable = %v, stateless = %v", round, got, want)

@@ -16,7 +16,7 @@ type fluidCase struct {
 	m         *overhead.Model
 	committed []*task.Task
 	ballast   int
-	converge  bool // run a full test before forking: converged warm vectors
+	converge  bool // run a full test before forking: cached verdicts
 	adopt     bool // open the context over the filled assignment, not Place into it
 	probe     *task.Task
 }

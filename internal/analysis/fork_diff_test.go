@@ -16,8 +16,8 @@ import (
 // classes (zero, paper, scaled remote penalty, inverted anchors; the
 // latter two exercise the non-monotone cold fallback).
 
-// forkModels returns the four overhead-model classes the warm/memo
-// machinery distinguishes.
+// forkModels returns the four overhead-model classes the monotonicity
+// gate distinguishes.
 func forkModels() []*overhead.Model {
 	inverted := overhead.PaperModel()
 	inverted.Queues.LocalN64[overhead.ReadyAdd] = inverted.Queues.LocalN4[overhead.ReadyAdd] / 2

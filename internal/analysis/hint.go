@@ -165,13 +165,8 @@ func (x *edfContext) SplitHint(sp *task.Split, c int) timeq.Time {
 	sc := &x.sc
 	sc.parts, sc.partCores = fillEDFParts(sc.parts, sc.partCores, sp, &x.pool)
 	part := sc.parts[slices.Index(sc.partCores, c)]
-	r := &x.cores[c]
-	edfProbeSet(x.m, r, &sc.cs, c, nil, sc.parts, sc.partCores, probeN(x.cores, x.maxN, sc.partCores))
-	var start timeq.Time
-	if x.mono {
-		start = r.busyWarm
-	}
-	h := sc.cs.edfBudgetHint(x.m, part, start)
+	edfProbeSet(x.m, &x.cores[c], &sc.cs, c, nil, sc.parts, sc.partCores, probeN(x.cores, x.maxN, sc.partCores))
+	h := sc.cs.edfBudgetHint(x.m, part)
 	x.pool.put(sc.parts...)
 	return h
 }
@@ -180,13 +175,12 @@ func (x *edfContext) SplitHint(sp *task.Split, c int) timeq.Time {
 // have with the demand test still passing, 0 when not even a zero
 // budget would or when it has no estimate. It starts from what the
 // C' ≤ D screen and the deadlines up to the largest relative deadline
-// admit (every horizon reaches that far) and runs the test there
-// (busyStart warm-starts the busy period, as in edfEvalProbe). Where
+// admit (every horizon reaches that far) and runs the test there. Where
 // the walk misses a deadline, the budget drops to what that deadline
 // admits and the test runs again, at most hintRounds times. A budget
 // the test passes at is returned as is. It leaves part's budget at the
 // last budget tested.
-func (cs *CoreSet) edfBudgetHint(m *overhead.Model, part *Entity, busyStart timeq.Time) timeq.Time {
+func (cs *CoreSet) edfBudgetHint(m *overhead.Model, part *Entity) timeq.Time {
 	cs.ensureCosts(m)
 	k := len(cs.Entities)
 	pi := slices.Index(cs.Entities, part)
@@ -250,7 +244,7 @@ func (cs *CoreSet) edfBudgetHint(m *overhead.Model, part *Entity, busyStart time
 	for round := 0; round < hintRounds && hint > 0; round++ {
 		part.C = hint
 		cs.invalidateCosts()
-		l, bl, _, ok := cs.edfHorizon(m, busyStart)
+		l, bl, ok := cs.edfHorizon(m)
 		if !ok {
 			return hint
 		}

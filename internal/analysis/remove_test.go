@@ -12,9 +12,9 @@ import (
 // Removal is the one context mutation that shrinks the system, so its
 // invalidation path gets its own differential suite: after every
 // Remove, the next probes and full tests must still answer exactly
-// like the stateless analyzer on the shrunken assignment — warm
-// values, chain jitters and verdict caches must never leak state from
-// the larger system.
+// like the stateless analyzer on the shrunken assignment — chain
+// jitters and verdict caches must never leak state from the larger
+// system.
 
 // TestContextRemoveBasics pins the structural semantics.
 func TestContextRemoveBasics(t *testing.T) {
@@ -175,7 +175,7 @@ func driveRemoveOps(rng *rand.Rand, an Analyzer, m *overhead.Model, cores int, s
 			for id := range present {
 				tk := present[id]
 				// Re-probe a present task's twin (fresh ID) to force
-				// warm-path evaluations on the shrunken system.
+				// evaluations on the shrunken system.
 				twin := *tk
 				twin.ID = task.ID(10_000 + int(id))
 				ctx.TryPlace(&twin, rng.Intn(cores))

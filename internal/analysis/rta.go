@@ -36,14 +36,13 @@ func (cs *CoreSet) ResponseTime(e *Entity, m *overhead.Model) (timeq.Time, bool)
 }
 
 // responseTime is the solver behind ResponseTime, extended with a
-// warm-start value and an iteration count (consumed by the incremental
-// admission Context). start must be a lower bound on the least fixed
-// point — e.g. the converged response time of the same entity in a
-// system with strictly fewer entities and no larger overhead terms.
-// The iteration R ← f(R) is monotone, so from any point at or below
-// the least fixed point it converges to exactly that fixed point: the
-// result is identical to a cold start, only fewer iterations are
-// spent. A start of 0 reproduces the cold start bit for bit.
+// start value and an iteration count (consumed by the incremental
+// engine). start must be a lower bound on the least fixed point — the
+// engine passes 0 or its screen's bound (rtaScreen). The iteration
+// R ← f(R) is monotone, so from any point at or below the least fixed
+// point it converges to exactly that fixed point: the result is
+// identical to a cold start, only fewer iterations are spent. A start
+// of 0 reproduces the cold start bit for bit.
 func (cs *CoreSet) responseTime(e *Entity, m *overhead.Model, start timeq.Time) (timeq.Time, bool, int) {
 	cs.ensureCosts(m)
 	self := -1
@@ -148,10 +147,9 @@ func fpFixedPoint(base, start, limit timeq.Time, coef, jit, periods []timeq.Time
 			total = timeq.AddSat(total, timeq.MulCount(c, n))
 		}
 		if total == r {
-			// A cold start can only converge at r ≤ limit (larger
-			// totals exit below first); a warm start may land on a
-			// fixed point beyond a limit that shrank since the start
-			// value converged, which must still report unschedulable.
+			// r is the start or an earlier total, so a start at or
+			// below limit converges at most at limit; the check keeps
+			// the verdict to the limit whatever start a caller passes.
 			return r, r <= limit, iter
 		}
 		if total > limit {

@@ -49,7 +49,7 @@ func tableScreens(p fpProbe, c int, e *Entity, n int) []screenResult {
 	res := make([]screenResult, len(t.r.tab)+1)
 	for i := -1; i < len(t.r.tab); i++ {
 		t.slot(i, &x)
-		r := &res[x.at]
+		r := &res[t.place(i)]
 		r.start, r.pass, r.refuse = rtaScreen(timeq.AddSat(x.b, x.long), x.d, x.s, len(res))
 	}
 	return res
@@ -120,7 +120,7 @@ type screenCase struct {
 	committed []*task.Task
 	splits    []*task.Split
 	ballast   int
-	converge  bool // run a full test before forking: converged warm vectors
+	converge  bool // run a full test before forking: resolved jitters, cached verdicts
 	probe     *task.Task
 }
 

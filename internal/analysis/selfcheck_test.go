@@ -21,10 +21,6 @@ func TestSelfCheckWrapperEngaged(t *testing.T) {
 			t.Fatal("trivial placement must fit")
 		}
 		ctx.Commit()
-		// Sabotage the committed warm vector with an overshooting value;
-		// warm starts never lower a converged fixed point below the
-		// cold result, and the shadow would panic on any divergence.
-		inner.cores[0].warm[0] = 9 * timeq.Millisecond
 		tk2 := &task.Task{ID: 2, WCET: timeq.Millisecond, Period: 20 * timeq.Millisecond, Priority: 2}
 		if !ctx.TryPlace(tk2, 0) {
 			t.Fatal("second placement must fit")
@@ -33,5 +29,14 @@ func TestSelfCheckWrapperEngaged(t *testing.T) {
 		if !ctx.Schedulable() {
 			t.Fatal("assignment must stay schedulable")
 		}
+		// Sabotage core 0's cached verdict: the shadow must catch the
+		// context answering what the stateless analyzer does not.
+		inner.verdicts[0].ok = false
+		defer func() {
+			if recover() == nil {
+				t.Fatal("SelfCheck let a diverging Schedulable through")
+			}
+		}()
+		ctx.Schedulable()
 	})
 }

@@ -23,18 +23,17 @@
 // own. A Prober binds pooled scratch to the snapshot and runs the probe
 // engine of engine.go over it — the tableProbe, fillView, fpEvalCore,
 // resolve and edfEvalProbe a writer probe runs — and then drops what
-// the writer would have installed. It sums its probes' counters and
+// the writer would have kept. It sums its probes' counters and
 // folds them into the context's read collector once, at Close.
 //
 // # Why sharing is safe
 //
-// Committed entities are immutable. Warm values live in the records'
-// vectors, and a probe copies a vector into its view before any solve
-// writes it (a reader's table probe writes none); chain jitters are
-// baked into the committed chain entities, and a probe that resolves
-// jitters moves those of its own clones. The slices a snapshot shares
-// with the writer — entities, warm vectors, tables — are never written
-// in place while a snapshot references them (ctxBase.own), and the
+// Committed entities are immutable, and a probe writes nothing of the
+// records: chain jitters are baked into the committed chain entities,
+// and a probe that resolves jitters moves those of its own clones. The
+// slices a snapshot shares with the writer — entities and tables — are
+// never written in place while a snapshot references them
+// (ctxBase.own), and the
 // assignment's task and split lists are only ever replaced, or
 // appended to beyond every published length.
 //
@@ -42,12 +41,11 @@
 //
 // Snapshot verdicts are bit-identical to the stateless Analyzer on
 // the snapshot's assignment, by the same three arguments as the owning
-// Context: warm starts are converged values of the committed system,
-// which a probe only extends (monotone fixed points converge to the
-// same least fixed point from any value at or below it); non-monotone
-// overhead models disable warm starts entirely; and the per-entity
-// screens refuse, pass or start only from bounds every fixed point
-// obeys, on a view or from the table the publisher built (fixed
+// Context: every iteration starts where the oracle's does or at a bound
+// every fixed point obeys, except the chain resolution's start from the
+// committed jitters, which a probe only extends; non-monotone overhead
+// models resolve from zero jitters; and the per-entity screens refuse,
+// pass or start only from bounds every fixed point obeys, on a view or from the table the publisher built (fixed
 // priorities only; EDF screens utilization in edfHorizon). The fork
 // differential and racing fuzz tests, TestPlainProbeMatchesViews and
 // FuzzFPEntityScreen enforce this.
@@ -358,7 +356,7 @@ func (s *fpSnapshot) TrySplit(sp *task.Split, c int) bool {
 
 // Schedulable returns the full-test verdict of the committed state:
 // inherited from the previous snapshot when publication could derive
-// it, otherwise computed (warm-started, every core) at most once per
+// it, otherwise computed (every core) at most once per
 // snapshot by the first asker.
 func (s *fpSnapshot) Schedulable() bool {
 	if s.schedDone.Load() {
@@ -418,7 +416,7 @@ func (p *edfProber) TryPlace(t *task.Task, c int) bool {
 		return false
 	}
 	n := placeN(s.cores, s.maxN, c)
-	ok, _, points := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, newEDFEntityInto(&sc.ent, t), nil, nil, n)
+	ok, points := edfEvalProbe(s.m, &s.cores[c], &sc.cs, c, newEDFEntityInto(&sc.ent, t), nil, nil, n)
 	p.acc = p.acc.Add(AdmissionStats{Probes: 1, CoreTests: 1, DemandTests: 1, DemandPoints: points})
 	return ok
 }
@@ -430,7 +428,7 @@ func (p *edfProber) TrySplit(sp *task.Split, c int) bool {
 	}
 	sc.parts, sc.partCores = fillEDFParts(sc.parts, sc.partCores, sp, &sc.pool)
 	n := probeN(s.cores, s.maxN, sc.partCores)
-	ok, _, points := edfEvalProbe(s.m, s.mono, &s.cores[c], &sc.cs, c, nil, sc.parts, sc.partCores, n)
+	ok, points := edfEvalProbe(s.m, &s.cores[c], &sc.cs, c, nil, sc.parts, sc.partCores, n)
 	sc.pool.put(sc.parts...)
 	p.acc = p.acc.Add(AdmissionStats{Probes: 1, CoreTests: 1, DemandTests: 1, DemandPoints: points})
 	return ok
@@ -462,7 +460,7 @@ func (s *edfSnapshot) Schedulable() bool {
 		s.schedOK = edfWindowed(s.splits)
 		for c := 0; s.schedOK && c < len(s.cores); c++ {
 			var points int64
-			s.schedOK, _, points = edfEvalProbe(s.m, s.mono, &s.cores[c], &p.sc.cs, c, nil, nil, nil, s.maxN)
+			s.schedOK, points = edfEvalProbe(s.m, &s.cores[c], &p.sc.cs, c, nil, nil, nil, s.maxN)
 			stats.CoreTests++
 			stats.DemandTests++
 			stats.DemandPoints += points

@@ -37,11 +37,6 @@ var (
 // Policy declares EDF dispatching.
 func (h *EDFHeuristic) Policy() task.Policy { return task.EDF }
 
-// EDFPolicy reports EDF dispatching.
-//
-// Deprecated: use Policy.
-func (h *EDFHeuristic) EDFPolicy() bool { return true }
-
 // Name returns the algorithm name.
 func (h *EDFHeuristic) Name() string {
 	if h.name != "" {
@@ -87,11 +82,6 @@ func (*EDFWM) Name() string { return "EDF-WM" }
 
 // Policy declares EDF dispatching.
 func (*EDFWM) Policy() task.Policy { return task.EDF }
-
-// EDFPolicy reports EDF dispatching.
-//
-// Deprecated: use Policy.
-func (*EDFWM) EDFPolicy() bool { return true }
 
 // Partition places tasks first-fit in decreasing utilization order
 // and splits a task over k equal deadline windows when it fits

@@ -1,10 +1,13 @@
 package partition
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/overhead"
+	"repro/internal/task"
 	"repro/internal/taskgen"
 )
 
@@ -31,7 +34,7 @@ func TestEDFFFDPartitionsFullCores(t *testing.T) {
 	if u0 := a.CoreUtilization(0); u0 != 1.0 {
 		t.Fatalf("EDF first-fit should fill core 0 to 1.0, got %v", u0)
 	}
-	if !analysis.EDFAssignmentSchedulable(a, overhead.Zero()) {
+	if !analysis.EDFDemand.Schedulable(a, overhead.Zero()) {
 		t.Fatal("not EDF schedulable")
 	}
 }
@@ -58,7 +61,7 @@ func TestEDFWMSplitsPathology(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !analysis.EDFAssignmentSchedulable(a, overhead.Zero()) {
+	if !analysis.EDFDemand.Schedulable(a, overhead.Zero()) {
 		t.Fatal("EDF-WM assignment fails its own admission")
 	}
 }
@@ -70,7 +73,7 @@ func TestEDFWMWithPaperOverheads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EDF-WM with overheads failed: %v", err)
 	}
-	if !analysis.EDFAssignmentSchedulable(a, m) {
+	if !analysis.EDFDemand.Schedulable(a, m) {
 		t.Fatal("not schedulable under admission model")
 	}
 }
@@ -130,12 +133,53 @@ func TestEDFRandomSetsValid(t *testing.T) {
 			if err := a.Validate(); err != nil {
 				t.Fatalf("%s set %d: %v", alg.Name(), si, err)
 			}
-			if !analysis.EDFAssignmentSchedulable(a, m) {
+			if !analysis.EDFDemand.Schedulable(a, m) {
 				t.Fatalf("%s set %d: admission disagreement", alg.Name(), si)
 			}
 			if got := len(a.AllTasks()); got != s.Len() {
 				t.Fatalf("%s set %d: %d tasks, want %d", alg.Name(), si, got, s.Len())
 			}
+		}
+	}
+}
+
+// TestEDFWMMatchesOracleAtBusyPeriodCap pins two 4-core sets under the
+// paper model whose EDF-WM packing puts every task whole and leaves a
+// core whose synchronous busy period converges only after more than
+// maxBusyIterations steps from its cold start. A busy period warm-started
+// from an earlier probe's would converge under the cap where the
+// stateless test's does not, and accept what it refuses. With SelfCheck
+// shadowing every probe and the final full test, EDF-WM's verdict must
+// be the stateless analyzer's, and an accepted assignment must pass the
+// stateless Schedulable. Both refuse these sets while the busy period is
+// capped by an iteration count.
+func TestEDFWMMatchesOracleAtBusyPeriodCap(t *testing.T) {
+	old := analysis.SelfCheck
+	analysis.SelfCheck = true
+	defer func() { analysis.SelfCheck = old }()
+	m := overhead.PaperModel()
+	for _, cfg := range []taskgen.Config{
+		{N: 16, TotalUtilization: 2.9, Seed: -2215267204263355574},
+		{N: 16, TotalUtilization: 2.4, Seed: -5522610954765769740},
+	} {
+		set := taskgen.New(cfg).Next()
+		a, err := func() (a *task.Assignment, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("diverged from the stateless analyzer: %v", r)
+				}
+			}()
+			return WM.Partition(set.Clone(), 4, m)
+		}()
+		switch {
+		case err == nil:
+			if !analysis.EDFDemand.Schedulable(a, m) {
+				t.Errorf("seed %d: EDF-WM accepted an assignment the stateless test refuses", cfg.Seed)
+			} else {
+				t.Errorf("seed %d: EDF-WM accepted; the stateless test accepts too, so the cap no longer bites: move this pin", cfg.Seed)
+			}
+		case !errors.Is(err, ErrUnschedulable):
+			t.Errorf("seed %d: %v", cfg.Seed, err)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestFFDPartitionsEasySet(t *testing.T) {
 	if a.NumSplit() != 0 {
 		t.Fatal("FFD must not split")
 	}
-	if !analysis.AssignmentSchedulable(a, overhead.Zero()) {
+	if !analysis.FixedPriorityRTA.Schedulable(a, overhead.Zero()) {
 		t.Fatal("returned assignment not schedulable")
 	}
 }
@@ -112,7 +112,7 @@ func TestSplittingBeatsPartitioningPathology(t *testing.T) {
 	if a.NumSplit() == 0 {
 		t.Fatal("SPA2 should have split a task")
 	}
-	if !analysis.AssignmentSchedulable(a, overhead.Zero()) {
+	if !analysis.FixedPriorityRTA.Schedulable(a, overhead.Zero()) {
 		t.Fatal("SPA2 assignment not schedulable")
 	}
 }
@@ -152,7 +152,7 @@ func TestSPA2PreassignsHeavy(t *testing.T) {
 			t.Fatal("heavy task was split")
 		}
 	}
-	if !analysis.AssignmentSchedulable(a, overhead.Zero()) {
+	if !analysis.FixedPriorityRTA.Schedulable(a, overhead.Zero()) {
 		t.Fatal("not schedulable")
 	}
 }
@@ -178,7 +178,7 @@ func TestSPABoundFill(t *testing.T) {
 	if a.NumSplit() != 1 {
 		t.Fatalf("bound fill should split exactly one task, got %d", a.NumSplit())
 	}
-	if !analysis.AssignmentSchedulable(a, overhead.Zero()) {
+	if !analysis.FixedPriorityRTA.Schedulable(a, overhead.Zero()) {
 		t.Fatal("not schedulable")
 	}
 }
@@ -203,7 +203,7 @@ func TestPartitionWithPaperOverheads(t *testing.T) {
 	if a.NumSplit() == 0 {
 		t.Fatal("expected a split")
 	}
-	if !analysis.AssignmentSchedulable(a, m) {
+	if !analysis.FixedPriorityRTA.Schedulable(a, m) {
 		t.Fatal("not schedulable under the admission model")
 	}
 	// The same set cannot be FFD-partitioned (two U=0.575 tasks do
@@ -254,7 +254,7 @@ func TestRandomSetsAllAlgorithms(t *testing.T) {
 				if err := a.Validate(); err != nil {
 					t.Fatalf("%s/%s set %d: invalid: %v", alg.Name(), mi, si, err)
 				}
-				if !analysis.AssignmentSchedulable(a, model) {
+				if !analysis.FixedPriorityRTA.Schedulable(a, model) {
 					t.Fatalf("%s/%s set %d: unschedulable assignment returned", alg.Name(), mi, si)
 				}
 				if _, isH := alg.(*Heuristic); isH && a.NumSplit() > 0 {
@@ -386,7 +386,7 @@ func TestFPTSSplitsOnlyWhenNeeded(t *testing.T) {
 	if a2.NumSplit() != 1 {
 		t.Fatalf("want exactly 1 split, got %d", a2.NumSplit())
 	}
-	if !analysis.AssignmentSchedulable(a2, overhead.Zero()) {
+	if !analysis.FixedPriorityRTA.Schedulable(a2, overhead.Zero()) {
 		t.Fatal("not schedulable")
 	}
 }
@@ -416,7 +416,7 @@ func TestBoostAblation(t *testing.T) {
 		}
 		if a, err := TSNoBoost.Partition(s.Clone(), 4, nil); err == nil {
 			plain++
-			if !analysis.AssignmentSchedulable(a, overhead.Zero()) {
+			if !analysis.FixedPriorityRTA.Schedulable(a, overhead.Zero()) {
 				t.Fatal("no-boost assignment unschedulable")
 			}
 			for _, sp := range a.Splits {

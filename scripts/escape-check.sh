@@ -17,6 +17,12 @@
 # kernel file being "moved to heap" means some refactor made scratch
 # escape, and the next bench run would pay an allocation per probe.
 #
+# The daemon's non-holding try (admitd's handleTry and Session.tryRead)
+# is held to the same rule function by function: its decoded request and
+# core stay on the handler's stack. The holding branch (tryHold) moves
+# its core to the heap on purpose, for the actor closure, and is not
+# checked.
+#
 # Intentional heap allocations remain: entity construction on the
 # setup path and panic-message strings report "escapes to heap" and are
 # fine. Only "moved to heap" — a stack local forced off the stack — is
@@ -56,7 +62,32 @@ check "taskgen/experiment sweep kernel" ./internal/experiment/ \
 	'^(\./)?internal/(taskgen/taskgen|taskgen/setcache|experiment/experiment)\.go' \
 	'rand\.rng|name|cfg|wg'
 
+# check_funcs: $1 label, $2 package directory, $3 file in it, $4 the
+# functions to check (an alternation of names). A local of one of those
+# functions moved to heap fails.
+check_funcs() {
+	out="$(go build -gcflags='-m' "./$2" 2>&1 | awk -v file="$3" -v names="$4" '
+		FNR == NR {
+			if ($0 ~ "^func (\\([^)]*\\) )?(" names ")\\(") start = FNR
+			else if (start && $0 ~ /^}/) { lo[++n] = start; hi[n] = FNR; start = 0 }
+			next
+		}
+		/moved to heap/ {
+			split($0, f, ":")
+			if (f[1] !~ ("(^|/)" file "$")) next
+			for (i = 1; i <= n; i++) if (f[2] + 0 >= lo[i] && f[2] + 0 <= hi[i]) print
+		}' "$2/$3" -)"
+	if [ -n "$out" ]; then
+		echo "escape-check: $1 locals moved to heap:" >&2
+		echo "$out" >&2
+		fail=1
+	fi
+}
+
+check_funcs "admitd non-holding try (handler)" internal/admitd server.go 'handleTry'
+check_funcs "admitd non-holding try (session)" internal/admitd session.go 'tryRead'
+
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "escape-check: sweep kernels (analysis, partition budget search and placement, taskgen, experiment) keep their locals on the stack"
+echo "escape-check: sweep kernels (analysis, partition budget search and placement, taskgen, experiment) and admitd's non-holding try keep their locals on the stack"

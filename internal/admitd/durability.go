@@ -198,7 +198,7 @@ func openWalPlane(dataDir string, policy wal.SyncPolicy, window time.Duration) (
 		}
 	}
 	var keys streamKeys
-	onRecover := func(r wal.Record) error { return p.recoverRecord(&keys, r) }
+	onRecover := func(r *wal.Record) error { return p.recoverRecord(&keys, r) }
 	dir := filepath.Join(dataDir, "wal", "shard-00")
 	l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: policy, OnFsync: onFsync, OnRecover: onRecover})
 	if err != nil {
@@ -249,13 +249,14 @@ func (p *walPlane) syncLoop(window time.Duration) {
 }
 
 // recoverRecord is the log's OnRecover callback: every record the
-// open-time scan keeps, in log order. It keeps the registry (per name
-// the highest generation; in it the highest seq, the tombstone and the
-// latest checkpoint's position) and folds each live generation. Only a
-// malformed stream key (the log is not ours) fails the open; anything
-// else wrong poisons its stream alone, until a checkpoint rebases it.
+// open-time scan keeps, in log order, by pointer and only for the call.
+// It keeps the registry (per name the highest generation; in it the
+// highest seq, the tombstone and the latest checkpoint's position) and
+// folds each live generation. Only a malformed stream key (the log is
+// not ours) fails the open; anything else wrong poisons its stream
+// alone, until a checkpoint rebases it.
 // keys is the scan's memo of the stream keys it has met.
-func (p *walPlane) recoverRecord(keys *streamKeys, r wal.Record) error {
+func (p *walPlane) recoverRecord(keys *streamKeys, r *wal.Record) error {
 	if r.StreamIndex >= len(*keys) {
 		*keys = append(*keys, make(streamKeys, r.StreamIndex+1-len(*keys))...)
 	}
@@ -305,8 +306,8 @@ func (p *walPlane) recoverRecord(keys *streamKeys, r wal.Record) error {
 // fold is foldRecord marking failures unrecoverable — except an
 // undecodable checkpoint at the fold's own seq, which only repeats
 // state the fold holds: a counted error, not the stream.
-func (p *walPlane) fold(name string, base **sessionSnapshot, r wal.Record) error {
-	err := foldRecord(name, base, r)
+func (p *walPlane) fold(name string, base **sessionSnapshot, r *wal.Record) error {
+	err := foldRecord(name, base, *r)
 	switch {
 	case err == nil:
 		return nil
@@ -386,7 +387,7 @@ func (p *walPlane) importCheckpoint(snap *sessionSnapshot) error {
 	}
 	key, l := streamKey(name, snap.Gen), p.log
 	if e != nil && e.gen == snap.Gen {
-		if err := l.ReplayStream(key, snap.Seq, func(r wal.Record) error { return p.fold(name, &snap, r) }); err != nil {
+		if err := l.ReplayStream(key, snap.Seq, func(r wal.Record) error { return p.fold(name, &snap, &r) }); err != nil {
 			e.poison = err
 			return err
 		}
@@ -773,7 +774,7 @@ func (st *Store) replayToSeq(name string, e *streamState, limit int64) (base *se
 		if k := walKind(r.Payload); base == nil && k != walKindCkpt && k != walKindCreate {
 			return nil
 		}
-		return p.fold(name, &base, r)
+		return p.fold(name, &base, &r)
 	})
 	if base == nil && ckptErr != nil {
 		// Without its checkpoint the log alone no longer reaches this

@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/api"
 	"repro/client"
@@ -676,7 +677,7 @@ func TestRecoverKeyMemoGenerations(t *testing.T) {
 			if !memo {
 				keys = streamKeys{}
 			}
-			if err := p.recoverRecord(&keys, r); err != nil {
+			if err := p.recoverRecord(&keys, &r); err != nil {
 				t.Fatalf("record %d (%s seq %d): %v", r.LSN, r.Stream, r.Seq, err)
 			}
 		}
@@ -723,7 +724,7 @@ func TestRecoverKeyMemoGenerations(t *testing.T) {
 
 	for _, key := range []string{"no-generation", "g/x", "bad%zz/1"} {
 		p := &walPlane{streams: make(map[string]*streamState)}
-		if err := p.recoverRecord(new(streamKeys), wal.Record{Stream: key, Payload: createPayload(t)}); err == nil {
+		if err := p.recoverRecord(new(streamKeys), &wal.Record{Stream: key, Payload: createPayload(t)}); err == nil {
 			t.Errorf("stream key %q was accepted", key)
 		}
 	}
@@ -966,6 +967,34 @@ func TestRecoverFoldAllocFree(t *testing.T) {
 	}
 }
 
+// TestWalDecodeNamesFirstOverRead: a record cut short anywhere reports
+// the byte at which the field it cuts starts — the first over-read,
+// not a later one — and a record with bytes to spare says how many.
+func TestWalDecodeNamesFirstOverRead(t *testing.T) {
+	tk := api.Task{ID: 3, Name: "abc", WCETNs: 1e6, PeriodNs: 1e7, DeadlineNs: 1e7, Priority: 2, WSS: 64}
+	full := walEncodeAdmit(nil, 1, 2, &tk)
+	// Where each field ends: kind, core, tasks after, the task's six
+	// integers, its name's length and its name.
+	ends := []int{1, 5, 9, 17, 25, 33, 41, 49, 57, 59, len(full)}
+	for l := 1; l < len(full); l++ {
+		start := 0
+		for _, e := range ends {
+			if e > l {
+				break
+			}
+			start = e
+		}
+		want := fmt.Sprintf("admitd: truncated wal record payload at byte %d", start)
+		if err := walDecode(full[:l], &walRec{}); err == nil || err.Error() != want {
+			t.Fatalf("cut to %d bytes: %v, want %q", l, err, want)
+		}
+	}
+	want := "admitd: wal record payload has 2 trailing bytes"
+	if err := walDecode(append(full, 0, 0), &walRec{}); err == nil || err.Error() != want {
+		t.Fatalf("two bytes to spare: %v, want %q", err, want)
+	}
+}
+
 // FuzzFoldRecord: any payload folds onto a state or fails without a
 // panic, and a failure leaves the state byte for byte as it was — a
 // task or split partly decoded into its slot is taken back.
@@ -1039,7 +1068,11 @@ func copyTree(t testing.TB, src, dst string) {
 // sessions sharing a log, reopened and every session touched. It
 // reports the cost and the allocations per commit-log record, and how
 // many times the restart read the log (passes/op; 1 = the open-time
-// scan alone).
+// scan alone). Its layer rows split the restart: scan_ns/record is
+// wal.Open with no callback on a second copy of the image (timed on
+// its own, outside ns/op), open_ns/record is New (the scan that feeds
+// the registry and the fold), and touch_ns/session is a session's first
+// Get and state read.
 func BenchmarkRecover16(b *testing.B) {
 	image := b.TempDir()
 	names, _ := buildCrashImage(b, image, 16, 600)
@@ -1047,19 +1080,31 @@ func BenchmarkRecover16(b *testing.B) {
 	var records uint64
 	var passes float64
 	var mallocs uint64
+	var scan, open, touch time.Duration
 	var ms runtime.MemStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		dir := filepath.Join(b.TempDir(), "d")
+		root := b.TempDir()
+		dir, scanDir := filepath.Join(root, "d"), filepath.Join(root, "s")
 		copyTree(b, image, dir)
+		copyTree(b, image, scanDir)
+		t0 := time.Now()
+		l, _, err := wal.Open(wal.Options{Dir: shardDir(scanDir), Policy: wal.SyncOff})
+		scan += time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l.Close()
 		runtime.ReadMemStats(&ms)
 		mallocs -= ms.Mallocs
 		b.StartTimer()
+		t1 := time.Now()
 		srv, err := New(durableConfig(dir))
 		if err != nil {
 			b.Fatal(err)
 		}
+		t2 := time.Now()
 		for _, name := range names {
 			s, err := srv.store.Get(name)
 			if err != nil {
@@ -1069,17 +1114,26 @@ func BenchmarkRecover16(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		t3 := time.Now()
 		b.StopTimer()
+		open += t2.Sub(t1)
+		touch += t3.Sub(t2)
 		runtime.ReadMemStats(&ms)
 		mallocs += ms.Mallocs
 		records = srv.store.plane.recoveredRecords
 		passes = float64(srv.store.plane.stats().ReadBytes) / float64(onDisk)
 		crashServer(srv)
 		srv.Close()
+		if err := os.RemoveAll(root); err != nil {
+			b.Fatal(err)
+		}
 		b.StartTimer()
 	}
 	perRecord := float64(b.N) * float64(records)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRecord, "ns/record")
 	b.ReportMetric(float64(mallocs)/perRecord, "allocs/record")
 	b.ReportMetric(passes, "passes/op")
+	b.ReportMetric(float64(scan.Nanoseconds())/perRecord, "scan_ns/record")
+	b.ReportMetric(float64(open.Nanoseconds())/perRecord, "open_ns/record")
+	b.ReportMetric(float64(touch.Nanoseconds())/(float64(b.N)*float64(len(names))), "touch_ns/session")
 }

@@ -168,41 +168,64 @@ func ckptFixed(s *sessionSnapshot) (ints [ckptInts]*int64, floats [3]*float64) {
 
 // --- decoding --------------------------------------------------------
 
-// walReader is a bounds-checked cursor over one record payload. Any
-// over-read latches err; the caller checks once at the end.
+// walReader is a bounds-checked cursor over one record payload. Each
+// read checks its bounds once and decodes in place. The first
+// over-read latches where it happened and moves the cursor to the end,
+// so every later read fails too and yields zero; the caller checks
+// once at the end (done). The reads are small enough to inline: the
+// error is built only when asked for.
 type walReader struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	over int // 1 + the cursor at the first over-read; 0 while none
 }
 
-func (r *walReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("admitd: truncated wal record payload at byte %d", r.off)
+// short latches an over-read at the cursor, then exhausts the payload.
+func (r *walReader) short() {
+	if r.over == 0 {
+		r.over = r.off + 1
 	}
+	r.off = len(r.b)
 }
+
+// failed reports whether a read has over-read.
+func (r *walReader) failed() bool { return r.over != 0 }
 
 func (r *walReader) take(n int) []byte {
-	if r.err != nil || r.off+n > len(r.b) {
-		r.fail()
-		return nil
+	if b := r.b[r.off:]; len(b) >= n {
+		r.off += n
+		return b[:n]
 	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
+	r.short()
+	return nil
 }
 
-// fixed takes n <= 8 bytes, zeros past an over-read.
-func (r *walReader) fixed(n int) []byte {
-	if s := r.take(n); s != nil {
-		return s
+func (r *walReader) u16() uint16 {
+	if b := r.b[r.off:]; len(b) >= 2 {
+		r.off += 2
+		return binary.LittleEndian.Uint16(b)
 	}
-	return make([]byte, 8)
+	r.short()
+	return 0
 }
 
-func (r *walReader) u16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
-func (r *walReader) i32() int32  { return int32(binary.LittleEndian.Uint32(r.fixed(4))) }
-func (r *walReader) i64() int64  { return int64(binary.LittleEndian.Uint64(r.fixed(8))) }
+func (r *walReader) i32() int32 {
+	if b := r.b[r.off:]; len(b) >= 4 {
+		r.off += 4
+		return int32(binary.LittleEndian.Uint32(b))
+	}
+	r.short()
+	return 0
+}
+
+func (r *walReader) i64() int64 {
+	if b := r.b[r.off:]; len(b) >= 8 {
+		r.off += 8
+		return int64(binary.LittleEndian.Uint64(b))
+	}
+	r.short()
+	return 0
+}
 
 func (r *walReader) str() string { return string(r.take(int(r.u16()))) }
 
@@ -214,17 +237,20 @@ func (r *walReader) bytes32() []byte {
 
 // done is the decode's verdict: the first over-read, or bytes left over.
 func (r *walReader) done() error {
-	if r.err == nil && r.off != len(r.b) {
-		r.err = fmt.Errorf("admitd: wal record payload has %d trailing bytes", len(r.b)-r.off)
+	switch {
+	case r.failed():
+		return fmt.Errorf("admitd: truncated wal record payload at byte %d", r.over-1)
+	case r.off != len(r.b):
+		return fmt.Errorf("admitd: wal record payload has %d trailing bytes", len(r.b)-r.off)
 	}
-	return r.err
+	return nil
 }
 
 // count reads a non-negative i32 element count.
 func (r *walReader) count() int {
 	n := r.i32()
 	if n < 0 {
-		r.fail()
+		r.short()
 		return 0
 	}
 	return int(n)
@@ -232,10 +258,10 @@ func (r *walReader) count() int {
 
 func (r *walReader) split(j *api.Split) {
 	r.task(&j.Task)
-	for n := int(r.u16()); n > 0 && r.err == nil; n-- {
+	for n := int(r.u16()); n > 0 && !r.failed(); n-- {
 		j.Parts = append(j.Parts, api.Part{Core: int(r.i32()), BudgetNs: r.i64()})
 	}
-	for n := int(r.u16()); n > 0 && r.err == nil; n-- {
+	for n := int(r.u16()); n > 0 && !r.failed(); n-- {
 		j.WindowsNs = append(j.WindowsNs, r.i64())
 	}
 }
@@ -309,12 +335,12 @@ func walDecodeCheckpoint(payload []byte) (*sessionSnapshot, error) {
 	for _, f := range floats {
 		*f = math.Float64frombits(uint64(r.i64()))
 	}
-	for n := r.count(); n > 0 && r.err == nil; n-- {
+	for n := r.count(); n > 0 && !r.failed(); n-- {
 		j := api.Task{Core: int(r.i32())}
 		r.task(&j)
 		s.Tasks = append(s.Tasks, j)
 	}
-	for n := r.count(); n > 0 && r.err == nil; n-- {
+	for n := r.count(); n > 0 && !r.failed(); n-- {
 		var j api.Split
 		r.split(&j)
 		s.Splits = append(s.Splits, j)

@@ -286,10 +286,10 @@ type fpProbeScratch struct {
 	coef, per, jit []timeq.Time
 }
 
-// size makes room for nc cores.
+// size makes room for nc cores, allocating the missing views at once.
 func (sc *fpProbeScratch) size(nc int) {
-	for len(sc.views) < nc {
-		sc.views = append(sc.views, probeView{})
+	if n := nc - len(sc.views); n > 0 {
+		sc.views = append(sc.views, make([]probeView, n)...)
 	}
 }
 

@@ -134,16 +134,20 @@ type Options struct {
 	// delivered is what is kept: within a segment delivery stops at the
 	// first anomaly, which is the truncation point, and a segment Open
 	// drops whole is refused on its header before any of its frames is
-	// delivered. Payload is valid only during the call; Stream is one
-	// string shared by all of a stream's records, and StreamIndex its
-	// index in this scan. An error aborts Open.
-	OnRecover func(Record) error
+	// delivered. The record is the scan's own, refilled for every
+	// frame: it and its Payload (which aliases the read window) are
+	// valid only during the call, so copy what you keep. Stream is one
+	// string shared by all of a stream's records, safe to keep, and
+	// StreamIndex its index in this scan. An error aborts Open.
+	OnRecover func(*Record) error
 }
 
 // Record is one replayed log entry. Payload aliases the replay
 // buffer: it is valid only inside the Replay (or OnRecover) callback
-// — copy it to keep it. Off is the frame's byte offset in its segment
-// file: with LSN, the record's Pos.
+// — copy it to keep it. OnRecover is handed a *Record the scan reuses
+// for the next frame, so the pointer is valid only during the call too.
+// Off is the frame's byte offset in its segment file: with LSN, the
+// record's Pos.
 type Record struct {
 	LSN     uint64
 	Off     int64
@@ -298,46 +302,83 @@ func segNameLSN(name string) (uint64, bool) {
 	return v, true
 }
 
-// frame is one parsed frame; stream and payload alias the buffer it
-// was parsed from.
+// frame is one parsed frame: the record it carries (parseFrame fills
+// LSN, Seq and Payload; the reader fills in the rest) and its stream
+// key's bytes. Stream key and payload alias the buffer it was parsed
+// from.
 type frame struct {
-	lsn     uint64
-	seq     int64
-	stream  []byte
-	payload []byte
+	Record
+	stream []byte
 }
 
 // streamNames interns stream keys, so reading the log allocates one
-// string per distinct stream instead of one per frame (the
-// m[string(b)] lookup itself does not allocate). The zero value is
-// ready to use.
+// string per distinct stream instead of one per frame. Its lookup is
+// an open-addressed table over the key bytes (FNV-1a, linear probing,
+// at most half full): a hit costs the hash and one string compare, and
+// the table grows by doubling. The zero value is ready to use.
 type streamNames struct {
-	idx  map[string]int
-	ents []streamName
+	slots []int32 // 0: empty; else 1 + the index of an entry in ents
+	ents  []streamName
 }
 
 // streamName is one interned stream key. The recovery scan also keeps
 // in it the stream's seq range in the segment being scanned, so a
-// frame costs the scan one map lookup; the ranges reach the segment's
-// index once per stream, when its scan ends.
+// frame costs the scan one table lookup; the ranges reach the
+// segment's index once per stream, when its scan ends.
 type streamName struct {
 	name string
+	hash uint32
 	seg  *segment // the segment r spans; nil before the scan meets the stream
 	r    seqRange
 }
 
-// of returns the index of b's entry in ents.
-func (n *streamNames) of(b []byte) int {
-	i, ok := n.idx[string(b)]
-	if !ok {
-		if n.idx == nil {
-			n.idx = make(map[string]int)
-		}
-		i = len(n.ents)
-		n.ents = append(n.ents, streamName{name: string(b)})
-		n.idx[n.ents[i].name] = i
+// minNameSlots is the table's first size.
+const minNameSlots = 16
+
+// fnv1a is the 32-bit FNV-1a hash of b.
+func fnv1a(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
 	}
-	return i
+	return h
+}
+
+// of returns the index of b's entry in ents, interning b if it is new.
+func (n *streamNames) of(b []byte) int {
+	h := fnv1a(b)
+	if mask := uint32(len(n.slots) - 1); len(n.slots) > 0 {
+		for i := h & mask; n.slots[i] != 0; i = (i + 1) & mask {
+			if e := &n.ents[n.slots[i]-1]; e.hash == h && e.name == string(b) {
+				return int(n.slots[i] - 1)
+			}
+		}
+	}
+	if 2*(len(n.ents)+1) > len(n.slots) {
+		n.grow()
+	}
+	n.ents = append(n.ents, streamName{name: string(b), hash: h})
+	n.place(len(n.ents) - 1)
+	return len(n.ents) - 1
+}
+
+// grow doubles the table (or makes its first one) and places every
+// entry anew.
+func (n *streamNames) grow() {
+	n.slots = make([]int32, max(minNameSlots, 2*len(n.slots)))
+	for i := range n.ents {
+		n.place(i)
+	}
+}
+
+// place puts entry i in the first free slot from its hash on.
+func (n *streamNames) place(i int) {
+	mask := uint32(len(n.slots) - 1)
+	j := n.ents[i].hash & mask
+	for n.slots[j] != 0 {
+		j = (j + 1) & mask
+	}
+	n.slots[j] = int32(i + 1)
 }
 
 // scanner is Open's state across the segments it scans: the read
@@ -373,45 +414,44 @@ func (sc *scanner) index(seg *segment) {
 	}
 }
 
-// parseFrame decodes one frame at data[off:]. A "" reason with size 0
-// is the clean end of data; a non-empty reason names the anomaly.
-func parseFrame(data []byte, off int) (f frame, size int, reason string) {
-	rest := data[off:]
-	if len(rest) == 0 {
-		return frame{}, 0, ""
+// parseFrame decodes the frame at the front of data into f. A ""
+// reason with size 0 is the clean end of data; a non-empty reason names
+// the anomaly, and f is then left as it was.
+func parseFrame(f *frame, data []byte) (size int, reason string) {
+	if len(data) == 0 {
+		return 0, ""
 	}
-	if len(rest) < 8 {
-		return frame{}, 0, "truncated frame header"
+	if len(data) < 8 {
+		return 0, "truncated frame header"
 	}
-	l := binary.LittleEndian.Uint32(rest)
+	l := binary.LittleEndian.Uint32(data)
 	if l < frameFixed || l > maxFrame {
-		return frame{}, 0, fmt.Sprintf("bad frame length %d", l)
+		return 0, fmt.Sprintf("bad frame length %d", l)
 	}
-	if len(rest) < 8+int(l) {
-		return frame{}, 0, "truncated frame body"
+	if len(data) < 8+int(l) {
+		return 0, "truncated frame body"
 	}
-	crc := binary.LittleEndian.Uint32(rest[4:])
-	body := rest[8 : 8+l]
-	if crc32.Checksum(body, castagnoli) != crc {
-		return frame{}, 0, "crc mismatch"
+	body := data[8 : 8+l]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
+		return 0, "crc mismatch"
 	}
 	sl := int(binary.LittleEndian.Uint16(body[16:]))
 	if frameFixed+sl > int(l) {
-		return frame{}, 0, "bad stream length"
+		return 0, "bad stream length"
 	}
-	f = frame{
-		lsn:     binary.LittleEndian.Uint64(body),
-		seq:     int64(binary.LittleEndian.Uint64(body[8:])),
-		stream:  body[frameFixed : frameFixed+sl],
-		payload: body[frameFixed+sl:],
-	}
-	return f, 8 + int(l), ""
+	f.LSN = binary.LittleEndian.Uint64(body)
+	f.Seq = int64(binary.LittleEndian.Uint64(body[8:]))
+	f.stream = body[frameFixed : frameFixed+sl]
+	f.Payload = body[frameFixed+sl:]
+	return 8 + int(l), ""
 }
 
 // segReader reads one segment file through a reused window: frames are
-// parsed in place, and one larger than the window grows it to fit.
+// parsed in place, into fr, and one larger than the window grows it to
+// fit.
 type segReader struct {
 	f    *os.File
+	fr   frame // the frame next last parsed; it aliases buf
 	buf  []byte
 	r, w int   // unparsed bytes: buf[r:w]
 	off  int64 // file offset of buf[r]
@@ -454,24 +494,27 @@ func (sr *segReader) fill(n int) error {
 	return nil
 }
 
-// next parses the frame at the reader's position (parseFrame's
-// answer, over the window), and steps past it.
-func (sr *segReader) next() (f frame, off int64, reason string, err error) {
-	if err := sr.fill(8); err != nil {
-		return frame{}, 0, "", err
+// next parses the frame at the reader's position into sr.fr
+// (parseFrame's answer, over the window), and steps past it. off is the
+// frame's file offset; a clean end leaves sr.off at off.
+func (sr *segReader) next() (off int64, reason string, err error) {
+	if sr.w-sr.r < 8 {
+		if err := sr.fill(8); err != nil {
+			return 0, "", err
+		}
 	}
 	if sr.w-sr.r >= 8 {
-		if l := binary.LittleEndian.Uint32(sr.buf[sr.r:]); l >= frameFixed && l <= maxFrame {
+		if l := binary.LittleEndian.Uint32(sr.buf[sr.r:]); l >= frameFixed && l <= maxFrame && sr.w-sr.r < 8+int(l) {
 			if err := sr.fill(8 + int(l)); err != nil {
-				return frame{}, 0, "", err
+				return 0, "", err
 			}
 		}
 	}
-	f, n, reason := parseFrame(sr.buf[sr.r:sr.w], 0)
+	n, reason := parseFrame(&sr.fr, sr.buf[sr.r:sr.w])
 	off = sr.off
 	sr.r += n
 	sr.off += int64(n)
-	return f, off, reason, nil
+	return off, reason, nil
 }
 
 // scanSegment validates one segment file front to back, returning the
@@ -521,25 +564,26 @@ func (l *Log) scanSegment(sc *scanner, path string, wantFirst uint64) (seg *segm
 		lastLSN:  first - 1,
 		size:     headerSize,
 	}
+	f := &sr.fr
 	for {
-		f, off, bad, err := sr.next()
+		off, bad, err := sr.next()
 		switch {
 		case err != nil:
 			return nil, "", 0, err
 		case bad != "":
 			reason, offset = bad, off
 		case sr.off == off: // clean end
-		case f.lsn != seg.lastLSN+1:
-			reason, offset = fmt.Sprintf("lsn discontinuity (%d after %d)", f.lsn, seg.lastLSN), off
+		case f.LSN != seg.lastLSN+1:
+			reason, offset = fmt.Sprintf("lsn discontinuity (%d after %d)", f.LSN, seg.lastLSN), off
 		default:
-			i := sc.note(seg, f.stream, f.seq)
+			i := sc.note(seg, f.stream, f.Seq)
 			if l.opts.OnRecover != nil {
-				r := Record{LSN: f.lsn, Off: off, Seq: f.seq, Stream: sc.names.ents[i].name, Payload: f.payload, StreamIndex: i}
-				if err := l.opts.OnRecover(r); err != nil {
+				f.Off, f.Stream, f.StreamIndex = off, sc.names.ents[i].name, i
+				if err := l.opts.OnRecover(&f.Record); err != nil {
 					return nil, "", 0, err
 				}
 			}
-			seg.lastLSN = f.lsn
+			seg.lastLSN = f.LSN
 			seg.records++
 			seg.size = sr.off
 			continue
@@ -1067,8 +1111,9 @@ func (l *Log) replaySpan(sr *segReader, sp replaySpan, stream string, afterSeq i
 	}
 	sr.r += headerSize
 	sr.off = headerSize
+	f := &sr.fr
 	for {
-		f, off, bad, err := sr.next()
+		off, bad, err := sr.next()
 		switch {
 		case err != nil:
 			return err
@@ -1082,10 +1127,10 @@ func (l *Log) replaySpan(sr *segReader, sp replaySpan, stream string, afterSeq i
 		name := stream
 		if stream == "" {
 			name = names.ents[names.of(f.stream)].name
-		} else if string(f.stream) != stream || f.seq <= afterSeq {
+		} else if string(f.stream) != stream || f.Seq <= afterSeq {
 			continue
 		}
-		if err := fn(Record{LSN: f.lsn, Off: off, Seq: f.seq, Stream: name, Payload: f.payload}); err != nil {
+		if err := fn(Record{LSN: f.LSN, Off: off, Seq: f.Seq, Stream: name, Payload: f.Payload}); err != nil {
 			return err
 		}
 	}
@@ -1132,14 +1177,15 @@ func (l *Log) ReadAt(p Pos) (Record, error) {
 	buf := make([]byte, 8+min(binary.LittleEndian.Uint32(hdr[:]), maxFrame))
 	n, err := f.ReadAt(buf, p.Off)
 	l.readBytes.Add(int64(n))
-	fr, _, bad := parseFrame(buf[:n], 0)
-	if bad == "" && fr.lsn != p.LSN {
-		bad = fmt.Sprintf("lsn %d", fr.lsn)
+	var fr frame
+	_, bad := parseFrame(&fr, buf[:n])
+	if bad == "" && fr.LSN != p.LSN {
+		bad = fmt.Sprintf("lsn %d", fr.LSN)
 	}
 	if bad != "" {
 		return Record{}, fmt.Errorf("wal: no record at lsn %d offset %d of %s: %s (%v)", p.LSN, p.Off, path, bad, err)
 	}
-	return Record{LSN: fr.lsn, Off: p.Off, Seq: fr.seq, Stream: string(fr.stream), Payload: fr.payload}, nil
+	return Record{LSN: fr.LSN, Off: p.Off, Seq: fr.Seq, Stream: string(fr.stream), Payload: fr.Payload}, nil
 }
 
 // Stats snapshots the log's counters.

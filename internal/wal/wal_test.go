@@ -132,7 +132,7 @@ func TestRecordStreamIndex(t *testing.T) {
 		}
 		return nil
 	}
-	l2, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(r Record) error { return check("scan", r) }})
+	l2, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(r *Record) error { return check("scan", *r) }})
 	defer l2.Close()
 	if rec.Segments < 2 || rec.Records != 90 {
 		t.Fatalf("recovery %+v, want 90 records over several segments", rec)
@@ -289,7 +289,7 @@ func TestTortureFlippedCRCByte(t *testing.T) {
 	// 5 records before survive, the 5 at-and-after drop.
 	off := headerSize
 	for i := 0; i < 5; i++ {
-		_, n, bad := parseFrame(data, off)
+		n, bad := parseFrame(new(frame), data[off:])
 		if bad != "" || n == 0 {
 			t.Fatalf("pre-damage parse at %d: %q", off, bad)
 		}
@@ -398,7 +398,7 @@ func TestTortureMissingSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := 0
-	l, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(Record) error {
+	l, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(*Record) error {
 		delivered++
 		return nil
 	}})
@@ -426,7 +426,7 @@ func TestTortureStaleFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n, bad := parseFrame(data, headerSize)
+	n, bad := parseFrame(new(frame), data[headerSize:])
 	if bad != "" || n == 0 {
 		t.Fatalf("first frame: %q", bad)
 	}
@@ -435,7 +435,7 @@ func TestTortureStaleFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := 0
-	l, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(Record) error {
+	l, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(*Record) error {
 		delivered++
 		return nil
 	}})
@@ -485,7 +485,7 @@ func TestTortureLargeFrame(t *testing.T) {
 				want = 3
 			}
 			var delivered int
-			l2, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(r Record) error {
+			l2, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(r *Record) error {
 				delivered++
 				if r.Seq == 4 && !bytes.Equal(r.Payload, big) {
 					t.Fatal("the large frame was misread")
@@ -939,13 +939,13 @@ func FuzzWalFrame(f *testing.F) {
 		// Raw bytes through the parser, from every frame boundary it
 		// believes in and from an arbitrary offset.
 		for off := 0; off <= len(raw); {
-			_, n, _ := parseFrame(raw, off)
+			n, _ := parseFrame(new(frame), raw[off:])
 			if n == 0 {
 				break
 			}
 			off += n
 		}
-		parseFrame(raw, int(pos)%(len(raw)+1))
+		parseFrame(new(frame), raw[int(pos)%(len(raw)+1):])
 		// Raw bytes as a segment file of their own, bare and behind a
 		// valid header.
 		for _, withHeader := range []bool{false, true} {
@@ -999,7 +999,7 @@ func FuzzWalFrame(f *testing.F) {
 					// Indistinguishable from compaction, which removes
 					// prefixes: the rest is a whole log.
 					for off := headerSize; ; skip++ {
-						_, n, _ := parseFrame(data, off)
+						n, _ := parseFrame(new(frame), data[off:])
 						if n == 0 {
 							break
 						}
@@ -1012,7 +1012,7 @@ func FuzzWalFrame(f *testing.F) {
 				}
 			case 4: // an old frame written again at the end: sound CRC, stale LSN
 				if last {
-					_, n, _ := parseFrame(orig.files[orig.names[0]], headerSize)
+					n, _ := parseFrame(new(frame), orig.files[orig.names[0]][headerSize:])
 					data = append(data, orig.files[orig.names[0]][headerSize:headerSize+n]...)
 				}
 			}
@@ -1021,9 +1021,10 @@ func FuzzWalFrame(f *testing.F) {
 			}
 		}
 		var delivered []Record
-		l, rec, err := Open(Options{Dir: dir, Policy: SyncOff, OnRecover: func(r Record) error {
-			r.Payload = append([]byte(nil), r.Payload...)
-			delivered = append(delivered, r)
+		l, rec, err := Open(Options{Dir: dir, Policy: SyncOff, OnRecover: func(r *Record) error {
+			c := *r
+			c.Payload = append([]byte(nil), r.Payload...)
+			delivered = append(delivered, c)
 			return nil
 		}})
 		if err != nil {
@@ -1071,7 +1072,7 @@ func TestOnRecoverSeesEachKeptRecordOnce(t *testing.T) {
 		size += fi.Size()
 	}
 	var lsns []uint64
-	l, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(r Record) error {
+	l, rec := openT(t, dir, Options{Policy: SyncOff, OnRecover: func(r *Record) error {
 		lsns = append(lsns, r.LSN)
 		return nil
 	}})
@@ -1100,7 +1101,7 @@ func TestOnRecoverSeesEachKeptRecordOnce(t *testing.T) {
 	}
 	// An OnRecover error aborts the open.
 	l.Close()
-	if _, _, err := Open(Options{Dir: dir, Policy: SyncOff, OnRecover: func(Record) error {
+	if _, _, err := Open(Options{Dir: dir, Policy: SyncOff, OnRecover: func(*Record) error {
 		return fmt.Errorf("stop")
 	}}); err == nil || err.Error() != "stop" {
 		t.Fatalf("Open with a failing OnRecover: %v", err)
@@ -1271,7 +1272,7 @@ func TestScanAllocatesPerStreamNotPerRecord(t *testing.T) {
 		dir := t.TempDir()
 		buildLog(t, dir, records, 1<<20)
 		return testing.AllocsPerRun(5, func() {
-			l, _, err := Open(Options{Dir: dir, Policy: SyncOff, OnRecover: func(Record) error { return nil }})
+			l, _, err := Open(Options{Dir: dir, Policy: SyncOff, OnRecover: func(*Record) error { return nil }})
 			if err != nil {
 				t.Fatal(err)
 			}
